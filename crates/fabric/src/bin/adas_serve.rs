@@ -181,7 +181,8 @@ fn cmd_coordinator(args: &[String]) -> ExitCode {
             CoordinatorServer::bind(&addr, coordinator, admit).map_err(|e| format!("bind: {e}"))?;
         let bound = front.local_addr().map_err(|e| e.to_string())?;
         eprintln!(
-            "[fabric] coordinator listening on {bound} over {} workers (`client shutdown` to exit)",
+            "[fabric] coordinator listening on {bound} over {} workers \
+             (SIGTERM or `client shutdown` to drain + exit)",
             config.workers.len()
         );
         front.run().map_err(|e| e.to_string())?;

@@ -1,28 +1,30 @@
-//! The campaign coordinator: shards a grid across the fleet, re-dispatches
-//! cells from dead or slow workers, and merges streamed results in
-//! deterministic grid order.
+//! The coordinator: shards a job across the fleet, re-dispatches items
+//! from dead or slow workers, and merges streamed results in
+//! deterministic global order.
 //!
 //! # Dispatch algorithm
 //!
-//! A campaign runs in **rounds**. Each round routes every still-missing
-//! cell over a consistent-hash ring built from the *currently live*
-//! workers (so warm cells stay put while everyone is healthy, and only a
-//! dead worker's cells move), then dispatches one `AssignCells` slice per
-//! worker on its own data connection and streams results into the merge
-//! buffer. A worker whose connection errors or stalls past the deadline
-//! is marked dead; its unfinished cells simply remain missing and the
-//! next round re-routes them across the survivors. Queue-full rejections
-//! retry on the same worker with the client backoff schedule — a busy
-//! worker is not a dead worker.
+//! Campaign grids and fuzz-farm seed lists run through one engine, driven
+//! by the private `ShardedJob` trait. A job runs in **rounds**. Each
+//! round routes every still-missing item over a consistent-hash ring built
+//! from the *currently live* workers (so warm cells stay put while
+//! everyone is healthy, and only a dead worker's items move), then
+//! dispatches one shard per worker on its own data connection and streams
+//! results into the merge buffer. A worker whose connection errors or
+//! stalls past the deadline is marked dead; its unfinished items simply
+//! remain missing and the next round re-routes them across the survivors.
+//! Rejections that hint a retry delay retry on the same worker with the
+//! client backoff schedule — a busy worker is not a dead worker.
 //!
 //! # Determinism
 //!
-//! The merge buffer is indexed by global grid position and emits the
-//! `on_cell` stream as a strict in-order prefix: cell *k* is emitted only
-//! after every cell `< k`. Arrival order — which worker answered first,
-//! how often a cell was re-dispatched — can never reorder or duplicate
-//! output, so a sharded campaign is byte-identical to a single-daemon or
-//! in-process run of the same grid.
+//! The merge buffer is indexed by global position and emits results as a
+//! strict in-order prefix: item *k* is emitted only after every item
+//! `< k`. It keeps only the first result per index, and only results that
+//! answer the shard's own assignment. Arrival order — which worker
+//! answered first, how often an item was re-dispatched — can never reorder
+//! or duplicate output, so a sharded campaign is byte-identical to a
+//! single-daemon or in-process run of the same grid.
 
 use crate::fleet::Fleet;
 use crate::ring::HashRing;
@@ -30,7 +32,7 @@ use crate::FabricError;
 use adas_core::{CampaignSpec, CellStats};
 use adas_fuzz::farm::{self, FarmSummary, FuzzJobSpec, SessionOutcome};
 use adas_serve::sink::{self, StoreSink};
-use adas_serve::{Client, Submission};
+use adas_serve::{Client, JobState, ProtocolError, Submission};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -124,78 +126,187 @@ pub struct FabricMetrics {
     pub fuzz_dedup_hits: AtomicU64,
 }
 
-/// In-order merge buffer: slots by global index, emitting a strict
-/// prefix stream.
-struct Merge<'a> {
-    slots: Vec<Option<CellStats>>,
+/// In-order merge buffer for one sharded job: slots by global index,
+/// first write wins, emitting a strict prefix stream.
+struct Merge<'a, T> {
+    slots: Vec<Option<T>>,
     next_emit: usize,
-    on_cell: &'a mut (dyn FnMut(u32, &CellStats) + Send),
+    on_item: &'a mut (dyn FnMut(u32, &T) + Send),
     duplicates: u64,
 }
 
-impl Merge<'_> {
-    /// Inserts one result; first write wins (re-dispatch races and late
-    /// frames from timed-out workers are dropped). Emits every newly
-    /// contiguous cell in grid order.
-    fn insert(&mut self, index: usize, stats: CellStats) {
-        if index >= self.slots.len() || self.slots[index].is_some() {
+impl<'a, T> Merge<'a, T> {
+    fn new(len: usize, on_item: &'a mut (dyn FnMut(u32, &T) + Send)) -> Self {
+        Self {
+            slots: std::iter::repeat_with(|| None).take(len).collect(),
+            next_emit: 0,
+            on_item,
+            duplicates: 0,
+        }
+    }
+
+    /// Inserts one result streamed back for the shard `assigned` (sorted
+    /// global indices). A result claiming no slot, a slot outside its
+    /// shard's assignment, or a slot already filled (re-dispatch races,
+    /// late frames from timed-out workers) is dropped as a duplicate.
+    /// Emits every newly contiguous item in global order.
+    fn insert(&mut self, assigned: &[u32], claim: Option<u32>, item: T) {
+        let slot = claim
+            .filter(|i| assigned.binary_search(i).is_ok())
+            .and_then(|i| self.slots.get_mut(i as usize))
+            .filter(|slot| slot.is_none());
+        let Some(slot) = slot else {
             self.duplicates += 1;
             return;
-        }
-        self.slots[index] = Some(stats);
-        while self.next_emit < self.slots.len() {
-            let Some(stats) = &self.slots[self.next_emit] else {
-                break;
-            };
-            (self.on_cell)(self.next_emit as u32, stats);
+        };
+        *slot = Some(item);
+        while let Some(Some(item)) = self.slots.get(self.next_emit) {
+            (self.on_item)(self.next_emit as u32, item);
             self.next_emit += 1;
         }
     }
 
-    fn missing(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_none())
-            .map(|(i, _)| i)
+    fn missing(&self) -> Vec<u32> {
+        (0..self.slots.len() as u32)
+            .filter(|&i| self.slots[i as usize].is_none())
             .collect()
     }
 }
 
-/// Fuzz-session merge buffer: slots by global seed index, first write
-/// wins (a seed re-dispatched after a slow worker's death may complete
-/// twice — identical payloads, only one counts), emitting sessions as a
-/// strict seed-order prefix exactly like the campaign merge.
-struct FuzzMerge<'a> {
-    slots: Vec<Option<SessionOutcome>>,
-    next_emit: usize,
-    on_session: &'a mut (dyn FnMut(&SessionOutcome) + Send),
-    duplicates: u64,
+/// One kind of job the coordinator shards: everything the round loop
+/// needs to route, dispatch, and merge it. A new job kind implements this
+/// once and reuses the rounds, re-dispatch, assignment backoff, and merge.
+trait ShardedJob: Sync {
+    /// One streamed result.
+    type Item: Send;
+    /// What the items are called in re-dispatch logs.
+    const UNIT: &'static str;
+    /// Items in the job (global indices `0..len`).
+    fn len(&self) -> usize;
+    /// Hash-ring routing key of item `index`.
+    fn route_key(&self, index: usize) -> u64;
+    /// Per-frame stall deadline on a shard's data connection. It must
+    /// cover the slowest single result; the default suits kinds whose
+    /// every item, even a cold compute, streams its own frame promptly.
+    fn frame_deadline(&self, fabric_deadline: Duration) -> Duration {
+        fabric_deadline
+    }
+    /// The metrics counter dispatched items add to, if this kind keeps one.
+    fn assigned_counter(_metrics: &FabricMetrics) -> Option<&AtomicU64> {
+        None
+    }
+    /// Sends the assignment of `shard` (sorted global indices).
+    fn assign(
+        &self,
+        client: &mut Client,
+        assignment_id: u64,
+        shard: &[u32],
+    ) -> Result<Submission, ProtocolError>;
+    /// Streams an accepted shard back: `on_item(claim, item)` per result,
+    /// where `claim` is the global index the result answers (`None` when it
+    /// answers none of the shard's items).
+    fn stream(
+        &self,
+        client: &mut Client,
+        shard: &[u32],
+        on_item: &mut dyn FnMut(Option<u32>, Self::Item),
+    ) -> Result<JobState, ProtocolError>;
 }
 
-impl FuzzMerge<'_> {
-    fn insert(&mut self, index: usize, outcome: SessionOutcome) {
-        if index >= self.slots.len() || self.slots[index].is_some() {
-            self.duplicates += 1;
-            return;
-        }
-        self.slots[index] = Some(outcome);
-        while self.next_emit < self.slots.len() {
-            let Some(outcome) = &self.slots[self.next_emit] else {
-                break;
-            };
-            (self.on_session)(outcome);
-            self.next_emit += 1;
-        }
+impl ShardedJob for CampaignSpec {
+    type Item = CellStats;
+    const UNIT: &'static str = "cells";
+
+    fn len(&self) -> usize {
+        self.cells.len()
     }
 
-    fn missing(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_none())
-            .map(|(i, _)| i)
-            .collect()
+    fn route_key(&self, index: usize) -> u64 {
+        CampaignSpec::route_key(self, &self.cells[index])
+    }
+
+    fn assigned_counter(metrics: &FabricMetrics) -> Option<&AtomicU64> {
+        Some(&metrics.cells_assigned)
+    }
+
+    fn assign(
+        &self,
+        client: &mut Client,
+        assignment_id: u64,
+        shard: &[u32],
+    ) -> Result<Submission, ProtocolError> {
+        let sub = CampaignSpec {
+            cells: shard.iter().map(|&i| self.cells[i as usize]).collect(),
+            ..self.clone()
+        };
+        client.assign_cells(assignment_id, shard, &sub)
+    }
+
+    fn stream(
+        &self,
+        client: &mut Client,
+        _shard: &[u32],
+        on_item: &mut dyn FnMut(Option<u32>, CellStats),
+    ) -> Result<JobState, ProtocolError> {
+        client
+            .stream_results(|global_index, stats| on_item(Some(global_index), stats.clone()))
+            .map(|(_, state)| state)
+    }
+}
+
+impl ShardedJob for FuzzJobSpec {
+    type Item = SessionOutcome;
+    const UNIT: &'static str = "sessions";
+
+    fn len(&self) -> usize {
+        self.seeds.len()
+    }
+
+    fn route_key(&self, index: usize) -> u64 {
+        self.seeds[index]
+    }
+
+    // The stream heartbeats one frame per finished session, so the
+    // deadline must cover at least one session: time-boxed jobs widen it
+    // to a generous multiple of the budget.
+    fn frame_deadline(&self, fabric_deadline: Duration) -> Duration {
+        fabric_deadline.max(Duration::from_millis(
+            u64::from(self.max_secs_ms).saturating_mul(4),
+        ))
+    }
+
+    fn assign(
+        &self,
+        client: &mut Client,
+        assignment_id: u64,
+        shard: &[u32],
+    ) -> Result<Submission, ProtocolError> {
+        let sub = FuzzJobSpec {
+            seeds: shard.iter().map(|&i| self.seeds[i as usize]).collect(),
+            ..self.clone()
+        };
+        client.assign_fuzz(assignment_id, &sub)
+    }
+
+    // A worker streams one session per assigned seed, in assignment order:
+    // the k-th session answers `shard[k]` only if it carries that seed.
+    fn stream(
+        &self,
+        client: &mut Client,
+        shard: &[u32],
+        on_item: &mut dyn FnMut(Option<u32>, SessionOutcome),
+    ) -> Result<JobState, ProtocolError> {
+        let mut k = 0;
+        client
+            .stream_fuzz(|outcome| {
+                let claim = shard
+                    .get(k)
+                    .copied()
+                    .filter(|&i| self.seeds[i as usize] == outcome.seed);
+                k += 1;
+                on_item(claim, outcome.clone());
+            })
+            .map(|(_, state)| state)
     }
 }
 
@@ -263,155 +374,12 @@ impl Coordinator {
         if !spec.validate() {
             return Err(FabricError::InvalidSpec);
         }
-        let keys: Vec<u64> = spec.cells.iter().map(|c| spec.route_key(c)).collect();
-        let merge = Mutex::new(Merge {
-            slots: vec![None; spec.cells.len()],
-            next_emit: 0,
-            on_cell: &mut on_cell,
-            duplicates: 0,
-        });
-
-        let mut round = 0u32;
-        let mut stalled = 0u32;
-        loop {
-            let missing = merge.lock().expect("merge lock").missing();
-            if missing.is_empty() {
-                break;
-            }
-            let live = self.fleet.live_slots();
-            if live.is_empty() {
-                return Err(FabricError::NoLiveWorkers);
-            }
-            if round > 0 {
-                self.metrics.redispatch_rounds.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "[fabric] round {round}: re-dispatching {} cells across {} live workers",
-                    missing.len(),
-                    live.len()
-                );
-            }
-            // Route the missing cells over the live subset of the ring.
-            let ring = HashRing::new(
-                &live.iter().map(|&s| self.fleet.workers[s].id).collect::<Vec<_>>(),
-                self.vnodes,
-            );
-            let mut shards: Vec<Vec<u32>> = vec![Vec::new(); live.len()];
-            for &cell in &missing {
-                let slot = ring.route(keys[cell]).expect("non-empty ring");
-                shards[slot].push(cell as u32);
-            }
-            let before = missing.len();
-            let fleet_before = live.len();
-            std::thread::scope(|scope| {
-                for (ring_slot, indices) in shards.into_iter().enumerate() {
-                    if indices.is_empty() {
-                        continue;
-                    }
-                    let fleet_slot = live[ring_slot];
-                    let merge = &merge;
-                    scope.spawn(move || {
-                        self.dispatch_shard(fleet_slot, &indices, spec, merge);
-                    });
-                }
-            });
-            let after = merge.lock().expect("merge lock").missing().len();
-            let fleet_after = self.fleet.live_slots().len();
-            if after == before && fleet_after == fleet_before {
-                stalled += 1;
-                if stalled >= MAX_STALLED_ROUNDS {
-                    return Err(FabricError::Stalled {
-                        missing: after,
-                        rounds: round + 1,
-                    });
-                }
-            } else {
-                stalled = 0;
-            }
-            round += 1;
-        }
-
-        let mut merged = merge.into_inner().expect("merge lock");
-        self.metrics
-            .duplicates_dropped
-            .fetch_add(merged.duplicates, Ordering::Relaxed);
+        let cells = self.run_sharded(spec, &mut on_cell)?;
         self.metrics.campaigns.fetch_add(1, Ordering::Relaxed);
-        let cells: Vec<CellStats> = merged
-            .slots
-            .drain(..)
-            .map(|s| s.expect("merge complete"))
-            .collect();
         self.metrics
             .cells_merged
             .fetch_add(cells.len() as u64, Ordering::Relaxed);
         Ok(cells)
-    }
-
-    /// Dispatches one worker's shard on a fresh data connection and
-    /// drains its result stream into the merge buffer. Transport failures
-    /// and stream stalls mark the worker dead; its unfinished cells stay
-    /// missing for the next round.
-    fn dispatch_shard(
-        &self,
-        fleet_slot: usize,
-        indices: &[u32],
-        spec: &CampaignSpec,
-        merge: &Mutex<Merge<'_>>,
-    ) {
-        let worker = &self.fleet.workers[fleet_slot];
-        let sub = CampaignSpec {
-            cells: indices.iter().map(|&i| spec.cells[i as usize]).collect(),
-            ..spec.clone()
-        };
-        let assignment_id = self.assignment_ids.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .cells_assigned
-            .fetch_add(indices.len() as u64, Ordering::Relaxed);
-
-        let mut client = match Client::connect(&worker.addr) {
-            Ok(c) => c,
-            Err(_) => return self.fleet.mark_dead(fleet_slot),
-        };
-        // The stall deadline applies per frame: any single read blocking
-        // this long means the worker is wedged (results, even cold
-        // computes, heartbeat the stream via per-cell frames).
-        if client.set_read_timeout(Some(self.deadline)).is_err() {
-            return self.fleet.mark_dead(fleet_slot);
-        }
-
-        // Queue-full is backpressure, not death: retry on the backoff
-        // schedule, then give the cells back to the next round.
-        let mut attempt = 0u32;
-        loop {
-            match client.assign_cells(assignment_id, indices, &sub) {
-                Ok(Submission::Accepted { .. }) => break,
-                Ok(Submission::Rejected { retry_after_ms, .. }) => {
-                    self.metrics.assign_rejections.fetch_add(1, Ordering::Relaxed);
-                    if retry_after_ms == 0 || attempt + 1 >= ASSIGN_ATTEMPTS {
-                        return; // worker draining or persistently full
-                    }
-                    std::thread::sleep(Duration::from_millis(adas_serve::backoff::delay_ms(
-                        retry_after_ms,
-                        attempt,
-                        assignment_id,
-                    )));
-                    attempt += 1;
-                }
-                Err(_) => return self.fleet.mark_dead(fleet_slot),
-            }
-        }
-
-        let streamed = client.stream_results(|global_index, stats| {
-            merge
-                .lock()
-                .expect("merge lock")
-                .insert(global_index as usize, stats.clone());
-        });
-        match streamed {
-            Ok((_, adas_serve::JobState::Done)) => {}
-            // A cancelled/failed assignment or any transport/stall error:
-            // treat the worker as unhealthy and let re-dispatch recover.
-            _ => self.fleet.mark_dead(fleet_slot),
-        }
     }
 
     /// Runs one fuzz-farm job across the fleet: shards the session seeds
@@ -440,80 +408,7 @@ impl Coordinator {
         if !spec.validate() {
             return Err(FabricError::InvalidSpec);
         }
-        let merge = Mutex::new(FuzzMerge {
-            slots: vec![None; spec.seeds.len()],
-            next_emit: 0,
-            on_session: &mut on_session,
-            duplicates: 0,
-        });
-
-        let mut round = 0u32;
-        let mut stalled = 0u32;
-        loop {
-            let missing = merge.lock().expect("fuzz merge lock").missing();
-            if missing.is_empty() {
-                break;
-            }
-            let live = self.fleet.live_slots();
-            if live.is_empty() {
-                return Err(FabricError::NoLiveWorkers);
-            }
-            if round > 0 {
-                self.metrics.redispatch_rounds.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "[fabric] fuzz round {round}: re-dispatching {} sessions across {} live workers",
-                    missing.len(),
-                    live.len()
-                );
-            }
-            let ring = HashRing::new(
-                &live.iter().map(|&s| self.fleet.workers[s].id).collect::<Vec<_>>(),
-                self.vnodes,
-            );
-            let mut shards: Vec<Vec<usize>> = vec![Vec::new(); live.len()];
-            for &idx in &missing {
-                let slot = ring.route(spec.seeds[idx]).expect("non-empty ring");
-                shards[slot].push(idx);
-            }
-            let before = missing.len();
-            let fleet_before = live.len();
-            std::thread::scope(|scope| {
-                for (ring_slot, indices) in shards.into_iter().enumerate() {
-                    if indices.is_empty() {
-                        continue;
-                    }
-                    let fleet_slot = live[ring_slot];
-                    let merge = &merge;
-                    scope.spawn(move || {
-                        self.dispatch_fuzz_shard(fleet_slot, &indices, spec, merge);
-                    });
-                }
-            });
-            let after = merge.lock().expect("fuzz merge lock").missing().len();
-            let fleet_after = self.fleet.live_slots().len();
-            if after == before && fleet_after == fleet_before {
-                stalled += 1;
-                if stalled >= MAX_STALLED_ROUNDS {
-                    return Err(FabricError::Stalled {
-                        missing: after,
-                        rounds: round + 1,
-                    });
-                }
-            } else {
-                stalled = 0;
-            }
-            round += 1;
-        }
-
-        let mut merged = merge.into_inner().expect("fuzz merge lock");
-        self.metrics
-            .duplicates_dropped
-            .fetch_add(merged.duplicates, Ordering::Relaxed);
-        let outcomes: Vec<SessionOutcome> = merged
-            .slots
-            .drain(..)
-            .map(|s| s.expect("fuzz merge complete"))
-            .collect();
+        let outcomes = self.run_sharded(spec, &mut |_, outcome| on_session(outcome))?;
         // The global fold: same code path a single daemon runs, over the
         // complete outcome set in spec.seeds order.
         let summary = farm::fold(spec, &outcomes);
@@ -546,63 +441,149 @@ impl Coordinator {
         Ok(summary)
     }
 
-    /// Dispatches one worker's seed slice on a fresh data connection and
-    /// drains its per-session result stream into the fuzz merge buffer.
-    /// Transport failures and stream stalls mark the worker dead; its
-    /// unfinished seeds stay missing for the next round.
-    fn dispatch_fuzz_shard(
+    /// The round loop shared by every job kind: routes every missing item
+    /// over a ring of the live workers, dispatches one shard per worker in
+    /// parallel, merges what streams back, and repeats until the job is
+    /// complete. Returns the items in global index order.
+    fn run_sharded<J: ShardedJob>(
+        &self,
+        job: &J,
+        on_item: &mut (dyn FnMut(u32, &J::Item) + Send),
+    ) -> Result<Vec<J::Item>, FabricError> {
+        let keys: Vec<u64> = (0..job.len()).map(|i| job.route_key(i)).collect();
+        let merge = Mutex::new(Merge::new(job.len(), on_item));
+
+        let mut round = 0u32;
+        let mut stalled = 0u32;
+        loop {
+            let missing = merge.lock().expect("merge lock").missing();
+            if missing.is_empty() {
+                break;
+            }
+            let live = self.fleet.live_slots();
+            if live.is_empty() {
+                return Err(FabricError::NoLiveWorkers);
+            }
+            if round > 0 {
+                self.metrics.redispatch_rounds.fetch_add(1, Ordering::Relaxed);
+                eprintln!(
+                    "[fabric] round {round}: re-dispatching {} {} across {} live workers",
+                    missing.len(),
+                    J::UNIT,
+                    live.len()
+                );
+            }
+            // Route the missing items over the live subset of the ring;
+            // each shard stays sorted because `missing` is.
+            let ring = HashRing::new(
+                &live.iter().map(|&s| self.fleet.workers[s].id).collect::<Vec<_>>(),
+                self.vnodes,
+            );
+            let mut shards: Vec<Vec<u32>> = vec![Vec::new(); live.len()];
+            for &index in &missing {
+                let slot = ring.route(keys[index as usize]).expect("non-empty ring");
+                shards[slot].push(index);
+            }
+            let before = missing.len();
+            let fleet_before = live.len();
+            std::thread::scope(|scope| {
+                for (ring_slot, shard) in shards.into_iter().enumerate() {
+                    if shard.is_empty() {
+                        continue;
+                    }
+                    let fleet_slot = live[ring_slot];
+                    let merge = &merge;
+                    scope.spawn(move || self.dispatch(fleet_slot, job, &shard, merge));
+                }
+            });
+            let after = merge.lock().expect("merge lock").missing().len();
+            let fleet_after = self.fleet.live_slots().len();
+            if after == before && fleet_after == fleet_before {
+                stalled += 1;
+                if stalled >= MAX_STALLED_ROUNDS {
+                    return Err(FabricError::Stalled {
+                        missing: after,
+                        rounds: round + 1,
+                    });
+                }
+            } else {
+                stalled = 0;
+            }
+            round += 1;
+        }
+
+        let merged = merge.into_inner().expect("merge lock");
+        self.metrics
+            .duplicates_dropped
+            .fetch_add(merged.duplicates, Ordering::Relaxed);
+        Ok(merged
+            .slots
+            .into_iter()
+            .map(|s| s.expect("merge complete"))
+            .collect())
+    }
+
+    /// Dispatches one worker's shard on a fresh data connection and drains
+    /// its result stream into the merge buffer. Transport failures and
+    /// stream stalls mark the worker dead; its unfinished items stay
+    /// missing for the next round.
+    fn dispatch<J: ShardedJob>(
         &self,
         fleet_slot: usize,
-        indices: &[usize],
-        spec: &FuzzJobSpec,
-        merge: &Mutex<FuzzMerge<'_>>,
+        job: &J,
+        shard: &[u32],
+        merge: &Mutex<Merge<'_, J::Item>>,
     ) {
         let worker = &self.fleet.workers[fleet_slot];
-        let sub = FuzzJobSpec {
-            seeds: indices.iter().map(|&i| spec.seeds[i]).collect(),
-            ..spec.clone()
-        };
         let assignment_id = self.assignment_ids.fetch_add(1, Ordering::Relaxed);
+        if let Some(assigned) = J::assigned_counter(&self.metrics) {
+            assigned.fetch_add(shard.len() as u64, Ordering::Relaxed);
+        }
 
         let mut client = match Client::connect(&worker.addr) {
             Ok(c) => c,
             Err(_) => return self.fleet.mark_dead(fleet_slot),
         };
-        // The stream heartbeats one frame per finished session, so the
-        // per-frame stall deadline must cover at least one session. For
-        // time-boxed jobs widen it to a generous multiple of the budget;
-        // unbounded jobs fall back to the configured fabric deadline.
-        let frame_deadline = self
-            .deadline
-            .max(Duration::from_millis(u64::from(spec.max_secs_ms).saturating_mul(4)));
-        if client.set_read_timeout(Some(frame_deadline)).is_err() {
+        // The stall deadline applies per frame: any single read blocking
+        // this long means the worker is wedged.
+        if client
+            .set_read_timeout(Some(job.frame_deadline(self.deadline)))
+            .is_err()
+        {
             return self.fleet.mark_dead(fleet_slot);
         }
 
-        match client.assign_fuzz(assignment_id, &sub) {
-            Ok(Submission::Accepted { .. }) => {}
-            // Workers run fuzz sessions on the connection handler, not the
-            // campaign queue, so a rejection is a drain signal: hand the
-            // seeds back to the next round without penalising the worker.
-            Ok(Submission::Rejected { .. }) => {
-                self.metrics.assign_rejections.fetch_add(1, Ordering::Relaxed);
-                return;
+        // A rejection is backpressure or a drain, not death: retry one
+        // that hints a delay on the backoff schedule, and give the items
+        // back to the next round after `ASSIGN_ATTEMPTS` or on a
+        // don't-retry (`0`) hint.
+        let mut attempt = 0u32;
+        loop {
+            match job.assign(&mut client, assignment_id, shard) {
+                Ok(Submission::Accepted { .. }) => break,
+                Ok(Submission::Rejected { retry_after_ms, .. }) => {
+                    self.metrics.assign_rejections.fetch_add(1, Ordering::Relaxed);
+                    if retry_after_ms == 0 || attempt + 1 >= ASSIGN_ATTEMPTS {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(adas_serve::backoff::delay_ms(
+                        retry_after_ms,
+                        attempt,
+                        assignment_id,
+                    )));
+                    attempt += 1;
+                }
+                Err(_) => return self.fleet.mark_dead(fleet_slot),
             }
-            Err(_) => return self.fleet.mark_dead(fleet_slot),
         }
 
-        // Map each streamed outcome back to its global seed index.
-        let streamed = client.stream_fuzz(|outcome| {
-            if let Some(pos) = spec.seeds.iter().position(|&s| s == outcome.seed) {
-                merge
-                    .lock()
-                    .expect("fuzz merge lock")
-                    .insert(pos, outcome.clone());
-            }
+        let streamed = job.stream(&mut client, shard, &mut |claim, item| {
+            merge.lock().expect("merge lock").insert(shard, claim, item);
         });
-        match streamed {
-            Ok((_, adas_serve::JobState::Done)) => {}
-            _ => self.fleet.mark_dead(fleet_slot),
+        // A cancelled/failed assignment or any transport/stall error:
+        // treat the worker as unhealthy and let re-dispatch recover.
+        if !matches!(streamed, Ok(JobState::Done)) {
+            self.fleet.mark_dead(fleet_slot);
         }
     }
 
@@ -639,5 +620,44 @@ impl Coordinator {
             self.fleet.revived.load(Ordering::Relaxed),
             self.fleet.status_json(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Merge;
+
+    #[test]
+    fn merge_keeps_only_assigned_first_writes_and_emits_a_strict_prefix() {
+        let mut emitted = Vec::new();
+        let mut on_item = |index: u32, item: &&'static str| emitted.push((index, *item));
+        let mut merge = Merge::new(4, &mut on_item);
+        let shard = [1, 3];
+
+        // Outside this shard's assignment, out of range, or claiming no
+        // slot: dropped as duplicates, nothing emitted.
+        merge.insert(&shard, Some(0), "stray");
+        merge.insert(&[1, 3, 9], Some(9), "out of range");
+        merge.insert(&shard, None, "unplaced");
+        assert_eq!(merge.duplicates, 3);
+        assert_eq!(merge.missing(), vec![0, 1, 2, 3]);
+
+        // Slot 1 fills but waits for slot 0; the second write loses.
+        merge.insert(&shard, Some(1), "first");
+        merge.insert(&shard, Some(1), "second");
+        assert_eq!(merge.duplicates, 4);
+        assert_eq!(merge.next_emit, 0);
+
+        // Slot 0 releases the prefix 0, 1; slot 3 waits for slot 2.
+        merge.insert(&[0, 2], Some(0), "zero");
+        merge.insert(&shard, Some(3), "three");
+        assert_eq!(merge.next_emit, 2);
+        merge.insert(&[0, 2], Some(2), "two");
+        assert_eq!(merge.missing(), Vec::<u32>::new());
+        drop(merge);
+        assert_eq!(
+            emitted,
+            vec![(0, "zero"), (1, "first"), (2, "two"), (3, "three")]
+        );
     }
 }

@@ -1,22 +1,23 @@
 //! The coordinator's client-facing TCP front-end.
 //!
-//! Speaks the same versioned wire protocol as a worker daemon, so every
-//! existing `adas-serve client` verb works unchanged against a
-//! coordinator: `SubmitCampaign` is sharded across the fleet instead of
-//! executed locally, with the familiar `Accepted` → `CellResult`* →
-//! `JobDone` stream (in grid order, like any daemon). Admission control
-//! bounds concurrent campaigns: beyond the limit, submissions get a
-//! `Rejected` frame with a `retry_after_ms` hint, which
+//! Speaks the same versioned wire protocol as a worker daemon, through
+//! the daemon's own accept and connection loop
+//! ([`adas_serve::server::serve_connections`]), so every existing
+//! `adas-serve client` verb works unchanged against a coordinator and
+//! SIGTERM drains it like a worker: `SubmitCampaign` is sharded across the
+//! fleet instead of executed locally, with the familiar `Accepted` →
+//! `CellResult`* → `JobDone` stream (in grid order, like any daemon).
+//! Admission control bounds concurrent campaigns: beyond the limit,
+//! submissions get a `Rejected` frame with a `retry_after_ms` hint, which
 //! [`adas_serve::Client::submit_with_backoff`] honours.
 
 use crate::coordinator::Coordinator;
-use crate::FabricError;
-use adas_serve::protocol::{recv_request, send_response};
-use adas_serve::{JobState, Request, Response};
+use adas_serve::protocol::send_response;
+use adas_serve::server::{serve_connections, Service};
+use adas_serve::{signal, JobState, Request, Response};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Retry hint sent with admission-control rejections.
 const RETRY_AFTER_MS: u32 = 500;
@@ -64,245 +65,178 @@ impl CoordinatorServer {
         self.listener.local_addr()
     }
 
-    /// Accept loop: one thread per client connection, until a `Shutdown`
-    /// request arrives. Stops the fleet monitor on exit.
+    /// Serves clients until a `Shutdown` request or SIGTERM/SIGINT, drains
+    /// the sharded jobs in flight, and stops the fleet monitor.
     ///
     /// # Errors
     ///
-    /// Propagates listener failures (accept errors are per-connection
-    /// and non-fatal).
+    /// Propagates listener set-up failures (accept errors are
+    /// per-connection and non-fatal).
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut handles = Vec::new();
-        while !self.shared.shutdown.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    handles.push(std::thread::spawn(move || {
-                        handle_connection(&shared, stream);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        for h in handles {
-            let _ = h.join();
-        }
+        let served = serve_connections(&self.listener, &self.shared);
         self.shared.coordinator.fleet.stop();
-        Ok(())
+        served
     }
 }
 
-fn handle_connection(shared: &FrontShared, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    loop {
-        let request = match recv_request(&mut stream) {
-            Ok(r) => r,
-            Err(_) => return, // disconnect or malformed frame: drop peer
+/// One admission slot, released on drop.
+struct Admitted<'a>(&'a AtomicUsize);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+impl FrontShared {
+    /// Admits one sharded job, or answers the rejection: a draining
+    /// coordinator says "don't retry", a full one hints a retry delay.
+    /// Campaigns and fuzz jobs share the budget.
+    fn admit(&self, stream: &mut TcpStream) -> std::io::Result<Option<Admitted<'_>>> {
+        let (retry_after_ms, reason) = if self.is_shutdown() {
+            (0, "coordinator shutting down")
+        } else if self.active.fetch_add(1, Ordering::AcqRel) < self.admit {
+            return Ok(Some(Admitted(&self.active)));
+        } else {
+            self.active.fetch_sub(1, Ordering::AcqRel);
+            self.coordinator
+                .metrics
+                .rejected
+                .fetch_add(1, Ordering::Relaxed);
+            (RETRY_AFTER_MS, "coordinator at admission limit")
         };
-        let keep_going = handle_request(shared, &mut stream, request);
-        if !matches!(keep_going, Ok(true)) {
-            return;
+        send_response(
+            stream,
+            &Response::Rejected {
+                retry_after_ms,
+                reason: reason.to_owned(),
+            },
+        )?;
+        Ok(None)
+    }
+
+    /// Admits and runs one sharded job of `items` results (`Err` names an
+    /// invalid spec) with the daemon's `Accepted` → result* → `JobDone`
+    /// stream shape. `run(job_id, send)` drives the coordinator, passing
+    /// each merged result frame to `send` in global order, and reports
+    /// success. A transport error surfaces after the job completes (the
+    /// fleet keeps its work either way).
+    fn stream_sharded(
+        &self,
+        stream: &mut TcpStream,
+        items: Result<usize, &str>,
+        run: impl FnOnce(u64, &mut (dyn FnMut(Response) + Send)) -> bool,
+    ) -> std::io::Result<bool> {
+        let Some(_slot) = self.admit(stream)? else {
+            return Ok(true);
+        };
+        let items = match items {
+            Ok(items) => items,
+            Err(invalid) => {
+                send_response(stream, &Response::Error(invalid.to_owned()))?;
+                return Ok(true);
+            }
+        };
+        let job_id = self.job_ids.fetch_add(1, Ordering::Relaxed);
+        send_response(
+            stream,
+            &Response::Accepted {
+                job_id,
+                cells: u32::try_from(items).unwrap_or(u32::MAX),
+            },
+        )?;
+        let mut stream_err = None;
+        let ok = run(job_id, &mut |frame| {
+            if stream_err.is_none() {
+                stream_err = send_response(stream, &frame).err();
+            }
+        });
+        if let Some(e) = stream_err {
+            return Err(e);
         }
+        let state = if ok { JobState::Done } else { JobState::Failed };
+        send_response(stream, &Response::JobDone { job_id, state })?;
+        Ok(true)
     }
 }
 
-/// Returns `Ok(false)` to close the connection gracefully.
-fn handle_request(
-    shared: &FrontShared,
-    stream: &mut TcpStream,
-    request: Request,
-) -> std::io::Result<bool> {
-    match request {
-        Request::SubmitCampaign(spec) => {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                send_response(
-                    stream,
-                    &Response::Rejected {
-                        retry_after_ms: 0,
-                        reason: "coordinator shutting down".to_owned(),
-                    },
-                )?;
-                return Ok(true);
+impl Service for FrontShared {
+    fn handle(&self, stream: &mut TcpStream, request: Request) -> std::io::Result<bool> {
+        match request {
+            Request::SubmitCampaign(spec) => {
+                let items = spec
+                    .validate()
+                    .then_some(spec.cells.len())
+                    .ok_or("invalid campaign spec");
+                self.stream_sharded(stream, items, |job_id, send| {
+                    self.coordinator
+                        .run_campaign(&spec, |cell_index, stats| {
+                            send(Response::CellResult {
+                                job_id,
+                                cell_index,
+                                stats: stats.clone(),
+                            });
+                        })
+                        .is_ok()
+                })
             }
-            // Admission control: bound concurrent campaigns fleet-wide.
-            if shared.active.fetch_add(1, Ordering::AcqRel) >= shared.admit {
-                shared.active.fetch_sub(1, Ordering::AcqRel);
-                shared
+            // The fleet-wide fold, repro persistence, and store
+            // write-through all happen inside `run_fuzz_farm`.
+            Request::SubmitFuzz(spec) => {
+                let items = spec
+                    .validate()
+                    .then_some(spec.seeds.len())
+                    .ok_or("invalid fuzz job spec");
+                self.stream_sharded(stream, items, |job_id, send| {
+                    self.coordinator
+                        .run_fuzz_farm(&spec, |session| {
+                            send(Response::FuzzResult {
+                                job_id,
+                                outcome: session.clone(),
+                            });
+                        })
+                        .is_ok()
+                })
+            }
+            Request::Metrics => {
+                let json = self
                     .coordinator
-                    .metrics
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
+                    .metrics_json(self.active.load(Ordering::Relaxed), self.admit);
+                send_response(stream, &Response::MetricsJson(json))?;
+                Ok(true)
+            }
+            Request::Heartbeat { nonce } => {
                 send_response(
                     stream,
-                    &Response::Rejected {
-                        retry_after_ms: RETRY_AFTER_MS,
-                        reason: "coordinator at admission limit".to_owned(),
+                    &Response::HeartbeatAck {
+                        nonce,
+                        queued: 0,
+                        running: u32::try_from(self.active.load(Ordering::Relaxed))
+                            .unwrap_or(u32::MAX),
                     },
                 )?;
-                return Ok(true);
+                Ok(true)
             }
-            let result = submit_sharded(shared, stream, &spec);
-            shared.active.fetch_sub(1, Ordering::AcqRel);
-            result?;
-            Ok(true)
-        }
-        Request::SubmitFuzz(spec) => {
-            if shared.shutdown.load(Ordering::Relaxed) {
+            Request::Shutdown => {
+                self.begin_shutdown();
+                send_response(stream, &Response::ShutdownAck)?;
+                Ok(false)
+            }
+            _ => {
                 send_response(
                     stream,
-                    &Response::Rejected {
-                        retry_after_ms: 0,
-                        reason: "coordinator shutting down".to_owned(),
-                    },
+                    &Response::Error("unsupported by the fabric coordinator".to_owned()),
                 )?;
-                return Ok(true);
+                Ok(true)
             }
-            // Fuzz jobs share the campaign admission budget.
-            if shared.active.fetch_add(1, Ordering::AcqRel) >= shared.admit {
-                shared.active.fetch_sub(1, Ordering::AcqRel);
-                shared
-                    .coordinator
-                    .metrics
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                send_response(
-                    stream,
-                    &Response::Rejected {
-                        retry_after_ms: RETRY_AFTER_MS,
-                        reason: "coordinator at admission limit".to_owned(),
-                    },
-                )?;
-                return Ok(true);
-            }
-            let result = submit_fuzz_sharded(shared, stream, &spec);
-            shared.active.fetch_sub(1, Ordering::AcqRel);
-            result?;
-            Ok(true)
-        }
-        Request::Metrics => {
-            let json = shared
-                .coordinator
-                .metrics_json(shared.active.load(Ordering::Relaxed), shared.admit);
-            send_response(stream, &Response::MetricsJson(json))?;
-            Ok(true)
-        }
-        Request::Heartbeat { nonce } => {
-            send_response(
-                stream,
-                &Response::HeartbeatAck {
-                    nonce,
-                    queued: 0,
-                    running: u32::try_from(shared.active.load(Ordering::Relaxed))
-                        .unwrap_or(u32::MAX),
-                },
-            )?;
-            Ok(true)
-        }
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::Relaxed);
-            send_response(stream, &Response::ShutdownAck)?;
-            Ok(false)
-        }
-        _ => {
-            send_response(
-                stream,
-                &Response::Error("unsupported by the fabric coordinator".to_owned()),
-            )?;
-            Ok(true)
         }
     }
-}
 
-fn submit_sharded(
-    shared: &FrontShared,
-    stream: &mut TcpStream,
-    spec: &adas_core::CampaignSpec,
-) -> std::io::Result<()> {
-    if !spec.validate() {
-        return send_response(stream, &Response::Error("invalid campaign spec".to_owned()));
+    fn is_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::Relaxed) || signal::triggered()
     }
-    let job_id = shared.job_ids.fetch_add(1, Ordering::Relaxed);
-    send_response(
-        stream,
-        &Response::Accepted {
-            job_id,
-            cells: u32::try_from(spec.cells.len()).unwrap_or(u32::MAX),
-        },
-    )?;
-    // The merge emits in strict grid order, so frames can stream straight
-    // through; any transport error surfaces after the campaign completes
-    // (the fleet keeps its work either way).
-    let mut stream_err = None;
-    let outcome = shared.coordinator.run_campaign(spec, |index, stats| {
-        if stream_err.is_none() {
-            if let Err(e) = send_response(
-                stream,
-                &Response::CellResult {
-                    job_id,
-                    cell_index: index,
-                    stats: stats.clone(),
-                },
-            ) {
-                stream_err = Some(e);
-            }
-        }
-    });
-    if let Some(e) = stream_err {
-        return Err(e);
-    }
-    let state = match outcome {
-        Ok(_) => JobState::Done,
-        Err(FabricError::NoLiveWorkers | FabricError::Stalled { .. }) => JobState::Failed,
-        Err(_) => JobState::Failed,
-    };
-    send_response(stream, &Response::JobDone { job_id, state })
-}
 
-/// Shards a fuzz-farm job across the fleet, streaming per-session
-/// outcomes in seed order with the same `Accepted` → `FuzzResult`* →
-/// `JobDone` shape a single daemon produces. The fleet-wide fold, repro
-/// persistence, and store write-through all happen inside
-/// [`Coordinator::run_fuzz_farm`].
-fn submit_fuzz_sharded(
-    shared: &FrontShared,
-    stream: &mut TcpStream,
-    spec: &adas_fuzz::FuzzJobSpec,
-) -> std::io::Result<()> {
-    if !spec.validate() {
-        return send_response(stream, &Response::Error("invalid fuzz job spec".to_owned()));
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Relaxed);
     }
-    let job_id = shared.job_ids.fetch_add(1, Ordering::Relaxed);
-    send_response(
-        stream,
-        &Response::Accepted {
-            job_id,
-            cells: u32::try_from(spec.seeds.len()).unwrap_or(u32::MAX),
-        },
-    )?;
-    let mut stream_err = None;
-    let outcome = shared.coordinator.run_fuzz_farm(spec, |session| {
-        if stream_err.is_none() {
-            if let Err(e) = send_response(
-                stream,
-                &Response::FuzzResult {
-                    job_id,
-                    outcome: session.clone(),
-                },
-            ) {
-                stream_err = Some(e);
-            }
-        }
-    });
-    if let Some(e) = stream_err {
-        return Err(e);
-    }
-    let state = match outcome {
-        Ok(_) => JobState::Done,
-        Err(_) => JobState::Failed,
-    };
-    send_response(stream, &Response::JobDone { job_id, state })
 }

@@ -1,15 +1,16 @@
 //! End-to-end fabric tests: a sharded campaign is bit-identical to the
 //! direct `run_single` path and to a single-daemon run; a worker killed
 //! mid-campaign (SIGKILL, no drain) loses no cells and produces no
-//! duplicates; and garbage byte streams never wedge the coordinator or a
-//! worker.
+//! duplicates; garbage byte streams never wedge the coordinator or a
+//! worker; and a held-open connection never blocks either one's shutdown.
 
 use adas_attack::FaultType;
 use adas_core::job::CellSpec;
 use adas_core::{run_single, ArtifactCache, CampaignSpec, CellStats, InterventionConfig};
 use adas_fabric::{Coordinator, CoordinatorServer, FabricConfig};
 use adas_scenarios::RunRecord;
-use adas_serve::{Client, JobState, Server, ServerConfig};
+use adas_serve::protocol::{recv_response, send_request};
+use adas_serve::{Client, JobState, Request, Server, ServerConfig};
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -416,7 +417,40 @@ fn garbage_frames_never_wedge_worker_or_coordinator() {
     assert_eq!(result.state, JobState::Done);
     assert_eq!(result.cells.len(), 1);
 
+    // A peer holding its connection open — idle, or stalled inside a
+    // frame header — must not hold either tier's drain: after `Shutdown`,
+    // each `run()` returns within a few read timeouts. A heartbeat
+    // round-trip first makes sure each connection is being served.
+    let hold = |addr: &str| {
+        let mut idle = Client::connect(addr).expect("connect idle");
+        idle.heartbeat(1).expect("idle heartbeat");
+        let mut half = std::net::TcpStream::connect(addr).expect("connect half-frame");
+        send_request(&mut half, &Request::Heartbeat { nonce: 2 }).expect("heartbeat");
+        recv_response(&mut half).expect("heartbeat ack");
+        half.write_all(b"AS").expect("write half frame");
+        (idle, half)
+    };
+    let _front_held = hold(&front_addr);
     client.shutdown().expect("front shutdown");
-    front_thread.join().expect("join").expect("front exits");
-    stop_worker(&worker_addr, worker);
+    join_within_drain_bound(front_thread, "coordinator front-end");
+    let _worker_held = hold(&worker_addr);
+    Client::connect(&worker_addr)
+        .expect("connect worker")
+        .shutdown()
+        .expect("worker shutdown");
+    join_within_drain_bound(worker, "worker daemon");
+}
+
+/// Joins a server thread, failing when its `run()` is still blocked
+/// eight 250 ms read timeouts after `Shutdown` was acknowledged.
+fn join_within_drain_bound(handle: thread::JoinHandle<std::io::Result<()>>, tier: &str) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while !handle.is_finished() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{tier} run() still blocked 2 s after Shutdown with a connection held open"
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().expect("join").expect("clean exit");
 }

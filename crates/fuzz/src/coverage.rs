@@ -64,7 +64,7 @@ pub fn lane_bucket(min_lane: f64) -> u64 {
 /// key).
 #[must_use]
 pub fn sched_bucket(sched_ttc: f64) -> u64 {
-    if !(sched_ttc > 0.0) {
+    if sched_ttc.is_nan() || sched_ttc <= 0.0 {
         0
     } else if sched_ttc < 1.5 {
         1

@@ -103,14 +103,9 @@ impl Client {
         recv_response(&mut self.stream)
     }
 
-    /// Submits a campaign and reads the acceptance/rejection frame. On
-    /// acceptance, follow with [`Self::stream_results`].
-    ///
-    /// # Errors
-    ///
-    /// Protocol or transport failures, or an unexpected response kind.
-    pub fn submit(&mut self, spec: &CampaignSpec) -> Result<Submission, ProtocolError> {
-        match self.request(&Request::SubmitCampaign(spec.clone()))? {
+    /// Sends a job submission or assignment and maps its answer.
+    fn submission(&mut self, request: &Request) -> Result<Submission, ProtocolError> {
+        match self.request(request)? {
             Response::Accepted { job_id, cells } => Ok(Submission::Accepted { job_id, cells }),
             Response::Rejected {
                 retry_after_ms,
@@ -119,12 +114,18 @@ impl Client {
                 retry_after_ms,
                 reason,
             }),
-            Response::Error(e) => Err(ProtocolError::Io(format!("server error: {e}"))),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
+    }
+
+    /// Submits a campaign and reads the acceptance/rejection frame. On
+    /// acceptance, follow with [`Self::stream_results`].
+    ///
+    /// # Errors
+    ///
+    /// Protocol or transport failures, or an unexpected response kind.
+    pub fn submit(&mut self, spec: &CampaignSpec) -> Result<Submission, ProtocolError> {
+        self.submission(&Request::SubmitCampaign(spec.clone()))
     }
 
     /// Consumes the result stream of an accepted campaign, invoking
@@ -147,12 +148,7 @@ impl Client {
                     cells.push((cell_index, stats));
                 }
                 Response::JobDone { state, .. } => return Ok((cells, state)),
-                other => {
-                    return Err(ProtocolError::Io(format!(
-                        "unexpected mid-stream response kind 0x{:02x}",
-                        other.kind()
-                    )))
-                }
+                other => return Err(unexpected(other)),
             }
         }
     }
@@ -235,11 +231,7 @@ impl Client {
                 batch_width,
                 memo_cells,
             }),
-            Response::Error(e) => Err(ProtocolError::Io(format!("server error: {e}"))),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -263,11 +255,7 @@ impl Client {
                 }
                 Ok((queued, running))
             }
-            Response::Error(e) => Err(ProtocolError::Io(format!("server error: {e}"))),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -284,25 +272,11 @@ impl Client {
         indices: &[u32],
         spec: &CampaignSpec,
     ) -> Result<Submission, ProtocolError> {
-        match self.request(&Request::AssignCells {
+        self.submission(&Request::AssignCells {
             assignment_id,
             indices: indices.to_vec(),
             spec: spec.clone(),
-        })? {
-            Response::Accepted { job_id, cells } => Ok(Submission::Accepted { job_id, cells }),
-            Response::Rejected {
-                retry_after_ms,
-                reason,
-            } => Ok(Submission::Rejected {
-                retry_after_ms,
-                reason,
-            }),
-            Response::Error(e) => Err(ProtocolError::Io(format!("server error: {e}"))),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
-        }
+        })
     }
 
     /// Submits a fuzz-farm job and reads the acceptance frame. On
@@ -312,7 +286,7 @@ impl Client {
     ///
     /// Protocol or transport failures.
     pub fn submit_fuzz(&mut self, spec: &FuzzJobSpec) -> Result<Submission, ProtocolError> {
-        self.fuzz_submission(&Request::SubmitFuzz(spec.clone()))
+        self.submission(&Request::SubmitFuzz(spec.clone()))
     }
 
     /// Fabric dispatch: assigns a seed slice of a farm job to the worker.
@@ -326,28 +300,10 @@ impl Client {
         assignment_id: u64,
         spec: &FuzzJobSpec,
     ) -> Result<Submission, ProtocolError> {
-        self.fuzz_submission(&Request::AssignFuzz {
+        self.submission(&Request::AssignFuzz {
             assignment_id,
             spec: spec.clone(),
         })
-    }
-
-    fn fuzz_submission(&mut self, request: &Request) -> Result<Submission, ProtocolError> {
-        match self.request(request)? {
-            Response::Accepted { job_id, cells } => Ok(Submission::Accepted { job_id, cells }),
-            Response::Rejected {
-                retry_after_ms,
-                reason,
-            } => Ok(Submission::Rejected {
-                retry_after_ms,
-                reason,
-            }),
-            Response::Error(e) => Err(ProtocolError::Io(format!("server error: {e}"))),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
-        }
     }
 
     /// Consumes the session stream of an accepted fuzz job, invoking
@@ -368,12 +324,7 @@ impl Client {
                     outcomes.push(outcome);
                 }
                 Response::JobDone { state, .. } => return Ok((outcomes, state)),
-                other => {
-                    return Err(ProtocolError::Io(format!(
-                        "unexpected mid-stream response kind 0x{:02x}",
-                        other.kind()
-                    )))
-                }
+                other => return Err(unexpected(other)),
             }
         }
     }
@@ -404,10 +355,7 @@ impl Client {
     pub fn drain_worker(&mut self) -> Result<(), ProtocolError> {
         match self.request(&Request::WorkerDrain)? {
             Response::ShutdownAck => Ok(()),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -433,11 +381,7 @@ impl Client {
             with_trace,
         })? {
             Response::RunResult { record, trace } => Ok((record, trace)),
-            Response::Error(e) => Err(ProtocolError::Io(format!("server error: {e}"))),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -460,11 +404,7 @@ impl Client {
                 cells_total,
                 runs_done,
             }),
-            Response::Error(e) => Err(ProtocolError::Io(format!("server error: {e}"))),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -487,11 +427,7 @@ impl Client {
                 cells_total,
                 runs_done,
             }),
-            Response::Error(e) => Err(ProtocolError::Io(format!("server error: {e}"))),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -503,10 +439,7 @@ impl Client {
     pub fn metrics(&mut self) -> Result<String, ProtocolError> {
         match self.request(&Request::Metrics)? {
             Response::MetricsJson(json) => Ok(json),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -520,10 +453,7 @@ impl Client {
             trace_hex: trace_hex.to_owned(),
         })? {
             Response::ReplayVerdict { outcome, detail } => Ok((outcome, detail)),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -535,10 +465,16 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ProtocolError> {
         match self.request(&Request::Shutdown)? {
             Response::ShutdownAck => Ok(()),
-            other => Err(ProtocolError::Io(format!(
-                "unexpected response kind 0x{:02x}",
-                other.kind()
-            ))),
+            other => Err(unexpected(other)),
         }
+    }
+}
+
+/// The error for a response the request does not expect; a server-side
+/// `Error` frame keeps its message.
+fn unexpected(response: Response) -> ProtocolError {
+    match response {
+        Response::Error(e) => ProtocolError::Io(format!("server error: {e}")),
+        other => ProtocolError::Io(format!("unexpected response kind 0x{:02x}", other.kind())),
     }
 }

@@ -22,7 +22,8 @@
 //! * [`queue`] — bounded job queue (explicit rejection when full) and the
 //!   job registry behind `Status`/`Cancel`;
 //! * [`server`] — accept loop, per-connection handlers, the executor, and
-//!   graceful drain on `Shutdown`/SIGTERM;
+//!   graceful drain on `Shutdown`/SIGTERM; the accept and frame loops
+//!   serve any [`server::Service`], the fabric coordinator's included;
 //! * [`client`] — blocking client used by the `adas-serve client`
 //!   subcommands, the fabric coordinator, and the integration tests;
 //! * [`backoff`] — capped, deterministically-jittered retry schedule for

@@ -29,7 +29,7 @@ use adas_core::{
 use adas_ml::{LstmPredictor, ModelSpec};
 use adas_recorder::{RecordMode, Trace};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,7 +47,7 @@ pub const DEFAULT_QUEUE: usize = 8;
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Accept-loop poll interval while no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Suggested client retry delay attached to backpressure rejections.
 const RETRY_AFTER_MS: u32 = 500;
@@ -130,16 +130,6 @@ impl Shared {
         }
     }
 
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed) || signal::triggered()
-    }
-
-    /// Stops accepting work and lets the executor drain what was accepted.
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        self.queue.close();
-    }
-
     /// The trained model for `campaign_seed`, training (or loading from
     /// the artifact cache) on first use. Concurrent first calls may train
     /// twice; training is deterministic, so both produce identical weights
@@ -210,58 +200,91 @@ impl Server {
     /// Propagates fatal listener errors (per-connection errors are
     /// handled inline).
     pub fn run(self) -> std::io::Result<()> {
-        signal::install();
-        self.listener.set_nonblocking(true)?;
         let shared = Arc::clone(&self.shared);
         let executor = std::thread::Builder::new()
             .name("adas-serve-exec".into())
             .spawn(move || executor_loop(&shared))
             .expect("spawn executor");
-
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.shared.is_shutdown() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    let handle = std::thread::Builder::new()
-                        .name("adas-serve-conn".into())
-                        .spawn(move || handle_connection(&shared, stream))
-                        .expect("spawn connection handler");
-                    handlers.push(handle);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    eprintln!("[serve] accept error: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-            // Reap finished connection threads so the vector stays small.
-            let mut i = 0;
-            while i < handlers.len() {
-                if handlers[i].is_finished() {
-                    let _ = handlers.swap_remove(i).join();
-                } else {
-                    i += 1;
-                }
-            }
-        }
-
-        // Drain: the executor finishes every accepted job, which releases
-        // the streaming handlers; idle handlers notice shutdown within one
-        // read timeout.
+        let served = serve_connections(&self.listener, &self.shared);
+        // The executor finishes every accepted job once the queue closes
+        // (closing again is a no-op; it covers a listener that failed to
+        // start).
         self.shared.begin_shutdown();
         let _ = executor.join();
-        for handle in handlers {
+        served
+    }
+}
+
+/// A request handler behind [`serve_connections`]: the daemon and the
+/// fabric coordinator front-end each implement it once.
+pub trait Service: Send + Sync + 'static {
+    /// Answers one request on `stream`; `Ok(false)` closes the connection
+    /// politely.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures while responding (the connection is dropped).
+    fn handle(&self, stream: &mut TcpStream, request: Request) -> std::io::Result<bool>;
+
+    /// True once the service accepts no more connections or requests.
+    fn is_shutdown(&self) -> bool;
+
+    /// Stops admitting work; called once when the accept loop exits,
+    /// before the open connections drain.
+    fn begin_shutdown(&self);
+
+    /// Observes an accepted connection.
+    fn on_connect(&self) {}
+
+    /// Observes a framing violation (answered with an `Error` frame).
+    fn on_protocol_error(&self) {}
+}
+
+/// Accept loop: one handler thread per connection until `service` shuts
+/// down (a `Shutdown` request, SIGTERM, or SIGINT), then drains — every
+/// in-flight request finishes, and idle or half-read connections close
+/// within one read timeout.
+///
+/// # Errors
+///
+/// Propagates listener set-up failures (accept errors are logged and the
+/// loop keeps serving).
+pub fn serve_connections<S: Service>(
+    listener: &TcpListener,
+    service: &Arc<S>,
+) -> std::io::Result<()> {
+    signal::install();
+    listener.set_nonblocking(true)?;
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    while !service.is_shutdown() {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let service = Arc::clone(service);
+                let handle = std::thread::Builder::new()
+                    .name("adas-serve-conn".into())
+                    .spawn(move || handle_connection(&*service, stream))
+                    .expect("spawn connection handler");
+                handlers.push(handle);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(ACCEPT_POLL);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                eprintln!("[serve] accept error: {e}");
+                std::thread::sleep(ACCEPT_POLL);
+            }
+        }
+        // Reap finished connection threads so the vector stays small.
+        for handle in handlers.extract_if(.., |h| h.is_finished()) {
             let _ = handle.join();
         }
-        Ok(())
     }
+    service.begin_shutdown();
+    for handle in handlers {
+        let _ = handle.join();
+    }
+    Ok(())
 }
 
 /// Executor thread: drains the queue until it is closed *and* empty.
@@ -406,35 +429,86 @@ fn compute_cell(
     Some(stats)
 }
 
+/// The read half of a served connection. A read timeout while the service
+/// is shutting down becomes an abort, so neither an idle peer nor one
+/// stalled mid-frame holds the drain past one read timeout.
+struct Draining<'a, S> {
+    stream: &'a TcpStream,
+    service: &'a S,
+}
+
+impl<S: Service> Read for Draining<'_, S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self.stream.read(buf) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) && self.service.is_shutdown() =>
+            {
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionAborted,
+                    "server shutting down",
+                ))
+            }
+            other => other,
+        }
+    }
+}
+
 /// Per-connection loop: request → response(s) until close, protocol
 /// violation, or shutdown.
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
+fn handle_connection<S: Service>(service: &S, mut stream: TcpStream) {
+    service.on_connect();
     if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
-    let mut stream = stream;
     loop {
-        match recv_request(&mut stream) {
-            Ok(request) => match handle_request(shared, &mut stream, request) {
+        let request = recv_request(&mut Draining {
+            stream: &stream,
+            service,
+        });
+        match request {
+            Ok(request) => match service.handle(&mut stream, request) {
                 Ok(true) => {}
                 Ok(false) | Err(_) => break,
             },
-            Err(ProtocolError::TimedOut) => {
-                if shared.is_shutdown() {
-                    break;
-                }
-            }
+            // Idle; a timeout during shutdown arrives as `Io` instead.
+            Err(ProtocolError::TimedOut) => {}
             Err(ProtocolError::Closed | ProtocolError::Io(_)) => break,
             Err(e) => {
                 // Structural violation: count it, answer it, and drop the
                 // connection — after a framing error the byte stream can
                 // no longer be trusted to resynchronise.
-                shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                service.on_protocol_error();
                 let _ = send_response(&mut stream, &Response::Error(e.to_string()));
                 break;
             }
         }
+    }
+}
+
+impl Service for Shared {
+    fn handle(&self, stream: &mut TcpStream, request: Request) -> std::io::Result<bool> {
+        handle_request(self, stream, request)
+    }
+
+    fn is_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::Relaxed) || signal::triggered()
+    }
+
+    /// Stops accepting work and lets the executor drain what was accepted.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        self.queue.close();
+    }
+
+    fn on_connect(&self) {
+        self.metrics.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn on_protocol_error(&self) {
+        self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -132,7 +132,7 @@ impl SegmentWriter {
     /// records). Blocks are cut every [`REC_PER_BLOCK`] records.
     pub fn append_bytes(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         let width = self.kind.width();
-        if payload.len() % width != 0 {
+        if !payload.len().is_multiple_of(width) {
             return Err(StoreError::Format(format!(
                 "payload of {} bytes is not a whole number of {width}-byte records",
                 payload.len()
