@@ -2,11 +2,11 @@
 
 use crate::patch::{CurvatureFault, RdFault};
 use crate::schedule::AttackScheduler;
+use adas_codec::{Encode, Writer};
 use adas_perception::PerceptionFrame;
-use serde::{Deserialize, Serialize};
 
 /// The three fault types of the paper's Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultType {
     /// Adversarial patch on the lead vehicle's rear: relative-distance
     /// misprediction.
@@ -46,6 +46,34 @@ impl FaultType {
     pub fn targets_curvature(self) -> bool {
         matches!(self, FaultType::DesiredCurvature | FaultType::Mixed)
     }
+
+    /// Stable wire code, 1–3; 0 is reserved for "no fault" wherever an
+    /// `Option<FaultType>` is encoded.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            FaultType::RelativeDistance => 1,
+            FaultType::DesiredCurvature => 2,
+            FaultType::Mixed => 3,
+        }
+    }
+
+    /// Inverse of [`Self::code`]; `None` for 0 and unknown codes.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Self> {
+        match code {
+            1 => Some(FaultType::RelativeDistance),
+            2 => Some(FaultType::DesiredCurvature),
+            3 => Some(FaultType::Mixed),
+            _ => None,
+        }
+    }
+}
+
+impl Encode for FaultType {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(self.code());
+    }
 }
 
 impl std::fmt::Display for FaultType {
@@ -55,7 +83,7 @@ impl std::fmt::Display for FaultType {
 }
 
 /// Full specification of the injected faults for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Which outputs are attacked.
     pub fault_type: FaultType,
@@ -94,7 +122,7 @@ impl FaultSpec {
 }
 
 /// Ground-truth context the injector needs each step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultContext {
     /// Simulation clock, seconds.
     pub time: f64,

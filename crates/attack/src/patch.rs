@@ -1,7 +1,5 @@
 //! Parameterisations of the two physical patches.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum true relative distance at which the lead-vehicle patch is
 /// perceived and the RD fault activates, metres (paper Table III).
 pub const RD_TRIGGER_RANGE: f64 = 80.0;
@@ -23,7 +21,7 @@ pub fn rd_offset_for(true_rd: f64) -> Option<f64> {
 }
 
 /// Parameters of the lead-vehicle rear patch (ACC attack).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RdFault {
     /// Activation range, metres.
     pub trigger_range: f64,
@@ -60,7 +58,7 @@ impl RdFault {
 /// ±0.03 1/m puts the injected bias at 9×10⁻⁴ 1/m — enough to drift a
 /// highway-speed vehicle across its lane within a few seconds, matching the
 /// attack-success timing of the Dirty-Road-Patch study the paper replays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvatureFault {
     /// Arc length at which the patch area begins, metres.
     pub patch_start_s: f64,

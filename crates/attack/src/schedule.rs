@@ -11,12 +11,12 @@
 //! while [`AttackScheduler::Context`] holds every fault channel back until
 //! a configurable vulnerability predicate first fires, then latches.
 
-use serde::{Deserialize, Serialize};
+use adas_codec::{DecodeError, Encode, Reader, Writer};
 
 /// A conjunction of world-state vulnerability conditions. Disabled atoms
 /// (`None`) are ignored; all enabled atoms must hold simultaneously, and
 /// nothing fires before [`ContextTrigger::arm_after`] seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContextTrigger {
     /// Fire once ground-truth TTC to the lead drops to this many seconds
     /// or below. A missing lead (no TTC) never satisfies the atom.
@@ -80,7 +80,7 @@ impl ContextTrigger {
 }
 
 /// When the injector is allowed to perturb perception.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AttackScheduler {
     /// The paper's fixed policy: fault channels are live from the first
     /// step and activate on their own spatial/range conditions alone.
@@ -92,7 +92,61 @@ pub enum AttackScheduler {
     Context(ContextTrigger),
 }
 
+/// Tag byte 0 for immediate; tag 1 followed by the trigger's three
+/// optional atoms and its arming time.
+impl Encode for AttackScheduler {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            AttackScheduler::Immediate => w.u8(0),
+            AttackScheduler::Context(ContextTrigger {
+                ttc_below,
+                lane_excursion_above,
+                curvature_above,
+                arm_after,
+            }) => {
+                w.u8(1);
+                w.opt_f64(*ttc_below);
+                w.opt_f64(*lane_excursion_above);
+                w.opt_f64(*curvature_above);
+                w.f64(*arm_after);
+            }
+        }
+    }
+}
+
 impl AttackScheduler {
+    /// Decodes [`Encode`] output, rejecting an unknown tag, a non-finite
+    /// atom, or a negative or non-finite arming time.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let at = r.pos();
+        let invalid = DecodeError { offset: at, needed: 0 };
+        match r.u8()? {
+            0 => Ok(AttackScheduler::Immediate),
+            1 => {
+                let trigger = ContextTrigger {
+                    ttc_below: r.opt_f64()?,
+                    lane_excursion_above: r.opt_f64()?,
+                    curvature_above: r.opt_f64()?,
+                    arm_after: r.f64()?,
+                };
+                let atoms = [
+                    trigger.ttc_below,
+                    trigger.lane_excursion_above,
+                    trigger.curvature_above,
+                ];
+                let finite = atoms.iter().flatten().all(|v| v.is_finite())
+                    && trigger.arm_after.is_finite()
+                    && trigger.arm_after >= 0.0;
+                if finite {
+                    Ok(AttackScheduler::Context(trigger))
+                } else {
+                    Err(invalid)
+                }
+            }
+            _ => Err(invalid),
+        }
+    }
+
     /// True for the legacy fixed-offset policy.
     #[must_use]
     pub fn is_immediate(&self) -> bool {

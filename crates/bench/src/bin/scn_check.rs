@@ -135,7 +135,7 @@ fn constructor_digest(
             );
             let setup = build(id, position, &mut rng);
             fp = fp
-                .write_debug(&setup)
+                .write_str(&format!("{setup:?}"))
                 .write_u64(rng.uniform(0.0, 1.0).to_bits());
         }
     }

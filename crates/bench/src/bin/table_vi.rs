@@ -137,22 +137,13 @@ fn main() {
                 })
             };
             if store.is_some() {
-                let mitigation = match iv.mitigation {
-                    adas_ml::MitigationKind::Cusum => 0,
-                    adas_ml::MitigationKind::Ensemble => 1,
-                    adas_ml::MitigationKind::MaskCheck => 2,
-                };
                 store_rows.push(adas_store::CellRow::from_stats(
                     (
                         adas_store::record::ANY,
                         adas_store::record::ANY,
-                        match fault {
-                            FaultType::RelativeDistance => 1,
-                            FaultType::DesiredCurvature => 2,
-                            FaultType::Mixed => 3,
-                        },
+                        fault.code(),
                         iv_idx as u8,
-                        mitigation,
+                        iv.mitigation.code(),
                         u8::from(!cfg.attack.is_immediate()),
                     ),
                     CAMPAIGN_SEED,

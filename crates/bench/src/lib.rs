@@ -76,10 +76,10 @@ pub fn trained_baseline_cached(
     let data = collect_training_data(seed, 1, 25);
     let tc = baseline_train_config();
     let key = Fingerprint::new()
-        .write_str("lstm-baseline-v1")
+        .write_str("lstm-baseline-v2")
         .write_u64(seed)
-        .write_debug(&spec)
-        .write_debug(&tc)
+        .write(&spec)
+        .write(&tc)
         .write_u64(fingerprint_dataset(&data).value());
     cache.get_or_compute(
         "model",

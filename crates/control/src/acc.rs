@@ -13,11 +13,11 @@
 //! minimum gap — late, and then strong.
 
 use crate::pid::{Pid, PidConfig};
+use adas_codec::{Encode, Writer};
 use adas_perception::PerceptionFrame;
-use serde::{Deserialize, Serialize};
 
 /// ACC tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccConfig {
     /// Cruise set speed, m/s.
     pub set_speed: f64,
@@ -69,8 +69,41 @@ impl Default for AccConfig {
     }
 }
 
+impl Encode for AccConfig {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            set_speed,
+            gap_offset,
+            time_gap,
+            min_gap,
+            brake_engage_decel,
+            brake_gain,
+            max_decel,
+            max_accel,
+            gap_gain,
+            speed_match_gain,
+            closing_tau,
+        } = *self;
+        for v in [
+            set_speed,
+            gap_offset,
+            time_gap,
+            min_gap,
+            brake_engage_decel,
+            brake_gain,
+            max_decel,
+            max_accel,
+            gap_gain,
+            speed_match_gain,
+            closing_tau,
+        ] {
+            w.f64(v);
+        }
+    }
+}
+
 /// Longitudinal plan for one control cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LongitudinalPlan {
     /// Commanded acceleration, m/s².
     pub accel: f64,

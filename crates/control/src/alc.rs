@@ -13,11 +13,11 @@
 //! predictions is provided for ablation studies (disabled by default, as in
 //! OpenPilot).
 
+use adas_codec::{Encode, Writer};
 use adas_perception::PerceptionFrame;
-use serde::{Deserialize, Serialize};
 
 /// ALC tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlcConfig {
     /// Vehicle wheelbase used for the curvature → steering conversion,
     /// metres.
@@ -42,6 +42,21 @@ impl Default for AlcConfig {
             steer_limit: 0.5,
             aux_offset_gain: 0.0,
             aux_feedback_limit: 0.02,
+        }
+    }
+}
+
+impl Encode for AlcConfig {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            wheelbase,
+            command_tau,
+            steer_limit,
+            aux_offset_gain,
+            aux_feedback_limit,
+        } = *self;
+        for v in [wheelbase, command_tau, steer_limit, aux_offset_gain, aux_feedback_limit] {
+            w.f64(v);
         }
     }
 }

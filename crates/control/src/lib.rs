@@ -27,11 +27,11 @@ pub use acc::{AccConfig, AccController, LongitudinalPlan};
 pub use alc::{AlcConfig, AlcController};
 pub use pid::{Pid, PidConfig};
 
+use adas_codec::{Encode, Writer};
 use adas_perception::PerceptionFrame;
-use serde::{Deserialize, Serialize};
 
 /// Combined ADAS output for one control cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdasCommand {
     /// Longitudinal acceleration command, m/s².
     pub accel: f64,
@@ -42,12 +42,20 @@ pub struct AdasCommand {
 }
 
 /// Configuration of the full control stack.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AdasConfig {
     /// Longitudinal (ACC) parameters.
     pub acc: AccConfig,
     /// Lateral (ALC) parameters.
     pub alc: AlcConfig,
+}
+
+impl Encode for AdasConfig {
+    fn encode(&self, w: &mut Writer) {
+        let Self { acc, alc } = self;
+        w.put(acc);
+        w.put(alc);
+    }
 }
 
 /// The combined ACC + ALC controller.

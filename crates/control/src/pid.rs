@@ -1,9 +1,7 @@
 //! A small PID controller with output limits and anti-windup.
 
-use serde::{Deserialize, Serialize};
-
 /// PID gains and limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
     /// Proportional gain.
     pub kp: f64,
@@ -18,7 +16,7 @@ pub struct PidConfig {
 }
 
 /// A PID controller instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pid {
     config: PidConfig,
     integral: f64,

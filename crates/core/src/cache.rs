@@ -8,12 +8,15 @@
 //! `ml_ablation` … train the default model once between them and a repeated
 //! invocation replays a whole campaign from cache.
 //!
-//! Keys use FNV-1a over explicitly-fed bytes ([`Fingerprint`]) rather than
-//! `std::hash` — `DefaultHasher` is documented as unstable across releases,
-//! and cache keys must survive recompiles. Fingerprints are content
-//! addresses: change a hyper-parameter, a seed, or the dataset and the key
-//! changes, which *is* the invalidation story (stale entries are simply
-//! never addressed again; `rm -r results/cache` reclaims the space).
+//! Keys are [`Fingerprint`]s (FNV-1a, from `adas-codec`) over the
+//! canonical [`Encode`](adas_codec::Encode) bytes of everything that
+//! determines an artifact, never over `Debug` renderings: `DefaultHasher` is
+//! documented as unstable across releases and `Debug` output is not a
+//! format, while cache keys must survive recompiles. Fingerprints are
+//! content addresses: change a hyper-parameter, a seed, the dataset, or
+//! add a config field and the key changes, which *is* the invalidation
+//! story (stale entries are simply never addressed again;
+//! `rm -r results/cache` reclaims the space).
 //!
 //! Environment knobs:
 //!
@@ -25,100 +28,9 @@
 //! Writes are atomic (temp file + rename) so concurrent harnesses never
 //! observe a torn artifact.
 
-use std::fmt;
+pub use adas_codec::Fingerprint;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A stable 64-bit content fingerprint (FNV-1a), built by feeding in the
-/// values that determine an artifact.
-///
-/// Builder-style: every `write_*` consumes and returns the fingerprint, so
-/// keys read as one expression:
-///
-/// ```
-/// use adas_core::Fingerprint;
-/// let key = Fingerprint::new()
-///     .write_str("table-vi-cell")
-///     .write_u64(2025)
-///     .write_f64(2.5);
-/// assert_eq!(key, key);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Fingerprint(u64);
-
-impl Fingerprint {
-    /// The empty fingerprint (FNV offset basis).
-    #[must_use]
-    pub const fn new() -> Self {
-        Self(FNV_OFFSET)
-    }
-
-    /// Feeds raw bytes.
-    #[must_use]
-    pub fn write_bytes(mut self, bytes: &[u8]) -> Self {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// Feeds one `u64` (little-endian).
-    #[must_use]
-    pub fn write_u64(self, v: u64) -> Self {
-        self.write_bytes(&v.to_le_bytes())
-    }
-
-    /// Feeds one `f64` by bit pattern (so `-0.0` and `0.0` differ, and the
-    /// key is exact rather than printed-precision).
-    #[must_use]
-    pub fn write_f64(self, v: f64) -> Self {
-        self.write_bytes(&v.to_bits().to_le_bytes())
-    }
-
-    /// Feeds a string with a terminator, so `("ab", "c")` and `("a", "bc")`
-    /// produce different keys.
-    #[must_use]
-    pub fn write_str(self, s: &str) -> Self {
-        self.write_bytes(s.as_bytes()).write_bytes(&[0xFF])
-    }
-
-    /// Feeds a value via its `Debug` rendering — the cheap way to fold an
-    /// entire configuration struct into the key. Renaming or adding a field
-    /// changes the rendering, which (correctly) invalidates old entries.
-    #[must_use]
-    pub fn write_debug<T: fmt::Debug>(self, v: &T) -> Self {
-        self.write_str(&format!("{v:?}"))
-    }
-
-    /// The raw 64-bit value.
-    #[must_use]
-    pub fn value(self) -> u64 {
-        self.0
-    }
-
-    /// Fixed-width lowercase hex, used as the on-disk file name.
-    #[must_use]
-    pub fn hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
-
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Display for Fingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
 
 /// Hit/miss/write/bypass counters for one [`ArtifactCache`] instance.
 ///
@@ -356,33 +268,6 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn fingerprint_is_order_and_boundary_sensitive() {
-        let a = Fingerprint::new().write_str("ab").write_str("c");
-        let b = Fingerprint::new().write_str("a").write_str("bc");
-        assert_ne!(a, b);
-        let c = Fingerprint::new().write_u64(1).write_u64(2);
-        let d = Fingerprint::new().write_u64(2).write_u64(1);
-        assert_ne!(c, d);
-        assert_ne!(
-            Fingerprint::new().write_f64(0.0),
-            Fingerprint::new().write_f64(-0.0)
-        );
-    }
-
-    #[test]
-    fn fingerprint_is_stable() {
-        // The whole point is stability across processes and recompiles:
-        // check against the textbook FNV-1a definition, written out
-        // independently of the builder.
-        assert_eq!(Fingerprint::new().value(), FNV_OFFSET);
-        let mut reference = FNV_OFFSET;
-        for &b in b"adas" {
-            reference = (reference ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        assert_eq!(Fingerprint::new().write_bytes(b"adas").value(), reference);
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //! conditions, and subsystem parameters.
 
 use adas_attack::AttackScheduler;
+use adas_codec::{DecodeError, Encode, Reader, Writer};
 use adas_control::AdasConfig;
 use adas_ml::MitigationKind;
 use adas_perception::PerceptionConfig;
 use adas_safety::AebsMode;
 use adas_scenarios::HazardConfig;
 use adas_simulator::FrictionCondition;
-use serde::{Deserialize, Serialize};
 
 /// Which safety interventions are active — one value per Table VI row
 /// pattern.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterventionConfig {
     /// Human-driver reaction simulator enabled.
     pub driver: bool,
@@ -35,27 +35,57 @@ pub struct InterventionConfig {
     pub views: u8,
 }
 
-/// Cache keys and golden-trace fingerprints hash the `Debug` rendering of
-/// this struct, so the rendering must stay byte-identical to the historic
-/// derived output for historic configurations. The mitigation fields are
-/// appended only when they deviate from the CUSUM default — a manual impl
-/// of exactly what `#[derive(Debug)]` produced before they existed.
-impl std::fmt::Debug for InterventionConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("InterventionConfig");
-        s.field("driver", &self.driver)
-            .field("driver_reaction_time", &self.driver_reaction_time)
-            .field("safety_check", &self.safety_check)
-            .field("aebs", &self.aebs)
-            .field("ml", &self.ml);
-        if self.mitigation != MitigationKind::Cusum || self.views != 0 {
-            s.field("mitigation", &self.mitigation).field("views", &self.views);
-        }
-        s.finish()
+/// Flags byte (bit 0 driver, bit 1 safety check, bit 2 ML, bits 3–4 the
+/// mitigation code), AEBS code, reaction time, view count: the campaign
+/// wire layout of a cell's interventions, and their cache-key bytes.
+impl Encode for InterventionConfig {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            driver,
+            driver_reaction_time,
+            safety_check,
+            aebs,
+            ml,
+            mitigation,
+            views,
+        } = *self;
+        w.u8(u8::from(driver)
+            | (u8::from(safety_check) << 1)
+            | (u8::from(ml) << 2)
+            | (mitigation.code() << 3));
+        w.put(&aebs);
+        w.f64(driver_reaction_time);
+        w.u8(views);
     }
 }
 
 impl InterventionConfig {
+    /// Decodes [`Encode`] output; rejects unknown flag bits or codes, a
+    /// non-finite or non-positive reaction time, and a view count above
+    /// [`MAX_VIEWS`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let invalid = |offset| DecodeError { offset, needed: 0 };
+        let at = r.pos();
+        let flags = r.code(|f| (f & !0b1_1111 == 0).then_some(f))?;
+        let mitigation = MitigationKind::from_code(flags >> 3).ok_or(invalid(at))?;
+        let aebs = r.code(AebsMode::from_code)?;
+        let at = r.pos();
+        let driver_reaction_time = r.f64()?;
+        if !driver_reaction_time.is_finite() || driver_reaction_time <= 0.0 {
+            return Err(invalid(at));
+        }
+        let views = r.code(|v| (v <= MAX_VIEWS).then_some(v))?;
+        Ok(Self {
+            driver: flags & 1 != 0,
+            driver_reaction_time,
+            safety_check: flags & 0b10 != 0,
+            aebs,
+            ml: flags & 0b100 != 0,
+            mitigation,
+            views,
+        })
+    }
+
     /// No interventions at all (the attack-impact baseline rows).
     #[must_use]
     pub fn none() -> Self {
@@ -253,7 +283,7 @@ impl Default for InterventionConfig {
 }
 
 /// Full platform configuration for one run.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformConfig {
     /// Which safety interventions are active.
     pub interventions: InterventionConfig,
@@ -276,24 +306,26 @@ pub struct PlatformConfig {
     pub attack: AttackScheduler,
 }
 
-/// Cache keys and golden-trace fingerprints hash the `Debug` rendering of
-/// this struct. The `attack` field is appended only when it deviates from
-/// the immediate default, so every pre-scheduler configuration renders —
-/// and therefore fingerprints — exactly as it always has.
-impl std::fmt::Debug for PlatformConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("PlatformConfig");
-        s.field("interventions", &self.interventions)
-            .field("friction", &self.friction)
-            .field("max_steps", &self.max_steps)
-            .field("perception", &self.perception)
-            .field("adas", &self.adas)
-            .field("hazards", &self.hazards)
-            .field("quiescence_steps", &self.quiescence_steps);
-        if !self.attack.is_immediate() {
-            s.field("attack", &self.attack);
-        }
-        s.finish()
+impl Encode for PlatformConfig {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            interventions,
+            friction,
+            max_steps,
+            perception,
+            adas,
+            hazards,
+            quiescence_steps,
+            attack,
+        } = self;
+        w.put(interventions);
+        w.put(friction);
+        w.usize(*max_steps);
+        w.put(perception);
+        w.put(adas);
+        w.put(hazards);
+        w.usize(*quiescence_steps);
+        w.put(attack);
     }
 }
 
@@ -339,6 +371,10 @@ pub fn attack_from_env() -> AttackScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::campaign_cell_fingerprint;
+    use crate::replay::config_fingerprint;
+    use adas_attack::{ContextTrigger, FaultType};
+    use std::collections::HashSet;
 
     #[test]
     fn table_vi_rows_match_paper_layout() {
@@ -365,50 +401,123 @@ mod tests {
         assert_eq!(c.max_steps, 10_000);
     }
 
-    #[test]
-    fn debug_rendering_is_stable_for_legacy_configs() {
-        // Cache fingerprints and golden-trace config fingerprints hash
-        // this exact rendering: a CUSUM-default config must render without
-        // the mitigation fields, byte-identical to the historic derived
-        // output.
-        let legacy = InterventionConfig::driver_and_check();
-        assert_eq!(
-            format!("{legacy:?}"),
-            "InterventionConfig { driver: true, driver_reaction_time: 2.5, \
-             safety_check: true, aebs: Disabled, ml: false }"
-        );
-        // Non-default variants must render distinctly (distinct cache keys).
-        let ens = InterventionConfig::ensemble_only();
-        assert_eq!(
-            format!("{ens:?}"),
-            "InterventionConfig { driver: false, driver_reaction_time: 2.5, \
-             safety_check: false, aebs: Disabled, ml: true, \
-             mitigation: Ensemble, views: 0 }"
-        );
-        assert_ne!(format!("{:?}", InterventionConfig::ml_only()), format!("{ens:?}"));
-        assert_ne!(
-            format!("{:?}", InterventionConfig::maskcheck_only()),
-            format!("{ens:?}")
-        );
-        // An explicit view count also renders (distinct key per M).
-        let mut ens12 = ens;
-        ens12.views = 12;
-        assert_ne!(format!("{ens12:?}"), format!("{ens:?}"));
+    /// A named single-field perturbation.
+    type Perturbation = (&'static str, fn(&mut PlatformConfig));
+
+    /// One perturbation per leaf field of [`PlatformConfig`], nested
+    /// perception, ADAS and hazard configs included.
+    fn platform_perturbations() -> Vec<Perturbation> {
+        vec![
+            ("interventions.driver", |c| c.interventions.driver ^= true),
+            ("interventions.driver_reaction_time", |c| c.interventions.driver_reaction_time += 0.5),
+            ("interventions.safety_check", |c| c.interventions.safety_check ^= true),
+            ("interventions.aebs", |c| c.interventions.aebs = AebsMode::Independent),
+            ("interventions.ml", |c| c.interventions.ml ^= true),
+            ("interventions.mitigation", |c| c.interventions.mitigation = MitigationKind::Ensemble),
+            ("interventions.views", |c| c.interventions.views = 5),
+            ("friction", |c| c.friction = FrictionCondition::Off50),
+            ("friction.custom", |c| c.friction = FrictionCondition::Custom(0.5)),
+            ("max_steps", |c| c.max_steps += 1),
+            ("perception.blind_range", |c| c.perception.blind_range += 1.0),
+            ("perception.max_range", |c| c.perception.max_range += 1.0),
+            ("perception.distance_noise_frac", |c| c.perception.distance_noise_frac += 1.0),
+            ("perception.distance_noise_floor", |c| c.perception.distance_noise_floor += 1.0),
+            ("perception.speed_noise", |c| c.perception.speed_noise += 1.0),
+            ("perception.lane_noise", |c| c.perception.lane_noise += 1.0),
+            ("perception.curvature_noise", |c| c.perception.curvature_noise += 1.0),
+            ("perception.preview_time", |c| c.perception.preview_time += 1.0),
+            ("perception.lead_window_frac", |c| c.perception.lead_window_frac += 1.0),
+            ("perception.centering_offset_gain", |c| c.perception.centering_offset_gain += 1.0),
+            ("perception.centering_heading_gain", |c| c.perception.centering_heading_gain += 1.0),
+            ("perception.centering_limit", |c| c.perception.centering_limit += 1.0),
+            ("perception.heading_noise", |c| c.perception.heading_noise += 1.0),
+            ("adas.acc.set_speed", |c| c.adas.acc.set_speed += 1.0),
+            ("adas.acc.gap_offset", |c| c.adas.acc.gap_offset += 1.0),
+            ("adas.acc.time_gap", |c| c.adas.acc.time_gap += 1.0),
+            ("adas.acc.min_gap", |c| c.adas.acc.min_gap += 1.0),
+            ("adas.acc.brake_engage_decel", |c| c.adas.acc.brake_engage_decel += 1.0),
+            ("adas.acc.brake_gain", |c| c.adas.acc.brake_gain += 1.0),
+            ("adas.acc.max_decel", |c| c.adas.acc.max_decel += 1.0),
+            ("adas.acc.max_accel", |c| c.adas.acc.max_accel += 1.0),
+            ("adas.acc.gap_gain", |c| c.adas.acc.gap_gain += 1.0),
+            ("adas.acc.speed_match_gain", |c| c.adas.acc.speed_match_gain += 1.0),
+            ("adas.acc.closing_tau", |c| c.adas.acc.closing_tau += 1.0),
+            ("adas.alc.wheelbase", |c| c.adas.alc.wheelbase += 1.0),
+            ("adas.alc.command_tau", |c| c.adas.alc.command_tau += 1.0),
+            ("adas.alc.steer_limit", |c| c.adas.alc.steer_limit += 1.0),
+            ("adas.alc.aux_offset_gain", |c| c.adas.alc.aux_offset_gain += 1.0),
+            ("adas.alc.aux_feedback_limit", |c| c.adas.alc.aux_feedback_limit += 1.0),
+            ("hazards.h1_distance", |c| c.hazards.h1_distance += 1.0),
+            ("hazards.h1_ttc", |c| c.hazards.h1_ttc += 1.0),
+            ("hazards.h2_line_distance", |c| c.hazards.h2_line_distance += 1.0),
+            ("quiescence_steps", |c| c.quiescence_steps += 1),
+            ("attack", |c| c.attack = AttackScheduler::Context(ContextTrigger::default())),
+            ("attack.ttc_below", |c| c.attack = AttackScheduler::Context(ContextTrigger::ttc(2.0))),
+            ("attack.lane_excursion_above", |c| {
+                c.attack = AttackScheduler::Context(ContextTrigger {
+                    lane_excursion_above: Some(0.5),
+                    ..ContextTrigger::default()
+                });
+            }),
+            ("attack.curvature_above", |c| {
+                c.attack = AttackScheduler::Context(ContextTrigger {
+                    curvature_above: Some(0.002),
+                    ..ContextTrigger::default()
+                });
+            }),
+            ("attack.arm_after", |c| {
+                c.attack = AttackScheduler::Context(ContextTrigger {
+                    arm_after: 5.0,
+                    ..ContextTrigger::default()
+                });
+            }),
+        ]
     }
 
     #[test]
-    fn platform_debug_appends_attack_only_when_scheduled() {
-        // Same byte-stability contract as the interventions rendering: an
-        // immediate-attack config must render exactly as before the field
-        // existed (no `attack:` entry), so legacy fingerprints survive.
-        let legacy = PlatformConfig::default();
-        assert!(!format!("{legacy:?}").contains("attack"));
-        let mut scheduled = legacy;
-        scheduled.attack =
-            AttackScheduler::parse("ttc<2.5").expect("valid predicate");
-        let rendered = format!("{scheduled:?}");
-        assert!(rendered.contains("attack"), "{rendered}");
-        assert_ne!(format!("{legacy:?}"), rendered);
+    fn every_platform_field_moves_the_cell_key_and_the_trace_fingerprint() {
+        let base = PlatformConfig::default();
+        let cell_key = |c: &PlatformConfig| {
+            campaign_cell_fingerprint(Some(FaultType::RelativeDistance), c, None, 2025, 10)
+        };
+        let mut seen = HashSet::from([cell_key(&base)]);
+        for (field, perturb) in platform_perturbations() {
+            let mut c = base;
+            perturb(&mut c);
+            assert_ne!(c, base, "{field}: perturbation was a no-op");
+            assert!(seen.insert(cell_key(&c)), "{field}: cell key did not move");
+            assert_ne!(
+                config_fingerprint(&c),
+                config_fingerprint(&base),
+                "{field}: trace config fingerprint did not move"
+            );
+        }
+    }
+
+    #[test]
+    fn keys_are_pinned_to_canonical_bytes() {
+        // A Table VI cell (Relative Distance × Driver+Check, paper seed and
+        // repetitions) and the default trace config fingerprint. Neither
+        // reads a `Debug` rendering, so no derive change can move them;
+        // only a deliberate encoding change can.
+        let row = PlatformConfig::with_interventions(InterventionConfig::driver_and_check());
+        let key = campaign_cell_fingerprint(Some(FaultType::RelativeDistance), &row, None, 2025, 10);
+        assert_eq!(key.hex(), "ee685c45f86f7851");
+        assert_eq!(
+            format!("{:016x}", config_fingerprint(&PlatformConfig::default())),
+            "f3c30aaa9079f870"
+        );
+    }
+
+    #[test]
+    fn intervention_decode_rejects_unknown_bits_and_codes() {
+        // Flag bit 5, mitigation code 3, AEBS code 3.
+        for bad in [[0b10_0000, 0], [0b1_1000, 0], [0, 3]] {
+            let mut bytes = bad.to_vec();
+            bytes.extend_from_slice(&2.5f64.to_le_bytes());
+            bytes.push(0);
+            assert!(InterventionConfig::decode(&mut Reader::new(&bytes)).is_err());
+        }
     }
 
     #[test]

@@ -13,17 +13,17 @@ use crate::cache::{ArtifactCache, Fingerprint};
 use crate::config::PlatformConfig;
 use crate::platform::Platform;
 use adas_attack::{FaultInjector, FaultSpec, FaultType};
+use adas_codec::{DecodeError, Reader, Writer};
 use adas_ml::{
     ControlTarget, Dataset, EnsembleConfig, EnsembleMitigator, LstmPredictor, MaskCheckConfig,
     MaskCheckMitigator, MitigationConfig, MitigationKind, Mitigator, MlMitigator, StateFeatures,
 };
 use adas_scenarios::{AccidentKind, InitialPosition, RunRecord, ScenarioId, ScenarioSetup};
 use adas_simulator::DeterministicRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Identifies one run inside a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunId {
     /// Driving scenario.
     pub scenario: ScenarioId,
@@ -232,7 +232,7 @@ pub fn run_campaign_with_width(
 }
 
 /// Aggregated statistics for one Table VI cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellStats {
     /// Number of runs.
     pub runs: usize,
@@ -343,19 +343,18 @@ impl CellStats {
     /// fixed layout, trailing whole-entry checksum).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(CELL_MAGIC.len() + 8 + 11 * 8 + 3 + 8);
-        out.extend_from_slice(CELL_MAGIC);
-        out.extend_from_slice(&(self.runs as u64).to_le_bytes());
+        let mut w = Writer::with_capacity(CELL_MAGIC.len() + 8 + 11 * 8 + 3 + 8);
+        w.bytes(CELL_MAGIC);
+        w.usize(self.runs);
         for v in [self.a1_pct, self.a2_pct, self.prevented_pct, self.hazard_pct] {
-            out.extend_from_slice(&v.to_le_bytes());
+            w.f64(v);
         }
         for opt in [
             self.aeb_mitigation_time,
             self.driver_brake_mitigation_time,
             self.driver_steer_mitigation_time,
         ] {
-            out.push(u8::from(opt.is_some()));
-            out.extend_from_slice(&opt.unwrap_or(0.0).to_le_bytes());
+            w.opt_f64(opt);
         }
         for v in [
             self.aeb_trigger_rate,
@@ -363,11 +362,11 @@ impl CellStats {
             self.driver_steer_trigger_rate,
             self.ml_trigger_rate,
         ] {
-            out.extend_from_slice(&v.to_le_bytes());
+            w.f64(v);
         }
-        let checksum = Fingerprint::new().write_bytes(&out).value();
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        let checksum = Fingerprint::new().write_bytes(w.as_bytes()).value();
+        w.u64(checksum);
+        w.into_bytes()
     }
 
     /// Parses [`Self::to_bytes`] output; `None` on any structural mismatch
@@ -381,51 +380,26 @@ impl CellStats {
         if Fingerprint::new().write_bytes(body).value() != stored {
             return None;
         }
-        let rest = body.strip_prefix(CELL_MAGIC)?;
-        let expected = 8 + 4 * 8 + 3 * 9 + 4 * 8;
-        if rest.len() != expected {
-            return None;
-        }
-        let mut pos = 0usize;
-        let f64_at = |rest: &[u8], p: &mut usize| -> f64 {
-            let v = f64::from_le_bytes(rest[*p..*p + 8].try_into().expect("8 bytes"));
-            *p += 8;
-            v
-        };
-        let runs = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")) as usize;
-        pos += 8;
-        let a1_pct = f64_at(rest, &mut pos);
-        let a2_pct = f64_at(rest, &mut pos);
-        let prevented_pct = f64_at(rest, &mut pos);
-        let hazard_pct = f64_at(rest, &mut pos);
-        let opt_at = |rest: &[u8], p: &mut usize| -> Option<f64> {
-            let tag = rest[*p];
-            *p += 1;
-            let v = f64::from_le_bytes(rest[*p..*p + 8].try_into().expect("8 bytes"));
-            *p += 8;
-            (tag != 0).then_some(v)
-        };
-        let aeb_mitigation_time = opt_at(rest, &mut pos);
-        let driver_brake_mitigation_time = opt_at(rest, &mut pos);
-        let driver_steer_mitigation_time = opt_at(rest, &mut pos);
-        let aeb_trigger_rate = f64_at(rest, &mut pos);
-        let driver_brake_trigger_rate = f64_at(rest, &mut pos);
-        let driver_steer_trigger_rate = f64_at(rest, &mut pos);
-        let ml_trigger_rate = f64_at(rest, &mut pos);
-        debug_assert_eq!(pos, expected);
-        Some(Self {
-            runs,
-            a1_pct,
-            a2_pct,
-            prevented_pct,
-            hazard_pct,
-            aeb_mitigation_time,
-            driver_brake_mitigation_time,
-            driver_steer_mitigation_time,
-            aeb_trigger_rate,
-            driver_brake_trigger_rate,
-            driver_steer_trigger_rate,
-            ml_trigger_rate,
+        let mut r = Reader::new(body.strip_prefix(CELL_MAGIC)?);
+        let stats = Self::decode_fields(&mut r).ok()?;
+        r.finish().ok()?;
+        Some(stats)
+    }
+
+    fn decode_fields(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            runs: r.usize()?,
+            a1_pct: r.f64()?,
+            a2_pct: r.f64()?,
+            prevented_pct: r.f64()?,
+            hazard_pct: r.f64()?,
+            aeb_mitigation_time: r.opt_f64()?,
+            driver_brake_mitigation_time: r.opt_f64()?,
+            driver_steer_mitigation_time: r.opt_f64()?,
+            aeb_trigger_rate: r.f64()?,
+            driver_brake_trigger_rate: r.f64()?,
+            driver_steer_trigger_rate: r.f64()?,
+            ml_trigger_rate: r.f64()?,
         })
     }
 }
@@ -461,9 +435,9 @@ pub fn campaign_cell_fingerprint(
     repetitions: u32,
 ) -> Fingerprint {
     let mut fp = Fingerprint::new()
-        .write_str("campaign-cell-v1")
-        .write_debug(&fault)
-        .write_debug(config)
+        .write_str("campaign-cell-v2")
+        .write_bytes(&[fault.map_or(0, FaultType::code)])
+        .write(config)
         .write_u64(model.map_or(0, Fingerprint::value))
         .write_u64(u64::from(model.is_some()))
         .write_u64(campaign_seed)

@@ -1,12 +1,10 @@
 //! Wire-serializable campaign job and result types.
 //!
 //! The `adas-serve` daemon receives campaign grids over TCP and streams
-//! per-cell statistics back; both directions need stable, versioned binary
-//! codecs that cannot panic on malformed input. The vendored `serde` is a
-//! compile-only stub (see `vendor/serde`), so — like the [`CellStats`]
-//! cache codec and the flight-recorder format before it — these codecs are
-//! explicit little-endian byte layouts with every decode returning
-//! `Option`/`Err` instead of indexing blindly.
+//! per-cell statistics back. Both directions use the canonical
+//! [`adas_codec`] layouts: a spec's bytes are the [`Encode`] bytes of its
+//! parts (the same bytes its cache keys hash), and every decode returns an
+//! error instead of panicking on malformed input.
 //!
 //! A *campaign* is a grid of *cells*; each cell is one (fault ×
 //! intervention-set) combination swept over the masked scenario set, both
@@ -16,172 +14,17 @@
 //! the "bit-identical outcome" criterion the integration tests assert).
 
 use crate::cache::Fingerprint;
-use crate::config::{InterventionConfig, PlatformConfig, MAX_VIEWS};
-use adas_ml::MitigationKind;
+use crate::config::{InterventionConfig, PlatformConfig};
 use crate::experiment::{
     campaign_cell_fingerprint, campaign_run_ids_masked, RunId, SCENARIO_MASK_ALL,
 };
-use adas_attack::{AttackScheduler, ContextTrigger, FaultType};
-use adas_safety::AebsMode;
+use adas_attack::{AttackScheduler, FaultType};
+use adas_codec::{DecodeError, Encode, Reader, Writer};
 use adas_scenarios::{AccidentKind, InitialPosition, RunRecord, ScenarioId};
 
 /// Hard cap on cells per campaign: a defensive bound so a hostile frame
 /// cannot make the server enqueue unbounded work from one request.
 pub const MAX_CELLS: usize = 1024;
-
-/// Incrementing little-endian byte sink for the fixed-layout codecs.
-#[derive(Debug, Default)]
-pub struct ByteWriter(Vec<u8>);
-
-impl ByteWriter {
-    /// An empty writer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self(Vec::new())
-    }
-
-    /// Consumes the writer, yielding the accumulated bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.0
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    /// Appends a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.0.push(u8::from(v));
-    }
-
-    /// Appends a `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` by bit pattern (NaN and infinities round-trip).
-    pub fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Appends an optional `f64` as a presence tag plus the value.
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        self.bool(v.is_some());
-        self.f64(v.unwrap_or(0.0));
-    }
-
-    /// Appends raw bytes (length is the caller's contract).
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.0.extend_from_slice(v);
-    }
-
-    /// Appends a `u32` length prefix followed by the bytes.
-    pub fn blob(&mut self, v: &[u8]) {
-        self.u32(u32::try_from(v.len()).expect("blob ≤ 4 GiB"));
-        self.bytes(v);
-    }
-}
-
-/// Bounds-checked little-endian cursor over untrusted bytes. Every reader
-/// method returns `None` past the end instead of panicking — the decode
-/// surface for frames arriving off the network.
-#[derive(Debug)]
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// A cursor at the start of `buf`.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// True when every byte was consumed (codecs require exact length —
-    /// trailing garbage is a decode error, not padding).
-    #[must_use]
-    pub fn exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// Takes `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    /// Reads a bool encoded as exactly 0 or 1 (other values are malformed).
-    pub fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes(b.try_into().expect("2 bytes")))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Reads an `f64` by bit pattern.
-    pub fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    /// Reads an optional `f64` (presence tag + value).
-    pub fn opt_f64(&mut self) -> Option<Option<f64>> {
-        let present = self.bool()?;
-        let v = self.f64()?;
-        Some(present.then_some(v))
-    }
-
-    /// Reads a `u32`-length-prefixed blob, bounds-checked against the
-    /// remaining input before any allocation.
-    pub fn blob(&mut self) -> Option<&'a [u8]> {
-        let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return None;
-        }
-        self.take(len)
-    }
-}
 
 /// One cell of a campaign grid: a fault type (or the benign baseline)
 /// under one intervention configuration.
@@ -193,72 +36,25 @@ pub struct CellSpec {
     pub interventions: InterventionConfig,
 }
 
-impl CellSpec {
-    /// Encodes into `out` (fault tag, intervention flags — bits 3-4 carry
-    /// the mitigation-strategy code — AEBS mode, reaction time, view
-    /// count).
-    pub fn encode(&self, out: &mut ByteWriter) {
-        out.u8(match self.fault {
-            None => 0,
-            Some(FaultType::RelativeDistance) => 1,
-            Some(FaultType::DesiredCurvature) => 2,
-            Some(FaultType::Mixed) => 3,
-        });
-        let iv = self.interventions;
-        let flags = u8::from(iv.driver)
-            | (u8::from(iv.safety_check) << 1)
-            | (u8::from(iv.ml) << 2)
-            | (iv.mitigation.code() << 3);
-        out.u8(flags);
-        out.u8(match iv.aebs {
-            AebsMode::Disabled => 0,
-            AebsMode::Compromised => 1,
-            AebsMode::Independent => 2,
-        });
-        out.f64(iv.driver_reaction_time);
-        out.u8(iv.views);
-    }
-
-    /// Decodes one cell; `None` on any out-of-range tag, a non-finite /
-    /// non-positive reaction time, or an out-of-range view count.
-    pub fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        let fault = match r.u8()? {
-            0 => None,
-            1 => Some(FaultType::RelativeDistance),
-            2 => Some(FaultType::DesiredCurvature),
-            3 => Some(FaultType::Mixed),
-            _ => return None,
-        };
-        let flags = r.u8()?;
-        if flags & !0b1_1111 != 0 {
-            return None;
-        }
-        let mitigation = MitigationKind::from_code((flags >> 3) & 0b11)?;
-        let aebs = match r.u8()? {
-            0 => AebsMode::Disabled,
-            1 => AebsMode::Compromised,
-            2 => AebsMode::Independent,
-            _ => return None,
-        };
-        let driver_reaction_time = r.f64()?;
-        if !driver_reaction_time.is_finite() || driver_reaction_time <= 0.0 {
-            return None;
-        }
-        let views = r.u8()?;
-        if views > MAX_VIEWS {
-            return None;
-        }
-        Some(Self {
+/// Fault code (0 = benign), then the interventions.
+impl Encode for CellSpec {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
             fault,
-            interventions: InterventionConfig {
-                driver: flags & 1 != 0,
-                driver_reaction_time,
-                safety_check: flags & 0b10 != 0,
-                aebs,
-                ml: flags & 0b100 != 0,
-                mitigation,
-                views,
-            },
+            interventions,
+        } = self;
+        w.u8(fault.map_or(0, FaultType::code));
+        w.put(interventions);
+    }
+}
+
+impl CellSpec {
+    /// Decodes one cell; fails on an out-of-range code or any field
+    /// [`InterventionConfig::decode`] rejects.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            fault: r.opt_code(FaultType::from_code)?,
+            interventions: InterventionConfig::decode(r)?,
         })
     }
 }
@@ -283,11 +79,34 @@ pub struct CampaignSpec {
     pub cells: Vec<CellSpec>,
 }
 
-/// Version tag leading every serialised [`CampaignSpec`]. v2 widened the
-/// cell layout with the mitigation-strategy flag bits and a view-count
-/// byte; v3 inserted the attack-scheduler block after the scenario mask.
-/// Older frames are rejected rather than misparsed.
+/// Version tag leading every serialised [`CampaignSpec`]; frames with any
+/// other tag are rejected rather than misparsed.
 const CAMPAIGN_SPEC_VERSION: u8 = 3;
+
+/// Version byte, seed, repetitions, step cap, scenario mask, attack
+/// scheduler, `u16` cell count, cells.
+impl Encode for CampaignSpec {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            campaign_seed,
+            repetitions,
+            max_steps,
+            scenario_mask,
+            attack,
+            cells,
+        } = self;
+        w.u8(CAMPAIGN_SPEC_VERSION);
+        w.u64(*campaign_seed);
+        w.u32(*repetitions);
+        w.u32(*max_steps);
+        w.u8(*scenario_mask);
+        w.put(attack);
+        w.u16(u16::try_from(cells.len()).expect("≤ MAX_CELLS cells"));
+        for cell in cells {
+            w.put(cell);
+        }
+    }
+}
 
 impl CampaignSpec {
     /// A full-grid campaign (all scenarios, default run length).
@@ -372,79 +191,36 @@ impl CampaignSpec {
         self.cell_key(cell, None).value()
     }
 
-    /// Serialises the spec (versioned fixed layout).
+    /// Serialises the spec (its [`Encode`] bytes).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = ByteWriter::new();
-        out.u8(CAMPAIGN_SPEC_VERSION);
-        out.u64(self.campaign_seed);
-        out.u32(self.repetitions);
-        out.u32(self.max_steps);
-        out.u8(self.scenario_mask);
-        match self.attack {
-            AttackScheduler::Immediate => out.u8(0),
-            AttackScheduler::Context(t) => {
-                out.u8(1);
-                out.opt_f64(t.ttc_below);
-                out.opt_f64(t.lane_excursion_above);
-                out.opt_f64(t.curvature_above);
-                out.f64(t.arm_after);
-            }
-        }
-        out.u16(u16::try_from(self.cells.len()).expect("≤ MAX_CELLS cells"));
-        for cell in &self.cells {
-            cell.encode(&mut out);
-        }
-        out.into_bytes()
+        let mut w = Writer::new();
+        w.put(self);
+        w.into_bytes()
     }
 
     /// Parses [`Self::to_bytes`] output; `None` on version mismatch,
     /// truncation, trailing bytes, or any field failing validation.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = ByteReader::new(bytes);
-        if r.u8()? != CAMPAIGN_SPEC_VERSION {
+        let mut r = Reader::new(bytes);
+        if r.u8().ok()? != CAMPAIGN_SPEC_VERSION {
             return None;
         }
-        let campaign_seed = r.u64()?;
-        let repetitions = r.u32()?;
-        let max_steps = r.u32()?;
-        let scenario_mask = r.u8()?;
-        let attack = match r.u8()? {
-            0 => AttackScheduler::Immediate,
-            1 => {
-                let ttc_below = r.opt_f64()?;
-                let lane_excursion_above = r.opt_f64()?;
-                let curvature_above = r.opt_f64()?;
-                let arm_after = r.f64()?;
-                if !arm_after.is_finite() || arm_after < 0.0 {
-                    return None;
-                }
-                for atom in [ttc_below, lane_excursion_above, curvature_above] {
-                    if atom.is_some_and(|v| !v.is_finite()) {
-                        return None;
-                    }
-                }
-                AttackScheduler::Context(ContextTrigger {
-                    ttc_below,
-                    lane_excursion_above,
-                    curvature_above,
-                    arm_after,
-                })
-            }
-            _ => return None,
-        };
-        let count = r.u16()? as usize;
+        let campaign_seed = r.u64().ok()?;
+        let repetitions = r.u32().ok()?;
+        let max_steps = r.u32().ok()?;
+        let scenario_mask = r.u8().ok()?;
+        let attack = AttackScheduler::decode(&mut r).ok()?;
+        let count = usize::from(r.u16().ok()?);
         if count > MAX_CELLS {
             return None;
         }
-        let mut cells = Vec::with_capacity(count);
-        for _ in 0..count {
-            cells.push(CellSpec::decode(&mut r)?);
-        }
-        if !r.exhausted() {
-            return None;
-        }
+        let cells = (0..count)
+            .map(|_| CellSpec::decode(&mut r))
+            .collect::<Result<_, _>>()
+            .ok()?;
+        r.finish().ok()?;
         let spec = Self {
             campaign_seed,
             repetitions,
@@ -458,50 +234,43 @@ impl CampaignSpec {
 }
 
 /// Encodes a [`RunId`] (scenario index, position index, repetition).
-pub fn encode_run_id(id: RunId, out: &mut ByteWriter) {
-    out.u8(id.scenario.index() as u8);
-    out.u8(id.position.index() as u8);
-    out.u32(id.repetition);
+pub fn encode_run_id(id: RunId, w: &mut Writer) {
+    w.u8(id.scenario.index() as u8);
+    w.u8(id.position.index() as u8);
+    w.u32(id.repetition);
 }
 
-/// Decodes a [`RunId`]; `None` on out-of-range indices.
-pub fn decode_run_id(r: &mut ByteReader<'_>) -> Option<RunId> {
-    let scenario = *ScenarioId::ALL.get(r.u8()? as usize)?;
-    let position = *InitialPosition::ALL.get(r.u8()? as usize)?;
-    let repetition = r.u32()?;
-    Some(RunId {
-        scenario,
-        position,
-        repetition,
+/// Decodes a [`RunId`]; fails on out-of-range indices.
+pub fn decode_run_id(r: &mut Reader<'_>) -> Result<RunId, DecodeError> {
+    Ok(RunId {
+        scenario: r.code(|c| ScenarioId::ALL.get(usize::from(c)).copied())?,
+        position: r.code(|c| InitialPosition::ALL.get(usize::from(c)).copied())?,
+        repetition: r.u32()?,
     })
 }
 
 /// Encodes a [`RunRecord`] (every field, bit-exact floats).
-pub fn encode_run_record(rec: &RunRecord, out: &mut ByteWriter) {
-    out.f64(rec.min_ttc);
-    out.f64(rec.t_fcw_at_min_ttc);
-    out.f64(rec.max_brake);
-    out.f64(rec.avg_following_distance);
-    out.f64(rec.min_lane_line_distance);
-    out.u64(rec.steps);
-    out.opt_f64(rec.h1_time);
-    out.opt_f64(rec.h2_time);
-    out.u8(match rec.accident {
-        None => 0,
-        Some(AccidentKind::ForwardCollision) => 1,
-        Some(AccidentKind::LaneViolation) => 2,
-    });
-    out.opt_f64(rec.accident_time);
-    out.opt_f64(rec.fault_start);
-    out.opt_f64(rec.aeb_trigger);
-    out.opt_f64(rec.driver_brake_trigger);
-    out.opt_f64(rec.driver_steer_trigger);
-    out.bool(rec.ml_activated);
+pub fn encode_run_record(rec: &RunRecord, w: &mut Writer) {
+    w.f64(rec.min_ttc);
+    w.f64(rec.t_fcw_at_min_ttc);
+    w.f64(rec.max_brake);
+    w.f64(rec.avg_following_distance);
+    w.f64(rec.min_lane_line_distance);
+    w.u64(rec.steps);
+    w.opt_f64(rec.h1_time);
+    w.opt_f64(rec.h2_time);
+    w.u8(rec.accident.map_or(0, AccidentKind::code));
+    w.opt_f64(rec.accident_time);
+    w.opt_f64(rec.fault_start);
+    w.opt_f64(rec.aeb_trigger);
+    w.opt_f64(rec.driver_brake_trigger);
+    w.opt_f64(rec.driver_steer_trigger);
+    w.bool(rec.ml_activated);
 }
 
-/// Decodes a [`RunRecord`]; `None` on truncation or a bad accident tag.
-pub fn decode_run_record(r: &mut ByteReader<'_>) -> Option<RunRecord> {
-    Some(RunRecord {
+/// Decodes a [`RunRecord`]; fails on truncation or a bad accident code.
+pub fn decode_run_record(r: &mut Reader<'_>) -> Result<RunRecord, DecodeError> {
+    Ok(RunRecord {
         min_ttc: r.f64()?,
         t_fcw_at_min_ttc: r.f64()?,
         max_brake: r.f64()?,
@@ -510,12 +279,7 @@ pub fn decode_run_record(r: &mut ByteReader<'_>) -> Option<RunRecord> {
         steps: r.u64()?,
         h1_time: r.opt_f64()?,
         h2_time: r.opt_f64()?,
-        accident: match r.u8()? {
-            0 => None,
-            1 => Some(AccidentKind::ForwardCollision),
-            2 => Some(AccidentKind::LaneViolation),
-            _ => return None,
-        },
+        accident: r.opt_code(AccidentKind::from_code)?,
         accident_time: r.opt_f64()?,
         fault_start: r.opt_f64()?,
         aeb_trigger: r.opt_f64()?,
@@ -528,6 +292,7 @@ pub fn decode_run_record(r: &mut ByteReader<'_>) -> Option<RunRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adas_attack::ContextTrigger;
 
     fn sample_spec() -> CampaignSpec {
         CampaignSpec {
@@ -575,6 +340,45 @@ mod tests {
     }
 
     #[test]
+    fn campaign_spec_bytes_are_pinned() {
+        // Serve protocol VERSION 2 carries these exact bytes; routing the
+        // codec through the shared `Encode` impls must not move them.
+        let hex: String = sample_spec().to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "03e90700000000000003000000dc05000009000300000000000000000000044000010302000000\
+             000000044000030400000000000000044000"
+        );
+    }
+
+    #[test]
+    fn enum_codes_round_trip_and_keep_their_values() {
+        use adas_safety::AebsMode;
+        use adas_simulator::FrictionCondition;
+        for (fault, code) in FaultType::ALL.into_iter().zip(1..) {
+            assert_eq!((fault.code(), FaultType::from_code(code)), (code, Some(fault)));
+        }
+        let modes = [AebsMode::Disabled, AebsMode::Compromised, AebsMode::Independent];
+        for (mode, code) in modes.into_iter().zip(0..) {
+            assert_eq!((mode.code(), AebsMode::from_code(code)), (code, Some(mode)));
+        }
+        let kinds = [AccidentKind::ForwardCollision, AccidentKind::LaneViolation];
+        for (kind, code) in kinds.into_iter().zip(1..) {
+            assert_eq!((kind.code(), AccidentKind::from_code(code)), (code, Some(kind)));
+        }
+        let frictions = FrictionCondition::TABLE_VIII
+            .into_iter()
+            .chain([FrictionCondition::Custom(0.4)]);
+        for (f, code) in frictions.zip(0..) {
+            assert_eq!((f.code(), FrictionCondition::from_code(code, 0.4)), (code, Some(f)));
+        }
+        assert_eq!(FaultType::from_code(0), None);
+        assert_eq!(AebsMode::from_code(3), None);
+        assert_eq!(AccidentKind::from_code(0), None);
+        assert_eq!(FrictionCondition::from_code(5, 0.0), None);
+    }
+
+    #[test]
     fn campaign_spec_roundtrip() {
         let spec = sample_spec();
         let bytes = spec.to_bytes();
@@ -587,9 +391,7 @@ mod tests {
         spec.attack = AttackScheduler::Context(ContextTrigger::ttc(2.0));
         assert_eq!(CampaignSpec::from_bytes(&spec.to_bytes()), Some(spec.clone()));
         // A scheduled campaign is a different experiment from the immediate
-        // one: cache and routing keys must not collide with the legacy
-        // family (which itself stays byte-for-byte stable — the attack
-        // field only enters the config Debug rendering when non-default).
+        // one: cache and routing keys must not collide.
         let immediate = sample_spec();
         for cell in &spec.cells {
             assert_eq!(spec.config_for(cell).attack, spec.attack);
@@ -721,16 +523,6 @@ mod tests {
                 );
             }
         }
-        // The CUSUM cell keeps the exact legacy key: pre-existing cache
-        // entries written before the variants existed stay valid.
-        let legacy = campaign_cell_fingerprint(
-            fault,
-            &PlatformConfig::with_interventions(InterventionConfig::ml_only()),
-            model,
-            2025,
-            10,
-        );
-        assert_eq!(spec.cell_key(&cells[0], model), legacy);
     }
 
     #[test]
@@ -756,10 +548,10 @@ mod tests {
             ml_activated: true,
             ..RunRecord::default()
         };
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         encode_run_record(&rec, &mut w);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         let back = decode_run_record(&mut r).expect("decodes");
         assert!(r.exhausted());
         // Debug equality is NaN-tolerant bit-pattern equality here.
@@ -773,26 +565,14 @@ mod tests {
             position: InitialPosition::Far,
             repetition: 7,
         };
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         encode_run_id(id, &mut w);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(decode_run_id(&mut r), Some(id));
+        let mut r = Reader::new(&bytes);
+        assert_eq!(decode_run_id(&mut r), Ok(id));
         // Out-of-range scenario index.
         let mut bad = bytes;
         bad[0] = 6;
-        assert_eq!(decode_run_id(&mut ByteReader::new(&bad)), None);
-    }
-
-    #[test]
-    fn reader_never_reads_past_end() {
-        let mut r = ByteReader::new(&[1, 2, 3]);
-        assert_eq!(r.u16(), Some(0x0201));
-        assert_eq!(r.u32(), None);
-        assert_eq!(r.u8(), Some(3));
-        assert!(r.exhausted());
-        // Oversized blob length must not allocate or wrap.
-        let mut r = ByteReader::new(&[0xFF, 0xFF, 0xFF, 0xFF, 1]);
-        assert_eq!(r.blob(), None);
+        assert!(decode_run_id(&mut Reader::new(&bad)).is_err());
     }
 }

@@ -28,10 +28,9 @@ use adas_scenarios::{HazardMonitor, RunMetrics, RunRecord, ScenarioSetup};
 use adas_simulator::{
     DeterministicRng, LeadObservation, TraceRecorder, TraceSample, World, WorldConfig,
 };
-use serde::{Deserialize, Serialize};
 
 /// Why a run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunEnd {
     /// Ran the full configured number of steps.
     TimeLimit,

@@ -61,8 +61,8 @@ fn recycle_sample_buffer(mut buf: Vec<TraceSample>) {
 #[must_use]
 pub fn config_fingerprint(config: &PlatformConfig) -> u64 {
     Fingerprint::new()
-        .write_str("platform-config-v1")
-        .write_debug(config)
+        .write_str("platform-config-v2")
+        .write(config)
         .value()
 }
 

@@ -587,8 +587,7 @@ impl Coordinator {
         }
     }
 
-    /// Coordinator metrics snapshot (hand-rolled JSON, like the serve
-    /// metrics — the vendored `serde` is a compile-only stub).
+    /// Coordinator metrics snapshot (JSON, like the serve metrics).
     #[must_use]
     pub fn metrics_json(&self, active_campaigns: usize, admit: usize) -> String {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);

@@ -3,6 +3,7 @@
 use adas_attack::{AttackScheduler, ContextTrigger, FaultInjector, FaultSpec, FaultType};
 use adas_core::replay::trace_header;
 use adas_core::{Platform, PlatformConfig, RunEnd, RunEnd2, RunId};
+use adas_codec::{DecodeError, Encode, Reader, Writer};
 use adas_core::{Fingerprint, InterventionConfig};
 use adas_recorder::{
     EndReason, RecordMode, Trace, TraceOutcome, TraceWriter,
@@ -45,7 +46,7 @@ fn clamp(v: f64, range: (f64, f64)) -> f64 {
 
 /// One fuzz case: discrete grid coordinates plus continuous overrides on
 /// top of the scenario's own per-repetition jitter.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FuzzCase {
     /// NHTSA scenario.
     pub scenario: ScenarioId,
@@ -79,33 +80,66 @@ pub struct FuzzCase {
     pub sched_ttc: f64,
 }
 
-// Manual Debug: the legacy fields render exactly as the old derive did and
-// `sched_ttc` is appended only when the scheduler is active, so the
-// `fingerprint()` of every pre-scheduler case — and therefore the file
-// stems of committed repros — stay byte-identical.
-impl std::fmt::Debug for FuzzCase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("FuzzCase");
-        s.field("scenario", &self.scenario)
-            .field("position", &self.position)
-            .field("iv_row", &self.iv_row)
-            .field("fault", &self.fault)
-            .field("repetition", &self.repetition)
-            .field("ego_speed_delta", &self.ego_speed_delta)
-            .field("friction", &self.friction)
-            .field("attack_start_offset", &self.attack_start_offset)
-            .field("attack_duration", &self.attack_duration)
-            .field("attack_intensity", &self.attack_intensity)
-            .field("attack_direction", &self.attack_direction)
-            .field("trigger_offset", &self.trigger_offset);
-        if self.sched_ttc != 0.0 {
-            s.field("sched_ttc", &self.sched_ttc);
+/// Discrete coordinates as bytes (scenario, position, intervention row,
+/// fault code), the repetition, then the eight continuous parameters
+/// bit-exactly: the farm wire layout and the repro-name bytes.
+impl Encode for FuzzCase {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            scenario,
+            position,
+            iv_row,
+            fault,
+            repetition,
+            ego_speed_delta,
+            friction,
+            attack_start_offset,
+            attack_duration,
+            attack_intensity,
+            attack_direction,
+            trigger_offset,
+            sched_ttc,
+        } = *self;
+        w.u8(scenario.index() as u8);
+        w.u8(position.index() as u8);
+        w.u8((iv_row % IV_ROWS) as u8);
+        w.u8(fault.map_or(0, FaultType::code));
+        w.u32(repetition);
+        for v in [
+            ego_speed_delta,
+            friction,
+            attack_start_offset,
+            attack_duration,
+            attack_intensity,
+            attack_direction,
+            trigger_offset,
+            sched_ttc,
+        ] {
+            w.f64(v);
         }
-        s.finish()
     }
 }
 
 impl FuzzCase {
+    /// Decodes [`Encode`] output.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            scenario: r.code(|c| ScenarioId::ALL.get(usize::from(c)).copied())?,
+            position: r.code(|c| InitialPosition::ALL.get(usize::from(c)).copied())?,
+            iv_row: r.code(|c| Some(usize::from(c)).filter(|&row| row < IV_ROWS))?,
+            fault: r.opt_code(FaultType::from_code)?,
+            repetition: r.u32()?,
+            ego_speed_delta: r.f64()?,
+            friction: r.f64()?,
+            attack_start_offset: r.f64()?,
+            attack_duration: r.f64()?,
+            attack_intensity: r.f64()?,
+            attack_direction: r.f64()?,
+            trigger_offset: r.f64()?,
+            sched_ttc: r.f64()?,
+        })
+    }
+
     /// The baseline case for a grid cell: paper-default continuous
     /// parameters (no overrides).
     #[must_use]
@@ -194,12 +228,7 @@ impl FuzzCase {
     /// lookup.
     #[must_use]
     pub fn cell_key(&self) -> u64 {
-        let fault = match self.fault {
-            None => 0u64,
-            Some(FaultType::RelativeDistance) => 1,
-            Some(FaultType::DesiredCurvature) => 2,
-            Some(FaultType::Mixed) => 3,
-        };
+        let fault = u64::from(self.fault.map_or(0, FaultType::code));
         (self.scenario.index() as u64) << 8
             | (self.position.index() as u64) << 7
             | ((self.iv_row % IV_ROWS) as u64) << 4
@@ -212,8 +241,8 @@ impl FuzzCase {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         Fingerprint::new()
-            .write_str("fuzz-case-v1")
-            .write_debug(self)
+            .write_str("fuzz-case-v2")
+            .write(self)
             .value()
     }
 
@@ -396,17 +425,30 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fingerprints_survive_the_scheduler_field() {
-        // The Debug rendering (and therefore `fingerprint()`, and therefore
-        // committed repro file stems) of an unscheduled case must not
-        // mention the new field; a scheduled case must.
-        let c = case();
-        assert_eq!(c.sched_ttc, 0.0);
-        assert!(!format!("{c:?}").contains("sched_ttc"));
-        let mut s = case();
-        s.sched_ttc = 2.5;
-        assert!(format!("{s:?}").contains("sched_ttc"));
-        assert_ne!(c.fingerprint(), s.fingerprint());
+    fn every_field_moves_the_fingerprint() {
+        type Perturbation = (&'static str, fn(&mut FuzzCase));
+        let perturbations: [Perturbation; 13] = [
+            ("scenario", |c| c.scenario = ScenarioId::S2),
+            ("position", |c| c.position = InitialPosition::Far),
+            ("iv_row", |c| c.iv_row = 2),
+            ("fault", |c| c.fault = None),
+            ("repetition", |c| c.repetition = 3),
+            ("ego_speed_delta", |c| c.ego_speed_delta = 1.5),
+            ("friction", |c| c.friction = 0.5),
+            ("attack_start_offset", |c| c.attack_start_offset = 20.0),
+            ("attack_duration", |c| c.attack_duration = 5.0),
+            ("attack_intensity", |c| c.attack_intensity = 2.0),
+            ("attack_direction", |c| c.attack_direction = -1.0),
+            ("trigger_offset", |c| c.trigger_offset = 1.0),
+            ("sched_ttc", |c| c.sched_ttc = 2.5),
+        ];
+        let base = case();
+        let mut seen = std::collections::HashSet::from([base.fingerprint()]);
+        for (field, perturb) in perturbations {
+            let mut c = base;
+            perturb(&mut c);
+            assert!(seen.insert(c.fingerprint()), "{field}: fingerprint did not move");
+        }
     }
 
     #[test]

@@ -10,18 +10,16 @@
 //! makes a 4-worker farm produce byte-identical findings to a single
 //! worker running the same seeds.
 //!
-//! Wire codecs use the same [`ByteWriter`]/[`ByteReader`] discipline as
-//! the campaign job codec in `adas_core::job`, so the serve protocol can
-//! carry specs and outcomes as opaque payloads.
+//! Wire codecs use the workspace codec ([`adas_codec`]), like the campaign
+//! job codec in `adas_core::job`, so the serve protocol can carry specs and
+//! outcomes as opaque payloads.
 
-use crate::case::{run_case, FuzzCase, IV_ROWS};
+use crate::case::{run_case, FuzzCase};
 use crate::engine::{fuzz, FuzzConfig, FuzzReport};
 use crate::oracle::OracleKind;
 use crate::repro::Repro;
-use adas_attack::FaultType;
-use adas_core::job::{ByteReader, ByteWriter};
+use adas_codec::{DecodeError, Reader, Writer};
 use adas_recorder::Trace;
-use adas_scenarios::{InitialPosition, ScenarioId};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -90,7 +88,7 @@ impl FuzzJobSpec {
     /// Serialises for the wire.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         w.u32(u32::try_from(self.seeds.len()).unwrap_or(u32::MAX));
         for s in &self.seeds {
             w.u64(*s);
@@ -105,88 +103,26 @@ impl FuzzJobSpec {
     /// Parses [`Self::to_bytes`] output; `None` on any malformation.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.u32()? as usize;
+        let mut r = Reader::new(bytes);
+        let spec = Self::decode(&mut r).ok()?;
+        r.finish().ok()?;
+        Some(spec)
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.u32()?;
+        let n = r.fits(u64::from(n), 8)?;
         if n > MAX_SEEDS {
-            return None;
+            return Err(r.invalid());
         }
-        let mut seeds = Vec::with_capacity(n);
-        for _ in 0..n {
-            seeds.push(r.u64()?);
-        }
-        let spec = Self {
-            seeds,
+        Ok(Self {
+            seeds: (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?,
             max_runs: r.u64()?,
             batch: r.u32()?,
             shrink_steps: r.u32()?,
             max_secs_ms: r.u32()?,
-        };
-        r.exhausted().then_some(spec)
+        })
     }
-}
-
-fn fault_code(fault: Option<FaultType>) -> u8 {
-    match fault {
-        None => 0,
-        Some(FaultType::RelativeDistance) => 1,
-        Some(FaultType::DesiredCurvature) => 2,
-        Some(FaultType::Mixed) => 3,
-    }
-}
-
-fn fault_from_code(code: u8) -> Option<Option<FaultType>> {
-    match code {
-        0 => Some(None),
-        1 => Some(Some(FaultType::RelativeDistance)),
-        2 => Some(Some(FaultType::DesiredCurvature)),
-        3 => Some(Some(FaultType::Mixed)),
-        _ => None,
-    }
-}
-
-/// Encodes a [`FuzzCase`] onto the wire (discrete coordinates as bytes,
-/// the eight continuous parameters bit-exactly as `f64`).
-pub fn encode_case(case: &FuzzCase, w: &mut ByteWriter) {
-    w.u8(case.scenario.index() as u8);
-    w.u8(case.position.index() as u8);
-    w.u8((case.iv_row % IV_ROWS) as u8);
-    w.u8(fault_code(case.fault));
-    w.u32(case.repetition);
-    w.f64(case.ego_speed_delta);
-    w.f64(case.friction);
-    w.f64(case.attack_start_offset);
-    w.f64(case.attack_duration);
-    w.f64(case.attack_intensity);
-    w.f64(case.attack_direction);
-    w.f64(case.trigger_offset);
-    w.f64(case.sched_ttc);
-}
-
-/// Decodes [`encode_case`] output.
-#[must_use]
-pub fn decode_case(r: &mut ByteReader<'_>) -> Option<FuzzCase> {
-    let scenario = *ScenarioId::ALL.get(r.u8()? as usize)?;
-    let position = *InitialPosition::ALL.get(r.u8()? as usize)?;
-    let iv_row = r.u8()? as usize;
-    if iv_row >= IV_ROWS {
-        return None;
-    }
-    let fault = fault_from_code(r.u8()?)?;
-    Some(FuzzCase {
-        scenario,
-        position,
-        iv_row,
-        fault,
-        repetition: r.u32()?,
-        ego_speed_delta: r.f64()?,
-        friction: r.f64()?,
-        attack_start_offset: r.f64()?,
-        attack_duration: r.f64()?,
-        attack_intensity: r.f64()?,
-        attack_direction: r.f64()?,
-        trigger_offset: r.f64()?,
-        sched_ttc: r.f64()?,
-    })
 }
 
 /// One shrunk finding as shipped across the fleet: the violating case,
@@ -219,25 +155,26 @@ impl FarmFinding {
     }
 
     /// Serialises onto an existing writer.
-    pub fn encode(&self, w: &mut ByteWriter) {
+    pub fn encode(&self, w: &mut Writer) {
         w.u64(self.session_seed);
         w.u8(self.oracle.code() as u8);
-        encode_case(&self.shrunk, w);
+        w.put(&self.shrunk);
         w.blob(self.detail.as_bytes());
         w.u64(self.signature);
         w.blob(&self.trace);
     }
 
     /// Parses [`Self::encode`] output.
-    #[must_use]
-    pub fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let session_seed = r.u64()?;
-        let oracle = *OracleKind::ALL.get(r.u8()? as usize)?;
-        let shrunk = decode_case(r)?;
-        let detail = String::from_utf8(r.blob()?.to_vec()).ok()?;
+        let oracle = r.code(|c| OracleKind::ALL.get(usize::from(c)).copied())?;
+        let shrunk = FuzzCase::decode(r)?;
+        let at = r.pos();
+        let detail = String::from_utf8(r.blob()?.to_vec())
+            .map_err(|_| DecodeError { offset: at, needed: 0 })?;
         let signature = r.u64()?;
         let trace = r.blob()?.to_vec();
-        Some(Self {
+        Ok(Self {
             session_seed,
             oracle,
             shrunk,
@@ -286,7 +223,7 @@ impl SessionOutcome {
     /// Serialises for the wire.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         w.u64(self.seed);
         w.u64(self.runs);
         w.u64(self.batches);
@@ -302,7 +239,13 @@ impl SessionOutcome {
     /// Parses [`Self::to_bytes`] output; `None` on any malformation.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = ByteReader::new(bytes);
+        let mut r = Reader::new(bytes);
+        let out = Self::decode(&mut r).ok()?;
+        r.finish().ok()?;
+        Some(out)
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let seed = r.u64()?;
         let runs = r.u64()?;
         let batches = r.u64()?;
@@ -310,21 +253,20 @@ impl SessionOutcome {
         let hit_time_budget = r.bool()?;
         let n = r.u32()? as usize;
         if n > 65_536 {
-            return None;
+            return Err(r.invalid());
         }
         let mut findings = Vec::with_capacity(n.min(1_024));
         for _ in 0..n {
-            findings.push(FarmFinding::decode(&mut r)?);
+            findings.push(FarmFinding::decode(r)?);
         }
-        let out = Self {
+        Ok(Self {
             seed,
             runs,
             batches,
             corpus,
             hit_time_budget,
             findings,
-        };
-        r.exhausted().then_some(out)
+        })
     }
 }
 
@@ -443,6 +385,8 @@ pub fn save_repros(findings: &[FarmFinding], dir: &Path) -> Result<Vec<PathBuf>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adas_attack::FaultType;
+    use adas_scenarios::{InitialPosition, ScenarioId};
 
     fn spec() -> FuzzJobSpec {
         FuzzJobSpec {
@@ -481,11 +425,11 @@ mod tests {
         case.friction = 0.300_000_000_000_000_04;
         case.ego_speed_delta = -std::f64::consts::PI;
         case.sched_ttc = 2.5;
-        let mut w = ByteWriter::new();
-        encode_case(&case, &mut w);
+        let mut w = Writer::new();
+        w.put(&case);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = decode_case(&mut r).unwrap();
+        let mut r = Reader::new(&bytes);
+        let back = FuzzCase::decode(&mut r).unwrap();
         assert!(r.exhausted());
         assert_eq!(back, case);
         assert_eq!(back.friction.to_bits(), case.friction.to_bits());

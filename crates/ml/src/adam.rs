@@ -1,9 +1,9 @@
 //! Adam optimiser over flat parameter/gradient slices.
 
-use serde::{Deserialize, Serialize};
+use adas_codec::{Encode, Writer};
 
 /// Adam hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate.
     pub lr: f64,
@@ -29,8 +29,23 @@ impl Default for AdamConfig {
     }
 }
 
+impl Encode for AdamConfig {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            grad_clip,
+        } = *self;
+        for v in [lr, beta1, beta2, eps, grad_clip] {
+            w.f64(v);
+        }
+    }
+}
+
 /// Optimiser state for one parameter tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     config: AdamConfig,
     m: Vec<f64>,

@@ -4,10 +4,8 @@
 //! error accumulates under normal conditions; the recovery mode triggers
 //! when `S` exceeds the threshold `τ`.
 
-use serde::{Deserialize, Serialize};
-
 /// The CUSUM statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cusum {
     s: f64,
     tau: f64,

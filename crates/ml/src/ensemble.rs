@@ -25,7 +25,6 @@
 use crate::features::{ControlTarget, StateFeatures, FEATURE_DIM, WINDOW};
 use crate::model::{BatchInferScratch, BatchPredictorState, LstmPredictor};
 use adas_simulator::DeterministicRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One control cycle's perception evidence for the view-based mitigations
@@ -64,7 +63,7 @@ impl PerceptionViews {
 }
 
 /// Ensemble mitigation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnsembleConfig {
     /// Number of jittered perception views per cycle (M).
     pub views: usize,

@@ -7,8 +7,6 @@
 //! normalised values and the model target as [`TARGET_DIM`] values
 //! (normalised acceleration and steering).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of input features per control cycle.
 pub const FEATURE_DIM: usize = 9;
 /// Number of regression targets.
@@ -27,7 +25,7 @@ const STEER_SCALE: f64 = 0.1;
 const GATE_STEER_SCALE: f64 = 0.5;
 
 /// Raw (physical-unit) state of one control cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StateFeatures {
     /// Ego speed, m/s.
     pub ego_speed: f64,
@@ -90,7 +88,7 @@ impl StateFeatures {
 }
 
 /// A control output in physical units, with target encoding/decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ControlTarget {
     /// Acceleration command, m/s².
     pub accel: f64,

@@ -1,10 +1,9 @@
 //! Minimal dense linear algebra: a fully-connected layer with gradients.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense affine map `y = W x + b` with accumulated gradients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     /// Output dimension.
     pub rows: usize,

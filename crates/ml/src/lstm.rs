@@ -7,7 +7,6 @@
 
 use crate::linear::{sigmoid, Linear};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Cached activations for one timestep (needed by BPTT).
 ///
@@ -55,7 +54,7 @@ fn gate_lane(
 }
 
 /// One LSTM layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
     /// Input dimension.
     pub input: usize,

@@ -25,11 +25,10 @@ use crate::ensemble::PerceptionViews;
 use crate::features::{ControlTarget, WINDOW};
 use crate::model::{InferScratch, LstmPredictor, PredictorState};
 use adas_simulator::DeterministicRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Masked-view check parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaskCheckConfig {
     /// Total views per cycle (M), including the patch-occluding view 0.
     pub views: usize,

@@ -7,16 +7,16 @@
 //! below the bias.
 
 use crate::cusum::Cusum;
+use adas_codec::{Encode, Writer};
 use crate::ensemble::{EnsembleMitigator, PerceptionViews};
 use crate::features::{ControlTarget, StateFeatures, FEATURE_DIM, TARGET_DIM, WINDOW};
 use crate::maskcheck::MaskCheckMitigator;
 use crate::model::{InferScratch, LstmPredictor, PredictorState};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which mitigation strategy guards a run — the `ADAS_MITIGATION` axis of
 /// the Table VII-style comparison grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MitigationKind {
     /// The paper's Algorithm 1 baseline: LSTM prediction + CUSUM gate.
     #[default]
@@ -27,6 +27,12 @@ pub enum MitigationKind {
     /// Masked-view agreement check (PatchGuard-style): inconsistency
     /// across M masked/jittered views latches attack evidence.
     MaskCheck,
+}
+
+impl Encode for MitigationKind {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(self.code());
+    }
 }
 
 impl MitigationKind {
@@ -179,7 +185,7 @@ impl From<MlMitigator> for Mitigator {
 }
 
 /// Mitigation gate parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationConfig {
     /// CUSUM threshold τ.
     pub tau: f64,

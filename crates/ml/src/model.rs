@@ -3,9 +3,9 @@
 use crate::features::{FEATURE_DIM, TARGET_DIM};
 use crate::linear::Linear;
 use crate::lstm::Lstm;
+use adas_codec::{Encode, Reader, Writer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Model architecture specification.
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// 64-32 to keep the campaign harness fast on CPUs, with the larger
 /// configurations available behind the same API (see the `ml_ablation`
 /// bench binary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelSpec {
     /// First LSTM layer width.
     pub hidden1: usize,
@@ -34,6 +34,19 @@ impl Default for ModelSpec {
     }
 }
 
+impl Encode for ModelSpec {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            hidden1,
+            hidden2,
+            seed,
+        } = *self;
+        w.usize(hidden1);
+        w.usize(hidden2);
+        w.u64(seed);
+    }
+}
+
 impl ModelSpec {
     /// The paper's selected configuration (128-64 hidden units).
     #[must_use]
@@ -47,7 +60,7 @@ impl ModelSpec {
 }
 
 /// Recurrent state carried between control cycles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictorState {
     h1: Vec<f64>,
     c1: Vec<f64>,
@@ -138,7 +151,7 @@ impl BatchInferScratch {
 }
 
 /// The two-layer LSTM + linear head.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmPredictor {
     pub(crate) l1: Lstm,
     pub(crate) l2: Lstm,
@@ -363,23 +376,17 @@ impl LstmPredictor {
     /// blob (for the artifact cache). Gradient accumulators are not stored.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MODEL_MAGIC);
-        for v in [
-            self.spec.hidden1 as u64,
-            self.spec.hidden2 as u64,
-            self.spec.seed,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        let mut w = Writer::new();
+        w.bytes(MODEL_MAGIC);
+        w.put(&self.spec);
         for lin in [&self.l1.gates, &self.l2.gates, &self.head] {
-            out.extend_from_slice(&(lin.rows as u64).to_le_bytes());
-            out.extend_from_slice(&(lin.cols as u64).to_le_bytes());
-            for v in lin.w.iter().chain(lin.b.iter()) {
-                out.extend_from_slice(&v.to_le_bytes());
+            w.usize(lin.rows);
+            w.usize(lin.cols);
+            for &v in lin.w.iter().chain(lin.b.iter()) {
+                w.f64(v);
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Reconstructs a model from [`Self::to_bytes`] output.
@@ -388,16 +395,17 @@ impl LstmPredictor {
     ///
     /// Returns a description of the first structural problem (bad magic,
     /// truncation, dimension mismatch) — callers treat any error as a cache
-    /// miss and retrain.
+    /// miss and retrain. A layer's weights are only allocated once the
+    /// payload is known to hold them.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r.take(MODEL_MAGIC.len())?;
-        if magic != MODEL_MAGIC {
+        let malformed = |e| format!("malformed model payload: {e}");
+        let mut r = Reader::new(bytes);
+        if r.take(MODEL_MAGIC.len()).map_err(malformed)? != MODEL_MAGIC {
             return Err("bad model magic".into());
         }
-        let hidden1 = r.u64()? as usize;
-        let hidden2 = r.u64()? as usize;
-        let seed = r.u64()?;
+        let hidden1 = r.usize().map_err(malformed)?;
+        let hidden2 = r.usize().map_err(malformed)?;
+        let seed = r.u64().map_err(malformed)?;
         if hidden1 == 0 || hidden2 == 0 || hidden1 > 1 << 16 || hidden2 > 1 << 16 {
             return Err(format!("implausible hidden sizes {hidden1}/{hidden2}"));
         }
@@ -413,21 +421,17 @@ impl LstmPredictor {
         ];
         let mut linears = Vec::with_capacity(3);
         for (want_rows, want_cols) in expect {
-            let rows = r.u64()? as usize;
-            let cols = r.u64()? as usize;
+            let rows = r.usize().map_err(malformed)?;
+            let cols = r.usize().map_err(malformed)?;
             if rows != want_rows || cols != want_cols {
                 return Err(format!(
                     "layer shape {rows}×{cols}, expected {want_rows}×{want_cols}"
                 ));
             }
-            let mut w = vec![0.0; rows * cols];
-            for v in &mut w {
-                *v = r.f64()?;
-            }
-            let mut b = vec![0.0; rows];
-            for v in &mut b {
-                *v = r.f64()?;
-            }
+            r.fits((rows as u64) * (cols as u64 + 1), 8).map_err(malformed)?;
+            let mut read = |n: usize| (0..n).map(|_| r.f64()).collect::<Result<Vec<_>, _>>();
+            let w = read(rows * cols).map_err(malformed)?;
+            let b = read(rows).map_err(malformed)?;
             linears.push(Linear {
                 rows,
                 cols,
@@ -437,7 +441,7 @@ impl LstmPredictor {
                 gb: vec![0.0; rows],
             });
         }
-        if !r.is_empty() {
+        if !r.exhausted() {
             return Err("trailing bytes after model payload".into());
         }
         let head = linears.pop().expect("three layers parsed");
@@ -462,43 +466,6 @@ impl LstmPredictor {
 
 /// Magic + format version prefix for [`LstmPredictor::to_bytes`].
 const MODEL_MAGIC: &[u8] = b"ADASLSTM\x01";
-
-/// Minimal little-endian cursor for [`LstmPredictor::from_bytes`].
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| "truncated model payload".to_string())?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -743,6 +710,59 @@ mod tests {
         let mut extended = blob;
         extended.push(0);
         assert!(LstmPredictor::from_bytes(&extended).is_err());
+    }
+
+    #[test]
+    fn huge_hidden_sizes_on_a_short_payload_are_refused() {
+        // A header claiming 65536-wide layers describes ~137 GB of weights;
+        // the decoder must check the payload holds them before allocating.
+        let mut w = Writer::new();
+        w.bytes(MODEL_MAGIC);
+        w.put(&ModelSpec {
+            hidden1: 1 << 16,
+            hidden2: 1 << 16,
+            seed: 0,
+        });
+        w.usize(4 << 16);
+        w.usize(FEATURE_DIM + (1 << 16));
+        w.f64(0.0);
+        let err = LstmPredictor::from_bytes(&w.into_bytes()).unwrap_err();
+        assert!(err.contains("malformed"), "{err}");
+    }
+
+    #[test]
+    fn every_spec_and_training_field_moves_the_model_key() {
+        use crate::train::TrainConfig;
+        use adas_codec::Fingerprint;
+        let key = |spec: &ModelSpec, tc: &TrainConfig| Fingerprint::new().write(spec).write(tc);
+        let (spec, tc) = (ModelSpec::default(), TrainConfig::default());
+        let spec_fields: [fn(&mut ModelSpec); 3] = [
+            |s| s.hidden1 += 1,
+            |s| s.hidden2 += 1,
+            |s| s.seed += 1,
+        ];
+        let train_fields: [fn(&mut TrainConfig); 9] = [
+            |t| t.epochs += 1,
+            |t| t.batch += 1,
+            |t| t.adam.lr *= 2.0,
+            |t| t.adam.beta1 *= 0.5,
+            |t| t.adam.beta2 *= 0.5,
+            |t| t.adam.eps *= 2.0,
+            |t| t.adam.grad_clip *= 2.0,
+            |t| t.seed += 1,
+            |t| t.history_dropout *= 0.5,
+        ];
+        let mut seen = std::collections::HashSet::from([key(&spec, &tc)]);
+        for (i, perturb) in spec_fields.iter().enumerate() {
+            let mut s = spec;
+            perturb(&mut s);
+            assert!(seen.insert(key(&s, &tc)), "ModelSpec field {i}: key did not move");
+        }
+        for (i, perturb) in train_fields.iter().enumerate() {
+            let mut t = tc;
+            perturb(&mut t);
+            assert!(seen.insert(key(&spec, &t)), "TrainConfig field {i}: key did not move");
+        }
     }
 
     #[test]

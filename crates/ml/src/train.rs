@@ -4,10 +4,10 @@ use crate::adam::{Adam, AdamConfig};
 use crate::features::{ControlTarget, StateFeatures, FEATURE_DIM, TARGET_DIM, WINDOW};
 use crate::lstm::LstmCache;
 use crate::model::LstmPredictor;
+use adas_codec::{Encode, Writer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One training sample: a [`WINDOW`]-cycle feature window plus the expected
 /// control output at the final cycle.
@@ -78,7 +78,7 @@ impl Dataset {
 }
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the dataset.
     pub epochs: usize,
@@ -108,8 +108,25 @@ impl Default for TrainConfig {
     }
 }
 
+impl Encode for TrainConfig {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            epochs,
+            batch,
+            adam,
+            seed,
+            history_dropout,
+        } = self;
+        w.usize(*epochs);
+        w.usize(*batch);
+        w.put(adam);
+        w.u64(*seed);
+        w.f64(*history_dropout);
+    }
+}
+
 /// Loss trajectory of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean squared error per epoch.
     pub epoch_loss: Vec<f64>,

@@ -1,11 +1,11 @@
 //! The perception emulator itself.
 
 use crate::frame::{LanePrediction, LeadPrediction, PerceptionFrame};
+use adas_codec::{Encode, Writer};
 use adas_simulator::{DeterministicRng, World};
-use serde::{Deserialize, Serialize};
 
 /// Tunable characteristics of the emulated DNN.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerceptionConfig {
     /// Below this true distance the lead vehicle is no longer recognised
     /// (Fig. 6's failure mode), metres.
@@ -56,6 +56,43 @@ impl Default for PerceptionConfig {
             centering_heading_gain: 0.20,
             centering_limit: 0.0148,
             heading_noise: 0.004,
+        }
+    }
+}
+
+impl Encode for PerceptionConfig {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            blind_range,
+            max_range,
+            distance_noise_frac,
+            distance_noise_floor,
+            speed_noise,
+            lane_noise,
+            curvature_noise,
+            preview_time,
+            lead_window_frac,
+            centering_offset_gain,
+            centering_heading_gain,
+            centering_limit,
+            heading_noise,
+        } = *self;
+        for v in [
+            blind_range,
+            max_range,
+            distance_noise_frac,
+            distance_noise_floor,
+            speed_noise,
+            lane_noise,
+            curvature_noise,
+            preview_time,
+            lead_window_frac,
+            centering_offset_gain,
+            centering_heading_gain,
+            centering_limit,
+            heading_noise,
+        ] {
+            w.f64(v);
         }
     }
 }

@@ -1,10 +1,8 @@
 //! Perception output types shared by the control stack and the fault
 //! injector.
 
-use serde::{Deserialize, Serialize};
-
 /// DNN-style prediction of the lead vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeadPrediction {
     /// Predicted bumper-to-bumper relative distance (RD), metres.
     pub distance: f64,
@@ -28,7 +26,7 @@ impl LeadPrediction {
 }
 
 /// DNN-style prediction of the lane geometry around the ego vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LanePrediction {
     /// Distance from the vehicle centerline to the left lane line, metres
     /// (positive when the line is to the left, i.e. the vehicle is inside).
@@ -59,7 +57,7 @@ impl LanePrediction {
 }
 
 /// One perception cycle's worth of DNN outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerceptionFrame {
     /// Lead vehicle prediction; `None` when no lead is detected (out of
     /// range, out of lane, or inside the close-range blind zone).

@@ -7,7 +7,7 @@
 //! every step bit-for-bit. This crate provides the data layer of that
 //! capability:
 //!
-//! * [`trace`] — the compact binary trace format (`ADASTRC\x01`): header
+//! * [`trace`] — the compact binary trace format (`ADASTRC\x03`): header
 //!   with run identity, config/model fingerprints, and seed; fixed-width
 //!   step records; discrete intervention/fault events; outcome footer; and
 //!   a trailing FNV-1a checksum over the whole file.

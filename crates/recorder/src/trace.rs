@@ -1,15 +1,13 @@
 //! The in-memory trace and its file codec.
 
 use crate::format::{
-    accident_code, accident_from_code, aebs_code, aebs_from_code, decode_sample, encode_sample,
-    fault_code, fault_from_code, friction_code, friction_from_code, position_code,
-    position_from_code, scenario_code, scenario_from_code, ByteSink, Checksum, Cursor, TraceError,
-    SAMPLE_WIRE_SIZE, TRACE_MAGIC, TRACE_MAGIC_V2,
+    decode_sample, encode_sample, TraceError, EVENT_WIRE_SIZE, SAMPLE_WIRE_SIZE, TRACE_MAGIC,
 };
-use adas_attack::{AttackScheduler, ContextTrigger, FaultType};
+use adas_attack::{AttackScheduler, FaultType};
+use adas_codec::{Fingerprint, Reader, Writer};
 use adas_safety::{AebsMode, InterventionKind};
 use adas_scenarios::{AccidentKind, InitialPosition, ScenarioId};
-use adas_simulator::TraceSample;
+use adas_simulator::{FrictionCondition, TraceSample};
 use std::path::{Path, PathBuf};
 
 /// Which safety interventions were active for the recorded run — the
@@ -59,7 +57,7 @@ pub struct TraceHeader {
     /// Active interventions.
     pub interventions: InterventionSummary,
     /// Road-surface friction condition.
-    pub friction: adas_simulator::FrictionCondition,
+    pub friction: FrictionCondition,
     /// Configured step limit.
     pub max_steps: u64,
     /// Configured quiescence early-stop threshold (steps; 0 = disabled).
@@ -67,9 +65,8 @@ pub struct TraceHeader {
     /// Step index of the first retained sample (> 0 when a bounded ring
     /// buffer dropped the beginning of a long run).
     pub first_step: u64,
-    /// Attack-scheduling policy the run executed under. Immediate (the
-    /// default) serialises as a v1 file, byte-identical to pre-scheduler
-    /// recordings; a context policy switches the file to the v2 magic.
+    /// Attack-scheduling policy the run executed under (serialised right
+    /// after the magic).
     pub attack: AttackScheduler,
 }
 
@@ -113,19 +110,15 @@ impl EventKind {
         }
     }
 
-    /// Inverse of [`Self::code`].
-    pub fn from_code(code: u8) -> Result<Self, TraceError> {
+    /// Inverse of [`Self::code`]; `None` for unknown codes.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Self> {
         match code {
-            0 => Ok(EventKind::FaultOn),
-            1 => Ok(EventKind::FaultOff),
+            0 => Some(EventKind::FaultOn),
+            1 => Some(EventKind::FaultOff),
             _ => {
-                let kind = InterventionKind::from_code((code - 2) / 2).ok_or(
-                    TraceError::BadCode {
-                        field: "event_kind",
-                        code,
-                    },
-                )?;
-                Ok(if (code - 2).is_multiple_of(2) {
+                let kind = InterventionKind::from_code((code - 2) / 2)?;
+                Some(if (code - 2).is_multiple_of(2) {
                     EventKind::InterventionOn(kind)
                 } else {
                     EventKind::InterventionOff(kind)
@@ -168,16 +161,14 @@ impl EndReason {
         }
     }
 
-    /// Inverse of [`Self::code`].
-    pub fn from_code(code: u8) -> Result<Self, TraceError> {
+    /// Inverse of [`Self::code`]; `None` for unknown codes.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Self> {
         match code {
-            0 => Ok(EndReason::TimeLimit),
-            1 => Ok(EndReason::Accident),
-            2 => Ok(EndReason::Quiescent),
-            _ => Err(TraceError::BadCode {
-                field: "end_reason",
-                code,
-            }),
+            0 => Some(EndReason::TimeLimit),
+            1 => Some(EndReason::Accident),
+            2 => Some(EndReason::Quiescent),
+            _ => None,
         }
     }
 
@@ -274,182 +265,132 @@ impl Trace {
         let cap = TRACE_MAGIC.len()
             + 128
             + self.samples.len() * SAMPLE_WIRE_SIZE
-            + self.events.len() * 17
+            + self.events.len() * EVENT_WIRE_SIZE
             + 64;
-        let mut sink = ByteSink::with_capacity(cap);
-        match self.header.attack {
-            AttackScheduler::Immediate => sink.bytes(TRACE_MAGIC),
-            AttackScheduler::Context(t) => {
-                sink.bytes(TRACE_MAGIC_V2);
-                sink.opt_f64(t.ttc_below);
-                sink.opt_f64(t.lane_excursion_above);
-                sink.opt_f64(t.curvature_above);
-                sink.f64(t.arm_after);
-            }
-        }
+        let mut w = Writer::with_capacity(cap);
+        let h = &self.header;
+        w.bytes(TRACE_MAGIC);
+        w.put(&h.attack);
 
         // Header.
-        let h = &self.header;
-        sink.u8(scenario_code(h.scenario));
-        sink.u8(position_code(h.position));
-        sink.u32(h.repetition);
-        sink.u8(fault_code(h.fault));
-        sink.u64(h.campaign_seed);
-        sink.u64(h.config_fingerprint);
-        sink.u64(h.model_fingerprint);
-        sink.u8(u8::from(h.interventions.driver));
-        sink.f64(h.interventions.driver_reaction_time);
-        sink.u8(u8::from(h.interventions.safety_check));
-        sink.u8(aebs_code(h.interventions.aebs));
+        w.u8(h.scenario.index() as u8);
+        w.u8(h.position.index() as u8);
+        w.u32(h.repetition);
+        w.u8(h.fault.map_or(0, FaultType::code));
+        w.u64(h.campaign_seed);
+        w.u64(h.config_fingerprint);
+        w.u64(h.model_fingerprint);
+        w.bool(h.interventions.driver);
+        w.f64(h.interventions.driver_reaction_time);
+        w.bool(h.interventions.safety_check);
+        w.put(&h.interventions.aebs);
         // Packed ML byte: 0 = ml off; else bits 0-1 carry 1 + strategy
-        // code and bits 2-7 the view count. The historic plain-bool
-        // encoding (byte 1 = CUSUM, views 0) decodes unchanged.
-        sink.u8(if h.interventions.ml {
+        // code and bits 2-7 the view count.
+        w.u8(if h.interventions.ml {
             1 + (h.interventions.mitigation & 0b11) + (h.interventions.views << 2)
         } else {
             0
         });
-        let (fc, fs) = friction_code(h.friction);
-        sink.u8(fc);
-        sink.f64(fs);
-        sink.u64(h.max_steps);
-        sink.u64(h.quiescence_steps);
-        sink.u64(h.first_step);
-        sink.u64(self.samples.len() as u64);
-        sink.u64(self.events.len() as u64);
+        w.put(&h.friction);
+        w.u64(h.max_steps);
+        w.u64(h.quiescence_steps);
+        w.u64(h.first_step);
+        w.u64(self.samples.len() as u64);
+        w.u64(self.events.len() as u64);
 
         // Step records.
         for s in &self.samples {
-            encode_sample(&mut sink, s);
+            encode_sample(&mut w, s);
         }
         // Events.
         for e in &self.events {
-            sink.f64(e.time);
-            sink.u8(e.kind.code());
-            sink.f64(e.value);
+            w.f64(e.time);
+            w.u8(e.kind.code());
+            w.f64(e.value);
         }
         // Outcome footer.
         let o = &self.outcome;
-        sink.u8(o.end.code());
-        sink.u8(accident_code(o.accident));
-        sink.opt_f64(o.accident_time);
-        sink.opt_f64(o.fault_start);
-        sink.f64(o.min_ttc);
-        sink.f64(o.min_lane_line_distance);
-        sink.u64(o.steps);
+        w.u8(o.end.code());
+        w.u8(o.accident.map_or(0, AccidentKind::code));
+        w.opt_f64(o.accident_time);
+        w.opt_f64(o.fault_start);
+        w.f64(o.min_ttc);
+        w.f64(o.min_lane_line_distance);
+        w.u64(o.steps);
 
         // Whole-file checksum.
-        let mut bytes = sink.into_bytes();
-        let mut sum = Checksum::new();
-        sum.update(&bytes);
-        let trailer = sum.value().to_le_bytes();
-        bytes.extend_from_slice(&trailer);
+        let sum = Fingerprint::new().write_bytes(w.as_bytes());
+        w.u64(sum.value());
         // The content address covers the trailer too; continue the running
         // checksum over it rather than re-hashing the whole buffer.
-        let mut full = sum;
-        full.update(&trailer);
-        (bytes, full.value())
+        let address = sum.write_u64(sum.value()).value();
+        (w.into_bytes(), address)
     }
 
     /// Parses [`Self::to_bytes`] output, verifying the checksum first so a
     /// damaged file is rejected before any structural decoding.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < TRACE_MAGIC.len() + 8 {
+        if bytes.len() < TRACE_MAGIC.len() + 8 || !bytes.starts_with(TRACE_MAGIC) {
             return Err(TraceError::BadMagic);
         }
         let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let v2 = payload.starts_with(TRACE_MAGIC_V2);
-        if !v2 && !payload.starts_with(TRACE_MAGIC) {
-            return Err(TraceError::BadMagic);
-        }
         let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-        let mut sum = Checksum::new();
-        sum.update(payload);
-        if sum.value() != stored {
-            return Err(TraceError::ChecksumMismatch {
-                stored,
-                computed: sum.value(),
-            });
+        let computed = Fingerprint::new().write_bytes(payload).value();
+        if computed != stored {
+            return Err(TraceError::ChecksumMismatch { stored, computed });
         }
 
-        let mut cur = Cursor::new(&payload[TRACE_MAGIC.len()..]);
-        let attack = if v2 {
-            AttackScheduler::Context(ContextTrigger {
-                ttc_below: cur.opt_f64()?,
-                lane_excursion_above: cur.opt_f64()?,
-                curvature_above: cur.opt_f64()?,
-                arm_after: cur.f64()?,
-            })
-        } else {
-            AttackScheduler::Immediate
-        };
-        let scenario = scenario_from_code(cur.u8()?)?;
-        let position = position_from_code(cur.u8()?)?;
-        let repetition = cur.u32()?;
-        let fault = fault_from_code(cur.u8()?)?;
-        let campaign_seed = cur.u64()?;
-        let config_fingerprint = cur.u64()?;
-        let model_fingerprint = cur.u64()?;
-        let driver = cur.u8()? != 0;
-        let driver_reaction_time = cur.f64()?;
-        let safety_check = cur.u8()? != 0;
-        let aebs = aebs_from_code(cur.u8()?)?;
-        let ml_byte = cur.u8()?;
-        let ml = ml_byte != 0;
-        let (mitigation, views) = if ml {
-            let strategy_bits = ml_byte & 0b11;
-            if strategy_bits == 0 {
-                // Views bits without a strategy: not a value any writer
-                // produces.
-                return Err(TraceError::BadCode {
-                    field: "ml_mitigation",
-                    code: ml_byte,
-                });
-            }
-            (strategy_bits - 1, ml_byte >> 2)
-        } else {
-            (0, 0)
-        };
-        let fc = cur.u8()?;
-        let fs = cur.f64()?;
-        let friction = friction_from_code(fc, fs)?;
-        let max_steps = cur.u64()?;
-        let quiescence_steps = cur.u64()?;
-        let first_step = cur.u64()?;
-        let n_samples = cur.u64()? as usize;
-        let n_events = cur.u64()? as usize;
+        let mut r = Reader::new(payload);
+        r.take(TRACE_MAGIC.len())?;
+        let attack = AttackScheduler::decode(&mut r)?;
+        let scenario = r.code(|c| ScenarioId::ALL.get(usize::from(c)).copied())?;
+        let position = r.code(|c| InitialPosition::ALL.get(usize::from(c)).copied())?;
+        let repetition = r.u32()?;
+        let fault = r.opt_code(FaultType::from_code)?;
+        let campaign_seed = r.u64()?;
+        let config_fingerprint = r.u64()?;
+        let model_fingerprint = r.u64()?;
+        let driver = r.bool()?;
+        let driver_reaction_time = r.f64()?;
+        let safety_check = r.bool()?;
+        let aebs = r.code(AebsMode::from_code)?;
+        // A views field without a strategy is not a value any writer
+        // produces.
+        let (ml, mitigation, views) = r.code(|b| match b {
+            0 => Some((false, 0, 0)),
+            _ if b & 0b11 != 0 => Some((true, (b & 0b11) - 1, b >> 2)),
+            _ => None,
+        })?;
+        let friction = FrictionCondition::decode(&mut r)?;
+        let max_steps = r.u64()?;
+        let quiescence_steps = r.u64()?;
+        let first_step = r.u64()?;
+        let n_samples = r.u64()?;
+        let n_events = r.u64()?;
 
-        // Cheap sanity bound before allocating: each sample/event costs a
-        // known number of bytes.
-        let need = n_samples * SAMPLE_WIRE_SIZE + n_events * 17;
-        if cur.remaining() < need {
-            return Err(TraceError::Truncated {
-                at: cur.pos(),
-                needed: need - cur.remaining(),
-            });
-        }
-
+        // Each count is checked against the bytes actually present before
+        // anything is allocated for it.
+        let n_samples = r.fits(n_samples, SAMPLE_WIRE_SIZE)?;
         let mut samples = Vec::with_capacity(n_samples);
         for _ in 0..n_samples {
-            samples.push(decode_sample(&mut cur)?);
+            samples.push(decode_sample(&mut r)?);
         }
+        let n_events = r.fits(n_events, EVENT_WIRE_SIZE)?;
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
-            let time = cur.f64()?;
-            let kind = EventKind::from_code(cur.u8()?)?;
-            let value = cur.f64()?;
+            let time = r.f64()?;
+            let kind = r.code(EventKind::from_code)?;
+            let value = r.f64()?;
             events.push(TraceEvent { time, kind, value });
         }
-        let end = EndReason::from_code(cur.u8()?)?;
-        let accident = accident_from_code(cur.u8()?)?;
-        let accident_time = cur.opt_f64()?;
-        let fault_start = cur.opt_f64()?;
-        let min_ttc = cur.f64()?;
-        let min_lane_line_distance = cur.f64()?;
-        let steps = cur.u64()?;
-        if cur.remaining() != 0 {
-            return Err(TraceError::TrailingBytes(cur.remaining()));
-        }
+        let end = r.code(EndReason::from_code)?;
+        let accident = r.opt_code(AccidentKind::from_code)?;
+        let accident_time = r.opt_f64()?;
+        let fault_start = r.opt_f64()?;
+        let min_ttc = r.f64()?;
+        let min_lane_line_distance = r.f64()?;
+        let steps = r.u64()?;
+        r.finish()?;
 
         Ok(Self {
             header: TraceHeader {
@@ -567,6 +508,15 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adas_attack::ContextTrigger;
+    use adas_codec::DecodeError;
+
+    /// Re-stamps the trailing checksum after a test patched the payload.
+    fn restamp(bytes: &mut [u8]) {
+        let payload_len = bytes.len() - 8;
+        let sum = Fingerprint::new().write_bytes(&bytes[..payload_len]).value();
+        bytes[payload_len..].copy_from_slice(&sum.to_le_bytes());
+    }
 
     fn sample_trace() -> Trace {
         let samples: Vec<TraceSample> = (0..50)
@@ -598,7 +548,7 @@ mod tests {
                     mitigation: 0,
                     views: 0,
                 },
-                friction: adas_simulator::FrictionCondition::Off25,
+                friction: FrictionCondition::Off25,
                 max_steps: 10_000,
                 quiescence_steps: 300,
                 first_step: 0,
@@ -640,16 +590,15 @@ mod tests {
     }
 
     #[test]
-    fn immediate_attack_serialises_as_v1() {
+    fn immediate_attack_is_one_tag_byte_after_the_magic() {
         let bytes = sample_trace().to_bytes();
         assert!(bytes.starts_with(TRACE_MAGIC));
-        // The scenario byte must sit directly after the magic — no
-        // scheduler block is present in a v1 file.
-        assert_eq!(bytes[TRACE_MAGIC.len()], scenario_code(ScenarioId::S3));
+        assert_eq!(bytes[TRACE_MAGIC.len()], 0);
+        assert_eq!(bytes[TRACE_MAGIC.len() + 1], ScenarioId::S3.index() as u8);
     }
 
     #[test]
-    fn scheduled_attack_round_trips_through_v2() {
+    fn scheduled_attack_round_trips() {
         let mut t = sample_trace();
         t.header.attack = AttackScheduler::Context(ContextTrigger {
             ttc_below: Some(2.25),
@@ -658,7 +607,7 @@ mod tests {
             arm_after: 5.0,
         });
         let bytes = t.to_bytes();
-        assert!(bytes.starts_with(TRACE_MAGIC_V2));
+        assert_eq!(bytes[TRACE_MAGIC.len()], 1);
         let d = Trace::from_bytes(&bytes).unwrap();
         assert_eq!(d.header.attack, t.header.attack);
         assert_eq!(format!("{t:?}"), format!("{d:?}"));
@@ -712,7 +661,7 @@ mod tests {
             assert!(seen.insert(code), "duplicate code {code}");
             assert_eq!(EventKind::from_code(code).unwrap(), kind);
         }
-        assert!(EventKind::from_code(200).is_err());
+        assert_eq!(EventKind::from_code(200), None);
     }
 
     #[test]
@@ -760,18 +709,38 @@ mod tests {
         let mut t = sample_trace();
         t.header.interventions.ml = true;
         let mut bytes = t.to_bytes();
-        let ml_pos = TRACE_MAGIC.len() + 1 + 1 + 4 + 1 + 8 + 8 + 8 + 1 + 8 + 1 + 1;
+        let ml_pos = TRACE_MAGIC.len() + 1 + 1 + 1 + 4 + 1 + 8 + 8 + 8 + 1 + 8 + 1 + 1;
         assert_eq!(bytes[ml_pos], 1, "ml byte not where expected");
         bytes[ml_pos] = 0b100; // views = 1, strategy bits = 0
-        let payload_len = bytes.len() - 8;
-        let mut sum = Checksum::new();
-        sum.update(&bytes[..payload_len]);
-        let sum = sum.value().to_le_bytes();
-        bytes[payload_len..].copy_from_slice(&sum);
-        match Trace::from_bytes(&bytes) {
-            Err(TraceError::BadCode { field, .. }) => assert_eq!(field, "ml_mitigation"),
-            other => panic!("expected BadCode, got {other:?}"),
-        }
+        restamp(&mut bytes);
+        assert_eq!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::Malformed(DecodeError {
+                offset: ml_pos,
+                needed: 0
+            }))
+        );
+    }
+
+    #[test]
+    fn hostile_sample_count_is_an_error_not_a_panic() {
+        // With a valid checksum, n_samples = 105⁻¹ mod 2⁶⁴ makes the
+        // unchecked size product wrap to 1 byte; the decoder must refuse
+        // the count instead of trying to allocate for it.
+        let mut t = sample_trace();
+        t.samples.clear();
+        t.events.clear();
+        let mut bytes = t.to_bytes();
+        let footer = 1 + 1 + 9 + 9 + 8 + 8 + 8;
+        let n_samples = bytes.len() - 8 - footer - 16;
+        let inverse = 0x8fd8_fd8f_d8fd_8fd9u64;
+        assert_eq!(inverse.wrapping_mul(SAMPLE_WIRE_SIZE as u64), 1);
+        bytes[n_samples..n_samples + 8].copy_from_slice(&inverse.to_le_bytes());
+        restamp(&mut bytes);
+        assert!(matches!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::Malformed(_))
+        ));
     }
 
     #[test]

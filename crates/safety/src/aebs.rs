@@ -18,10 +18,10 @@
 //! the *data source selection* happens in the platform — this module only
 //! sees an `(RD, RS)` pair.
 
-use serde::{Deserialize, Serialize};
+use adas_codec::{Encode, Writer};
 
 /// Which data feeds the AEBS — the paper's three configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AebsMode {
     /// AEBS disabled entirely (some car models turn AEB off while the ADAS
     /// is engaged).
@@ -40,10 +40,37 @@ impl AebsMode {
     pub fn enabled(self) -> bool {
         !matches!(self, AebsMode::Disabled)
     }
+
+    /// Stable wire code (0 disabled, 1 compromised, 2 independent).
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            AebsMode::Disabled => 0,
+            AebsMode::Compromised => 1,
+            AebsMode::Independent => 2,
+        }
+    }
+
+    /// Inverse of [`Self::code`]; `None` for unknown codes.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Self> {
+        match code {
+            0 => Some(AebsMode::Disabled),
+            1 => Some(AebsMode::Compromised),
+            2 => Some(AebsMode::Independent),
+            _ => None,
+        }
+    }
+}
+
+impl Encode for AebsMode {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(self.code());
+    }
 }
 
 /// AEBS tuning parameters; defaults follow the paper exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AebsConfig {
     /// Assumed human braking deceleration used for the FCW horizon
     /// (Eq. (2)), m/s².
@@ -80,7 +107,7 @@ impl Default for AebsConfig {
 }
 
 /// Braking phase currently active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AebsStage {
     /// No warning, no braking.
     Inactive,
@@ -95,7 +122,7 @@ pub enum AebsStage {
 }
 
 /// Output of one AEBS evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AebsOutput {
     /// Stage reached this step.
     pub stage: AebsStage,

@@ -15,12 +15,11 @@
 
 use adas_control::AdasCommand;
 use adas_simulator::{VehicleCommand, VehicleParams};
-use serde::{Deserialize, Serialize};
 
 use crate::driver::DriverAction;
 
 /// Who won the longitudinal / lateral channel this step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandSource {
     /// The ADAS (ACC/ALC) command.
     Adas,
@@ -33,7 +32,7 @@ pub enum CommandSource {
 }
 
 /// Result of arbitrating one control cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arbitration {
     /// The actuator command to execute.
     pub command: VehicleCommand,
@@ -44,7 +43,7 @@ pub struct Arbitration {
 }
 
 /// Inputs to the arbiter for one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArbiterInputs {
     /// ADAS command after any safety checking.
     pub adas: AdasCommand,

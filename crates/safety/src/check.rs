@@ -9,10 +9,9 @@
 //! below this layer.
 
 use adas_control::AdasCommand;
-use serde::{Deserialize, Serialize};
 
 /// Safety-check limits; defaults follow the paper / PANDA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafetyCheckConfig {
     /// Maximum allowed commanded acceleration, m/s².
     pub max_accel: f64,
@@ -36,7 +35,7 @@ impl Default for SafetyCheckConfig {
 }
 
 /// Outcome of checking one command.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckedCommand {
     /// The (possibly clamped) command to forward.
     pub command: AdasCommand,

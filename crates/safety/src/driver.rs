@@ -15,10 +15,8 @@
 //! The emergency-brake profile ramps to a strong pedal level, following
 //! driver brake-response studies (Gaspar & McGehee).
 
-use serde::{Deserialize, Serialize};
-
 /// Driver model parameters; defaults follow the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverConfig {
     /// Time between a hazard becoming observable and the driver acting,
     /// seconds.
@@ -88,7 +86,7 @@ impl DriverConfig {
 }
 
 /// What the driver can observe in one step (ground truth + alerts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverInputs {
     /// Simulation clock, seconds.
     pub time: f64,
@@ -117,7 +115,7 @@ pub struct DriverInputs {
 }
 
 /// Which longitudinal condition first triggered the driver (for analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BrakeTrigger {
     /// Forward collision warning from the AEBS.
     FcwAlert,
@@ -132,7 +130,7 @@ pub enum BrakeTrigger {
 }
 
 /// Driver output for one step.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DriverAction {
     /// Emergency brake fraction, if braking.
     pub brake: Option<f64>,

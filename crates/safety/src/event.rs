@@ -8,10 +8,8 @@
 //! binary format and its `explain` output never drift apart from the safety
 //! stack's own vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 /// The intervention channels a recorded event can be attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterventionKind {
     /// Forward-collision warning (alert only, no actuation).
     Fcw,

@@ -7,10 +7,8 @@
 //! poisons the *desired curvature* output, while lane-line positions remain
 //! usable, which is why LDW still helps against ALC attacks.
 
-use serde::{Deserialize, Serialize};
-
 /// LDW parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LdwConfig {
     /// Edge-to-line distance below which the warning fires, metres.
     pub warn_distance: f64,

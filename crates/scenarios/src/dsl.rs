@@ -27,6 +27,7 @@
 //! carrying the offending line number.
 
 use crate::scenario::{InitialPosition, ScenarioId, ScenarioSetup};
+use adas_codec::Fingerprint;
 use adas_simulator::{
     units::mph, DeterministicRng, FrictionZone, Npc, NpcBehavior, NpcPlan, NpcTrigger,
     RoadBuilder, VehicleParams,
@@ -1795,18 +1796,13 @@ impl ScenarioCatalog {
     /// agree exactly when every scenario they would compile agrees.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        for doc in &self.docs {
-            for byte in doc.render().bytes() {
-                mix(byte);
-            }
-            mix(0); // document separator
-        }
-        h
+        self.docs
+            .iter()
+            .fold(Fingerprint::new(), |fp, doc| {
+                // A 0 byte separates documents.
+                fp.write_bytes(doc.render().as_bytes()).write_bytes(&[0])
+            })
+            .value()
     }
 
     /// Compiles a scenario into a runnable setup.

@@ -1,10 +1,10 @@
 //! Hazard (H1/H2) and accident (A1/A2) detection.
 
+use adas_codec::{Encode, Writer};
 use adas_simulator::World;
-use serde::{Deserialize, Serialize};
 
 /// The two accident classes of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccidentKind {
     /// A1: forward collision with the lead vehicle.
     ForwardCollision,
@@ -21,6 +21,26 @@ impl AccidentKind {
             AccidentKind::LaneViolation => "A2",
         }
     }
+
+    /// Stable wire code, 1–2; 0 is reserved for "no accident" wherever an
+    /// `Option<AccidentKind>` is encoded.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            AccidentKind::ForwardCollision => 1,
+            AccidentKind::LaneViolation => 2,
+        }
+    }
+
+    /// Inverse of [`Self::code`]; `None` for 0 and unknown codes.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Self> {
+        match code {
+            1 => Some(AccidentKind::ForwardCollision),
+            2 => Some(AccidentKind::LaneViolation),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for AccidentKind {
@@ -30,7 +50,7 @@ impl std::fmt::Display for AccidentKind {
 }
 
 /// Hazard thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HazardConfig {
     /// H1 fires when the true gap drops below this, metres (the paper's
     /// "violating the safety distance"; one vehicle length).
@@ -52,8 +72,21 @@ impl Default for HazardConfig {
     }
 }
 
+impl Encode for HazardConfig {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            h1_distance,
+            h1_ttc,
+            h2_line_distance,
+        } = *self;
+        w.f64(h1_distance);
+        w.f64(h1_ttc);
+        w.f64(h2_line_distance);
+    }
+}
+
 /// Current hazard/accident status for one step.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HazardSnapshot {
     /// H1 active this step.
     pub h1: bool,

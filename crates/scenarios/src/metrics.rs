@@ -7,7 +7,6 @@
 //! intervention trigger times (Table VI's mitigation times / trigger rates).
 
 use crate::hazards::AccidentKind;
-use serde::{Deserialize, Serialize};
 
 /// Streaming aggregator updated every simulation step.
 #[derive(Debug, Clone, Default)]
@@ -88,7 +87,7 @@ impl RunMetrics {
 }
 
 /// The complete result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// Minimum ground-truth TTC over the run, seconds.
     pub min_ttc: f64,

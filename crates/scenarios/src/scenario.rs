@@ -4,10 +4,9 @@ use adas_simulator::{
     units::mph, DeterministicRng, FrictionZone, Npc, NpcBehavior, NpcPlan, NpcTrigger, Road,
     RoadBuilder, VehicleParams,
 };
-use serde::{Deserialize, Serialize};
 
 /// The six NHTSA pre-crash scenarios of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScenarioId {
     /// Lead cruises at a constant 30 mph.
     S1,
@@ -82,7 +81,7 @@ impl std::fmt::Display for ScenarioId {
 
 /// Initial ego–lead separation; the paper pairs 60 m with a straight
 /// highway and 230 m with a curvy one so the ego always catches up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum InitialPosition {
     /// 60 m ahead, straight highway.
     Near,

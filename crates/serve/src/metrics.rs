@@ -1,6 +1,6 @@
 //! Live server metrics: monotonic counters plus per-phase latency
-//! histograms, snapshotted as hand-rolled JSON (the vendored `serde` is a
-//! compile-only stub) for the `Metrics` request and the CI artifact.
+//! histograms, snapshotted as JSON for the `Metrics` request and the CI
+//! artifact.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -15,9 +15,9 @@
 //! 8       n     payload (kind-specific layout, little-endian)
 //! ```
 //!
-//! Payload codecs build on the bounds-checked [`ByteReader`] /
-//! [`ByteWriter`] from `adas_core::job`: decoding untrusted bytes can
-//! fail, it can never panic, and a declared length is validated against
+//! Payload codecs build on the bounds-checked [`Reader`] / [`Writer`]
+//! from `adas_codec`: decoding untrusted bytes can fail, it can never
+//! panic, and a declared length is validated against
 //! [`MAX_PAYLOAD`] *before* any allocation, so a hostile 4 GiB length
 //! prefix costs the server nothing.
 //!
@@ -38,7 +38,8 @@
 //! coordinator's *global* grid indices), and [`Request::WorkerDrain`]
 //! (graceful fleet removal, answered with [`Response::ShutdownAck`]).
 
-use adas_core::job::{decode_run_id, encode_run_id, ByteReader, ByteWriter};
+use adas_codec::{DecodeError, Reader, Writer};
+use adas_core::job::{decode_run_id, encode_run_id};
 use adas_core::{CampaignSpec, CellSpec, CellStats, RunId};
 use std::io::{Read, Write};
 
@@ -72,6 +73,11 @@ pub enum ProtocolError {
     Malformed(&'static str),
     /// Transport-level I/O failure (includes mid-frame truncation).
     Io(String),
+}
+
+/// Maps a codec failure onto [`ProtocolError::Malformed`] naming `field`.
+fn malformed(field: &'static str) -> impl Fn(DecodeError) -> ProtocolError {
+    move |_| ProtocolError::Malformed(field)
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -436,7 +442,7 @@ impl Request {
     /// Serialises the payload (without the frame header).
     #[must_use]
     pub fn payload(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         match self {
             Request::SubmitCampaign(spec) => w.bytes(&spec.to_bytes()),
             Request::SubmitCell {
@@ -449,7 +455,7 @@ impl Request {
                 w.u64(*campaign_seed);
                 w.u32(*max_steps);
                 encode_run_id(*run, &mut w);
-                cell.encode(&mut w);
+                w.put(cell);
                 w.bool(*with_trace);
             }
             Request::Replay { trace_hex } => w.blob(trace_hex.as_bytes()),
@@ -488,7 +494,7 @@ impl Request {
     /// [`ProtocolError::UnknownKind`] for non-request kind bytes,
     /// [`ProtocolError::Malformed`] for structurally invalid payloads.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut r = ByteReader::new(payload);
+        let mut r = Reader::new(payload);
         let request = match kind {
             K_SUBMIT_CAMPAIGN => Request::SubmitCampaign(
                 CampaignSpec::from_bytes(payload)
@@ -496,13 +502,13 @@ impl Request {
             ),
             K_SUBMIT_CELL => {
                 let campaign_seed =
-                    r.u64().ok_or(ProtocolError::Malformed("cell seed"))?;
-                let max_steps = r.u32().ok_or(ProtocolError::Malformed("cell max_steps"))?;
+                    r.u64().map_err(malformed("cell seed"))?;
+                let max_steps = r.u32().map_err(malformed("cell max_steps"))?;
                 let run =
-                    decode_run_id(&mut r).ok_or(ProtocolError::Malformed("cell run id"))?;
+                    decode_run_id(&mut r).map_err(malformed("cell run id"))?;
                 let cell =
-                    CellSpec::decode(&mut r).ok_or(ProtocolError::Malformed("cell spec"))?;
-                let with_trace = r.bool().ok_or(ProtocolError::Malformed("trace flag"))?;
+                    CellSpec::decode(&mut r).map_err(malformed("cell spec"))?;
+                let with_trace = r.bool().map_err(malformed("trace flag"))?;
                 let out = Request::SubmitCell {
                     campaign_seed,
                     max_steps,
@@ -516,7 +522,7 @@ impl Request {
                 return Ok(out);
             }
             K_REPLAY => {
-                let hex = r.blob().ok_or(ProtocolError::Malformed("trace hash"))?;
+                let hex = r.blob().map_err(malformed("trace hash"))?;
                 let out = Request::Replay {
                     trace_hex: utf8(hex)?,
                 };
@@ -526,31 +532,31 @@ impl Request {
                 return Ok(out);
             }
             K_STATUS => Request::Status {
-                job_id: r.u64().ok_or(ProtocolError::Malformed("job id"))?,
+                job_id: r.u64().map_err(malformed("job id"))?,
             },
             K_CANCEL => Request::Cancel {
-                job_id: r.u64().ok_or(ProtocolError::Malformed("job id"))?,
+                job_id: r.u64().map_err(malformed("job id"))?,
             },
             K_METRICS => Request::Metrics,
             K_SHUTDOWN => Request::Shutdown,
             K_REGISTER_WORKER => Request::RegisterWorker {
-                fleet_epoch: r.u64().ok_or(ProtocolError::Malformed("fleet epoch"))?,
+                fleet_epoch: r.u64().map_err(malformed("fleet epoch"))?,
             },
             K_HEARTBEAT => Request::Heartbeat {
-                nonce: r.u64().ok_or(ProtocolError::Malformed("nonce"))?,
+                nonce: r.u64().map_err(malformed("nonce"))?,
             },
             K_ASSIGN_CELLS => {
                 let assignment_id =
-                    r.u64().ok_or(ProtocolError::Malformed("assignment id"))?;
-                let count = r.u32().ok_or(ProtocolError::Malformed("index count"))? as usize;
+                    r.u64().map_err(malformed("assignment id"))?;
+                let count = r.u32().map_err(malformed("index count"))? as usize;
                 if count == 0 || count > adas_core::job::MAX_CELLS {
                     return Err(ProtocolError::Malformed("index count out of range"));
                 }
                 let mut indices = Vec::with_capacity(count);
                 for _ in 0..count {
-                    indices.push(r.u32().ok_or(ProtocolError::Malformed("cell index"))?);
+                    indices.push(r.u32().map_err(malformed("cell index"))?);
                 }
-                let spec_bytes = r.blob().ok_or(ProtocolError::Malformed("assign spec"))?;
+                let spec_bytes = r.blob().map_err(malformed("assign spec"))?;
                 let spec = CampaignSpec::from_bytes(spec_bytes)
                     .ok_or(ProtocolError::Malformed("assign spec codec"))?;
                 if spec.cells.len() != count {
@@ -569,8 +575,8 @@ impl Request {
             ),
             K_ASSIGN_FUZZ => {
                 let assignment_id =
-                    r.u64().ok_or(ProtocolError::Malformed("assignment id"))?;
-                let spec_bytes = r.blob().ok_or(ProtocolError::Malformed("fuzz spec"))?;
+                    r.u64().map_err(malformed("assignment id"))?;
+                let spec_bytes = r.blob().map_err(malformed("fuzz spec"))?;
                 Request::AssignFuzz {
                     assignment_id,
                     spec: adas_fuzz::FuzzJobSpec::from_bytes(spec_bytes)
@@ -615,7 +621,7 @@ impl Response {
     /// Serialises the payload (without the frame header).
     #[must_use]
     pub fn payload(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         match self {
             Response::Accepted { job_id, cells } => {
                 w.u64(*job_id);
@@ -642,7 +648,7 @@ impl Response {
                 w.u8(state.to_u8());
             }
             Response::RunResult { record, trace } => {
-                let mut rec = ByteWriter::new();
+                let mut rec = Writer::new();
                 adas_core::job::encode_run_record(record, &mut rec);
                 w.blob(&rec.into_bytes());
                 w.bool(trace.is_some());
@@ -703,20 +709,20 @@ impl Response {
     /// [`ProtocolError::UnknownKind`] for non-response kind bytes,
     /// [`ProtocolError::Malformed`] for structurally invalid payloads.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut r = ByteReader::new(payload);
+        let mut r = Reader::new(payload);
         let response = match kind {
             K_ACCEPTED => Response::Accepted {
-                job_id: r.u64().ok_or(ProtocolError::Malformed("job id"))?,
-                cells: r.u32().ok_or(ProtocolError::Malformed("cell count"))?,
+                job_id: r.u64().map_err(malformed("job id"))?,
+                cells: r.u32().map_err(malformed("cell count"))?,
             },
             K_REJECTED => Response::Rejected {
-                retry_after_ms: r.u32().ok_or(ProtocolError::Malformed("retry delay"))?,
-                reason: utf8(r.blob().ok_or(ProtocolError::Malformed("reason"))?)?,
+                retry_after_ms: r.u32().map_err(malformed("retry delay"))?,
+                reason: utf8(r.blob().map_err(malformed("reason"))?)?,
             },
             K_CELL_RESULT => {
-                let job_id = r.u64().ok_or(ProtocolError::Malformed("job id"))?;
-                let cell_index = r.u32().ok_or(ProtocolError::Malformed("cell index"))?;
-                let stats_bytes = r.blob().ok_or(ProtocolError::Malformed("cell stats"))?;
+                let job_id = r.u64().map_err(malformed("job id"))?;
+                let cell_index = r.u32().map_err(malformed("cell index"))?;
+                let stats_bytes = r.blob().map_err(malformed("cell stats"))?;
                 Response::CellResult {
                     job_id,
                     cell_index,
@@ -725,23 +731,19 @@ impl Response {
                 }
             }
             K_JOB_DONE => Response::JobDone {
-                job_id: r.u64().ok_or(ProtocolError::Malformed("job id"))?,
-                state: r
-                    .u8()
-                    .and_then(JobState::from_u8)
-                    .ok_or(ProtocolError::Malformed("job state"))?,
+                job_id: r.u64().map_err(malformed("job id"))?,
+                state: r.code(JobState::from_u8).map_err(malformed("job state"))?,
             },
             K_RUN_RESULT => {
-                let rec_bytes = r.blob().ok_or(ProtocolError::Malformed("run record"))?;
-                let mut rec_reader = ByteReader::new(rec_bytes);
+                let rec_bytes = r.blob().map_err(malformed("run record"))?;
+                let mut rec_reader = Reader::new(rec_bytes);
                 let record = adas_core::job::decode_run_record(&mut rec_reader)
-                    .filter(|_| rec_reader.exhausted())
-                    .ok_or(ProtocolError::Malformed("run record codec"))?;
-                let has_trace = r.bool().ok_or(ProtocolError::Malformed("trace flag"))?;
+                    .and_then(|record| rec_reader.finish().map(|()| record))
+                    .map_err(malformed("run record codec"))?;
+                let has_trace = r.bool().map_err(malformed("trace flag"))?;
                 let trace = if has_trace {
                     Some(
-                        r.blob()
-                            .ok_or(ProtocolError::Malformed("trace bytes"))?
+                        r.blob().map_err(malformed("trace bytes"))?
                             .to_vec(),
                     )
                 } else {
@@ -750,43 +752,37 @@ impl Response {
                 Response::RunResult { record, trace }
             }
             K_REPLAY_VERDICT => Response::ReplayVerdict {
-                outcome: r
-                    .u8()
-                    .and_then(ReplayOutcome::from_u8)
-                    .ok_or(ProtocolError::Malformed("replay outcome"))?,
-                detail: utf8(r.blob().ok_or(ProtocolError::Malformed("detail"))?)?,
+                outcome: r.code(ReplayOutcome::from_u8).map_err(malformed("replay outcome"))?,
+                detail: utf8(r.blob().map_err(malformed("detail"))?)?,
             },
             K_STATUS_REPORT => Response::StatusReport {
-                state: r
-                    .u8()
-                    .and_then(JobState::from_u8)
-                    .ok_or(ProtocolError::Malformed("job state"))?,
-                cells_done: r.u32().ok_or(ProtocolError::Malformed("cells done"))?,
-                cells_total: r.u32().ok_or(ProtocolError::Malformed("cells total"))?,
-                runs_done: r.u64().ok_or(ProtocolError::Malformed("runs done"))?,
+                state: r.code(JobState::from_u8).map_err(malformed("job state"))?,
+                cells_done: r.u32().map_err(malformed("cells done"))?,
+                cells_total: r.u32().map_err(malformed("cells total"))?,
+                runs_done: r.u64().map_err(malformed("runs done"))?,
             },
             K_METRICS_JSON => {
-                Response::MetricsJson(utf8(r.blob().ok_or(ProtocolError::Malformed("json"))?)?)
+                Response::MetricsJson(utf8(r.blob().map_err(malformed("json"))?)?)
             }
             K_ERROR => Response::Error(utf8(
-                r.blob().ok_or(ProtocolError::Malformed("message"))?,
+                r.blob().map_err(malformed("message"))?,
             )?),
             K_SHUTDOWN_ACK => Response::ShutdownAck,
             K_WORKER_HELLO => Response::WorkerHello {
-                queue_capacity: r.u32().ok_or(ProtocolError::Malformed("queue capacity"))?,
-                threads: r.u32().ok_or(ProtocolError::Malformed("threads"))?,
-                batch_width: r.u32().ok_or(ProtocolError::Malformed("batch width"))?,
-                memo_cells: r.u64().ok_or(ProtocolError::Malformed("memo cells"))?,
+                queue_capacity: r.u32().map_err(malformed("queue capacity"))?,
+                threads: r.u32().map_err(malformed("threads"))?,
+                batch_width: r.u32().map_err(malformed("batch width"))?,
+                memo_cells: r.u64().map_err(malformed("memo cells"))?,
             },
             K_HEARTBEAT_ACK => Response::HeartbeatAck {
-                nonce: r.u64().ok_or(ProtocolError::Malformed("nonce"))?,
-                queued: r.u32().ok_or(ProtocolError::Malformed("queued"))?,
-                running: r.u32().ok_or(ProtocolError::Malformed("running"))?,
+                nonce: r.u64().map_err(malformed("nonce"))?,
+                queued: r.u32().map_err(malformed("queued"))?,
+                running: r.u32().map_err(malformed("running"))?,
             },
             K_FUZZ_RESULT => {
-                let job_id = r.u64().ok_or(ProtocolError::Malformed("job id"))?;
+                let job_id = r.u64().map_err(malformed("job id"))?;
                 let outcome_bytes =
-                    r.blob().ok_or(ProtocolError::Malformed("fuzz outcome"))?;
+                    r.blob().map_err(malformed("fuzz outcome"))?;
                 Response::FuzzResult {
                     job_id,
                     outcome: adas_fuzz::SessionOutcome::from_bytes(outcome_bytes)

@@ -103,12 +103,7 @@ pub fn finding_row(f: &FarmFinding) -> FindingRow {
         oracle: f.oracle.code() as u8,
         scenario: c.scenario.index() as u8,
         position: c.position.index() as u8,
-        fault: match c.fault {
-            None => 0,
-            Some(FaultType::RelativeDistance) => 1,
-            Some(FaultType::DesiredCurvature) => 2,
-            Some(FaultType::Mixed) => 3,
-        },
+        fault: c.fault.map_or(0, FaultType::code),
         iv_row: c.iv_row as u8,
         sched: adas_fuzz::coverage::sched_bucket(c.sched_ttc) as u8,
         session_seed: f.session_seed,
@@ -139,28 +134,17 @@ pub fn cell_row(
     stats: &adas_core::CellStats,
 ) -> CellRow {
     use adas_store::record::ANY;
-    let fault = match cell.fault {
-        None => 0,
-        Some(adas_attack::FaultType::RelativeDistance) => 1,
-        Some(adas_attack::FaultType::DesiredCurvature) => 2,
-        Some(adas_attack::FaultType::Mixed) => 3,
-    };
     let iv_row = adas_core::InterventionConfig::table_vi_rows()
         .iter()
         .position(|row| *row == cell.interventions)
         .map_or(ANY, |i| i as u8);
-    let mitigation = match cell.interventions.mitigation {
-        adas_ml::MitigationKind::Cusum => 0,
-        adas_ml::MitigationKind::Ensemble => 1,
-        adas_ml::MitigationKind::MaskCheck => 2,
-    };
     CellRow::from_stats(
         (
             ANY,
             ANY,
-            fault,
+            cell.fault.map_or(0, adas_attack::FaultType::code),
             iv_row,
-            mitigation,
+            cell.interventions.mitigation.code(),
             u8::from(!spec.attack.is_immediate()),
         ),
         spec.campaign_seed,

@@ -2,10 +2,9 @@
 
 use crate::road::{LaneId, Road};
 use crate::vehicle::Vehicle;
-use serde::{Deserialize, Serialize};
 
 /// A contact between the ego vehicle and another vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollisionEvent {
     /// Simulation time of first contact, seconds.
     pub time: f64,
@@ -19,7 +18,7 @@ pub struct CollisionEvent {
 }
 
 /// A lane-departure event: the ego's center crossed its lane boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneDeparture {
     /// Simulation time at which the center crossed the boundary, seconds.
     pub time: f64,

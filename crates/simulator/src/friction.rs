@@ -5,10 +5,10 @@
 //! reductions. Friction caps both longitudinal (accelerating/braking) and
 //! lateral (cornering) tyre force in the vehicle model.
 
-use serde::{Deserialize, Serialize};
+use adas_codec::{DecodeError, Encode, Reader, Writer};
 
 /// Friction conditions used in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FrictionCondition {
     /// Dry highway (the default environment: bright dry morning).
     #[default]
@@ -44,6 +44,41 @@ impl FrictionCondition {
         }
     }
 
+    /// Stable wire code (0 default, 1–3 the Table VIII reductions, 4
+    /// custom; the custom scale travels separately, see [`Encode`]).
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            FrictionCondition::Default => 0,
+            FrictionCondition::Off25 => 1,
+            FrictionCondition::Off50 => 2,
+            FrictionCondition::Off75 => 3,
+            FrictionCondition::Custom(_) => 4,
+        }
+    }
+
+    /// Inverse of [`Self::code`]; `custom` is the scale of code 4 and is
+    /// ignored otherwise. `None` for unknown codes.
+    #[must_use]
+    pub fn from_code(code: u8, custom: f64) -> Option<Self> {
+        match code {
+            0 => Some(FrictionCondition::Default),
+            1 => Some(FrictionCondition::Off25),
+            2 => Some(FrictionCondition::Off50),
+            3 => Some(FrictionCondition::Off75),
+            4 => Some(FrictionCondition::Custom(custom)),
+            _ => None,
+        }
+    }
+
+    /// Decodes [`Encode`] output.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let at = r.pos();
+        let code = r.u8()?;
+        let custom = r.f64()?;
+        Self::from_code(code, custom).ok_or(DecodeError { offset: at, needed: 0 })
+    }
+
     /// Human-readable label matching the paper's table header.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -54,6 +89,17 @@ impl FrictionCondition {
             FrictionCondition::Off75 => "75% off",
             FrictionCondition::Custom(_) => "custom",
         }
+    }
+}
+
+/// Code byte, then the custom scale (0.0 for the named conditions).
+impl Encode for FrictionCondition {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(self.code());
+        w.f64(match *self {
+            FrictionCondition::Custom(s) => s,
+            _ => 0.0,
+        });
     }
 }
 
@@ -70,7 +116,7 @@ impl std::fmt::Display for FrictionCondition {
 /// deck, a gravel stretch. Scenario files attach zones to road segments or
 /// declare them standalone; inside `[start_s, end_s)` the world's base
 /// friction coefficient is multiplied by `scale`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrictionZone {
     /// Arc length where the band begins, metres.
     pub start_s: f64,
@@ -105,7 +151,7 @@ pub fn surface_in_zones(base: SurfaceFriction, zones: &[FrictionZone], s: f64) -
 }
 
 /// Physical friction limits derived from a [`FrictionCondition`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurfaceFriction {
     /// Effective tyre-road friction coefficient.
     pub mu: f64,

@@ -1,9 +1,7 @@
 //! Small geometry helpers shared by the simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D vector / point in cartesian world coordinates (metres).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// East coordinate in metres.
     pub x: f64,

@@ -9,10 +9,9 @@ use crate::friction::SurfaceFriction;
 use crate::math::clamp;
 use crate::road::Road;
 use crate::vehicle::{Vehicle, VehicleCommand, VehicleParams, VehicleState};
-use serde::{Deserialize, Serialize};
 
 /// When a plan phase becomes active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NpcTrigger {
     /// Active from the start of the run.
     Immediately,
@@ -24,7 +23,7 @@ pub enum NpcTrigger {
 }
 
 /// What the NPC does once a phase activates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NpcBehavior {
     /// Track `target` m/s, approaching it at up to `rate` m/s².
     SetSpeed {
@@ -49,7 +48,7 @@ pub enum NpcBehavior {
 }
 
 /// One phase of an NPC plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpcPhase {
     /// Activation condition. Phases activate in order; a later phase cannot
     /// fire before all earlier ones have.
@@ -59,7 +58,7 @@ pub struct NpcPhase {
 }
 
 /// A full NPC script: initial speed plus ordered phases.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NpcPlan {
     /// Phases applied in order as their triggers fire.
     pub phases: Vec<NpcPhase>,
@@ -81,7 +80,7 @@ impl NpcPlan {
 }
 
 /// Internal lateral manoeuvre state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct LateralMove {
     start_d: f64,
     target_d: f64,
@@ -90,7 +89,7 @@ struct LateralMove {
 }
 
 /// A scripted traffic vehicle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Npc {
     vehicle: Vehicle,
     plan: NpcPlan,

@@ -7,11 +7,10 @@
 //! per segment for plotting and distance checks.
 
 use crate::math::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a lane on the road. Lane `0` is the rightmost lane; the ego
 /// vehicle starts in [`Road::ego_lane`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LaneId(pub u8);
 
 impl std::fmt::Display for LaneId {
@@ -22,7 +21,7 @@ impl std::fmt::Display for LaneId {
 
 /// One homogeneous piece of road: a straight (`curvature == 0`) or an arc of
 /// constant curvature (positive curves left).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoadSegment {
     /// Length of the segment along the reference line, metres.
     pub length: f64,
@@ -57,7 +56,7 @@ impl RoadSegment {
 }
 
 /// A multi-lane road with a piecewise line/arc reference line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Road {
     segments: Vec<RoadSegment>,
     /// Cumulative start `s` of each segment (same length as `segments`).

@@ -5,10 +5,8 @@
 //! [`TraceSample`] per step; the physical fields are filled by the world and
 //! the perception/intervention fields by the closed-loop platform.
 
-use serde::{Deserialize, Serialize};
-
 /// One recorded simulation step.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TraceSample {
     /// Simulation time, seconds.
     pub time: f64,
@@ -54,7 +52,7 @@ pub struct TraceSample {
 }
 
 /// A growable recording of [`TraceSample`]s with CSV export.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceRecorder {
     samples: Vec<TraceSample>,
     /// Record every `stride`-th step (1 = every step).

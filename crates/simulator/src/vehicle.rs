@@ -9,10 +9,9 @@
 use crate::friction::SurfaceFriction;
 use crate::math::{approach, clamp, wrap_angle};
 use crate::road::Road;
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of a vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleParams {
     /// Overall body length, metres.
     pub length: f64,
@@ -57,7 +56,7 @@ impl Default for VehicleParams {
 }
 
 /// Actuator command for one 10 ms step.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VehicleCommand {
     /// Throttle fraction in `[0, 1]`.
     pub gas: f64,
@@ -120,7 +119,7 @@ impl VehicleCommand {
 }
 
 /// Dynamic state of a vehicle in the frenet frame.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VehicleState {
     /// Arc length along the road reference line, metres.
     pub s: f64,
@@ -141,7 +140,7 @@ pub struct VehicleState {
 }
 
 /// A vehicle: parameters plus integrated state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vehicle {
     params: VehicleParams,
     state: VehicleState,

@@ -9,10 +9,9 @@ use crate::npc::Npc;
 use crate::road::Road;
 use crate::units::SIM_DT;
 use crate::vehicle::{Vehicle, VehicleCommand, VehicleParams};
-use serde::{Deserialize, Serialize};
 
 /// World construction options.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorldConfig {
     /// Road-surface condition (Table VIII sweeps this).
     pub friction: FrictionCondition,
@@ -33,7 +32,7 @@ impl Default for WorldConfig {
 }
 
 /// Ground-truth observation of the lead vehicle in the ego's lane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeadObservation {
     /// Bumper-to-bumper distance, metres (>= 0 outside of a collision).
     pub distance: f64,

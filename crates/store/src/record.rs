@@ -7,7 +7,7 @@
 //! structurally (`payload_len == count × width`) before trusting any
 //! field.
 
-use adas_core::job::{ByteReader, ByteWriter};
+use adas_codec::{DecodeError, Reader, Writer};
 
 /// Sentinel for "aggregated over this axis" in [`CellRow::scenario`] /
 /// [`CellRow::position`] (the CLI harnesses aggregate per cell, the
@@ -119,7 +119,7 @@ impl CellRow {
     pub const WIDTH: usize = 6 + 8 + 9 * 4 + 3 * 12;
 
     /// Encodes into exactly [`CellRow::WIDTH`] bytes.
-    pub fn encode(&self, out: &mut ByteWriter) {
+    pub fn encode(&self, out: &mut Writer) {
         for v in [
             self.scenario,
             self.position,
@@ -154,9 +154,8 @@ impl CellRow {
         }
     }
 
-    /// Decodes one row; `None` on short input.
-    #[must_use]
-    pub fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
+    /// Decodes one row; fails on short input.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let mut u8s = [0u8; 6];
         for slot in &mut u8s {
             *slot = r.u8()?;
@@ -170,7 +169,7 @@ impl CellRow {
         for slot in &mut times {
             *slot = (r.f64()?, r.u32()?);
         }
-        Some(Self {
+        Ok(Self {
             scenario: u8s[0],
             position: u8s[1],
             fault: u8s[2],
@@ -295,7 +294,7 @@ impl FindingRow {
     pub const WIDTH: usize = 6 + 3 * 8 + 4 + 8 * 8;
 
     /// Encodes into exactly [`FindingRow::WIDTH`] bytes.
-    pub fn encode(&self, out: &mut ByteWriter) {
+    pub fn encode(&self, out: &mut Writer) {
         for v in [
             self.oracle,
             self.scenario,
@@ -315,9 +314,8 @@ impl FindingRow {
         }
     }
 
-    /// Decodes one row; `None` on short input.
-    #[must_use]
-    pub fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
+    /// Decodes one row; fails on short input.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let mut u8s = [0u8; 6];
         for slot in &mut u8s {
             *slot = r.u8()?;
@@ -330,7 +328,7 @@ impl FindingRow {
         for slot in &mut params {
             *slot = r.f64()?;
         }
-        Some(Self {
+        Ok(Self {
             oracle: u8s[0],
             scenario: u8s[1],
             position: u8s[2],
@@ -349,7 +347,7 @@ impl FindingRow {
 /// Encodes a slice of cell rows into one contiguous fixed-width payload.
 #[must_use]
 pub fn encode_cells(rows: &[CellRow]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w = Writer::new();
     for row in rows {
         row.encode(&mut w);
     }
@@ -359,7 +357,7 @@ pub fn encode_cells(rows: &[CellRow]) -> Vec<u8> {
 /// Encodes a slice of finding rows into one contiguous payload.
 #[must_use]
 pub fn encode_findings(rows: &[FindingRow]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w = Writer::new();
     for row in rows {
         row.encode(&mut w);
     }
@@ -400,12 +398,12 @@ mod tests {
     #[test]
     fn cell_row_width_is_exact() {
         let row = sample_cell(7);
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         row.encode(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), CellRow::WIDTH);
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(CellRow::decode(&mut r), Some(row));
+        let mut r = Reader::new(&bytes);
+        assert_eq!(CellRow::decode(&mut r), Ok(row));
         assert!(r.exhausted());
     }
 
@@ -424,21 +422,21 @@ mod tests {
             repetition: 1,
             params: [0.5, 1.0, -20.25, 12.0, 1.0, 1.0, 0.0, 0.0],
         };
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         row.encode(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), FindingRow::WIDTH);
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(FindingRow::decode(&mut r), Some(row));
+        let mut r = Reader::new(&bytes);
+        assert_eq!(FindingRow::decode(&mut r), Ok(row));
         assert!(r.exhausted());
     }
 
     #[test]
-    fn truncated_rows_decode_to_none() {
+    fn truncated_rows_fail_to_decode() {
         let bytes = encode_cells(&[sample_cell(1)]);
         for cut in 0..CellRow::WIDTH {
-            let mut r = ByteReader::new(&bytes[..cut]);
-            assert!(CellRow::decode(&mut r).is_none(), "cut {cut}");
+            let mut r = Reader::new(&bytes[..cut]);
+            assert!(CellRow::decode(&mut r).is_err(), "cut {cut}");
         }
     }
 

@@ -17,7 +17,7 @@
 
 use crate::record::RecordKind;
 use crate::store::{SegmentReport, StoreError};
-use adas_core::Fingerprint;
+use adas_codec::Fingerprint;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -39,10 +39,6 @@ pub const MAX_BLOCK_RECORDS: usize = 65_536;
 /// Upper bound a reader accepts for one block's payload bytes.
 pub const MAX_BLOCK_BYTES: usize = 16 << 20;
 
-fn fnv(bytes: &[u8]) -> u64 {
-    Fingerprint::new().write_bytes(bytes).value()
-}
-
 /// Renders the 24-byte segment header.
 #[must_use]
 pub fn header_bytes(kind: RecordKind) -> [u8; HEADER_LEN] {
@@ -52,7 +48,7 @@ pub fn header_bytes(kind: RecordKind) -> [u8; HEADER_LEN] {
     h[10] = kind.code();
     h[11] = 0;
     h[12..16].copy_from_slice(&u32::try_from(kind.width()).expect("small width").to_le_bytes());
-    let sum = fnv(&h[..16]);
+    let sum = Fingerprint::new().write_bytes(&h[..16]).value();
     h[16..24].copy_from_slice(&sum.to_le_bytes());
     h
 }
@@ -66,7 +62,7 @@ pub fn parse_header(h: &[u8]) -> Result<RecordKind, StoreError> {
         return Err(StoreError::Format("bad segment magic".into()));
     }
     let stored = u64::from_le_bytes(h[16..24].try_into().expect("8 bytes"));
-    if fnv(&h[..16]) != stored {
+    if Fingerprint::new().write_bytes(&h[..16]).value() != stored {
         return Err(StoreError::Format("segment header checksum mismatch".into()));
     }
     let version = u16::from_le_bytes(h[8..10].try_into().expect("2 bytes"));
@@ -160,7 +156,8 @@ impl SegmentWriter {
         frame.extend_from_slice(BLOCK_MAGIC);
         frame.extend_from_slice(&u32::try_from(take).expect("block count fits").to_le_bytes());
         frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv(&payload).to_le_bytes());
+        let sum = Fingerprint::new().write_bytes(&payload).value();
+        frame.extend_from_slice(&sum.to_le_bytes());
         self.file
             .write_all(&frame)
             .map_err(|e| StoreError::io(&self.path, &e))
@@ -329,7 +326,7 @@ impl<R: Read + Seek> SegmentReader<R> {
                 self.report.truncated = true;
                 return None;
             }
-            if fnv(&payload) != u64::from_le_bytes(sum) {
+            if Fingerprint::new().write_bytes(&payload).value() != u64::from_le_bytes(sum) {
                 if !self.resync(self.pos + 1) {
                     return None;
                 }
@@ -400,7 +397,7 @@ mod tests {
         while let Some(block) = r.next_block() {
             for chunk in block.chunks_exact(CellRow::WIDTH) {
                 out.push(
-                    CellRow::decode(&mut adas_core::job::ByteReader::new(chunk)).expect("decodes"),
+                    CellRow::decode(&mut adas_codec::Reader::new(chunk)).expect("decodes"),
                 );
             }
         }

@@ -9,7 +9,7 @@
 
 use crate::record::{CellRow, FindingRow, RecordKind};
 use crate::segment::{SegmentReader, SegmentWriter};
-use adas_core::job::ByteReader;
+use adas_codec::Reader;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -199,7 +199,7 @@ impl Store {
         mut sink: impl FnMut(&CellRow),
     ) -> Result<Vec<SegmentReport>, StoreError> {
         self.scan(RecordKind::Cell, |chunk| {
-            if let Some(row) = CellRow::decode(&mut ByteReader::new(chunk)) {
+            if let Ok(row) = CellRow::decode(&mut Reader::new(chunk)) {
                 sink(&row);
             }
         })
@@ -211,7 +211,7 @@ impl Store {
         mut sink: impl FnMut(&FindingRow),
     ) -> Result<Vec<SegmentReport>, StoreError> {
         self.scan(RecordKind::Finding, |chunk| {
-            if let Some(row) = FindingRow::decode(&mut ByteReader::new(chunk)) {
+            if let Ok(row) = FindingRow::decode(&mut Reader::new(chunk)) {
                 sink(&row);
             }
         })

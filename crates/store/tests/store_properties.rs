@@ -8,7 +8,7 @@
 //! disk: a reader either yields a bit-exact record or skips it, never a
 //! silently wrong one.
 
-use adas_core::job::{ByteReader, ByteWriter};
+use adas_codec::{Reader, Writer};
 use adas_store::{agg, synth, CellRow, FindingRow, GroupBy, RecordKind, Store};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -70,12 +70,12 @@ proptest! {
             driver_steer_time_sum: sums[2],
             driver_steer_time_n: time_ns[2] as u32,
         };
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         row.encode(&mut w);
         let bytes = w.into_bytes();
         prop_assert_eq!(bytes.len(), CellRow::WIDTH);
-        let mut r = ByteReader::new(&bytes);
-        prop_assert_eq!(CellRow::decode(&mut r), Some(row));
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(CellRow::decode(&mut r), Ok(row));
         prop_assert!(r.exhausted());
     }
 
@@ -101,12 +101,12 @@ proptest! {
             repetition: repetition as u32,
             params: p,
         };
-        let mut w = ByteWriter::new();
+        let mut w = Writer::new();
         row.encode(&mut w);
         let bytes = w.into_bytes();
         prop_assert_eq!(bytes.len(), FindingRow::WIDTH);
-        let mut r = ByteReader::new(&bytes);
-        prop_assert_eq!(FindingRow::decode(&mut r), Some(row));
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(FindingRow::decode(&mut r), Ok(row));
         prop_assert!(r.exhausted());
     }
 
