@@ -1,6 +1,6 @@
-//! Microbenchmark for the batched SoA execution path: scalar vs batched
-//! LSTM inference step, and scalar vs lockstep closed-loop platform
-//! stepping, across batch widths. Hand-rolled timing loops (the vendored
+//! Microbenchmark for the batched execution path: scalar vs batched LSTM
+//! inference step, and runs stepped alone (`run_single`) vs lockstep
+//! closed-loop platform stepping, across batch widths. Hand-rolled timing loops (the vendored
 //! criterion is an API stub) with a fixed wall budget per measurement.
 //!
 //! Everything runs single-worker (`ADAS_THREADS=1`): the point is the
@@ -10,9 +10,7 @@
 use adas_attack::FaultType;
 use adas_bench::CAMPAIGN_SEED;
 use adas_core::parallel::MapControl;
-use adas_core::{
-    run_ids_ctl, InterventionConfig, PlatformConfig, RunId, TextTable,
-};
+use adas_core::{run_ids_ctl, run_single, InterventionConfig, PlatformConfig, RunId, TextTable};
 use adas_ml::{LstmPredictor, ModelSpec, FEATURE_DIM};
 use adas_scenarios::{InitialPosition, ScenarioId};
 use std::sync::Arc;
@@ -99,28 +97,29 @@ fn ids_for(width: usize) -> Vec<RunId> {
 }
 
 /// Full closed-loop campaign runs through `run_ids_ctl` at the given
-/// width. Returns (lane-steps per second, runs).
+/// width, or each run alone through `run_single` when `width` is `None`.
+/// Returns lane-steps per second.
 fn closed_loop(
     ids: &[RunId],
     cfg: &PlatformConfig,
     model: Option<&Arc<LstmPredictor>>,
-    width: usize,
-) -> (f64, usize) {
-    let ctl = MapControl::new();
+    width: Option<usize>,
+) -> f64 {
+    let fault = Some(FaultType::Mixed);
     let start = Instant::now();
-    let records = run_ids_ctl(
-        ids,
-        Some(FaultType::Mixed),
-        cfg,
-        model,
-        CAMPAIGN_SEED,
-        width,
-        &ctl,
-    )
-    .expect("uncancelled");
+    let records = match width {
+        Some(width) => {
+            let ctl = MapControl::new();
+            run_ids_ctl(ids, fault, cfg, model, CAMPAIGN_SEED, width, &ctl).expect("uncancelled")
+        }
+        None => ids
+            .iter()
+            .map(|id| run_single(*id, fault, cfg, model, CAMPAIGN_SEED))
+            .collect(),
+    };
     let wall = start.elapsed().as_secs_f64();
     let steps: u64 = records.iter().map(|r| r.steps).sum();
-    (steps as f64 / wall, records.len())
+    steps as f64 / wall
 }
 
 fn main() {
@@ -168,27 +167,28 @@ fn main() {
         "ML ksteps/s",
         "ML vs scalar",
     ]);
-    let mut scalar_no_ml = 0.0;
-    let mut scalar_ml = 0.0;
-    for width in WIDTHS {
-        let ids = ids_for(width);
-        let (no_ml, _) = closed_loop(&ids, &no_ml_cfg, None, width);
-        let (ml, _) = closed_loop(&ids, &ml_cfg, Some(&trained), width);
-        if width == 1 {
-            scalar_no_ml = no_ml;
-            scalar_ml = ml;
-        }
+    let scalar_ids = ids_for(1);
+    let scalar_no_ml = closed_loop(&scalar_ids, &no_ml_cfg, None, None);
+    let scalar_ml = closed_loop(&scalar_ids, &ml_cfg, Some(&trained), None);
+    let mut row = |label: String, no_ml: f64, ml: f64| {
         table.row([
-            format!("{width}"),
+            label,
             format!("{:.0}", no_ml / 1e3),
             format!("{:.2}x", no_ml / scalar_no_ml),
             format!("{:.0}", ml / 1e3),
             format!("{:.2}x", ml / scalar_ml),
         ]);
+    };
+    row("scalar".to_owned(), scalar_no_ml, scalar_ml);
+    for width in WIDTHS {
+        let ids = ids_for(width);
+        let no_ml = closed_loop(&ids, &no_ml_cfg, None, Some(width));
+        let ml = closed_loop(&ids, &ml_cfg, Some(&trained), Some(width));
+        row(format!("{width}"), no_ml, ml);
     }
     println!("{}", table.render());
     println!(
-        "\nwidth=1 rows are the scalar path (run_ids_ctl falls back to \
-         per-run stepping); speedups are per-core."
+        "\nThe scalar row steps each run alone (run_single); width rows run \
+         run_ids_ctl's lockstep batches. Speedups are per-core."
     );
 }

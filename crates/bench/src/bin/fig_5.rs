@@ -2,32 +2,23 @@
 //! Approaching LV": a benign S1 time series showing OpenPilot's aggressive
 //! approach braking (the sudden speed drop) and its lane-keeping margin.
 
-use adas_attack::FaultInjector;
 use adas_bench::{write_results_file, CAMPAIGN_SEED};
-use adas_core::{Platform, PlatformConfig, RunEnd2};
-use adas_scenarios::{InitialPosition, ScenarioId, ScenarioSetup};
-use adas_simulator::{DeterministicRng, TraceRecorder};
+use adas_core::{run_single_traced, PlatformConfig, RunId};
+use adas_recorder::RecordMode;
+use adas_scenarios::{InitialPosition, ScenarioId};
+use adas_simulator::samples_to_csv;
 
 fn main() {
-    let mut rng = DeterministicRng::for_run(CAMPAIGN_SEED, 0, 0, 0);
-    let setup = ScenarioSetup::build(ScenarioId::S1, InitialPosition::Near, &mut rng);
-    let mut platform = Platform::new(
-        &setup,
-        PlatformConfig::default(),
-        FaultInjector::disabled(),
-        None,
-        &mut rng,
-    );
-    platform.attach_trace(TraceRecorder::with_stride(10));
-    loop {
-        let _ = platform.step();
-        if let RunEnd2::Yes(_) = platform.finished() {
-            break;
-        }
-    }
-
-    let trace = platform.take_trace().expect("trace attached");
-    let samples = trace.samples();
+    let id = RunId {
+        scenario: ScenarioId::S1,
+        position: InitialPosition::Near,
+        repetition: 0,
+    };
+    let config = PlatformConfig::default();
+    let (_, trace) =
+        run_single_traced(id, None, &config, None, 0, CAMPAIGN_SEED, RecordMode::Full);
+    // The figure series keeps every 10th step (0.1 s resolution).
+    let samples: Vec<_> = trace.samples.iter().step_by(10).copied().collect();
 
     // Series summary in the terminal: approach braking profile.
     let v0 = samples.first().map_or(0.0, |s| s.ego_v);
@@ -49,5 +40,5 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     println!("  minimum distance to lane lines: {min_line:.2} m");
 
-    write_results_file("fig_5.csv", &trace.to_csv());
+    write_results_file("fig_5.csv", &samples_to_csv(&samples));
 }

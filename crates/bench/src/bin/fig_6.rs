@@ -3,37 +3,31 @@
 //! interventions, showing the true vs perceived gap diverging, the
 //! close-range blindness, the re-acceleration, and the collision.
 
-use adas_attack::{FaultInjector, FaultSpec, FaultType};
+use adas_attack::FaultType;
 use adas_bench::{write_results_file, CAMPAIGN_SEED};
-use adas_core::{Platform, PlatformConfig, RunEnd2};
-use adas_scenarios::{InitialPosition, ScenarioId, ScenarioSetup};
-use adas_simulator::{DeterministicRng, TraceRecorder};
+use adas_core::{run_single_traced, PlatformConfig, RunId};
+use adas_recorder::RecordMode;
+use adas_scenarios::{InitialPosition, ScenarioId};
+use adas_simulator::samples_to_csv;
 
 fn main() {
-    let mut rng = DeterministicRng::for_run(CAMPAIGN_SEED, 0, 0, 0);
-    let setup = ScenarioSetup::build(ScenarioId::S1, InitialPosition::Near, &mut rng);
-    let injector = FaultInjector::new(FaultSpec::new(
-        FaultType::RelativeDistance,
-        setup.patch_start_s,
-    ));
-    let mut platform = Platform::new(
-        &setup,
-        PlatformConfig::default(),
-        injector,
+    let id = RunId {
+        scenario: ScenarioId::S1,
+        position: InitialPosition::Near,
+        repetition: 0,
+    };
+    let config = PlatformConfig::default();
+    let (record, trace) = run_single_traced(
+        id,
+        Some(FaultType::RelativeDistance),
+        &config,
         None,
-        &mut rng,
+        0,
+        CAMPAIGN_SEED,
+        RecordMode::Full,
     );
-    platform.attach_trace(TraceRecorder::with_stride(10));
-    loop {
-        let _ = platform.step();
-        if let RunEnd2::Yes(_) = platform.finished() {
-            break;
-        }
-    }
-
-    let record = platform.record();
-    let trace = platform.take_trace().expect("trace attached");
-    let samples = trace.samples();
+    // The figure series keeps every 10th step (0.1 s resolution).
+    let samples: Vec<_> = trace.samples.iter().step_by(10).copied().collect();
 
     println!("Fig. 6 — S1 under the RD attack, no interventions (series in results/fig_6.csv)");
     if let Some(t) = record.fault_start {
@@ -56,5 +50,5 @@ fn main() {
     }
     println!("  paper: ego approaches on tampered input; below ~2 m the lead is no longer\n  detected, the ego accelerates, and the run ends in a forward collision.");
 
-    write_results_file("fig_6.csv", &trace.to_csv());
+    write_results_file("fig_6.csv", &samples_to_csv(&samples));
 }

@@ -7,7 +7,7 @@
 use adas_attack::{FaultInjector, FaultSpec, FaultType};
 use adas_bench::CAMPAIGN_SEED;
 use adas_core::{
-    run_campaign, CellStats, InterventionConfig, Platform, PlatformConfig, RunEnd2,
+    run_campaign, CellStats, InterventionConfig, Platform, PlatformConfig,
 };
 use adas_scenarios::{InitialPosition, ScenarioId, ScenarioSetup};
 use adas_simulator::DeterministicRng;
@@ -74,7 +74,7 @@ fn main() {
                     seen = true;
                 }
             }
-            if let RunEnd2::Yes(_) = platform.finished() {
+            if platform.finished().is_some() {
                 break;
             }
         }

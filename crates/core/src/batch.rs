@@ -1,25 +1,26 @@
-//! Lockstep batch executor: runs many campaign runs in
-//! structure-of-arrays lockstep so the LSTM mitigation advances a whole
-//! batch per weights-stationary matvec.
+//! Lockstep batch executor: runs many campaign runs in lockstep so the
+//! LSTM mitigation advances a whole batch per weights-stationary matvec.
 //!
-//! The scalar campaign path executes runs one at a time; each 10 ms cycle
-//! of an ML-protected run pays a one-sample LSTM step whose matvecs are
-//! FMA-latency-bound. This module replaces run-at-a-time scheduling with
-//! *batch*-at-a-time: a work unit is a chunk of consecutive runs that
-//! advance together, one pipeline stage per lane per tick, over an
-//! [`adas_simulator::BatchWorld`] SoA view. The per-lane ML hidden/cell
-//! panels live in per-worker scratch ([`adas_ml::BatchPredictorState`] /
-//! [`adas_ml::BatchInferScratch`]) so a whole campaign allocates a handful
-//! of panels total.
+//! Stepped alone, each 10 ms cycle of an ML-protected run pays a
+//! one-sample LSTM step whose matvecs are FMA-latency-bound. This module
+//! schedules *batch*-at-a-time instead: a work unit is a chunk of
+//! consecutive runs that advance together, one pipeline stage per lane
+//! per tick. It is the only multi-run driver — every campaign, traced
+//! campaign and fuzz batch goes through [`run_lockstep_ctl`]; width 1 is a
+//! one-lane batch, which runs [`Platform::step`]'s exact sequence. The
+//! per-lane ML hidden/cell panels live in per-worker scratch
+//! ([`adas_ml::BatchPredictorState`] / [`adas_ml::BatchInferScratch`]) so
+//! a whole campaign allocates a handful of panels total.
 //!
 //! # Bit identity
 //!
-//! Batched results are bit-for-bit the scalar results, for three reasons:
+//! Batched results are bit-for-bit the results of stepping each run alone
+//! with [`Platform::step`], for three reasons:
 //!
 //! 1. Lanes are independent. Each run owns its `Platform` (world, RNG
 //!    streams, monitors); no cross-lane reduction exists anywhere.
 //! 2. The per-run operation sequence is unchanged. A lane's cycle is
-//!    `begin_step → LSTM forward → finish_step` — exactly how the scalar
+//!    `begin_step → LSTM forward → finish_step` — exactly how
 //!    [`Platform::step`] is composed — and the batched LSTM kernels
 //!    compute each lane's column with the scalar operation order
 //!    (asserted bitwise by the `adas-ml` unit tests and
@@ -27,7 +28,7 @@
 //! 3. Divergence never reorders work. A finished lane drops out of the
 //!    active mask; the slot refills with the next queued run whose ML
 //!    panel column is zeroed ([`adas_ml::BatchPredictorState::reset_lane`])
-//!    — the same zero state a fresh scalar run starts from. Retired /
+//!    — the same zero state a fresh run starts from. Retired /
 //!    never-filled columns still flow through the batched matvec (finite
 //!    garbage no one reads, and lanes never mix), but the per-lane gate
 //!    transcendentals — the dominant cost — are skipped for them via the
@@ -37,10 +38,10 @@
 //! Results are keyed by run index and merged in order, so output is also
 //! independent of thread count and batch width.
 
-use crate::platform::{PendingCycle, Platform, RunEnd, RunEnd2};
+use crate::platform::{PendingCycle, Platform};
 use adas_ml::{BatchInferScratch, BatchPredictorState, LstmPredictor, FEATURE_DIM};
 use adas_parallel::MapControl;
-use adas_simulator::BatchWorld;
+use adas_recorder::EndReason;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,7 +62,7 @@ static SLOT_STEPS: AtomicU64 = AtomicU64::new(0);
 pub struct BatchStats {
     /// Lockstep ticks executed (one per batch per cycle).
     pub ticks: u64,
-    /// Per-lane steps executed (Σ active lanes over ticks).
+    /// Per-lane steps executed (Σ lanes that began a cycle, over ticks).
     pub lane_steps: u64,
     /// Lane-slots available (Σ batch width over ticks).
     pub slot_steps: u64,
@@ -159,7 +160,7 @@ where
     T: Sync,
     R: Send,
     M: Fn(usize, &T) -> Platform + Sync,
-    F: Fn(usize, &T, RunEnd, Platform) -> R + Sync,
+    F: Fn(usize, &T, EndReason, Platform) -> R + Sync,
 {
     assert!(width > 0, "batch width must be ≥ 1");
     if items.is_empty() {
@@ -193,7 +194,7 @@ where
     T: Sync,
     R: Send,
     M: Fn(usize, &T) -> Platform + Sync,
-    F: Fn(usize, &T, RunEnd, Platform) -> R + Sync,
+    F: Fn(usize, &T, EndReason, Platform) -> R + Sync,
 {
     run_lockstep_ctl(items, width, ml_model, make, finish, &MapControl::new())
         .expect("uncancelled lockstep map completed")
@@ -206,55 +207,55 @@ fn drive_chunk<T, R>(
     width: usize,
     panels: &mut Option<MlPanels>,
     make: &(impl Fn(usize, &T) -> Platform + Sync),
-    finish: &(impl Fn(usize, &T, RunEnd, Platform) -> R + Sync),
+    finish: &(impl Fn(usize, &T, EndReason, Platform) -> R + Sync),
 ) -> Vec<R> {
     let n = items.len();
-    let mut world = BatchWorld::new(width);
     // lane → (chunk-local run index, platform); None = idle slot.
     let mut lanes: Vec<Option<(usize, Platform)>> = (0..width).map(|_| None).collect();
     let mut pendings: Vec<Option<PendingCycle>> = (0..width).map(|_| None).collect();
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut next = 0usize;
+    let (mut ticks, mut lane_steps) = (0u64, 0u64);
 
     let fill = |lane: usize,
-                    next: &mut usize,
-                    lanes: &mut Vec<Option<(usize, Platform)>>,
-                    world: &mut BatchWorld,
-                    panels: &mut Option<MlPanels>| {
+                next: &mut usize,
+                lanes: &mut Vec<Option<(usize, Platform)>>,
+                panels: &mut Option<MlPanels>| {
         if *next >= n {
             return;
         }
         let platform = make(base + *next, &items[*next]);
         if let Some(p) = panels.as_mut() {
-            // Fresh run, fresh recurrent stream: the scalar path starts
+            // Fresh run, fresh recurrent stream: a run stepped alone starts
             // from the zero init state, so must this lane's column.
             p.state.reset_lane(lane);
         }
-        world.activate(lane, platform.world());
         lanes[lane] = Some((*next, platform));
         *next += 1;
     };
 
     for lane in 0..width {
-        fill(lane, &mut next, &mut lanes, &mut world, panels);
+        fill(lane, &mut next, &mut lanes, panels);
     }
 
     loop {
-        // Stage A: every active lane runs stages 1–7 (perception through
+        // Stage A: every occupied lane runs stages 1–7 (perception through
         // the ML feature encode) of its own cycle.
-        let mut any = false;
+        let mut began = 0u64;
         let mut any_ml = false;
         for lane in 0..width {
             if let Some((_, platform)) = lanes[lane].as_mut() {
                 let pending = platform.begin_step();
-                any = true;
+                began += 1;
                 any_ml |= pending.ml_input.is_some();
                 pendings[lane] = Some(pending);
             }
         }
-        if !any {
+        if began == 0 {
             break;
         }
+        ticks += 1;
+        lane_steps += began;
 
         // Stage B: one batched LSTM step serves every ML lane. Lanes
         // without a pending ML input are masked out of the gate math and
@@ -277,8 +278,8 @@ fn drive_chunk<T, R>(
         }
 
         // Stage C: every pending lane commits its cycle (mitigation
-        // decision, arbitration, actuation, monitors), captures into the
-        // SoA panels, and retires/refills on divergence.
+        // decision, arbitration, actuation, monitors) and retires/refills
+        // on divergence.
         for lane in 0..width {
             let Some(pending) = pendings[lane].take() else {
                 continue;
@@ -288,22 +289,18 @@ fn drive_chunk<T, R>(
                 .ml_input
                 .is_some()
                 .then(|| panels.as_ref().expect("ML panels present").scratch.output(lane));
-            let fault_active = pending.fault_active;
             let _ = platform.finish_step(pending, ml_y);
-            world.capture(lane, platform.world(), fault_active);
-            if let RunEnd2::Yes(end) = platform.finished() {
+            if let Some(end) = platform.finished() {
                 let (index, platform) = lanes[lane].take().expect("finished lane is occupied");
                 out[index] = Some(finish(base + index, &items[index], end, platform));
-                world.retire(lane);
-                fill(lane, &mut next, &mut lanes, &mut world, panels);
+                fill(lane, &mut next, &mut lanes, panels);
             }
         }
-        world.advance();
     }
 
-    TICKS.fetch_add(world.ticks(), Ordering::Relaxed);
-    LANE_STEPS.fetch_add(world.lane_steps(), Ordering::Relaxed);
-    SLOT_STEPS.fetch_add(world.ticks() * width as u64, Ordering::Relaxed);
+    TICKS.fetch_add(ticks, Ordering::Relaxed);
+    LANE_STEPS.fetch_add(lane_steps, Ordering::Relaxed);
+    SLOT_STEPS.fetch_add(ticks * width as u64, Ordering::Relaxed);
 
     out.into_iter()
         .map(|r| r.expect("every chunk run completed"))

@@ -51,8 +51,9 @@ pub fn run_single(
 
 /// Constructs the fully-wired platform for one run: the RNG derivation,
 /// scenario build, fault injector, and ML mitigation shared by
-/// [`run_single`], the traced executor, and the lockstep batch driver —
-/// one construction path means one place where run identity is defined.
+/// [`run_single`], [`run_traced`](crate::replay::run_traced), and the
+/// lockstep batch driver — one construction path means one place where
+/// run identity is defined.
 pub(crate) fn build_platform(
     id: RunId,
     fault: Option<FaultType>,
@@ -81,11 +82,11 @@ pub(crate) fn build_platform(
 /// strategy-specific jitter streams from `setup_rng`.
 ///
 /// Must be called between `ScenarioSetup::build` and `Platform::new` so
-/// every execution path (scalar, batched, traced, replayed) consumes
+/// every execution path (single, batched, traced, replayed) consumes
 /// `setup_rng` identically for a given variant. The splits are gated on
 /// the variant: the CUSUM baseline — and any unmitigated run — draws
 /// nothing, which keeps every pre-existing RNG stream bit-exact.
-pub(crate) fn make_mitigator(
+fn make_mitigator(
     ml_model: Option<&Arc<LstmPredictor>>,
     config: &PlatformConfig,
     setup_rng: &mut DeterministicRng,
@@ -145,14 +146,13 @@ pub fn campaign_run_ids_masked(repetitions: u32, mask: u8) -> Vec<RunId> {
     ids
 }
 
-/// Executes an explicit set of runs at the given lockstep batch `width`,
-/// honouring `ctl` for cancellation (all-or-nothing: `None` when
-/// cancelled, like [`adas_parallel::map_ctl`]).
+/// Executes an explicit set of runs through the lockstep executor in
+/// [`crate::batch`] at the given batch `width`, honouring `ctl` for
+/// cancellation (all-or-nothing: `None` when cancelled, like
+/// [`adas_parallel::map_ctl`]).
 ///
-/// `width <= 1` selects the scalar per-run path; wider widths drive the
-/// structure-of-arrays lockstep executor in [`crate::batch`]. Per-run
-/// results are bit-identical either way, so callers may pick width purely
-/// on throughput grounds (`ADAS_BATCH` via
+/// Per-run results are bit-identical to [`run_single`] at every width, so
+/// callers may pick width purely on throughput grounds (`ADAS_BATCH` via
 /// [`adas_parallel::batch_width`]).
 #[must_use]
 pub fn run_ids_ctl(
@@ -164,14 +164,6 @@ pub fn run_ids_ctl(
     width: usize,
     ctl: &crate::parallel::MapControl,
 ) -> Option<Vec<RunRecord>> {
-    if width <= 1 {
-        return crate::parallel::map_ctl(
-            ids,
-            || (),
-            |(), _, id| run_single(*id, fault, config, ml_model, campaign_seed),
-            ctl,
-        );
-    }
     let model = ml_model.filter(|_| config.interventions.ml);
     crate::batch::run_lockstep_ctl(
         ids,
@@ -483,27 +475,10 @@ fn run_training_episode(
     let mut prev = ControlTarget::default();
     loop {
         // Record the pre-step true state.
-        let w = platform.world();
-        let truth = w.lead_observation();
-        let ego = *w.ego().state();
-        let half = w.road().lane_width() / 2.0;
-        let curvature = w.road().curvature_at(ego.s);
-        let state = StateFeatures {
-            ego_speed: ego.v,
-            lead_distance: truth.map_or(f64::INFINITY, |o| o.distance),
-            closing_speed: truth.map_or(0.0, |o| o.closing_speed),
-            left_line: half - ego.d,
-            right_line: half + ego.d,
-            curvature,
-            heading: ego.psi,
-            prev_accel: prev.accel,
-            prev_steer: prev.steer,
-        };
-        let frame = platform.step();
-        // The executed command: reconstruct from the world's ego
-        // actuators via the trace-free path (ADAS command ≈ the
-        // realised accel for benign runs).
-        let _ = frame;
+        let state = StateFeatures::observe(platform.world(), prev);
+        let _ = platform.step();
+        // The executed command, read back from the ego's realised
+        // acceleration and steering (≈ the ADAS command for benign runs).
         let ego_after = *platform.world().ego().state();
         let out = ControlTarget {
             accel: ego_after.accel,
@@ -512,7 +487,7 @@ fn run_training_episode(
         states.push(state);
         outputs.push(out);
         prev = out;
-        if let crate::platform::RunEnd2::Yes(_) = platform.finished() {
+        if platform.finished().is_some() {
             break;
         }
     }

@@ -62,7 +62,9 @@ pub use experiment::{
     CellStats, RunId, SCENARIO_MASK_ALL,
 };
 pub use job::{CampaignSpec, CellSpec};
-pub use platform::{Platform, RunEnd, RunEnd2};
+pub use platform::Platform;
+/// Why a run ended — the one run-end type, shared with the trace footer.
+pub use adas_recorder::EndReason;
 pub use replay::{
     config_fingerprint, replay_trace, run_campaign_traced, run_campaign_traced_with_width,
     run_single_traced, run_traced, trace_header, Perturbation, ReplayError, ReplayReport,

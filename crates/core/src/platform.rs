@@ -23,22 +23,9 @@ use adas_safety::{
     DriverAction, DriverConfig, DriverInputs, DriverModel, Ldw, LdwConfig, SafetyCheck,
     SafetyCheckConfig,
 };
-use adas_recorder::TraceWriter;
+use adas_recorder::{EndReason, Trace, TraceHeader, TraceOutcome, TraceWriter};
 use adas_scenarios::{HazardMonitor, RunMetrics, RunRecord, ScenarioSetup};
-use adas_simulator::{
-    DeterministicRng, LeadObservation, TraceRecorder, TraceSample, World, WorldConfig,
-};
-
-/// Why a run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunEnd {
-    /// Ran the full configured number of steps.
-    TimeLimit,
-    /// An accident latched.
-    Accident,
-    /// The ego came to a lasting stop (successful emergency stop).
-    Quiescent,
-}
+use adas_simulator::{DeterministicRng, LeadObservation, TraceSample, World, WorldConfig};
 
 /// The assembled closed-loop platform for one run.
 #[derive(Debug)]
@@ -55,7 +42,6 @@ pub struct Platform {
     ml: Option<Mitigator>,
     hazards: HazardMonitor,
     metrics: RunMetrics,
-    trace: Option<TraceRecorder>,
     writer: Option<TraceWriter>,
     last_executed: ControlTarget,
     stationary_steps: usize,
@@ -113,7 +99,6 @@ impl Platform {
             ml: if iv.ml { ml } else { None },
             hazards: HazardMonitor::new(config.hazards),
             metrics: RunMetrics::new(),
-            trace: None,
             writer: None,
             last_executed: ControlTarget::default(),
             stationary_steps: 0,
@@ -121,26 +106,12 @@ impl Platform {
         }
     }
 
-    /// Attaches a trace recorder (for the figure harnesses).
-    pub fn attach_trace(&mut self, recorder: TraceRecorder) {
-        self.trace = Some(recorder);
-    }
-
-    /// Takes the trace recorder back after a run.
-    pub fn take_trace(&mut self) -> Option<TraceRecorder> {
-        self.trace.take()
-    }
-
     /// Attaches a flight-recorder writer that is fed directly from the
     /// step loop — the zero-copy capture path: samples go straight into
     /// the writer (events derived online) with no intermediate buffer.
+    /// [`Self::seal`] takes it back.
     pub fn attach_writer(&mut self, writer: TraceWriter) {
         self.writer = Some(writer);
-    }
-
-    /// Takes the flight-recorder writer back after a run.
-    pub fn take_writer(&mut self) -> Option<TraceWriter> {
-        self.writer.take()
     }
 
     /// The simulated world (read access for examples/tests).
@@ -159,10 +130,10 @@ impl Platform {
     /// frame (post fault injection) for inspection.
     ///
     /// Composed of [`Self::begin_step`] (stages 1–7 up to the ML feature
-    /// encode), the scalar LSTM forward, and [`Self::finish_step`]
+    /// encode), the one-sample LSTM forward, and [`Self::finish_step`]
     /// (mitigation decision, arbitration, actuation, monitors) — the same
-    /// seams the lockstep batch driver uses, so the scalar and batched
-    /// paths execute identical per-run operation sequences.
+    /// seams the lockstep batch driver uses, so a run stepped alone and a
+    /// lockstep lane execute identical per-run operation sequences.
     pub fn step(&mut self) -> PerceptionFrame {
         let pending = self.begin_step();
         let ml_y = match (
@@ -259,17 +230,7 @@ impl Platform {
         let (ml_input, views_input) = match self.ml.as_ref() {
             None => (None, None),
             Some(mit) => {
-                let features = StateFeatures {
-                    ego_speed: ego_state.v,
-                    lead_distance: truth.map_or(f64::INFINITY, |o| o.distance),
-                    closing_speed: truth.map_or(0.0, |o| o.closing_speed),
-                    left_line: self.world.road().lane_width() / 2.0 - ego_state.d,
-                    right_line: self.world.road().lane_width() / 2.0 + ego_state.d,
-                    curvature: self.world.road().curvature_at(ego_state.s),
-                    heading: ego_state.psi,
-                    prev_accel: self.last_executed.accel,
-                    prev_steer: self.last_executed.steer,
-                };
+                let features = StateFeatures::observe(&self.world, self.last_executed);
                 let op_out = ControlTarget {
                     accel: checked_cmd.accel,
                     steer: checked_cmd.steer,
@@ -402,7 +363,7 @@ impl Platform {
             true_line_dist,
         );
 
-        if self.trace.is_some() || self.writer.is_some() {
+        if let Some(writer) = self.writer.as_mut() {
             let st = self.world.ego().state();
             let sample = TraceSample {
                 time,
@@ -425,12 +386,7 @@ impl Platform {
                 ml_active: ml_cmd.is_some(),
                 fault_active,
             };
-            if let Some(trace) = self.trace.as_mut() {
-                trace.record(sample);
-            }
-            if let Some(writer) = self.writer.as_mut() {
-                writer.record(sample);
-            }
+            writer.record(sample);
         }
 
         if self.world.ego().state().v < 0.05 {
@@ -442,31 +398,59 @@ impl Platform {
         frame
     }
 
-    /// True when the run should end now.
+    /// Why the run should end now, or `None` to keep stepping.
     #[must_use]
-    pub fn finished(&self) -> RunEnd2 {
+    pub fn finished(&self) -> Option<EndReason> {
         if self.hazards.accident().is_some() {
-            return RunEnd2::Yes(RunEnd::Accident);
+            return Some(EndReason::Accident);
         }
         if self.steps_run >= self.config.max_steps {
-            return RunEnd2::Yes(RunEnd::TimeLimit);
+            return Some(EndReason::TimeLimit);
         }
         if self.config.quiescence_steps > 0 && self.stationary_steps >= self.config.quiescence_steps
         {
-            return RunEnd2::Yes(RunEnd::Quiescent);
+            return Some(EndReason::Quiescent);
         }
-        RunEnd2::No
+        None
+    }
+
+    /// Steps until the run ends and returns why it ended.
+    pub fn run_to_end(&mut self) -> EndReason {
+        loop {
+            let _ = self.step();
+            if let Some(end) = self.finished() {
+                return end;
+            }
+        }
     }
 
     /// Runs to completion and returns the record.
     pub fn run(&mut self) -> RunRecord {
-        loop {
-            let _ = self.step();
-            if let RunEnd2::Yes(_) = self.finished() {
-                break;
-            }
-        }
+        let _ = self.run_to_end();
         self.record()
+    }
+
+    /// Seals a finished run: its record plus the attached writer's capture
+    /// wrapped into a [`Trace`] under `header`, ended for `end`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no writer is attached.
+    #[must_use]
+    pub fn seal(mut self, end: EndReason, header: TraceHeader) -> (RunRecord, Trace) {
+        let record = self.record();
+        let writer = self.writer.take().expect("writer was attached");
+        let outcome = TraceOutcome {
+            end,
+            accident: record.accident,
+            accident_time: record.accident_time,
+            fault_start: record.fault_start,
+            min_ttc: record.min_ttc,
+            min_lane_line_distance: record.min_lane_line_distance,
+            steps: record.steps,
+        };
+        let trace = writer.finish(header, outcome);
+        (record, trace)
     }
 
     /// Builds the [`RunRecord`] from the current monitors (callable after a
@@ -515,7 +499,7 @@ pub(crate) struct PendingCycle {
     time: f64,
     truth: Option<LeadObservation>,
     frame: PerceptionFrame,
-    pub(crate) fault_active: bool,
+    fault_active: bool,
     checked_cmd: AdasCommand,
     aeb_out: AebsOutput,
     driver_action: DriverAction,
@@ -524,15 +508,6 @@ pub(crate) struct PendingCycle {
     /// Clean/attacked perception channel pairs for the view-based
     /// mitigations (`None` for the CUSUM baseline and unmitigated runs).
     views_input: Option<PerceptionViews>,
-}
-
-/// Tri-state "is the run finished" answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunEnd2 {
-    /// Keep stepping.
-    No,
-    /// Finished for the given reason.
-    Yes(RunEnd),
 }
 
 #[cfg(test)]
@@ -616,13 +591,20 @@ mod tests {
             None,
             &mut rng,
         );
-        p.attach_trace(TraceRecorder::new());
+        p.attach_writer(TraceWriter::new(adas_recorder::RecordMode::Full));
         for _ in 0..100 {
             let _ = p.step();
         }
-        let trace = p.take_trace().expect("trace attached");
-        assert_eq!(trace.len(), 100);
-        assert!(trace.samples()[50].ego_v > 0.0);
+        let id = crate::experiment::RunId {
+            scenario: ScenarioId::S1,
+            position: InitialPosition::Near,
+            repetition: 0,
+        };
+        let header = crate::replay::trace_header(id, None, &PlatformConfig::default(), 0, 42);
+        let (record, trace) = p.seal(EndReason::TimeLimit, header);
+        assert_eq!(record.steps, 100);
+        assert_eq!(trace.samples.len(), 100);
+        assert!(trace.samples[50].ego_v > 0.0);
     }
 
     #[test]

@@ -15,17 +15,15 @@
 
 use crate::cache::Fingerprint;
 use crate::config::{InterventionConfig, PlatformConfig};
-use crate::experiment::{campaign_run_ids, make_mitigator, RunId};
-use crate::platform::{Platform, RunEnd, RunEnd2};
-use adas_attack::{FaultInjector, FaultSpec, FaultType};
+use crate::experiment::{build_platform, campaign_run_ids, RunId};
+use adas_attack::FaultType;
 use adas_ml::{LstmPredictor, MitigationKind};
 use adas_recorder::trace::InterventionSummary;
 use adas_recorder::{
-    diff_traces, DiffReport, EndReason, RecordMode, Trace, TraceHeader, TraceOutcome, TracePolicy,
-    TraceWriter,
+    diff_traces, DiffReport, RecordMode, Trace, TraceHeader, TracePolicy, TraceWriter,
 };
-use adas_scenarios::{RunRecord, ScenarioSetup};
-use adas_simulator::{DeterministicRng, FrictionCondition, TraceSample};
+use adas_scenarios::RunRecord;
+use adas_simulator::{FrictionCondition, TraceSample};
 use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,9 +126,9 @@ pub fn reconstruct_config(header: &TraceHeader) -> PlatformConfig {
 
 /// Executes the run described by `header` under `config`, capturing a trace.
 ///
-/// This is [`run_single`](crate::experiment::run_single) with a recorder
-/// attached: identical RNG derivation, scenario construction, and stepping,
-/// so a traced run produces bit-identical physics to an untraced one.
+/// This is [`run_single`](crate::experiment::run_single) with a writer
+/// attached: the same platform builder and step loop, so a traced run
+/// produces bit-identical physics to an untraced one.
 #[must_use]
 pub fn run_traced(
     header: TraceHeader,
@@ -143,29 +141,10 @@ pub fn run_traced(
         position: header.position,
         repetition: header.repetition,
     };
-    let mut setup_rng = DeterministicRng::for_run(
-        header.campaign_seed,
-        id.scenario.index() as u64,
-        id.position.index() as u64,
-        u64::from(id.repetition),
-    );
-    let setup = ScenarioSetup::build(id.scenario, id.position, &mut setup_rng);
-    let injector = match header.fault {
-        Some(ft) => FaultInjector::new(
-            FaultSpec::new(ft, setup.patch_start_s).scheduled(config.attack),
-        ),
-        None => FaultInjector::disabled(),
-    };
-    let ml = make_mitigator(ml_model, config, &mut setup_rng);
-    let mut platform = Platform::new(&setup, *config, injector, ml, &mut setup_rng);
+    let mut platform = build_platform(id, header.fault, config, ml_model, header.campaign_seed);
     platform.attach_writer(make_writer(mode, config.max_steps));
-    let end = loop {
-        let _ = platform.step();
-        if let RunEnd2::Yes(end) = platform.finished() {
-            break end;
-        }
-    };
-    finish_traced(platform, end, header)
+    let end = platform.run_to_end();
+    platform.seal(end, header)
 }
 
 /// Builds the capture writer for one traced run. Fused capture: the writer
@@ -183,27 +162,6 @@ fn make_writer(mode: RecordMode, max_steps: usize) -> TraceWriter {
         }
         RecordMode::Ring(_) => TraceWriter::new(mode),
     }
-}
-
-/// Detaches the writer from a finished platform and seals the trace.
-fn finish_traced(mut platform: Platform, end: RunEnd, header: TraceHeader) -> (RunRecord, Trace) {
-    let record = platform.record();
-    let writer = platform.take_writer().expect("writer was attached");
-    let outcome = TraceOutcome {
-        end: match end {
-            RunEnd::TimeLimit => EndReason::TimeLimit,
-            RunEnd::Accident => EndReason::Accident,
-            RunEnd::Quiescent => EndReason::Quiescent,
-        },
-        accident: record.accident,
-        accident_time: record.accident_time,
-        fault_start: record.fault_start,
-        min_ttc: record.min_ttc,
-        min_lane_line_distance: record.min_lane_line_distance,
-        steps: record.steps,
-    };
-    let trace = writer.finish(header, outcome);
-    (record, trace)
 }
 
 /// Executes a single fully-specified run while capturing its trace.
@@ -246,12 +204,18 @@ impl Perturbation {
         }
     }
 
-    /// Parses the `ADAS_REPLAY_PERTURB` syntax: `friction=<factor>`.
+    /// Parses the `ADAS_REPLAY_PERTURB` syntax: `friction=<factor>`, with
+    /// a finite factor > 0 (NaN, infinite, zero or negative friction is
+    /// not a physics perturbation).
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         let (key, value) = s.trim().split_once('=')?;
+        let factor: f64 = value.trim().parse().ok()?;
+        if !(factor.is_finite() && factor > 0.0) {
+            return None;
+        }
         match key.trim() {
-            "friction" => value.trim().parse().ok().map(Perturbation::FrictionScale),
+            "friction" => Some(Perturbation::FrictionScale(factor)),
             _ => None,
         }
     }
@@ -493,9 +457,9 @@ pub fn run_campaign_traced(
     )
 }
 
-/// [`run_campaign_traced`] at an explicit lockstep batch width. Recording
-/// observes the loop on both paths — each lane owns its writer — so
-/// per-run records and traces are bit-identical at any width.
+/// [`run_campaign_traced`] at an explicit lockstep batch width. Each lane
+/// owns its writer, so per-run records and traces are bit-identical to
+/// [`run_single_traced`] at any width.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn run_campaign_traced_with_width(
@@ -520,58 +484,33 @@ pub fn run_campaign_traced_with_width(
     }
     let mode = sink.policy().record_mode;
     let ids = campaign_run_ids(repetitions);
-    let offer = |record: &RunRecord, trace: Trace| {
-        sink.offer(record, &trace);
-        // The trace is done with its samples either way (persisted bytes
-        // are already on disk); recycle the bulk allocation for this
-        // worker's next run.
-        recycle_sample_buffer(trace.samples);
-    };
-    let records = if width <= 1 {
-        crate::parallel::map(&ids, |_, id| {
-            let (record, trace) = run_single_traced(
-                *id,
-                fault,
-                config,
-                ml_model,
-                model_fingerprint,
-                campaign_seed,
-                mode,
-            );
-            offer(&record, trace);
+    let model = ml_model.filter(|_| config.interventions.ml);
+    // Full-mode note: the thread-local pool holds one buffer per worker, so
+    // one lane per batch adopts it and the other in-flight lanes allocate
+    // fresh; recycling keeps the largest buffer, so steady state still
+    // avoids regrowing the hottest allocation.
+    let records = crate::batch::run_lockstep_ctl(
+        &ids,
+        width,
+        model,
+        |_, id| {
+            let mut platform = build_platform(*id, fault, config, model, campaign_seed);
+            platform.attach_writer(make_writer(mode, config.max_steps));
+            platform
+        },
+        |_, id, end, platform| {
+            let header = trace_header(*id, fault, config, model_fingerprint, campaign_seed);
+            let (record, trace) = platform.seal(end, header);
+            sink.offer(&record, &trace);
+            // The trace is done with its samples either way (persisted
+            // bytes are already on disk); recycle the bulk allocation for
+            // this worker's next run.
+            recycle_sample_buffer(trace.samples);
             record
-        })
-    } else {
-        let model = ml_model.filter(|_| config.interventions.ml);
-        // Full-mode note: the thread-local pool holds one buffer per
-        // worker, so one lane per batch adopts it and the other in-flight
-        // lanes allocate fresh; recycling keeps the largest buffer, so
-        // steady state still avoids regrowing the hottest allocation.
-        crate::batch::run_lockstep_ctl(
-            &ids,
-            width,
-            model,
-            |_, id| {
-                let mut platform = crate::experiment::build_platform(
-                    *id,
-                    fault,
-                    config,
-                    model,
-                    campaign_seed,
-                );
-                platform.attach_writer(make_writer(mode, config.max_steps));
-                platform
-            },
-            |_, id, end, platform| {
-                let header = trace_header(*id, fault, config, model_fingerprint, campaign_seed);
-                let (record, trace) = finish_traced(platform, end, header);
-                offer(&record, trace);
-                record
-            },
-            &crate::parallel::MapControl::new(),
-        )
-        .expect("uncancelled campaign completed")
-    };
+        },
+        &crate::parallel::MapControl::new(),
+    )
+    .expect("uncancelled campaign completed");
     ids.into_iter().zip(records).collect()
 }
 
@@ -661,6 +600,9 @@ mod tests {
         );
         assert_eq!(Perturbation::parse("gravity=2"), None);
         assert_eq!(Perturbation::parse("friction"), None);
+        for bad in ["nan", "inf", "0", "-1"] {
+            assert_eq!(Perturbation::parse(&format!("friction={bad}")), None, "{bad}");
+        }
     }
 
     #[test]
@@ -699,40 +641,20 @@ mod tests {
             max_steps: 300,
             ..PlatformConfig::default()
         };
+        let fault = Some(FaultType::RelativeDistance);
         let dir = std::env::temp_dir().join(format!("adas-trace-batched-{}", std::process::id()));
-        let policy = |d: &std::path::Path| TracePolicy {
-            mode: TraceMode::All,
-            dir: d.to_path_buf(),
-            record_mode: RecordMode::Full,
-        };
         let _ = std::fs::remove_dir_all(&dir);
-        let scalar_sink = TraceSink::new(policy(&dir.join("scalar")));
-        let scalar = run_campaign_traced_with_width(
-            Some(FaultType::RelativeDistance),
-            &cfg,
-            None,
-            0,
-            9,
-            1,
-            &scalar_sink,
-            1,
-        );
-        let batched_sink = TraceSink::new(policy(&dir.join("batched")));
-        let batched = run_campaign_traced_with_width(
-            Some(FaultType::RelativeDistance),
-            &cfg,
-            None,
-            0,
-            9,
-            1,
-            &batched_sink,
-            5,
-        );
-        assert_eq!(format!("{scalar:?}"), format!("{batched:?}"));
-        assert_eq!(scalar_sink.recorded(), batched_sink.recorded());
-        assert_eq!(scalar_sink.persisted(), batched_sink.persisted());
-        // Persisted traces are content-addressed, so bit-identical captures
-        // produce identical file sets.
+        // The scalar reference: each run alone through `run_single_traced`.
+        let scalar_dir = dir.join("scalar");
+        let scalar: Vec<(RunId, RunRecord)> = campaign_run_ids(1)
+            .into_iter()
+            .map(|id| {
+                let (record, trace) =
+                    run_single_traced(id, fault, &cfg, None, 0, 9, RecordMode::Full);
+                trace.save_in(&scalar_dir).expect("scalar trace saved");
+                (id, record)
+            })
+            .collect();
         let names = |d: &std::path::Path| {
             let mut v: Vec<String> = std::fs::read_dir(d)
                 .map(|rd| {
@@ -743,7 +665,22 @@ mod tests {
             v.sort();
             v
         };
-        assert_eq!(names(&dir.join("scalar")), names(&dir.join("batched")));
+        for width in [1, 5] {
+            let batched_dir = dir.join(format!("width-{width}"));
+            let sink = TraceSink::new(TracePolicy {
+                mode: TraceMode::All,
+                dir: batched_dir.clone(),
+                record_mode: RecordMode::Full,
+            });
+            let batched =
+                run_campaign_traced_with_width(fault, &cfg, None, 0, 9, 1, &sink, width);
+            assert_eq!(format!("{scalar:?}"), format!("{batched:?}"), "width {width}");
+            assert_eq!(sink.recorded(), scalar.len() as u64);
+            assert_eq!(sink.persisted(), scalar.len() as u64);
+            // Persisted traces are content-addressed, so bit-identical
+            // captures produce identical file sets.
+            assert_eq!(names(&scalar_dir), names(&batched_dir), "width {width}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

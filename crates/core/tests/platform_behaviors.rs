@@ -1,62 +1,44 @@
 //! Platform-level behaviours: data-flow correctness between the subsystems
 //! that the unit tests cannot see in isolation.
 
-use adas_attack::{FaultInjector, FaultSpec, FaultType};
-use adas_core::{InterventionConfig, Platform, PlatformConfig, RunEnd2};
-use adas_scenarios::{InitialPosition, ScenarioId, ScenarioSetup};
-use adas_simulator::{DeterministicRng, TraceRecorder};
+use adas_attack::FaultType;
+use adas_core::{run_single_traced, InterventionConfig, PlatformConfig, RunId};
+use adas_recorder::{RecordMode, Trace};
+use adas_scenarios::{InitialPosition, RunRecord, ScenarioId, ScenarioSetup};
+use adas_simulator::DeterministicRng;
 
-fn build_scenario(
+const SEED: u64 = 31;
+
+fn run_scenario(
     scenario: ScenarioId,
     iv: InterventionConfig,
     fault: Option<FaultType>,
-    rep: u64,
-) -> (Platform, adas_scenarios::ScenarioSetup) {
-    let mut rng = DeterministicRng::for_run(31, scenario.index() as u64, 0, rep);
-    let setup = ScenarioSetup::build(scenario, InitialPosition::Near, &mut rng);
-    let injector = match fault {
-        Some(ft) => FaultInjector::new(FaultSpec::new(ft, setup.patch_start_s)),
-        None => FaultInjector::disabled(),
+) -> (RunRecord, Trace) {
+    let id = RunId {
+        scenario,
+        position: InitialPosition::Near,
+        repetition: 0,
     };
-    let platform = Platform::new(
-        &setup,
-        PlatformConfig::with_interventions(iv),
-        injector,
-        None,
-        &mut rng,
-    );
-    (platform, setup)
+    let config = PlatformConfig::with_interventions(iv);
+    run_single_traced(id, fault, &config, None, 0, SEED, RecordMode::Full)
 }
 
-fn build(
-    iv: InterventionConfig,
-    fault: Option<FaultType>,
-    rep: u64,
-) -> (Platform, adas_scenarios::ScenarioSetup) {
-    build_scenario(ScenarioId::S1, iv, fault, rep)
+fn run(iv: InterventionConfig, fault: Option<FaultType>) -> (RunRecord, Trace) {
+    run_scenario(ScenarioId::S1, iv, fault)
 }
 
 #[test]
 fn safety_check_clamps_executed_braking() {
     // With the PANDA clamp active and no other interventions, the executed
     // brake fraction from the ADAS never exceeds 3.5/9.8.
-    let (mut p, _) = build(
+    let (_, trace) = run(
         InterventionConfig {
             safety_check: true,
             ..InterventionConfig::none()
         },
         None,
-        0,
     );
-    p.attach_trace(TraceRecorder::new());
-    loop {
-        let _ = p.step();
-        if let RunEnd2::Yes(_) = p.finished() {
-            break;
-        }
-    }
-    let trace = p.take_trace().unwrap();
-    let max_brake = trace.samples().iter().map(|s| s.brake).fold(0.0, f64::max);
+    let max_brake = trace.samples.iter().map(|s| s.brake).fold(0.0, f64::max);
     assert!(
         max_brake <= 3.5 / 9.8 + 1e-6,
         "clamped ADAS brake exceeded: {max_brake}"
@@ -66,36 +48,19 @@ fn safety_check_clamps_executed_braking() {
 #[test]
 fn without_safety_check_braking_can_exceed_the_clamp() {
     // S4 (sudden lead stop) forces the unclamped planner into hard braking.
-    let (mut p, _) = build_scenario(ScenarioId::S4, InterventionConfig::none(), None, 0);
-    p.attach_trace(TraceRecorder::new());
-    loop {
-        let _ = p.step();
-        if let RunEnd2::Yes(_) = p.finished() {
-            break;
-        }
-    }
-    let trace = p.take_trace().unwrap();
-    let max_brake = trace.samples().iter().map(|s| s.brake).fold(0.0, f64::max);
+    let (_, trace) = run_scenario(ScenarioId::S4, InterventionConfig::none(), None);
+    let max_brake = trace.samples.iter().map(|s| s.brake).fold(0.0, f64::max);
     assert!(max_brake > 3.5 / 9.8, "expected hard braking: {max_brake}");
 }
 
 #[test]
 fn fcw_alerts_precede_aeb_braking() {
-    let (mut p, _) = build(
+    let (_, trace) = run(
         InterventionConfig::aeb_independent_only(),
         Some(FaultType::RelativeDistance),
-        0,
     );
-    p.attach_trace(TraceRecorder::new());
-    loop {
-        let _ = p.step();
-        if let RunEnd2::Yes(_) = p.finished() {
-            break;
-        }
-    }
-    let trace = p.take_trace().unwrap();
-    let first_fcw = trace.samples().iter().find(|s| s.fcw_alert).map(|s| s.time);
-    let first_aeb = trace.samples().iter().find(|s| s.aeb_active).map(|s| s.time);
+    let first_fcw = trace.samples.iter().find(|s| s.fcw_alert).map(|s| s.time);
+    let first_aeb = trace.samples.iter().find(|s| s.aeb_active).map(|s| s.time);
     let (fcw, aeb) = (first_fcw.expect("FCW fired"), first_aeb.expect("AEB fired"));
     assert!(fcw <= aeb, "FCW at {fcw} must precede AEB at {aeb}");
 }
@@ -104,21 +69,12 @@ fn fcw_alerts_precede_aeb_braking() {
 fn aeb_brake_overrides_driver_in_trace() {
     // When both the driver and AEB want to brake, the trace's aeb flag and
     // full-strength brake confirm the arbitration order end-to-end.
-    let (mut p, _) = build(
+    let (_, trace) = run(
         InterventionConfig::driver_check_aeb_independent(),
         Some(FaultType::RelativeDistance),
-        0,
     );
-    p.attach_trace(TraceRecorder::new());
-    loop {
-        let _ = p.step();
-        if let RunEnd2::Yes(_) = p.finished() {
-            break;
-        }
-    }
-    let trace = p.take_trace().unwrap();
     let overlap: Vec<_> = trace
-        .samples()
+        .samples
         .iter()
         .filter(|s| s.aeb_active && s.driver_braking)
         .collect();
@@ -130,17 +86,11 @@ fn aeb_brake_overrides_driver_in_trace() {
 
 #[test]
 fn fault_activity_is_recorded_in_the_trace() {
-    let (mut p, setup) = build(InterventionConfig::none(), Some(FaultType::DesiredCurvature), 0);
-    p.attach_trace(TraceRecorder::new());
-    loop {
-        let _ = p.step();
-        if let RunEnd2::Yes(_) = p.finished() {
-            break;
-        }
-    }
-    let trace = p.take_trace().unwrap();
+    let (_, trace) = run(InterventionConfig::none(), Some(FaultType::DesiredCurvature));
+    let mut rng = DeterministicRng::for_run(SEED, 0, 0, 0);
+    let setup = ScenarioSetup::build(ScenarioId::S1, InitialPosition::Near, &mut rng);
     let first_fault = trace
-        .samples()
+        .samples
         .iter()
         .find(|s| s.fault_active)
         .expect("fault fired");
@@ -157,24 +107,16 @@ fn fault_activity_is_recorded_in_the_trace() {
 fn quiescence_ends_runs_after_a_full_stop() {
     // S4: the lead stops for good; with AEB the ego stops behind it and
     // stays there, so the quiescence cutoff must end the run early.
-    let (mut p, _) = build_scenario(
+    let (record, trace) = run_scenario(
         ScenarioId::S4,
         InterventionConfig::aeb_independent_only(),
         None,
-        0,
     );
-    let mut steps = 0usize;
-    let end = loop {
-        let _ = p.step();
-        steps += 1;
-        if let RunEnd2::Yes(end) = p.finished() {
-            break end;
-        }
-    };
+    assert!(record.prevented(), "S4 with AEB must not crash: {record:?}");
     assert!(
-        p.record().prevented(),
-        "S4 with AEB must not crash: {:?}",
-        p.record()
+        record.steps < 9_000,
+        "run did not end early ({} steps, {:?})",
+        record.steps,
+        trace.outcome.end
     );
-    assert!(steps < 9_000, "run did not end early ({steps} steps, {end:?})");
 }

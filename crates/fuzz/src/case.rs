@@ -2,12 +2,10 @@
 
 use adas_attack::{AttackScheduler, ContextTrigger, FaultInjector, FaultSpec, FaultType};
 use adas_core::replay::trace_header;
-use adas_core::{Platform, PlatformConfig, RunEnd, RunEnd2, RunId};
+use adas_core::{EndReason, Platform, PlatformConfig, RunId};
 use adas_codec::{DecodeError, Encode, Reader, Writer};
 use adas_core::{Fingerprint, InterventionConfig};
-use adas_recorder::{
-    EndReason, RecordMode, Trace, TraceOutcome, TraceWriter,
-};
+use adas_recorder::{RecordMode, Trace, TraceWriter};
 use adas_scenarios::{InitialPosition, RunRecord, ScenarioId, ScenarioSetup};
 use adas_simulator::units::mph;
 use adas_simulator::{DeterministicRng, FrictionCondition, NpcTrigger};
@@ -269,25 +267,21 @@ pub fn run_case(case: &FuzzCase, seed: u64) -> (RunRecord, Trace) {
 /// differential oracle reruns the same case with one intervention
 /// disabled).
 ///
-/// RNG derivation, scenario construction, and stepping mirror
-/// `adas_core::run_single`, so a fuzz case with all-default continuous
-/// parameters is bit-identical to the corresponding campaign run.
+/// RNG derivation and scenario construction mirror `adas_core::run_single`
+/// and stepping is [`Platform::run_to_end`], so a fuzz case with
+/// all-default continuous parameters is bit-identical to the corresponding
+/// campaign run.
 #[must_use]
 pub fn run_case_with(case: &FuzzCase, seed: u64, config: &PlatformConfig) -> (RunRecord, Trace) {
     let mut platform = case_platform(case, seed, config);
-    let end = loop {
-        let _ = platform.step();
-        if let RunEnd2::Yes(end) = platform.finished() {
-            break end;
-        }
-    };
+    let end = platform.run_to_end();
     finish_case(case, seed, config, end, platform)
 }
 
 /// Builds the fully-wired platform for one fuzz case (full-mode trace
 /// writer attached) without stepping it — the seam the lockstep batch
 /// executor drives. Construction is shared with [`run_case_with`], so a
-/// batched case is bit-identical to a scalar one.
+/// batched case is bit-identical to one run alone.
 #[must_use]
 pub(crate) fn case_platform(case: &FuzzCase, seed: u64, config: &PlatformConfig) -> Platform {
     let id = RunId {
@@ -340,38 +334,22 @@ pub(crate) fn case_platform(case: &FuzzCase, seed: u64, config: &PlatformConfig)
     platform
 }
 
-/// Seals a finished case platform: extracts the run record and wraps the
-/// captured samples into a [`Trace`]. Counterpart of [`case_platform`].
+/// Seals a finished case platform under the case's trace header.
+/// Counterpart of [`case_platform`].
 #[must_use]
 pub(crate) fn finish_case(
     case: &FuzzCase,
     seed: u64,
     config: &PlatformConfig,
-    end: RunEnd,
-    mut platform: Platform,
+    end: EndReason,
+    platform: Platform,
 ) -> (RunRecord, Trace) {
     let id = RunId {
         scenario: case.scenario,
         position: case.position,
         repetition: case.repetition,
     };
-    let header = trace_header(id, case.fault, config, 0, seed);
-    let record = platform.record();
-    let writer = platform.take_writer().expect("writer was attached");
-    let outcome = TraceOutcome {
-        end: match end {
-            RunEnd::TimeLimit => EndReason::TimeLimit,
-            RunEnd::Accident => EndReason::Accident,
-            RunEnd::Quiescent => EndReason::Quiescent,
-        },
-        accident: record.accident,
-        accident_time: record.accident_time,
-        fault_start: record.fault_start,
-        min_ttc: record.min_ttc,
-        min_lane_line_distance: record.min_lane_line_distance,
-        steps: record.steps,
-    };
-    (record, writer.finish(header, outcome))
+    platform.seal(end, trace_header(id, case.fault, config, 0, seed))
 }
 
 #[cfg(test)]

@@ -85,14 +85,6 @@ fn accident_code(a: Option<AccidentKind>) -> u64 {
     }
 }
 
-fn end_code(end: EndReason) -> u64 {
-    match end {
-        EndReason::TimeLimit => 0,
-        EndReason::Accident => 1,
-        EndReason::Quiescent => 2,
-    }
-}
-
 impl Signature {
     /// Computes the signature of one finished run.
     #[must_use]
@@ -106,7 +98,7 @@ impl Signature {
         bits |= u64::from(record.h1_time.is_some()) << 15;
         bits |= u64::from(record.h2_time.is_some()) << 14;
         bits |= accident_code(record.accident) << 12;
-        bits |= end_code(end) << 10;
+        bits |= u64::from(end.code()) << 10;
         bits |= u64::from(record.aeb_trigger.is_some()) << 9;
         bits |= u64::from(record.driver_brake_trigger.is_some()) << 8;
         bits |= u64::from(record.driver_steer_trigger.is_some()) << 7;

@@ -3,10 +3,9 @@
 //!
 //! Determinism is load-bearing (it is what makes findings replayable):
 //! candidate batches are generated serially from one RNG, evaluated in
-//! submission order at any worker count — scalar via
-//! [`adas_parallel::map`], or with primaries stepped in SoA lockstep when
-//! `ADAS_BATCH` > 1 (bit-identical either way) — and folded into the
-//! corpus serially. The only
+//! submission order at any worker count and `ADAS_BATCH` width — primaries
+//! step through the lockstep driver, bit-identical to [`evaluate`] — and
+//! folded into the corpus serially. The only
 //! non-deterministic knob is the optional wall-clock budget, which is
 //! checked at batch boundaries — use the run budget when reproducibility
 //! matters and the time budget only as a CI backstop.
@@ -124,8 +123,8 @@ pub fn evaluate(case: &FuzzCase, seed: u64) -> Evaluation {
 }
 
 /// Oracle phase of [`evaluate`], given an already-executed primary run.
-/// Shared by the scalar path and the lockstep-batched path, which differ
-/// only in how the primary was produced (the outputs are bit-identical).
+/// Shared by [`evaluate`] and the lockstep batch path, which differ only in
+/// how the primary was produced (the outputs are bit-identical).
 fn evaluate_with_primary(
     case: &FuzzCase,
     seed: u64,
@@ -181,21 +180,17 @@ fn evaluate_with_primary(
     }
 }
 
-/// Evaluates one candidate batch, honouring `ADAS_BATCH`: at width ≤ 1
-/// every candidate runs scalar end-to-end; otherwise the primary traced
-/// runs step in SoA lockstep (fuzz rows exclude the ML intervention, so
+/// Evaluates one candidate batch at the `ADAS_BATCH` width: the primary
+/// traced runs step in lockstep (fuzz rows exclude the ML intervention, so
 /// no model panel is needed) and the oracle phase — trace checks plus the
-/// conditional scalar reruns — fans out over the finished primaries. Both
-/// phases preserve submission order, so a session folds to the same
+/// conditional single-run reruns — fans out over the finished primaries.
+/// Both phases preserve submission order, so a session folds to the same
 /// corpus and findings at any width.
 fn evaluate_batch(batch: &[FuzzCase], seed: u64) -> Vec<Evaluation> {
     evaluate_batch_with_width(batch, seed, adas_core::parallel::batch_width())
 }
 
 fn evaluate_batch_with_width(batch: &[FuzzCase], seed: u64, width: usize) -> Vec<Evaluation> {
-    if width <= 1 {
-        return adas_core::parallel::map(batch, |_, c| evaluate(c, seed));
-    }
     let primaries = adas_core::run_lockstep(
         batch,
         width,
@@ -501,8 +496,8 @@ mod tests {
         .into_iter()
         .map(|(s, row, fault)| FuzzCase::baseline(s, InitialPosition::Near, row, fault))
         .collect();
-        let scalar = evaluate_batch_with_width(&batch, 11, 1);
-        for width in [3, 32] {
+        let scalar: Vec<Evaluation> = batch.iter().map(|c| evaluate(c, 11)).collect();
+        for width in [1, 3, 32] {
             let batched = evaluate_batch_with_width(&batch, 11, width);
             assert_eq!(
                 format!("{scalar:?}"),

@@ -7,6 +7,8 @@
 //! normalised values and the model target as [`TARGET_DIM`] values
 //! (normalised acceleration and steering).
 
+use adas_simulator::World;
+
 /// Number of input features per control cycle.
 pub const FEATURE_DIM: usize = 9;
 /// Number of regression targets.
@@ -64,6 +66,26 @@ fn norm(value: f64, scale: f64, fallback: f64) -> f64 {
 }
 
 impl StateFeatures {
+    /// Reads the fault-free (ground-truth) state of one control cycle from
+    /// the world, with `prev` as the previous cycle's executed command.
+    #[must_use]
+    pub fn observe(world: &World, prev: ControlTarget) -> Self {
+        let truth = world.lead_observation();
+        let ego = world.ego().state();
+        let half = world.road().lane_width() / 2.0;
+        Self {
+            ego_speed: ego.v,
+            lead_distance: truth.map_or(f64::INFINITY, |o| o.distance),
+            closing_speed: truth.map_or(0.0, |o| o.closing_speed),
+            left_line: half - ego.d,
+            right_line: half + ego.d,
+            curvature: world.road().curvature_at(ego.s),
+            heading: ego.psi,
+            prev_accel: prev.accel,
+            prev_steer: prev.steer,
+        }
+    }
+
     /// Encodes into the model's normalised feature vector.
     #[must_use]
     pub fn encode(&self) -> [f64; FEATURE_DIM] {

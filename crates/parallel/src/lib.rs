@@ -66,11 +66,12 @@ pub const DEFAULT_BATCH_WIDTH: usize = 16;
 /// this).
 pub const MAX_BATCH_WIDTH: usize = 1024;
 
-/// Resolves the lockstep batch width for the structure-of-arrays campaign
-/// path from the `ADAS_BATCH` environment variable.
+/// Resolves the lockstep batch width for the campaign path from the
+/// `ADAS_BATCH` environment variable.
 ///
 /// * unset → [`DEFAULT_BATCH_WIDTH`];
-/// * `ADAS_BATCH=1` (or `0`, with a warning) → scalar per-run path;
+/// * `ADAS_BATCH=0` → [`DEFAULT_BATCH_WIDTH`], with a warning;
+/// * `ADAS_BATCH=1` → a one-lane lockstep batch;
 /// * otherwise the value, clamped to `[1, 1024]`.
 ///
 /// Work is still stolen from the shared queue — just in batch-sized

@@ -127,32 +127,6 @@ impl TraceWriter {
         self.steps_seen += 1;
     }
 
-    /// Bulk-ingests a completed run's samples: derives the same events as
-    /// repeated [`record`] calls. In [`RecordMode::Full`] on a fresh writer
-    /// the buffer is adopted wholesale (no per-sample copy) and `None` is
-    /// returned; otherwise the samples are pushed individually and the
-    /// drained buffer is handed back so callers can recycle the allocation.
-    ///
-    /// [`record`]: TraceWriter::record
-    pub fn ingest(&mut self, samples: Vec<TraceSample>) -> Option<Vec<TraceSample>> {
-        if self.mode == RecordMode::Full && self.samples.is_empty() {
-            for s in &samples {
-                self.derive_events(s);
-            }
-            self.steps_seen += samples.len() as u64;
-            // O(1): a VecDeque adopts a Vec's allocation directly.
-            self.samples = VecDeque::from(samples);
-            None
-        } else {
-            for s in &samples {
-                self.record(*s);
-            }
-            let mut buf = samples;
-            buf.clear();
-            Some(buf)
-        }
-    }
-
     /// Emits on/off events for every flag edge between the previous sample
     /// and this one.
     #[inline]
@@ -371,31 +345,5 @@ mod tests {
     #[should_panic(expected = "ring capacity must be positive")]
     fn zero_ring_capacity_panics() {
         let _ = TraceWriter::new(RecordMode::Ring(0));
-    }
-
-    #[test]
-    fn ingest_matches_per_sample_recording() {
-        let steps: Vec<TraceSample> = (0..30)
-            .map(|i| step(f64::from(i) * 0.01, (10..20).contains(&i), i >= 5))
-            .collect();
-        for mode in [RecordMode::Full, RecordMode::Ring(8)] {
-            let mut a = TraceWriter::new(mode);
-            for s in &steps {
-                a.record(*s);
-            }
-            let mut b = TraceWriter::new(mode);
-            let returned = b.ingest(steps.clone());
-            // Full mode adopts the buffer; ring mode hands it back drained.
-            assert_eq!(returned.is_none(), mode == RecordMode::Full, "{mode:?}");
-            if let Some(buf) = returned {
-                assert!(buf.is_empty());
-                assert!(buf.capacity() >= 30);
-            }
-            assert_eq!(
-                a.finish(header(), outcome(30)),
-                b.finish(header(), outcome(30)),
-                "{mode:?}"
-            );
-        }
     }
 }

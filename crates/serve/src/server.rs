@@ -396,9 +396,8 @@ fn compute_cell(
     }
 
     let config = spec.config_for(cell);
-    // Scalar or lockstep-batched per `ADAS_BATCH` — bit-identical results
-    // either way; `job.ctl` still cancels (at chunk granularity when
-    // batched).
+    // Lockstep at the `ADAS_BATCH` width — bit-identical results at any
+    // width; `job.ctl` cancels at chunk granularity.
     let records = adas_core::run_ids_ctl(
         ids,
         cell.fault,

@@ -3,8 +3,8 @@
 //! This crate is the reproduction's stand-in for the MetaDrive simulator used
 //! by the paper: it provides everything the closed-loop evaluation platform
 //! needs from a "physical world" — vehicle dynamics, road geometry, surface
-//! friction, scripted traffic, collision and lane-departure detection, and a
-//! time-series trace recorder.
+//! friction, scripted traffic, collision and lane-departure detection, and the
+//! per-step trace sample type.
 //!
 //! The design goal is *behavioural* fidelity to the quantities the paper's
 //! evaluation measures (relative distance, time-to-collision, lateral offset,
@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod collision;
 pub mod friction;
 pub mod math;
@@ -41,14 +40,13 @@ pub mod units;
 pub mod vehicle;
 pub mod world;
 
-pub use batch::{BatchWorld, LaneState};
 pub use collision::{CollisionEvent, LaneDeparture};
 pub use friction::{surface_in_zones, FrictionCondition, FrictionZone, SurfaceFriction};
 pub use math::Vec2;
 pub use npc::{Npc, NpcBehavior, NpcPhase, NpcPlan, NpcTrigger};
 pub use road::{LaneId, Road, RoadBuilder, RoadSegment};
 pub use rng::DeterministicRng;
-pub use trace::{TraceRecorder, TraceSample};
+pub use trace::{samples_to_csv, TraceSample};
 pub use units::{GRAVITY, SIM_DT};
 pub use vehicle::{Vehicle, VehicleCommand, VehicleParams, VehicleState};
 pub use world::{LeadObservation, World, WorldConfig};

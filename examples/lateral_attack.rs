@@ -6,34 +6,26 @@
 //! cargo run --release --example lateral_attack
 //! ```
 
-use openadas::attack::{FaultInjector, FaultSpec, FaultType};
-use openadas::core::{InterventionConfig, Platform, PlatformConfig, RunEnd2};
-use openadas::scenarios::{InitialPosition, ScenarioId, ScenarioSetup};
-use openadas::simulator::{DeterministicRng, TraceRecorder};
+use adas_recorder::RecordMode;
+use openadas::attack::FaultType;
+use openadas::core::{run_single_traced, InterventionConfig, PlatformConfig, RunId};
+use openadas::scenarios::{InitialPosition, ScenarioId};
 
 fn run_and_narrate(label: &str, iv: InterventionConfig) {
-    let mut rng = DeterministicRng::for_run(42, 0, 0, 0);
-    let setup = ScenarioSetup::build(ScenarioId::S1, InitialPosition::Near, &mut rng);
-    let injector = FaultInjector::new(FaultSpec::new(
-        FaultType::DesiredCurvature,
-        setup.patch_start_s,
-    ));
-    let mut platform = Platform::new(
-        &setup,
-        PlatformConfig::with_interventions(iv),
-        injector,
+    let id = RunId {
+        scenario: ScenarioId::S1,
+        position: InitialPosition::Near,
+        repetition: 0,
+    };
+    let (record, trace) = run_single_traced(
+        id,
+        Some(FaultType::DesiredCurvature),
+        &PlatformConfig::with_interventions(iv),
         None,
-        &mut rng,
+        0,
+        42,
+        RecordMode::Full,
     );
-    platform.attach_trace(TraceRecorder::new());
-    loop {
-        let _ = platform.step();
-        if let RunEnd2::Yes(_) = platform.finished() {
-            break;
-        }
-    }
-    let record = platform.record();
-    let trace = platform.take_trace().expect("attached");
 
     println!("\n=== {label} ===");
     if let Some(t) = record.fault_start {
@@ -44,7 +36,7 @@ fn run_and_narrate(label: &str, iv: InterventionConfig) {
     let mut steer_logged = false;
     let mut brake_logged = false;
     let mut aeb_logged = false;
-    for s in trace.samples() {
+    for s in &trace.samples {
         if !drift_logged && record.fault_start.is_some_and(|f| s.time > f) && s.ego_d.abs() > 0.5 {
             println!("t={:6.2}s  drifted {:.2} m from the lane center", s.time, s.ego_d);
             drift_logged = true;

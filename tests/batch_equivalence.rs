@@ -1,17 +1,18 @@
-//! The batched SoA executor's contract: per-run outcomes are
-//! **bit-identical** to the scalar path at every batch width and worker
-//! count. The full campaign grid (S1–S6 × both spawn positions) runs for
-//! every fault type at `width ∈ {1, 4, 32}` × `ADAS_THREADS ∈ {1, 4}`,
-//! with and without the ML mitigation, and persisted traces captured
-//! through the batched path replay bit-exactly.
+//! The lockstep executor's contract: per-run outcomes are
+//! **bit-identical** to stepping each run alone (`run_single`) at every
+//! batch width and worker count. The full campaign grid (S1–S6 × both
+//! spawn positions) runs for every fault type at `width ∈ {1, 4, 32}` ×
+//! `ADAS_THREADS ∈ {1, 4}`, with and without the ML mitigation, and
+//! persisted traces captured through the batched path replay bit-exactly.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use openadas::attack::FaultType;
 use openadas::core::{
-    collect_training_data, replay_trace, run_campaign_traced_with_width, run_campaign_with_width,
-    InterventionConfig, PlatformConfig, TraceSink,
+    campaign_run_ids, collect_training_data, replay_trace, run_campaign_traced_with_width,
+    run_campaign_with_width, run_single, InterventionConfig, PlatformConfig, RunId, TraceSink,
 };
+use openadas::scenarios::RunRecord;
 use openadas::ml::{LstmPredictor, ModelSpec, TrainConfig};
 use adas_recorder::{RecordMode, Trace, TraceMode, TracePolicy};
 
@@ -28,6 +29,18 @@ fn threads_guard(n: usize) -> MutexGuard<'static, ()> {
 const WIDTHS: [usize; 3] = [1, 4, 32];
 const THREADS: [usize; 2] = [1, 4];
 
+/// The scalar reference: every run of the grid stepped alone.
+fn scalar_campaign(
+    fault: Option<FaultType>,
+    cfg: &PlatformConfig,
+    model: Option<&Arc<LstmPredictor>>,
+) -> Vec<(RunId, RunRecord)> {
+    campaign_run_ids(1)
+        .into_iter()
+        .map(|id| (id, run_single(id, fault, cfg, model, 2025)))
+        .collect()
+}
+
 fn fault_label(fault: Option<FaultType>) -> String {
     fault.map_or("Benign".to_owned(), |f| format!("{f:?}"))
 }
@@ -42,10 +55,7 @@ fn campaigns_are_bit_identical_across_widths_and_threads() {
         Some(FaultType::DesiredCurvature),
         Some(FaultType::Mixed),
     ] {
-        let baseline = {
-            let _env = threads_guard(1);
-            run_campaign_with_width(fault, &cfg, None, 2025, 1, 1)
-        };
+        let baseline = scalar_campaign(fault, &cfg, None);
         assert_eq!(baseline.len(), 12, "full S1–S6 × Near/Far grid");
         for threads in THREADS {
             let _env = threads_guard(threads);
@@ -88,10 +98,7 @@ fn ml_campaigns_are_bit_identical_across_widths_and_threads() {
     let mut cfg = PlatformConfig::with_interventions(InterventionConfig::ml_only());
     cfg.max_steps = 600;
     let fault = Some(FaultType::Mixed);
-    let baseline = {
-        let _env = threads_guard(1);
-        run_campaign_with_width(fault, &cfg, Some(&model), 2025, 1, 1)
-    };
+    let baseline = scalar_campaign(fault, &cfg, Some(&model));
     for threads in THREADS {
         let _env = threads_guard(threads);
         for width in WIDTHS {

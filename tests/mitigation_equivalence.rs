@@ -12,8 +12,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use openadas::attack::FaultType;
 use openadas::core::job::CellSpec;
 use openadas::core::{
-    collect_training_data, run_campaign_with_width, run_single, ArtifactCache, CampaignSpec,
-    CellStats, InterventionConfig, MitigationKind, PlatformConfig,
+    campaign_run_ids, collect_training_data, run_campaign_with_width, run_single, ArtifactCache,
+    CampaignSpec, CellStats, InterventionConfig, MitigationKind, PlatformConfig,
 };
 use openadas::ml::{LstmPredictor, ModelSpec, TrainConfig};
 use adas_serve::{Client, JobState, Server, ServerConfig};
@@ -66,10 +66,11 @@ fn every_mitigation_is_bit_identical_across_widths_and_threads() {
             InterventionConfig::ml_only().with_mitigation(kind),
         );
         cfg.max_steps = 600;
-        let baseline = {
-            let _env = threads_guard(1);
-            run_campaign_with_width(fault, &cfg, Some(&model), 2025, 1, 1)
-        };
+        // The scalar reference: every run of the grid stepped alone.
+        let baseline: Vec<_> = campaign_run_ids(1)
+            .into_iter()
+            .map(|id| (id, run_single(id, fault, &cfg, Some(&model), 2025)))
+            .collect();
         assert_eq!(baseline.len(), 12, "full S1–S6 × Near/Far grid");
         for threads in THREADS {
             let _env = threads_guard(threads);

@@ -16,12 +16,12 @@ use openadas::attack::{
 };
 use openadas::core::{
     campaign_run_ids, run_campaign_with_width, trace_header, CampaignSpec, CellStats,
-    InterventionConfig, Platform, PlatformConfig, RunEnd, RunEnd2, RunId,
+    run_single, InterventionConfig, Platform, PlatformConfig, RunId,
 };
 use openadas::core::job::CellSpec;
 use openadas::scenarios::{InitialPosition, RunRecord, ScenarioId, ScenarioSetup};
 use openadas::simulator::DeterministicRng;
-use adas_recorder::{EndReason, RecordMode, Trace, TraceOutcome, TraceWriter};
+use adas_recorder::{RecordMode, Trace, TraceWriter};
 
 /// Serialises tests that set `ADAS_THREADS` (process-global).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -76,7 +76,7 @@ fn run_with(
 }
 
 /// Traced twin of [`run_with`]: same stepping, with a full-fidelity
-/// recorder attached, sealing the trace exactly as `run_traced` does.
+/// writer attached, sealed exactly as `run_traced` seals it.
 fn run_traced_with(
     builder: Builder,
     id: RunId,
@@ -84,31 +84,10 @@ fn run_traced_with(
     config: &PlatformConfig,
     seed: u64,
 ) -> (RunRecord, Trace) {
-    let header = trace_header(id, fault, config, 0, seed);
     let mut platform = platform_with(builder, id, fault, config, seed);
     platform.attach_writer(TraceWriter::new(RecordMode::Full));
-    let end = loop {
-        let _ = platform.step();
-        if let RunEnd2::Yes(end) = platform.finished() {
-            break end;
-        }
-    };
-    let record = platform.record();
-    let writer = platform.take_writer().expect("writer was attached");
-    let outcome = TraceOutcome {
-        end: match end {
-            RunEnd::TimeLimit => EndReason::TimeLimit,
-            RunEnd::Accident => EndReason::Accident,
-            RunEnd::Quiescent => EndReason::Quiescent,
-        },
-        accident: record.accident,
-        accident_time: record.accident_time,
-        fault_start: record.fault_start,
-        min_ttc: record.min_ttc,
-        min_lane_line_distance: record.min_lane_line_distance,
-        steps: record.steps,
-    };
-    (record, writer.finish(header, outcome))
+    let end = platform.run_to_end();
+    platform.seal(end, trace_header(id, fault, config, 0, seed))
 }
 
 fn grid() -> Vec<RunId> {
@@ -322,10 +301,10 @@ fn scheduled_campaigns_are_deterministic_across_reruns_threads_and_widths() {
         arm_after: 5.0,
     });
     let fault = Some(FaultType::Mixed);
-    let baseline = {
-        let _env = threads_guard(1);
-        run_campaign_with_width(fault, &config, None, 2025, 1, 1)
-    };
+    let baseline: Vec<(RunId, RunRecord)> = grid()
+        .into_iter()
+        .map(|id| (id, run_single(id, fault, &config, None, 2025)))
+        .collect();
     for threads in [1, 4] {
         let _env = threads_guard(threads);
         for width in [1, 4, 32] {
