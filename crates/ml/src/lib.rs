@@ -15,7 +15,7 @@
 //! equivalent in this build environment. Hidden sizes are configurable; the
 //! paper explored 256-128 … 64-32 and settled on 128-64.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adam;

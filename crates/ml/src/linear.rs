@@ -97,17 +97,23 @@ impl Linear {
     /// Batched `Y = W X + b` over lane-contiguous panels.
     ///
     /// `x` is a `cols × width` panel (`x[c * width + lane]`), `y` a
-    /// `rows × width` panel. The weights are stationary and the lane
-    /// dimension is processed in register-resident blocks of
-    /// [`LANE_BLOCK`]: each weight is loaded once per block and broadcast
-    /// across the block's accumulators, which live in registers for the
-    /// whole column sweep instead of round-tripping through the output
-    /// panel on every weight.
+    /// `rows × width` panel. The weights are stationary and the output is
+    /// computed in register tiles of [`TILE_ROWS`] weight rows × 8/4/2/1
+    /// lanes (row remainders use one-row tiles): per column, each tile
+    /// loads its lanes' inputs once and broadcasts each of its rows'
+    /// weights across them, so the tile's accumulators stay in registers
+    /// for the whole column sweep as independent add chains. On x86_64 the
+    /// tile kernel is compiled twice — the SSE2 baseline and an `avx`
+    /// target-feature build picked per call by runtime detection (the
+    /// crate's one `unsafe` site, in `forward_concat_panels`); other
+    /// architectures only have the portable build.
     ///
-    /// Bit-identical per lane to [`Self::forward_into`]: lane `l` sees the
-    /// same multiplies in the same column order, with the bias added last
-    /// (`b[r] + acc`, the exact scalar expression). Blocking only changes
-    /// *which lanes* are computed together, never the per-lane operation
+    /// Bit-identical per lane to [`Self::forward_into`] on either build:
+    /// every output starts at 0, sees the same multiplies in the same
+    /// column order, with the bias added last (`b[r] + acc`, the exact
+    /// scalar expression). Nothing is reassociated and FMA is not enabled
+    /// (Rust never contracts `acc += w * x`); tiling only changes *which*
+    /// rows and lanes are computed together, never an output's operation
     /// sequence.
     ///
     /// # Panics
@@ -124,9 +130,10 @@ impl Linear {
     /// lane-contiguous panels without materialising the concatenation.
     ///
     /// `xa` is an `na × width` panel, `xb` a `(cols − na) × width` panel.
-    /// Bit-identical per lane to the scalar concat forward: each row's
+    /// Bit-identical per lane to the scalar concat forward: each output's
     /// accumulator consumes `xa`'s columns then `xb`'s in order, bias last.
-    /// Lane blocking as in [`Self::forward_batch`].
+    /// Row × lane tiling and the runtime AVX build as in
+    /// [`Self::forward_batch`].
     ///
     /// # Panics
     ///
@@ -143,32 +150,18 @@ impl Linear {
         self.forward_concat_panels(width, xa, xb, y);
     }
 
-    /// Shared lane-blocked kernel behind the batched forwards (dimensions
-    /// already validated by the callers; `xb` may be empty).
+    /// Picks the tile kernel build for this CPU (dimensions already
+    /// validated by the callers; `xb` may be empty).
+    #[allow(unsafe_code)]
     fn forward_concat_panels(&self, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
-        let na = xa.len() / width;
-        for r in 0..self.rows {
-            let row = &self.w[r * self.cols..(r + 1) * self.cols];
-            let out = &mut y[r * width..(r + 1) * width];
-            let b_r = self.b[r];
-            let mut start = 0;
-            while start < width {
-                // Const-sized blocks all the way down so even ragged
-                // tails (and widths below LANE_BLOCK) keep their
-                // accumulators in registers.
-                let left = width - start;
-                let taken = if left >= 8 {
-                    block::<8>(row, na, xa, xb, width, start, b_r, out)
-                } else if left >= 4 {
-                    block::<4>(row, na, xa, xb, width, start, b_r, out)
-                } else if left >= 2 {
-                    block::<2>(row, na, xa, xb, width, start, b_r, out)
-                } else {
-                    block::<1>(row, na, xa, xb, width, start, b_r, out)
-                };
-                start += taken;
-            }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: `tiles_avx`'s only precondition is that the CPU
+            // supports AVX, which was detected just above.
+            unsafe { tiles_avx(self, width, xa, xb, y) };
+            return;
         }
+        tiles(self, width, xa, xb, y);
     }
 
     /// Accumulates gradients for one sample and returns `dL/dx`.
@@ -269,47 +262,113 @@ impl Linear {
     }
 }
 
-/// Computes one register-blocked group of `N` lanes for row `row` of the
-/// batched matvec: `out[start + j] = b_r + Σ_c row[c] · x[c·width+start+j]`
-/// with the `xa` columns consumed before the `xb` columns. `N` is a
-/// compile-time constant so the accumulators stay in registers across the
-/// whole column sweep (eight doubles fit in two 256-bit vectors). Returns
-/// `N` so the caller can advance its lane cursor.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn block<const N: usize>(
-    row: &[f64],
-    na: usize,
+/// Weight rows per register tile of the batched matvec.
+const TILE_ROWS: usize = 4;
+
+/// The tile kernel compiled with AVX enabled (256-bit vectors, twice the
+/// accumulator registers). FMA stays off, so results are bit-identical to
+/// the portable build.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn tiles_avx(l: &Linear, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
+    tiles(l, width, xa, xb, y);
+}
+
+/// `y = W [xa; xb] + b` over lane panels: [`TILE_ROWS`]-row groups, then
+/// the row remainder one row at a time. `#[inline(always)]` (down to
+/// [`accumulate`]) so each caller gets its own copy compiled with its own
+/// target features: called directly, this is the portable build (the SSE2
+/// baseline on x86_64).
+#[inline(always)]
+fn tiles(l: &Linear, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
+    let full = l.rows - l.rows % TILE_ROWS;
+    for r0 in (0..full).step_by(TILE_ROWS) {
+        row_group::<TILE_ROWS>(l, r0, width, xa, xb, y);
+    }
+    for r0 in full..l.rows {
+        row_group::<1>(l, r0, width, xa, xb, y);
+    }
+}
+
+/// Sweeps all lanes of rows `r0..r0 + R` in const-sized lane blocks, so
+/// even ragged tails (and narrow batches) keep their accumulators in
+/// registers.
+#[inline(always)]
+fn row_group<const R: usize>(
+    l: &Linear,
+    r0: usize,
+    width: usize,
     xa: &[f64],
     xb: &[f64],
+    y: &mut [f64],
+) {
+    let mut start = 0;
+    while start < width {
+        let left = width - start;
+        start += if left >= 8 {
+            tile::<R, 8>(l, r0, width, start, xa, xb, y)
+        } else if left >= 4 {
+            tile::<R, 4>(l, r0, width, start, xa, xb, y)
+        } else if left >= 2 {
+            tile::<R, 2>(l, r0, width, start, xa, xb, y)
+        } else {
+            tile::<R, 1>(l, r0, width, start, xa, xb, y)
+        };
+    }
+}
+
+/// One `R` rows × `N` lanes tile: `y[r][lane] = b[r] + Σ_c w[r][c] ·
+/// x[c][lane]` for rows `r0..r0 + R` and lanes `start..start + N`, with the
+/// `xa` columns consumed before the `xb` columns. Returns `N` so the caller
+/// can advance its lane cursor.
+#[inline(always)]
+fn tile<const R: usize, const N: usize>(
+    l: &Linear,
+    r0: usize,
     width: usize,
     start: usize,
-    b_r: f64,
-    out: &mut [f64],
+    xa: &[f64],
+    xb: &[f64],
+    y: &mut [f64],
 ) -> usize {
-    let mut acc = [0.0f64; N];
-    accumulate_lanes::<N>(&row[..na], xa, width, start, &mut acc);
-    accumulate_lanes::<N>(&row[na..], xb, width, start, &mut acc);
-    for (o, a) in out[start..start + N].iter_mut().zip(acc) {
-        *o = b_r + a;
+    let na = xa.len() / width;
+    let rows: [&[f64]; R] = std::array::from_fn(|i| &l.w[(r0 + i) * l.cols..(r0 + i + 1) * l.cols]);
+    let mut acc = [[0.0f64; N]; R];
+    accumulate(rows.map(|row| &row[..na]), xa, width, start, &mut acc);
+    accumulate(rows.map(|row| &row[na..]), xb, width, start, &mut acc);
+    for (i, acc_i) in acc.iter().enumerate() {
+        let b_r = l.b[r0 + i];
+        let out = &mut y[(r0 + i) * width + start..][..N];
+        for (o, a) in out.iter_mut().zip(acc_i) {
+            *o = b_r + a;
+        }
     }
     N
 }
 
-/// Accumulates `acc[j] += w[c] * x[c * width + start + j]` over all
-/// columns for a block of `N` lanes.
-#[inline]
-fn accumulate_lanes<const N: usize>(
-    row: &[f64],
+/// Accumulates `acc[i][j] += rows[i][c] * x[c * width + start + j]` over
+/// the panel's columns in order. The rows are cut to the panel's column
+/// count up front and each column's lanes are taken as one `[f64; N]`, so
+/// the sweep has no per-weight bounds checks and vectorises across lanes.
+#[inline(always)]
+fn accumulate<const R: usize, const N: usize>(
+    rows: [&[f64]; R],
     x: &[f64],
     width: usize,
     start: usize,
-    acc: &mut [f64; N],
+    acc: &mut [[f64; N]; R],
 ) {
-    for (c, w_rc) in row.iter().enumerate() {
-        let xs = &x[c * width + start..c * width + start + N];
-        for j in 0..N {
-            acc[j] += w_rc * xs[j];
+    let n = x.len() / width;
+    let rows = rows.map(|row| &row[..n]);
+    for c in 0..n {
+        let xs: &[f64; N] = x[c * width + start..][..N]
+            .try_into()
+            .expect("lane block inside the panel");
+        for (row, acc_i) in rows.iter().zip(acc.iter_mut()) {
+            let w_ic = row[c];
+            for j in 0..N {
+                acc_i[j] += w_ic * xs[j];
+            }
         }
     }
 }
@@ -446,53 +505,67 @@ mod tests {
         assert_eq!(l.param_count(), 24);
     }
 
-    /// Deterministic pseudo-random lane inputs without an RNG dependency.
+    /// Deterministic pseudo-random lane inputs without an RNG dependency,
+    /// spread over four decades so any reordering of a sum shows up in
+    /// the low bits.
     fn lane_input(cols: usize, width: usize, salt: f64) -> Vec<f64> {
         (0..cols * width)
-            .map(|i| ((i as f64) * 0.7310 + salt).sin())
+            .map(|i| ((i as f64) * 0.7310 + salt).sin() * 10f64.powi(i as i32 % 4 - 2))
             .collect()
     }
 
+    /// Both builds of the tile kernel are bit-identical per lane to the
+    /// scalar `forward_concat_into`: the portable one always, the AVX one
+    /// (the public entry points' pick) when the CPU has it. Covers every
+    /// lane remainder (widths 1..=33), every row remainder of the 4-row
+    /// tile, and the empty-`xb` panel of `forward_batch`.
     #[test]
-    fn forward_batch_bitwise_matches_scalar() {
-        let l = Linear::new(5, 7, &mut rng());
-        for width in [1usize, 3, 8, 32] {
-            let panel = lane_input(7, width, 0.25);
-            let mut y = vec![0.0; 5 * width];
-            l.forward_batch(width, &panel, &mut y);
-            for lane in 0..width {
-                let x: Vec<f64> = (0..7).map(|c| panel[c * width + lane]).collect();
-                let expect = l.forward(&x);
-                for r in 0..5 {
-                    assert_eq!(
-                        y[r * width + lane].to_bits(),
-                        expect[r].to_bits(),
-                        "width {width} lane {lane} row {r}"
-                    );
-                }
-            }
-        }
-    }
+    fn batched_kernels_bitwise_match_scalar_concat() {
+        #[cfg(target_arch = "x86_64")]
+        let dispatched = if std::arch::is_x86_feature_detected!("avx") {
+            "avx"
+        } else {
+            "portable"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let dispatched = "portable";
 
-    #[test]
-    fn forward_concat_batch_bitwise_matches_scalar() {
-        let l = Linear::new(6, 9, &mut rng());
-        for width in [1usize, 4, 32] {
-            let pa = lane_input(4, width, 0.1);
-            let pb = lane_input(5, width, 1.9);
-            let mut y = vec![0.0; 6 * width];
-            l.forward_concat_batch(width, &pa, &pb, &mut y);
-            for lane in 0..width {
-                let xa: Vec<f64> = (0..4).map(|c| pa[c * width + lane]).collect();
-                let xb: Vec<f64> = (0..5).map(|c| pb[c * width + lane]).collect();
-                let mut expect = vec![0.0; 6];
-                l.forward_concat_into(&xa, &xb, &mut expect);
-                for r in 0..6 {
-                    assert_eq!(
-                        y[r * width + lane].to_bits(),
-                        expect[r].to_bits(),
-                        "width {width} lane {lane} row {r}"
-                    );
+        let (na, nb) = (7, 5);
+        for rows in [1usize, 2, 3, 5, 7, 256] {
+            let mut l = Linear::new(rows, na + nb, &mut rng());
+            l.b = lane_input(rows, 1, 3.3);
+            for width in 1..=33 {
+                let pa = lane_input(na, width, 0.1);
+                let pb = lane_input(nb, width, 1.9);
+                let panel = [pa.clone(), pb.clone()].concat();
+                let mut portable = vec![0.0; rows * width];
+                tiles(&l, width, &pa, &pb, &mut portable);
+                let mut concat = vec![0.0; rows * width];
+                l.forward_concat_batch(width, &pa, &pb, &mut concat);
+                let mut portable_one = vec![0.0; rows * width];
+                tiles(&l, width, &panel, &[], &mut portable_one);
+                let mut one = vec![0.0; rows * width];
+                l.forward_batch(width, &panel, &mut one);
+                for lane in 0..width {
+                    let xa: Vec<f64> = (0..na).map(|c| pa[c * width + lane]).collect();
+                    let xb: Vec<f64> = (0..nb).map(|c| pb[c * width + lane]).collect();
+                    let mut expect = vec![0.0; rows];
+                    l.forward_concat_into(&xa, &xb, &mut expect);
+                    for (r, e) in expect.iter().enumerate() {
+                        let at = r * width + lane;
+                        for (got, path) in [
+                            (portable[at], "portable concat"),
+                            (concat[at], "dispatched concat"),
+                            (portable_one[at], "portable, empty xb"),
+                            (one[at], "dispatched, empty xb"),
+                        ] {
+                            assert_eq!(
+                                got.to_bits(),
+                                e.to_bits(),
+                                "{path} ({dispatched}): {rows} rows, lane {lane}/{width}, row {r}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -178,6 +178,14 @@ impl LstmPredictor {
         self.spec
     }
 
+    /// The batched matvecs of one [`Self::step_batch`] in call order: the
+    /// two layers' packed gate transforms, then the output head (for
+    /// per-kernel microbenchmarks).
+    #[must_use]
+    pub fn matvecs(&self) -> [&Linear; 3] {
+        [&self.l1.gates, &self.l2.gates, &self.head]
+    }
+
     /// Total trainable parameters.
     #[must_use]
     pub fn param_count(&self) -> usize {
