@@ -138,9 +138,13 @@ fn bench_safety(c: &mut Criterion) {
 fn bench_ml(c: &mut Criterion) {
     c.bench_function("lstm_step_64_32", |b| {
         let model = LstmPredictor::new(ModelSpec::default());
-        let mut state = model.init_state();
+        let mut state = model.batch_state(1);
+        let mut scratch = model.batch_scratch(1);
         let x = [0.5; adas_ml::FEATURE_DIM];
-        b.iter(|| black_box(model.step(black_box(&x), &mut state)))
+        b.iter(|| {
+            model.step_batch(black_box(&x), &mut state, &mut scratch);
+            black_box(scratch.output(0))
+        })
     });
     c.bench_function("ml_mitigator_update", |b| {
         let model = LstmPredictor::new(ModelSpec {

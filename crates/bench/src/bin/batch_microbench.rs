@@ -1,8 +1,9 @@
-//! Microbenchmark for the batched execution path: scalar vs batched LSTM
-//! inference step (the batched step split into its matvecs and its gate
-//! math), and runs stepped alone (`run_single`) vs lockstep
-//! closed-loop platform stepping, across batch widths. Hand-rolled timing loops (the vendored
-//! criterion is an API stub) with a fixed wall budget per measurement.
+//! Microbenchmark for the batched execution path: the LSTM inference step
+//! across batch widths against its one-lane row (a single run's forward),
+//! split into its matvecs and its gate math, and runs stepped alone
+//! (`run_single`) vs lockstep closed-loop platform stepping. Hand-rolled
+//! timing loops (the vendored criterion is an API stub) with a fixed wall
+//! budget per measurement.
 //!
 //! Everything runs single-worker (`ADAS_THREADS=1`): the point is the
 //! per-core effect of the weights-stationary batched kernels, not thread
@@ -52,23 +53,6 @@ fn ns_per_lane_step(width: usize, mut tick: impl FnMut(usize)) -> f64 {
         best = best.min(ns);
     }
     best
-}
-
-/// Scalar inference: one `step_with` per lane per tick. Returns ns per
-/// lane-step.
-fn lstm_scalar(model: &LstmPredictor, width: usize) -> f64 {
-    let mut states: Vec<_> = (0..width).map(|_| model.init_state()).collect();
-    let mut scratch = model.infer_scratch();
-    let mut x = [0.0f64; FEATURE_DIM];
-    let mut sink = 0.0f64;
-    let ns = ns_per_lane_step(width, |t| {
-        for (lane, state) in states.iter_mut().enumerate() {
-            fill_x(&mut x, lane * FEATURE_DIM, t);
-            sink += model.step_with(&x, state, &mut scratch)[0];
-        }
-    });
-    std::hint::black_box(sink);
-    ns
 }
 
 /// Batched inference: one `step_batch` serving all lanes per tick.
@@ -167,34 +151,33 @@ fn main() {
     println!("== Batched LSTM inference step (ModelSpec::default, untrained weights) ==\n");
     let model = LstmPredictor::new(ModelSpec::default());
     // Warm up code + caches once before timing.
-    let _ = lstm_scalar(&model, 4);
     let _ = lstm_batched(&model, 4);
     let _ = lstm_matvec(&model, 4);
     let mut table = TextTable::new([
         "width",
-        "scalar ns/step",
-        "batched ns/step",
-        "speedup",
-        "matvec ns/step",
-        "gate math ns/step",
+        "step ns/lane",
+        "vs width 1",
+        "matvec ns/lane",
+        "gate math ns/lane",
     ]);
+    let mut one_lane = None;
     for width in WIDTHS {
-        let s = lstm_scalar(&model, width);
         let b = lstm_batched(&model, width);
         let m = lstm_matvec(&model, width);
+        let one = *one_lane.get_or_insert(b);
         table.row([
             format!("{width}"),
-            format!("{s:.0}"),
             format!("{b:.0}"),
-            format!("{:.2}x", s / b),
+            format!("{:.2}x", one / b),
             format!("{m:.0}"),
             format!("{:.0}", b - m),
         ]);
     }
     println!("{}", table.render());
     println!(
-        "\nmatvec: the batched gate and head matvecs alone; gate math: the \
-         batched step minus the matvec (per-lane exp/tanh and cell update)."
+        "\nstep: one step_batch over all lanes (width 1 is a single run's \
+         forward); matvec: the batched gate and head matvecs alone; gate \
+         math: the step minus the matvec (per-lane exp/tanh and cell update)."
     );
 
     println!("\n== Closed-loop platform stepping (Mixed fault, 1 worker) ==\n");
@@ -211,23 +194,23 @@ fn main() {
     let mut table = TextTable::new([
         "width",
         "no-ML ksteps/s",
-        "no-ML vs scalar",
+        "no-ML vs alone",
         "ML ksteps/s",
-        "ML vs scalar",
+        "ML vs alone",
     ]);
-    let scalar_ids = ids_for(1);
-    let scalar_no_ml = closed_loop(&scalar_ids, &no_ml_cfg, None, None);
-    let scalar_ml = closed_loop(&scalar_ids, &ml_cfg, Some(&trained), None);
+    let alone_ids = ids_for(1);
+    let alone_no_ml = closed_loop(&alone_ids, &no_ml_cfg, None, None);
+    let alone_ml = closed_loop(&alone_ids, &ml_cfg, Some(&trained), None);
     let mut row = |label: String, no_ml: f64, ml: f64| {
         table.row([
             label,
             format!("{:.0}", no_ml / 1e3),
-            format!("{:.2}x", no_ml / scalar_no_ml),
+            format!("{:.2}x", no_ml / alone_no_ml),
             format!("{:.0}", ml / 1e3),
-            format!("{:.2}x", ml / scalar_ml),
+            format!("{:.2}x", ml / alone_ml),
         ]);
     };
-    row("scalar".to_owned(), scalar_no_ml, scalar_ml);
+    row("run_single".to_owned(), alone_no_ml, alone_ml);
     for width in WIDTHS {
         let ids = ids_for(width);
         let no_ml = closed_loop(&ids, &no_ml_cfg, None, Some(width));
@@ -236,7 +219,7 @@ fn main() {
     }
     println!("{}", table.render());
     println!(
-        "\nThe scalar row steps each run alone (run_single); width rows run \
+        "\nThe run_single row steps each run alone; width rows run \
          run_ids_ctl's lockstep batches. Speedups are per-core."
     );
 }

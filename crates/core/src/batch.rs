@@ -21,19 +21,20 @@
 //!    streams, monitors); no cross-lane reduction exists anywhere.
 //! 2. The per-run operation sequence is unchanged. A lane's cycle is
 //!    `begin_step → LSTM forward → finish_step` — exactly how
-//!    [`Platform::step`] is composed — and the batched LSTM kernels
-//!    compute each lane's column with the scalar operation order
-//!    (asserted bitwise by the `adas-ml` unit tests and
-//!    `tests/batch_equivalence.rs`).
-//! 3. Divergence never reorders work. A finished lane drops out of the
-//!    active mask; the slot refills with the next queued run whose ML
-//!    panel column is zeroed ([`adas_ml::BatchPredictorState::reset_lane`])
-//!    — the same zero state a fresh run starts from. Retired /
-//!    never-filled columns still flow through the batched matvec (finite
-//!    garbage no one reads, and lanes never mix), but the per-lane gate
-//!    transcendentals — the dominant cost — are skipped for them via the
-//!    liveness mask, so a half-drained batch costs what its live lanes
-//!    cost.
+//!    [`Platform::step`] is composed. A run stepped alone runs its LSTM
+//!    as a one-lane [`adas_ml::LstmPredictor::step_batch`], and every
+//!    lane's column sees the operation sequence of a lone stream
+//!    (asserted bitwise against a scalar oracle by the `adas-ml` tests
+//!    and by `tests/batch_equivalence.rs`).
+//! 3. Divergence never reorders work. A finished lane stops being live;
+//!    the slot refills with the next queued run whose ML panel column is
+//!    zeroed ([`adas_ml::BatchPredictorState::reset_lane`]) — the same
+//!    zero state a fresh run starts from. Retired / never-filled columns
+//!    still flow through the batched matvec (finite garbage no one reads,
+//!    and lanes never mix), but the per-lane gate transcendentals — the
+//!    dominant cost — are skipped for them
+//!    ([`adas_ml::BatchPredictorState::set_live`]), so a half-drained
+//!    batch costs what its live lanes cost.
 //!
 //! Results are keyed by run index and merged in order, so output is also
 //! independent of thread count and batch width.
@@ -101,12 +102,11 @@ pub fn reset_stats() {
 struct MlPanels {
     model: Arc<LstmPredictor>,
     x: Vec<f64>,
+    /// Hidden/cell panels plus per-lane liveness for the current tick:
+    /// only lanes with a pending ML input pay the gate transcendentals
+    /// (idle slots, drained chunk tails, and non-ML lanes are skipped).
     state: BatchPredictorState,
     scratch: BatchInferScratch,
-    /// Per-lane liveness for the current tick: only lanes with a pending
-    /// ML input pay the gate transcendentals (idle slots, drained chunk
-    /// tails, and non-ML lanes are skipped).
-    active: Vec<bool>,
 }
 
 impl MlPanels {
@@ -116,14 +116,12 @@ impl MlPanels {
             x: vec![0.0; FEATURE_DIM * width],
             state: model.batch_state(width),
             scratch: model.batch_scratch(width),
-            active: vec![false; width],
         }
     }
 
     /// One weights-stationary LSTM step over the live lanes of the batch.
     fn step(&mut self) {
-        self.model
-            .step_batch_masked(&self.x, &mut self.state, &mut self.scratch, &self.active);
+        self.model.step_batch(&self.x, &mut self.state, &mut self.scratch);
     }
 }
 
@@ -267,7 +265,7 @@ fn drive_chunk<T, R>(
                 .expect("ML-enabled lanes require a model for the batched forward");
             for (lane, pending) in pendings.iter().enumerate() {
                 let input = pending.as_ref().and_then(|c| c.ml_input.as_ref());
-                p.active[lane] = input.is_some();
+                p.state.set_live(lane, input.is_some());
                 if let Some(input) = input {
                     for (c, v) in input.x.iter().enumerate() {
                         p.x[c * width + lane] = *v;

@@ -416,7 +416,7 @@ fn scenario_catalog_override() -> Option<u64> {
 /// [`CellStats::from_records`] depend on. `model` must be the fingerprint
 /// of the trained weights when `config.interventions.ml` is set (the cell
 /// result depends on the exact weights, not just the training seed).
-/// Scenario content participates via [`scenario_catalog_override`] when an
+/// Scenario content participates via `scenario_catalog_override` when an
 /// `ADAS_SCENARIO` override is active.
 #[must_use]
 pub fn campaign_cell_fingerprint(

@@ -9,9 +9,10 @@
 //! A *campaign* is a grid of *cells*; each cell is one (fault ×
 //! intervention-set) combination swept over the masked scenario set, both
 //! initial positions, and `repetitions` repetitions — exactly the shape of
-//! the paper's Table VI. Cell statistics are [`CellStats`], whose existing
-//! binary codec doubles as the wire encoding (and whose byte equality is
-//! the "bit-identical outcome" criterion the integration tests assert).
+//! the paper's Table VI. Cell statistics are [`CellStats`](crate::CellStats),
+//! whose existing binary codec doubles as the wire encoding (and whose
+//! byte equality is the "bit-identical outcome" criterion the integration
+//! tests assert).
 
 use crate::cache::Fingerprint;
 use crate::config::{InterventionConfig, PlatformConfig};

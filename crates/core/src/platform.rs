@@ -129,11 +129,11 @@ impl Platform {
     /// Executes one 10 ms control cycle. Returns the latest perception
     /// frame (post fault injection) for inspection.
     ///
-    /// Composed of [`Self::begin_step`] (stages 1–7 up to the ML feature
-    /// encode), the one-sample LSTM forward, and [`Self::finish_step`]
-    /// (mitigation decision, arbitration, actuation, monitors) — the same
-    /// seams the lockstep batch driver uses, so a run stepped alone and a
-    /// lockstep lane execute identical per-run operation sequences.
+    /// Composed of `begin_step` (stages 1–7 up to the ML feature encode),
+    /// the run's one-lane LSTM forward, and `finish_step` (mitigation
+    /// decision, arbitration, actuation, monitors) — the same seams the
+    /// lockstep batch driver uses, so a run stepped alone and a lockstep
+    /// lane execute identical per-run operation sequences.
     pub fn step(&mut self) -> PerceptionFrame {
         let pending = self.begin_step();
         let ml_y = match (
@@ -224,7 +224,7 @@ impl Platform {
         // 7 (first half). ML mitigation consumes fault-free redundant
         // state; encode the staging for the active strategy here. The
         // CUSUM baseline gets its feature vector (LSTM forward left to the
-        // caller — scalar inline or batched across lanes); the view-based
+        // caller — one lane alone or batched across lanes); the view-based
         // strategies get the clean/attacked perception channel pairs and
         // run their own view fan-out inside `finish_step`.
         let (ml_input, views_input) = match self.ml.as_ref() {
@@ -279,9 +279,10 @@ impl Platform {
     ///
     /// `ml_y` must be `Some` exactly when the pending cycle carries an ML
     /// input, and must be the model output for that input on this run's
-    /// recurrent stream — [`MlMitigator::forward`] on the scalar path, the
-    /// run's lane of [`adas_ml::LstmPredictor::step_batch`] on the batched
-    /// path (bit-identical by construction).
+    /// recurrent stream — [`MlMitigator::forward`] (a one-lane
+    /// [`adas_ml::LstmPredictor::step_batch`]) for a run stepped alone, or
+    /// the run's lane of a wider panel in lockstep (bit-identical by
+    /// construction).
     pub(crate) fn finish_step(
         &mut self,
         pending: PendingCycle,

@@ -21,7 +21,7 @@
 //!   races — a sharded campaign is bit-identical to a single-daemon run
 //!   (asserted end-to-end in `tests/fabric_e2e.rs` and CI).
 //!
-//! [`bench`] adds the `adas-serve bench` load generator: K concurrent
+//! [`bench`](mod@bench) adds the `adas-serve bench` load generator: K concurrent
 //! clients against N in-process workers, publishing the saturation curve
 //! to `results/SERVE_bench.json`.
 //!

@@ -291,18 +291,6 @@ impl EnsembleMitigator {
             None
         }
     }
-
-    /// Resets the runtime (new run) while keeping the trained weights and
-    /// the jitter stream position — give a fresh run a fresh RNG split
-    /// instead of reusing a reset mitigator when bit-identity matters.
-    pub fn reset(&mut self) {
-        self.state = self.model.batch_state(self.config.views);
-        self.warmup = 0;
-        self.derating = false;
-        self.last_disagreement = 0.0;
-        self.first_activation = None;
-        self.activations = 0;
-    }
 }
 
 #[cfg(test)]
@@ -441,24 +429,5 @@ mod tests {
             format!("{log:?}")
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reset_clears_runtime_state() {
-        let mut e = EnsembleMitigator::new(
-            small_model(),
-            EnsembleConfig::default(),
-            DeterministicRng::from_seed(5),
-        );
-        let mut attacked = benign_views();
-        attacked.attacked_rd = None;
-        for t in 0..(WINDOW + 5) {
-            let _ = e.update_views(&attacked, t as f64 * 0.01);
-        }
-        assert!(e.in_derate());
-        e.reset();
-        assert!(!e.in_derate());
-        assert!(e.first_activation_time().is_none());
-        assert_eq!(e.activation_count(), 0);
     }
 }

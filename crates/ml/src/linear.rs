@@ -98,15 +98,15 @@ impl Linear {
     ///
     /// `x` is a `cols × width` panel (`x[c * width + lane]`), `y` a
     /// `rows × width` panel. The weights are stationary and the output is
-    /// computed in register tiles of [`TILE_ROWS`] weight rows × 8/4/2/1
-    /// lanes (row remainders use one-row tiles): per column, each tile
-    /// loads its lanes' inputs once and broadcasts each of its rows'
-    /// weights across them, so the tile's accumulators stay in registers
-    /// for the whole column sweep as independent add chains. On x86_64 the
-    /// tile kernel is compiled twice — the SSE2 baseline and an `avx`
-    /// target-feature build picked per call by runtime detection (the
-    /// crate's one `unsafe` site, in `forward_concat_panels`); other
-    /// architectures only have the portable build.
+    /// computed in register tiles of 4 weight rows × 8/4/2/1 lanes (row
+    /// remainders use one-row tiles): per column, each tile loads its
+    /// lanes' inputs once and broadcasts each of its rows' weights across
+    /// them, so the tile's accumulators stay in registers for the whole
+    /// column sweep as independent add chains. On x86_64 the tile kernel is
+    /// compiled twice — the SSE2 baseline and an `avx` target-feature build
+    /// picked per call by runtime detection (the crate's one `unsafe` site,
+    /// in `forward_concat_panels`); other architectures only have the
+    /// portable build.
     ///
     /// Bit-identical per lane to [`Self::forward_into`] on either build:
     /// every output starts at 0, sees the same multiplies in the same

@@ -1,9 +1,12 @@
 //! A single LSTM layer with full backpropagation through time.
 //!
 //! Gate layout in the packed weight matrix is `[input, forget, cell,
-//! output]`, each block of size `hidden`. The layer processes one timestep
-//! at a time and keeps per-step caches so a sequence can be unrolled
-//! forwards and then differentiated backwards.
+//! output]`, each block of size `hidden`. Two forward passes share one
+//! gate function (`unit`): [`Lstm::step_cached`] advances one training
+//! sample and records the per-step cache that [`Lstm::step_backward_into`]
+//! differentiates, and [`Lstm::step_batch`] advances a lane-contiguous
+//! panel of independent streams for inference (a single run is a one-lane
+//! panel).
 
 use crate::linear::{sigmoid, Linear};
 use rand::Rng;
@@ -30,27 +33,38 @@ fn copy_into(dst: &mut Vec<f64>, src: &[f64]) {
     dst.extend_from_slice(src);
 }
 
-/// The scalar per-(unit, lane) gate expression shared by the masked and
-/// unmasked batched loops — identical f64 sequence to [`Lstm::step_infer`].
+/// One unit's activated gates and its new cell and hidden values.
+struct Unit {
+    i: f64,
+    f: f64,
+    g: f64,
+    o: f64,
+    c: f64,
+    tanh_c: f64,
+    h: f64,
+}
+
+/// The LSTM gate math of one unit, given its four gate pre-activations
+/// `z = [input, forget, cell, output]` and its previous cell value: the
+/// only place the gate expressions are written, so the training and
+/// inference forwards share one f64 operation sequence.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gate_lane(
-    h: usize,
-    width: usize,
-    k: usize,
-    lane: usize,
-    z: &[f64],
-    c_prev: &[f64],
-    h_out: &mut [f64],
-    c_out: &mut [f64],
-) {
-    let i = sigmoid(z[k * width + lane]);
-    let f = sigmoid(z[(h + k) * width + lane]);
-    let g = z[(2 * h + k) * width + lane].tanh();
-    let o = sigmoid(z[(3 * h + k) * width + lane]);
-    let c = f * c_prev[k * width + lane] + i * g;
-    c_out[k * width + lane] = c;
-    h_out[k * width + lane] = o * c.tanh();
+fn unit(z: [f64; 4], c_prev: f64) -> Unit {
+    let i = sigmoid(z[0]);
+    let f = sigmoid(z[1]);
+    let g = z[2].tanh();
+    let o = sigmoid(z[3]);
+    let c = f * c_prev + i * g;
+    let tanh_c = c.tanh();
+    Unit {
+        i,
+        f,
+        g,
+        o,
+        c,
+        tanh_c,
+        h: o * tanh_c,
+    }
 }
 
 /// One LSTM layer.
@@ -80,29 +94,14 @@ impl Lstm {
         }
     }
 
-    /// Runs one timestep. Returns `(h, c)` and the cache for BPTT.
-    ///
-    /// Allocating convenience wrapper around [`Self::step_cached`]; the
-    /// training/inference hot paths use the `_into`-style variants with
-    /// preallocated buffers instead.
-    #[must_use]
-    pub fn step(&self, x: &[f64], h_prev: &[f64], c_prev: &[f64]) -> (Vec<f64>, Vec<f64>, LstmCache) {
-        let h = self.hidden;
-        let mut z = vec![0.0; 4 * h];
-        let mut cache = LstmCache::default();
-        let mut h_out = vec![0.0; h];
-        let mut c_out = vec![0.0; h];
-        self.step_cached(x, h_prev, c_prev, &mut z, &mut cache, &mut h_out, &mut c_out);
-        (h_out, c_out, cache)
-    }
-
-    /// Allocation-free timestep that also records the BPTT cache in place.
+    /// Allocation-free training timestep that records the BPTT cache in
+    /// place.
     ///
     /// `z` is gate pre-activation scratch of length `4·hidden`; `h_out` /
     /// `c_out` must not alias `h_prev` / `c_prev` (callers double-buffer and
-    /// swap). Bit-identical to [`Self::step`]: the packed gate matvec
-    /// consumes `x` then `h_prev` in the same order as the concatenated
-    /// input, and the element-wise gate math is unchanged.
+    /// swap). The packed gate matvec consumes `x` then `h_prev` in the same
+    /// order as the concatenated input, and the gate math is `unit`, so
+    /// the outputs are bit-identical to one lane of [`Self::step_batch`].
     ///
     /// # Panics
     ///
@@ -134,70 +133,39 @@ impl Lstm {
         cache.tanh_c.resize(h, 0.0);
 
         for k in 0..h {
-            cache.i[k] = sigmoid(z[k]);
-            cache.f[k] = sigmoid(z[h + k]);
-            cache.g[k] = z[2 * h + k].tanh();
-            cache.o[k] = sigmoid(z[3 * h + k]);
-            c_out[k] = cache.f[k] * c_prev[k] + cache.i[k] * cache.g[k];
-            cache.tanh_c[k] = c_out[k].tanh();
-            h_out[k] = cache.o[k] * cache.tanh_c[k];
-        }
-    }
-
-    /// Allocation-free inference timestep (no BPTT cache).
-    ///
-    /// Same numerics as [`Self::step`]; `h_out` / `c_out` must not alias
-    /// `h_prev` / `c_prev`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any dimension mismatch.
-    pub fn step_infer(
-        &self,
-        x: &[f64],
-        h_prev: &[f64],
-        c_prev: &[f64],
-        z: &mut [f64],
-        h_out: &mut [f64],
-        c_out: &mut [f64],
-    ) {
-        let h = self.hidden;
-        assert_eq!(x.len(), self.input);
-        assert_eq!(h_prev.len(), h);
-        assert_eq!(c_prev.len(), h);
-        self.gates.forward_concat_into(x, h_prev, z);
-        for k in 0..h {
-            let i = sigmoid(z[k]);
-            let f = sigmoid(z[h + k]);
-            let g = z[2 * h + k].tanh();
-            let o = sigmoid(z[3 * h + k]);
-            c_out[k] = f * c_prev[k] + i * g;
-            h_out[k] = o * c_out[k].tanh();
+            let u = unit([z[k], z[h + k], z[2 * h + k], z[3 * h + k]], c_prev[k]);
+            cache.i[k] = u.i;
+            cache.f[k] = u.f;
+            cache.g[k] = u.g;
+            cache.o[k] = u.o;
+            cache.tanh_c[k] = u.tanh_c;
+            c_out[k] = u.c;
+            h_out[k] = u.h;
         }
     }
 
     /// Batched allocation-free inference timestep over lane-contiguous
     /// panels (`panel[unit * width + lane]`).
     ///
-    /// One weights-stationary gate matvec serves the whole batch; the
-    /// element-wise gate math then runs per lane in the scalar order.
-    /// Bit-identical per lane to [`Self::step_infer`] — each lane sees the
-    /// exact same f64 operation sequence, so batching (and the batch
-    /// composition) never changes a run's numerics.
+    /// One weights-stationary gate matvec serves the whole batch; the gate
+    /// math (`unit`) then runs per lane. Each lane sees the exact f64
+    /// operation sequence of a lone stream (and of [`Self::step_cached`]),
+    /// so batching and the batch composition never change a run's
+    /// numerics.
     ///
-    /// `mask`, when present, marks which lanes are live: the gate
-    /// transcendentals (the dominant per-lane cost) are skipped for masked
-    /// -out lanes and their `h_out` / `c_out` entries are left untouched.
-    /// A masked-out lane's state is therefore stale and must be reset
-    /// (zeroed) before the lane is reactivated — exactly what the lockstep
-    /// executor's refill does. The matvec still covers all lanes; masked
-    /// columns hold finite garbage that no one reads, and lanes never mix.
+    /// `live[lane]` marks which lanes advance: the gate transcendentals
+    /// (the dominant per-lane cost) are skipped for lanes that are not
+    /// live, and their `h_out` / `c_out` entries are left untouched. Such
+    /// a lane's state is therefore stale and must be reset (zeroed) before
+    /// a new stream starts in it. The matvec still covers all lanes; the
+    /// columns of lanes that are not live hold finite garbage that no one
+    /// reads, and lanes never mix.
     ///
     /// `h_out` / `c_out` must not alias `h_prev` / `c_prev`.
     ///
     /// # Panics
     ///
-    /// Panics on any panel dimension mismatch.
+    /// Panics on any panel dimension mismatch or if `live.len() != width`.
     #[allow(clippy::too_many_arguments)]
     pub fn step_batch(
         &self,
@@ -208,7 +176,7 @@ impl Lstm {
         z: &mut [f64],
         h_out: &mut [f64],
         c_out: &mut [f64],
-        mask: Option<&[bool]>,
+        live: &[bool],
     ) {
         let h = self.hidden;
         assert_eq!(x.len(), self.input * width);
@@ -217,74 +185,30 @@ impl Lstm {
         assert_eq!(z.len(), 4 * h * width);
         assert_eq!(h_out.len(), h * width);
         assert_eq!(c_out.len(), h * width);
+        assert_eq!(live.len(), width, "liveness length mismatch");
         self.gates.forward_concat_batch(width, x, h_prev, z);
-        match mask {
-            None => {
-                for k in 0..h {
-                    for lane in 0..width {
-                        gate_lane(h, width, k, lane, z, c_prev, h_out, c_out);
-                    }
-                }
-            }
-            Some(live) => {
-                assert_eq!(live.len(), width, "mask length mismatch");
-                for k in 0..h {
-                    for (lane, &is_live) in live.iter().enumerate() {
-                        if is_live {
-                            gate_lane(h, width, k, lane, z, c_prev, h_out, c_out);
-                        }
-                    }
+        for k in 0..h {
+            for (lane, &is_live) in live.iter().enumerate() {
+                if is_live {
+                    let at = |block: usize| z[(block * h + k) * width + lane];
+                    let u = unit([at(0), at(1), at(2), at(3)], c_prev[k * width + lane]);
+                    c_out[k * width + lane] = u.c;
+                    h_out[k * width + lane] = u.h;
                 }
             }
         }
     }
 
-    /// Backpropagates one timestep.
+    /// Backpropagates one timestep into caller-owned gradient buffers.
     ///
-    /// `dh`/`dc` are the gradients flowing into this step's `h`/`c` outputs;
-    /// returns `(dx, dh_prev, dc_prev)` and accumulates parameter gradients.
-    ///
-    /// Allocating wrapper around [`Self::step_backward_into`] that
-    /// accumulates into the layer's own `gates.gw`/`gates.gb`.
-    #[must_use]
-    pub fn step_backward(
-        &mut self,
-        cache: &LstmCache,
-        dh: &[f64],
-        dc_in: &[f64],
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let h = self.hidden;
-        let mut dz = vec![0.0; 4 * h];
-        let mut dx = vec![0.0; self.input];
-        let mut dh_prev = vec![0.0; h];
-        let mut dc_prev = vec![0.0; h];
-        // Temporarily detach the accumulators so the shared `&self` kernel
-        // can borrow the weights read-only.
-        let mut gw = std::mem::take(&mut self.gates.gw);
-        let mut gb = std::mem::take(&mut self.gates.gb);
-        self.step_backward_into(
-            cache,
-            dh,
-            dc_in,
-            &mut gw,
-            &mut gb,
-            &mut dz,
-            &mut dx,
-            &mut dh_prev,
-            &mut dc_prev,
-        );
-        self.gates.gw = gw;
-        self.gates.gb = gb;
-        (dx, dh_prev, dc_prev)
-    }
-
-    /// Allocation-free BPTT step into caller-owned gradient buffers.
-    ///
-    /// Adds this step's parameter gradients into `gw`/`gb` (layout matching
-    /// `gates.w`/`gates.b`), using `dz` (length `4·hidden`) as scratch, and
-    /// writes the input-side gradients into `dx`/`dh_prev`/`dc_prev`. The
-    /// `&self` receiver lets parallel workers share one read-only weight
-    /// set while accumulating into private buffers.
+    /// `dh`/`dc_in` are the gradients flowing into this step's `h`/`c`
+    /// outputs, and `cache` is the one [`Self::step_cached`] recorded for
+    /// the step. Adds this step's parameter gradients into `gw`/`gb`
+    /// (layout matching `gates.w`/`gates.b`), using `dz` (length
+    /// `4·hidden`) as scratch, and writes the input-side gradients into
+    /// `dx`/`dh_prev`/`dc_prev`. The `&self` receiver lets parallel workers
+    /// share one read-only weight set while accumulating into private
+    /// buffers.
     ///
     /// # Panics
     ///
@@ -349,10 +273,57 @@ mod tests {
         StdRng::seed_from_u64(5)
     }
 
+    /// One [`Lstm::step_cached`] with fresh buffers: `(h, c, cache)`.
+    fn forward(
+        l: &Lstm,
+        x: &[f64],
+        h_prev: &[f64],
+        c_prev: &[f64],
+    ) -> (Vec<f64>, Vec<f64>, LstmCache) {
+        let h = l.hidden;
+        let mut z = vec![0.0; 4 * h];
+        let mut cache = LstmCache::default();
+        let mut h_out = vec![0.0; h];
+        let mut c_out = vec![0.0; h];
+        l.step_cached(x, h_prev, c_prev, &mut z, &mut cache, &mut h_out, &mut c_out);
+        (h_out, c_out, cache)
+    }
+
+    /// One [`Lstm::step_backward_into`] accumulating into the layer's own
+    /// `gates.gw`/`gates.gb`: `(dx, dh_prev, dc_prev)`.
+    fn backward(
+        l: &mut Lstm,
+        cache: &LstmCache,
+        dh: &[f64],
+        dc: &[f64],
+    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let h = l.hidden;
+        let mut dz = vec![0.0; 4 * h];
+        let mut dx = vec![0.0; l.input];
+        let mut dh_prev = vec![0.0; h];
+        let mut dc_prev = vec![0.0; h];
+        let mut gw = std::mem::take(&mut l.gates.gw);
+        let mut gb = std::mem::take(&mut l.gates.gb);
+        l.step_backward_into(
+            cache,
+            dh,
+            dc,
+            &mut gw,
+            &mut gb,
+            &mut dz,
+            &mut dx,
+            &mut dh_prev,
+            &mut dc_prev,
+        );
+        l.gates.gw = gw;
+        l.gates.gb = gb;
+        (dx, dh_prev, dc_prev)
+    }
+
     #[test]
     fn shapes_are_consistent() {
         let l = Lstm::new(3, 4, &mut rng());
-        let (h, c, _) = l.step(&[0.1, 0.2, 0.3], &[0.0; 4], &[0.0; 4]);
+        let (h, c, _) = forward(&l, &[0.1, 0.2, 0.3], &[0.0; 4], &[0.0; 4]);
         assert_eq!(h.len(), 4);
         assert_eq!(c.len(), 4);
     }
@@ -365,7 +336,7 @@ mod tests {
         let mut c = vec![0.0; 8];
         for t in 0..50 {
             let x = [(t as f64 * 0.37).sin() * 3.0, (t as f64 * 0.11).cos() * 3.0];
-            let (nh, nc, _) = l.step(&x, &h, &c);
+            let (nh, nc, _) = forward(&l, &x, &h, &c);
             h = nh;
             c = nc;
             assert!(h.iter().all(|v| v.abs() < 1.0));
@@ -391,7 +362,7 @@ mod tests {
             let mut h = vec![0.0; 3];
             let mut c = vec![0.0; 3];
             for x in &xs {
-                let (nh, nc, _) = l.step(x, &h, &c);
+                let (nh, nc, _) = forward(l, x, &h, &c);
                 h = nh;
                 c = nc;
             }
@@ -403,7 +374,7 @@ mod tests {
         let mut c = vec![0.0; 3];
         let mut caches = Vec::new();
         for x in &xs {
-            let (nh, nc, cache) = l.step(x, &h, &c);
+            let (nh, nc, cache) = forward(&l, x, &h, &c);
             caches.push(cache);
             h = nh;
             c = nc;
@@ -412,7 +383,7 @@ mod tests {
         let mut dh = vec![1.0; 3];
         let mut dc = vec![0.0; 3];
         for cache in caches.iter().rev() {
-            let (_dx, dhp, dcp) = l.step_backward(cache, &dh, &dc);
+            let (_dx, dhp, dcp) = backward(&mut l, cache, &dh, &dc);
             dh = dhp;
             dc = dcp;
         }
@@ -455,8 +426,8 @@ mod tests {
         let x = vec![0.4, -0.6];
         let h0 = vec![0.1, -0.2, 0.3];
         let c0 = vec![0.05, 0.0, -0.1];
-        let (_h, _c, cache) = l.step(&x, &h0, &c0);
-        let (dx, _dhp, _dcp) = l.step_backward(&cache, &[1.0, 1.0, 1.0], &[0.0; 3]);
+        let (_h, _c, cache) = forward(&l, &x, &h0, &c0);
+        let (dx, _dhp, _dcp) = backward(&mut l, &cache, &[1.0, 1.0, 1.0], &[0.0; 3]);
 
         let eps = 1e-6;
         for k in 0..2 {
@@ -464,18 +435,20 @@ mod tests {
             xp[k] += eps;
             let mut xm = x.clone();
             xm[k] -= eps;
-            let lp: f64 = l.step(&xp, &h0, &c0).0.iter().sum();
-            let lm: f64 = l.step(&xm, &h0, &c0).0.iter().sum();
+            let lp: f64 = forward(&l, &xp, &h0, &c0).0.iter().sum();
+            let lm: f64 = forward(&l, &xm, &h0, &c0).0.iter().sum();
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - dx[k]).abs() < 1e-6, "dx[{k}]: {num} vs {}", dx[k]);
         }
     }
 
     #[test]
-    fn step_batch_bitwise_matches_step_infer() {
+    fn step_batch_bitwise_matches_step_cached() {
+        // The inference and training forwards must agree bit for bit: the
+        // model is trained through one and deployed through the other.
         let l = Lstm::new(3, 5, &mut rng());
         for width in [1usize, 4, 32] {
-            // Independent scalar streams, one per lane.
+            // Independent training-path streams, one per lane.
             let mut hs: Vec<Vec<f64>> = vec![vec![0.0; 5]; width];
             let mut cs: Vec<Vec<f64>> = vec![vec![0.0; 5]; width];
             // Batched panels.
@@ -484,7 +457,7 @@ mod tests {
             let mut z = vec![0.0; 4 * 5 * width];
             let mut hn = vec![0.0; 5 * width];
             let mut cn = vec![0.0; 5 * width];
-            let mut zs = vec![0.0; 4 * 5];
+            let live = vec![true; width];
             for t in 0..30 {
                 let xs: Vec<Vec<f64>> = (0..width)
                     .map(|lane| {
@@ -499,13 +472,11 @@ mod tests {
                         xp[c * width + lane] = *v;
                     }
                 }
-                l.step_batch(width, &xp, &hp, &cp, &mut z, &mut hn, &mut cn, None);
+                l.step_batch(width, &xp, &hp, &cp, &mut z, &mut hn, &mut cn, &live);
                 std::mem::swap(&mut hp, &mut hn);
                 std::mem::swap(&mut cp, &mut cn);
                 for lane in 0..width {
-                    let mut h_out = vec![0.0; 5];
-                    let mut c_out = vec![0.0; 5];
-                    l.step_infer(&xs[lane], &hs[lane], &cs[lane], &mut zs, &mut h_out, &mut c_out);
+                    let (h_out, c_out, _) = forward(&l, &xs[lane], &hs[lane], &cs[lane]);
                     hs[lane] = h_out;
                     cs[lane] = c_out;
                     for k in 0..5 {

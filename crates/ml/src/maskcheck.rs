@@ -23,7 +23,7 @@
 
 use crate::ensemble::PerceptionViews;
 use crate::features::{ControlTarget, WINDOW};
-use crate::model::{InferScratch, LstmPredictor, PredictorState};
+use crate::model::{BatchInferScratch, BatchPredictorState, LstmPredictor};
 use adas_simulator::DeterministicRng;
 use std::sync::Arc;
 
@@ -76,8 +76,8 @@ pub struct MaskCheckMitigator {
     model: Arc<LstmPredictor>,
     config: MaskCheckConfig,
     rng: DeterministicRng,
-    state: PredictorState,
-    scratch: InferScratch,
+    state: BatchPredictorState,
+    scratch: BatchInferScratch,
     warmup: usize,
     inconsistent_streak: u32,
     consistent_streak: u32,
@@ -100,8 +100,8 @@ impl MaskCheckMitigator {
             views: config.views.max(2),
             ..config
         };
-        let state = model.init_state();
-        let scratch = model.infer_scratch();
+        let state = model.batch_state(1);
+        let scratch = model.batch_scratch(1);
         Self {
             model,
             config,
@@ -172,11 +172,11 @@ impl MaskCheckMitigator {
     /// `Some(recovery)` while attack evidence is latched.
     pub fn update_views(&mut self, views: &PerceptionViews, time: f64) -> Option<ControlTarget> {
         // The recovery stream stays warm every cycle so the prediction is
-        // meaningful the moment the latch engages.
-        let y = self
-            .model
-            .step_with(&views.features.encode(), &mut self.state, &mut self.scratch);
-        let prediction = ControlTarget::decode(&y);
+        // meaningful the moment the latch engages. One stream, so a
+        // one-lane panel: the feature vector itself.
+        self.model
+            .step_batch(&views.features.encode(), &mut self.state, &mut self.scratch);
+        let prediction = ControlTarget::decode(&self.scratch.output(0));
         let inconsistent = self.vote_inconsistent(views);
 
         if self.warmup < WINDOW {
@@ -214,19 +214,6 @@ impl MaskCheckMitigator {
             }
             None
         }
-    }
-
-    /// Resets the runtime (new run) while keeping the trained weights and
-    /// the jitter stream position — give a fresh run a fresh RNG split
-    /// instead of reusing a reset mitigator when bit-identity matters.
-    pub fn reset(&mut self) {
-        self.state = self.model.init_state();
-        self.warmup = 0;
-        self.inconsistent_streak = 0;
-        self.consistent_streak = 0;
-        self.latched = false;
-        self.first_activation = None;
-        self.activations = 0;
     }
 }
 
@@ -352,24 +339,6 @@ mod tests {
             let _ = m.update_views(v, t as f64 * 0.01);
         }
         assert!(!m.latched());
-        assert_eq!(m.activation_count(), 0);
-    }
-
-    #[test]
-    fn reset_clears_runtime_state() {
-        let mut m = MaskCheckMitigator::new(
-            small_model(),
-            MaskCheckConfig::default(),
-            DeterministicRng::from_seed(1),
-        );
-        let mut attacked = benign_views();
-        attacked.attacked_rd = None;
-        for t in 0..(WINDOW + 10) {
-            let _ = m.update_views(&attacked, t as f64 * 0.01);
-        }
-        m.reset();
-        assert!(!m.latched());
-        assert!(m.first_activation_time().is_none());
         assert_eq!(m.activation_count(), 0);
     }
 }

@@ -11,7 +11,7 @@ use adas_codec::{Encode, Writer};
 use crate::ensemble::{EnsembleMitigator, PerceptionViews};
 use crate::features::{ControlTarget, StateFeatures, FEATURE_DIM, TARGET_DIM, WINDOW};
 use crate::maskcheck::MaskCheckMitigator;
-use crate::model::{InferScratch, LstmPredictor, PredictorState};
+use crate::model::{BatchInferScratch, BatchPredictorState, LstmPredictor};
 use std::sync::Arc;
 
 /// Which mitigation strategy guards a run — the `ADAS_MITIGATION` axis of
@@ -89,8 +89,8 @@ impl MitigationKind {
 
 /// A run's mitigation runtime: any of the three strategies behind one
 /// seam. The platform stages per-cycle inputs once and dispatches here —
-/// the CUSUM variant consumes the encoded feature vector (scalar forward
-/// inline, or one lane of the campaign's batched panel), the view-based
+/// the CUSUM variant consumes the encoded feature vector (its own one-lane
+/// forward, or one lane of the campaign's batched panel), the view-based
 /// variants consume [`PerceptionViews`] and run their own view fan-out.
 #[derive(Debug, Clone)]
 pub enum Mitigator {
@@ -167,15 +167,6 @@ impl Mitigator {
             Mitigator::MaskCheck(m) => m.activation_count(),
         }
     }
-
-    /// Resets the runtime (new run) while keeping the trained weights.
-    pub fn reset(&mut self) {
-        match self {
-            Mitigator::Cusum(ml) => ml.reset(),
-            Mitigator::Ensemble(e) => e.reset(),
-            Mitigator::MaskCheck(m) => m.reset(),
-        }
-    }
 }
 
 impl From<MlMitigator> for Mitigator {
@@ -212,8 +203,8 @@ pub struct MlMitigator {
     model: Arc<LstmPredictor>,
     config: MitigationConfig,
     cusum: Cusum,
-    state: PredictorState,
-    scratch: InferScratch,
+    state: BatchPredictorState,
+    scratch: BatchInferScratch,
     warmup: usize,
     recovery: bool,
     first_activation: Option<f64>,
@@ -228,8 +219,8 @@ impl MlMitigator {
     #[must_use]
     pub fn new(model: impl Into<Arc<LstmPredictor>>, config: MitigationConfig) -> Self {
         let model = model.into();
-        let state = model.init_state();
-        let scratch = model.infer_scratch();
+        let state = model.batch_state(1);
+        let scratch = model.batch_scratch(1);
         Self {
             model,
             config,
@@ -282,12 +273,14 @@ impl MlMitigator {
     /// Advances this mitigator's own recurrent state by one cycle and
     /// returns the raw (normalised) model output.
     ///
-    /// The scalar half of [`Self::update`]. The batched campaign path skips
-    /// this — it computes the same output for a whole batch of runs with
-    /// [`LstmPredictor::step_batch`] and feeds each lane's result to
-    /// [`Self::update_with_output`].
+    /// The forward half of [`Self::update`]: a one-lane
+    /// [`LstmPredictor::step_batch`], whose input panel is `x` itself. The
+    /// lockstep campaign path skips this — it computes the same output for
+    /// a whole batch of runs in one wider panel and feeds each lane's
+    /// result to [`Self::update_with_output`].
     pub fn forward(&mut self, x: &[f64; FEATURE_DIM]) -> [f64; TARGET_DIM] {
-        self.model.step_with(x, &mut self.state, &mut self.scratch)
+        self.model.step_batch(x, &mut self.state, &mut self.scratch);
+        self.scratch.output(0)
     }
 
     /// The decision half of Algorithm 1, given an already-computed model
@@ -329,16 +322,6 @@ impl MlMitigator {
         } else {
             None
         }
-    }
-
-    /// Resets the runtime (new run) while keeping the trained weights.
-    pub fn reset(&mut self) {
-        self.state = self.model.init_state();
-        self.cusum = Cusum::new(self.config.tau, self.config.bias);
-        self.warmup = 0;
-        self.recovery = false;
-        self.first_activation = None;
-        self.activations = 0;
     }
 }
 
@@ -391,10 +374,7 @@ mod tests {
         for t in 0..500 {
             let x = neutral_state();
             // Compute what the model would say using a twin.
-            let pred = {
-                let y = shadow.model.step(&x.encode(), &mut shadow.state);
-                ControlTarget::decode(&y)
-            };
+            let pred = ControlTarget::decode(&shadow.forward(&x.encode()));
             let out = mit.update(&x, &pred, t as f64 * 0.01);
             assert!(out.is_none(), "triggered at step {t}");
         }
@@ -435,11 +415,7 @@ mod tests {
         // ADAS output now agrees with the model's prediction: δ ≈ 0.
         for t in 500..600 {
             let x = neutral_state();
-            let pred = {
-                let mut probe = mit.clone();
-                let y = probe.model.step(&x.encode(), &mut probe.state);
-                ControlTarget::decode(&y)
-            };
+            let pred = ControlTarget::decode(&mit.clone().forward(&x.encode()));
             let _ = mit.update(&x, &pred, t as f64 * 0.01);
         }
         assert!(!mit.in_recovery());
@@ -480,21 +456,5 @@ mod tests {
         ));
         assert_eq!(mask.kind(), MitigationKind::MaskCheck);
         assert!(mask.wants_views());
-    }
-
-    #[test]
-    fn reset_clears_runtime_state() {
-        let mut mit = MlMitigator::new(small_model(), MitigationConfig::default());
-        let wild = ControlTarget {
-            accel: 10.0,
-            steer: 1.0,
-        };
-        for t in 0..500 {
-            let _ = mit.update(&neutral_state(), &wild, t as f64 * 0.01);
-        }
-        mit.reset();
-        assert!(!mit.in_recovery());
-        assert!(mit.first_activation_time().is_none());
-        assert_eq!(mit.activation_count(), 0);
     }
 }

@@ -1,4 +1,10 @@
 //! The two-layer LSTM regression model.
+//!
+//! Inference has one path: [`LstmPredictor::step_batch`] advances a
+//! lane-contiguous panel of independent streams, and a single run is a
+//! one-lane panel. Training unrolls the layers through
+//! [`Lstm::step_cached`] instead (see [`mod@crate::train`]); both
+//! forwards share the layer's gate math.
 
 use crate::features::{FEATURE_DIM, TARGET_DIM};
 use crate::linear::Linear;
@@ -59,42 +65,19 @@ impl ModelSpec {
     }
 }
 
-/// Recurrent state carried between control cycles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredictorState {
-    h1: Vec<f64>,
-    c1: Vec<f64>,
-    h2: Vec<f64>,
-    c2: Vec<f64>,
-}
-
-/// Preallocated inference scratch for [`LstmPredictor::step_with`].
+/// Recurrent state for a batch of independent streams, held as
+/// lane-contiguous `[units × width]` panels (`panel[k * width + lane]`).
 ///
-/// Holds the gate pre-activation buffers and the double-buffered next
-/// hidden/cell states, so a 100 Hz control loop performs zero heap
-/// allocations per cycle after construction.
-#[derive(Debug, Clone)]
-pub struct InferScratch {
-    z1: Vec<f64>,
-    z2: Vec<f64>,
-    h1: Vec<f64>,
-    c1: Vec<f64>,
-    h2: Vec<f64>,
-    c2: Vec<f64>,
-    y: Vec<f64>,
-}
-
-/// Recurrent state for a whole batch of runs, held as lane-contiguous
-/// `[units × width]` panels (`panel[k * width + lane]`).
-///
-/// Lane `lane` of a panel is one run's recurrent state; the batched
-/// forward ([`LstmPredictor::step_batch`]) advances every lane with one
+/// Lane `lane` of a panel is one stream's recurrent state (one run, or one
+/// perception view); a single run is a one-lane batch. The forward
+/// ([`LstmPredictor::step_batch`]) advances every live lane with one
 /// weights-stationary matvec per layer. Lanes are fully independent — no
-/// value ever crosses lanes — which is what makes the batched path
-/// bit-identical to the scalar one per run.
+/// value ever crosses lanes — so a lane's outputs are bit-identical
+/// whatever the width and whatever the other lanes hold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPredictorState {
     width: usize,
+    live: Vec<bool>,
     h1: Vec<f64>,
     c1: Vec<f64>,
     h2: Vec<f64>,
@@ -108,9 +91,17 @@ impl BatchPredictorState {
         self.width
     }
 
-    /// Zeroes one lane's recurrent state — equivalent to giving that lane
-    /// a fresh [`LstmPredictor::init_state`]. Called when a retired lane
-    /// is refilled with a new run.
+    /// Marks whether `lane` advances on the next
+    /// [`LstmPredictor::step_batch`] (every lane starts live). A lane that
+    /// is not live skips the gate transcendentals (the dominant per-lane
+    /// cost) and keeps its state, which goes stale: reset it with
+    /// [`Self::reset_lane`] before a new stream starts in it.
+    pub fn set_live(&mut self, lane: usize, live: bool) {
+        self.live[lane] = live;
+    }
+
+    /// Zeroes one lane's recurrent state — the state every stream starts
+    /// from. Called when a retired lane is refilled with a new run.
     pub fn reset_lane(&mut self, lane: usize) {
         assert!(lane < self.width, "lane out of range");
         let w = self.width;
@@ -125,8 +116,7 @@ impl BatchPredictorState {
 
 /// Preallocated scratch panels for [`LstmPredictor::step_batch`]: gate
 /// pre-activations, double-buffered next hidden/cell states, and the head
-/// output panel. Zero heap allocations per batched cycle after
-/// construction — the batched analogue of [`InferScratch`].
+/// output panel. Zero heap allocations per cycle after construction.
 #[derive(Debug, Clone)]
 pub struct BatchInferScratch {
     width: usize,
@@ -140,9 +130,8 @@ pub struct BatchInferScratch {
 }
 
 impl BatchInferScratch {
-    /// The head output for one lane after a [`LstmPredictor::step_batch`]
-    /// call — exactly what [`LstmPredictor::step_with`] would have
-    /// returned for that lane's scalar stream.
+    /// The normalised head output for one lane after a
+    /// [`LstmPredictor::step_batch`] call.
     #[must_use]
     pub fn output(&self, lane: usize) -> [f64; TARGET_DIM] {
         assert!(lane < self.width, "lane out of range");
@@ -192,75 +181,13 @@ impl LstmPredictor {
         self.l1.param_count() + self.l2.param_count() + self.head.param_count()
     }
 
-    /// A fresh zeroed recurrent state.
-    #[must_use]
-    pub fn init_state(&self) -> PredictorState {
-        PredictorState {
-            h1: vec![0.0; self.spec.hidden1],
-            c1: vec![0.0; self.spec.hidden1],
-            h2: vec![0.0; self.spec.hidden2],
-            c2: vec![0.0; self.spec.hidden2],
-        }
-    }
-
-    /// Preallocated scratch sized for this architecture (see
-    /// [`Self::step_with`]).
-    #[must_use]
-    pub fn infer_scratch(&self) -> InferScratch {
-        InferScratch {
-            z1: vec![0.0; 4 * self.spec.hidden1],
-            z2: vec![0.0; 4 * self.spec.hidden2],
-            h1: vec![0.0; self.spec.hidden1],
-            c1: vec![0.0; self.spec.hidden1],
-            h2: vec![0.0; self.spec.hidden2],
-            c2: vec![0.0; self.spec.hidden2],
-            y: vec![0.0; TARGET_DIM],
-        }
-    }
-
-    /// Advances the recurrent state by one control cycle and returns the
-    /// normalised prediction.
-    ///
-    /// Allocating convenience wrapper around [`Self::step_with`]; callers
-    /// on the hot path hold an [`InferScratch`] and use `step_with`
-    /// directly.
-    pub fn step(&self, x: &[f64; FEATURE_DIM], state: &mut PredictorState) -> [f64; TARGET_DIM] {
-        let mut scratch = self.infer_scratch();
-        self.step_with(x, state, &mut scratch)
-    }
-
-    /// Allocation-free [`Self::step`]: advances `state` using preallocated
-    /// `scratch` buffers. Bit-identical to `step`.
-    pub fn step_with(
-        &self,
-        x: &[f64; FEATURE_DIM],
-        state: &mut PredictorState,
-        scratch: &mut InferScratch,
-    ) -> [f64; TARGET_DIM] {
-        self.l1
-            .step_infer(x, &state.h1, &state.c1, &mut scratch.z1, &mut scratch.h1, &mut scratch.c1);
-        self.l2.step_infer(
-            &scratch.h1,
-            &state.h2,
-            &state.c2,
-            &mut scratch.z2,
-            &mut scratch.h2,
-            &mut scratch.c2,
-        );
-        std::mem::swap(&mut state.h1, &mut scratch.h1);
-        std::mem::swap(&mut state.c1, &mut scratch.c1);
-        std::mem::swap(&mut state.h2, &mut scratch.h2);
-        std::mem::swap(&mut state.c2, &mut scratch.c2);
-        self.head.forward_into(&state.h2, &mut scratch.y);
-        [scratch.y[0], scratch.y[1]]
-    }
-
     /// A fresh zeroed batch state with `width` lanes.
     #[must_use]
     pub fn batch_state(&self, width: usize) -> BatchPredictorState {
         assert!(width > 0, "batch width must be ≥ 1");
         BatchPredictorState {
             width,
+            live: vec![true; width],
             h1: vec![0.0; self.spec.hidden1 * width],
             c1: vec![0.0; self.spec.hidden1 * width],
             h2: vec![0.0; self.spec.hidden2 * width],
@@ -285,16 +212,21 @@ impl LstmPredictor {
         }
     }
 
-    /// Advances every lane of the batch by one control cycle with one
-    /// weights-stationary matvec per layer.
+    /// Advances every live lane of the batch by one control cycle with one
+    /// weights-stationary matvec per layer — the model's only inference
+    /// path. A single run is a one-lane batch: at width 1 the input panel
+    /// is the feature vector itself.
     ///
     /// `x` is a `FEATURE_DIM × width` lane-contiguous input panel
     /// (`x[c * width + lane]`). Per-lane outputs land in the scratch's
-    /// head panel — read them with [`BatchInferScratch::output`].
+    /// head panel — read them with [`BatchInferScratch::output`]. Lanes
+    /// that are not live ([`BatchPredictorState::set_live`]) keep their
+    /// state, and their outputs are not meaningful.
     ///
-    /// Bit-identical per lane to [`Self::step_with`]: the matvec consumes
-    /// columns in the same order with the bias added last, the gate math
-    /// is the scalar expression per lane, and lanes never mix.
+    /// Each live lane's outputs are bit-identical to stepping that lane's
+    /// stream alone: the matvec consumes columns in the same order with
+    /// the bias added last, the gate math is the same per lane, and lanes
+    /// never mix.
     ///
     /// # Panics
     ///
@@ -304,38 +236,6 @@ impl LstmPredictor {
         x: &[f64],
         state: &mut BatchPredictorState,
         scratch: &mut BatchInferScratch,
-    ) {
-        self.step_batch_inner(x, state, scratch, None);
-    }
-
-    /// [`Self::step_batch`] with a per-lane liveness mask: lanes with
-    /// `active[lane] == false` skip the gate transcendentals (the dominant
-    /// per-lane cost) and keep stale state. Live lanes are bit-identical
-    /// to [`Self::step_with`] regardless of the mask — a masked-out lane
-    /// must be [`BatchPredictorState::reset_lane`]-reset before it is
-    /// reactivated, which is exactly what the lockstep executor's refill
-    /// does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panel widths disagree, `x` has the wrong size, or
-    /// `active.len() != width`.
-    pub fn step_batch_masked(
-        &self,
-        x: &[f64],
-        state: &mut BatchPredictorState,
-        scratch: &mut BatchInferScratch,
-        active: &[bool],
-    ) {
-        self.step_batch_inner(x, state, scratch, Some(active));
-    }
-
-    fn step_batch_inner(
-        &self,
-        x: &[f64],
-        state: &mut BatchPredictorState,
-        scratch: &mut BatchInferScratch,
-        mask: Option<&[bool]>,
     ) {
         let width = state.width;
         assert_eq!(scratch.width, width, "state/scratch width mismatch");
@@ -348,7 +248,7 @@ impl LstmPredictor {
             &mut scratch.z1,
             &mut scratch.h1,
             &mut scratch.c1,
-            mask,
+            &state.live,
         );
         self.l2.step_batch(
             width,
@@ -358,7 +258,7 @@ impl LstmPredictor {
             &mut scratch.z2,
             &mut scratch.h2,
             &mut scratch.c2,
-            mask,
+            &state.live,
         );
         std::mem::swap(&mut state.h1, &mut scratch.h1);
         std::mem::swap(&mut state.c1, &mut scratch.c1);
@@ -367,17 +267,16 @@ impl LstmPredictor {
         self.head.forward_batch(width, &state.h2, &mut scratch.y);
     }
 
-    /// Runs a whole window from a zero state (training/eval convenience —
-    /// the paper's 20-frame input framing).
+    /// Runs a whole window through a one-lane batch from a zero state
+    /// (training/eval convenience — the paper's 20-frame input framing).
     #[must_use]
     pub fn predict_window(&self, window: &[[f64; FEATURE_DIM]]) -> [f64; TARGET_DIM] {
-        let mut st = self.init_state();
-        let mut scratch = self.infer_scratch();
-        let mut out = [0.0; TARGET_DIM];
+        let mut state = self.batch_state(1);
+        let mut scratch = self.batch_scratch(1);
         for x in window {
-            out = self.step_with(x, &mut st, &mut scratch);
+            self.step_batch(x, &mut state, &mut scratch);
         }
-        out
+        scratch.output(0)
     }
 
     /// Serialises the trained weights to a portable little-endian binary
@@ -497,196 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn step_and_window_agree() {
-        let m = LstmPredictor::new(ModelSpec::default());
-        let window: Vec<[f64; FEATURE_DIM]> = (0..20)
-            .map(|t| {
-                let mut x = [0.0; FEATURE_DIM];
-                x[0] = (t as f64) / 20.0;
-                x
-            })
-            .collect();
-        let via_window = m.predict_window(&window);
-        let mut st = m.init_state();
-        let mut via_steps = [0.0; TARGET_DIM];
-        for x in &window {
-            via_steps = m.step(x, &mut st);
-        }
-        assert_eq!(via_window, via_steps);
-    }
-
-    #[test]
     fn paper_best_is_larger() {
         let small = LstmPredictor::new(ModelSpec::default());
         let big = LstmPredictor::new(ModelSpec::paper_best());
         assert!(big.param_count() > small.param_count());
-    }
-
-    #[test]
-    fn step_with_matches_step_bitwise() {
-        let m = LstmPredictor::new(ModelSpec::default());
-        let mut st_a = m.init_state();
-        let mut st_b = m.init_state();
-        let mut scratch = m.infer_scratch();
-        for t in 0..50 {
-            let mut x = [0.0; FEATURE_DIM];
-            x[0] = (t as f64 * 0.13).sin();
-            x[3] = (t as f64 * 0.07).cos();
-            let ya = m.step(&x, &mut st_a);
-            let yb = m.step_with(&x, &mut st_b, &mut scratch);
-            assert_eq!(ya, yb, "diverged at step {t}");
-        }
-        assert_eq!(st_a, st_b);
-    }
-
-    #[test]
-    fn step_batch_bitwise_matches_step_with_across_widths() {
-        let m = LstmPredictor::new(ModelSpec {
-            hidden1: 16,
-            hidden2: 8,
-            seed: 11,
-        });
-        for width in [1usize, 4, 32] {
-            let mut panel_state = m.batch_state(width);
-            let mut panel_scratch = m.batch_scratch(width);
-            let mut scalar: Vec<(PredictorState, InferScratch)> = (0..width)
-                .map(|_| (m.init_state(), m.infer_scratch()))
-                .collect();
-            for t in 0..40 {
-                let mut x_panel = vec![0.0; FEATURE_DIM * width];
-                let mut xs = Vec::with_capacity(width);
-                for lane in 0..width {
-                    let mut x = [0.0; FEATURE_DIM];
-                    for (c, v) in x.iter_mut().enumerate() {
-                        *v = ((t * FEATURE_DIM + c) as f64 * 0.17 + lane as f64 * 0.9).sin();
-                    }
-                    for (c, v) in x.iter().enumerate() {
-                        x_panel[c * width + lane] = *v;
-                    }
-                    xs.push(x);
-                }
-                m.step_batch(&x_panel, &mut panel_state, &mut panel_scratch);
-                for (lane, (st, sc)) in scalar.iter_mut().enumerate() {
-                    let y = m.step_with(&xs[lane], st, sc);
-                    let yb = panel_scratch.output(lane);
-                    assert_eq!(y[0].to_bits(), yb[0].to_bits(), "w{width} lane{lane} t{t}");
-                    assert_eq!(y[1].to_bits(), yb[1].to_bits(), "w{width} lane{lane} t{t}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn masked_lanes_do_not_perturb_live_lanes() {
-        // Live lanes must be bit-identical to their scalar streams no
-        // matter which other lanes are masked out, and a masked-out lane
-        // must resume a correct fresh stream after reset_lane — the exact
-        // life cycle of a drained-then-refilled lockstep slot.
-        let m = LstmPredictor::new(ModelSpec {
-            hidden1: 12,
-            hidden2: 6,
-            seed: 21,
-        });
-        let width = 4;
-        let mut state = m.batch_state(width);
-        let mut scratch = m.batch_scratch(width);
-        let mut scalar: Vec<(PredictorState, InferScratch)> =
-            (0..width).map(|_| (m.init_state(), m.infer_scratch())).collect();
-        let x_of = |t: usize, lane: usize| {
-            let mut x = [0.0; FEATURE_DIM];
-            for (c, v) in x.iter_mut().enumerate() {
-                *v = ((t * FEATURE_DIM + c) as f64 * 0.19 + lane as f64 * 1.3).sin();
-            }
-            x
-        };
-        let mut panel = vec![0.0; FEATURE_DIM * width];
-        // Phase 1: lanes 0–2 live, lane 3 masked out the whole time.
-        let live = [true, true, true, false];
-        for t in 0..15 {
-            for lane in 0..width {
-                for (c, v) in x_of(t, lane).iter().enumerate() {
-                    panel[c * width + lane] = *v;
-                }
-            }
-            m.step_batch_masked(&panel, &mut state, &mut scratch, &live);
-            for (lane, (st, sc)) in scalar.iter_mut().enumerate().take(3) {
-                let y = m.step_with(&x_of(t, lane), st, sc);
-                assert_eq!(y, scratch.output(lane), "live lane {lane} t {t}");
-            }
-        }
-        // Phase 2: lane 1 retires (masked), lane 3 refills (reset + live).
-        state.reset_lane(3);
-        let live = [true, false, true, true];
-        let mut fresh = (m.init_state(), m.infer_scratch());
-        for t in 15..30 {
-            for lane in 0..width {
-                for (c, v) in x_of(t, lane).iter().enumerate() {
-                    panel[c * width + lane] = *v;
-                }
-            }
-            m.step_batch_masked(&panel, &mut state, &mut scratch, &live);
-            for lane in [0usize, 2] {
-                let (st, sc) = &mut scalar[lane];
-                let y = m.step_with(&x_of(t, lane), st, sc);
-                assert_eq!(y, scratch.output(lane), "veteran lane {lane} t {t}");
-            }
-            let y = m.step_with(&x_of(t, 3), &mut fresh.0, &mut fresh.1);
-            assert_eq!(y, scratch.output(3), "refilled lane t {t}");
-        }
-    }
-
-    #[test]
-    fn reset_lane_restarts_one_stream_without_touching_others() {
-        let m = LstmPredictor::new(ModelSpec {
-            hidden1: 8,
-            hidden2: 4,
-            seed: 13,
-        });
-        let width = 3;
-        let mut state = m.batch_state(width);
-        let mut scratch = m.batch_scratch(width);
-        let x_of = |t: usize, lane: usize| {
-            let mut x = [0.0; FEATURE_DIM];
-            for (c, v) in x.iter_mut().enumerate() {
-                *v = ((t + c) as f64 * 0.23 + lane as f64).cos();
-            }
-            x
-        };
-        let panel_of = |t: usize| {
-            let mut p = vec![0.0; FEATURE_DIM * width];
-            for lane in 0..width {
-                let x = x_of(t, lane);
-                for (c, v) in x.iter().enumerate() {
-                    p[c * width + lane] = *v;
-                }
-            }
-            p
-        };
-        for t in 0..10 {
-            m.step_batch(&panel_of(t), &mut state, &mut scratch);
-        }
-        // Restart lane 1 mid-flight; it must now track a fresh scalar
-        // stream while lanes 0 and 2 continue theirs.
-        state.reset_lane(1);
-        let mut fresh = m.init_state();
-        let mut fresh_scratch = m.infer_scratch();
-        let mut veterans: Vec<(PredictorState, InferScratch)> =
-            (0..width).map(|_| (m.init_state(), m.infer_scratch())).collect();
-        for t in 0..10 {
-            for (lane, (st, sc)) in veterans.iter_mut().enumerate() {
-                let _ = m.step_with(&x_of(t, lane), st, sc);
-            }
-        }
-        for t in 10..25 {
-            m.step_batch(&panel_of(t), &mut state, &mut scratch);
-            let y_fresh = m.step_with(&x_of(t, 1), &mut fresh, &mut fresh_scratch);
-            assert_eq!(scratch.output(1), y_fresh, "restarted lane at t {t}");
-            for lane in [0usize, 2] {
-                let (st, sc) = &mut veterans[lane];
-                let y_vet = m.step_with(&x_of(t, lane), st, sc);
-                assert_eq!(scratch.output(lane), y_vet, "veteran lane {lane} at t {t}");
-            }
-        }
     }
 
     #[test]
@@ -777,10 +490,11 @@ mod tests {
     fn outputs_finite() {
         let m = LstmPredictor::new(ModelSpec::default());
         let x = [1.0; FEATURE_DIM];
-        let mut st = m.init_state();
+        let mut st = m.batch_state(1);
+        let mut scratch = m.batch_scratch(1);
         for _ in 0..100 {
-            let y = m.step(&x, &mut st);
-            assert!(y.iter().all(|v| v.is_finite()));
+            m.step_batch(&x, &mut st, &mut scratch);
+            assert!(scratch.output(0).iter().all(|v| v.is_finite()));
         }
     }
 }

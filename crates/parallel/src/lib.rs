@@ -38,7 +38,7 @@ pub const MAX_THREADS: usize = 256;
 /// Resolves the worker count for `jobs` queued items.
 ///
 /// Priority: `ADAS_THREADS` env override (empty, unparsable, or zero
-/// values are rejected with a warning — see [`env`]), then
+/// values are rejected with a warning — see [`env`](mod@env)), then
 /// [`std::thread::available_parallelism`], then 4. The result never
 /// exceeds `jobs` (no point spawning idle workers) and is at least 1.
 #[must_use]
@@ -287,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn init_state_reused_within_worker() {
+    fn worker_state_reused_within_worker() {
         let items = vec![1u64; 64];
         // Each worker's state counts how many items it processed; the sum
         // across results of "first visit" flags must be <= threads.

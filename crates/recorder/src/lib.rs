@@ -15,7 +15,7 @@
 //!   derives events from flag edges, and supports a bounded ring mode.
 //! * [`diff`] — bit-exact step comparison localising the first divergent
 //!   step and field between a recorded and a replayed run.
-//! * [`explain`] — human-readable timeline rendering for `adas-replay
+//! * [`explain`](mod@explain) — human-readable timeline rendering for `adas-replay
 //!   explain`.
 //! * [`policy`] — the campaign persistence policy (`ADAS_TRACE`,
 //!   `ADAS_TRACE_DIR`, `ADAS_TRACE_RING`): keep full traces only for

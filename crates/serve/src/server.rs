@@ -4,7 +4,7 @@
 //! One executor thread drains the bounded [`JobQueue`] and runs campaigns
 //! one at a time; *within* a campaign each cell fans its sweep onto the
 //! work-stealing executor (`adas_parallel::map_ctl`) with the job's
-//! [`MapControl`] shared for cancellation and live progress. The trained
+//! [`MapControl`](adas_parallel::MapControl) shared for cancellation and live progress. The trained
 //! model and the content-addressed artifact cache are resident and shared
 //! across every request, which is where the warm-path speedup comes from.
 //!

@@ -117,7 +117,7 @@ impl GroupBy {
     }
 }
 
-/// A projected group key: one slot per axis, [`COLLAPSED`] where the
+/// A projected group key: one slot per axis, `COLLAPSED` where the
 /// query doesn't group. Ordered, so aggregate output is deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct GroupKey(pub [u8; 6]);
