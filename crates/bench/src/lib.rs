@@ -54,7 +54,7 @@ pub fn model_fingerprint(model: &LstmPredictor) -> Fingerprint {
 /// `ADAS_CACHE`/`ADAS_CACHE_DIR`).
 ///
 /// Training is deterministic for a given seed; progress is printed because
-/// it takes on the order of a minute at the shipped 64-32 hidden sizes.
+/// it takes ~10 s on a 2-vCPU host at the shipped 64-32 hidden sizes.
 #[must_use]
 pub fn trained_baseline(seed: u64, spec: ModelSpec) -> LstmPredictor {
     trained_baseline_cached(&ArtifactCache::from_env(), seed, spec)

@@ -1,8 +1,9 @@
-//! Minimal dense linear algebra: a fully-connected layer with gradients.
+//! Minimal dense linear algebra: a fully-connected layer and the row×lane
+//! tile kernel that every batched matvec and gradient product runs on.
 
 use rand::Rng;
 
-/// A dense affine map `y = W x + b` with accumulated gradients.
+/// A dense affine map `y = W x + b`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     /// Output dimension.
@@ -13,10 +14,6 @@ pub struct Linear {
     pub w: Vec<f64>,
     /// Bias, length `rows`.
     pub b: Vec<f64>,
-    /// Weight gradient accumulator.
-    pub gw: Vec<f64>,
-    /// Bias gradient accumulator.
-    pub gb: Vec<f64>,
 }
 
 impl Linear {
@@ -33,8 +30,6 @@ impl Linear {
             cols,
             w,
             b: vec![0.0; rows],
-            gw: vec![0.0; rows * cols],
-            gb: vec![0.0; rows],
         }
     }
 
@@ -50,7 +45,8 @@ impl Linear {
         y
     }
 
-    /// `y = W x + b`, written into a preallocated output buffer.
+    /// `y = W x + b`, written into a preallocated output buffer: the
+    /// scalar reference every batched kernel is tested against.
     ///
     /// # Panics
     ///
@@ -68,32 +64,6 @@ impl Linear {
         }
     }
 
-    /// `y = W [xa; xb] + b` without materialising the concatenation.
-    ///
-    /// Bit-identical to [`Self::forward_into`] on the concatenated input:
-    /// each row's accumulator consumes `xa`'s columns then `xb`'s, in the
-    /// same order as a contiguous input slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xa.len() + xb.len() != cols` or `y.len() != rows`.
-    pub fn forward_concat_into(&self, xa: &[f64], xb: &[f64], y: &mut [f64]) {
-        assert_eq!(xa.len() + xb.len(), self.cols, "input dimension mismatch");
-        assert_eq!(y.len(), self.rows, "output dimension mismatch");
-        let na = xa.len();
-        for (r, y_r) in y.iter_mut().enumerate() {
-            let row = &self.w[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0.0;
-            for (w_rc, x_c) in row[..na].iter().zip(xa) {
-                acc += w_rc * x_c;
-            }
-            for (w_rc, x_c) in row[na..].iter().zip(xb) {
-                acc += w_rc * x_c;
-            }
-            *y_r = self.b[r] + acc;
-        }
-    }
-
     /// Batched `Y = W X + b` over lane-contiguous panels.
     ///
     /// `x` is a `cols × width` panel (`x[c * width + lane]`), `y` a
@@ -102,11 +72,8 @@ impl Linear {
     /// remainders use one-row tiles): per column, each tile loads its
     /// lanes' inputs once and broadcasts each of its rows' weights across
     /// them, so the tile's accumulators stay in registers for the whole
-    /// column sweep as independent add chains. On x86_64 the tile kernel is
-    /// compiled twice — the SSE2 baseline and an `avx` target-feature build
-    /// picked per call by runtime detection (the crate's one `unsafe` site,
-    /// in `forward_concat_panels`); other architectures only have the
-    /// portable build.
+    /// column sweep as independent add chains. The build is the CPU's
+    /// fastest ([`Kernel::detect`]).
     ///
     /// Bit-identical per lane to [`Self::forward_into`] on either build:
     /// every output starts at 0, sees the same multiplies in the same
@@ -120,139 +87,90 @@ impl Linear {
     ///
     /// Panics on panel dimension mismatch or `width == 0`.
     pub fn forward_batch(&self, width: usize, x: &[f64], y: &mut [f64]) {
-        assert!(width > 0, "batch width must be ≥ 1");
-        assert_eq!(x.len(), self.cols * width, "input panel dimension mismatch");
-        assert_eq!(y.len(), self.rows * width, "output panel dimension mismatch");
-        self.forward_concat_panels(width, x, &[], y);
+        self.forward_panels(Kernel::detect(), width, x, &[], y);
     }
 
-    /// Batched [`Self::forward_concat_into`]: `Y = W [Xa; Xb] + b` over
-    /// lane-contiguous panels without materialising the concatenation.
+    /// `Y = W [Xa; Xb] + b` over lane-contiguous panels without
+    /// materialising the concatenation, on the CPU's fastest build.
     ///
     /// `xa` is an `na × width` panel, `xb` a `(cols − na) × width` panel.
-    /// Bit-identical per lane to the scalar concat forward: each output's
-    /// accumulator consumes `xa`'s columns then `xb`'s in order, bias last.
-    /// Row × lane tiling and the runtime AVX build as in
+    /// Bit-identical per lane to [`Self::forward_into`] on the
+    /// concatenated input: each output's accumulator consumes `xa`'s
+    /// columns then `xb`'s in order, bias last. Row × lane tiling as in
     /// [`Self::forward_batch`].
     ///
     /// # Panics
     ///
     /// Panics on panel dimension mismatch or `width == 0`.
     pub fn forward_concat_batch(&self, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
+        self.forward_panels(Kernel::detect(), width, xa, xb, y);
+    }
+
+    /// [`Self::forward_concat_batch`] on an explicit kernel build (`xb`
+    /// may be empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics on panel dimension mismatch or `width == 0`.
+    pub fn forward_panels(
+        &self,
+        kernel: Kernel,
+        width: usize,
+        xa: &[f64],
+        xb: &[f64],
+        y: &mut [f64],
+    ) {
         assert!(width > 0, "batch width must be ≥ 1");
         assert_eq!(
             xa.len() + xb.len(),
             self.cols * width,
             "input panel dimension mismatch"
         );
-        assert!(xa.len().is_multiple_of(width), "xa panel not a multiple of width");
-        assert_eq!(y.len(), self.rows * width, "output panel dimension mismatch");
-        self.forward_concat_panels(width, xa, xb, y);
-    }
-
-    /// Picks the tile kernel build for this CPU (dimensions already
-    /// validated by the callers; `xb` may be empty).
-    #[allow(unsafe_code)]
-    fn forward_concat_panels(&self, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: `tiles_avx`'s only precondition is that the CPU
-            // supports AVX, which was detected just above.
-            unsafe { tiles_avx(self, width, xa, xb, y) };
-            return;
-        }
-        tiles(self, width, xa, xb, y);
-    }
-
-    /// Accumulates gradients for one sample and returns `dL/dx`.
-    ///
-    /// `x` must be the input used in the corresponding forward pass and
-    /// `dy` the gradient of the loss with respect to the output.
-    #[must_use]
-    pub fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
-        let mut dx = vec![0.0; self.cols];
-        let rows = self.rows;
-        let cols = self.cols;
-        backward_kernel(
-            &self.w,
-            rows,
-            cols,
-            x,
-            dy,
-            &mut self.gw,
-            &mut self.gb,
-            &mut dx,
+        assert!(
+            xa.len().is_multiple_of(width),
+            "xa panel not a multiple of width"
         );
-        dx
+        assert_eq!(
+            y.len(),
+            self.rows * width,
+            "output panel dimension mismatch"
+        );
+        let m = Mat {
+            w: &self.w,
+            rows: self.rows,
+            cols: self.cols,
+        };
+        kernel.run(m, Seed::Bias(&self.b), width, xa, xb, y);
     }
 
-    /// Gradient accumulation into caller-owned buffers (`&self` receiver so
-    /// workers can share one read-only weight set).
+    /// The zero-bias transpose of columns `from..cols`: a
+    /// `(cols − from) × rows` map whose [`Self::forward_batch`] is the
+    /// input gradient `Wᵀ·dy` of those columns for a panel of output
+    /// gradients `dy`.
     ///
-    /// Adds this sample's parameter gradients into `gw`/`gb` and *writes*
-    /// (overwrites) `dL/dx` into `dx`.
+    /// Output `c` of that forward starts at 0 and adds `w[r][from + c] ·
+    /// dy[r]` for `r` ascending, then adds the zero bias, which cannot
+    /// change a sum that started at `+0.0`. So it is bit-identical to the
+    /// scalar accumulation `dx[c] += w[r][c] * dy[r]` over the rows in
+    /// order from a zeroed `dx`.
     ///
     /// # Panics
     ///
-    /// Panics on any dimension mismatch.
-    pub fn backward_into(
-        &self,
-        x: &[f64],
-        dy: &[f64],
-        gw: &mut [f64],
-        gb: &mut [f64],
-        dx: &mut [f64],
-    ) {
-        dx.fill(0.0);
-        backward_kernel(&self.w, self.rows, self.cols, x, dy, gw, gb, dx);
-    }
-
-    /// [`Self::backward_into`] for a concatenated input `[xa; xb]`, writing
-    /// the input gradient into two buffers without materialising the
-    /// concatenation. Bit-identical to the contiguous version.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any dimension mismatch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_concat_into(
-        &self,
-        xa: &[f64],
-        xb: &[f64],
-        dy: &[f64],
-        gw: &mut [f64],
-        gb: &mut [f64],
-        dxa: &mut [f64],
-        dxb: &mut [f64],
-    ) {
-        let na = xa.len();
-        assert_eq!(na + xb.len(), self.cols, "input dimension mismatch");
-        assert_eq!(dy.len(), self.rows, "gradient dimension mismatch");
-        assert_eq!(gw.len(), self.w.len());
-        assert_eq!(gb.len(), self.rows);
-        assert_eq!(dxa.len(), na);
-        assert_eq!(dxb.len(), xb.len());
-        dxa.fill(0.0);
-        dxb.fill(0.0);
-        for (r, dy_r) in dy.iter().enumerate() {
-            gb[r] += dy_r;
-            let row_w = &self.w[r * self.cols..(r + 1) * self.cols];
-            let row_g = &mut gw[r * self.cols..(r + 1) * self.cols];
-            for c in 0..na {
-                row_g[c] += dy_r * xa[c];
-                dxa[c] += row_w[c] * dy_r;
-            }
-            for c in 0..xb.len() {
-                row_g[na + c] += dy_r * xb[c];
-                dxb[c] += row_w[na + c] * dy_r;
-            }
+    /// Panics if `from >= cols`.
+    #[must_use]
+    pub(crate) fn transposed(&self, from: usize) -> Linear {
+        assert!(from < self.cols, "transpose must keep at least one column");
+        let rows = self.cols - from;
+        let mut w = Vec::with_capacity(rows * self.rows);
+        for c in from..self.cols {
+            w.extend((0..self.rows).map(|r| self.w[r * self.cols + c]));
         }
-    }
-
-    /// Clears the gradient accumulators.
-    pub fn zero_grad(&mut self) {
-        self.gw.iter_mut().for_each(|g| *g = 0.0);
-        self.gb.iter_mut().for_each(|g| *g = 0.0);
+        Linear {
+            rows,
+            cols: self.rows,
+            w,
+            b: vec![0.0; rows],
+        }
     }
 
     /// Total number of parameters.
@@ -260,6 +178,110 @@ impl Linear {
     pub fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
     }
+}
+
+/// `y += A·X` over lane panels: `a` is a row-major `rows × k` matrix, `x`
+/// a `k × width` panel and `y` a `rows × width` panel — a weight gradient
+/// `gW += dZ·X` with the reduction index `j` running over (sample, step)
+/// pairs.
+///
+/// Runs on the tile kernel with each tile's accumulators seeded from `y`
+/// and written back without a bias, so every output sees exactly the
+/// sequence `y[r][lane] += a[r][j] * x[j][lane]` for `j` ascending: the
+/// scalar per-sample accumulation, loop-interchanged, not reassociated.
+///
+/// # Panics
+///
+/// Panics on dimension mismatch or `rows == 0` / `width == 0`.
+pub(crate) fn add_product(
+    kernel: Kernel,
+    a: &[f64],
+    rows: usize,
+    x: &[f64],
+    width: usize,
+    y: &mut [f64],
+) {
+    assert!(rows > 0 && width > 0, "empty product");
+    assert!(
+        a.len().is_multiple_of(rows),
+        "matrix not a multiple of its rows"
+    );
+    let k = a.len() / rows;
+    assert_eq!(x.len(), k * width, "input panel dimension mismatch");
+    assert_eq!(y.len(), rows * width, "output panel dimension mismatch");
+    let m = Mat {
+        w: a,
+        rows,
+        cols: k,
+    };
+    kernel.run(m, Seed::Output, width, x, &[], y);
+}
+
+/// Which build of the tile kernel a call runs. On x86_64 the kernel is
+/// compiled twice — the SSE2 baseline and an `avx` target-feature build —
+/// and its dispatch (`Kernel::run`) is the crate's one `unsafe` site; other
+/// architectures only have the portable build. Both builds are
+/// bit-identical (FMA stays off), so the choice only moves speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kernel {
+    /// Set only by [`Kernel::detect`], after detecting AVX.
+    avx: bool,
+}
+
+impl Kernel {
+    /// The portable build: the SSE2 baseline on x86_64, the only build
+    /// elsewhere.
+    pub const PORTABLE: Self = Self { avx: false };
+
+    /// The fastest build this CPU runs: AVX where detected, else portable.
+    #[must_use]
+    pub fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx = std::arch::is_x86_feature_detected!("avx");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx = false;
+        Self { avx }
+    }
+
+    /// Whether this is the AVX build.
+    #[must_use]
+    pub fn is_avx(self) -> bool {
+        self.avx
+    }
+
+    /// Runs the tile kernel on this build (dimensions already validated by
+    /// the callers; `xb` may be empty).
+    #[allow(unsafe_code)]
+    fn run(self, m: Mat, seed: Seed, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx {
+            // SAFETY: `tiles_avx`'s only precondition is that the CPU
+            // supports AVX, and a `Kernel` with `avx` set is only made by
+            // `detect`, after detecting it.
+            unsafe { tiles_avx(m, seed, width, xa, xb, y) };
+            return;
+        }
+        tiles(m, seed, width, xa, xb, y);
+    }
+}
+
+/// The left operand of a tile-kernel pass: a row-major `rows × cols`
+/// matrix (a layer's weights, or a gradient matrix `dZ`).
+#[derive(Clone, Copy)]
+struct Mat<'a> {
+    w: &'a [f64],
+    rows: usize,
+    cols: usize,
+}
+
+/// Where a tile's accumulators start and what it writes.
+#[derive(Clone, Copy)]
+enum Seed<'a> {
+    /// Start at 0 and write `b[r] + acc`: the affine map.
+    Bias(&'a [f64]),
+    /// Start at the output's value and write `acc` back: accumulate into
+    /// it.
+    Output,
 }
 
 /// Weight rows per register tile of the batched matvec.
@@ -270,23 +292,23 @@ const TILE_ROWS: usize = 4;
 /// the portable build.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-fn tiles_avx(l: &Linear, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
-    tiles(l, width, xa, xb, y);
+fn tiles_avx(m: Mat, seed: Seed, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
+    tiles(m, seed, width, xa, xb, y);
 }
 
-/// `y = W [xa; xb] + b` over lane panels: [`TILE_ROWS`]-row groups, then
-/// the row remainder one row at a time. `#[inline(always)]` (down to
+/// `y = M [xa; xb] (+ seed)` over lane panels: [`TILE_ROWS`]-row groups,
+/// then the row remainder one row at a time. `#[inline(always)]` (down to
 /// [`accumulate`]) so each caller gets its own copy compiled with its own
 /// target features: called directly, this is the portable build (the SSE2
 /// baseline on x86_64).
 #[inline(always)]
-fn tiles(l: &Linear, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
-    let full = l.rows - l.rows % TILE_ROWS;
+fn tiles(m: Mat, seed: Seed, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
+    let full = m.rows - m.rows % TILE_ROWS;
     for r0 in (0..full).step_by(TILE_ROWS) {
-        row_group::<TILE_ROWS>(l, r0, width, xa, xb, y);
+        row_group::<TILE_ROWS>(m, seed, r0, width, xa, xb, y);
     }
-    for r0 in full..l.rows {
-        row_group::<1>(l, r0, width, xa, xb, y);
+    for r0 in full..m.rows {
+        row_group::<1>(m, seed, r0, width, xa, xb, y);
     }
 }
 
@@ -295,7 +317,8 @@ fn tiles(l: &Linear, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
 /// registers.
 #[inline(always)]
 fn row_group<const R: usize>(
-    l: &Linear,
+    m: Mat,
+    seed: Seed,
     r0: usize,
     width: usize,
     xa: &[f64],
@@ -306,24 +329,26 @@ fn row_group<const R: usize>(
     while start < width {
         let left = width - start;
         start += if left >= 8 {
-            tile::<R, 8>(l, r0, width, start, xa, xb, y)
+            tile::<R, 8>(m, seed, r0, width, start, xa, xb, y)
         } else if left >= 4 {
-            tile::<R, 4>(l, r0, width, start, xa, xb, y)
+            tile::<R, 4>(m, seed, r0, width, start, xa, xb, y)
         } else if left >= 2 {
-            tile::<R, 2>(l, r0, width, start, xa, xb, y)
+            tile::<R, 2>(m, seed, r0, width, start, xa, xb, y)
         } else {
-            tile::<R, 1>(l, r0, width, start, xa, xb, y)
+            tile::<R, 1>(m, seed, r0, width, start, xa, xb, y)
         };
     }
 }
 
-/// One `R` rows × `N` lanes tile: `y[r][lane] = b[r] + Σ_c w[r][c] ·
+/// One `R` rows × `N` lanes tile: `y[r][lane] = seed + Σ_c m[r][c] ·
 /// x[c][lane]` for rows `r0..r0 + R` and lanes `start..start + N`, with the
 /// `xa` columns consumed before the `xb` columns. Returns `N` so the caller
 /// can advance its lane cursor.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tile<const R: usize, const N: usize>(
-    l: &Linear,
+    m: Mat,
+    seed: Seed,
     r0: usize,
     width: usize,
     start: usize,
@@ -332,15 +357,25 @@ fn tile<const R: usize, const N: usize>(
     y: &mut [f64],
 ) -> usize {
     let na = xa.len() / width;
-    let rows: [&[f64]; R] = std::array::from_fn(|i| &l.w[(r0 + i) * l.cols..(r0 + i + 1) * l.cols]);
+    let rows: [&[f64]; R] = std::array::from_fn(|i| &m.w[(r0 + i) * m.cols..(r0 + i + 1) * m.cols]);
     let mut acc = [[0.0f64; N]; R];
+    if let Seed::Output = seed {
+        for (i, acc_i) in acc.iter_mut().enumerate() {
+            acc_i.copy_from_slice(&y[(r0 + i) * width + start..][..N]);
+        }
+    }
     accumulate(rows.map(|row| &row[..na]), xa, width, start, &mut acc);
     accumulate(rows.map(|row| &row[na..]), xb, width, start, &mut acc);
     for (i, acc_i) in acc.iter().enumerate() {
-        let b_r = l.b[r0 + i];
         let out = &mut y[(r0 + i) * width + start..][..N];
-        for (o, a) in out.iter_mut().zip(acc_i) {
-            *o = b_r + a;
+        match seed {
+            Seed::Bias(b) => {
+                let b_r = b[r0 + i];
+                for (o, a) in out.iter_mut().zip(acc_i) {
+                    *o = b_r + a;
+                }
+            }
+            Seed::Output => out.copy_from_slice(acc_i),
         }
     }
     N
@@ -369,37 +404,6 @@ fn accumulate<const R: usize, const N: usize>(
             for j in 0..N {
                 acc_i[j] += w_ic * xs[j];
             }
-        }
-    }
-}
-
-/// Shared gradient kernel: `gb += dy`, `gw += dy ⊗ x`, `dx += Wᵀ dy`.
-///
-/// `dx` is accumulated into (callers zero it first when they want a pure
-/// write), matching the historical accumulation order exactly.
-#[allow(clippy::too_many_arguments)]
-fn backward_kernel(
-    w: &[f64],
-    rows: usize,
-    cols: usize,
-    x: &[f64],
-    dy: &[f64],
-    gw: &mut [f64],
-    gb: &mut [f64],
-    dx: &mut [f64],
-) {
-    assert_eq!(x.len(), cols, "input dimension mismatch");
-    assert_eq!(dy.len(), rows, "gradient dimension mismatch");
-    assert_eq!(gw.len(), w.len());
-    assert_eq!(gb.len(), rows);
-    assert_eq!(dx.len(), cols);
-    for (r, dy_r) in dy.iter().enumerate() {
-        gb[r] += dy_r;
-        let row_w = &w[r * cols..(r + 1) * cols];
-        let row_g = &mut gw[r * cols..(r + 1) * cols];
-        for c in 0..cols {
-            row_g[c] += dy_r * x[c];
-            dx[c] += row_w[c] * dy_r;
         }
     }
 }
@@ -443,53 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn backward_gradient_check() {
-        // Finite-difference check of dL/dw and dL/dx for L = sum(y).
-        let mut l = Linear::new(3, 4, &mut rng());
-        let x: Vec<f64> = vec![0.3, -0.2, 0.8, 0.1];
-        let dy = vec![1.0; 3];
-        let dx = l.backward(&x, &dy);
-
-        let eps = 1e-6;
-        // dL/dx.
-        for c in 0..4 {
-            let mut xp = x.clone();
-            xp[c] += eps;
-            let mut xm = x.clone();
-            xm[c] -= eps;
-            let lp: f64 = l.forward(&xp).iter().sum();
-            let lm: f64 = l.forward(&xm).iter().sum();
-            let num = (lp - lm) / (2.0 * eps);
-            assert!((num - dx[c]).abs() < 1e-6, "dx[{c}]: {num} vs {}", dx[c]);
-        }
-        // dL/dw for a couple of entries.
-        for idx in [0, 5, 11] {
-            let orig = l.w[idx];
-            l.w[idx] = orig + eps;
-            let lp: f64 = l.forward(&x).iter().sum();
-            l.w[idx] = orig - eps;
-            let lm: f64 = l.forward(&x).iter().sum();
-            l.w[idx] = orig;
-            let num = (lp - lm) / (2.0 * eps);
-            assert!(
-                (num - l.gw[idx]).abs() < 1e-6,
-                "gw[{idx}]: {num} vs {}",
-                l.gw[idx]
-            );
-        }
-    }
-
-    #[test]
-    fn zero_grad_clears() {
-        let mut l = Linear::new(2, 2, &mut rng());
-        let _ = l.backward(&[1.0, 1.0], &[1.0, 1.0]);
-        assert!(l.gw.iter().any(|g| *g != 0.0));
-        l.zero_grad();
-        assert!(l.gw.iter().all(|g| *g == 0.0));
-        assert!(l.gb.iter().all(|g| *g == 0.0));
-    }
-
-    #[test]
     fn sigmoid_properties() {
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
         assert!(sigmoid(30.0) > 0.999_999);
@@ -514,22 +471,20 @@ mod tests {
             .collect()
     }
 
-    /// Both builds of the tile kernel are bit-identical per lane to the
-    /// scalar `forward_concat_into`: the portable one always, the AVX one
-    /// (the public entry points' pick) when the CPU has it. Covers every
-    /// lane remainder (widths 1..=33), every row remainder of the 4-row
-    /// tile, and the empty-`xb` panel of `forward_batch`.
-    #[test]
-    fn batched_kernels_bitwise_match_scalar_concat() {
-        #[cfg(target_arch = "x86_64")]
-        let dispatched = if std::arch::is_x86_feature_detected!("avx") {
-            "avx"
-        } else {
-            "portable"
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let dispatched = "portable";
+    /// The portable build, and the dispatched one (AVX where the CPU has
+    /// it), with a name for failure messages.
+    fn builds() -> [(Kernel, &'static str); 2] {
+        let detected = Kernel::detect();
+        let name = if detected.is_avx() { "avx" } else { "portable" };
+        [(Kernel::PORTABLE, "portable"), (detected, name)]
+    }
 
+    /// Both builds of the tile kernel are bit-identical per lane to the
+    /// scalar `forward_into` on the concatenated input. Covers every lane
+    /// remainder (widths 1..=33), every row remainder of the 4-row tile,
+    /// and the empty-`xb` panel of `forward_batch`.
+    #[test]
+    fn batched_kernels_bitwise_match_scalar_forward() {
         let (na, nb) = (7, 5);
         for rows in [1usize, 2, 3, 5, 7, 256] {
             let mut l = Linear::new(rows, na + nb, &mut rng());
@@ -538,31 +493,109 @@ mod tests {
                 let pa = lane_input(na, width, 0.1);
                 let pb = lane_input(nb, width, 1.9);
                 let panel = [pa.clone(), pb.clone()].concat();
+                for (kernel, build) in builds() {
+                    let mut concat = vec![0.0; rows * width];
+                    l.forward_panels(kernel, width, &pa, &pb, &mut concat);
+                    let mut one = vec![0.0; rows * width];
+                    l.forward_panels(kernel, width, &panel, &[], &mut one);
+                    for lane in 0..width {
+                        let x: Vec<f64> = (0..na + nb).map(|c| panel[c * width + lane]).collect();
+                        let expect = l.forward(&x);
+                        for (r, e) in expect.iter().enumerate() {
+                            let at = r * width + lane;
+                            for (got, path) in [(concat[at], "concat"), (one[at], "empty xb")] {
+                                assert_eq!(
+                                    got.to_bits(),
+                                    e.to_bits(),
+                                    "{path} ({build}): {rows} rows, lane {lane}/{width}, row {r}"
+                                );
+                            }
+                        }
+                    }
+                }
+                let mut dispatched = vec![0.0; rows * width];
+                l.forward_concat_batch(width, &pa, &pb, &mut dispatched);
                 let mut portable = vec![0.0; rows * width];
-                tiles(&l, width, &pa, &pb, &mut portable);
-                let mut concat = vec![0.0; rows * width];
-                l.forward_concat_batch(width, &pa, &pb, &mut concat);
-                let mut portable_one = vec![0.0; rows * width];
-                tiles(&l, width, &panel, &[], &mut portable_one);
-                let mut one = vec![0.0; rows * width];
-                l.forward_batch(width, &panel, &mut one);
-                for lane in 0..width {
-                    let xa: Vec<f64> = (0..na).map(|c| pa[c * width + lane]).collect();
-                    let xb: Vec<f64> = (0..nb).map(|c| pb[c * width + lane]).collect();
-                    let mut expect = vec![0.0; rows];
-                    l.forward_concat_into(&xa, &xb, &mut expect);
-                    for (r, e) in expect.iter().enumerate() {
-                        let at = r * width + lane;
-                        for (got, path) in [
-                            (portable[at], "portable concat"),
-                            (concat[at], "dispatched concat"),
-                            (portable_one[at], "portable, empty xb"),
-                            (one[at], "dispatched, empty xb"),
-                        ] {
+                l.forward_panels(Kernel::PORTABLE, width, &pa, &pb, &mut portable);
+                assert_eq!(dispatched, portable, "forward_concat_batch, width {width}");
+            }
+        }
+    }
+
+    /// The transposed map's forward is, bit for bit, the scalar input
+    /// gradient `dx[c] += w[r][c] * dy[r]` (rows in order, from a zeroed
+    /// `dx`) of the kept columns, on both builds, over ragged row and
+    /// column counts and lane widths.
+    #[test]
+    fn transposed_forward_bitwise_matches_scalar_input_gradient() {
+        for (rows, cols, from) in [
+            (1usize, 1usize, 0usize),
+            (3, 5, 2),
+            (8, 13, 9),
+            (12, 7, 0),
+            (256, 73, 9),
+        ] {
+            let mut l = Linear::new(rows, cols, &mut rng());
+            l.w = lane_input(rows * cols, 1, 0.7);
+            let t = l.transposed(from);
+            assert_eq!((t.rows, t.cols), (cols - from, rows));
+            assert!(t.b.iter().all(|b| b.to_bits() == 0));
+            for width in [1usize, 2, 3, 4, 5, 9] {
+                // Mixed signs and exact zeros, so a `-0.0` product shows.
+                let mut dy = lane_input(rows, width, 2.9);
+                dy[0] = 0.0;
+                for (kernel, build) in builds() {
+                    let mut dx = vec![0.0; (cols - from) * width];
+                    t.forward_panels(kernel, width, &dy, &[], &mut dx);
+                    for lane in 0..width {
+                        let mut expect = vec![0.0; cols];
+                        for r in 0..rows {
+                            let dy_r = dy[r * width + lane];
+                            for (c, e) in expect.iter_mut().enumerate() {
+                                *e += l.w[r * cols + c] * dy_r;
+                            }
+                        }
+                        for c in from..cols {
+                            assert_eq!(
+                                dx[(c - from) * width + lane].to_bits(),
+                                expect[c].to_bits(),
+                                "{build}: {rows}×{cols} from {from}, width {width}, lane {lane}, col {c}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The seeded product adds into its output in exactly the scalar
+    /// order `y[r][c] += a[r][j] * x[j][c]`, `j` ascending, on both builds
+    /// and over ragged row, reduction and column counts — including an
+    /// empty reduction, which must leave `y` as it was.
+    #[test]
+    fn add_product_bitwise_matches_scalar_accumulation() {
+        for rows in [1usize, 2, 4, 5, 11, 256] {
+            for k in [0usize, 1, 3, 20, 80] {
+                for width in [1usize, 2, 6, 9, 21, 73] {
+                    let a = lane_input(rows * k, 1, 0.3);
+                    let x = lane_input(k * width, 1, 1.1);
+                    let seed = lane_input(rows * width, 1, 4.2);
+                    let mut expect = seed.clone();
+                    for j in 0..k {
+                        for r in 0..rows {
+                            for c in 0..width {
+                                expect[r * width + c] += a[r * k + j] * x[j * width + c];
+                            }
+                        }
+                    }
+                    for (kernel, build) in builds() {
+                        let mut y = seed.clone();
+                        add_product(kernel, &a, rows, &x, width, &mut y);
+                        for (i, (got, e)) in y.iter().zip(&expect).enumerate() {
                             assert_eq!(
                                 got.to_bits(),
                                 e.to_bits(),
-                                "{path} ({dispatched}): {rows} rows, lane {lane}/{width}, row {r}"
+                                "{build}: {rows} rows, k {k}, width {width}, at {i}"
                             );
                         }
                     }

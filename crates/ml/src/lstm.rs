@@ -1,37 +1,18 @@
-//! A single LSTM layer with full backpropagation through time.
+//! A single LSTM layer: the batched forward, and the taped forward and gate
+//! backward that backpropagation through time runs on.
 //!
 //! Gate layout in the packed weight matrix is `[input, forget, cell,
-//! output]`, each block of size `hidden`. Two forward passes share one
-//! gate function (`unit`): [`Lstm::step_cached`] advances one training
-//! sample and records the per-step cache that [`Lstm::step_backward_into`]
-//! differentiates, and [`Lstm::step_batch`] advances a lane-contiguous
-//! panel of independent streams for inference (a single run is a one-lane
-//! panel).
+//! output]`, each block of size `hidden`. Every forward advances a
+//! lane-contiguous panel of independent streams (`panel[unit * width +
+//! lane]`) with one tile-kernel matvec, then runs the one gate-math loop
+//! (`units`, over `unit`): [`Lstm::step_batch`] for inference (a single
+//! run is a one-lane panel), and `Lstm::step_taped`, which also records
+//! the gate values of each step in a `Tape` for `Lstm::backward_gates`.
+//! Training runs a sample group as the lanes of one panel (see
+//! [`mod@crate::train`]).
 
-use crate::linear::{sigmoid, Linear};
+use crate::linear::{sigmoid, Kernel, Linear};
 use rand::Rng;
-
-/// Cached activations for one timestep (needed by BPTT).
-///
-/// Reused across timesteps/samples: [`Lstm::step_cached`] overwrites the
-/// buffers in place, so after the first use of a cache slot no allocation
-/// happens on the training hot path.
-#[derive(Debug, Clone, Default)]
-pub struct LstmCache {
-    x: Vec<f64>,
-    h_prev: Vec<f64>,
-    c_prev: Vec<f64>,
-    i: Vec<f64>,
-    f: Vec<f64>,
-    g: Vec<f64>,
-    o: Vec<f64>,
-    tanh_c: Vec<f64>,
-}
-
-fn copy_into(dst: &mut Vec<f64>, src: &[f64]) {
-    dst.clear();
-    dst.extend_from_slice(src);
-}
 
 /// One unit's activated gates and its new cell and hidden values.
 struct Unit {
@@ -67,6 +48,63 @@ fn unit(z: [f64; 4], c_prev: f64) -> Unit {
     }
 }
 
+/// One layer's forward record over a window, for backpropagation through
+/// time: the states before and after every step and each step's gate
+/// values, all as `[units × width]` lane panels.
+///
+/// Reused across sample groups: [`Tape::reset`] resizes the buffers in
+/// place, so after the first group of a given shape no allocation happens.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tape {
+    width: usize,
+    hidden: usize,
+    /// Hidden states `h_0..=h_T` (`h_0` = 0), one panel each.
+    h: Vec<f64>,
+    /// Cell states `c_0..=c_T` (`c_0` = 0), one panel each.
+    c: Vec<f64>,
+    /// Activated gates `[i, f, g, o]` of steps `0..T`, one
+    /// `4·hidden × width` panel each.
+    act: Vec<f64>,
+    /// `tanh(c_{t+1})` of steps `0..T`, one panel each.
+    tanh_c: Vec<f64>,
+    /// Gate pre-activation scratch, one `4·hidden × width` panel.
+    z: Vec<f64>,
+    /// Every lane is live while taping.
+    live: Vec<bool>,
+}
+
+impl Tape {
+    /// Sizes the tape for `steps` steps of a `hidden`-unit layer over
+    /// `width` lanes and zeroes the initial state.
+    pub(crate) fn reset(&mut self, hidden: usize, width: usize, steps: usize) {
+        let panel = hidden * width;
+        self.width = width;
+        self.hidden = hidden;
+        self.h.resize((steps + 1) * panel, 0.0);
+        self.c.resize((steps + 1) * panel, 0.0);
+        self.h[..panel].fill(0.0);
+        self.c[..panel].fill(0.0);
+        self.act.resize(steps * 4 * panel, 0.0);
+        self.tanh_c.resize(steps * panel, 0.0);
+        self.z.resize(4 * panel, 0.0);
+        self.live.clear();
+        self.live.resize(width, true);
+    }
+
+    /// The hidden-state panel after `t` steps.
+    #[must_use]
+    pub(crate) fn h(&self, t: usize) -> &[f64] {
+        let panel = self.hidden * self.width;
+        &self.h[t * panel..][..panel]
+    }
+
+    /// The cell-state panel after `t` steps.
+    fn c(&self, t: usize) -> &[f64] {
+        let panel = self.hidden * self.width;
+        &self.c[t * panel..][..panel]
+    }
+}
+
 /// One LSTM layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
@@ -94,62 +132,12 @@ impl Lstm {
         }
     }
 
-    /// Allocation-free training timestep that records the BPTT cache in
-    /// place.
-    ///
-    /// `z` is gate pre-activation scratch of length `4·hidden`; `h_out` /
-    /// `c_out` must not alias `h_prev` / `c_prev` (callers double-buffer and
-    /// swap). The packed gate matvec consumes `x` then `h_prev` in the same
-    /// order as the concatenated input, and the gate math is `unit`, so
-    /// the outputs are bit-identical to one lane of [`Self::step_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any dimension mismatch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_cached(
-        &self,
-        x: &[f64],
-        h_prev: &[f64],
-        c_prev: &[f64],
-        z: &mut [f64],
-        cache: &mut LstmCache,
-        h_out: &mut [f64],
-        c_out: &mut [f64],
-    ) {
-        let h = self.hidden;
-        assert_eq!(x.len(), self.input);
-        assert_eq!(h_prev.len(), h);
-        assert_eq!(c_prev.len(), h);
-        self.gates.forward_concat_into(x, h_prev, z);
-
-        copy_into(&mut cache.x, x);
-        copy_into(&mut cache.h_prev, h_prev);
-        copy_into(&mut cache.c_prev, c_prev);
-        cache.i.resize(h, 0.0);
-        cache.f.resize(h, 0.0);
-        cache.g.resize(h, 0.0);
-        cache.o.resize(h, 0.0);
-        cache.tanh_c.resize(h, 0.0);
-
-        for k in 0..h {
-            let u = unit([z[k], z[h + k], z[2 * h + k], z[3 * h + k]], c_prev[k]);
-            cache.i[k] = u.i;
-            cache.f[k] = u.f;
-            cache.g[k] = u.g;
-            cache.o[k] = u.o;
-            cache.tanh_c[k] = u.tanh_c;
-            c_out[k] = u.c;
-            h_out[k] = u.h;
-        }
-    }
-
     /// Batched allocation-free inference timestep over lane-contiguous
     /// panels (`panel[unit * width + lane]`).
     ///
     /// One weights-stationary gate matvec serves the whole batch; the gate
     /// math (`unit`) then runs per lane. Each lane sees the exact f64
-    /// operation sequence of a lone stream (and of [`Self::step_cached`]),
+    /// operation sequence of a lone stream (and of `Self::step_taped`),
     /// so batching and the batch composition never change a run's
     /// numerics.
     ///
@@ -187,73 +175,129 @@ impl Lstm {
         assert_eq!(c_out.len(), h * width);
         assert_eq!(live.len(), width, "liveness length mismatch");
         self.gates.forward_concat_batch(width, x, h_prev, z);
+        self.units(width, z, c_prev, h_out, c_out, live, |_, _| {});
+    }
+
+    /// Step `t` of a taped forward over all lanes of `tape`: the same
+    /// matvec and gate math as [`Self::step_batch`] (so each lane's state
+    /// is bit-identical to a lone inference stream), reading the state
+    /// after `t` steps and writing the state after `t + 1`, and recording
+    /// the step's gate values for [`Self::backward_gates`]. `x` is the
+    /// step's `input × width` panel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tape is not sized for this layer and at least `t + 1`
+    /// steps, or on an input panel dimension mismatch.
+    pub(crate) fn step_taped(&self, kernel: Kernel, x: &[f64], tape: &mut Tape, t: usize) {
+        let (h, width) = (self.hidden, tape.width);
+        let panel = h * width;
+        assert_eq!(tape.hidden, h, "tape sized for another layer");
+        assert_eq!(
+            x.len(),
+            self.input * width,
+            "input panel dimension mismatch"
+        );
+        let (before, after) = tape.h.split_at_mut((t + 1) * panel);
+        let h_prev = &before[t * panel..];
+        let h_out = &mut after[..panel];
+        self.gates
+            .forward_panels(kernel, width, x, h_prev, &mut tape.z);
+        let (before, after) = tape.c.split_at_mut((t + 1) * panel);
+        let act = &mut tape.act[t * 4 * panel..][..4 * panel];
+        let tanh_c = &mut tape.tanh_c[t * panel..][..panel];
+        self.units(
+            width,
+            &tape.z,
+            &before[t * panel..],
+            h_out,
+            &mut after[..panel],
+            &tape.live,
+            |at, u| {
+                act[at] = u.i;
+                act[panel + at] = u.f;
+                act[2 * panel + at] = u.g;
+                act[3 * panel + at] = u.o;
+                tanh_c[at] = u.tanh_c;
+            },
+        );
+    }
+
+    /// The gate math of every live lane and unit: writes the new cell and
+    /// hidden state and hands each unit's values, with its panel index, to
+    /// `keep`. The one loop both forwards share.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn units(
+        &self,
+        width: usize,
+        z: &[f64],
+        c_prev: &[f64],
+        h_out: &mut [f64],
+        c_out: &mut [f64],
+        live: &[bool],
+        mut keep: impl FnMut(usize, &Unit),
+    ) {
+        let h = self.hidden;
         for k in 0..h {
             for (lane, &is_live) in live.iter().enumerate() {
                 if is_live {
-                    let at = |block: usize| z[(block * h + k) * width + lane];
-                    let u = unit([at(0), at(1), at(2), at(3)], c_prev[k * width + lane]);
-                    c_out[k * width + lane] = u.c;
-                    h_out[k * width + lane] = u.h;
+                    let at = k * width + lane;
+                    let zb = |block: usize| z[block * h * width + at];
+                    let u = unit([zb(0), zb(1), zb(2), zb(3)], c_prev[at]);
+                    c_out[at] = u.c;
+                    h_out[at] = u.h;
+                    keep(at, &u);
                 }
             }
         }
     }
 
-    /// Backpropagates one timestep into caller-owned gradient buffers.
+    /// Backpropagates the gate math of taped step `t` over all lanes.
     ///
-    /// `dh`/`dc_in` are the gradients flowing into this step's `h`/`c`
-    /// outputs, and `cache` is the one [`Self::step_cached`] recorded for
-    /// the step. Adds this step's parameter gradients into `gw`/`gb`
-    /// (layout matching `gates.w`/`gates.b`), using `dz` (length
-    /// `4·hidden`) as scratch, and writes the input-side gradients into
-    /// `dx`/`dh_prev`/`dc_prev`. The `&self` receiver lets parallel workers
-    /// share one read-only weight set while accumulating into private
-    /// buffers.
+    /// `dh` is the gradient flowing into the step's hidden output; `dc`
+    /// holds the gradient flowing into its cell output and is overwritten
+    /// with the gradient of the cell state before the step. Writes the
+    /// gate pre-activation gradients into the `4·hidden × width` panel
+    /// `dz`; the input-side gradients are then `Wᵀ·dz` and the weight
+    /// gradients `dz ⊗ [x; h_prev]`, both left to the caller.
     ///
     /// # Panics
     ///
-    /// Panics on any dimension mismatch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_backward_into(
+    /// Panics on panel dimension mismatch or if `t` is past the tape.
+    pub(crate) fn backward_gates(
         &self,
-        cache: &LstmCache,
+        tape: &Tape,
+        t: usize,
         dh: &[f64],
-        dc_in: &[f64],
-        gw: &mut [f64],
-        gb: &mut [f64],
+        dc: &mut [f64],
         dz: &mut [f64],
-        dx: &mut [f64],
-        dh_prev: &mut [f64],
-        dc_prev: &mut [f64],
     ) {
-        let h = self.hidden;
-        assert_eq!(dh.len(), h);
-        assert_eq!(dc_in.len(), h);
-        assert_eq!(dz.len(), 4 * h);
-
-        for k in 0..h {
+        let panel = self.hidden * tape.width;
+        assert_eq!(tape.hidden, self.hidden, "tape sized for another layer");
+        assert_eq!(dh.len(), panel);
+        assert_eq!(dc.len(), panel);
+        assert_eq!(dz.len(), 4 * panel);
+        let act = &tape.act[t * 4 * panel..][..4 * panel];
+        let tanh_c = &tape.tanh_c[t * panel..][..panel];
+        let c_prev = tape.c(t);
+        for at in 0..panel {
+            let [i, f, g, o] = [0, 1, 2, 3].map(|block| act[block * panel + at]);
+            let (dh, tanh_c) = (dh[at], tanh_c[at]);
             // h = o · tanh(c)
-            let do_ = dh[k] * cache.tanh_c[k];
-            let dc = dc_in[k] + dh[k] * cache.o[k] * (1.0 - cache.tanh_c[k] * cache.tanh_c[k]);
+            let do_ = dh * tanh_c;
+            let dc_t = dc[at] + dh * o * (1.0 - tanh_c * tanh_c);
             // c = f·c_prev + i·g
-            let di = dc * cache.g[k];
-            let df = dc * cache.c_prev[k];
-            let dg = dc * cache.i[k];
-            dc_prev[k] = dc * cache.f[k];
+            let di = dc_t * g;
+            let df = dc_t * c_prev[at];
+            let dg = dc_t * i;
+            dc[at] = dc_t * f;
             // Gate pre-activations.
-            dz[k] = di * cache.i[k] * (1.0 - cache.i[k]);
-            dz[h + k] = df * cache.f[k] * (1.0 - cache.f[k]);
-            dz[2 * h + k] = dg * (1.0 - cache.g[k] * cache.g[k]);
-            dz[3 * h + k] = do_ * cache.o[k] * (1.0 - cache.o[k]);
+            dz[at] = di * i * (1.0 - i);
+            dz[panel + at] = df * f * (1.0 - f);
+            dz[2 * panel + at] = dg * (1.0 - g * g);
+            dz[3 * panel + at] = do_ * o * (1.0 - o);
         }
-
-        self.gates
-            .backward_concat_into(&cache.x, &cache.h_prev, dz, gw, gb, dx, dh_prev);
-    }
-
-    /// Clears gradient accumulators.
-    pub fn zero_grad(&mut self) {
-        self.gates.zero_grad();
     }
 
     /// Total parameter count.
@@ -273,57 +317,29 @@ mod tests {
         StdRng::seed_from_u64(5)
     }
 
-    /// One [`Lstm::step_cached`] with fresh buffers: `(h, c, cache)`.
-    fn forward(
-        l: &Lstm,
-        x: &[f64],
-        h_prev: &[f64],
-        c_prev: &[f64],
-    ) -> (Vec<f64>, Vec<f64>, LstmCache) {
+    /// One live lane of [`Lstm::step_batch`] with fresh buffers: `(h, c)`.
+    fn step(l: &Lstm, x: &[f64], h_prev: &[f64], c_prev: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let h = l.hidden;
         let mut z = vec![0.0; 4 * h];
-        let mut cache = LstmCache::default();
         let mut h_out = vec![0.0; h];
         let mut c_out = vec![0.0; h];
-        l.step_cached(x, h_prev, c_prev, &mut z, &mut cache, &mut h_out, &mut c_out);
-        (h_out, c_out, cache)
-    }
-
-    /// One [`Lstm::step_backward_into`] accumulating into the layer's own
-    /// `gates.gw`/`gates.gb`: `(dx, dh_prev, dc_prev)`.
-    fn backward(
-        l: &mut Lstm,
-        cache: &LstmCache,
-        dh: &[f64],
-        dc: &[f64],
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let h = l.hidden;
-        let mut dz = vec![0.0; 4 * h];
-        let mut dx = vec![0.0; l.input];
-        let mut dh_prev = vec![0.0; h];
-        let mut dc_prev = vec![0.0; h];
-        let mut gw = std::mem::take(&mut l.gates.gw);
-        let mut gb = std::mem::take(&mut l.gates.gb);
-        l.step_backward_into(
-            cache,
-            dh,
-            dc,
-            &mut gw,
-            &mut gb,
-            &mut dz,
-            &mut dx,
-            &mut dh_prev,
-            &mut dc_prev,
+        l.step_batch(
+            1,
+            x,
+            h_prev,
+            c_prev,
+            &mut z,
+            &mut h_out,
+            &mut c_out,
+            &[true],
         );
-        l.gates.gw = gw;
-        l.gates.gb = gb;
-        (dx, dh_prev, dc_prev)
+        (h_out, c_out)
     }
 
     #[test]
     fn shapes_are_consistent() {
         let l = Lstm::new(3, 4, &mut rng());
-        let (h, c, _) = forward(&l, &[0.1, 0.2, 0.3], &[0.0; 4], &[0.0; 4]);
+        let (h, c) = step(&l, &[0.1, 0.2, 0.3], &[0.0; 4], &[0.0; 4]);
         assert_eq!(h.len(), 4);
         assert_eq!(c.len(), 4);
     }
@@ -336,9 +352,7 @@ mod tests {
         let mut c = vec![0.0; 8];
         for t in 0..50 {
             let x = [(t as f64 * 0.37).sin() * 3.0, (t as f64 * 0.11).cos() * 3.0];
-            let (nh, nc, _) = forward(&l, &x, &h, &c);
-            h = nh;
-            c = nc;
+            (h, c) = step(&l, &x, &h, &c);
             assert!(h.iter().all(|v| v.abs() < 1.0));
         }
     }
@@ -351,144 +365,35 @@ mod tests {
         }
     }
 
-    /// Finite-difference gradient check through a 3-step unroll.
     #[test]
-    fn bptt_gradient_check() {
-        let mut l = Lstm::new(2, 3, &mut rng());
-        let xs = [vec![0.5, -0.3], vec![0.1, 0.9], vec![-0.7, 0.2]];
-
-        // Loss = sum of final h.
-        let loss = |l: &Lstm| -> f64 {
-            let mut h = vec![0.0; 3];
-            let mut c = vec![0.0; 3];
-            for x in &xs {
-                let (nh, nc, _) = forward(l, x, &h, &c);
-                h = nh;
-                c = nc;
-            }
-            h.iter().sum()
-        };
-
-        // Analytic gradients.
-        let mut h = vec![0.0; 3];
-        let mut c = vec![0.0; 3];
-        let mut caches = Vec::new();
-        for x in &xs {
-            let (nh, nc, cache) = forward(&l, x, &h, &c);
-            caches.push(cache);
-            h = nh;
-            c = nc;
-        }
-        l.zero_grad();
-        let mut dh = vec![1.0; 3];
-        let mut dc = vec![0.0; 3];
-        for cache in caches.iter().rev() {
-            let (_dx, dhp, dcp) = backward(&mut l, cache, &dh, &dc);
-            dh = dhp;
-            dc = dcp;
-        }
-
-        // Compare against finite differences for a sample of weights.
-        let eps = 1e-6;
-        for idx in [0usize, 7, 19, 33] {
-            let orig = l.gates.w[idx];
-            l.gates.w[idx] = orig + eps;
-            let lp = loss(&l);
-            l.gates.w[idx] = orig - eps;
-            let lm = loss(&l);
-            l.gates.w[idx] = orig;
-            let num = (lp - lm) / (2.0 * eps);
-            let ana = l.gates.gw[idx];
-            assert!(
-                (num - ana).abs() < 1e-5,
-                "w[{idx}]: numeric {num} vs analytic {ana}"
-            );
-        }
-        for idx in [0usize, 4, 11] {
-            let orig = l.gates.b[idx];
-            l.gates.b[idx] = orig + eps;
-            let lp = loss(&l);
-            l.gates.b[idx] = orig - eps;
-            let lm = loss(&l);
-            l.gates.b[idx] = orig;
-            let num = (lp - lm) / (2.0 * eps);
-            let ana = l.gates.gb[idx];
-            assert!(
-                (num - ana).abs() < 1e-5,
-                "b[{idx}]: numeric {num} vs analytic {ana}"
-            );
-        }
-    }
-
-    #[test]
-    fn input_gradient_check() {
-        let mut l = Lstm::new(2, 3, &mut rng());
-        let x = vec![0.4, -0.6];
-        let h0 = vec![0.1, -0.2, 0.3];
-        let c0 = vec![0.05, 0.0, -0.1];
-        let (_h, _c, cache) = forward(&l, &x, &h0, &c0);
-        let (dx, _dhp, _dcp) = backward(&mut l, &cache, &[1.0, 1.0, 1.0], &[0.0; 3]);
-
-        let eps = 1e-6;
-        for k in 0..2 {
-            let mut xp = x.clone();
-            xp[k] += eps;
-            let mut xm = x.clone();
-            xm[k] -= eps;
-            let lp: f64 = forward(&l, &xp, &h0, &c0).0.iter().sum();
-            let lm: f64 = forward(&l, &xm, &h0, &c0).0.iter().sum();
-            let num = (lp - lm) / (2.0 * eps);
-            assert!((num - dx[k]).abs() < 1e-6, "dx[{k}]: {num} vs {}", dx[k]);
-        }
-    }
-
-    #[test]
-    fn step_batch_bitwise_matches_step_cached() {
-        // The inference and training forwards must agree bit for bit: the
+    fn step_taped_bitwise_matches_step_batch() {
+        // The training and inference forwards must agree bit for bit: the
         // model is trained through one and deployed through the other.
         let l = Lstm::new(3, 5, &mut rng());
-        for width in [1usize, 4, 32] {
-            // Independent training-path streams, one per lane.
-            let mut hs: Vec<Vec<f64>> = vec![vec![0.0; 5]; width];
-            let mut cs: Vec<Vec<f64>> = vec![vec![0.0; 5]; width];
-            // Batched panels.
+        let steps = 30;
+        for width in [1usize, 3, 4, 9] {
+            let mut tape = Tape::default();
+            tape.reset(5, width, steps);
             let mut hp = vec![0.0; 5 * width];
             let mut cp = vec![0.0; 5 * width];
             let mut z = vec![0.0; 4 * 5 * width];
             let mut hn = vec![0.0; 5 * width];
             let mut cn = vec![0.0; 5 * width];
             let live = vec![true; width];
-            for t in 0..30 {
-                let xs: Vec<Vec<f64>> = (0..width)
-                    .map(|lane| {
-                        (0..3)
-                            .map(|c| ((t * 3 + c) as f64 * 0.31 + lane as f64 * 1.7).sin())
-                            .collect()
-                    })
+            for t in 0..steps {
+                let xp: Vec<f64> = (0..3 * width)
+                    .map(|i| ((t * 3 * width + i) as f64 * 0.31).sin())
                     .collect();
-                let mut xp = vec![0.0; 3 * width];
-                for (lane, x) in xs.iter().enumerate() {
-                    for (c, v) in x.iter().enumerate() {
-                        xp[c * width + lane] = *v;
-                    }
-                }
                 l.step_batch(width, &xp, &hp, &cp, &mut z, &mut hn, &mut cn, &live);
                 std::mem::swap(&mut hp, &mut hn);
                 std::mem::swap(&mut cp, &mut cn);
-                for lane in 0..width {
-                    let (h_out, c_out, _) = forward(&l, &xs[lane], &hs[lane], &cs[lane]);
-                    hs[lane] = h_out;
-                    cs[lane] = c_out;
-                    for k in 0..5 {
+                l.step_taped(Kernel::detect(), &xp, &mut tape, t);
+                for (what, got, want) in [("h", tape.h(t + 1), &hp), ("c", tape.c(t + 1), &cp)] {
+                    for (at, (g, w)) in got.iter().zip(want.iter()).enumerate() {
                         assert_eq!(
-                            hp[k * width + lane].to_bits(),
-                            hs[lane][k].to_bits(),
-                            "h diverged: width {width} lane {lane} t {t} k {k}"
-                        );
-                        assert_eq!(
-                            cp[k * width + lane].to_bits(),
-                            cs[lane][k].to_bits(),
-                            "c diverged: width {width} lane {lane} t {t} k {k}"
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{what}: width {width} t {t} at {at}"
                         );
                     }
                 }

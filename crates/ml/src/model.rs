@@ -2,9 +2,11 @@
 //!
 //! Inference has one path: [`LstmPredictor::step_batch`] advances a
 //! lane-contiguous panel of independent streams, and a single run is a
-//! one-lane panel. Training unrolls the layers through
-//! [`Lstm::step_cached`] instead (see [`mod@crate::train`]); both
-//! forwards share the layer's gate math.
+//! one-lane panel. Training runs each group of samples as the lanes of
+//! one panel through `Lstm::step_taped`, which records the gate values
+//! for backpropagation (see [`mod@crate::train`]); both forwards share the
+//! layer's matvec and gate math, so a trained model infers exactly as it
+//! was trained.
 
 use crate::features::{FEATURE_DIM, TARGET_DIM};
 use crate::linear::Linear;
@@ -280,7 +282,7 @@ impl LstmPredictor {
     }
 
     /// Serialises the trained weights to a portable little-endian binary
-    /// blob (for the artifact cache). Gradient accumulators are not stored.
+    /// blob (for the artifact cache).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -344,8 +346,6 @@ impl LstmPredictor {
                 cols,
                 w,
                 b,
-                gw: vec![0.0; rows * cols],
-                gb: vec![0.0; rows],
             });
         }
         if !r.exhausted() {

@@ -2,7 +2,8 @@
 
 use crate::adam::{Adam, AdamConfig};
 use crate::features::{ControlTarget, StateFeatures, FEATURE_DIM, TARGET_DIM, WINDOW};
-use crate::lstm::LstmCache;
+use crate::linear::{add_product, Kernel, Linear};
+use crate::lstm::Tape;
 use crate::model::LstmPredictor;
 use adas_codec::{Encode, Writer};
 use rand::rngs::StdRng;
@@ -140,22 +141,32 @@ impl TrainReport {
     }
 }
 
-/// Per-sample gradient accumulator, one buffer per parameter tensor.
+/// The gradients of a sample group or a minibatch: one buffer per
+/// parameter tensor, laid out like the tensor.
 ///
-/// Workers accumulate into private `GradBuf`s and the batch reduction adds
-/// them in a fixed (sample-group) order, so gradient sums are bit-for-bit
-/// independent of the thread count.
-struct GradBuf {
-    l1w: Vec<f64>,
-    l1b: Vec<f64>,
-    l2w: Vec<f64>,
-    l2b: Vec<f64>,
-    hw: Vec<f64>,
-    hb: Vec<f64>,
+/// Workers accumulate their groups into private `Gradients` and the batch
+/// reduction adds them in a fixed (group) order, so gradient sums are
+/// bit-for-bit independent of the thread count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gradients {
+    /// Layer 1 packed gate weights.
+    pub l1w: Vec<f64>,
+    /// Layer 1 gate biases.
+    pub l1b: Vec<f64>,
+    /// Layer 2 packed gate weights.
+    pub l2w: Vec<f64>,
+    /// Layer 2 gate biases.
+    pub l2b: Vec<f64>,
+    /// Head weights.
+    pub hw: Vec<f64>,
+    /// Head bias.
+    pub hb: Vec<f64>,
 }
 
-impl GradBuf {
-    fn zeros(model: &LstmPredictor) -> Self {
+impl Gradients {
+    /// Zeroed gradients for `model`'s tensors.
+    #[must_use]
+    pub fn zeros(model: &LstmPredictor) -> Self {
         Self {
             l1w: vec![0.0; model.l1.gates.w.len()],
             l1b: vec![0.0; model.l1.gates.b.len()],
@@ -166,28 +177,28 @@ impl GradBuf {
         }
     }
 
-    fn zero(&mut self) {
-        for buf in [
+    fn tensors(&mut self) -> [&mut Vec<f64>; 6] {
+        [
             &mut self.l1w,
             &mut self.l1b,
             &mut self.l2w,
             &mut self.l2b,
             &mut self.hw,
             &mut self.hb,
-        ] {
+        ]
+    }
+
+    fn zero(&mut self) {
+        for buf in self.tensors() {
             buf.fill(0.0);
         }
     }
 
     fn add_assign(&mut self, other: &Self) {
-        for (dst, src) in [
-            (&mut self.l1w, &other.l1w),
-            (&mut self.l1b, &other.l1b),
-            (&mut self.l2w, &other.l2w),
-            (&mut self.l2b, &other.l2b),
-            (&mut self.hw, &other.hw),
-            (&mut self.hb, &other.hb),
-        ] {
+        let other = [
+            &other.l1w, &other.l1b, &other.l2w, &other.l2b, &other.hw, &other.hb,
+        ];
+        for (dst, src) in self.tensors().into_iter().zip(other) {
             for (a, b) in dst.iter_mut().zip(src) {
                 *a += b;
             }
@@ -195,14 +206,7 @@ impl GradBuf {
     }
 
     fn scale(&mut self, s: f64) {
-        for buf in [
-            &mut self.l1w,
-            &mut self.l1b,
-            &mut self.l2w,
-            &mut self.l2b,
-            &mut self.hw,
-            &mut self.hb,
-        ] {
+        for buf in self.tensors() {
             for v in buf.iter_mut() {
                 *v *= s;
             }
@@ -210,169 +214,302 @@ impl GradBuf {
     }
 }
 
-/// Preallocated per-worker buffers for [`backprop_sample_into`]: BPTT
-/// caches, double-buffered layer states, and every gradient-flow vector.
-/// After the first sample a worker processes, the whole forward/backward
-/// pass runs without heap allocation.
-struct TrainScratch {
-    caches1: Vec<LstmCache>,
-    caches2: Vec<LstmCache>,
-    z1: Vec<f64>,
-    z2: Vec<f64>,
-    h1: Vec<f64>,
-    c1: Vec<f64>,
-    h2: Vec<f64>,
-    c2: Vec<f64>,
-    nh1: Vec<f64>,
-    nc1: Vec<f64>,
-    nh2: Vec<f64>,
-    nc2: Vec<f64>,
+/// The zero-bias transposes that carry gradients back through each
+/// matvec's input (`Wᵀ·dz`): layer 1's over its recurrent `h_prev`
+/// columns only (the gradient of the input features is never used),
+/// layer 2's over all its columns, and the head's. Built once per
+/// optimiser step and shared by every group of the minibatch.
+#[derive(Debug, Clone)]
+pub struct Transposed {
+    l1: Linear,
+    l2: Linear,
+    head: Linear,
+}
+
+impl Transposed {
+    /// The transposes of `model`'s current weights.
+    #[must_use]
+    pub fn new(model: &LstmPredictor) -> Self {
+        Self {
+            l1: model.l1.gates.transposed(model.l1.input),
+            l2: model.l2.gates.transposed(0),
+            head: model.head.transposed(0),
+        }
+    }
+}
+
+/// Per-worker buffers for [`backprop_group`]: the layers' tapes, every
+/// gradient panel, and the deferred weight-gradient operands. Resized in
+/// place, so after the first group of a given shape a worker runs without
+/// heap allocation.
+#[derive(Debug, Clone)]
+pub struct GroupScratch {
+    kernel: Kernel,
+    /// Feature panels of every step, `FEATURE_DIM × width` each.
+    x: Vec<f64>,
+    tape1: Tape,
+    tape2: Tape,
+    /// Head output and its gradient, `TARGET_DIM × width`.
     y: Vec<f64>,
     dy: Vec<f64>,
+    /// Gradients flowing into layer 2's hidden and cell outputs.
     dh2: Vec<f64>,
     dc2: Vec<f64>,
-    dh2p: Vec<f64>,
-    dc2p: Vec<f64>,
+    /// `W2ᵀ·dz2`: the gradient of layer 2's `[h1; h2_prev]` input.
     dx2: Vec<f64>,
-    dh1_next: Vec<f64>,
+    /// `W1ᵀ·dz1` over `h1_prev`, and the cell gradient of layer 1.
+    dh1: Vec<f64>,
     dc1: Vec<f64>,
-    dh1p: Vec<f64>,
-    dc1p: Vec<f64>,
+    /// One step's gate pre-activation gradients, `4·hidden × width`.
     dz1: Vec<f64>,
     dz2: Vec<f64>,
-    dx1: Vec<f64>,
+    /// Deferred `dZ` (`4·hidden × K`) and layer inputs `X` (`K × cols`) of
+    /// the weight-gradient products; `K` runs over (sample, reversed step).
+    dzs1: Vec<f64>,
+    dzs2: Vec<f64>,
+    xs1: Vec<f64>,
+    xs2: Vec<f64>,
+    /// The head's input rows, one per sample.
+    xh: Vec<f64>,
 }
 
-impl TrainScratch {
-    fn new(model: &LstmPredictor) -> Self {
-        let h1 = model.l1.hidden;
-        let h2 = model.l2.hidden;
+impl GroupScratch {
+    /// Empty buffers; every kernel call of [`backprop_group`] runs on
+    /// `kernel`'s build.
+    #[must_use]
+    pub fn new(kernel: Kernel) -> Self {
         Self {
-            caches1: Vec::new(),
-            caches2: Vec::new(),
-            z1: vec![0.0; 4 * h1],
-            z2: vec![0.0; 4 * h2],
-            h1: vec![0.0; h1],
-            c1: vec![0.0; h1],
-            h2: vec![0.0; h2],
-            c2: vec![0.0; h2],
-            nh1: vec![0.0; h1],
-            nc1: vec![0.0; h1],
-            nh2: vec![0.0; h2],
-            nc2: vec![0.0; h2],
-            y: vec![0.0; TARGET_DIM],
-            dy: vec![0.0; TARGET_DIM],
-            dh2: vec![0.0; h2],
-            dc2: vec![0.0; h2],
-            dh2p: vec![0.0; h2],
-            dc2p: vec![0.0; h2],
-            dx2: vec![0.0; h1],
-            dh1_next: vec![0.0; h1],
-            dc1: vec![0.0; h1],
-            dh1p: vec![0.0; h1],
-            dc1p: vec![0.0; h1],
-            dz1: vec![0.0; 4 * h1],
-            dz2: vec![0.0; 4 * h2],
-            dx1: vec![0.0; model.l1.input],
+            kernel,
+            x: Vec::new(),
+            tape1: Tape::default(),
+            tape2: Tape::default(),
+            y: Vec::new(),
+            dy: Vec::new(),
+            dh2: Vec::new(),
+            dc2: Vec::new(),
+            dx2: Vec::new(),
+            dh1: Vec::new(),
+            dc1: Vec::new(),
+            dz1: Vec::new(),
+            dz2: Vec::new(),
+            dzs1: Vec::new(),
+            dzs2: Vec::new(),
+            xs1: Vec::new(),
+            xs2: Vec::new(),
+            xh: Vec::new(),
         }
     }
+
+    /// The taped forward alone over `group` (for per-phase
+    /// microbenchmarks): [`backprop_group`]'s first phase.
+    ///
+    /// # Panics
+    ///
+    /// As [`backprop_group`].
+    pub fn forward(&mut self, model: &LstmPredictor, group: &[(&Sample, bool)]) {
+        let n = group.len();
+        assert!(n > 0, "empty sample group");
+        let steps = group[0].0.window.len();
+        assert!(
+            group.iter().all(|(s, _)| s.window.len() == steps),
+            "the windows of a sample group must all have the same length"
+        );
+        let (f, kernel) = (FEATURE_DIM, self.kernel);
+        // History dropout zeroes the previous-command features of a masked
+        // sample over its whole window, so the model must read the vehicle
+        // state (see `TrainConfig::history_dropout`).
+        self.x.resize(steps * f * n, 0.0);
+        for (lane, (sample, masked)) in group.iter().enumerate() {
+            for (t, frame) in sample.window.iter().enumerate() {
+                for (c, &v) in frame.iter().enumerate() {
+                    self.x[(t * f + c) * n + lane] = if *masked && c >= f - 2 { 0.0 } else { v };
+                }
+            }
+        }
+        self.tape1.reset(model.l1.hidden, n, steps);
+        self.tape2.reset(model.l2.hidden, n, steps);
+        for t in 0..steps {
+            model
+                .l1
+                .step_taped(kernel, &self.x[t * f * n..][..f * n], &mut self.tape1, t);
+            model
+                .l2
+                .step_taped(kernel, self.tape1.h(t + 1), &mut self.tape2, t);
+        }
+        self.y.resize(TARGET_DIM * n, 0.0);
+        model
+            .head
+            .forward_panels(kernel, n, self.tape2.h(steps), &[], &mut self.y);
+    }
 }
 
-/// Full BPTT over one sample; returns the squared-error loss and adds the
-/// sample's gradients into `grads`. Allocation-free after `scratch` warms
-/// up; numerically identical to the historical allocating implementation.
-fn backprop_sample_into(
+/// Full BPTT over one sample group, its samples the lanes of one panel:
+/// returns the summed squared-error loss and adds the group's gradients
+/// into `grads`. `group` pairs each sample with its history-dropout mask.
+///
+/// Each sample sees exactly the f64 operation sequence of a lone
+/// per-sample BPTT, so the result does not depend on the group's size or
+/// composition:
+///
+/// - forward: `Lstm::step_taped` per layer and step (the inference
+///   matvec and gate math), then the head;
+/// - input gradients: `Wᵀ·dz` is the tile-kernel forward of the
+///   [`Transposed`] weights, from a zero start in row order;
+/// - weight gradients: `dz` and the layer inputs are kept per (sample,
+///   reversed step), and after the backward sweep one seeded tile-kernel
+///   product per tensor adds them into `grads` in that order: sample,
+///   then reversed time — the order the per-sample BPTT added them in.
+///
+/// # Panics
+///
+/// Panics if `group` is empty or its windows differ in length.
+pub fn backprop_group(
     model: &LstmPredictor,
-    window: &[[f64; FEATURE_DIM]],
-    target: &[f64; TARGET_DIM],
-    s: &mut TrainScratch,
-    grads: &mut GradBuf,
+    transposed: &Transposed,
+    group: &[(&Sample, bool)],
+    s: &mut GroupScratch,
+    grads: &mut Gradients,
 ) -> f64 {
-    let steps = window.len();
-    s.caches1.resize_with(steps, LstmCache::default);
-    s.caches2.resize_with(steps, LstmCache::default);
-    s.h1.fill(0.0);
-    s.c1.fill(0.0);
-    s.h2.fill(0.0);
-    s.c2.fill(0.0);
-
-    // Forward with caches.
-    for (t, x) in window.iter().enumerate() {
-        model
-            .l1
-            .step_cached(x, &s.h1, &s.c1, &mut s.z1, &mut s.caches1[t], &mut s.nh1, &mut s.nc1);
-        model.l2.step_cached(
-            &s.nh1,
-            &s.h2,
-            &s.c2,
-            &mut s.z2,
-            &mut s.caches2[t],
-            &mut s.nh2,
-            &mut s.nc2,
-        );
-        std::mem::swap(&mut s.h1, &mut s.nh1);
-        std::mem::swap(&mut s.c1, &mut s.nc1);
-        std::mem::swap(&mut s.h2, &mut s.nh2);
-        std::mem::swap(&mut s.c2, &mut s.nc2);
-    }
-    model.head.forward_into(&s.h2, &mut s.y);
+    s.forward(model, group);
+    let (n, steps) = (group.len(), group[0].0.window.len());
+    let (h1, h2, kernel) = (model.l1.hidden, model.l2.hidden, s.kernel);
 
     // MSE loss and output gradient.
-    let mut loss = 0.0;
-    for (k, t) in target.iter().enumerate() {
-        let e = s.y[k] - t;
-        loss += e * e;
-        s.dy[k] = 2.0 * e / TARGET_DIM as f64;
+    let mut total = 0.0;
+    s.dy.resize(TARGET_DIM * n, 0.0);
+    for (lane, (sample, _)) in group.iter().enumerate() {
+        let mut loss = 0.0;
+        for (k, t) in sample.target.iter().enumerate() {
+            let e = s.y[k * n + lane] - t;
+            loss += e * e;
+            s.dy[k * n + lane] = 2.0 * e / TARGET_DIM as f64;
+        }
+        total += loss / TARGET_DIM as f64;
     }
-    loss /= TARGET_DIM as f64;
 
     // Backward: head → layer 2 chain → layer 1 chain.
-    model
+    let reduce = n * steps;
+    zeroed(&mut s.dc2, h2 * n);
+    zeroed(&mut s.dh1, h1 * n);
+    zeroed(&mut s.dc1, h1 * n);
+    s.dh2.resize(h2 * n, 0.0);
+    s.dx2.resize((h1 + h2) * n, 0.0);
+    s.dz1.resize(4 * h1 * n, 0.0);
+    s.dz2.resize(4 * h2 * n, 0.0);
+    s.dzs1.resize(4 * h1 * reduce, 0.0);
+    s.dzs2.resize(4 * h2 * reduce, 0.0);
+    transposed
         .head
-        .backward_into(&s.h2, &s.dy, &mut grads.hw, &mut grads.hb, &mut s.dh2);
-    s.dc2.fill(0.0);
-    s.dh1_next.fill(0.0);
-    s.dc1.fill(0.0);
+        .forward_panels(kernel, n, &s.dy, &[], &mut s.dh2);
     for t in (0..steps).rev() {
-        model.l2.step_backward_into(
-            &s.caches2[t],
-            &s.dh2,
-            &s.dc2,
-            &mut grads.l2w,
-            &mut grads.l2b,
-            &mut s.dz2,
-            &mut s.dx2,
-            &mut s.dh2p,
-            &mut s.dc2p,
-        );
-        // dx2 is the gradient w.r.t. h1(t); add any gradient flowing from
+        model
+            .l2
+            .backward_gates(&s.tape2, t, &s.dh2, &mut s.dc2, &mut s.dz2);
+        transposed
+            .l2
+            .forward_panels(kernel, n, &s.dz2, &[], &mut s.dx2);
+        let (dh1, dh2) = s.dx2.split_at_mut(h1 * n);
+        // dh1 is the gradient w.r.t. h1(t); add the gradient flowing from
         // layer 1's own recurrence.
-        for (a, b) in s.dx2.iter_mut().zip(&s.dh1_next) {
+        for (a, b) in dh1.iter_mut().zip(&s.dh1) {
             *a += b;
         }
-        model.l1.step_backward_into(
-            &s.caches1[t],
-            &s.dx2,
-            &s.dc1,
-            &mut grads.l1w,
-            &mut grads.l1b,
-            &mut s.dz1,
-            &mut s.dx1,
-            &mut s.dh1p,
-            &mut s.dc1p,
-        );
-        std::mem::swap(&mut s.dh2, &mut s.dh2p);
-        std::mem::swap(&mut s.dc2, &mut s.dc2p);
-        std::mem::swap(&mut s.dh1_next, &mut s.dh1p);
-        std::mem::swap(&mut s.dc1, &mut s.dc1p);
+        s.dh2.copy_from_slice(dh2);
+        model
+            .l1
+            .backward_gates(&s.tape1, t, dh1, &mut s.dc1, &mut s.dz1);
+        transposed
+            .l1
+            .forward_panels(kernel, n, &s.dz1, &[], &mut s.dh1);
+        for (dz, dzs) in [(&s.dz1, &mut s.dzs1), (&s.dz2, &mut s.dzs2)] {
+            for (r, row) in dz.chunks_exact(n).enumerate() {
+                for (lane, &v) in row.iter().enumerate() {
+                    dzs[r * reduce + lane * steps + (steps - 1 - t)] = v;
+                }
+            }
+        }
     }
-    loss
+
+    // Deferred weight gradients: the inputs each `dz` multiplies, as rows
+    // in the same (sample, reversed step) order.
+    let (c1, c2, f) = (model.l1.gates.cols, model.l2.gates.cols, FEATURE_DIM);
+    s.xs1.resize(reduce * c1, 0.0);
+    s.xs2.resize(reduce * c2, 0.0);
+    for lane in 0..n {
+        for t in 0..steps {
+            let k = lane * steps + (steps - 1 - t);
+            let row1 = &mut s.xs1[k * c1..][..c1];
+            column(&s.x[t * f * n..][..f * n], n, lane, &mut row1[..f]);
+            column(s.tape1.h(t), n, lane, &mut row1[f..]);
+            let row2 = &mut s.xs2[k * c2..][..c2];
+            column(s.tape1.h(t + 1), n, lane, &mut row2[..h1]);
+            column(s.tape2.h(t), n, lane, &mut row2[h1..]);
+        }
+    }
+    s.xh.resize(n * h2, 0.0);
+    for (lane, row) in s.xh.chunks_exact_mut(h2).enumerate() {
+        column(s.tape2.h(steps), n, lane, row);
+    }
+    for (dz, rows, xs, cols, gw, gb) in [
+        (&s.dzs1, 4 * h1, &s.xs1, c1, &mut grads.l1w, &mut grads.l1b),
+        (&s.dzs2, 4 * h2, &s.xs2, c2, &mut grads.l2w, &mut grads.l2b),
+        (&s.dy, TARGET_DIM, &s.xh, h2, &mut grads.hw, &mut grads.hb),
+    ] {
+        add_product(kernel, dz, rows, xs, cols, gw);
+        let k = dz.len() / rows;
+        for (r, g) in gb.iter_mut().enumerate() {
+            for v in &dz[r * k..(r + 1) * k] {
+                *g += v;
+            }
+        }
+    }
+    total
 }
 
-/// Samples per parallel work item. Each group is processed serially by one
-/// worker into a private [`GradBuf`]; groups are then reduced in order.
-/// Because the partition depends only on the batch contents, gradient sums
-/// are identical at any thread count.
+/// The loss and gradients of one sample group on `kernel`'s build, from
+/// fresh buffers: [`backprop_group`] for a single call.
+///
+/// # Panics
+///
+/// As [`backprop_group`].
+#[must_use]
+pub fn group_gradients(
+    model: &LstmPredictor,
+    kernel: Kernel,
+    group: &[(&Sample, bool)],
+) -> (f64, Gradients) {
+    let mut grads = Gradients::zeros(model);
+    let loss = backprop_group(
+        model,
+        &Transposed::new(model),
+        group,
+        &mut GroupScratch::new(kernel),
+        &mut grads,
+    );
+    (loss, grads)
+}
+
+/// Sizes `buf` to `len` zeros.
+fn zeroed(buf: &mut Vec<f64>, len: usize) {
+    buf.clear();
+    buf.resize(len, 0.0);
+}
+
+/// Copies lane `lane` of a `out.len() × width` panel into `out`.
+fn column(panel: &[f64], width: usize, lane: usize, out: &mut [f64]) {
+    for (u, o) in out.iter_mut().enumerate() {
+        *o = panel[u * width + lane];
+    }
+}
+
+/// Samples per parallel work item, and the lane width of its panels. Each
+/// group is one [`backprop_group`] by one worker into a private
+/// [`Gradients`]; groups are then reduced in order. Because the partition
+/// depends only on the batch contents, gradient sums are identical at any
+/// thread count. The group size sets where the reduction starts a new
+/// partial sum, so changing it changes the trained weights: every cached
+/// model, the ML row of Table VI and the training golden must then be
+/// regenerated.
 const GRAD_GROUP: usize = 4;
 
 /// Trains `model` in place; returns the loss trajectory.
@@ -381,8 +518,18 @@ const GRAD_GROUP: usize = 4;
 /// distribution via [`adas_parallel`], honouring `ADAS_THREADS`) with a
 /// thread-count-invariant reduction order, so the trained weights are
 /// deterministic for a given `(data, config)` regardless of parallelism.
+///
+/// # Panics
+///
+/// Panics if `data` is empty or its windows differ in length (the samples
+/// of a group are the lanes of one panel).
 pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) -> TrainReport {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
+    let steps = data.samples[0].window.len();
+    assert!(
+        data.samples.iter().all(|s| s.window.len() == steps),
+        "every training window must have the same length"
+    );
     let mut order: Vec<usize> = (0..data.len()).collect();
     let mut rng = StdRng::seed_from_u64(config.seed);
 
@@ -393,7 +540,8 @@ pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) ->
     let mut opt_hw = Adam::new(model.head.w.len(), config.adam);
     let mut opt_hb = Adam::new(model.head.b.len(), config.adam);
 
-    let mut batch_grads = GradBuf::zeros(model);
+    let kernel = Kernel::detect();
+    let mut batch_grads = Gradients::zeros(model);
     let mut epoch_loss = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
         order.shuffle(&mut rng);
@@ -404,56 +552,28 @@ pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) ->
             let masked: Vec<bool> = chunk
                 .iter()
                 .map(|_| {
-                    config.history_dropout > 0.0
-                        && rng.gen_range(0.0..1.0) < config.history_dropout
+                    config.history_dropout > 0.0 && rng.gen_range(0.0..1.0) < config.history_dropout
                 })
                 .collect();
-            let groups: Vec<(&[usize], &[bool])> = chunk
+            let groups: Vec<Vec<(&Sample, bool)>> = chunk
                 .chunks(GRAD_GROUP)
                 .zip(masked.chunks(GRAD_GROUP))
+                .map(|(idxs, masks)| {
+                    idxs.iter()
+                        .zip(masks)
+                        .map(|(&i, &m)| (&data.samples[i], m))
+                        .collect()
+                })
                 .collect();
 
             let shared: &LstmPredictor = model;
-            let results: Vec<(f64, GradBuf)> = adas_parallel::map_init(
+            let transposed = Transposed::new(shared);
+            let results: Vec<(f64, Gradients)> = adas_parallel::map_init(
                 &groups,
-                || {
-                    (
-                        TrainScratch::new(shared),
-                        Vec::<[f64; FEATURE_DIM]>::new(),
-                    )
-                },
-                |(scratch, masked_buf), _, &(idxs, masks)| {
-                    let mut grads = GradBuf::zeros(shared);
-                    let mut loss = 0.0;
-                    for (&idx, &mask) in idxs.iter().zip(masks) {
-                        let sample = &data.samples[idx];
-                        if mask {
-                            // Zero the previous-command features over the
-                            // whole window so the model must read the
-                            // vehicle state (see `history_dropout`).
-                            masked_buf.clear();
-                            masked_buf.extend_from_slice(&sample.window);
-                            for frame in masked_buf.iter_mut() {
-                                frame[FEATURE_DIM - 2] = 0.0;
-                                frame[FEATURE_DIM - 1] = 0.0;
-                            }
-                            loss += backprop_sample_into(
-                                shared,
-                                masked_buf,
-                                &sample.target,
-                                scratch,
-                                &mut grads,
-                            );
-                        } else {
-                            loss += backprop_sample_into(
-                                shared,
-                                &sample.window,
-                                &sample.target,
-                                scratch,
-                                &mut grads,
-                            );
-                        }
-                    }
+                || GroupScratch::new(kernel),
+                |scratch, _, group| {
+                    let mut grads = Gradients::zeros(shared);
+                    let loss = backprop_group(shared, &transposed, group, scratch, &mut grads);
                     (loss, grads)
                 },
             );
@@ -592,6 +712,56 @@ mod tests {
                 / data.len() as f64
         };
         assert!(mse(&trained) < mse(&untrained));
+    }
+
+    /// Central finite differences of the group loss agree with the
+    /// group BPTT's analytic gradient in every tensor.
+    #[test]
+    fn group_gradients_match_finite_differences() {
+        let data = synthetic_dataset(1);
+        let group: Vec<(&Sample, bool)> =
+            data.samples[..3].iter().zip([false, true, false]).collect();
+        let model = LstmPredictor::new(ModelSpec {
+            hidden1: 5,
+            hidden2: 3,
+            seed: 2,
+        });
+        let (_, grads) = group_gradients(&model, Kernel::detect(), &group);
+        let loss = |m: &LstmPredictor| group_gradients(m, Kernel::detect(), &group).0;
+        let eps = 1e-6;
+        type Param = fn(&mut LstmPredictor) -> &mut Vec<f64>;
+        let tensors: [(&str, Param, &Vec<f64>); 6] = [
+            ("l1w", |m| &mut m.l1.gates.w, &grads.l1w),
+            ("l1b", |m| &mut m.l1.gates.b, &grads.l1b),
+            ("l2w", |m| &mut m.l2.gates.w, &grads.l2w),
+            ("l2b", |m| &mut m.l2.gates.b, &grads.l2b),
+            ("hw", |m| &mut m.head.w, &grads.hw),
+            ("hb", |m| &mut m.head.b, &grads.hb),
+        ];
+        for (name, param, grad) in tensors {
+            for idx in [0, grad.len() / 2, grad.len() - 1] {
+                let mut plus = model.clone();
+                param(&mut plus)[idx] += eps;
+                let mut minus = model.clone();
+                param(&mut minus)[idx] -= eps;
+                let num = (loss(&plus) - loss(&minus)) / (2.0 * eps);
+                assert!(
+                    (num - grad[idx]).abs() < 1e-6,
+                    "{name}[{idx}]: numeric {num} vs analytic {}",
+                    grad[idx]
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "same length")]
+    fn windows_of_different_lengths_are_refused_up_front() {
+        let mut data = synthetic_dataset(1);
+        let last = data.samples.len() - 1;
+        data.samples[last].window.pop();
+        let mut model = LstmPredictor::new(ModelSpec::default());
+        let _ = train(&mut model, &data, &TrainConfig::default());
     }
 
     #[test]
