@@ -289,8 +289,7 @@ impl FaultInjector {
                         // dominates the outcome (the paper's observation
                         // that mixed attacks mostly end in A2).
                         if let Some(rd) = frame.lead.map(|l| l.distance) {
-                            let path_error =
-                                0.5 * spec.curvature.delta_kappa().abs() * rd * rd;
+                            let path_error = 0.5 * spec.curvature.delta_kappa().abs() * rd * rd;
                             if ctx.ego_d.abs() + path_error > Self::LEAD_ASSOCIATION_LIMIT {
                                 frame.lead = None;
                             }

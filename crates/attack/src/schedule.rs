@@ -119,7 +119,10 @@ impl AttackScheduler {
     /// atom, or a negative or non-finite arming time.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let at = r.pos();
-        let invalid = DecodeError { offset: at, needed: 0 };
+        let invalid = DecodeError {
+            offset: at,
+            needed: 0,
+        };
         match r.u8()? {
             0 => Ok(AttackScheduler::Immediate),
             1 => {

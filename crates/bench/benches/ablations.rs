@@ -9,9 +9,7 @@ use adas_scenarios::{InitialPosition, ScenarioId, ScenarioSetup};
 use adas_simulator::DeterministicRng;
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
-fn run_with(
-    mutate: impl Fn(&mut PlatformConfig, &mut FaultSpec),
-) -> u64 {
+fn run_with(mutate: impl Fn(&mut PlatformConfig, &mut FaultSpec)) -> u64 {
     let mut rng = DeterministicRng::for_run(7, 0, 0, 0);
     let setup = ScenarioSetup::build(ScenarioId::S1, InitialPosition::Near, &mut rng);
     let mut config = PlatformConfig::with_interventions(InterventionConfig::none());

@@ -1,14 +1,16 @@
 //! Criterion micro-benchmarks for every substrate: how much each subsystem
 //! costs per 10 ms control cycle.
 
-use adas_control::{AccConfig, AccController, AdasConfig, AdasController, AlcConfig, AlcController};
+use adas_control::{
+    AccConfig, AccController, AdasConfig, AdasController, AlcConfig, AlcController,
+};
 use adas_ml::{
     ControlTarget, Cusum, LstmPredictor, MitigationConfig, MlMitigator, ModelSpec, StateFeatures,
 };
 use adas_perception::{LeadPrediction, PerceptionConfig, PerceptionEmulator, PerceptionFrame};
 use adas_safety::{
-    arbitrate, Aebs, AebsConfig, AebsMode, ArbiterInputs, DriverAction, DriverConfig,
-    DriverInputs, DriverModel, SafetyCheck,
+    arbitrate, Aebs, AebsConfig, AebsMode, ArbiterInputs, DriverAction, DriverConfig, DriverInputs,
+    DriverModel, SafetyCheck,
 };
 use adas_simulator::{
     units::mph, DeterministicRng, Npc, NpcPlan, RoadBuilder, SurfaceFriction, Vehicle,

@@ -150,7 +150,12 @@ fn cmd_record(args: &[String]) -> ExitCode {
         if !args.is_empty() {
             return Err(format!("unexpected arguments: {args:?}"));
         }
-        record_cell(fault, iv, reps, &dir.unwrap_or_else(|| PathBuf::from("results/traces")))
+        record_cell(
+            fault,
+            iv,
+            reps,
+            &dir.unwrap_or_else(|| PathBuf::from("results/traces")),
+        )
     })();
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -219,7 +224,12 @@ fn record_golden(dir: &Path) -> Result<(), String> {
     // files stay small; the cap lands in the header, so replay reconstructs
     // the same bounded run.
     let cases: [(&str, Option<FaultType>, InterventionConfig, usize); 3] = [
-        ("golden-s1-benign.bin", None, InterventionConfig::none(), 1_500),
+        (
+            "golden-s1-benign.bin",
+            None,
+            InterventionConfig::none(),
+            1_500,
+        ),
         (
             "golden-s1-rd-unprotected.bin",
             Some(FaultType::RelativeDistance),
@@ -394,7 +404,10 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         eprintln!("error: diff needs exactly two trace files\n\n{USAGE}");
         return ExitCode::from(2);
     };
-    let (a, b) = match (Trace::load(Path::new(a_path)), Trace::load(Path::new(b_path))) {
+    let (a, b) = match (
+        Trace::load(Path::new(a_path)),
+        Trace::load(Path::new(b_path)),
+    ) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) => {
             eprintln!("error: {a_path}: {e}");

@@ -15,8 +15,7 @@ fn main() {
         repetition: 0,
     };
     let config = PlatformConfig::default();
-    let (_, trace) =
-        run_single_traced(id, None, &config, None, 0, CAMPAIGN_SEED, RecordMode::Full);
+    let (_, trace) = run_single_traced(id, None, &config, None, 0, CAMPAIGN_SEED, RecordMode::Full);
     // The figure series keeps every 10th step (0.1 s resolution).
     let samples: Vec<_> = trace.samples.iter().step_by(10).copied().collect();
 
@@ -31,9 +30,7 @@ fn main() {
     println!("Fig. 5 — benign S1 approach (series in results/fig_5.csv)");
     println!("  initial speed: {v0:.2} m/s");
     println!("  minimum speed during approach: {vmin:.2} m/s ({drop_pct:.1}% drop)");
-    println!(
-        "  paper: 21.7 m/s → 9.6 m/s (55.8% drop within 4.7 s), then fluctuations"
-    );
+    println!("  paper: 21.7 m/s → 9.6 m/s (55.8% drop within 4.7 s), then fluctuations");
     let min_line = samples
         .iter()
         .map(|s| s.lane_line_distance)

@@ -6,9 +6,7 @@
 
 use adas_attack::{FaultInjector, FaultSpec, FaultType};
 use adas_bench::CAMPAIGN_SEED;
-use adas_core::{
-    run_campaign, CellStats, InterventionConfig, Platform, PlatformConfig,
-};
+use adas_core::{run_campaign, CellStats, InterventionConfig, Platform, PlatformConfig};
 use adas_scenarios::{InitialPosition, ScenarioId, ScenarioSetup};
 use adas_simulator::DeterministicRng;
 
@@ -31,7 +29,10 @@ fn main() {
         CellStats::from_records(records.iter().map(|(_, r)| r))
     };
 
-    println!("Re-checking the paper's Observations ({} runs/cell)\n", 12 * reps);
+    println!(
+        "Re-checking the paper's Observations ({} runs/cell)\n",
+        12 * reps
+    );
 
     // ---- Observation 1: benign weaknesses -------------------------------
     let benign = run_campaign(None, &PlatformConfig::default(), None, CAMPAIGN_SEED, reps);
@@ -55,8 +56,14 @@ fn main() {
     );
 
     // ---- Observation 2: no attack tolerance + close-range blindness ------
-    let rd_none = stats(Some(FaultType::RelativeDistance), InterventionConfig::none());
-    let curv_none = stats(Some(FaultType::DesiredCurvature), InterventionConfig::none());
+    let rd_none = stats(
+        Some(FaultType::RelativeDistance),
+        InterventionConfig::none(),
+    );
+    let curv_none = stats(
+        Some(FaultType::DesiredCurvature),
+        InterventionConfig::none(),
+    );
     let blindness = {
         let mut rng = DeterministicRng::for_run(CAMPAIGN_SEED, 0, 0, 0);
         let setup = ScenarioSetup::build(ScenarioId::S1, InitialPosition::Near, &mut rng);

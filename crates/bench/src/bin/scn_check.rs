@@ -88,15 +88,16 @@ fn scn_files_under(dir: &Path) -> Vec<PathBuf> {
 /// files are checked under their own scenario id (the road `position`
 /// kind differs per id); everything else compiles under S1.
 fn check_file(path: &Path) -> Result<ScenarioDoc, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc =
-        ScenarioDoc::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let doc = ScenarioDoc::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     let rendered = doc.render();
     let reparsed = ScenarioDoc::parse(&rendered)
         .map_err(|e| format!("{}: canonical render does not reparse: {e}", path.display()))?;
     if reparsed != doc {
-        return Err(format!("{}: render/parse round trip drifted", path.display()));
+        return Err(format!(
+            "{}: render/parse round trip drifted",
+            path.display()
+        ));
     }
     let id = path
         .file_stem()

@@ -39,7 +39,9 @@ fn fault_label(fault: Option<FaultType>) -> &'static str {
 }
 
 fn main() {
-    let mut ints = std::env::args().skip(1).filter_map(|a| a.parse::<u64>().ok());
+    let mut ints = std::env::args()
+        .skip(1)
+        .filter_map(|a| a.parse::<u64>().ok());
     let reps = ints.next().map_or(10, |r| r.max(1) as u32);
     let max_steps = ints.next().unwrap_or(0) as usize;
 

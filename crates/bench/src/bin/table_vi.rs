@@ -26,9 +26,8 @@ use adas_bench::{
     PhaseTimer, CAMPAIGN_SEED,
 };
 use adas_core::{
-    campaign_cell_fingerprint, cell_stats_cached, fmt_opt_time, run_campaign,
-    run_campaign_traced, ArtifactCache, CellStats, InterventionConfig, PlatformConfig, TextTable,
-    TraceSink,
+    campaign_cell_fingerprint, cell_stats_cached, fmt_opt_time, run_campaign, run_campaign_traced,
+    ArtifactCache, CellStats, InterventionConfig, PlatformConfig, TextTable, TraceSink,
 };
 use adas_ml::ModelSpec;
 use adas_recorder::RecordMode;
@@ -154,9 +153,8 @@ fn main() {
                 .iter()
                 .find(|(f, row, ..)| *f == fault.label() && *row == iv.label())
                 .copied();
-            let (pa1, pa2, pprev) = reference.map_or((f64::NAN, f64::NAN, f64::NAN), |r| {
-                (r.2, r.3, r.4)
-            });
+            let (pa1, pa2, pprev) =
+                reference.map_or((f64::NAN, f64::NAN, f64::NAN), |r| (r.2, r.3, r.4));
             table.row([
                 iv.label(),
                 format!("{:.2}%", s.a1_pct),
@@ -203,9 +201,7 @@ fn main() {
     if sink.enabled() {
         let mode = match sink.policy().record_mode {
             RecordMode::Full => format!("{:?}", sink.policy().mode).to_lowercase(),
-            RecordMode::Ring(n) => {
-                format!("{:?}+ring{n}", sink.policy().mode).to_lowercase()
-            }
+            RecordMode::Ring(n) => format!("{:?}+ring{n}", sink.policy().mode).to_lowercase(),
         };
         timer.set_trace_info(&mode, sink.recorded(), sink.persisted());
         println!(

@@ -67,11 +67,7 @@ pub fn trained_baseline(seed: u64, spec: ModelSpec) -> LstmPredictor {
 /// hyper-parameter and the architecture, so any change to data collection,
 /// training, or the model invalidates old entries automatically.
 #[must_use]
-pub fn trained_baseline_cached(
-    cache: &ArtifactCache,
-    seed: u64,
-    spec: ModelSpec,
-) -> LstmPredictor {
+pub fn trained_baseline_cached(cache: &ArtifactCache, seed: u64, spec: ModelSpec) -> LstmPredictor {
     eprintln!("[ml] collecting fault-free training episodes…");
     let data = collect_training_data(seed, 1, 25);
     let tc = baseline_train_config();
@@ -273,16 +269,40 @@ pub mod paper {
     pub const TABLE_VI: [(&str, &str, f64, f64, f64); 24] = [
         ("Relative Distance", "None", 82.50, 17.50, 0.0),
         ("Relative Distance", "Driver+Check", 55.00, 0.0, 45.00),
-        ("Relative Distance", "Driver+Check+AEB-Comp", 49.17, 0.0, 50.83),
-        ("Relative Distance", "Driver+Check+AEB-Indep", 0.0, 0.0, 100.0),
+        (
+            "Relative Distance",
+            "Driver+Check+AEB-Comp",
+            49.17,
+            0.0,
+            50.83,
+        ),
+        (
+            "Relative Distance",
+            "Driver+Check+AEB-Indep",
+            0.0,
+            0.0,
+            100.0,
+        ),
         ("Relative Distance", "AEB-Comp", 80.83, 0.0, 19.17),
         ("Relative Distance", "AEB-Indep", 0.0, 0.0, 100.0),
         ("Relative Distance", "Driver", 51.17, 0.83, 40.00),
         ("Relative Distance", "ML", 1.67, 65.83, 32.50),
         ("Desired Curvature", "None", 0.0, 100.0, 0.0),
         ("Desired Curvature", "Driver+Check", 0.0, 54.17, 45.83),
-        ("Desired Curvature", "Driver+Check+AEB-Comp", 0.0, 52.72, 47.27),
-        ("Desired Curvature", "Driver+Check+AEB-Indep", 0.0, 46.67, 53.33),
+        (
+            "Desired Curvature",
+            "Driver+Check+AEB-Comp",
+            0.0,
+            52.72,
+            47.27,
+        ),
+        (
+            "Desired Curvature",
+            "Driver+Check+AEB-Indep",
+            0.0,
+            46.67,
+            53.33,
+        ),
         ("Desired Curvature", "AEB-Comp", 0.0, 60.0, 40.00),
         ("Desired Curvature", "AEB-Indep", 0.0, 59.17, 40.83),
         ("Desired Curvature", "Driver", 0.0, 51.67, 48.33),
@@ -304,7 +324,10 @@ pub mod paper {
     /// Table VII reference rows.
     pub const TABLE_VII: [(&str, [f64; 6]); 3] = [
         ("Relative Distance", [53.33, 55.0, 55.0, 40.0, 43.33, 41.67]),
-        ("Desired Curvature", [77.50, 55.83, 58.11, 48.33, 52.50, 40.00]),
+        (
+            "Desired Curvature",
+            [77.50, 55.83, 58.11, 48.33, 52.50, 40.00],
+        ),
         ("Mixed", [70.83, 70.00, 68.33, 69.17, 60.83, 53.33]),
     ];
 
@@ -360,10 +383,7 @@ mod tests {
         // Sanity-check the transcription stays within plausible bounds.
         for (fault, row, a1, a2, prev) in paper::TABLE_VI {
             let sum = a1 + a2 + prev;
-            assert!(
-                (85.0..=101.0).contains(&sum),
-                "{fault}/{row}: {sum}"
-            );
+            assert!((85.0..=101.0).contains(&sum), "{fault}/{row}: {sum}");
         }
     }
 

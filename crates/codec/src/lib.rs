@@ -239,7 +239,11 @@ impl fmt::Display for DecodeError {
         if self.needed == 0 {
             write!(f, "invalid value at byte {}", self.offset)
         } else {
-            write!(f, "truncated at byte {}: {} more bytes needed", self.offset, self.needed)
+            write!(
+                f,
+                "truncated at byte {}: {} more bytes needed",
+                self.offset, self.needed
+            )
         }
     }
 }
@@ -360,7 +364,10 @@ impl<'a> Reader<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            _ => Err(DecodeError { offset: at, needed: 0 }),
+            _ => Err(DecodeError {
+                offset: at,
+                needed: 0,
+            }),
         }
     }
 
@@ -386,7 +393,10 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn usize(&mut self) -> Result<usize, DecodeError> {
         let at = self.pos;
-        usize::try_from(self.u64()?).map_err(|_| DecodeError { offset: at, needed: 0 })
+        usize::try_from(self.u64()?).map_err(|_| DecodeError {
+            offset: at,
+            needed: 0,
+        })
     }
 
     /// Reads an `f64` by bit pattern.
@@ -415,7 +425,10 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn code<T>(&mut self, from_code: impl FnOnce(u8) -> Option<T>) -> Result<T, DecodeError> {
         let at = self.pos;
-        from_code(self.u8()?).ok_or(DecodeError { offset: at, needed: 0 })
+        from_code(self.u8()?).ok_or(DecodeError {
+            offset: at,
+            needed: 0,
+        })
     }
 
     /// Reads a one-byte code where 0 means `None` and any other value goes
@@ -428,9 +441,10 @@ impl<'a> Reader<'a> {
         let at = self.pos;
         match self.u8()? {
             0 => Ok(None),
-            c => from_code(c)
-                .map(Some)
-                .ok_or(DecodeError { offset: at, needed: 0 }),
+            c => from_code(c).map(Some).ok_or(DecodeError {
+                offset: at,
+                needed: 0,
+            }),
         }
     }
 }
@@ -458,7 +472,10 @@ mod tests {
         // Keys and checksums must survive recompiles: check against the
         // published FNV-1a test vectors.
         assert_eq!(Fingerprint::new().value(), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(Fingerprint::new().write_bytes(b"a").value(), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            Fingerprint::new().write_bytes(b"a").value(),
+            0xaf63_dc4c_8601_ec8c
+        );
         assert_eq!(
             Fingerprint::new().write_bytes(b"foobar").value(),
             0x8594_4171_f739_67e8
@@ -503,7 +520,10 @@ mod tests {
         assert_eq!(r.u32(), Ok(7));
         assert_eq!(r.u64(), Ok(u64::MAX));
         assert!(r.f64().unwrap().is_nan());
-        assert_eq!(r.opt_f64().unwrap().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(
+            r.opt_f64().unwrap().map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
         assert_eq!(r.opt_f64(), Ok(None));
         assert_eq!(r.blob(), Ok(&b"abc"[..]));
         assert_eq!(r.finish(), Ok(()));
@@ -513,22 +533,46 @@ mod tests {
     fn reader_reports_offset_and_shortfall() {
         let mut r = Reader::new(&[1, 2, 3]);
         assert_eq!(r.u16(), Ok(0x0201));
-        assert_eq!(r.u32(), Err(DecodeError { offset: 2, needed: 3 }));
+        assert_eq!(
+            r.u32(),
+            Err(DecodeError {
+                offset: 2,
+                needed: 3
+            })
+        );
         assert_eq!(r.u8(), Ok(3));
         assert!(r.exhausted());
         let mut r = Reader::new(&[2]);
-        assert_eq!(r.bool(), Err(DecodeError { offset: 0, needed: 0 }));
+        assert_eq!(
+            r.bool(),
+            Err(DecodeError {
+                offset: 0,
+                needed: 0
+            })
+        );
         // Trailing bytes are an error at the first unread byte.
         let mut r = Reader::new(&[0, 0]);
         r.u8().unwrap();
-        assert_eq!(r.finish(), Err(DecodeError { offset: 1, needed: 0 }));
+        assert_eq!(
+            r.finish(),
+            Err(DecodeError {
+                offset: 1,
+                needed: 0
+            })
+        );
     }
 
     #[test]
     fn hostile_counts_never_wrap_or_allocate() {
         let r = Reader::new(&[0; 16]);
         assert_eq!(r.fits(2, 8), Ok(2));
-        assert_eq!(r.fits(3, 8), Err(DecodeError { offset: 0, needed: 8 }));
+        assert_eq!(
+            r.fits(3, 8),
+            Err(DecodeError {
+                offset: 0,
+                needed: 8
+            })
+        );
         // 105⁻¹ mod 2⁶⁴: the product wraps to 1 under unchecked arithmetic.
         let inverse = 0x8fd8_fd8f_d8fd_8fd9u64;
         assert_eq!(inverse.wrapping_mul(105), 1);
@@ -536,7 +580,13 @@ mod tests {
         assert!(r.fits(u64::MAX, 1).is_err());
         // An oversized blob length is rejected before the take.
         let mut r = Reader::new(&[0xFF, 0xFF, 0xFF, 0xFF, 1]);
-        assert_eq!(r.blob(), Err(DecodeError { offset: 4, needed: 0xFFFF_FFFE }));
+        assert_eq!(
+            r.blob(),
+            Err(DecodeError {
+                offset: 4,
+                needed: 0xFFFF_FFFE
+            })
+        );
     }
 
     #[test]
@@ -544,9 +594,21 @@ mod tests {
         let from_code = |c: u8| (c < 3).then_some(c);
         let mut r = Reader::new(&[2, 9, 0, 1, 9]);
         assert_eq!(r.code(from_code), Ok(2));
-        assert_eq!(r.code(from_code), Err(DecodeError { offset: 1, needed: 0 }));
+        assert_eq!(
+            r.code(from_code),
+            Err(DecodeError {
+                offset: 1,
+                needed: 0
+            })
+        );
         assert_eq!(r.opt_code(from_code), Ok(None));
         assert_eq!(r.opt_code(from_code), Ok(Some(1)));
-        assert_eq!(r.opt_code(from_code), Err(DecodeError { offset: 4, needed: 0 }));
+        assert_eq!(
+            r.opt_code(from_code),
+            Err(DecodeError {
+                offset: 4,
+                needed: 0
+            })
+        );
     }
 }

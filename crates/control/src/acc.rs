@@ -189,8 +189,7 @@ impl AccController {
         let d_des = self.desired_gap(v);
         let gap_err = gap - d_des;
         let proximity = ((1.3 * d_des - gap) / (0.5 * d_des)).clamp(0.0, 1.0);
-        let follow_accel =
-            cfg.gap_gain * gap_err - cfg.speed_match_gain * closing * proximity;
+        let follow_accel = cfg.gap_gain * gap_err - cfg.speed_match_gain * closing * proximity;
 
         let mut accel = cruise_accel.min(follow_accel);
 
@@ -273,7 +272,7 @@ mod tests {
         let mut acc = AccController::new(AccConfig::default());
         let v = mph(50.0);
         let closing = v - mph(30.0); // ≈ 8.9 m/s
-        // Far: not yet braking hard.
+                                     // Far: not yet braking hard.
         let far = acc.plan(&frame(v, Some(lead(70.0, closing, mph(30.0)))), 0.01);
         // Near: hard brake.
         let near = acc.plan(&frame(v, Some(lead(22.0, closing, mph(30.0)))), 0.01);

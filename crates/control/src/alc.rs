@@ -55,7 +55,13 @@ impl Encode for AlcConfig {
             aux_offset_gain,
             aux_feedback_limit,
         } = *self;
-        for v in [wheelbase, command_tau, steer_limit, aux_offset_gain, aux_feedback_limit] {
+        for v in [
+            wheelbase,
+            command_tau,
+            steer_limit,
+            aux_offset_gain,
+            aux_feedback_limit,
+        ] {
             w.f64(v);
         }
     }
@@ -156,7 +162,10 @@ mod tests {
         let _ = alc.steer(&frame(0.0, 0.0), 0.01);
         let step = alc.steer(&frame(0.02, 0.0), 0.01);
         let target = (2.7 * 0.02_f64).atan();
-        assert!(step < target * 0.5, "smoothing too weak: {step} vs {target}");
+        assert!(
+            step < target * 0.5,
+            "smoothing too weak: {step} vs {target}"
+        );
     }
 
     #[test]

@@ -51,8 +51,7 @@ impl Pid {
         };
         self.prev_error = Some(error);
 
-        let unclamped =
-            c.kp * error + c.ki * (self.integral + error * dt) + c.kd * derivative;
+        let unclamped = c.kp * error + c.ki * (self.integral + error * dt) + c.kd * derivative;
         let saturated_high = unclamped > c.out_max && error > 0.0;
         let saturated_low = unclamped < c.out_min && error < 0.0;
         if !saturated_high && !saturated_low {

@@ -6,8 +6,7 @@ use adas_control::{AdasConfig, AdasController};
 use adas_perception::{PerceptionConfig, PerceptionEmulator};
 use adas_simulator::{
     units::{mph, SIM_DT},
-    DeterministicRng, Npc, NpcPlan, RoadBuilder, VehicleCommand, VehicleParams, World,
-    WorldConfig,
+    DeterministicRng, Npc, NpcPlan, RoadBuilder, VehicleCommand, VehicleParams, World, WorldConfig,
 };
 
 /// Drives the full perception→control→physics loop (no faults, no safety

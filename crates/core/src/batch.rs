@@ -121,7 +121,8 @@ impl MlPanels {
 
     /// One weights-stationary LSTM step over the live lanes of the batch.
     fn step(&mut self) {
-        self.model.step_batch(&self.x, &mut self.state, &mut self.scratch);
+        self.model
+            .step_batch(&self.x, &mut self.state, &mut self.scratch);
     }
 }
 
@@ -283,10 +284,13 @@ fn drive_chunk<T, R>(
                 continue;
             };
             let (_, platform) = lanes[lane].as_mut().expect("pending lane is occupied");
-            let ml_y = pending
-                .ml_input
-                .is_some()
-                .then(|| panels.as_ref().expect("ML panels present").scratch.output(lane));
+            let ml_y = pending.ml_input.is_some().then(|| {
+                panels
+                    .as_ref()
+                    .expect("ML panels present")
+                    .scratch
+                    .output(lane)
+            });
             let _ = platform.finish_step(pending, ml_y);
             if let Some(end) = platform.finished() {
                 let (index, platform) = lanes[lane].take().expect("finished lane is occupied");
@@ -436,9 +440,7 @@ mod tests {
                 &ids,
                 width,
                 Some(&model),
-                |_, id| {
-                    crate::experiment::build_platform(*id, fault, &cfg, Some(&model), 11)
-                },
+                |_, id| crate::experiment::build_platform(*id, fault, &cfg, Some(&model), 11),
                 |_, _, _, platform| platform.record(),
             );
             assert_eq!(

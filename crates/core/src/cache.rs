@@ -119,9 +119,10 @@ impl ArtifactCache {
     pub fn entry_path(&self, kind: &str, key: Fingerprint) -> Option<PathBuf> {
         assert!(
             !kind.is_empty()
-                && kind
-                    .bytes()
-                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'-'),
+                && kind.bytes().all(|b| b.is_ascii_lowercase()
+                    || b.is_ascii_digit()
+                    || b == b'_'
+                    || b == b'-'),
             "artifact kind {kind:?} must be [a-z0-9_-]+"
         );
         self.dir
@@ -161,11 +162,7 @@ impl ArtifactCache {
         let Some(dir) = path.parent() else {
             return false;
         };
-        let tmp = dir.join(format!(
-            ".tmp-{kind}-{}-{}",
-            key.hex(),
-            std::process::id()
-        ));
+        let tmp = dir.join(format!(".tmp-{kind}-{}-{}", key.hex(), std::process::id()));
         let write_synced = |tmp: &Path| -> std::io::Result<()> {
             use std::io::Write;
             let mut file = std::fs::File::create(tmp)?;
@@ -262,10 +259,8 @@ mod tests {
     use super::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "adas-cache-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("adas-cache-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -409,50 +409,96 @@ mod tests {
     fn platform_perturbations() -> Vec<Perturbation> {
         vec![
             ("interventions.driver", |c| c.interventions.driver ^= true),
-            ("interventions.driver_reaction_time", |c| c.interventions.driver_reaction_time += 0.5),
-            ("interventions.safety_check", |c| c.interventions.safety_check ^= true),
-            ("interventions.aebs", |c| c.interventions.aebs = AebsMode::Independent),
+            ("interventions.driver_reaction_time", |c| {
+                c.interventions.driver_reaction_time += 0.5
+            }),
+            ("interventions.safety_check", |c| {
+                c.interventions.safety_check ^= true
+            }),
+            ("interventions.aebs", |c| {
+                c.interventions.aebs = AebsMode::Independent
+            }),
             ("interventions.ml", |c| c.interventions.ml ^= true),
-            ("interventions.mitigation", |c| c.interventions.mitigation = MitigationKind::Ensemble),
+            ("interventions.mitigation", |c| {
+                c.interventions.mitigation = MitigationKind::Ensemble
+            }),
             ("interventions.views", |c| c.interventions.views = 5),
             ("friction", |c| c.friction = FrictionCondition::Off50),
-            ("friction.custom", |c| c.friction = FrictionCondition::Custom(0.5)),
+            ("friction.custom", |c| {
+                c.friction = FrictionCondition::Custom(0.5)
+            }),
             ("max_steps", |c| c.max_steps += 1),
-            ("perception.blind_range", |c| c.perception.blind_range += 1.0),
+            ("perception.blind_range", |c| {
+                c.perception.blind_range += 1.0
+            }),
             ("perception.max_range", |c| c.perception.max_range += 1.0),
-            ("perception.distance_noise_frac", |c| c.perception.distance_noise_frac += 1.0),
-            ("perception.distance_noise_floor", |c| c.perception.distance_noise_floor += 1.0),
-            ("perception.speed_noise", |c| c.perception.speed_noise += 1.0),
+            ("perception.distance_noise_frac", |c| {
+                c.perception.distance_noise_frac += 1.0
+            }),
+            ("perception.distance_noise_floor", |c| {
+                c.perception.distance_noise_floor += 1.0
+            }),
+            ("perception.speed_noise", |c| {
+                c.perception.speed_noise += 1.0
+            }),
             ("perception.lane_noise", |c| c.perception.lane_noise += 1.0),
-            ("perception.curvature_noise", |c| c.perception.curvature_noise += 1.0),
-            ("perception.preview_time", |c| c.perception.preview_time += 1.0),
-            ("perception.lead_window_frac", |c| c.perception.lead_window_frac += 1.0),
-            ("perception.centering_offset_gain", |c| c.perception.centering_offset_gain += 1.0),
-            ("perception.centering_heading_gain", |c| c.perception.centering_heading_gain += 1.0),
-            ("perception.centering_limit", |c| c.perception.centering_limit += 1.0),
-            ("perception.heading_noise", |c| c.perception.heading_noise += 1.0),
+            ("perception.curvature_noise", |c| {
+                c.perception.curvature_noise += 1.0
+            }),
+            ("perception.preview_time", |c| {
+                c.perception.preview_time += 1.0
+            }),
+            ("perception.lead_window_frac", |c| {
+                c.perception.lead_window_frac += 1.0
+            }),
+            ("perception.centering_offset_gain", |c| {
+                c.perception.centering_offset_gain += 1.0
+            }),
+            ("perception.centering_heading_gain", |c| {
+                c.perception.centering_heading_gain += 1.0
+            }),
+            ("perception.centering_limit", |c| {
+                c.perception.centering_limit += 1.0
+            }),
+            ("perception.heading_noise", |c| {
+                c.perception.heading_noise += 1.0
+            }),
             ("adas.acc.set_speed", |c| c.adas.acc.set_speed += 1.0),
             ("adas.acc.gap_offset", |c| c.adas.acc.gap_offset += 1.0),
             ("adas.acc.time_gap", |c| c.adas.acc.time_gap += 1.0),
             ("adas.acc.min_gap", |c| c.adas.acc.min_gap += 1.0),
-            ("adas.acc.brake_engage_decel", |c| c.adas.acc.brake_engage_decel += 1.0),
+            ("adas.acc.brake_engage_decel", |c| {
+                c.adas.acc.brake_engage_decel += 1.0
+            }),
             ("adas.acc.brake_gain", |c| c.adas.acc.brake_gain += 1.0),
             ("adas.acc.max_decel", |c| c.adas.acc.max_decel += 1.0),
             ("adas.acc.max_accel", |c| c.adas.acc.max_accel += 1.0),
             ("adas.acc.gap_gain", |c| c.adas.acc.gap_gain += 1.0),
-            ("adas.acc.speed_match_gain", |c| c.adas.acc.speed_match_gain += 1.0),
+            ("adas.acc.speed_match_gain", |c| {
+                c.adas.acc.speed_match_gain += 1.0
+            }),
             ("adas.acc.closing_tau", |c| c.adas.acc.closing_tau += 1.0),
             ("adas.alc.wheelbase", |c| c.adas.alc.wheelbase += 1.0),
             ("adas.alc.command_tau", |c| c.adas.alc.command_tau += 1.0),
             ("adas.alc.steer_limit", |c| c.adas.alc.steer_limit += 1.0),
-            ("adas.alc.aux_offset_gain", |c| c.adas.alc.aux_offset_gain += 1.0),
-            ("adas.alc.aux_feedback_limit", |c| c.adas.alc.aux_feedback_limit += 1.0),
+            ("adas.alc.aux_offset_gain", |c| {
+                c.adas.alc.aux_offset_gain += 1.0
+            }),
+            ("adas.alc.aux_feedback_limit", |c| {
+                c.adas.alc.aux_feedback_limit += 1.0
+            }),
             ("hazards.h1_distance", |c| c.hazards.h1_distance += 1.0),
             ("hazards.h1_ttc", |c| c.hazards.h1_ttc += 1.0),
-            ("hazards.h2_line_distance", |c| c.hazards.h2_line_distance += 1.0),
+            ("hazards.h2_line_distance", |c| {
+                c.hazards.h2_line_distance += 1.0
+            }),
             ("quiescence_steps", |c| c.quiescence_steps += 1),
-            ("attack", |c| c.attack = AttackScheduler::Context(ContextTrigger::default())),
-            ("attack.ttc_below", |c| c.attack = AttackScheduler::Context(ContextTrigger::ttc(2.0))),
+            ("attack", |c| {
+                c.attack = AttackScheduler::Context(ContextTrigger::default())
+            }),
+            ("attack.ttc_below", |c| {
+                c.attack = AttackScheduler::Context(ContextTrigger::ttc(2.0))
+            }),
             ("attack.lane_excursion_above", |c| {
                 c.attack = AttackScheduler::Context(ContextTrigger {
                     lane_excursion_above: Some(0.5),
@@ -501,7 +547,8 @@ mod tests {
         // reads a `Debug` rendering, so no derive change can move them;
         // only a deliberate encoding change can.
         let row = PlatformConfig::with_interventions(InterventionConfig::driver_and_check());
-        let key = campaign_cell_fingerprint(Some(FaultType::RelativeDistance), &row, None, 2025, 10);
+        let key =
+            campaign_cell_fingerprint(Some(FaultType::RelativeDistance), &row, None, 2025, 10);
         assert_eq!(key.hex(), "ee685c45f86f7851");
         assert_eq!(
             format!("{:016x}", config_fingerprint(&PlatformConfig::default())),
@@ -522,7 +569,10 @@ mod tests {
 
     #[test]
     fn attack_env_parses_or_falls_back() {
-        assert_eq!(AttackScheduler::parse("immediate"), Some(AttackScheduler::Immediate));
+        assert_eq!(
+            AttackScheduler::parse("immediate"),
+            Some(AttackScheduler::Immediate)
+        );
         assert!(AttackScheduler::parse("ttc<2.0,arm>5").is_some());
         assert_eq!(AttackScheduler::parse("bogus<1"), None);
     }

@@ -69,9 +69,9 @@ pub(crate) fn build_platform(
     );
     let setup = ScenarioSetup::build(id.scenario, id.position, &mut setup_rng);
     let injector = match fault {
-        Some(ft) => FaultInjector::new(
-            FaultSpec::new(ft, setup.patch_start_s).scheduled(config.attack),
-        ),
+        Some(ft) => {
+            FaultInjector::new(FaultSpec::new(ft, setup.patch_start_s).scheduled(config.attack))
+        }
         None => FaultInjector::disabled(),
     };
     let ml = make_mitigator(ml_model, config, &mut setup_rng);
@@ -307,18 +307,14 @@ impl CellStats {
             driver_brake_mitigation_time: mean_of(brake_times),
             driver_steer_mitigation_time: mean_of(steer_times),
             aeb_trigger_rate: pct(records.iter().filter(|r| r.aeb_trigger.is_some()).count()),
-            driver_brake_trigger_rate: pct(
-                records
-                    .iter()
-                    .filter(|r| r.driver_brake_trigger.is_some())
-                    .count(),
-            ),
-            driver_steer_trigger_rate: pct(
-                records
-                    .iter()
-                    .filter(|r| r.driver_steer_trigger.is_some())
-                    .count(),
-            ),
+            driver_brake_trigger_rate: pct(records
+                .iter()
+                .filter(|r| r.driver_brake_trigger.is_some())
+                .count()),
+            driver_steer_trigger_rate: pct(records
+                .iter()
+                .filter(|r| r.driver_steer_trigger.is_some())
+                .count()),
             ml_trigger_rate: pct(records.iter().filter(|r| r.ml_activated).count()),
         }
     }
@@ -338,7 +334,12 @@ impl CellStats {
         let mut w = Writer::with_capacity(CELL_MAGIC.len() + 8 + 11 * 8 + 3 + 8);
         w.bytes(CELL_MAGIC);
         w.usize(self.runs);
-        for v in [self.a1_pct, self.a2_pct, self.prevented_pct, self.hazard_pct] {
+        for v in [
+            self.a1_pct,
+            self.a2_pct,
+            self.prevented_pct,
+            self.hazard_pct,
+        ] {
             w.f64(v);
         }
         for opt in [
@@ -449,7 +450,13 @@ pub fn cell_stats_cached(
     key: Fingerprint,
     compute: impl FnOnce() -> CellStats,
 ) -> CellStats {
-    cache.get_or_compute("cell", key, CellStats::from_bytes, compute, CellStats::to_bytes)
+    cache.get_or_compute(
+        "cell",
+        key,
+        CellStats::from_bytes,
+        compute,
+        CellStats::to_bytes,
+    )
 }
 
 /// Simulates one fault-free training episode and returns its (true state,
@@ -540,7 +547,7 @@ mod tests {
         let a = run_campaign(None, &cfg, None, 9, 1);
         let b = run_campaign(None, &cfg, None, 9, 1);
         assert_eq!(a.len(), 12); // 6 scenarios × 2 positions × 1 rep
-        // NaN-tolerant equality (NaN != NaN under PartialEq).
+                                 // NaN-tolerant equality (NaN != NaN under PartialEq).
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         // Order: scenario-major.
         assert_eq!(a[0].0.scenario, ScenarioId::S1);

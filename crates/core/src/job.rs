@@ -177,7 +177,8 @@ impl CampaignSpec {
         if self.scenario_mask == SCENARIO_MASK_ALL {
             base
         } else {
-            base.write_str("scenario-mask").write_u64(u64::from(self.scenario_mask))
+            base.write_str("scenario-mask")
+                .write_u64(u64::from(self.scenario_mask))
         }
     }
 
@@ -344,7 +345,11 @@ mod tests {
     fn campaign_spec_bytes_are_pinned() {
         // Serve protocol VERSION 2 carries these exact bytes; routing the
         // codec through the shared `Encode` impls must not move them.
-        let hex: String = sample_spec().to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        let hex: String = sample_spec()
+            .to_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
         assert_eq!(
             hex,
             "03e90700000000000003000000dc05000009000300000000000000000000044000010302000000\
@@ -357,21 +362,34 @@ mod tests {
         use adas_safety::AebsMode;
         use adas_simulator::FrictionCondition;
         for (fault, code) in FaultType::ALL.into_iter().zip(1..) {
-            assert_eq!((fault.code(), FaultType::from_code(code)), (code, Some(fault)));
+            assert_eq!(
+                (fault.code(), FaultType::from_code(code)),
+                (code, Some(fault))
+            );
         }
-        let modes = [AebsMode::Disabled, AebsMode::Compromised, AebsMode::Independent];
+        let modes = [
+            AebsMode::Disabled,
+            AebsMode::Compromised,
+            AebsMode::Independent,
+        ];
         for (mode, code) in modes.into_iter().zip(0..) {
             assert_eq!((mode.code(), AebsMode::from_code(code)), (code, Some(mode)));
         }
         let kinds = [AccidentKind::ForwardCollision, AccidentKind::LaneViolation];
         for (kind, code) in kinds.into_iter().zip(1..) {
-            assert_eq!((kind.code(), AccidentKind::from_code(code)), (code, Some(kind)));
+            assert_eq!(
+                (kind.code(), AccidentKind::from_code(code)),
+                (code, Some(kind))
+            );
         }
         let frictions = FrictionCondition::TABLE_VIII
             .into_iter()
             .chain([FrictionCondition::Custom(0.4)]);
         for (f, code) in frictions.zip(0..) {
-            assert_eq!((f.code(), FrictionCondition::from_code(code, 0.4)), (code, Some(f)));
+            assert_eq!(
+                (f.code(), FrictionCondition::from_code(code, 0.4)),
+                (code, Some(f))
+            );
         }
         assert_eq!(FaultType::from_code(0), None);
         assert_eq!(AebsMode::from_code(3), None);
@@ -390,7 +408,10 @@ mod tests {
     fn scheduled_campaign_roundtrips_and_gets_fresh_keys() {
         let mut spec = sample_spec();
         spec.attack = AttackScheduler::Context(ContextTrigger::ttc(2.0));
-        assert_eq!(CampaignSpec::from_bytes(&spec.to_bytes()), Some(spec.clone()));
+        assert_eq!(
+            CampaignSpec::from_bytes(&spec.to_bytes()),
+            Some(spec.clone())
+        );
         // A scheduled campaign is a different experiment from the immediate
         // one: cache and routing keys must not collide.
         let immediate = sample_spec();

@@ -50,12 +50,16 @@ pub use adas_parallel as parallel;
 /// reads configuration from the environment.
 pub use adas_parallel::env;
 
-pub use batch::{run_lockstep, run_lockstep_ctl, BatchStats};
-pub use cache::{fingerprint_dataset, ArtifactCache, CacheStats, Fingerprint};
 /// Mitigation-strategy selector and model architecture, re-exported so
 /// downstream crates can name them without a direct `adas-ml` edge.
 pub use adas_ml::{MitigationKind, ModelSpec};
-pub use config::{attack_from_env, mitigation_from_env, InterventionConfig, PlatformConfig, MAX_VIEWS};
+/// Why a run ended — the one run-end type, shared with the trace footer.
+pub use adas_recorder::EndReason;
+pub use batch::{run_lockstep, run_lockstep_ctl, BatchStats};
+pub use cache::{fingerprint_dataset, ArtifactCache, CacheStats, Fingerprint};
+pub use config::{
+    attack_from_env, mitigation_from_env, InterventionConfig, PlatformConfig, MAX_VIEWS,
+};
 pub use experiment::{
     campaign_cell_fingerprint, campaign_run_ids, campaign_run_ids_masked, cell_stats_cached,
     collect_training_data, run_campaign, run_campaign_with_width, run_ids_ctl, run_single,
@@ -63,8 +67,6 @@ pub use experiment::{
 };
 pub use job::{CampaignSpec, CellSpec};
 pub use platform::Platform;
-/// Why a run ended — the one run-end type, shared with the trace footer.
-pub use adas_recorder::EndReason;
 pub use replay::{
     config_fingerprint, replay_trace, run_campaign_traced, run_campaign_traced_with_width,
     run_single_traced, run_traced, trace_header, Perturbation, ReplayError, ReplayReport,

@@ -18,12 +18,11 @@ use adas_attack::{FaultContext, FaultInjector};
 use adas_control::{AdasCommand, AdasController};
 use adas_ml::{ControlTarget, Mitigator, PerceptionViews, StateFeatures, FEATURE_DIM, TARGET_DIM};
 use adas_perception::{PerceptionEmulator, PerceptionFrame};
-use adas_safety::{
-    arbitrate, Aebs, AebsConfig, AebsMode, AebsOutput, ArbiterInputs, CommandSource,
-    DriverAction, DriverConfig, DriverInputs, DriverModel, Ldw, LdwConfig, SafetyCheck,
-    SafetyCheckConfig,
-};
 use adas_recorder::{EndReason, Trace, TraceHeader, TraceOutcome, TraceWriter};
+use adas_safety::{
+    arbitrate, Aebs, AebsConfig, AebsMode, AebsOutput, ArbiterInputs, CommandSource, DriverAction,
+    DriverConfig, DriverInputs, DriverModel, Ldw, LdwConfig, SafetyCheck, SafetyCheckConfig,
+};
 use adas_scenarios::{HazardMonitor, RunMetrics, RunRecord, ScenarioSetup};
 use adas_simulator::{DeterministicRng, LeadObservation, TraceSample, World, WorldConfig};
 
@@ -87,7 +86,9 @@ impl Platform {
             adas: AdasController::new(adas_cfg),
             injector,
             aebs: Aebs::new(AebsConfig::default(), iv.aebs),
-            check: iv.safety_check.then(|| SafetyCheck::new(SafetyCheckConfig::default())),
+            check: iv
+                .safety_check
+                .then(|| SafetyCheck::new(SafetyCheckConfig::default())),
             driver: iv.driver.then(|| {
                 DriverModel::new(DriverConfig {
                     reaction_time: iv.driver_reaction_time,
@@ -522,11 +523,7 @@ mod tests {
         ScenarioSetup::build(id, InitialPosition::Near, &mut rng)
     }
 
-    fn run(
-        id: ScenarioId,
-        config: PlatformConfig,
-        fault: Option<FaultType>,
-    ) -> RunRecord {
+    fn run(id: ScenarioId, config: PlatformConfig, fault: Option<FaultType>) -> RunRecord {
         let s = setup(id);
         let injector = match fault {
             Some(ft) => FaultInjector::new(FaultSpec::new(ft, s.patch_start_s)),
@@ -542,8 +539,11 @@ mod tests {
         let rec = run(ScenarioId::S1, PlatformConfig::default(), None);
         assert!(rec.prevented(), "benign S1 must not crash: {rec:?}");
         assert!(rec.min_ttc > 1.5, "min_ttc {}", rec.min_ttc);
-        assert!(rec.avg_following_distance > 15.0 && rec.avg_following_distance < 45.0,
-            "following {}", rec.avg_following_distance);
+        assert!(
+            rec.avg_following_distance > 15.0 && rec.avg_following_distance < 45.0,
+            "following {}",
+            rec.avg_following_distance
+        );
     }
 
     #[test]

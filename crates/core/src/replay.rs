@@ -540,8 +540,15 @@ mod tests {
     fn traced_run_matches_untraced_record() {
         let cfg = short_config();
         let plain = run_single(id(), Some(FaultType::RelativeDistance), &cfg, None, 7);
-        let (traced, trace) =
-            run_single_traced(id(), Some(FaultType::RelativeDistance), &cfg, None, 0, 7, RecordMode::Full);
+        let (traced, trace) = run_single_traced(
+            id(),
+            Some(FaultType::RelativeDistance),
+            &cfg,
+            None,
+            0,
+            7,
+            RecordMode::Full,
+        );
         // Bit-identical records: recording must not influence the run.
         assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
         assert_eq!(trace.samples.len() as u64, traced.steps);
@@ -550,8 +557,15 @@ mod tests {
     #[test]
     fn replay_of_recorded_run_is_identical() {
         let cfg = short_config();
-        let (_, trace) =
-            run_single_traced(id(), Some(FaultType::RelativeDistance), &cfg, None, 0, 7, RecordMode::Full);
+        let (_, trace) = run_single_traced(
+            id(),
+            Some(FaultType::RelativeDistance),
+            &cfg,
+            None,
+            0,
+            7,
+            RecordMode::Full,
+        );
         // The recorded config is non-default (max_steps), so reconstruction
         // must still fingerprint identically.
         let report = replay_trace(&trace, None, None).expect("replayable");
@@ -565,8 +579,8 @@ mod tests {
         // 0.1 puts the traction cap (mu·g) below the engine limit, so any
         // gas application realises differently — gentler scales can leave a
         // benign cruise legitimately untouched.
-        let report = replay_trace(&trace, None, Some(Perturbation::FrictionScale(0.1)))
-            .expect("replayable");
+        let report =
+            replay_trace(&trace, None, Some(Perturbation::FrictionScale(0.1))).expect("replayable");
         let Verdict::Diverged(d) = &report.report.verdict else {
             panic!("decimated friction must diverge");
         };
@@ -601,7 +615,11 @@ mod tests {
         assert_eq!(Perturbation::parse("gravity=2"), None);
         assert_eq!(Perturbation::parse("friction"), None);
         for bad in ["nan", "inf", "0", "-1"] {
-            assert_eq!(Perturbation::parse(&format!("friction={bad}")), None, "{bad}");
+            assert_eq!(
+                Perturbation::parse(&format!("friction={bad}")),
+                None,
+                "{bad}"
+            );
         }
     }
 
@@ -620,8 +638,15 @@ mod tests {
             ..PlatformConfig::default()
         };
         // An unprotected RD attack crashes (noteworthy); a benign run is not.
-        let (crash_rec, crash_trace) =
-            run_single_traced(id(), Some(FaultType::RelativeDistance), &cfg, None, 0, 7, RecordMode::Full);
+        let (crash_rec, crash_trace) = run_single_traced(
+            id(),
+            Some(FaultType::RelativeDistance),
+            &cfg,
+            None,
+            0,
+            7,
+            RecordMode::Full,
+        );
         let (benign_rec, benign_trace) =
             run_single_traced(id(), None, &short_config(), None, 0, 7, RecordMode::Full);
         let crash_path = sink.offer(&crash_rec, &crash_trace);
@@ -672,9 +697,12 @@ mod tests {
                 dir: batched_dir.clone(),
                 record_mode: RecordMode::Full,
             });
-            let batched =
-                run_campaign_traced_with_width(fault, &cfg, None, 0, 9, 1, &sink, width);
-            assert_eq!(format!("{scalar:?}"), format!("{batched:?}"), "width {width}");
+            let batched = run_campaign_traced_with_width(fault, &cfg, None, 0, 9, 1, &sink, width);
+            assert_eq!(
+                format!("{scalar:?}"),
+                format!("{batched:?}"),
+                "width {width}"
+            );
             assert_eq!(sink.recorded(), scalar.len() as u64);
             assert_eq!(sink.persisted(), scalar.len() as u64);
             // Persisted traces are content-addressed, so bit-identical

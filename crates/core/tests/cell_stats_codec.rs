@@ -8,12 +8,7 @@
 use adas_core::CellStats;
 use proptest::prelude::*;
 
-fn stats(
-    runs: usize,
-    pcts: &[f64; 4],
-    times: &[Option<f64>; 3],
-    rates: &[f64; 4],
-) -> CellStats {
+fn stats(runs: usize, pcts: &[f64; 4], times: &[Option<f64>; 3], rates: &[f64; 4]) -> CellStats {
     CellStats {
         runs,
         a1_pct: pcts[0],

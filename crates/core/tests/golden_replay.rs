@@ -58,7 +58,8 @@ fn golden_set_is_complete() {
 fn golden_traces_replay_identically() {
     for (path, trace) in golden_traces() {
         assert_eq!(
-            trace.header.model_fingerprint, 0,
+            trace.header.model_fingerprint,
+            0,
             "{}: golden traces must not need a trained model",
             path.display()
         );

@@ -86,7 +86,10 @@ fn aeb_brake_overrides_driver_in_trace() {
 
 #[test]
 fn fault_activity_is_recorded_in_the_trace() {
-    let (_, trace) = run(InterventionConfig::none(), Some(FaultType::DesiredCurvature));
+    let (_, trace) = run(
+        InterventionConfig::none(),
+        Some(FaultType::DesiredCurvature),
+    );
     let mut rng = DeterministicRng::for_run(SEED, 0, 0, 0);
     let setup = ScenarioSetup::build(ScenarioId::S1, InitialPosition::Near, &mut rng);
     let first_fault = trace

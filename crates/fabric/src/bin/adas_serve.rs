@@ -170,7 +170,8 @@ fn cmd_coordinator(args: &[String]) -> ExitCode {
                 .max(1);
         }
         let addr = take_flag(&mut args, "--addr")?.unwrap_or_else(|| {
-            adas_core::env::raw("ADAS_SERVE_ADDR").unwrap_or_else(|| adas_serve::DEFAULT_ADDR.into())
+            adas_core::env::raw("ADAS_SERVE_ADDR")
+                .unwrap_or_else(|| adas_serve::DEFAULT_ADDR.into())
         });
         if !args.is_empty() {
             return Err(format!("unexpected arguments: {args:?}"));
@@ -203,19 +204,31 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     let result = (|| -> Result<(), String> {
         let spec = campaign_from_flags(&mut args)?;
         let max_clients = match take_flag(&mut args, "--clients")? {
-            Some(s) => s.parse::<usize>().map_err(|e| format!("--clients: {e}"))?.max(1),
+            Some(s) => s
+                .parse::<usize>()
+                .map_err(|e| format!("--clients: {e}"))?
+                .max(1),
             None => 4,
         };
         let max_workers = match take_flag(&mut args, "--workers")? {
-            Some(s) => s.parse::<usize>().map_err(|e| format!("--workers: {e}"))?.max(1),
+            Some(s) => s
+                .parse::<usize>()
+                .map_err(|e| format!("--workers: {e}"))?
+                .max(1),
             None => 2,
         };
         let campaigns_per_client = match take_flag(&mut args, "--campaigns")? {
-            Some(s) => s.parse::<usize>().map_err(|e| format!("--campaigns: {e}"))?.max(1),
+            Some(s) => s
+                .parse::<usize>()
+                .map_err(|e| format!("--campaigns: {e}"))?
+                .max(1),
             None => 2,
         };
         let admit = match take_flag(&mut args, "--admit")? {
-            Some(s) => s.parse::<usize>().map_err(|e| format!("--admit: {e}"))?.max(1),
+            Some(s) => s
+                .parse::<usize>()
+                .map_err(|e| format!("--admit: {e}"))?
+                .max(1),
             None => 4,
         };
         if !args.is_empty() {
@@ -284,7 +297,11 @@ fn campaign_from_flags(args: &mut Vec<String>) -> Result<CampaignSpec, String> {
         None => adas_core::config::attack_from_env(),
     };
     let faults = parse_faults(take_flag(args, "--faults")?.as_deref().unwrap_or("all"))?;
-    let rows = parse_rows(take_flag(args, "--rows")?.as_deref().unwrap_or("none,driver-check"))?;
+    let rows = parse_rows(
+        take_flag(args, "--rows")?
+            .as_deref()
+            .unwrap_or("none,driver-check"),
+    )?;
     let cells: Vec<CellSpec> = faults
         .iter()
         .flat_map(|&fault| {
@@ -377,8 +394,11 @@ fn fuzz_from_flags(args: &mut Vec<String>) -> Result<adas_fuzz::FuzzJobSpec, Str
     if let Some(s) = take_flag(args, "--secs-ms")? {
         spec.max_secs_ms = s.parse().map_err(|e| format!("--secs-ms: {e}"))?;
     } else {
-        spec.max_secs_ms =
-            adas_parallel::env::parse_or("ADAS_FUZZ_FARM_SECS_MS", "a time box in ms (0 = none)", 0);
+        spec.max_secs_ms = adas_parallel::env::parse_or(
+            "ADAS_FUZZ_FARM_SECS_MS",
+            "a time box in ms (0 = none)",
+            0,
+        );
     }
     if !spec.validate() {
         return Err("fuzz flags produce an invalid job spec".into());
@@ -480,7 +500,11 @@ fn cmd_client(args: &[String]) -> ExitCode {
                                     o.runs,
                                     o.corpus,
                                     o.findings.len(),
-                                    if o.hit_time_budget { " · time-boxed" } else { "" }
+                                    if o.hit_time_budget {
+                                        " · time-boxed"
+                                    } else {
+                                        ""
+                                    }
                                 );
                             })
                             .map_err(|e| e.to_string())?;
@@ -527,7 +551,9 @@ fn cmd_client(args: &[String]) -> ExitCode {
                 let mut client = connect(&addr)?;
                 let mut lap = |label: &str| -> Result<f64, String> {
                     let t0 = Instant::now();
-                    let outcome = client.run_campaign(&spec, |_, _| {}).map_err(|e| e.to_string())?;
+                    let outcome = client
+                        .run_campaign(&spec, |_, _| {})
+                        .map_err(|e| e.to_string())?;
                     let wall = t0.elapsed().as_secs_f64();
                     match outcome {
                         Ok(r) if r.state == JobState::Done => {
@@ -580,7 +606,10 @@ fn cmd_client(args: &[String]) -> ExitCode {
                 let addr = addr_from_flags(&mut args)?;
                 expect_empty(&args)?;
                 let status = connect(&addr)?.cancel(job_id).map_err(|e| e.to_string())?;
-                println!("job {job_id}: cancellation requested (state {})", status.state);
+                println!(
+                    "job {job_id}: cancellation requested (state {})",
+                    status.state
+                );
                 Ok(ExitCode::SUCCESS)
             }
             "metrics" => {
@@ -597,8 +626,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
                 let hex = args.remove(0);
                 let addr = addr_from_flags(&mut args)?;
                 expect_empty(&args)?;
-                let (outcome, detail) =
-                    connect(&addr)?.replay(&hex).map_err(|e| e.to_string())?;
+                let (outcome, detail) = connect(&addr)?.replay(&hex).map_err(|e| e.to_string())?;
                 println!("{outcome:?}: {detail}");
                 Ok(match outcome {
                     ReplayOutcome::Identical => ExitCode::SUCCESS,

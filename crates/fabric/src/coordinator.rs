@@ -82,18 +82,32 @@ impl FabricConfig {
                     .collect()
             })
             .unwrap_or_default();
-        let heartbeat_ms: u64 =
-            adas_parallel::env::parse_or("ADAS_FABRIC_HEARTBEAT_MS", "a probe interval in ms", 1000);
-        let deadline_ms: u64 =
-            adas_parallel::env::parse_or("ADAS_FABRIC_DEADLINE_MS", "a stall deadline in ms", 30_000);
+        let heartbeat_ms: u64 = adas_parallel::env::parse_or(
+            "ADAS_FABRIC_HEARTBEAT_MS",
+            "a probe interval in ms",
+            1000,
+        );
+        let deadline_ms: u64 = adas_parallel::env::parse_or(
+            "ADAS_FABRIC_DEADLINE_MS",
+            "a stall deadline in ms",
+            30_000,
+        );
         Self {
             workers,
             heartbeat: Duration::from_millis(heartbeat_ms.max(10)),
             deadline: Duration::from_millis(deadline_ms.max(100)),
-            vnodes: adas_parallel::env::parse_or("ADAS_FABRIC_VNODES", "virtual nodes ≥ 1", 64usize)
-                .clamp(1, 4096),
-            admit: adas_parallel::env::parse_or("ADAS_FABRIC_ADMIT", "admitted campaigns ≥ 1", 4usize)
-                .max(1),
+            vnodes: adas_parallel::env::parse_or(
+                "ADAS_FABRIC_VNODES",
+                "virtual nodes ≥ 1",
+                64usize,
+            )
+            .clamp(1, 4096),
+            admit: adas_parallel::env::parse_or(
+                "ADAS_FABRIC_ADMIT",
+                "admitted campaigns ≥ 1",
+                4usize,
+            )
+            .max(1),
             epoch: 1,
         }
     }
@@ -465,7 +479,9 @@ impl Coordinator {
                 return Err(FabricError::NoLiveWorkers);
             }
             if round > 0 {
-                self.metrics.redispatch_rounds.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .redispatch_rounds
+                    .fetch_add(1, Ordering::Relaxed);
                 eprintln!(
                     "[fabric] round {round}: re-dispatching {} {} across {} live workers",
                     missing.len(),
@@ -476,7 +492,10 @@ impl Coordinator {
             // Route the missing items over the live subset of the ring;
             // each shard stays sorted because `missing` is.
             let ring = HashRing::new(
-                &live.iter().map(|&s| self.fleet.workers[s].id).collect::<Vec<_>>(),
+                &live
+                    .iter()
+                    .map(|&s| self.fleet.workers[s].id)
+                    .collect::<Vec<_>>(),
                 self.vnodes,
             );
             let mut shards: Vec<Vec<u32>> = vec![Vec::new(); live.len()];
@@ -562,7 +581,9 @@ impl Coordinator {
             match job.assign(&mut client, assignment_id, shard) {
                 Ok(Submission::Accepted { .. }) => break,
                 Ok(Submission::Rejected { retry_after_ms, .. }) => {
-                    self.metrics.assign_rejections.fetch_add(1, Ordering::Relaxed);
+                    self.metrics
+                        .assign_rejections
+                        .fetch_add(1, Ordering::Relaxed);
                     if retry_after_ms == 0 || attempt + 1 >= ASSIGN_ATTEMPTS {
                         return;
                     }

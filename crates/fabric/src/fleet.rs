@@ -173,7 +173,10 @@ impl Fleet {
                     if was_registered {
                         self.revived.fetch_add(1, Ordering::Relaxed);
                     }
-                    eprintln!("[fabric] worker {} registered (epoch {})", w.addr, self.epoch);
+                    eprintln!(
+                        "[fabric] worker {} registered (epoch {})",
+                        w.addr, self.epoch
+                    );
                 }
                 true
             }
@@ -195,8 +198,9 @@ impl Fleet {
                 if ok {
                     w.last_seen_ms.store(self.now_ms(), Ordering::Relaxed);
                 } else {
-                    let silent =
-                        self.now_ms().saturating_sub(w.last_seen_ms.load(Ordering::Relaxed));
+                    let silent = self
+                        .now_ms()
+                        .saturating_sub(w.last_seen_ms.load(Ordering::Relaxed));
                     // One failed probe after a recent success may be a
                     // blip; past the deadline it is a death.
                     *w.conn.lock().expect("conn lock") = None;

@@ -18,7 +18,10 @@ use adas_core::Fingerprint;
 /// A worker's stable ring identity, derived from its address.
 #[must_use]
 pub fn worker_id(addr: &str) -> u64 {
-    Fingerprint::new().write_str("fabric-worker").write_str(addr).value()
+    Fingerprint::new()
+        .write_str("fabric-worker")
+        .write_str(addr)
+        .value()
 }
 
 /// 64-bit avalanche finalizer (the murmur3/splitmix constant pair).
@@ -53,13 +56,11 @@ impl HashRing {
         let mut points = Vec::with_capacity(worker_ids.len() * vnodes);
         for (slot, &id) in worker_ids.iter().enumerate() {
             for replica in 0..vnodes {
-                let pos = mix(
-                    Fingerprint::new()
-                        .write_str("fabric-ring")
-                        .write_u64(id)
-                        .write_u64(replica as u64)
-                        .value(),
-                );
+                let pos = mix(Fingerprint::new()
+                    .write_str("fabric-ring")
+                    .write_u64(id)
+                    .write_u64(replica as u64)
+                    .value());
                 points.push((pos, slot));
             }
         }
@@ -94,7 +95,9 @@ mod tests {
     use super::*;
 
     fn ids(n: usize) -> Vec<u64> {
-        (0..n).map(|i| worker_id(&format!("10.0.0.{i}:4747"))).collect()
+        (0..n)
+            .map(|i| worker_id(&format!("10.0.0.{i}:4747")))
+            .collect()
     }
 
     #[test]

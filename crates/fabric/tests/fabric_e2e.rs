@@ -47,7 +47,10 @@ fn start_worker_with_spec(
 }
 
 fn stop_worker(addr: &str, handle: thread::JoinHandle<std::io::Result<()>>) {
-    Client::connect(addr).expect("connect").shutdown().expect("shutdown ack");
+    Client::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown ack");
     handle.join().expect("join").expect("clean exit");
 }
 
@@ -126,8 +129,7 @@ fn sharded_campaign_bit_identical_to_direct_and_single_daemon() {
         .expect("protocol ok")
         .expect("accepted");
     assert_eq!(result.state, JobState::Done);
-    let solo_bytes: Vec<Vec<u8>> =
-        result.cells.iter().map(|(_, s)| s.to_bytes()).collect();
+    let solo_bytes: Vec<Vec<u8>> = result.cells.iter().map(|(_, s)| s.to_bytes()).collect();
     stop_worker(&solo_addr, solo);
     assert_eq!(
         solo_bytes, reference,
@@ -157,7 +159,9 @@ fn sharded_campaign_bit_identical_to_direct_and_single_daemon() {
     assert_eq!(live.len(), 4, "all workers should be live");
 
     // Warm re-run: every cell now memo-hits on the worker that owns it.
-    let warm = coordinator.run_campaign(&spec, |_, _| {}).expect("warm run");
+    let warm = coordinator
+        .run_campaign(&spec, |_, _| {})
+        .expect("warm run");
     let warm_bytes: Vec<Vec<u8>> = warm.iter().map(CellStats::to_bytes).collect();
     assert_eq!(warm_bytes, reference, "warm sharded run must not drift");
     coordinator.fleet.stop();
@@ -178,8 +182,7 @@ fn sharded_campaign_bit_identical_to_direct_and_single_daemon() {
     for (i, (index, _)) in result.cells.iter().enumerate() {
         assert_eq!(*index as usize, i, "front must stream in grid order");
     }
-    let front_bytes: Vec<Vec<u8>> =
-        result.cells.iter().map(|(_, s)| s.to_bytes()).collect();
+    let front_bytes: Vec<Vec<u8>> = result.cells.iter().map(|(_, s)| s.to_bytes()).collect();
     assert_eq!(front_bytes, reference, "front-end run must not drift");
 
     let metrics = client.metrics().expect("front metrics");
@@ -309,7 +312,11 @@ fn killed_worker_cells_are_redispatched_without_duplicates() {
                 .expect("worker exited before listening")
                 .expect("read stderr");
             if let Some(rest) = line.strip_prefix("[serve] listening on ") {
-                break rest.split_whitespace().next().expect("addr token").to_string();
+                break rest
+                    .split_whitespace()
+                    .next()
+                    .expect("addr token")
+                    .to_string();
             }
         };
         // Keep draining stderr so the child never blocks on a full pipe.

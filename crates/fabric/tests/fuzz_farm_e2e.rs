@@ -4,8 +4,8 @@
 //! exactly what one in-process fold of the same seeds produces.
 
 use adas_core::ArtifactCache;
-use adas_fuzz::farm::{self, FuzzJobSpec, SessionOutcome};
 use adas_fabric::{Coordinator, CoordinatorServer, FabricConfig};
+use adas_fuzz::farm::{self, FuzzJobSpec, SessionOutcome};
 use adas_serve::{Client, JobState, Server, ServerConfig, Submission};
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -34,7 +34,10 @@ fn start_worker(name: &str) -> (String, thread::JoinHandle<std::io::Result<()>>)
 }
 
 fn stop_worker(addr: &str, handle: thread::JoinHandle<std::io::Result<()>>) {
-    Client::connect(addr).expect("connect").shutdown().expect("shutdown ack");
+    Client::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown ack");
     handle.join().expect("join").expect("clean exit");
 }
 
@@ -61,8 +64,11 @@ fn deduped_findings_are_worker_count_invariant() {
     let spec = farm_spec();
 
     // Reference: every session in-process, folded in global seed order.
-    let direct: Vec<SessionOutcome> =
-        spec.seeds.iter().map(|&s| farm::run_session(&spec, s)).collect();
+    let direct: Vec<SessionOutcome> = spec
+        .seeds
+        .iter()
+        .map(|&s| farm::run_session(&spec, s))
+        .collect();
     let reference = farm::fold(&spec, &direct);
     assert!(
         !reference.findings.is_empty(),
@@ -91,7 +97,9 @@ fn deduped_findings_are_worker_count_invariant() {
     );
 
     // Four-worker fabric through the Coordinator API.
-    let fleet: Vec<(String, _)> = (0..4).map(|i| start_worker(&format!("fuzz-w{i}"))).collect();
+    let fleet: Vec<(String, _)> = (0..4)
+        .map(|i| start_worker(&format!("fuzz-w{i}")))
+        .collect();
     let addrs: Vec<String> = fleet.iter().map(|(a, _)| a.clone()).collect();
     let coordinator = Coordinator::connect(&fabric_config(addrs.clone())).expect("connect fleet");
     let emitted = std::sync::Mutex::new(Vec::new());
@@ -120,11 +128,17 @@ fn deduped_findings_are_worker_count_invariant() {
     let front_thread = thread::spawn(move || front.run());
     let mut client = Client::connect(&front_addr).expect("connect front");
     let accepted = client.submit_fuzz(&spec).expect("protocol ok");
-    assert!(matches!(accepted, Submission::Accepted { .. }), "{accepted:?}");
+    assert!(
+        matches!(accepted, Submission::Accepted { .. }),
+        "{accepted:?}"
+    );
     let (front_outcomes, state) = client.stream_fuzz(|_| {}).expect("stream front");
     assert_eq!(state, JobState::Done);
     let front_summary = farm::fold(&spec, &front_outcomes);
-    assert_eq!(front_summary.findings, reference.findings, "front-end run must not drift");
+    assert_eq!(
+        front_summary.findings, reference.findings,
+        "front-end run must not drift"
+    );
 
     let metrics = client.metrics().expect("front metrics");
     assert!(metrics.contains("\"fuzz\""), "{metrics}");
@@ -155,7 +169,11 @@ fn killed_worker_sessions_are_redispatched_deterministically() {
                 .expect("worker exited before listening")
                 .expect("read stderr");
             if let Some(rest) = line.strip_prefix("[serve] listening on ") {
-                break rest.split_whitespace().next().expect("addr token").to_string();
+                break rest
+                    .split_whitespace()
+                    .next()
+                    .expect("addr token")
+                    .to_string();
             }
         };
         thread::spawn(move || for _ in lines {});
@@ -165,8 +183,11 @@ fn killed_worker_sessions_are_redispatched_deterministically() {
     let (mut survivor, survivor_addr) = spawn("fuzz-survivor");
 
     let spec = farm_spec();
-    let direct: Vec<SessionOutcome> =
-        spec.seeds.iter().map(|&s| farm::run_session(&spec, s)).collect();
+    let direct: Vec<SessionOutcome> = spec
+        .seeds
+        .iter()
+        .map(|&s| farm::run_session(&spec, s))
+        .collect();
     let reference = farm::fold(&spec, &direct);
 
     let mut config = fabric_config(vec![victim_addr, survivor_addr.clone()]);

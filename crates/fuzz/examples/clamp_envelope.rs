@@ -126,8 +126,7 @@ fn main() {
         print!("  {dv:+5.1}  ");
         for c in 0..=16 {
             let mu = 0.2 + f64::from(c) * 0.05;
-            let mut case =
-                FuzzCase::baseline(ScenarioId::S4, InitialPosition::Near, 1, None);
+            let mut case = FuzzCase::baseline(ScenarioId::S4, InitialPosition::Near, 1, None);
             case.ego_speed_delta = dv;
             case.friction = mu;
             let with_check = case.config();
@@ -150,10 +149,14 @@ fn main() {
     }
     let (dv_min, dv_max) = fired
         .iter()
-        .fold((f64::MAX, f64::MIN), |(lo, hi), &(dv, _)| (lo.min(dv), hi.max(dv)));
+        .fold((f64::MAX, f64::MIN), |(lo, hi), &(dv, _)| {
+            (lo.min(dv), hi.max(dv))
+        });
     let (mu_min, mu_max) = fired
         .iter()
-        .fold((f64::MAX, f64::MIN), |(lo, hi), &(_, mu)| (lo.min(mu), hi.max(mu)));
+        .fold((f64::MAX, f64::MIN), |(lo, hi), &(_, mu)| {
+            (lo.min(mu), hi.max(mu))
+        });
     println!(
         "\ndefect envelope: {} / {} grid points · ego_speed_delta in [{dv_min:+.1}, {dv_max:+.1}] m/s \
          · friction in [{mu_min:.2}, {mu_max:.2}]",

@@ -78,11 +78,7 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
 /// Flag values are hard errors when malformed; environment values go
 /// through the shared hardened parser (`adas_core::env`), which warns and
 /// falls back to the default on empty or garbage input.
-fn resolve<T: FromStr>(
-    flag_value: Option<String>,
-    env: &str,
-    default: T,
-) -> Result<T, String>
+fn resolve<T: FromStr>(flag_value: Option<String>, env: &str, default: T) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
@@ -97,13 +93,21 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let result = (|| -> Result<(), String> {
         let defaults = FuzzConfig::default();
         let config = FuzzConfig {
-            seed: resolve(take_flag(&mut args, "--seed")?, "ADAS_FUZZ_SEED", defaults.seed)?,
+            seed: resolve(
+                take_flag(&mut args, "--seed")?,
+                "ADAS_FUZZ_SEED",
+                defaults.seed,
+            )?,
             max_runs: resolve(
                 take_flag(&mut args, "--max-runs")?,
                 "ADAS_FUZZ_MAX_RUNS",
                 defaults.max_runs,
             )?,
-            batch: resolve(take_flag(&mut args, "--batch")?, "ADAS_FUZZ_BATCH", defaults.batch)?,
+            batch: resolve(
+                take_flag(&mut args, "--batch")?,
+                "ADAS_FUZZ_BATCH",
+                defaults.batch,
+            )?,
             max_secs: match take_flag(&mut args, "--max-secs")? {
                 Some(s) => Some(s.parse::<f64>().map_err(|e| format!("--max-secs: {e}"))?),
                 None => adas_core::env::parse("ADAS_FUZZ_MAX_SECS", "seconds"),

@@ -1,9 +1,9 @@
 //! One point in the fuzzer's search space, and its deterministic execution.
 
 use adas_attack::{AttackScheduler, ContextTrigger, FaultInjector, FaultSpec, FaultType};
+use adas_codec::{DecodeError, Encode, Reader, Writer};
 use adas_core::replay::trace_header;
 use adas_core::{EndReason, Platform, PlatformConfig, RunId};
-use adas_codec::{DecodeError, Encode, Reader, Writer};
 use adas_core::{Fingerprint, InterventionConfig};
 use adas_recorder::{RecordMode, Trace, TraceWriter};
 use adas_scenarios::{InitialPosition, RunRecord, ScenarioId, ScenarioSetup};
@@ -174,7 +174,11 @@ impl FuzzCase {
         self.attack_start_offset = clamp(self.attack_start_offset, ATTACK_START_RANGE);
         self.attack_duration = clamp(self.attack_duration, ATTACK_DURATION_RANGE);
         self.attack_intensity = clamp(self.attack_intensity, ATTACK_INTENSITY_RANGE);
-        self.attack_direction = if self.attack_direction < 0.0 { -1.0 } else { 1.0 };
+        self.attack_direction = if self.attack_direction < 0.0 {
+            -1.0
+        } else {
+            1.0
+        };
         self.trigger_offset = clamp(self.trigger_offset, TRIGGER_OFFSET_RANGE);
         self.sched_ttc = clamp(self.sched_ttc, SCHED_TTC_RANGE);
         self
@@ -425,7 +429,10 @@ mod tests {
         for (field, perturb) in perturbations {
             let mut c = base;
             perturb(&mut c);
-            assert!(seen.insert(c.fingerprint()), "{field}: fingerprint did not move");
+            assert!(
+                seen.insert(c.fingerprint()),
+                "{field}: fingerprint did not move"
+            );
         }
     }
 

@@ -411,7 +411,13 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
     let mut findings = Vec::new();
     for (case, violation) in pending.into_values() {
         let benign = benign_neighbour(&corpus, &case);
-        let outcome = shrink(&case, violation.oracle, &benign, config.seed, config.shrink_steps);
+        let outcome = shrink(
+            &case,
+            violation.oracle,
+            &benign,
+            config.seed,
+            config.shrink_steps,
+        );
         runs += outcome.runs_used;
         findings.push(Finding {
             oracle: violation.oracle,

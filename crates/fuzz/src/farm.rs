@@ -170,8 +170,10 @@ impl FarmFinding {
         let oracle = r.code(|c| OracleKind::ALL.get(usize::from(c)).copied())?;
         let shrunk = FuzzCase::decode(r)?;
         let at = r.pos();
-        let detail = String::from_utf8(r.blob()?.to_vec())
-            .map_err(|_| DecodeError { offset: at, needed: 0 })?;
+        let detail = String::from_utf8(r.blob()?.to_vec()).map_err(|_| DecodeError {
+            offset: at,
+            needed: 0,
+        })?;
         let signature = r.u64()?;
         let trace = r.blob()?.to_vec();
         Ok(Self {
@@ -406,11 +408,7 @@ mod tests {
         let mut dup = s.clone();
         dup.seeds.push(11);
         assert!(!dup.validate());
-        assert!(!FuzzJobSpec {
-            seeds: vec![],
-            ..s
-        }
-        .validate());
+        assert!(!FuzzJobSpec { seeds: vec![], ..s }.validate());
         assert_eq!(FuzzJobSpec::from_bytes(&[1, 2, 3]), None);
     }
 

@@ -231,11 +231,7 @@ pub fn check_trace(config: &PlatformConfig, record: &RunRecord, trace: &Trace) -
 /// severity without the intervention means the intervention made the
 /// outcome worse.
 #[must_use]
-pub fn check_regression(
-    base: &RunRecord,
-    channel: &str,
-    ablated: &RunRecord,
-) -> Option<Violation> {
+pub fn check_regression(base: &RunRecord, channel: &str, ablated: &RunRecord) -> Option<Violation> {
     let with = severity(base);
     let without = severity(ablated);
     (without < with).then(|| Violation {
@@ -255,10 +251,7 @@ pub fn check_regression(
 /// strategically-timed patch dominates the fixed one — the intervention
 /// stack survives the naive attack but not the context-aware variant.
 #[must_use]
-pub fn check_schedule_dominance(
-    scheduled: &RunRecord,
-    immediate: &RunRecord,
-) -> Option<Violation> {
+pub fn check_schedule_dominance(scheduled: &RunRecord, immediate: &RunRecord) -> Option<Violation> {
     let s = severity(scheduled);
     let i = severity(immediate);
     (s > i).then(|| Violation {
@@ -313,9 +306,7 @@ pub fn check_metamorphic(base: &Trace, shifted: &Trace, shift_m: f64) -> Option<
         Verdict::Diverged(d) => Some(Violation {
             oracle: OracleKind::MetamorphicShift,
             step: Some(d.step),
-            detail: format!(
-                "pre-fault physics diverged under a +{shift_m} m patch shift: {d}"
-            ),
+            detail: format!("pre-fault physics diverged under a +{shift_m} m patch shift: {d}"),
         }),
     }
 }

@@ -117,7 +117,10 @@ impl Repro {
     #[must_use]
     pub fn to_toml(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "# adas-fuzz repro v1 — replay with `adas-fuzz replay <this file>`");
+        let _ = writeln!(
+            s,
+            "# adas-fuzz repro v1 — replay with `adas-fuzz replay <this file>`"
+        );
         let _ = writeln!(s, "oracle = \"{}\"", self.oracle.name());
         let _ = writeln!(s, "seed = {}", self.seed);
         let _ = writeln!(s, "signature = {}", self.signature);
@@ -156,9 +159,7 @@ impl Repro {
             get.insert(key.trim().to_owned(), value.trim().to_owned());
         }
         let text_of = |key: &str| -> Result<String, String> {
-            let raw = get
-                .get(key)
-                .ok_or_else(|| format!("missing key {key:?}"))?;
+            let raw = get.get(key).ok_or_else(|| format!("missing key {key:?}"))?;
             let inner = raw
                 .strip_prefix('"')
                 .and_then(|r| r.strip_suffix('"'))
@@ -232,8 +233,7 @@ impl Repro {
 
     /// Loads a repro from a `.toml` path.
     pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
@@ -263,8 +263,7 @@ impl Repro {
             ));
         }
         if let Some(tf) = &self.trace_file {
-            let stored =
-                Trace::load(&base_dir.join(tf)).map_err(|e| format!("{tf}: {e:?}"))?;
+            let stored = Trace::load(&base_dir.join(tf)).map_err(|e| format!("{tf}: {e:?}"))?;
             let (_, fresh) = crate::case::run_case(&self.case, self.seed);
             let report = diff_traces(&stored, &fresh);
             if !report.is_identical() {
@@ -313,10 +312,7 @@ mod tests {
         let parsed = Repro::from_toml(&r.to_toml()).unwrap();
         assert_eq!(parsed, r);
         // Floats must round-trip bit-exactly, not just approximately.
-        assert_eq!(
-            parsed.case.friction.to_bits(),
-            r.case.friction.to_bits()
-        );
+        assert_eq!(parsed.case.friction.to_bits(), r.case.friction.to_bits());
     }
 
     #[test]

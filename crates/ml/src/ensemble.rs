@@ -241,7 +241,8 @@ impl EnsembleMitigator {
             }
         }
         // One weights-stationary batched forward serves every view.
-        self.model.step_batch(&self.x, &mut self.state, &mut self.scratch);
+        self.model
+            .step_batch(&self.x, &mut self.state, &mut self.scratch);
 
         // Disagreement: per-channel view spread (max deviation from view
         // 0) plus the spread of the decoded per-view predictions — all

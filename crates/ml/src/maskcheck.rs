@@ -158,8 +158,8 @@ impl MaskCheckMitigator {
                     inconsistent = true;
                 }
             }
-            let kappa_v = views.clean_kappa
-                + (views.attacked_kappa - views.clean_kappa) * (1.0 + g_kappa);
+            let kappa_v =
+                views.clean_kappa + (views.attacked_kappa - views.clean_kappa) * (1.0 + g_kappa);
             if (kappa_v - views.clean_kappa).abs() > self.config.kappa_tolerance {
                 inconsistent = true;
             }
@@ -272,8 +272,7 @@ mod tests {
     #[test]
     fn large_fault_delta_latches_after_vote_quorum() {
         let cfg = MaskCheckConfig::default();
-        let mut m =
-            MaskCheckMitigator::new(small_model(), cfg, DeterministicRng::from_seed(7));
+        let mut m = MaskCheckMitigator::new(small_model(), cfg, DeterministicRng::from_seed(7));
         let mut attacked = benign_views();
         attacked.attacked_rd = Some(120.0);
         let mut engaged_at = None;
@@ -283,7 +282,10 @@ mod tests {
             }
         }
         let at = engaged_at.expect("latch must engage");
-        assert!(at >= WINDOW + cfg.latch_votes as usize - 1, "latched at {at}");
+        assert!(
+            at >= WINDOW + cfg.latch_votes as usize - 1,
+            "latched at {at}"
+        );
         assert!(m.latched());
         assert_eq!(m.activation_count(), 1);
     }
@@ -310,8 +312,7 @@ mod tests {
             release_steps: 20,
             ..MaskCheckConfig::default()
         };
-        let mut m =
-            MaskCheckMitigator::new(small_model(), cfg, DeterministicRng::from_seed(5));
+        let mut m = MaskCheckMitigator::new(small_model(), cfg, DeterministicRng::from_seed(5));
         let mut attacked = benign_views();
         attacked.attacked_rd = Some(120.0);
         for t in 0..100 {
@@ -328,8 +329,7 @@ mod tests {
     #[test]
     fn brief_glitch_below_quorum_does_not_latch() {
         let cfg = MaskCheckConfig::default();
-        let mut m =
-            MaskCheckMitigator::new(small_model(), cfg, DeterministicRng::from_seed(3));
+        let mut m = MaskCheckMitigator::new(small_model(), cfg, DeterministicRng::from_seed(3));
         let mut attacked = benign_views();
         attacked.attacked_rd = Some(120.0);
         let benign = benign_views();

@@ -7,11 +7,11 @@
 //! below the bias.
 
 use crate::cusum::Cusum;
-use adas_codec::{Encode, Writer};
 use crate::ensemble::{EnsembleMitigator, PerceptionViews};
 use crate::features::{ControlTarget, StateFeatures, FEATURE_DIM, TARGET_DIM, WINDOW};
 use crate::maskcheck::MaskCheckMitigator;
 use crate::model::{BatchInferScratch, BatchPredictorState, LstmPredictor};
+use adas_codec::{Encode, Writer};
 use std::sync::Arc;
 
 /// Which mitigation strategy guards a run — the `ADAS_MITIGATION` axis of
@@ -390,7 +390,10 @@ mod tests {
         };
         let mut engaged_at = None;
         for t in 0..1000 {
-            if mit.update(&neutral_state(), &wild, t as f64 * 0.01).is_some() && engaged_at.is_none()
+            if mit
+                .update(&neutral_state(), &wild, t as f64 * 0.01)
+                .is_some()
+                && engaged_at.is_none()
             {
                 engaged_at = Some(t);
             }

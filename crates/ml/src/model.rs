@@ -241,7 +241,11 @@ impl LstmPredictor {
     ) {
         let width = state.width;
         assert_eq!(scratch.width, width, "state/scratch width mismatch");
-        assert_eq!(x.len(), FEATURE_DIM * width, "input panel dimension mismatch");
+        assert_eq!(
+            x.len(),
+            FEATURE_DIM * width,
+            "input panel dimension mismatch"
+        );
         self.l1.step_batch(
             width,
             x,
@@ -337,16 +341,12 @@ impl LstmPredictor {
                     "layer shape {rows}×{cols}, expected {want_rows}×{want_cols}"
                 ));
             }
-            r.fits((rows as u64) * (cols as u64 + 1), 8).map_err(malformed)?;
+            r.fits((rows as u64) * (cols as u64 + 1), 8)
+                .map_err(malformed)?;
             let mut read = |n: usize| (0..n).map(|_| r.f64()).collect::<Result<Vec<_>, _>>();
             let w = read(rows * cols).map_err(malformed)?;
             let b = read(rows).map_err(malformed)?;
-            linears.push(Linear {
-                rows,
-                cols,
-                w,
-                b,
-            });
+            linears.push(Linear { rows, cols, w, b });
         }
         if !r.exhausted() {
             return Err("trailing bytes after model payload".into());
@@ -457,11 +457,8 @@ mod tests {
         use adas_codec::Fingerprint;
         let key = |spec: &ModelSpec, tc: &TrainConfig| Fingerprint::new().write(spec).write(tc);
         let (spec, tc) = (ModelSpec::default(), TrainConfig::default());
-        let spec_fields: [fn(&mut ModelSpec); 3] = [
-            |s| s.hidden1 += 1,
-            |s| s.hidden2 += 1,
-            |s| s.seed += 1,
-        ];
+        let spec_fields: [fn(&mut ModelSpec); 3] =
+            [|s| s.hidden1 += 1, |s| s.hidden2 += 1, |s| s.seed += 1];
         let train_fields: [fn(&mut TrainConfig); 9] = [
             |t| t.epochs += 1,
             |t| t.batch += 1,
@@ -477,12 +474,18 @@ mod tests {
         for (i, perturb) in spec_fields.iter().enumerate() {
             let mut s = spec;
             perturb(&mut s);
-            assert!(seen.insert(key(&s, &tc)), "ModelSpec field {i}: key did not move");
+            assert!(
+                seen.insert(key(&s, &tc)),
+                "ModelSpec field {i}: key did not move"
+            );
         }
         for (i, perturb) in train_fields.iter().enumerate() {
             let mut t = tc;
             perturb(&mut t);
-            assert!(seen.insert(key(&spec, &t)), "TrainConfig field {i}: key did not move");
+            assert!(
+                seen.insert(key(&spec, &t)),
+                "TrainConfig field {i}: key did not move"
+            );
         }
     }
 

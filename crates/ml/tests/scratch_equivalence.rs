@@ -111,7 +111,11 @@ fn step_batch_matches_the_scalar_oracle_bitwise_across_widths() {
             m.step_batch(&panel(t, width, 0.17), &mut state, &mut scratch);
             for (lane, oracle) in oracles.iter_mut().enumerate() {
                 let want = oracle.step(&input(t, lane, 0.17));
-                assert_bitwise(scratch.output(lane), want, &format!("w{width} lane{lane} t{t}"));
+                assert_bitwise(
+                    scratch.output(lane),
+                    want,
+                    &format!("w{width} lane{lane} t{t}"),
+                );
             }
         }
     }
@@ -138,7 +142,11 @@ fn lanes_that_are_not_live_do_not_perturb_live_lanes() {
         m.step_batch(&panel(t, width, 0.19), &mut state, &mut scratch);
         for (lane, oracle) in oracles.iter_mut().enumerate().take(3) {
             let want = oracle.step(&input(t, lane, 0.19));
-            assert_bitwise(scratch.output(lane), want, &format!("live lane {lane} t {t}"));
+            assert_bitwise(
+                scratch.output(lane),
+                want,
+                &format!("live lane {lane} t {t}"),
+            );
         }
     }
     // Phase 2: lane 1 retires (not live), lane 3 refills (reset + live).

@@ -135,19 +135,19 @@ impl PerceptionEmulator {
         let lead = world
             .lead_observation_within(cfg.lead_window_frac)
             .and_then(|obs| {
-            if obs.distance < cfg.blind_range || obs.distance > cfg.max_range {
-                return None;
-            }
-            let noise = self
-                .rng
-                .gaussian((obs.distance * cfg.distance_noise_frac).max(cfg.distance_noise_floor));
-            let rs_noise = self.rng.gaussian(cfg.speed_noise);
-            Some(LeadPrediction {
-                distance: (obs.distance + noise).max(0.0),
-                closing_speed: obs.closing_speed + rs_noise,
-                lead_speed: (obs.lead_speed - rs_noise).max(0.0),
-            })
-        });
+                if obs.distance < cfg.blind_range || obs.distance > cfg.max_range {
+                    return None;
+                }
+                let noise = self.rng.gaussian(
+                    (obs.distance * cfg.distance_noise_frac).max(cfg.distance_noise_floor),
+                );
+                let rs_noise = self.rng.gaussian(cfg.speed_noise);
+                Some(LeadPrediction {
+                    distance: (obs.distance + noise).max(0.0),
+                    closing_speed: obs.closing_speed + rs_noise,
+                    lead_speed: (obs.lead_speed - rs_noise).max(0.0),
+                })
+            });
 
         // --- Lane lines ----------------------------------------------------
         let half = world.road().lane_width() / 2.0;
@@ -227,7 +227,11 @@ mod tests {
         let frame = p.perceive(&w);
         let lead = frame.lead.expect("lead in range");
         let true_rd = 60.0 - 4.9;
-        assert!((lead.distance - true_rd).abs() < 2.0, "rd={}", lead.distance);
+        assert!(
+            (lead.distance - true_rd).abs() < 2.0,
+            "rd={}",
+            lead.distance
+        );
         assert!(lead.closing_speed > 8.0);
     }
 
@@ -278,7 +282,11 @@ mod tests {
             f = p.perceive(&w);
         }
         // One of five preview samples lies on the curve → ≈ (1/5)·(1/450).
-        assert!(f.desired_curvature > 0.15 / 450.0, "k={}", f.desired_curvature);
+        assert!(
+            f.desired_curvature > 0.15 / 450.0,
+            "k={}",
+            f.desired_curvature
+        );
     }
 
     #[test]

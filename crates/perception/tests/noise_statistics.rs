@@ -24,7 +24,8 @@ fn world_with_lead(gap_centers: f64) -> World {
 fn distance_prediction_is_unbiased() {
     let w = world_with_lead(60.0);
     let true_rd = 60.0 - 4.9;
-    let mut p = PerceptionEmulator::new(PerceptionConfig::default(), DeterministicRng::from_seed(8));
+    let mut p =
+        PerceptionEmulator::new(PerceptionConfig::default(), DeterministicRng::from_seed(8));
     let n = 5000;
     let mut sum = 0.0;
     let mut sum_sq = 0.0;
@@ -61,7 +62,8 @@ fn detection_envelope_edges() {
 #[test]
 fn lane_width_estimate_is_consistent() {
     let w = world_with_lead(300.0);
-    let mut p = PerceptionEmulator::new(PerceptionConfig::default(), DeterministicRng::from_seed(2));
+    let mut p =
+        PerceptionEmulator::new(PerceptionConfig::default(), DeterministicRng::from_seed(2));
     let mut sum = 0.0;
     let n = 2000;
     for _ in 0..n {
@@ -86,7 +88,8 @@ fn path_centering_counteracts_offset_direction() {
         });
     }
     assert!(w.ego().state().d > 0.05, "setup drift failed");
-    let mut p = PerceptionEmulator::new(PerceptionConfig::default(), DeterministicRng::from_seed(5));
+    let mut p =
+        PerceptionEmulator::new(PerceptionConfig::default(), DeterministicRng::from_seed(5));
     // Average over frames to suppress noise.
     let mut sum = 0.0;
     for _ in 0..200 {

@@ -109,7 +109,11 @@ fn render(v: f64) -> String {
 
 /// Compares one pair of step records; returns the first differing field.
 #[must_use]
-pub fn compare_samples(step: u64, recorded: &TraceSample, replayed: &TraceSample) -> Option<Divergence> {
+pub fn compare_samples(
+    step: u64,
+    recorded: &TraceSample,
+    replayed: &TraceSample,
+) -> Option<Divergence> {
     for (name, get) in SAMPLE_FIELDS {
         let a = get(recorded);
         let b = get(replayed);

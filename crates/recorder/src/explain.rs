@@ -31,7 +31,10 @@ pub fn explain(trace: &Trace) -> String {
         h.interventions.ml,
     ));
     if h.model_fingerprint != 0 {
-        out.push_str(&format!("model     fingerprint {:016x}\n", h.model_fingerprint));
+        out.push_str(&format!(
+            "model     fingerprint {:016x}\n",
+            h.model_fingerprint
+        ));
     }
     out.push_str(&format!(
         "recorded  {} steps retained (from step {}), {} events\n",

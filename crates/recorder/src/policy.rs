@@ -79,25 +79,20 @@ impl TracePolicy {
                 "hazard" | "1" | "on" | "true" | "yes" => TraceMode::Hazard,
                 "all" | "full" | "2" => TraceMode::All,
                 _ => {
-                    eprintln!(
-                        "[env] ignoring ADAS_TRACE={v:?}: expected off/hazard/all"
-                    );
+                    eprintln!("[env] ignoring ADAS_TRACE={v:?}: expected off/hazard/all");
                     TraceMode::Off
                 }
             },
         };
         let dir = adas_parallel::env::path_or("ADAS_TRACE_DIR", "results/traces");
-        let record_mode = adas_parallel::env::parse::<usize>(
-            "ADAS_TRACE_RING",
-            "a step count ≥ 1",
-        )
-        .filter(|&n| {
-            if n == 0 {
-                eprintln!("[env] ignoring ADAS_TRACE_RING=0: expected a step count ≥ 1");
-            }
-            n > 0
-        })
-        .map_or(RecordMode::Full, RecordMode::Ring);
+        let record_mode = adas_parallel::env::parse::<usize>("ADAS_TRACE_RING", "a step count ≥ 1")
+            .filter(|&n| {
+                if n == 0 {
+                    eprintln!("[env] ignoring ADAS_TRACE_RING=0: expected a step count ≥ 1");
+                }
+                n > 0
+            })
+            .map_or(RecordMode::Full, RecordMode::Ring);
         Self {
             mode,
             dir,

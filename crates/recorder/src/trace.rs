@@ -484,8 +484,8 @@ impl Trace {
     /// I/O failures, checksum mismatches, and structural decode errors all
     /// surface as [`TraceError`].
     pub fn load(path: &Path) -> Result<Self, TraceError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?;
+        let bytes =
+            std::fs::read(path).map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?;
         Self::from_bytes(&bytes)
     }
 
@@ -514,7 +514,9 @@ mod tests {
     /// Re-stamps the trailing checksum after a test patched the payload.
     fn restamp(bytes: &mut [u8]) {
         let payload_len = bytes.len() - 8;
-        let sum = Fingerprint::new().write_bytes(&bytes[..payload_len]).value();
+        let sum = Fingerprint::new()
+            .write_bytes(&bytes[..payload_len])
+            .value();
         bytes[payload_len..].copy_from_slice(&sum.to_le_bytes());
     }
 
@@ -523,7 +525,11 @@ mod tests {
             .map(|i| TraceSample {
                 time: f64::from(i) * 0.01,
                 ego_v: 20.0 + f64::from(i) * 0.01,
-                true_rd: if i < 25 { 60.0 - f64::from(i) } else { f64::INFINITY },
+                true_rd: if i < 25 {
+                    60.0 - f64::from(i)
+                } else {
+                    f64::INFINITY
+                },
                 lead_v: if i < 25 { 13.0 } else { f64::NAN },
                 aeb_active: i > 30,
                 fault_active: i > 10,
@@ -636,7 +642,14 @@ mod tests {
     fn truncation_at_any_boundary_is_rejected() {
         let t = sample_trace();
         let bytes = t.to_bytes();
-        for cut in [0, 5, TRACE_MAGIC.len(), 100, bytes.len() - 9, bytes.len() - 1] {
+        for cut in [
+            0,
+            5,
+            TRACE_MAGIC.len(),
+            100,
+            bytes.len() - 9,
+            bytes.len() - 1,
+        ] {
             assert!(Trace::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }
@@ -670,7 +683,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let t = sample_trace();
         let path = t.save_in(&dir).unwrap();
-        assert!(path.file_name().unwrap().to_string_lossy().starts_with("trace-"));
+        assert!(path
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .starts_with("trace-"));
         let loaded = Trace::load(&path).unwrap();
         assert_eq!(format!("{t:?}"), format!("{loaded:?}"));
         let _ = std::fs::remove_dir_all(&dir);

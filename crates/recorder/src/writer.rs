@@ -106,7 +106,8 @@ impl TraceWriter {
     /// ring mode, which is already bounded).
     pub fn reserve(&mut self, steps: usize) {
         if self.mode == RecordMode::Full {
-            self.samples.reserve(steps.saturating_sub(self.samples.len()));
+            self.samples
+                .reserve(steps.saturating_sub(self.samples.len()));
         }
     }
 
@@ -145,21 +146,22 @@ impl TraceWriter {
     /// one channel changed state since the previous sample.
     #[cold]
     fn derive_edges(&mut self, sample: &TraceSample, flags: Flags, prev: Flags) {
-        let mut edge = |on: bool, was: bool, kind_on: EventKind, kind_off: EventKind, value: f64| {
-            if on && !was {
-                self.events.push(TraceEvent {
-                    time: sample.time,
-                    kind: kind_on,
-                    value,
-                });
-            } else if !on && was {
-                self.events.push(TraceEvent {
-                    time: sample.time,
-                    kind: kind_off,
-                    value,
-                });
-            }
-        };
+        let mut edge =
+            |on: bool, was: bool, kind_on: EventKind, kind_off: EventKind, value: f64| {
+                if on && !was {
+                    self.events.push(TraceEvent {
+                        time: sample.time,
+                        kind: kind_on,
+                        value,
+                    });
+                } else if !on && was {
+                    self.events.push(TraceEvent {
+                        time: sample.time,
+                        kind: kind_off,
+                        value,
+                    });
+                }
+            };
         edge(
             flags.fault,
             prev.fault,

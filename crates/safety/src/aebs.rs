@@ -190,12 +190,7 @@ impl Aebs {
     /// `distance`/`closing_speed` describe the lead vehicle as seen by this
     /// AEBS's data source (`None` when that source reports no lead);
     /// `ego_speed` comes from the CAN bus; `time` is the simulation clock.
-    pub fn evaluate(
-        &mut self,
-        lead: Option<(f64, f64)>,
-        ego_speed: f64,
-        time: f64,
-    ) -> AebsOutput {
+    pub fn evaluate(&mut self, lead: Option<(f64, f64)>, ego_speed: f64, time: f64) -> AebsOutput {
         let t_fcw = self.t_fcw(ego_speed);
         if !self.mode.enabled() {
             return AebsOutput {

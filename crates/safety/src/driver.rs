@@ -369,7 +369,9 @@ mod tests {
     fn no_threat_no_action() {
         let mut d = DriverModel::new(DriverConfig::default());
         let log = run_driver(&mut d, quiet_inputs, 0.0, 5.0);
-        assert!(log.iter().all(|(_, a)| a.brake.is_none() && a.steer.is_none()));
+        assert!(log
+            .iter()
+            .all(|(_, a)| a.brake.is_none() && a.steer.is_none()));
         assert!(d.first_brake_trigger().is_none());
     }
 

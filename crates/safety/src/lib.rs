@@ -27,8 +27,8 @@ pub mod event;
 pub mod ldw;
 
 pub use aebs::{Aebs, AebsConfig, AebsMode, AebsOutput, AebsStage};
-pub use event::InterventionKind;
 pub use arbiter::{arbitrate, ArbiterInputs, Arbitration, CommandSource};
 pub use check::{CheckedCommand, SafetyCheck, SafetyCheckConfig};
 pub use driver::{BrakeTrigger, DriverAction, DriverConfig, DriverInputs, DriverModel};
+pub use event::InterventionKind;
 pub use ldw::{Ldw, LdwConfig};

@@ -29,8 +29,8 @@
 use crate::scenario::{InitialPosition, ScenarioId, ScenarioSetup};
 use adas_codec::Fingerprint;
 use adas_simulator::{
-    units::mph, DeterministicRng, FrictionZone, Npc, NpcBehavior, NpcPlan, NpcTrigger,
-    RoadBuilder, VehicleParams,
+    units::mph, DeterministicRng, FrictionZone, Npc, NpcBehavior, NpcPlan, NpcTrigger, RoadBuilder,
+    VehicleParams,
 };
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -877,10 +877,7 @@ impl ScenarioDoc {
                     }
                     "npc.phase" => {
                         let Some(npc) = npcs.last_mut() else {
-                            return Err(ScnError::new(
-                                lineno,
-                                "[[npc.phase]] before any [[npc]]",
-                            ));
+                            return Err(ScnError::new(lineno, "[[npc.phase]] before any [[npc]]"));
                         };
                         npc.phases.push(PartialPhase {
                             header_line: lineno,
@@ -951,7 +948,10 @@ impl ScenarioDoc {
                         Section::Patch
                     }
                     other => {
-                        return Err(ScnError::new(lineno, format!("unknown section `[{other}]`")));
+                        return Err(ScnError::new(
+                            lineno,
+                            format!("unknown section `[{other}]`"),
+                        ));
                     }
                 };
                 continue;
@@ -1058,7 +1058,12 @@ impl ScenarioDoc {
                             set_once(&mut seg.radius, number_field(value, lineno)?, key, lineno)?;
                         }
                         "curvature" => {
-                            set_once(&mut seg.curvature, number_field(value, lineno)?, key, lineno)?;
+                            set_once(
+                                &mut seg.curvature,
+                                number_field(value, lineno)?,
+                                key,
+                                lineno,
+                            )?;
                         }
                         "friction" => {
                             set_once(&mut seg.friction, number_field(value, lineno)?, key, lineno)?;
@@ -1111,7 +1116,12 @@ impl ScenarioDoc {
                             });
                         }
                         "threshold" => {
-                            set_once(&mut phase.threshold, expr_field(value, lineno)?, key, lineno)?;
+                            set_once(
+                                &mut phase.threshold,
+                                expr_field(value, lineno)?,
+                                key,
+                                lineno,
+                            )?;
                         }
                         "behavior" => {
                             if phase.behavior.is_some() {
@@ -1320,10 +1330,7 @@ impl ScenarioDoc {
                     .ok_or_else(|| ScnError::new(ph.header_line, "phase missing `trigger`"))?;
                 match (trigger, &ph.threshold) {
                     (TriggerKind::Immediately, Some(t)) => {
-                        return Err(ScnError::new(
-                            t.line,
-                            "`immediately` takes no `threshold`",
-                        ));
+                        return Err(ScnError::new(t.line, "`immediately` takes no `threshold`"));
                     }
                     (TriggerKind::AtTime | TriggerKind::GapBelow, None) => {
                         return Err(ScnError::new(ph.header_line, "phase missing `threshold`"));
@@ -1397,7 +1404,10 @@ impl ScenarioDoc {
             });
         }
         if npc_specs.is_empty() {
-            return Err(ScnError::new(scenario_line, "scenario needs at least one [[npc]]"));
+            return Err(ScnError::new(
+                scenario_line,
+                "scenario needs at least one [[npc]]",
+            ));
         }
 
         let mut zone_specs = Vec::with_capacity(zones.len());
@@ -1461,7 +1471,11 @@ impl ScenarioDoc {
 
         let mut out = String::new();
         out.push_str("[scenario]\n");
-        let _ = writeln!(out, "name = \"{}\"", self.name.replace('\\', "\\\\").replace('"', "\\\""));
+        let _ = writeln!(
+            out,
+            "name = \"{}\"",
+            self.name.replace('\\', "\\\\").replace('"', "\\\"")
+        );
         if !self.summary.is_empty() {
             let _ = writeln!(
                 out,
@@ -1883,7 +1897,11 @@ speed = "mph(30.0)"
         assert_eq!(a.digest(), b.digest(), "digest is deterministic");
         let mut swapped = ScenarioCatalog::builtin().unwrap();
         swapped.docs[4] = ScenarioDoc::parse(MINIMAL).unwrap();
-        assert_ne!(a.digest(), swapped.digest(), "digest tracks document content");
+        assert_ne!(
+            a.digest(),
+            swapped.digest(),
+            "digest tracks document content"
+        );
     }
 
     #[test]
@@ -1937,7 +1955,10 @@ speed = "mph(30.0)"
 
     #[test]
     fn expression_draws_delegate_to_rng() {
-        let src = MINIMAL.replace("speed = \"mph(30.0)\"", "speed = \"mph(30.0) + gauss(0.1)\"");
+        let src = MINIMAL.replace(
+            "speed = \"mph(30.0)\"",
+            "speed = \"mph(30.0) + gauss(0.1)\"",
+        );
         let doc = ScenarioDoc::parse(&src).unwrap();
         let mut a = DeterministicRng::from_seed(9);
         let mut b = DeterministicRng::from_seed(9);

@@ -144,9 +144,9 @@ impl HazardMonitor {
         let cfg = self.config;
         let t = world.time();
 
-        let h1 = world.lead_observation().is_some_and(|obs| {
-            obs.distance < cfg.h1_distance || obs.ttc() < cfg.h1_ttc
-        });
+        let h1 = world
+            .lead_observation()
+            .is_some_and(|obs| obs.distance < cfg.h1_distance || obs.ttc() < cfg.h1_ttc);
         if h1 && self.first_h1.is_none() {
             self.first_h1 = Some(t);
         }

@@ -234,13 +234,7 @@ impl ScenarioSetup {
             }
             ScenarioId::S6 => {
                 // Farther lead (becomes the lead after the closer one leaves).
-                npcs.push(Npc::new(
-                    params,
-                    lead_s + 28.0,
-                    0.0,
-                    v30,
-                    NpcPlan::cruise(),
-                ));
+                npcs.push(Npc::new(params, lead_s + 28.0, 0.0, v30, NpcPlan::cruise()));
                 // Closer lead changes into the adjacent lane as the ego nears.
                 let lane_w = road.lane_width();
                 let away_plan = NpcPlan::cruise().then(

@@ -198,7 +198,14 @@ fn mutate(rng: &mut TestRng, text: &str) -> String {
         }
         // Replace one line with junk drawn from the grammar's alphabet.
         3 => {
-            let junk = ["[", "]]", "= 1.0", "threshold =", "s = \"gauss(\"", "🚗 = 3"];
+            let junk = [
+                "[",
+                "]]",
+                "= 1.0",
+                "threshold =",
+                "s = \"gauss(\"",
+                "🚗 = 3",
+            ];
             let victim = rng.usize_in(0, lines.len());
             let junk = junk[rng.usize_in(0, junk.len())];
             lines

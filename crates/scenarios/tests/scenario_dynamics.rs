@@ -103,10 +103,7 @@ fn far_position_catches_up_eventually() {
             brake: 0.0,
             steer: (2.7 * world.road().curvature_at(world.ego().state().s)).atan(),
         });
-        if world
-            .lead_observation()
-            .is_some_and(|o| o.distance < 60.0)
-        {
+        if world.lead_observation().is_some_and(|o| o.distance < 60.0) {
             caught_up = true;
             break;
         }

@@ -31,13 +31,17 @@ fn examples_exist() {
 fn every_example_parses_compiles_and_round_trips() {
     for path in example_files() {
         let text = std::fs::read_to_string(&path).expect("readable");
-        let doc = ScenarioDoc::parse(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let doc = ScenarioDoc::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         // Canonical render must parse back to the identical document.
         let rendered = doc.render();
         let reparsed = ScenarioDoc::parse(&rendered)
             .unwrap_or_else(|e| panic!("{}: render not reparseable: {e}", path.display()));
-        assert_eq!(reparsed, doc, "{}: render/parse round trip drifted", path.display());
+        assert_eq!(
+            reparsed,
+            doc,
+            "{}: render/parse round trip drifted",
+            path.display()
+        );
         // And the document must compile for both spawn positions.
         for position in InitialPosition::ALL {
             let mut rng = DeterministicRng::from_seed(7);
@@ -69,5 +73,8 @@ fn examples_cover_the_advertised_features() {
     assert!(multi_npc, "no example with ≥3 NPCs");
     assert!(multi_phase, "no example with a multi-phase NPC script");
     assert!(segment_friction, "no example with per-segment friction");
-    assert!(standalone_zone, "no example with a standalone friction zone");
+    assert!(
+        standalone_zone,
+        "no example with a standalone friction zone"
+    );
 }

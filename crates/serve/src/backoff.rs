@@ -50,7 +50,11 @@ mod tests {
         // Every delay respects the jitter band of its capped exponential.
         for (i, &d) in a.iter().enumerate() {
             let capped = (500u64 << i.min(16)).min(BACKOFF_CAP_MS);
-            assert!(d >= capped / 2 && d <= capped, "attempt {i}: {d} ∉ [{}, {capped}]", capped / 2);
+            assert!(
+                d >= capped / 2 && d <= capped,
+                "attempt {i}: {d} ∉ [{}, {capped}]",
+                capped / 2
+            );
         }
         // By attempt 5 (500·32 = 16 s) the cap is binding.
         assert!(a[5] >= BACKOFF_CAP_MS / 2 && a[5] <= BACKOFF_CAP_MS);

@@ -147,7 +147,10 @@ impl JobState {
     /// Whether the job can make no further progress.
     #[must_use]
     pub fn is_terminal(self) -> bool {
-        matches!(self, JobState::Done | JobState::Cancelled | JobState::Failed)
+        matches!(
+            self,
+            JobState::Done | JobState::Cancelled | JobState::Failed
+        )
     }
 }
 
@@ -501,13 +504,10 @@ impl Request {
                     .ok_or(ProtocolError::Malformed("campaign spec"))?,
             ),
             K_SUBMIT_CELL => {
-                let campaign_seed =
-                    r.u64().map_err(malformed("cell seed"))?;
+                let campaign_seed = r.u64().map_err(malformed("cell seed"))?;
                 let max_steps = r.u32().map_err(malformed("cell max_steps"))?;
-                let run =
-                    decode_run_id(&mut r).map_err(malformed("cell run id"))?;
-                let cell =
-                    CellSpec::decode(&mut r).map_err(malformed("cell spec"))?;
+                let run = decode_run_id(&mut r).map_err(malformed("cell run id"))?;
+                let cell = CellSpec::decode(&mut r).map_err(malformed("cell spec"))?;
                 let with_trace = r.bool().map_err(malformed("trace flag"))?;
                 let out = Request::SubmitCell {
                     campaign_seed,
@@ -546,8 +546,7 @@ impl Request {
                 nonce: r.u64().map_err(malformed("nonce"))?,
             },
             K_ASSIGN_CELLS => {
-                let assignment_id =
-                    r.u64().map_err(malformed("assignment id"))?;
+                let assignment_id = r.u64().map_err(malformed("assignment id"))?;
                 let count = r.u32().map_err(malformed("index count"))? as usize;
                 if count == 0 || count > adas_core::job::MAX_CELLS {
                     return Err(ProtocolError::Malformed("index count out of range"));
@@ -574,8 +573,7 @@ impl Request {
                     .ok_or(ProtocolError::Malformed("fuzz spec"))?,
             ),
             K_ASSIGN_FUZZ => {
-                let assignment_id =
-                    r.u64().map_err(malformed("assignment id"))?;
+                let assignment_id = r.u64().map_err(malformed("assignment id"))?;
                 let spec_bytes = r.blob().map_err(malformed("fuzz spec"))?;
                 Request::AssignFuzz {
                     assignment_id,
@@ -742,17 +740,16 @@ impl Response {
                     .map_err(malformed("run record codec"))?;
                 let has_trace = r.bool().map_err(malformed("trace flag"))?;
                 let trace = if has_trace {
-                    Some(
-                        r.blob().map_err(malformed("trace bytes"))?
-                            .to_vec(),
-                    )
+                    Some(r.blob().map_err(malformed("trace bytes"))?.to_vec())
                 } else {
                     None
                 };
                 Response::RunResult { record, trace }
             }
             K_REPLAY_VERDICT => Response::ReplayVerdict {
-                outcome: r.code(ReplayOutcome::from_u8).map_err(malformed("replay outcome"))?,
+                outcome: r
+                    .code(ReplayOutcome::from_u8)
+                    .map_err(malformed("replay outcome"))?,
                 detail: utf8(r.blob().map_err(malformed("detail"))?)?,
             },
             K_STATUS_REPORT => Response::StatusReport {
@@ -761,12 +758,8 @@ impl Response {
                 cells_total: r.u32().map_err(malformed("cells total"))?,
                 runs_done: r.u64().map_err(malformed("runs done"))?,
             },
-            K_METRICS_JSON => {
-                Response::MetricsJson(utf8(r.blob().map_err(malformed("json"))?)?)
-            }
-            K_ERROR => Response::Error(utf8(
-                r.blob().map_err(malformed("message"))?,
-            )?),
+            K_METRICS_JSON => Response::MetricsJson(utf8(r.blob().map_err(malformed("json"))?)?),
+            K_ERROR => Response::Error(utf8(r.blob().map_err(malformed("message"))?)?),
             K_SHUTDOWN_ACK => Response::ShutdownAck,
             K_WORKER_HELLO => Response::WorkerHello {
                 queue_capacity: r.u32().map_err(malformed("queue capacity"))?,
@@ -781,8 +774,7 @@ impl Response {
             },
             K_FUZZ_RESULT => {
                 let job_id = r.u64().map_err(malformed("job id"))?;
-                let outcome_bytes =
-                    r.blob().map_err(malformed("fuzz outcome"))?;
+                let outcome_bytes = r.blob().map_err(malformed("fuzz outcome"))?;
                 Response::FuzzResult {
                     job_id,
                     outcome: adas_fuzz::SessionOutcome::from_bytes(outcome_bytes)

@@ -20,12 +20,12 @@ use crate::protocol::{
 use crate::queue::{Job, JobEvent, JobQueue, JobRegistry, PushError};
 use crate::signal;
 use crate::sink::{self, StoreSink};
-use adas_fuzz::farm::{self, FuzzJobSpec};
 use adas_bench::model_fingerprint;
 use adas_core::job::CellSpec;
 use adas_core::{
     replay_trace, run_single, run_single_traced, ArtifactCache, CampaignSpec, CellStats, RunId,
 };
+use adas_fuzz::farm::{self, FuzzJobSpec};
 use adas_ml::{LstmPredictor, ModelSpec};
 use adas_recorder::{RecordMode, Trace};
 use std::collections::HashMap;
@@ -76,8 +76,7 @@ impl ServerConfig {
     #[must_use]
     pub fn from_env() -> Self {
         Self {
-            addr: adas_core::env::raw("ADAS_SERVE_ADDR")
-                .unwrap_or_else(|| DEFAULT_ADDR.to_owned()),
+            addr: adas_core::env::raw("ADAS_SERVE_ADDR").unwrap_or_else(|| DEFAULT_ADDR.to_owned()),
             queue_capacity: adas_core::env::parse_or(
                 "ADAS_SERVE_QUEUE",
                 "a queue capacity ≥ 1",
@@ -378,7 +377,10 @@ fn compute_cell(
     let key = spec.cell_key(cell, model_used.map(|m| model_fingerprint(m)));
 
     if let Some(stats) = shared.memo.lock().expect("memo lock").get(&key.value()) {
-        shared.metrics.cells_memo_hits.fetch_add(1, Ordering::Relaxed);
+        shared
+            .metrics
+            .cells_memo_hits
+            .fetch_add(1, Ordering::Relaxed);
         return Some(stats.clone());
     }
     if let Some(stats) = shared
@@ -386,7 +388,10 @@ fn compute_cell(
         .load("cell", key)
         .and_then(|bytes| CellStats::from_bytes(&bytes))
     {
-        shared.metrics.cells_disk_hits.fetch_add(1, Ordering::Relaxed);
+        shared
+            .metrics
+            .cells_disk_hits
+            .fetch_add(1, Ordering::Relaxed);
         shared
             .memo
             .lock()
@@ -414,7 +419,10 @@ fn compute_cell(
     // Per-tier accounting: `computed` is a genuine miss-then-fill of the
     // disk tier; with the disk cache disabled the compute bypassed it.
     if shared.cache.is_enabled() {
-        shared.metrics.cells_computed.fetch_add(1, Ordering::Relaxed);
+        shared
+            .metrics
+            .cells_computed
+            .fetch_add(1, Ordering::Relaxed);
     } else {
         shared.metrics.cells_bypass.fetch_add(1, Ordering::Relaxed);
     }
@@ -638,8 +646,7 @@ fn handle_fuzz(
         send_response(stream, &Response::Error("invalid fuzz job spec".into()))?;
         return Ok(true);
     }
-    let job_id = assignment
-        .unwrap_or_else(|| shared.job_ids.fetch_add(1, Ordering::Relaxed));
+    let job_id = assignment.unwrap_or_else(|| shared.job_ids.fetch_add(1, Ordering::Relaxed));
     shared.metrics.fuzz_jobs.fetch_add(1, Ordering::Relaxed);
     send_response(
         stream,
@@ -694,7 +701,12 @@ fn handle_fuzz(
         .metrics
         .fuzz_dedup_hits
         .fetch_add(summary.dedup_hits, Ordering::Relaxed);
-    for (slot, n) in shared.metrics.fuzz_by_oracle.iter().zip(summary.by_oracle()) {
+    for (slot, n) in shared
+        .metrics
+        .fuzz_by_oracle
+        .iter()
+        .zip(summary.by_oracle())
+    {
         slot.fetch_add(n, Ordering::Relaxed);
     }
     // Only direct submissions persist: a coordinator-assigned slice would
@@ -742,7 +754,13 @@ fn handle_assign(
     }
     let (events, results) = channel();
     let job_id = shared.job_ids.fetch_add(1, Ordering::Relaxed);
-    let job = Arc::new(Job::assignment(job_id, assignment_id, indices, spec, events));
+    let job = Arc::new(Job::assignment(
+        job_id,
+        assignment_id,
+        indices,
+        spec,
+        events,
+    ));
     enqueue_and_stream(shared, stream, job, &results)
 }
 
@@ -783,8 +801,14 @@ fn enqueue_and_stream(
     }
 
     shared.registry.insert(Arc::clone(&job));
-    shared.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.set_gauges(shared.queue.len(), usize::from(job.state() == JobState::Running));
+    shared
+        .metrics
+        .jobs_submitted
+        .fetch_add(1, Ordering::Relaxed);
+    shared.metrics.set_gauges(
+        shared.queue.len(),
+        usize::from(job.state() == JobState::Running),
+    );
     send_response(
         stream,
         &Response::Accepted {
@@ -814,7 +838,13 @@ fn enqueue_and_stream(
                 }
             }
             Ok(JobEvent::Finished(state)) => {
-                send_response(stream, &Response::JobDone { job_id: wire_id, state })?;
+                send_response(
+                    stream,
+                    &Response::JobDone {
+                        job_id: wire_id,
+                        state,
+                    },
+                )?;
                 return Ok(true);
             }
             // Sender dropped without Finished — executor died; fail loudly.
@@ -855,7 +885,10 @@ fn run_one_cell(
     if max_steps != 0 {
         config.max_steps = max_steps as usize;
     }
-    let model = cell.interventions.ml.then(|| shared.model_for(campaign_seed));
+    let model = cell
+        .interventions
+        .ml
+        .then(|| shared.model_for(campaign_seed));
     if with_trace {
         let fp = model.as_ref().map_or(0, |m| model_fingerprint(m).value());
         let (record, trace) = run_single_traced(
@@ -911,9 +944,7 @@ fn verify_trace(shared: &Shared, trace_hex: &str) -> (ReplayOutcome, String) {
         })
         .flatten();
     match replay_trace(&trace, ml, None) {
-        Ok(report) if report.report.is_identical() => {
-            (ReplayOutcome::Identical, trace.identity())
-        }
+        Ok(report) if report.report.is_identical() => (ReplayOutcome::Identical, trace.identity()),
         Ok(report) => {
             let mut detail = report.report.verdict.to_string();
             if let Some(outcome) = &report.report.outcome_mismatch {

@@ -193,8 +193,11 @@ fn arb_response(rng: &mut TestRng) -> Response {
         },
         4 => Response::RunResult {
             record: arb_record(rng),
-            trace: (rng.next_u64() & 1 == 1)
-                .then(|| (0..rng.usize_in(0, 64)).map(|_| rng.next_u64() as u8).collect()),
+            trace: (rng.next_u64() & 1 == 1).then(|| {
+                (0..rng.usize_in(0, 64))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect()
+            }),
         },
         5 => Response::ReplayVerdict {
             outcome: [
@@ -332,7 +335,10 @@ fn oversized_declared_length_is_rejected_before_allocation() {
     );
     let wire = header(VERSION, 0x06, u32::MAX);
     let mut cursor: &[u8] = &wire;
-    assert_eq!(read_frame(&mut cursor), Err(ProtocolError::Oversized(u32::MAX)));
+    assert_eq!(
+        read_frame(&mut cursor),
+        Err(ProtocolError::Oversized(u32::MAX))
+    );
 }
 
 #[test]
@@ -342,7 +348,10 @@ fn bad_version_byte_is_rejected() {
     for version in [0u8, 1, 9, 0xFF] {
         let wire = header(version, 0x06, 0);
         let mut cursor: &[u8] = &wire;
-        assert_eq!(read_frame(&mut cursor), Err(ProtocolError::BadVersion(version)));
+        assert_eq!(
+            read_frame(&mut cursor),
+            Err(ProtocolError::BadVersion(version))
+        );
     }
 }
 
@@ -351,7 +360,10 @@ fn bad_magic_is_rejected() {
     let mut wire = header(VERSION, 0x06, 0);
     wire[0] = b'X';
     let mut cursor: &[u8] = &wire;
-    assert_eq!(read_frame(&mut cursor), Err(ProtocolError::BadMagic([b'X', b'S'])));
+    assert_eq!(
+        read_frame(&mut cursor),
+        Err(ProtocolError::BadMagic([b'X', b'S']))
+    );
 }
 
 #[test]
@@ -360,8 +372,14 @@ fn unknown_kind_bytes_are_rejected_by_decode() {
         let wire = header(VERSION, kind, 0);
         let mut cursor: &[u8] = &wire;
         let (k, payload) = read_frame(&mut cursor).expect("framing is fine");
-        assert_eq!(Request::decode(k, &payload), Err(ProtocolError::UnknownKind(kind)));
-        assert_eq!(Response::decode(k, &payload), Err(ProtocolError::UnknownKind(kind)));
+        assert_eq!(
+            Request::decode(k, &payload),
+            Err(ProtocolError::UnknownKind(kind))
+        );
+        assert_eq!(
+            Response::decode(k, &payload),
+            Err(ProtocolError::UnknownKind(kind))
+        );
     }
     // The fuzz-farm kinds are one-directional: 0x0C/0x0D are requests
     // (an empty payload is malformed, not unknown), 0x8D is a response.
@@ -369,8 +387,14 @@ fn unknown_kind_bytes_are_rejected_by_decode() {
         Request::decode(0x0C, &[]),
         Err(ProtocolError::Malformed("fuzz spec"))
     );
-    assert_eq!(Response::decode(0x0C, &[]), Err(ProtocolError::UnknownKind(0x0C)));
-    assert_eq!(Request::decode(0x8D, &[]), Err(ProtocolError::UnknownKind(0x8D)));
+    assert_eq!(
+        Response::decode(0x0C, &[]),
+        Err(ProtocolError::UnknownKind(0x0C))
+    );
+    assert_eq!(
+        Request::decode(0x8D, &[]),
+        Err(ProtocolError::UnknownKind(0x8D))
+    );
     assert_eq!(
         Response::decode(0x8D, &[]),
         Err(ProtocolError::Malformed("job id"))

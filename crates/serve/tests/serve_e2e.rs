@@ -7,14 +7,10 @@
 
 use adas_attack::FaultType;
 use adas_core::job::CellSpec;
-use adas_core::{
-    run_single, ArtifactCache, CampaignSpec, CellStats, InterventionConfig, RunId,
-};
+use adas_core::{run_single, ArtifactCache, CampaignSpec, CellStats, InterventionConfig, RunId};
 use adas_recorder::Trace;
 use adas_scenarios::{InitialPosition, RunRecord, ScenarioId};
-use adas_serve::{
-    Client, JobState, ReplayOutcome, Response, Server, ServerConfig, Submission,
-};
+use adas_serve::{Client, JobState, ReplayOutcome, Response, Server, ServerConfig, Submission};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::thread;
@@ -114,7 +110,11 @@ fn streamed_cell_bytes(addr: &str, spec: &CampaignSpec) -> Vec<Vec<u8>> {
     for (i, (index, _)) in result.cells.iter().enumerate() {
         assert_eq!(*index as usize, i);
     }
-    result.cells.into_iter().map(|(_, s)| s.to_bytes()).collect()
+    result
+        .cells
+        .into_iter()
+        .map(|(_, s)| s.to_bytes())
+        .collect()
 }
 
 fn json_u64(json: &str, key: &str) -> u64 {

@@ -93,8 +93,14 @@ mod tests {
 
     #[test]
     fn longitudinal_classification() {
-        assert!(contact_is_longitudinal(&car_at(0.0, 0.0), &car_at(4.0, 0.2)));
-        assert!(!contact_is_longitudinal(&car_at(0.0, 0.0), &car_at(1.0, 1.7)));
+        assert!(contact_is_longitudinal(
+            &car_at(0.0, 0.0),
+            &car_at(4.0, 0.2)
+        ));
+        assert!(!contact_is_longitudinal(
+            &car_at(0.0, 0.0),
+            &car_at(1.0, 1.7)
+        ));
     }
 
     #[test]
@@ -118,9 +124,21 @@ mod tests {
     #[test]
     fn center_departure_threshold() {
         let road = RoadBuilder::straight_highway(100.0).build();
-        assert!(!center_departed_lane(&road, road.ego_lane(), &car_at(0.0, 1.74)));
-        assert!(center_departed_lane(&road, road.ego_lane(), &car_at(0.0, 1.76)));
-        assert!(center_departed_lane(&road, road.ego_lane(), &car_at(0.0, -1.76)));
+        assert!(!center_departed_lane(
+            &road,
+            road.ego_lane(),
+            &car_at(0.0, 1.74)
+        ));
+        assert!(center_departed_lane(
+            &road,
+            road.ego_lane(),
+            &car_at(0.0, 1.76)
+        ));
+        assert!(center_departed_lane(
+            &road,
+            road.ego_lane(),
+            &car_at(0.0, -1.76)
+        ));
     }
 
     proptest! {

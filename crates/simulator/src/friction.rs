@@ -76,7 +76,10 @@ impl FrictionCondition {
         let at = r.pos();
         let code = r.u8()?;
         let custom = r.f64()?;
-        Self::from_code(code, custom).ok_or(DecodeError { offset: at, needed: 0 })
+        Self::from_code(code, custom).ok_or(DecodeError {
+            offset: at,
+            needed: 0,
+        })
     }
 
     /// Human-readable label matching the paper's table header.

@@ -33,8 +33,8 @@ pub mod collision;
 pub mod friction;
 pub mod math;
 pub mod npc;
-pub mod road;
 pub mod rng;
+pub mod road;
 pub mod trace;
 pub mod units;
 pub mod vehicle;
@@ -44,8 +44,8 @@ pub use collision::{CollisionEvent, LaneDeparture};
 pub use friction::{surface_in_zones, FrictionCondition, FrictionZone, SurfaceFriction};
 pub use math::Vec2;
 pub use npc::{Npc, NpcBehavior, NpcPhase, NpcPlan, NpcTrigger};
-pub use road::{LaneId, Road, RoadBuilder, RoadSegment};
 pub use rng::DeterministicRng;
+pub use road::{LaneId, Road, RoadBuilder, RoadSegment};
 pub use trace::{samples_to_csv, TraceSample};
 pub use units::{GRAVITY, SIM_DT};
 pub use vehicle::{Vehicle, VehicleCommand, VehicleParams, VehicleState};

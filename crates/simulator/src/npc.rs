@@ -155,8 +155,8 @@ impl Npc {
 
     fn fire_ready_phases(&mut self, time: f64, ego: &VehicleState, ego_len: f64) {
         while let Some(phase) = self.plan.phases.get(self.next_phase) {
-            let gap = (self.vehicle.state().s - ego.s)
-                - (self.vehicle.params().length + ego_len) / 2.0;
+            let gap =
+                (self.vehicle.state().s - ego.s) - (self.vehicle.params().length + ego_len) / 2.0;
             let ready = match phase.trigger {
                 NpcTrigger::Immediately => true,
                 NpcTrigger::AtTime(t) => time >= t,
@@ -281,7 +281,8 @@ mod tests {
     #[test]
     fn stops_and_holds() {
         let road = RoadBuilder::straight_highway(3000.0).build();
-        let plan = NpcPlan::cruise().then(NpcTrigger::AtTime(1.0), NpcBehavior::Stop { decel: 6.0 });
+        let plan =
+            NpcPlan::cruise().then(NpcTrigger::AtTime(1.0), NpcBehavior::Stop { decel: 6.0 });
         let mut npc = Npc::new(VehicleParams::sedan(), 50.0, 0.0, 13.4, plan);
         run_npc(&mut npc, &road, 800);
         assert!(npc.state().v < 0.2, "v={}", npc.state().v);

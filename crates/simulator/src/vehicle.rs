@@ -195,7 +195,13 @@ impl Vehicle {
     ///
     /// The integration order is: actuator filters → friction-ellipse
     /// limited accelerations → kinematics. Speed never goes negative.
-    pub fn step(&mut self, command: VehicleCommand, road: &Road, surface: SurfaceFriction, dt: f64) {
+    pub fn step(
+        &mut self,
+        command: VehicleCommand,
+        road: &Road,
+        surface: SurfaceFriction,
+        dt: f64,
+    ) {
         let cmd = command.sanitized(&self.params);
         let st = &mut self.state;
 
@@ -226,8 +232,14 @@ impl Vehicle {
         // Combined-slip budget: remaining longitudinal grip shrinks with
         // lateral utilisation.
         let mu_g = surface.mu * crate::units::GRAVITY;
-        let long_budget = (mu_g * mu_g - lateral_accel * lateral_accel).max(0.0).sqrt();
-        accel = clamp(accel, -long_budget, long_budget.min(self.params.engine_accel_limit));
+        let long_budget = (mu_g * mu_g - lateral_accel * lateral_accel)
+            .max(0.0)
+            .sqrt();
+        accel = clamp(
+            accel,
+            -long_budget,
+            long_budget.min(self.params.engine_accel_limit),
+        );
 
         // Kinematics in the frenet frame.
         let kappa_road = road.curvature_at(st.s);
@@ -398,7 +410,10 @@ mod tests {
                 SIM_DT,
             );
         }
-        assert!(straight.state().v < turning.state().v, "combined slip should weaken braking");
+        assert!(
+            straight.state().v < turning.state().v,
+            "combined slip should weaken braking"
+        );
     }
 
     #[test]

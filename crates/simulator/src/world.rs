@@ -1,8 +1,7 @@
 //! The closed-loop world: ego vehicle, scripted traffic, collision checks.
 
 use crate::collision::{
-    center_departed_lane, contact_is_longitudinal, vehicles_overlap, CollisionEvent,
-    LaneDeparture,
+    center_departed_lane, contact_is_longitudinal, vehicles_overlap, CollisionEvent, LaneDeparture,
 };
 use crate::friction::{surface_in_zones, FrictionCondition, FrictionZone, SurfaceFriction};
 use crate::npc::Npc;

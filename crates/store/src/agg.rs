@@ -261,9 +261,7 @@ impl Accumulator {
     /// times (empty cell when a mean has no contributors).
     #[must_use]
     pub fn render_measures(&self) -> String {
-        let m = |sum, n| {
-            Self::mean(sum, n).map_or_else(String::new, |v| format!("{v:.3}"))
-        };
+        let m = |sum, n| Self::mean(sum, n).map_or_else(String::new, |v| format!("{v:.3}"));
         format!(
             "{},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{}",
             self.runs,

@@ -70,14 +70,19 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--csv" => opts.csv = Some(PathBuf::from(value("--csv")?)),
             "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
             "--cells" => {
-                opts.cells = value("--cells")?.parse().map_err(|e| format!("--cells: {e}"))?;
+                opts.cells = value("--cells")?
+                    .parse()
+                    .map_err(|e| format!("--cells: {e}"))?;
             }
             "--findings" => {
-                opts.findings =
-                    value("--findings")?.parse().map_err(|e| format!("--findings: {e}"))?;
+                opts.findings = value("--findings")?
+                    .parse()
+                    .map_err(|e| format!("--findings: {e}"))?;
             }
             "--seed" => {
-                opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
+                opts.seed = value("--seed")?
+                    .parse()
+                    .map_err(|e| format!("--seed: {e}"))?;
             }
             other => return Err(format!("unknown flag {other}")),
         }
@@ -126,7 +131,9 @@ fn cmd_synth(opts: &Opts) -> Result<ExitCode, StoreError> {
         let mut w = store.create_segment(RecordKind::Cell)?;
         while written < opts.cells {
             let n = BATCH.min(opts.cells - written);
-            w.append_bytes(&adas_store::record::encode_cells(&synth::cells(batch_seed, n)))?;
+            w.append_bytes(&adas_store::record::encode_cells(&synth::cells(
+                batch_seed, n,
+            )))?;
             written += n;
             batch_seed = batch_seed.wrapping_add(1);
         }
@@ -139,7 +146,9 @@ fn cmd_synth(opts: &Opts) -> Result<ExitCode, StoreError> {
         let mut fseed = opts.seed;
         while left > 0 {
             let n = BATCH.min(left);
-            w.append_bytes(&adas_store::record::encode_findings(&synth::findings(fseed, n)))?;
+            w.append_bytes(&adas_store::record::encode_findings(&synth::findings(
+                fseed, n,
+            )))?;
             left -= n;
             fseed = fseed.wrapping_add(1);
         }
@@ -282,7 +291,11 @@ fn cmd_verify(opts: &Opts) -> Result<ExitCode, StoreError> {
             } else {
                 String::new()
             },
-            if seg.truncated { ", truncated tail" } else { "" },
+            if seg.truncated {
+                ", truncated tail"
+            } else {
+                ""
+            },
         );
     }
     println!(

@@ -243,7 +243,11 @@ impl CellRow {
             driver_steer_n,
             ml_n,
             aeb_time_sum: sum_of(s.aeb_mitigation_time, aeb_n),
-            aeb_time_n: if s.aeb_mitigation_time.is_some() { aeb_n } else { 0 },
+            aeb_time_n: if s.aeb_mitigation_time.is_some() {
+                aeb_n
+            } else {
+                0
+            },
             driver_brake_time_sum: sum_of(s.driver_brake_mitigation_time, driver_brake_n),
             driver_brake_time_n: if s.driver_brake_mitigation_time.is_some() {
                 driver_brake_n

@@ -47,7 +47,11 @@ pub fn header_bytes(kind: RecordKind) -> [u8; HEADER_LEN] {
     h[8..10].copy_from_slice(&SEG_VERSION.to_le_bytes());
     h[10] = kind.code();
     h[11] = 0;
-    h[12..16].copy_from_slice(&u32::try_from(kind.width()).expect("small width").to_le_bytes());
+    h[12..16].copy_from_slice(
+        &u32::try_from(kind.width())
+            .expect("small width")
+            .to_le_bytes(),
+    );
     let sum = Fingerprint::new().write_bytes(&h[..16]).value();
     h[16..24].copy_from_slice(&sum.to_le_bytes());
     h
@@ -63,11 +67,15 @@ pub fn parse_header(h: &[u8]) -> Result<RecordKind, StoreError> {
     }
     let stored = u64::from_le_bytes(h[16..24].try_into().expect("8 bytes"));
     if Fingerprint::new().write_bytes(&h[..16]).value() != stored {
-        return Err(StoreError::Format("segment header checksum mismatch".into()));
+        return Err(StoreError::Format(
+            "segment header checksum mismatch".into(),
+        ));
     }
     let version = u16::from_le_bytes(h[8..10].try_into().expect("2 bytes"));
     if version != SEG_VERSION {
-        return Err(StoreError::Format(format!("unsupported segment version {version}")));
+        return Err(StoreError::Format(format!(
+            "unsupported segment version {version}"
+        )));
     }
     let kind = RecordKind::from_code(h[10])
         .ok_or_else(|| StoreError::Format(format!("unknown record kind {}", h[10])))?;
@@ -167,7 +175,9 @@ impl SegmentWriter {
     /// them to the OS — the durability point a daemon calls per job.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.flush_block(self.buffered)?;
-        self.file.flush().map_err(|e| StoreError::io(&self.path, &e))
+        self.file
+            .flush()
+            .map_err(|e| StoreError::io(&self.path, &e))
     }
 
     /// Flushes and closes the segment, returning the record count.
@@ -396,9 +406,7 @@ mod tests {
         let mut out = Vec::new();
         while let Some(block) = r.next_block() {
             for chunk in block.chunks_exact(CellRow::WIDTH) {
-                out.push(
-                    CellRow::decode(&mut adas_codec::Reader::new(chunk)).expect("decodes"),
-                );
+                out.push(CellRow::decode(&mut adas_codec::Reader::new(chunk)).expect("decodes"));
             }
         }
         (out, r.report().clone())
@@ -460,7 +468,8 @@ mod tests {
 
     #[test]
     fn empty_segment_reads_cleanly() {
-        let path = std::env::temp_dir().join(format!("adas-store-empty-{}.seg", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("adas-store-empty-{}.seg", std::process::id()));
         SegmentWriter::create(&path, RecordKind::Cell)
             .unwrap()
             .finish()

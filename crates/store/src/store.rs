@@ -97,7 +97,9 @@ impl Store {
     /// Opens (creating if needed) a store directory.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, &e))?;
-        Ok(Self { dir: dir.to_owned() })
+        Ok(Self {
+            dir: dir.to_owned(),
+        })
     }
 
     /// The store directory.
@@ -109,8 +111,7 @@ impl Store {
     /// Existing segment paths of `kind`, in file-name order.
     pub fn segments(&self, kind: RecordKind) -> Result<Vec<PathBuf>, StoreError> {
         let mut out = Vec::new();
-        let entries =
-            std::fs::read_dir(&self.dir).map_err(|e| StoreError::io(&self.dir, &e))?;
+        let entries = std::fs::read_dir(&self.dir).map_err(|e| StoreError::io(&self.dir, &e))?;
         for entry in entries {
             let entry = entry.map_err(|e| StoreError::io(&self.dir, &e))?;
             let name = entry.file_name();
@@ -317,7 +318,9 @@ mod tests {
     #[test]
     fn verify_flags_a_damaged_segment_and_compact_heals_it() {
         let store = tmp_store("heal");
-        store.append_cells(&(0..3000).map(row).collect::<Vec<_>>()).unwrap();
+        store
+            .append_cells(&(0..3000).map(row).collect::<Vec<_>>())
+            .unwrap();
         let seg = store.segments(RecordKind::Cell).unwrap()[0].clone();
         let mut bytes = std::fs::read(&seg).unwrap();
         // Damage the middle block's payload.

@@ -11,8 +11,14 @@ use openadas::core::{run_campaign, CellStats, InterventionConfig, PlatformConfig
 
 fn main() {
     let reps = 2; // small demo campaign: 6 scenarios × 2 positions × 2 reps
-    println!("driver-only prevention rate by reaction time ({} runs/cell)\n", 12 * reps);
-    println!("{:>10}  {:>18}  {:>18}  {:>10}", "reaction", "Relative Distance", "Desired Curvature", "Mixed");
+    println!(
+        "driver-only prevention rate by reaction time ({} runs/cell)\n",
+        12 * reps
+    );
+    println!(
+        "{:>10}  {:>18}  {:>18}  {:>10}",
+        "reaction", "Relative Distance", "Desired Curvature", "Mixed"
+    );
     for reaction in [1.0, 2.0, 2.5, 3.5] {
         let mut iv = InterventionConfig::driver_only();
         iv.driver_reaction_time = reaction;
@@ -28,5 +34,7 @@ fn main() {
             cells[0], cells[1], cells[2]
         );
     }
-    println!("\nAn alert driver (≤2 s) prevents notably more accidents — the paper's Observation 5.");
+    println!(
+        "\nAn alert driver (≤2 s) prevents notably more accidents — the paper's Observation 5."
+    );
 }

@@ -21,9 +21,8 @@ fn main() {
         "friction", "Relative Distance", "Desired Curvature"
     );
     for condition in FrictionCondition::TABLE_VIII {
-        let mut cfg = PlatformConfig::with_interventions(
-            InterventionConfig::driver_check_aeb_compromised(),
-        );
+        let mut cfg =
+            PlatformConfig::with_interventions(InterventionConfig::driver_check_aeb_compromised());
         cfg.friction = condition;
         let mut cells = Vec::new();
         for fault in [FaultType::RelativeDistance, FaultType::DesiredCurvature] {

@@ -38,7 +38,10 @@ fn run_and_narrate(label: &str, iv: InterventionConfig) {
     let mut aeb_logged = false;
     for s in &trace.samples {
         if !drift_logged && record.fault_start.is_some_and(|f| s.time > f) && s.ego_d.abs() > 0.5 {
-            println!("t={:6.2}s  drifted {:.2} m from the lane center", s.time, s.ego_d);
+            println!(
+                "t={:6.2}s  drifted {:.2} m from the lane center",
+                s.time, s.ego_d
+            );
             drift_logged = true;
         }
         if !steer_logged && s.driver_steering {
@@ -63,7 +66,10 @@ fn run_and_narrate(label: &str, iv: InterventionConfig) {
 fn main() {
     println!("Curvature (ALC) attack under three intervention configurations.");
     run_and_narrate("no interventions", InterventionConfig::none());
-    run_and_narrate("driver only (2.5 s reaction)", InterventionConfig::driver_only());
+    run_and_narrate(
+        "driver only (2.5 s reaction)",
+        InterventionConfig::driver_only(),
+    );
     run_and_narrate(
         "driver + safety check + AEB (independent)",
         InterventionConfig::driver_check_aeb_independent(),

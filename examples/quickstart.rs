@@ -28,7 +28,10 @@ fn main() {
     let record = benign.run();
     println!("\n— benign run —");
     println!("  accident:            {:?}", record.accident);
-    println!("  stable following:    {:.1} m", record.avg_following_distance);
+    println!(
+        "  stable following:    {:.1} m",
+        record.avg_following_distance
+    );
     println!("  hardest brake:       {:.1} %", record.max_brake * 100.0);
     println!("  min TTC:             {:.2} s", record.min_ttc);
 
@@ -48,15 +51,17 @@ fn main() {
     let record = attacked.run();
     println!("\n— RD attack, no interventions —");
     println!("  fault active from:   {:?} s", record.fault_start);
-    println!("  accident:            {:?} at {:?} s", record.accident, record.accident_time);
+    println!(
+        "  accident:            {:?} at {:?} s",
+        record.accident, record.accident_time
+    );
 
     // 4. Same attack, but with AEB on an independent sensor.
     let injector = FaultInjector::new(FaultSpec::new(
         FaultType::RelativeDistance,
         setup.patch_start_s,
     ));
-    let config =
-        PlatformConfig::with_interventions(InterventionConfig::aeb_independent_only());
+    let config = PlatformConfig::with_interventions(InterventionConfig::aeb_independent_only());
     let mut protected = Platform::new(&setup, config, injector, None, &mut rng.split(3));
     let record = protected.run();
     println!("\n— RD attack + AEB (independent sensor) —");

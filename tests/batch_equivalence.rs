@@ -7,14 +7,14 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use adas_recorder::{RecordMode, Trace, TraceMode, TracePolicy};
 use openadas::attack::FaultType;
 use openadas::core::{
     campaign_run_ids, collect_training_data, replay_trace, run_campaign_traced_with_width,
     run_campaign_with_width, run_single, InterventionConfig, PlatformConfig, RunId, TraceSink,
 };
-use openadas::scenarios::RunRecord;
 use openadas::ml::{LstmPredictor, ModelSpec, TrainConfig};
-use adas_recorder::{RecordMode, Trace, TraceMode, TracePolicy};
+use openadas::scenarios::RunRecord;
 
 /// Serialises tests that set `ADAS_THREADS`: the worker count is read per
 /// dispatch, so a concurrent test could otherwise observe a torn value.

@@ -59,7 +59,11 @@ fn rd_attack_causes_forward_collision_without_interventions() {
         None,
         1,
     );
-    assert_eq!(rec.accident, Some(AccidentKind::ForwardCollision), "{rec:?}");
+    assert_eq!(
+        rec.accident,
+        Some(AccidentKind::ForwardCollision),
+        "{rec:?}"
+    );
     assert!(rec.fault_start.is_some());
 }
 
@@ -150,13 +154,7 @@ fn fig6_failure_chain_reproduces() {
         FaultType::RelativeDistance,
         setup.patch_start_s,
     ));
-    let mut platform = Platform::new(
-        &setup,
-        PlatformConfig::default(),
-        injector,
-        None,
-        &mut rng,
-    );
+    let mut platform = Platform::new(&setup, PlatformConfig::default(), injector, None, &mut rng);
     let mut saw_blindness = false;
     loop {
         let frame = platform.step();

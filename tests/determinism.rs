@@ -65,10 +65,7 @@ fn rng_coordinates_are_pairwise_distinct() {
         for p in 0..2u64 {
             for r in 0..10u64 {
                 let mut rng = DeterministicRng::for_run(2025, s, p, r);
-                assert!(
-                    firsts.insert(rng.next_u64()),
-                    "collision at ({s},{p},{r})"
-                );
+                assert!(firsts.insert(rng.next_u64()), "collision at ({s},{p},{r})");
             }
         }
     }

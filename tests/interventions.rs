@@ -89,9 +89,8 @@ fn faster_reaction_prevents_more() {
 #[test]
 fn icy_road_hurts_lateral_mitigation() {
     use openadas::simulator::FrictionCondition;
-    let mut dry_cfg = PlatformConfig::with_interventions(
-        InterventionConfig::driver_check_aeb_compromised(),
-    );
+    let mut dry_cfg =
+        PlatformConfig::with_interventions(InterventionConfig::driver_check_aeb_compromised());
     dry_cfg.friction = FrictionCondition::Default;
     let mut icy_cfg = dry_cfg;
     icy_cfg.friction = FrictionCondition::Off75;

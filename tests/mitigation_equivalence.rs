@@ -9,6 +9,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use adas_serve::{Client, JobState, Server, ServerConfig};
 use openadas::attack::FaultType;
 use openadas::core::job::CellSpec;
 use openadas::core::{
@@ -16,7 +17,6 @@ use openadas::core::{
     CampaignSpec, CellStats, InterventionConfig, MitigationKind, PlatformConfig,
 };
 use openadas::ml::{LstmPredictor, ModelSpec, TrainConfig};
-use adas_serve::{Client, JobState, Server, ServerConfig};
 
 /// Serialises tests that set `ADAS_THREADS` (read per dispatch, so a
 /// concurrent test could observe a torn value).
@@ -62,9 +62,8 @@ fn every_mitigation_is_bit_identical_across_widths_and_threads() {
     let model = tiny_trained_model();
     let fault = Some(FaultType::Mixed);
     for kind in MitigationKind::ALL {
-        let mut cfg = PlatformConfig::with_interventions(
-            InterventionConfig::ml_only().with_mitigation(kind),
-        );
+        let mut cfg =
+            PlatformConfig::with_interventions(InterventionConfig::ml_only().with_mitigation(kind));
         cfg.max_steps = 600;
         // The scalar reference: every run of the grid stepped alone.
         let baseline: Vec<_> = campaign_run_ids(1)
@@ -96,9 +95,8 @@ fn mitigations_differ_from_each_other_under_attack() {
     let fault = Some(FaultType::Mixed);
     let mut grids = Vec::new();
     for kind in MitigationKind::ALL {
-        let mut cfg = PlatformConfig::with_interventions(
-            InterventionConfig::ml_only().with_mitigation(kind),
-        );
+        let mut cfg =
+            PlatformConfig::with_interventions(InterventionConfig::ml_only().with_mitigation(kind));
         cfg.max_steps = 600;
         let _env = threads_guard(1);
         grids.push(format!(
@@ -186,7 +184,11 @@ fn mitigation_cells_bit_identical_over_the_wire() {
             .expect("protocol ok")
             .expect("accepted");
         assert_eq!(result.state, JobState::Done);
-        let wire: Vec<Vec<u8>> = result.cells.into_iter().map(|(_, s)| s.to_bytes()).collect();
+        let wire: Vec<Vec<u8>> = result
+            .cells
+            .into_iter()
+            .map(|(_, s)| s.to_bytes())
+            .collect();
         assert_eq!(
             wire, reference,
             "threads={threads}: served mitigation cells must be bit-identical to the direct run"

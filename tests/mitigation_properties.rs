@@ -182,8 +182,14 @@ fn view_mitigations_never_activate_on_the_benign_grid() {
                 "{label} activated on benign {id:?} — benign false positive"
             );
         }
-        let attacked =
-            run_campaign_with_width(Some(FaultType::RelativeDistance), &cfg, Some(&model), 2025, 1, 4);
+        let attacked = run_campaign_with_width(
+            Some(FaultType::RelativeDistance),
+            &cfg,
+            Some(&model),
+            2025,
+            1,
+            4,
+        );
         assert!(
             attacked.iter().any(|(_, r)| r.ml_activated),
             "{label} never activated under the RD patch — dead mitigation"

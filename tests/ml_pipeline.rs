@@ -43,13 +43,7 @@ fn ml_recovery_engages_under_attack_and_stays_quiet_benign() {
     let benign_stats = CellStats::from_records(benign.iter().map(|(_, r)| r));
 
     // Attacked: recovery mode must engage in a majority of runs.
-    let attacked = run_campaign(
-        Some(FaultType::RelativeDistance),
-        &cfg,
-        Some(&model),
-        21,
-        1,
-    );
+    let attacked = run_campaign(Some(FaultType::RelativeDistance), &cfg, Some(&model), 21, 1);
     let attacked_stats = CellStats::from_records(attacked.iter().map(|(_, r)| r));
 
     assert!(
@@ -79,8 +73,7 @@ fn ml_mitigation_reduces_forward_collisions() {
         22,
         1,
     );
-    let a1_unprotected =
-        CellStats::from_records(unprotected.iter().map(|(_, r)| r)).a1_pct;
+    let a1_unprotected = CellStats::from_records(unprotected.iter().map(|(_, r)| r)).a1_pct;
     let a1_protected = CellStats::from_records(protected.iter().map(|(_, r)| r)).a1_pct;
     assert!(
         a1_protected < a1_unprotected,

@@ -11,17 +11,15 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use openadas::attack::{
-    AttackScheduler, ContextTrigger, FaultInjector, FaultSpec, FaultType,
-};
-use openadas::core::{
-    campaign_run_ids, run_campaign_with_width, trace_header, CampaignSpec, CellStats,
-    run_single, InterventionConfig, Platform, PlatformConfig, RunId,
-};
+use adas_recorder::{RecordMode, Trace, TraceWriter};
+use openadas::attack::{AttackScheduler, ContextTrigger, FaultInjector, FaultSpec, FaultType};
 use openadas::core::job::CellSpec;
+use openadas::core::{
+    campaign_run_ids, run_campaign_with_width, run_single, trace_header, CampaignSpec, CellStats,
+    InterventionConfig, Platform, PlatformConfig, RunId,
+};
 use openadas::scenarios::{InitialPosition, RunRecord, ScenarioId, ScenarioSetup};
 use openadas::simulator::DeterministicRng;
-use adas_recorder::{RecordMode, Trace, TraceWriter};
 
 /// Serialises tests that set `ADAS_THREADS` (process-global).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -57,9 +55,9 @@ fn platform_with(
     );
     let setup = builder(id.scenario, id.position, &mut rng);
     let injector = match fault {
-        Some(ft) => FaultInjector::new(
-            FaultSpec::new(ft, setup.patch_start_s).scheduled(config.attack),
-        ),
+        Some(ft) => {
+            FaultInjector::new(FaultSpec::new(ft, setup.patch_start_s).scheduled(config.attack))
+        }
         None => FaultInjector::disabled(),
     };
     Platform::new(&setup, *config, injector, None, &mut rng)
@@ -251,10 +249,8 @@ fn served_campaigns_match_hardcoded_direct_execution() {
 
     for threads in [1, 4] {
         let _env = threads_guard(threads);
-        let trace_dir = std::env::temp_dir().join(format!(
-            "adas-scn-equiv-{}-{threads}",
-            std::process::id()
-        ));
+        let trace_dir =
+            std::env::temp_dir().join(format!("adas-scn-equiv-{}-{threads}", std::process::id()));
         let server = Server::bind(ServerConfig {
             addr: "127.0.0.1:0".into(),
             queue_capacity: 4,
@@ -273,8 +269,11 @@ fn served_campaigns_match_hardcoded_direct_execution() {
                 .expect("protocol ok")
                 .expect("accepted");
             assert_eq!(result.state, JobState::Done);
-            let wire: Vec<Vec<u8>> =
-                result.cells.into_iter().map(|(_, s)| s.to_bytes()).collect();
+            let wire: Vec<Vec<u8>> = result
+                .cells
+                .into_iter()
+                .map(|(_, s)| s.to_bytes())
+                .collect();
             assert_eq!(
                 &wire, expected,
                 "threads={threads}: served cells drifted from the hard-coded \
