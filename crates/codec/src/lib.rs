@@ -1,4 +1,5 @@
-//! The workspace's one canonical byte encoding and its one hash.
+//! The workspace's one canonical byte encoding, its one hash, and its one
+//! text reader.
 //!
 //! Every wire format (the serve protocol, campaign specs, farm findings),
 //! every file format (flight-recorder traces, cached cell statistics and
@@ -16,8 +17,12 @@
 //!   error at the impl instead of a silent gap in a cache key.
 //! * [`Fingerprint`] — 64-bit FNV-1a over explicitly fed bytes, the stable
 //!   (cross-process, cross-compiler) hash behind every key and checksum.
+//! * [`text`] — the TOML subset of `.scn` scenario documents and fuzz repro
+//!   files: ordered tables, one escape set, line-numbered errors.
 
 use std::fmt;
+
+pub mod text;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -543,13 +543,13 @@ mod tests {
     #[test]
     fn keys_are_pinned_to_canonical_bytes() {
         // A Table VI cell (Relative Distance × Driver+Check, paper seed and
-        // repetitions) and the default trace config fingerprint. Neither
-        // reads a `Debug` rendering, so no derive change can move them;
-        // only a deliberate encoding change can.
+        // repetitions, builtin scenario catalog) and the default trace config
+        // fingerprint. Neither reads a `Debug` rendering, so no derive change
+        // can move them; only a deliberate encoding change can.
         let row = PlatformConfig::with_interventions(InterventionConfig::driver_and_check());
         let key =
             campaign_cell_fingerprint(Some(FaultType::RelativeDistance), &row, None, 2025, 10);
-        assert_eq!(key.hex(), "ee685c45f86f7851");
+        assert_eq!(key.hex(), "66e6902986f52aff");
         assert_eq!(
             format!("{:016x}", config_fingerprint(&PlatformConfig::default())),
             "f3c30aaa9079f870"

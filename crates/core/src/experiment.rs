@@ -18,7 +18,9 @@ use adas_ml::{
     ControlTarget, Dataset, EnsembleConfig, EnsembleMitigator, LstmPredictor, MaskCheckConfig,
     MaskCheckMitigator, MitigationConfig, MitigationKind, Mitigator, MlMitigator, StateFeatures,
 };
-use adas_scenarios::{AccidentKind, InitialPosition, RunRecord, ScenarioId, ScenarioSetup};
+use adas_scenarios::{
+    AccidentKind, InitialPosition, RunRecord, ScenarioCatalog, ScenarioId, ScenarioSetup,
+};
 use adas_simulator::DeterministicRng;
 use std::sync::Arc;
 
@@ -397,28 +399,13 @@ impl CellStats {
     }
 }
 
-/// Digest of the active scenario catalog, but only when `ADAS_SCENARIO`
-/// actually changed it from the builtins. `None` in every default-catalog
-/// process, so all fingerprints minted before scenario overrides existed
-/// stay byte-identical; with an override in effect the digest keys cached
-/// cells to the replacement scenario content instead of silently serving
-/// results computed under the builtins.
-fn scenario_catalog_override() -> Option<u64> {
-    use adas_scenarios::ScenarioCatalog;
-    static OVERRIDE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let global = ScenarioCatalog::global().digest();
-        let builtin = ScenarioCatalog::builtin().map_or(global, |c| c.digest());
-        (global != builtin).then_some(global)
-    })
-}
-
 /// Content fingerprint of one campaign cell: everything [`run_campaign`] +
 /// [`CellStats::from_records`] depend on. `model` must be the fingerprint
 /// of the trained weights when `config.interventions.ml` is set (the cell
 /// result depends on the exact weights, not just the training seed).
-/// Scenario content participates via `scenario_catalog_override` when an
-/// `ADAS_SCENARIO` override is active.
+/// The scenario content is the digest of [`ScenarioCatalog::global`], so
+/// an edit to a builtin `.scn` file rekeys every cell just as an
+/// `ADAS_SCENARIO` override does.
 #[must_use]
 pub fn campaign_cell_fingerprint(
     fault: Option<FaultType>,
@@ -427,18 +414,18 @@ pub fn campaign_cell_fingerprint(
     campaign_seed: u64,
     repetitions: u32,
 ) -> Fingerprint {
-    let mut fp = Fingerprint::new()
+    static CATALOG_DIGEST: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    let catalog = *CATALOG_DIGEST.get_or_init(|| ScenarioCatalog::global().digest());
+    Fingerprint::new()
         .write_str("campaign-cell-v2")
         .write_bytes(&[fault.map_or(0, FaultType::code)])
         .write(config)
         .write_u64(model.map_or(0, Fingerprint::value))
         .write_u64(u64::from(model.is_some()))
         .write_u64(campaign_seed)
-        .write_u64(u64::from(repetitions));
-    if let Some(digest) = scenario_catalog_override() {
-        fp = fp.write_str("scenario-catalog").write_u64(digest);
-    }
-    fp
+        .write_u64(u64::from(repetitions))
+        .write_str("scenario-catalog")
+        .write_u64(catalog)
 }
 
 /// Cache-through wrapper for a campaign cell's aggregate statistics: on a

@@ -226,8 +226,9 @@ impl Perturbation {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplayError {
     /// The config reconstructed from the header does not fingerprint to the
-    /// recorded value: platform defaults changed since the recording (or
-    /// the trace was made by an incompatible build).
+    /// recorded value: the run depended on settings the header cannot carry
+    /// (a fuzz case's continuous overrides), platform defaults changed
+    /// since the recording, or an incompatible build made the trace.
     ConfigMismatch {
         /// Fingerprint stored in the trace header.
         recorded: u64,
@@ -257,8 +258,10 @@ impl std::fmt::Display for ReplayError {
             } => write!(
                 f,
                 "config fingerprint mismatch: trace recorded {recorded:016x}, \
-                 reconstruction yields {reconstructed:016x} — platform defaults \
-                 changed since this trace was captured"
+                 reconstruction yields {reconstructed:016x} — the header cannot \
+                 reproduce this run's configuration (a fuzz trace: replay its repro \
+                 with `adas-fuzz replay`) or platform defaults changed since it \
+                 was captured"
             ),
             ReplayError::ModelRequired { fingerprint } => write!(
                 f,

@@ -339,7 +339,10 @@ pub(crate) fn case_platform(case: &FuzzCase, seed: u64, config: &PlatformConfig)
 }
 
 /// Seals a finished case platform under the case's trace header.
-/// Counterpart of [`case_platform`].
+/// Counterpart of [`case_platform`]. The header cannot carry the case's
+/// continuous overrides, so its `config_fingerprint` folds in
+/// [`FuzzCase::fingerprint`]: `replay_trace` refuses the trace with
+/// `ConfigMismatch` instead of reporting a false divergence.
 #[must_use]
 pub(crate) fn finish_case(
     case: &FuzzCase,
@@ -353,7 +356,12 @@ pub(crate) fn finish_case(
         position: case.position,
         repetition: case.repetition,
     };
-    platform.seal(end, trace_header(id, case.fault, config, 0, seed))
+    let mut header = trace_header(id, case.fault, config, 0, seed);
+    header.config_fingerprint = Fingerprint::new()
+        .write_u64(header.config_fingerprint)
+        .write_u64(case.fingerprint())
+        .value();
+    platform.seal(end, header)
 }
 
 #[cfg(test)]
@@ -464,5 +472,23 @@ mod tests {
         let mut d = case();
         d.friction = 0.4;
         assert_eq!(a.cell_key(), d.cell_key());
+    }
+
+    #[test]
+    fn fuzz_traces_refuse_replay_instead_of_diverging() {
+        // The header cannot carry the overrides, so replaying from it would
+        // re-run a different run; the folded case fingerprint refuses it.
+        let mut c = case();
+        c.ego_speed_delta = 3.5;
+        c.attack_intensity = 2.0;
+        let (_, trace) = run_case(&c, 2025);
+        let err = adas_core::replay_trace(&trace, None, None).unwrap_err();
+        assert!(
+            matches!(err, adas_core::ReplayError::ConfigMismatch { .. }),
+            "{err}"
+        );
+        // `run_case` itself still reproduces the recording exactly.
+        let (_, again) = run_case(&c, 2025);
+        assert!(adas_recorder::diff_traces(&trace, &again).is_identical());
     }
 }

@@ -66,12 +66,6 @@ impl OracleKind {
         }
     }
 
-    /// Parses [`OracleKind::name`] output.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == name)
-    }
-
     /// Stable code for dedup keys.
     #[must_use]
     pub fn code(self) -> u64 {

@@ -1,9 +1,11 @@
 //! Replayable repro files.
 //!
 //! A finding the fuzzer shrinks is persisted as a flat `key = value` file
-//! (a strict TOML subset, hand-rolled because the build is offline and the
-//! workspace vendors no TOML crate) plus the flight-recorder trace of the
-//! shrunk run. Floats are written with `{:?}` so the round-trip is
+//! plus the flight-recorder trace of the shrunk run. The file is the same
+//! TOML subset as `.scn` scenarios, read by the same reader
+//! ([`adas_codec::text`]): strings are written with its `quote`, and a
+//! duplicate, unknown or missing key is an error at its line. Floats are
+//! written with `{:?}` and seeds as `u64` text, so the round-trip is
 //! bit-exact; [`Repro::verify`] re-runs the case and demands the same
 //! oracle family fires, the behavioural signature matches, and — when the
 //! trace is present — the fresh run is bit-identical to the recording.
@@ -11,6 +13,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use adas_codec::text::{keyword_of, quote, Document, TextError};
 use adas_recorder::{diff_traces, Trace};
 
 use crate::case::FuzzCase;
@@ -36,74 +39,19 @@ pub struct Repro {
     pub trace_file: Option<String>,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
+/// Each `fault` value's spelling.
+const FAULTS: [(&str, Option<FaultType>); 4] = [
+    ("none", None),
+    ("RelativeDistance", Some(FaultType::RelativeDistance)),
+    ("DesiredCurvature", Some(FaultType::DesiredCurvature)),
+    ("Mixed", Some(FaultType::Mixed)),
+];
 
-fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            other => return Err(format!("bad escape \\{other:?}")),
-        }
-    }
-    Ok(out)
-}
-
-fn fault_name(fault: Option<FaultType>) -> &'static str {
-    match fault {
-        None => "none",
-        Some(FaultType::RelativeDistance) => "RelativeDistance",
-        Some(FaultType::DesiredCurvature) => "DesiredCurvature",
-        Some(FaultType::Mixed) => "Mixed",
-    }
-}
-
-fn parse_fault(name: &str) -> Result<Option<FaultType>, String> {
-    match name {
-        "none" => Ok(None),
-        "RelativeDistance" => Ok(Some(FaultType::RelativeDistance)),
-        "DesiredCurvature" => Ok(Some(FaultType::DesiredCurvature)),
-        "Mixed" => Ok(Some(FaultType::Mixed)),
-        other => Err(format!("unknown fault {other:?}")),
-    }
-}
-
-fn parse_scenario(name: &str) -> Result<ScenarioId, String> {
-    ScenarioId::ALL
-        .into_iter()
-        .find(|s| s.label() == name)
-        .ok_or_else(|| format!("unknown scenario {name:?}"))
-}
-
-fn parse_position(name: &str) -> Result<InitialPosition, String> {
-    match name {
-        "Near" => Ok(InitialPosition::Near),
-        "Far" => Ok(InitialPosition::Far),
-        other => Err(format!("unknown position {other:?}")),
-    }
-}
+/// Each `position` value's spelling.
+const POSITIONS: [(&str, InitialPosition); 2] = [
+    ("Near", InitialPosition::Near),
+    ("Far", InitialPosition::Far),
+];
 
 impl Repro {
     /// Stable file stem: oracle family plus the case fingerprint, so two
@@ -121,18 +69,22 @@ impl Repro {
             s,
             "# adas-fuzz repro v1 — replay with `adas-fuzz replay <this file>`"
         );
-        let _ = writeln!(s, "oracle = \"{}\"", self.oracle.name());
+        let _ = writeln!(s, "oracle = {}", quote(self.oracle.name()));
         let _ = writeln!(s, "seed = {}", self.seed);
         let _ = writeln!(s, "signature = {}", self.signature);
-        let _ = writeln!(s, "detail = \"{}\"", escape(&self.detail));
+        let _ = writeln!(s, "detail = {}", quote(&self.detail));
         if let Some(tf) = &self.trace_file {
-            let _ = writeln!(s, "trace_file = \"{}\"", escape(tf));
+            let _ = writeln!(s, "trace_file = {}", quote(tf));
         }
         let c = &self.case;
-        let _ = writeln!(s, "scenario = \"{}\"", c.scenario.label());
-        let _ = writeln!(s, "position = \"{}\"", position_name(c.position));
+        let _ = writeln!(s, "scenario = {}", quote(c.scenario.label()));
+        let _ = writeln!(
+            s,
+            "position = {}",
+            quote(keyword_of(&POSITIONS, &c.position))
+        );
         let _ = writeln!(s, "iv_row = {}", c.iv_row);
-        let _ = writeln!(s, "fault = \"{}\"", fault_name(c.fault));
+        let _ = writeln!(s, "fault = {}", quote(keyword_of(&FAULTS, &c.fault)));
         let _ = writeln!(s, "repetition = {}", c.repetition);
         let _ = writeln!(s, "ego_speed_delta = {:?}", c.ego_speed_delta);
         let _ = writeln!(s, "friction = {:?}", c.friction);
@@ -145,73 +97,49 @@ impl Repro {
         s
     }
 
-    /// Parses the flat TOML subset produced by [`Repro::to_toml`].
+    /// Parses the flat TOML subset produced by [`Repro::to_toml`]. Every
+    /// key is required except `trace_file`; a duplicate or unknown key is
+    /// an error.
     pub fn from_toml(text: &str) -> Result<Self, String> {
-        let mut get = std::collections::BTreeMap::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            get.insert(key.trim().to_owned(), value.trim().to_owned());
-        }
-        let text_of = |key: &str| -> Result<String, String> {
-            let raw = get.get(key).ok_or_else(|| format!("missing key {key:?}"))?;
-            let inner = raw
-                .strip_prefix('"')
-                .and_then(|r| r.strip_suffix('"'))
-                .ok_or_else(|| format!("{key}: expected a quoted string, got {raw}"))?;
-            unescape(inner)
-        };
-        let f64_of = |key: &str| -> Result<f64, String> {
-            get.get(key)
-                .ok_or_else(|| format!("missing key {key:?}"))?
-                .parse::<f64>()
-                .map_err(|e| format!("{key}: {e}"))
-        };
-        let int_of = |key: &str| -> Result<u64, String> {
-            get.get(key)
-                .ok_or_else(|| format!("missing key {key:?}"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{key}: {e}"))
-        };
+        Self::read(text).map_err(|e| e.to_string())
+    }
 
-        let oracle_name = text_of("oracle")?;
-        let oracle = OracleKind::from_name(&oracle_name)
-            .ok_or_else(|| format!("unknown oracle {oracle_name:?}"))?;
+    fn read(text: &str) -> Result<Self, TextError> {
+        let root = Document::parse(text)?.into_root()?;
+        let mut f = root.fields();
+        let oracles = OracleKind::ALL.map(|o| (o.name(), o));
+        let scenarios = ScenarioId::ALL.map(|s| (s.label(), s));
+        let oracle = f.required("oracle")?.keyword("oracle", &oracles)?;
+        let seed = f.required("seed")?.parse("a u64")?;
+        let signature = f.required("signature")?.parse("a u64")?;
+        let detail = f.required("detail")?.string()?.to_owned();
+        let trace_file = f
+            .optional("trace_file")
+            .map(|e| e.string().map(str::to_owned))
+            .transpose()?;
         let case = FuzzCase {
-            scenario: parse_scenario(&text_of("scenario")?)?,
-            position: parse_position(&text_of("position")?)?,
-            iv_row: usize::try_from(int_of("iv_row")?).map_err(|e| e.to_string())?,
-            fault: parse_fault(&text_of("fault")?)?,
-            repetition: u32::try_from(int_of("repetition")?).map_err(|e| e.to_string())?,
-            ego_speed_delta: f64_of("ego_speed_delta")?,
-            friction: f64_of("friction")?,
-            attack_start_offset: f64_of("attack_start_offset")?,
-            attack_duration: f64_of("attack_duration")?,
-            attack_intensity: f64_of("attack_intensity")?,
-            attack_direction: f64_of("attack_direction")?,
-            trigger_offset: f64_of("trigger_offset")?,
-            // Absent in pre-scheduler repro files: default to the paper's
-            // immediate attack so committed findings keep replaying.
-            sched_ttc: match get.get("sched_ttc") {
-                Some(_) => f64_of("sched_ttc")?,
-                None => 0.0,
-            },
+            scenario: f.required("scenario")?.keyword("scenario", &scenarios)?,
+            position: f.required("position")?.keyword("position", &POSITIONS)?,
+            iv_row: f.required("iv_row")?.parse("an index")?,
+            fault: f.required("fault")?.keyword("fault", &FAULTS)?,
+            repetition: f.required("repetition")?.parse("a u32")?,
+            ego_speed_delta: f.required("ego_speed_delta")?.parse("a number")?,
+            friction: f.required("friction")?.parse("a number")?,
+            attack_start_offset: f.required("attack_start_offset")?.parse("a number")?,
+            attack_duration: f.required("attack_duration")?.parse("a number")?,
+            attack_intensity: f.required("attack_intensity")?.parse("a number")?,
+            attack_direction: f.required("attack_direction")?.parse("a number")?,
+            trigger_offset: f.required("trigger_offset")?.parse("a number")?,
+            sched_ttc: f.required("sched_ttc")?.parse("a number")?,
         };
+        f.finish()?;
         Ok(Repro {
             case,
-            seed: int_of("seed")?,
+            seed,
             oracle,
-            detail: text_of("detail")?,
-            signature: int_of("signature")?,
-            trace_file: match get.get("trace_file") {
-                Some(_) => Some(text_of("trace_file")?),
-                None => None,
-            },
+            detail,
+            signature,
+            trace_file,
         })
     }
 
@@ -274,13 +202,6 @@ impl Repro {
     }
 }
 
-fn position_name(p: InitialPosition) -> &'static str {
-    match p {
-        InitialPosition::Near => "Near",
-        InitialPosition::Far => "Far",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,19 +257,23 @@ mod tests {
     }
 
     #[test]
-    fn pre_scheduler_repro_files_still_parse() {
-        // A file written before the `sched_ttc` key existed must load with
-        // the immediate-attack default, not error.
-        let r = sample();
-        let legacy: String = r
-            .to_toml()
+    fn duplicate_unknown_and_missing_keys_are_errors() {
+        let good = sample().to_toml();
+        let duplicate = format!("{good}seed = 7\n");
+        let err = Repro::from_toml(&duplicate).unwrap_err();
+        assert!(err.contains("duplicate key `seed`"), "{err}");
+        let unknown = format!("{good}colour = \"red\"\n");
+        let err = Repro::from_toml(&unknown).unwrap_err();
+        assert!(err.contains("unknown key `colour`"), "{err}");
+        // Every committed repro carries `sched_ttc`; a file without it is
+        // malformed, not a pre-scheduler default.
+        let missing: String = good
             .lines()
             .filter(|l| !l.starts_with("sched_ttc"))
             .map(|l| format!("{l}\n"))
             .collect();
-        let parsed = Repro::from_toml(&legacy).unwrap();
-        assert_eq!(parsed.case.sched_ttc, 0.0);
-        assert_eq!(parsed, r);
+        let err = Repro::from_toml(&missing).unwrap_err();
+        assert!(err.contains("missing `sched_ttc`"), "{err}");
     }
 
     #[test]

@@ -23,10 +23,15 @@
 //! scenario that mirrors a hard-coded constructor's draw order is
 //! *bit-identical* to it.
 //!
+//! The text is split into tables by the workspace's one text reader
+//! ([`adas_codec::text`], shared with fuzz repro files), and each spec is
+//! built directly from its table: a duplicate key, an unknown key or a
+//! missing one is reported at its own line (or its table's header).
 //! Parsing never panics: malformed input yields a typed [`ScnError`]
 //! carrying the offending line number.
 
 use crate::scenario::{InitialPosition, ScenarioId, ScenarioSetup};
+use adas_codec::text::{keyword_of, quote, Document, Entry, Table, Value};
 use adas_codec::Fingerprint;
 use adas_simulator::{
     units::mph, DeterministicRng, FrictionZone, Npc, NpcBehavior, NpcPlan, NpcTrigger, RoadBuilder,
@@ -52,31 +57,9 @@ const RESERVED_NAMES: [&str; 8] = [
     "pos",
 ];
 
-/// A parse or compile error, anchored to a line of the source document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScnError {
-    /// 1-based line number in the `.scn` source.
-    pub line: usize,
-    /// Human-readable description of what went wrong.
-    pub message: String,
-}
-
-impl ScnError {
-    fn new(line: usize, message: impl Into<String>) -> Self {
-        Self {
-            line,
-            message: message.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for ScnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ScnError {}
+/// A parse or compile error, anchored to a 1-based line of the source
+/// document: the text reader's error type.
+pub use adas_codec::text::TextError as ScnError;
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -98,23 +81,13 @@ enum Func {
     Pos,
 }
 
-impl Func {
-    fn arity(self) -> usize {
-        match self {
-            Func::Mph | Func::Gauss => 1,
-            Func::Uniform | Func::Pos => 2,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Func::Mph => "mph",
-            Func::Gauss => "gauss",
-            Func::Uniform => "uniform",
-            Func::Pos => "pos",
-        }
-    }
-}
+/// Each builtin function's name and arity.
+const FUNCS: [(&str, Func, usize); 4] = [
+    ("mph", Func::Mph, 1),
+    ("gauss", Func::Gauss, 1),
+    ("uniform", Func::Uniform, 2),
+    ("pos", Func::Pos, 2),
+];
 
 #[derive(Debug, Clone, PartialEq)]
 enum Expr {
@@ -194,32 +167,16 @@ fn tokenize(src: &str, line: usize) -> Result<Vec<Token>, ScnError> {
         let c = bytes[i] as char;
         match c {
             ' ' | '\t' => i += 1,
-            '+' => {
-                tokens.push(Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                tokens.push(Token::Minus);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '/' => {
-                tokens.push(Token::Slash);
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token::Comma);
+            '+' | '-' | '*' | '/' | '(' | ')' | ',' => {
+                tokens.push(match c {
+                    '+' => Token::Plus,
+                    '-' => Token::Minus,
+                    '*' => Token::Star,
+                    '/' => Token::Slash,
+                    '(' => Token::LParen,
+                    ')' => Token::RParen,
+                    _ => Token::Comma,
+                });
                 i += 1;
             }
             '0'..='9' | '.' => {
@@ -348,17 +305,11 @@ impl ExprParser<'_> {
             Some(Token::Ident(name)) => {
                 if matches!(self.peek(), Some(Token::LParen)) {
                     self.pos += 1;
-                    let func = match name.as_str() {
-                        "mph" => Func::Mph,
-                        "gauss" => Func::Gauss,
-                        "uniform" => Func::Uniform,
-                        "pos" => Func::Pos,
-                        other => {
-                            return Err(ScnError::new(
-                                self.line,
-                                format!("unknown function `{other}`"),
-                            ));
-                        }
+                    let Some(&(_, func, arity)) = FUNCS.iter().find(|f| f.0 == name) else {
+                        return Err(ScnError::new(
+                            self.line,
+                            format!("unknown function `{name}`"),
+                        ));
                     };
                     let mut args = Vec::new();
                     if matches!(self.peek(), Some(Token::RParen)) {
@@ -378,15 +329,10 @@ impl ExprParser<'_> {
                             }
                         }
                     }
-                    if args.len() != func.arity() {
+                    if args.len() != arity {
                         return Err(ScnError::new(
                             self.line,
-                            format!(
-                                "`{}` takes {} argument(s), got {}",
-                                func.name(),
-                                func.arity(),
-                                args.len()
-                            ),
+                            format!("`{name}` takes {arity} argument(s), got {}", args.len()),
                         ));
                     }
                     Ok(Expr::Call(func, args))
@@ -644,180 +590,46 @@ pub struct ScenarioDoc {
 // Document parsing
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Section {
-    None,
-    Scenario,
-    Vars,
-    Road,
-    RoadSegment,
-    Npc,
-    Phase,
-    Patch,
-    Friction,
-}
+/// The behaviour parameters a `[[npc.phase]]` may carry.
+const PHASE_PARAMS: [&str; 5] = ["target", "rate", "decel", "target_d", "duration"];
 
-#[derive(Default)]
-struct PartialRoad {
-    header_line: usize,
-    kind: Option<(RoadKind, usize)>,
-    length: Option<f64>,
-    lane_width: Option<f64>,
-    lane_count: Option<u8>,
-}
-
-struct PartialSegment {
-    header_line: usize,
-    length: Option<f64>,
-    radius: Option<f64>,
-    curvature: Option<f64>,
-    friction: Option<f64>,
-}
-
-struct PartialNpc {
-    header_line: usize,
-    s: Option<ExprField>,
-    d: Option<ExprField>,
-    speed: Option<ExprField>,
-    phases: Vec<PartialPhase>,
-}
-
-struct PartialPhase {
-    header_line: usize,
-    trigger: Option<TriggerKind>,
-    threshold: Option<ExprField>,
-    behavior: Option<(String, usize)>,
-    target: Option<ExprField>,
-    rate: Option<ExprField>,
-    decel: Option<ExprField>,
-    target_d: Option<ExprField>,
-    duration: Option<ExprField>,
-}
-
-struct PartialZone {
-    header_line: usize,
-    start_s: Option<f64>,
-    end_s: Option<f64>,
-    scale: Option<f64>,
-}
-
-/// Strips a `#` comment that sits outside any quoted string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_quote = false;
-    let mut escaped = false;
-    for (i, c) in line.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quote => escaped = true,
-            '"' => in_quote = !in_quote,
-            '#' if !in_quote => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// Unescapes a quoted string body (only `\"` and `\\` are recognised).
-fn unquote(value: &str, line: usize) -> Result<String, ScnError> {
-    let inner = &value[1..];
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    loop {
-        match chars.next() {
-            Some('"') => {
-                let rest: String = chars.collect();
-                if !rest.trim().is_empty() {
-                    return Err(ScnError::new(line, "trailing text after closing quote"));
-                }
-                return Ok(out);
-            }
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                _ => return Err(ScnError::new(line, "unsupported escape sequence")),
-            },
-            Some(c) => out.push(c),
-            None => return Err(ScnError::new(line, "unterminated string")),
-        }
-    }
-}
-
-enum Value {
-    Str(String),
-    Bare(String),
-}
-
-fn parse_value(raw: &str, line: usize) -> Result<Value, ScnError> {
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return Err(ScnError::new(line, "missing value after `=`"));
-    }
-    if raw.starts_with('"') {
-        Ok(Value::Str(unquote(raw, line)?))
-    } else {
-        Ok(Value::Bare(raw.to_string()))
-    }
-}
-
-fn bare_number(text: &str, line: usize) -> Result<f64, ScnError> {
-    let v: f64 = text
-        .trim()
-        .parse()
-        .map_err(|_| ScnError::new(line, format!("expected a number, got `{}`", text.trim())))?;
+/// A bare, finite number.
+fn number(entry: &Entry) -> Result<f64, ScnError> {
+    let v: f64 = entry.parse("a number")?;
     if !v.is_finite() {
-        return Err(ScnError::new(line, "number must be finite"));
+        return Err(ScnError::new(entry.line, "number must be finite"));
     }
     Ok(v)
 }
 
-/// Parses a numeric field value: a bare number or a quoted expression.
-fn expr_field(value: Value, line: usize) -> Result<ExprField, ScnError> {
-    match value {
-        Value::Bare(text) => {
-            let v = bare_number(&text, line)?;
-            Ok(ExprField {
-                expr: Expr::Num(v),
-                src: text.trim().to_string(),
-                quoted: false,
-                line,
-            })
-        }
-        Value::Str(src) => {
-            let expr = parse_expression(&src, line)?;
-            Ok(ExprField {
-                expr,
-                src,
-                quoted: true,
-                line,
-            })
-        }
-    }
+/// A numeric field: a bare number or a quoted expression.
+fn expr_field(entry: &Entry) -> Result<ExprField, ScnError> {
+    let (expr, src, quoted) = match &entry.value {
+        Value::Bare(text) => (Expr::Num(number(entry)?), text, false),
+        Value::Str(src) => (parse_expression(src, entry.line)?, src, true),
+    };
+    Ok(ExprField {
+        expr,
+        src: src.clone(),
+        quoted,
+        line: entry.line,
+    })
 }
 
-fn number_field(value: Value, line: usize) -> Result<f64, ScnError> {
-    match value {
-        Value::Bare(text) => bare_number(&text, line),
-        Value::Str(_) => Err(ScnError::new(line, "expected a number, not a string")),
-    }
-}
+/// `[road] kind` keywords.
+const ROAD_KINDS: [(&str, RoadKind); 4] = [
+    ("position", RoadKind::Position),
+    ("straight", RoadKind::Straight),
+    ("curvy", RoadKind::Curvy),
+    ("segments", RoadKind::Segments),
+];
 
-fn string_field(value: Value, line: usize) -> Result<String, ScnError> {
-    match value {
-        Value::Str(s) => Ok(s),
-        Value::Bare(_) => Err(ScnError::new(line, "expected a quoted string")),
-    }
-}
-
-fn set_once<T>(slot: &mut Option<T>, value: T, key: &str, line: usize) -> Result<(), ScnError> {
-    if slot.is_some() {
-        return Err(ScnError::new(line, format!("duplicate key `{key}`")));
-    }
-    *slot = Some(value);
-    Ok(())
-}
+/// `[[npc.phase]] trigger` keywords.
+const TRIGGERS: [(&str, TriggerKind); 3] = [
+    ("immediately", TriggerKind::Immediately),
+    ("at_time", TriggerKind::AtTime),
+    ("gap_below", TriggerKind::GapBelow),
+];
 
 fn is_ident(name: &str) -> bool {
     let mut chars = name.chars();
@@ -825,631 +637,285 @@ fn is_ident(name: &str) -> bool {
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
+fn vars(table: &Table) -> Result<Vec<(String, ExprField)>, ScnError> {
+    table
+        .entries
+        .iter()
+        .map(|e| {
+            if !is_ident(&e.key) {
+                return Err(ScnError::new(
+                    e.line,
+                    format!("invalid variable name `{}`", e.key),
+                ));
+            }
+            if RESERVED_NAMES.contains(&e.key.as_str()) {
+                return Err(ScnError::new(
+                    e.line,
+                    format!("variable name `{}` is reserved", e.key),
+                ));
+            }
+            Ok((e.key.clone(), expr_field(e)?))
+        })
+        .collect()
+}
+
+fn segment(table: &Table) -> Result<SegmentSpec, ScnError> {
+    let mut f = table.fields();
+    let length = number(f.required("length")?)?;
+    let radius = f.optional("radius").map(number).transpose()?;
+    let curvature = f.optional("curvature").map(number).transpose()?;
+    let friction = f.optional("friction").map(number).transpose()?;
+    f.finish()?;
+    let fail = |message: &str| Err(ScnError::new(table.line, message));
+    if length <= 0.0 {
+        return fail("segment length must be positive");
+    }
+    if radius.is_some() && curvature.is_some() {
+        return fail("segment takes `radius` or `curvature`, not both");
+    }
+    if radius == Some(0.0) {
+        return fail("radius must be non-zero");
+    }
+    if curvature == Some(0.0) {
+        return fail("zero curvature: omit the key for a straight segment");
+    }
+    if friction.is_some_and(|f| f <= 0.0 || f > 10.0) {
+        return fail("segment friction must be in (0, 10]");
+    }
+    Ok(SegmentSpec {
+        length,
+        radius,
+        curvature,
+        friction,
+    })
+}
+
+fn road(table: &Table, segment_tables: &[&Table]) -> Result<RoadSpec, ScnError> {
+    let mut f = table.fields();
+    let kind_entry = f.required("kind")?;
+    let kind = kind_entry.keyword("road kind", &ROAD_KINDS)?;
+    let length = f.optional("length").map(number).transpose()?;
+    let lane_width = f.optional("lane_width").map(number).transpose()?;
+    let lane_count = f.optional("lane_count").map(|e| {
+        let n = number(e)?;
+        if n.fract() != 0.0 || !(1.0..=8.0).contains(&n) {
+            return Err(ScnError::new(
+                e.line,
+                "lane_count must be an integer in 1..=8",
+            ));
+        }
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        Ok(n as u8)
+    });
+    let lane_count = lane_count.transpose()?;
+    f.finish()?;
+
+    let fail = |line: usize, message: &str| Err(ScnError::new(line, message));
+    let kind_line = kind_entry.line;
+    if let Some(t) = segment_tables
+        .first()
+        .filter(|_| kind != RoadKind::Segments)
+    {
+        return fail(t.line, "[[road.segment]] requires `kind = \"segments\"`");
+    }
+    let segments: Vec<_> = segment_tables
+        .iter()
+        .map(|t| segment(t))
+        .collect::<Result<_, _>>()?;
+    match kind {
+        RoadKind::Position => {
+            if length.is_some() || lane_width.is_some() || lane_count.is_some() {
+                return fail(kind_line, "`position` roads take no length/lane overrides");
+            }
+        }
+        RoadKind::Straight | RoadKind::Curvy => match length {
+            None => return fail(kind_line, "missing road `length`"),
+            Some(len) if len <= 0.0 => return fail(kind_line, "road `length` must be positive"),
+            Some(_) => {}
+        },
+        RoadKind::Segments => {
+            if length.is_some() {
+                return fail(
+                    kind_line,
+                    "`segments` roads derive length from their segments",
+                );
+            }
+            if segments.is_empty() {
+                return fail(
+                    kind_line,
+                    "`segments` road needs at least one [[road.segment]]",
+                );
+            }
+        }
+    }
+    if lane_width.is_some_and(|w| w <= 0.0) {
+        return fail(table.line, "lane_width must be positive");
+    }
+    Ok(RoadSpec {
+        kind,
+        length,
+        lane_width,
+        lane_count,
+        segments,
+    })
+}
+
+fn npc(table: &Table) -> Result<NpcSpec, ScnError> {
+    let mut f = table.fields();
+    let spec = NpcSpec {
+        s: expr_field(f.required("s")?)?,
+        d: expr_field(f.required("d")?)?,
+        speed: expr_field(f.required("speed")?)?,
+        phases: Vec::new(),
+    };
+    f.finish()?;
+    Ok(spec)
+}
+
+fn phase(table: &Table) -> Result<PhaseSpec, ScnError> {
+    let mut f = table.fields();
+    let trigger = f.required("trigger")?.keyword("trigger", &TRIGGERS)?;
+    let threshold = f.optional("threshold").map(expr_field).transpose()?;
+    match (trigger, &threshold) {
+        (TriggerKind::Immediately, Some(t)) => {
+            return Err(ScnError::new(t.line, "`immediately` takes no `threshold`"));
+        }
+        (TriggerKind::AtTime | TriggerKind::GapBelow, None) => {
+            return Err(ScnError::new(table.line, "phase missing `threshold`"));
+        }
+        _ => {}
+    }
+    let behavior_entry = f.required("behavior")?;
+    let name = behavior_entry.string()?;
+    let mut param = |key: &str| match f.optional(key) {
+        Some(e) => expr_field(e),
+        None => Err(ScnError::new(
+            behavior_entry.line,
+            format!("{name} missing `{key}`"),
+        )),
+    };
+    let behavior = match name {
+        "set_speed" => BehaviorSpec::SetSpeed {
+            target: param("target")?,
+            rate: param("rate")?,
+        },
+        "stop" => BehaviorSpec::Stop {
+            decel: param("decel")?,
+        },
+        "move_lateral" => BehaviorSpec::MoveLateral {
+            target_d: param("target_d")?,
+            duration: param("duration")?,
+        },
+        other => {
+            return Err(ScnError::new(
+                behavior_entry.line,
+                format!("unknown behavior `{other}`"),
+            ));
+        }
+    };
+    if let Some(e) = f
+        .unused()
+        .filter(|e| PHASE_PARAMS.contains(&e.key.as_str()))
+    {
+        return Err(ScnError::new(
+            e.line,
+            format!("`{}` is not a `{name}` parameter", e.key),
+        ));
+    }
+    f.finish()?;
+    Ok(PhaseSpec {
+        trigger,
+        threshold,
+        behavior,
+    })
+}
+
+fn zone(table: &Table) -> Result<ZoneSpec, ScnError> {
+    let mut f = table.fields();
+    let start_s = number(f.required("start_s")?)?;
+    let end_s = number(f.required("end_s")?)?;
+    let scale = number(f.required("scale")?)?;
+    f.finish()?;
+    let fail = |message: &str| Err(ScnError::new(table.line, message));
+    if start_s < 0.0 || end_s <= start_s {
+        return fail("friction band needs 0 <= start_s < end_s");
+    }
+    if scale <= 0.0 || scale > 10.0 {
+        return fail("friction scale must be in (0, 10]");
+    }
+    Ok(ZoneSpec {
+        start_s,
+        end_s,
+        scale,
+    })
+}
+
 impl ScenarioDoc {
     /// Parses a `.scn` document. Never panics; every failure is a typed
     /// [`ScnError`] with the offending line number.
     pub fn parse(text: &str) -> Result<Self, ScnError> {
-        let mut section = Section::None;
-        let mut name: Option<String> = None;
-        let mut summary: Option<String> = None;
-        let mut ego_start_s: Option<ExprField> = None;
-        let mut ego_speed: Option<ExprField> = None;
-        let mut vars: Vec<(String, ExprField)> = Vec::new();
-        let mut road: Option<PartialRoad> = None;
-        let mut segments: Vec<PartialSegment> = Vec::new();
-        let mut npcs: Vec<PartialNpc> = Vec::new();
-        let mut patch: Option<(usize, Option<ExprField>)> = None;
-        let mut zones: Vec<PartialZone> = Vec::new();
-        let mut scenario_line = 0usize;
-        let mut vars_seen = false;
-
-        for (idx, raw_line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = strip_comment(raw_line).trim();
-            if line.is_empty() {
-                continue;
-            }
-
-            if let Some(header) = line.strip_prefix("[[") {
-                let Some(sect) = header.strip_suffix("]]") else {
-                    return Err(ScnError::new(lineno, "malformed section header"));
-                };
-                match sect.trim() {
-                    "road.segment" => {
-                        segments.push(PartialSegment {
-                            header_line: lineno,
-                            length: None,
-                            radius: None,
-                            curvature: None,
-                            friction: None,
-                        });
-                        section = Section::RoadSegment;
-                    }
-                    "npc" => {
-                        npcs.push(PartialNpc {
-                            header_line: lineno,
-                            s: None,
-                            d: None,
-                            speed: None,
-                            phases: Vec::new(),
-                        });
-                        section = Section::Npc;
-                    }
-                    "npc.phase" => {
-                        let Some(npc) = npcs.last_mut() else {
-                            return Err(ScnError::new(lineno, "[[npc.phase]] before any [[npc]]"));
-                        };
-                        npc.phases.push(PartialPhase {
-                            header_line: lineno,
-                            trigger: None,
-                            threshold: None,
-                            behavior: None,
-                            target: None,
-                            rate: None,
-                            decel: None,
-                            target_d: None,
-                            duration: None,
-                        });
-                        section = Section::Phase;
-                    }
-                    "friction" => {
-                        zones.push(PartialZone {
-                            header_line: lineno,
-                            start_s: None,
-                            end_s: None,
-                            scale: None,
-                        });
-                        section = Section::Friction;
-                    }
-                    other => {
+        let tables = Document::parse(text)?.into_sections()?;
+        let (mut scenario, mut road_table, mut patch_start_s) = (None, None, None);
+        let mut vars_list = Vec::new();
+        let mut segments = Vec::new();
+        let mut npcs: Vec<NpcSpec> = Vec::new();
+        let mut zones = Vec::new();
+        for table in &tables {
+            match (table.name.as_str(), table.array) {
+                ("scenario", false) => scenario = Some(table),
+                ("vars", false) => vars_list = vars(table)?,
+                ("road", false) => road_table = Some(table),
+                ("road.segment", true) => segments.push(table),
+                ("npc", true) => npcs.push(npc(table)?),
+                ("npc.phase", true) => {
+                    let Some(npc) = npcs.last_mut() else {
                         return Err(ScnError::new(
-                            lineno,
-                            format!("unknown section `[[{other}]]`"),
+                            table.line,
+                            "[[npc.phase]] before any [[npc]]",
                         ));
-                    }
+                    };
+                    npc.phases.push(phase(table)?);
                 }
-                continue;
-            }
-
-            if let Some(header) = line.strip_prefix('[') {
-                let Some(sect) = header.strip_suffix(']') else {
-                    return Err(ScnError::new(lineno, "malformed section header"));
-                };
-                section = match sect.trim() {
-                    "scenario" => {
-                        if scenario_line != 0 {
-                            return Err(ScnError::new(lineno, "duplicate [scenario] section"));
-                        }
-                        scenario_line = lineno;
-                        Section::Scenario
-                    }
-                    "vars" => {
-                        if vars_seen {
-                            return Err(ScnError::new(lineno, "duplicate [vars] section"));
-                        }
-                        vars_seen = true;
-                        Section::Vars
-                    }
-                    "road" => {
-                        if road.is_some() {
-                            return Err(ScnError::new(lineno, "duplicate [road] section"));
-                        }
-                        road = Some(PartialRoad {
-                            header_line: lineno,
-                            ..PartialRoad::default()
-                        });
-                        Section::Road
-                    }
-                    "patch" => {
-                        if patch.is_some() {
-                            return Err(ScnError::new(lineno, "duplicate [patch] section"));
-                        }
-                        patch = Some((lineno, None));
-                        Section::Patch
-                    }
-                    other => {
-                        return Err(ScnError::new(
-                            lineno,
-                            format!("unknown section `[{other}]`"),
-                        ));
-                    }
-                };
-                continue;
-            }
-
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(ScnError::new(lineno, "expected `key = value`"));
-            };
-            let key = key.trim();
-            let value = parse_value(value, lineno)?;
-
-            match section {
-                Section::None => {
-                    return Err(ScnError::new(lineno, "key outside any section"));
+                ("patch", false) => {
+                    let mut f = table.fields();
+                    patch_start_s = f.optional("start_s").map(expr_field).transpose()?;
+                    f.finish()?;
                 }
-                Section::Scenario => match key {
-                    "name" => set_once(&mut name, string_field(value, lineno)?, key, lineno)?,
-                    "summary" => set_once(&mut summary, string_field(value, lineno)?, key, lineno)?,
-                    "ego_start_s" => {
-                        set_once(&mut ego_start_s, expr_field(value, lineno)?, key, lineno)?;
-                    }
-                    "ego_speed" => {
-                        set_once(&mut ego_speed, expr_field(value, lineno)?, key, lineno)?;
-                    }
-                    other => {
-                        return Err(ScnError::new(
-                            lineno,
-                            format!("unknown key `{other}` in [scenario]"),
-                        ));
-                    }
-                },
-                Section::Vars => {
-                    if !is_ident(key) {
-                        return Err(ScnError::new(
-                            lineno,
-                            format!("invalid variable name `{key}`"),
-                        ));
-                    }
-                    if RESERVED_NAMES.contains(&key) {
-                        return Err(ScnError::new(
-                            lineno,
-                            format!("variable name `{key}` is reserved"),
-                        ));
-                    }
-                    if vars.iter().any(|(n, _)| n == key) {
-                        return Err(ScnError::new(lineno, format!("duplicate variable `{key}`")));
-                    }
-                    vars.push((key.to_string(), expr_field(value, lineno)?));
-                }
-                Section::Road => {
-                    let r = road.as_mut().expect("road section active");
-                    match key {
-                        "kind" => {
-                            if r.kind.is_some() {
-                                return Err(ScnError::new(lineno, "duplicate key `kind`"));
-                            }
-                            let text = string_field(value, lineno)?;
-                            let kind = match text.as_str() {
-                                "position" => RoadKind::Position,
-                                "straight" => RoadKind::Straight,
-                                "curvy" => RoadKind::Curvy,
-                                "segments" => RoadKind::Segments,
-                                other => {
-                                    return Err(ScnError::new(
-                                        lineno,
-                                        format!("unknown road kind `{other}`"),
-                                    ));
-                                }
-                            };
-                            r.kind = Some((kind, lineno));
-                        }
-                        "length" => {
-                            set_once(&mut r.length, number_field(value, lineno)?, key, lineno)?;
-                        }
-                        "lane_width" => {
-                            set_once(&mut r.lane_width, number_field(value, lineno)?, key, lineno)?;
-                        }
-                        "lane_count" => {
-                            let v = number_field(value, lineno)?;
-                            if v.fract() != 0.0 || !(1.0..=8.0).contains(&v) {
-                                return Err(ScnError::new(
-                                    lineno,
-                                    "lane_count must be an integer in 1..=8",
-                                ));
-                            }
-                            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                            set_once(&mut r.lane_count, v as u8, key, lineno)?;
-                        }
-                        other => {
-                            return Err(ScnError::new(
-                                lineno,
-                                format!("unknown key `{other}` in [road]"),
-                            ));
-                        }
-                    }
-                }
-                Section::RoadSegment => {
-                    let seg = segments.last_mut().expect("segment section active");
-                    match key {
-                        "length" => {
-                            set_once(&mut seg.length, number_field(value, lineno)?, key, lineno)?;
-                        }
-                        "radius" => {
-                            set_once(&mut seg.radius, number_field(value, lineno)?, key, lineno)?;
-                        }
-                        "curvature" => {
-                            set_once(
-                                &mut seg.curvature,
-                                number_field(value, lineno)?,
-                                key,
-                                lineno,
-                            )?;
-                        }
-                        "friction" => {
-                            set_once(&mut seg.friction, number_field(value, lineno)?, key, lineno)?;
-                        }
-                        other => {
-                            return Err(ScnError::new(
-                                lineno,
-                                format!("unknown key `{other}` in [[road.segment]]"),
-                            ));
-                        }
-                    }
-                }
-                Section::Npc => {
-                    let npc = npcs.last_mut().expect("npc section active");
-                    match key {
-                        "s" => set_once(&mut npc.s, expr_field(value, lineno)?, key, lineno)?,
-                        "d" => set_once(&mut npc.d, expr_field(value, lineno)?, key, lineno)?,
-                        "speed" => {
-                            set_once(&mut npc.speed, expr_field(value, lineno)?, key, lineno)?;
-                        }
-                        other => {
-                            return Err(ScnError::new(
-                                lineno,
-                                format!("unknown key `{other}` in [[npc]]"),
-                            ));
-                        }
-                    }
-                }
-                Section::Phase => {
-                    let phase = npcs
-                        .last_mut()
-                        .and_then(|n| n.phases.last_mut())
-                        .expect("phase section active");
-                    match key {
-                        "trigger" => {
-                            if phase.trigger.is_some() {
-                                return Err(ScnError::new(lineno, "duplicate key `trigger`"));
-                            }
-                            let text = string_field(value, lineno)?;
-                            phase.trigger = Some(match text.as_str() {
-                                "immediately" => TriggerKind::Immediately,
-                                "at_time" => TriggerKind::AtTime,
-                                "gap_below" => TriggerKind::GapBelow,
-                                other => {
-                                    return Err(ScnError::new(
-                                        lineno,
-                                        format!("unknown trigger `{other}`"),
-                                    ));
-                                }
-                            });
-                        }
-                        "threshold" => {
-                            set_once(
-                                &mut phase.threshold,
-                                expr_field(value, lineno)?,
-                                key,
-                                lineno,
-                            )?;
-                        }
-                        "behavior" => {
-                            if phase.behavior.is_some() {
-                                return Err(ScnError::new(lineno, "duplicate key `behavior`"));
-                            }
-                            let text = string_field(value, lineno)?;
-                            if !matches!(text.as_str(), "set_speed" | "stop" | "move_lateral") {
-                                return Err(ScnError::new(
-                                    lineno,
-                                    format!("unknown behavior `{text}`"),
-                                ));
-                            }
-                            phase.behavior = Some((text, lineno));
-                        }
-                        "target" => {
-                            set_once(&mut phase.target, expr_field(value, lineno)?, key, lineno)?;
-                        }
-                        "rate" => {
-                            set_once(&mut phase.rate, expr_field(value, lineno)?, key, lineno)?;
-                        }
-                        "decel" => {
-                            set_once(&mut phase.decel, expr_field(value, lineno)?, key, lineno)?;
-                        }
-                        "target_d" => {
-                            set_once(&mut phase.target_d, expr_field(value, lineno)?, key, lineno)?;
-                        }
-                        "duration" => {
-                            set_once(&mut phase.duration, expr_field(value, lineno)?, key, lineno)?;
-                        }
-                        other => {
-                            return Err(ScnError::new(
-                                lineno,
-                                format!("unknown key `{other}` in [[npc.phase]]"),
-                            ));
-                        }
-                    }
-                }
-                Section::Patch => {
-                    let p = patch.as_mut().expect("patch section active");
-                    match key {
-                        "start_s" => {
-                            if p.1.is_some() {
-                                return Err(ScnError::new(lineno, "duplicate key `start_s`"));
-                            }
-                            p.1 = Some(expr_field(value, lineno)?);
-                        }
-                        other => {
-                            return Err(ScnError::new(
-                                lineno,
-                                format!("unknown key `{other}` in [patch]"),
-                            ));
-                        }
-                    }
-                }
-                Section::Friction => {
-                    let z = zones.last_mut().expect("friction section active");
-                    match key {
-                        "start_s" => {
-                            set_once(&mut z.start_s, number_field(value, lineno)?, key, lineno)?;
-                        }
-                        "end_s" => {
-                            set_once(&mut z.end_s, number_field(value, lineno)?, key, lineno)?;
-                        }
-                        "scale" => {
-                            set_once(&mut z.scale, number_field(value, lineno)?, key, lineno)?;
-                        }
-                        other => {
-                            return Err(ScnError::new(
-                                lineno,
-                                format!("unknown key `{other}` in [[friction]]"),
-                            ));
-                        }
-                    }
+                ("friction", true) => zones.push(zone(table)?),
+                _ => {
+                    return Err(ScnError::new(
+                        table.line,
+                        format!("unknown section `{}`", table.header()),
+                    ));
                 }
             }
         }
 
-        // --- Finalise + validate -----------------------------------------
-        if scenario_line == 0 {
-            return Err(ScnError::new(1, "missing [scenario] section"));
-        }
-        let name = name.ok_or_else(|| ScnError::new(scenario_line, "missing `name`"))?;
-        let ego_start_s =
-            ego_start_s.ok_or_else(|| ScnError::new(scenario_line, "missing `ego_start_s`"))?;
-        let ego_speed =
-            ego_speed.ok_or_else(|| ScnError::new(scenario_line, "missing `ego_speed`"))?;
-
-        let road = {
-            let r = road.ok_or_else(|| ScnError::new(1, "missing [road] section"))?;
-            let (kind, kind_line) = r
-                .kind
-                .ok_or_else(|| ScnError::new(r.header_line, "missing `kind` in [road]"))?;
-            if kind != RoadKind::Segments {
-                if let Some(seg) = segments.first() {
-                    return Err(ScnError::new(
-                        seg.header_line,
-                        "[[road.segment]] requires `kind = \"segments\"`",
-                    ));
-                }
-            }
-            match kind {
-                RoadKind::Position => {
-                    if r.length.is_some() || r.lane_width.is_some() || r.lane_count.is_some() {
-                        return Err(ScnError::new(
-                            kind_line,
-                            "`position` roads take no length/lane overrides",
-                        ));
-                    }
-                }
-                RoadKind::Straight | RoadKind::Curvy => {
-                    let len = r
-                        .length
-                        .ok_or_else(|| ScnError::new(kind_line, "missing road `length`"))?;
-                    if len <= 0.0 {
-                        return Err(ScnError::new(kind_line, "road `length` must be positive"));
-                    }
-                }
-                RoadKind::Segments => {
-                    if r.length.is_some() {
-                        return Err(ScnError::new(
-                            kind_line,
-                            "`segments` roads derive length from their segments",
-                        ));
-                    }
-                    if segments.is_empty() {
-                        return Err(ScnError::new(
-                            kind_line,
-                            "`segments` road needs at least one [[road.segment]]",
-                        ));
-                    }
-                }
-            }
-            if let Some(w) = r.lane_width {
-                if w <= 0.0 {
-                    return Err(ScnError::new(r.header_line, "lane_width must be positive"));
-                }
-            }
-            let mut specs = Vec::with_capacity(segments.len());
-            for seg in &segments {
-                let length = seg
-                    .length
-                    .ok_or_else(|| ScnError::new(seg.header_line, "segment missing `length`"))?;
-                if length <= 0.0 {
-                    return Err(ScnError::new(
-                        seg.header_line,
-                        "segment length must be positive",
-                    ));
-                }
-                if seg.radius.is_some() && seg.curvature.is_some() {
-                    return Err(ScnError::new(
-                        seg.header_line,
-                        "segment takes `radius` or `curvature`, not both",
-                    ));
-                }
-                if seg.radius == Some(0.0) {
-                    return Err(ScnError::new(seg.header_line, "radius must be non-zero"));
-                }
-                if seg.curvature == Some(0.0) {
-                    return Err(ScnError::new(
-                        seg.header_line,
-                        "zero curvature: omit the key for a straight segment",
-                    ));
-                }
-                if let Some(f) = seg.friction {
-                    if f <= 0.0 || f > 10.0 {
-                        return Err(ScnError::new(
-                            seg.header_line,
-                            "segment friction must be in (0, 10]",
-                        ));
-                    }
-                }
-                specs.push(SegmentSpec {
-                    length,
-                    radius: seg.radius,
-                    curvature: seg.curvature,
-                    friction: seg.friction,
-                });
-            }
-            RoadSpec {
-                kind,
-                length: r.length,
-                lane_width: r.lane_width,
-                lane_count: r.lane_count,
-                segments: specs,
-            }
-        };
-
-        let mut npc_specs = Vec::with_capacity(npcs.len());
-        for npc in &npcs {
-            let s = npc
-                .s
-                .clone()
-                .ok_or_else(|| ScnError::new(npc.header_line, "npc missing `s`"))?;
-            let d = npc
-                .d
-                .clone()
-                .ok_or_else(|| ScnError::new(npc.header_line, "npc missing `d`"))?;
-            let speed = npc
-                .speed
-                .clone()
-                .ok_or_else(|| ScnError::new(npc.header_line, "npc missing `speed`"))?;
-            let mut phases = Vec::with_capacity(npc.phases.len());
-            for ph in &npc.phases {
-                let trigger = ph
-                    .trigger
-                    .ok_or_else(|| ScnError::new(ph.header_line, "phase missing `trigger`"))?;
-                match (trigger, &ph.threshold) {
-                    (TriggerKind::Immediately, Some(t)) => {
-                        return Err(ScnError::new(t.line, "`immediately` takes no `threshold`"));
-                    }
-                    (TriggerKind::AtTime | TriggerKind::GapBelow, None) => {
-                        return Err(ScnError::new(ph.header_line, "phase missing `threshold`"));
-                    }
-                    _ => {}
-                }
-                let (behavior_name, behavior_line) = ph
-                    .behavior
-                    .clone()
-                    .ok_or_else(|| ScnError::new(ph.header_line, "phase missing `behavior`"))?;
-                let reject = |slot: &Option<ExprField>, key: &str| -> Result<(), ScnError> {
-                    if let Some(f) = slot {
-                        return Err(ScnError::new(
-                            f.line,
-                            format!("`{key}` is not a `{behavior_name}` parameter"),
-                        ));
-                    }
-                    Ok(())
-                };
-                let behavior = match behavior_name.as_str() {
-                    "set_speed" => {
-                        reject(&ph.decel, "decel")?;
-                        reject(&ph.target_d, "target_d")?;
-                        reject(&ph.duration, "duration")?;
-                        BehaviorSpec::SetSpeed {
-                            target: ph.target.clone().ok_or_else(|| {
-                                ScnError::new(behavior_line, "set_speed missing `target`")
-                            })?,
-                            rate: ph.rate.clone().ok_or_else(|| {
-                                ScnError::new(behavior_line, "set_speed missing `rate`")
-                            })?,
-                        }
-                    }
-                    "stop" => {
-                        reject(&ph.target, "target")?;
-                        reject(&ph.rate, "rate")?;
-                        reject(&ph.target_d, "target_d")?;
-                        reject(&ph.duration, "duration")?;
-                        BehaviorSpec::Stop {
-                            decel: ph.decel.clone().ok_or_else(|| {
-                                ScnError::new(behavior_line, "stop missing `decel`")
-                            })?,
-                        }
-                    }
-                    "move_lateral" => {
-                        reject(&ph.target, "target")?;
-                        reject(&ph.rate, "rate")?;
-                        reject(&ph.decel, "decel")?;
-                        BehaviorSpec::MoveLateral {
-                            target_d: ph.target_d.clone().ok_or_else(|| {
-                                ScnError::new(behavior_line, "move_lateral missing `target_d`")
-                            })?,
-                            duration: ph.duration.clone().ok_or_else(|| {
-                                ScnError::new(behavior_line, "move_lateral missing `duration`")
-                            })?,
-                        }
-                    }
-                    _ => unreachable!("behavior validated at parse"),
-                };
-                phases.push(PhaseSpec {
-                    trigger,
-                    threshold: ph.threshold.clone(),
-                    behavior,
-                });
-            }
-            npc_specs.push(NpcSpec {
-                s,
-                d,
-                speed,
-                phases,
-            });
-        }
-        if npc_specs.is_empty() {
+        let scenario = scenario.ok_or_else(|| ScnError::new(1, "missing [scenario] section"))?;
+        let mut f = scenario.fields();
+        let name = f.required("name")?.string()?.to_owned();
+        let summary = f.optional("summary").map(Entry::string).transpose()?;
+        let ego_start_s = expr_field(f.required("ego_start_s")?)?;
+        let ego_speed = expr_field(f.required("ego_speed")?)?;
+        f.finish()?;
+        let road_table = road_table.ok_or_else(|| ScnError::new(1, "missing [road] section"))?;
+        let road = road(road_table, &segments)?;
+        if npcs.is_empty() {
             return Err(ScnError::new(
-                scenario_line,
+                scenario.line,
                 "scenario needs at least one [[npc]]",
             ));
         }
-
-        let mut zone_specs = Vec::with_capacity(zones.len());
-        for z in &zones {
-            let start_s = z
-                .start_s
-                .ok_or_else(|| ScnError::new(z.header_line, "friction band missing `start_s`"))?;
-            let end_s = z
-                .end_s
-                .ok_or_else(|| ScnError::new(z.header_line, "friction band missing `end_s`"))?;
-            let scale = z
-                .scale
-                .ok_or_else(|| ScnError::new(z.header_line, "friction band missing `scale`"))?;
-            if start_s < 0.0 || end_s <= start_s {
-                return Err(ScnError::new(
-                    z.header_line,
-                    "friction band needs 0 <= start_s < end_s",
-                ));
-            }
-            if scale <= 0.0 || scale > 10.0 {
-                return Err(ScnError::new(
-                    z.header_line,
-                    "friction scale must be in (0, 10]",
-                ));
-            }
-            zone_specs.push(ZoneSpec {
-                start_s,
-                end_s,
-                scale,
-            });
-        }
-
         Ok(Self {
             name,
-            summary: summary.unwrap_or_default(),
+            summary: summary.unwrap_or_default().to_owned(),
             road,
             ego_start_s,
             ego_speed,
-            vars,
-            npcs: npc_specs,
-            patch_start_s: patch.and_then(|(_, f)| f),
-            zones: zone_specs,
+            vars: vars_list,
+            npcs,
+            patch_start_s,
+            zones,
         })
     }
 
@@ -1459,62 +925,40 @@ impl ScenarioDoc {
     pub fn render(&self) -> String {
         fn field(out: &mut String, key: &str, f: &ExprField) {
             if f.quoted {
-                let escaped = f.src.replace('\\', "\\\\").replace('"', "\\\"");
-                let _ = writeln!(out, "{key} = \"{escaped}\"");
+                let _ = writeln!(out, "{key} = {}", quote(&f.src));
             } else {
                 let _ = writeln!(out, "{key} = {}", f.src);
             }
         }
-        fn num(out: &mut String, key: &str, v: f64) {
-            let _ = writeln!(out, "{key} = {v:?}");
+        fn num(out: &mut String, key: &str, v: Option<f64>) {
+            if let Some(v) = v {
+                let _ = writeln!(out, "{key} = {v:?}");
+            }
         }
 
         let mut out = String::new();
         out.push_str("[scenario]\n");
-        let _ = writeln!(
-            out,
-            "name = \"{}\"",
-            self.name.replace('\\', "\\\\").replace('"', "\\\"")
-        );
+        let _ = writeln!(out, "name = {}", quote(&self.name));
         if !self.summary.is_empty() {
-            let _ = writeln!(
-                out,
-                "summary = \"{}\"",
-                self.summary.replace('\\', "\\\\").replace('"', "\\\"")
-            );
+            let _ = writeln!(out, "summary = {}", quote(&self.summary));
         }
         field(&mut out, "ego_start_s", &self.ego_start_s);
         field(&mut out, "ego_speed", &self.ego_speed);
 
         out.push_str("\n[road]\n");
-        let kind = match self.road.kind {
-            RoadKind::Position => "position",
-            RoadKind::Straight => "straight",
-            RoadKind::Curvy => "curvy",
-            RoadKind::Segments => "segments",
-        };
+        let kind = keyword_of(&ROAD_KINDS, &self.road.kind);
         let _ = writeln!(out, "kind = \"{kind}\"");
-        if let Some(len) = self.road.length {
-            num(&mut out, "length", len);
-        }
-        if let Some(w) = self.road.lane_width {
-            num(&mut out, "lane_width", w);
-        }
+        num(&mut out, "length", self.road.length);
+        num(&mut out, "lane_width", self.road.lane_width);
         if let Some(n) = self.road.lane_count {
             let _ = writeln!(out, "lane_count = {n}");
         }
         for seg in &self.road.segments {
             out.push_str("\n[[road.segment]]\n");
-            num(&mut out, "length", seg.length);
-            if let Some(r) = seg.radius {
-                num(&mut out, "radius", r);
-            }
-            if let Some(k) = seg.curvature {
-                num(&mut out, "curvature", k);
-            }
-            if let Some(f) = seg.friction {
-                num(&mut out, "friction", f);
-            }
+            num(&mut out, "length", Some(seg.length));
+            num(&mut out, "radius", seg.radius);
+            num(&mut out, "curvature", seg.curvature);
+            num(&mut out, "friction", seg.friction);
         }
 
         if !self.vars.is_empty() {
@@ -1531,11 +975,7 @@ impl ScenarioDoc {
             field(&mut out, "speed", &npc.speed);
             for phase in &npc.phases {
                 out.push_str("\n[[npc.phase]]\n");
-                let trigger = match phase.trigger {
-                    TriggerKind::Immediately => "immediately",
-                    TriggerKind::AtTime => "at_time",
-                    TriggerKind::GapBelow => "gap_below",
-                };
+                let trigger = keyword_of(&TRIGGERS, &phase.trigger);
                 let _ = writeln!(out, "trigger = \"{trigger}\"");
                 if let Some(t) = &phase.threshold {
                     field(&mut out, "threshold", t);
@@ -1566,9 +1006,9 @@ impl ScenarioDoc {
 
         for z in &self.zones {
             out.push_str("\n[[friction]]\n");
-            num(&mut out, "start_s", z.start_s);
-            num(&mut out, "end_s", z.end_s);
-            num(&mut out, "scale", z.scale);
+            num(&mut out, "start_s", Some(z.start_s));
+            num(&mut out, "end_s", Some(z.end_s));
+            num(&mut out, "scale", Some(z.scale));
         }
 
         out
@@ -1590,23 +1030,11 @@ impl ScenarioDoc {
     ) -> Result<ScenarioSetup, ScnError> {
         // Road first: no randomness, so failures here cannot skew draws.
         let mut friction_zones = Vec::new();
-        let road = match self.road.kind {
-            RoadKind::Position => position.road(),
-            RoadKind::Straight | RoadKind::Curvy => {
-                let len = self.road.length.expect("validated at parse");
-                let mut b = if self.road.kind == RoadKind::Straight {
-                    RoadBuilder::straight_highway(len)
-                } else {
-                    RoadBuilder::curvy_highway(len)
-                };
-                if let Some(w) = self.road.lane_width {
-                    b = b.lane_width(w);
-                }
-                if let Some(n) = self.road.lane_count {
-                    b = b.lane_count(n);
-                }
-                b.build()
-            }
+        let length = || self.road.length.expect("validated at parse");
+        let builder = match self.road.kind {
+            RoadKind::Position => None,
+            RoadKind::Straight => Some(RoadBuilder::straight_highway(length())),
+            RoadKind::Curvy => Some(RoadBuilder::curvy_highway(length())),
             RoadKind::Segments => {
                 let mut b = RoadBuilder::new();
                 let mut cursor = 0.0;
@@ -1628,6 +1056,12 @@ impl ScenarioDoc {
                     }
                     cursor += seg.length;
                 }
+                Some(b)
+            }
+        };
+        let road = match builder {
+            None => position.road(),
+            Some(mut b) => {
                 if let Some(w) = self.road.lane_width {
                     b = b.lane_width(w);
                 }
@@ -1918,6 +1352,18 @@ speed = "mph(30.0)"
         let err = ScenarioDoc::parse(bad).unwrap_err();
         assert_eq!(err.line, 3);
         assert!(err.message.contains("duplicate key"));
+    }
+
+    #[test]
+    fn unknown_keys_are_reported_at_their_own_line() {
+        let bad = MINIMAL.replace("ego_start_s = 10.0", "ego_start_s = 10.0\ncolour = \"red\"");
+        let err = ScenarioDoc::parse(&bad).unwrap_err();
+        assert_eq!(err.line, 6);
+        assert!(err.message.contains("unknown key `colour` in [scenario]"));
+        let phase = "\n[[npc.phase]]\ntrigger = \"immediately\"\nbehavior = \"stop\"\ndecel = 4.0\nrate = 1.0\n";
+        let err = ScenarioDoc::parse(&format!("{MINIMAL}{phase}")).unwrap_err();
+        assert_eq!(err.line, MINIMAL.lines().count() + 6);
+        assert!(err.message.contains("`rate` is not a `stop` parameter"));
     }
 
     #[test]

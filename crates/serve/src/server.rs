@@ -23,7 +23,8 @@ use crate::sink::{self, StoreSink};
 use adas_bench::model_fingerprint;
 use adas_core::job::CellSpec;
 use adas_core::{
-    replay_trace, run_single, run_single_traced, ArtifactCache, CampaignSpec, CellStats, RunId,
+    replay_trace, run_single, run_single_traced, ArtifactCache, CampaignSpec, CellStats,
+    Fingerprint, RunId,
 };
 use adas_fuzz::farm::{self, FuzzJobSpec};
 use adas_ml::{LstmPredictor, ModelSpec};
@@ -100,7 +101,7 @@ pub struct Shared {
     trace_dir: PathBuf,
     /// Resident trained models, keyed by campaign seed (trained lazily on
     /// first use, then shared by `Arc` across all requests).
-    models: Mutex<HashMap<u64, Arc<LstmPredictor>>>,
+    models: Mutex<HashMap<u64, Resident>>,
     /// In-memory cell-result memo keyed by cell fingerprint — the warmest
     /// tier above the on-disk artifact cache.
     memo: Mutex<HashMap<u64, CellStats>>,
@@ -133,9 +134,9 @@ impl Shared {
     /// the artifact cache) on first use. Concurrent first calls may train
     /// twice; training is deterministic, so both produce identical weights
     /// and the loser just overwrites with an equal value.
-    fn model_for(&self, campaign_seed: u64) -> Arc<LstmPredictor> {
+    fn model_for(&self, campaign_seed: u64) -> Resident {
         if let Some(m) = self.models.lock().expect("models lock").get(&campaign_seed) {
-            return Arc::clone(m);
+            return m.clone();
         }
         let t0 = Instant::now();
         let model = Arc::new(adas_bench::trained_baseline_cached(
@@ -144,12 +145,24 @@ impl Shared {
             self.model_spec,
         ));
         self.metrics.model_train.record(t0.elapsed());
+        let resident = Resident {
+            fingerprint: model_fingerprint(&model),
+            model,
+        };
         self.models
             .lock()
             .expect("models lock")
-            .insert(campaign_seed, Arc::clone(&model));
-        model
+            .insert(campaign_seed, resident.clone());
+        resident
     }
+}
+
+/// A resident trained model and its weights fingerprint, hashed once when
+/// the model becomes resident rather than on every cell that uses it.
+#[derive(Debug, Clone)]
+struct Resident {
+    model: Arc<LstmPredictor>,
+    fingerprint: Fingerprint,
 }
 
 impl std::fmt::Debug for Shared {
@@ -370,11 +383,11 @@ fn compute_cell(
     spec: &CampaignSpec,
     cell: &CellSpec,
     ids: &[RunId],
-    model: Option<&Arc<LstmPredictor>>,
+    model: Option<&Resident>,
     job: &Arc<Job>,
 ) -> Option<CellStats> {
     let model_used = if cell.interventions.ml { model } else { None };
-    let key = spec.cell_key(cell, model_used.map(|m| model_fingerprint(m)));
+    let key = spec.cell_key(cell, model_used.map(|m| m.fingerprint));
 
     if let Some(stats) = shared.memo.lock().expect("memo lock").get(&key.value()) {
         shared
@@ -407,7 +420,7 @@ fn compute_cell(
         ids,
         cell.fault,
         &config,
-        model_used,
+        model_used.map(|m| &m.model),
         spec.campaign_seed,
         adas_parallel::batch_width(),
         &job.ctl,
@@ -890,12 +903,12 @@ fn run_one_cell(
         .ml
         .then(|| shared.model_for(campaign_seed));
     if with_trace {
-        let fp = model.as_ref().map_or(0, |m| model_fingerprint(m).value());
+        let fp = model.as_ref().map_or(0, |m| m.fingerprint.value());
         let (record, trace) = run_single_traced(
             run,
             cell.fault,
             &config,
-            model.as_ref(),
+            model.as_ref().map(|m| &m.model),
             fp,
             campaign_seed,
             RecordMode::Full,
@@ -905,7 +918,8 @@ fn run_one_cell(
             trace: Some(trace.to_bytes()),
         }
     } else {
-        let record = run_single(run, cell.fault, &config, model.as_ref(), campaign_seed);
+        let model = model.as_ref().map(|m| &m.model);
+        let record = run_single(run, cell.fault, &config, model, campaign_seed);
         Response::RunResult {
             record,
             trace: None,
@@ -932,17 +946,17 @@ fn verify_trace(shared: &Shared, trace_hex: &str) -> (ReplayOutcome, String) {
         Ok(t) => t,
         Err(e) => return (ReplayOutcome::Error, format!("cannot load trace: {e}")),
     };
-    // Supply the resident model when the recording demands one we have.
+    // Supply the resident model when the recording demands one we have,
+    // cloned out so the models lock is released before the replay runs.
     let needed = trace.header.model_fingerprint;
-    let models = shared.models.lock().expect("models lock");
-    let ml = (needed != 0)
-        .then(|| {
-            models
-                .values()
-                .find(|m| model_fingerprint(m).value() == needed)
-                .map(|m| (m, needed))
-        })
-        .flatten();
+    let resident = shared
+        .models
+        .lock()
+        .expect("models lock")
+        .values()
+        .find(|m| needed != 0 && m.fingerprint.value() == needed)
+        .cloned();
+    let ml = resident.as_ref().map(|m| (&m.model, needed));
     match replay_trace(&trace, ml, None) {
         Ok(report) if report.report.is_identical() => (ReplayOutcome::Identical, trace.identity()),
         Ok(report) => {
