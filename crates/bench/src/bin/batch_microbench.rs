@@ -1,6 +1,7 @@
 //! Microbenchmark for the batched execution path: the LSTM inference step
 //! across batch widths against its one-lane row (a single run's forward),
-//! split into its matvecs and its gate math; training BPTT per
+//! with its matvecs and its gate math each timed alone; the in-repo math
+//! functions against the host libm, per call; training BPTT per
 //! sample-step, the per-sample scalar reference against the sample-group
 //! panels `train` runs, split into forward matvec, gate math and
 //! backward; and runs stepped alone (`run_single`) vs lockstep
@@ -15,10 +16,11 @@ use adas_attack::FaultType;
 use adas_bench::CAMPAIGN_SEED;
 use adas_core::parallel::MapControl;
 use adas_core::{run_ids_ctl, run_single, InterventionConfig, PlatformConfig, RunId, TextTable};
-use adas_ml::linear::Kernel;
+use adas_ml::linear::{Kernel, Pass};
 use adas_ml::train::{backprop_group, Gradients, GroupScratch, Transposed};
 use adas_ml::{LstmPredictor, ModelSpec, Sample, FEATURE_DIM, WINDOW};
 use adas_scenarios::{InitialPosition, ScenarioId};
+use adas_simulator::math;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,6 +51,7 @@ fn fill_x(x: &mut [f64], lane_base: usize, step: usize) {
 /// Times `tick(t)` — one lockstep tick `t` over `width` lanes — in
 /// [`TRIALS`] trials of `BUDGET / TRIALS` each. Returns the fastest
 /// trial's ns per lane-step.
+#[inline(always)]
 fn ns_per_lane_step(width: usize, mut tick: impl FnMut(usize)) -> f64 {
     let mut best = f64::INFINITY;
     let mut t = 0;
@@ -105,6 +108,198 @@ fn lstm_matvec(model: &LstmPredictor, width: usize) -> f64 {
     });
     std::hint::black_box(sink);
     ns
+}
+
+/// The gate math alone: per tick, `Lstm::gate_math` of both layers over
+/// `z` panels recorded from the matvecs of a few warm-up steps. The gate
+/// math is branch-free, so its time does not depend on the values; each
+/// tick activates its panels in place again, with no copy to time.
+/// Returns ns per lane-step.
+fn lstm_gate_math(model: &LstmPredictor, width: usize) -> f64 {
+    let [l1, l2] = model.layers();
+    let mut state = model.batch_state(width);
+    let mut scratch = model.batch_scratch(width);
+    let mut x = vec![0.0f64; FEATURE_DIM * width];
+    for t in 0..8 {
+        fill_x(&mut x, 0, t);
+        model.step_batch(&x, &mut state, &mut scratch);
+    }
+    let (h1, h2) = (
+        vec![0.1f64; l1.hidden * width],
+        vec![0.1f64; l2.hidden * width],
+    );
+    let mut z1 = vec![0.0f64; 4 * l1.hidden * width];
+    let mut z2 = vec![0.0f64; 4 * l2.hidden * width];
+    l1.gates.forward_concat_batch(width, &x, &h1, &mut z1);
+    l2.gates.forward_concat_batch(width, &h1, &h2, &mut z2);
+    let (c1, c2) = (vec![0.3f64; h1.len()], vec![-0.3f64; h2.len()]);
+    let (mut h1_out, mut c1_out) = (vec![0.0f64; h1.len()], vec![0.0f64; h1.len()]);
+    let (mut h2_out, mut c2_out) = (vec![0.0f64; h2.len()], vec![0.0f64; h2.len()]);
+    let live = vec![true; width];
+    let kernel = Kernel::detect();
+    let mut sink = 0.0f64;
+    let ns = ns_per_lane_step(width, |_| {
+        l1.gate_math(kernel, width, &mut z1, &c1, &mut h1_out, &mut c1_out, &live);
+        l2.gate_math(kernel, width, &mut z2, &c2, &mut h2_out, &mut c2_out, &live);
+        sink += h1_out[0] + h2_out[0];
+    });
+    std::hint::black_box(sink);
+    ns
+}
+
+/// Inputs per math-function timing pass.
+const MATH_INPUTS: usize = 4096;
+
+/// ns per call of `f` over `inputs`, the fastest of [`TRIALS`] trials.
+fn ns_per_call(inputs: &[f64], f: impl Fn(f64) -> f64) -> f64 {
+    let mut sink = 0.0f64;
+    let ns = ns_per_lane_step(inputs.len(), |_| {
+        for &x in inputs {
+            sink += f(std::hint::black_box(x));
+        }
+    });
+    std::hint::black_box(sink);
+    ns
+}
+
+/// ns per value of a lane-block function over `inputs`, in blocks of 8,
+/// run on the CPU's fastest [`Kernel`] build (as the gate math runs it).
+fn ns_per_lane_value(inputs: &[f64], block: impl Fn(&mut [f64; 8])) -> f64 {
+    /// The timing loop as a kernel pass, so `block` is compiled into it.
+    struct Timing<'a, F> {
+        inputs: &'a [f64],
+        block: F,
+        ns: &'a mut f64,
+    }
+    impl<F: Fn(&mut [f64; 8])> Pass for Timing<'_, F> {
+        #[inline(always)]
+        fn run(self) {
+            let mut sink = 0.0f64;
+            *self.ns = ns_per_lane_step(self.inputs.len(), |_| {
+                for chunk in self.inputs.chunks_exact(8) {
+                    let mut values: [f64; 8] = chunk.try_into().expect("whole block");
+                    (self.block)(std::hint::black_box(&mut values));
+                    sink += values[0];
+                }
+            });
+            std::hint::black_box(sink);
+        }
+    }
+    let mut ns = 0.0;
+    Kernel::detect().run(Timing {
+        inputs,
+        block,
+        ns: &mut ns,
+    });
+    ns
+}
+
+/// Per-function cost of the in-repo math against the host libm: the
+/// scalar functions the simulator calls, and the lane-block activations
+/// the LSTM gate math runs. The std calls are the reference here, the
+/// one place they are allowed outside the accuracy tests.
+#[allow(clippy::disallowed_methods)]
+fn math_table() -> TextTable {
+    let spread = |lo: f64, hi: f64| -> Vec<f64> {
+        (0..MATH_INPUTS)
+            .map(|i| {
+                lo + (hi - lo) * ((i * 2_654_435_761) % MATH_INPUTS) as f64 / MATH_INPUTS as f64
+            })
+            .collect()
+    };
+    let gates = spread(-8.0, 8.0);
+    let angles = spread(-4.0, 4.0);
+    let small = spread(-0.3, 0.3);
+    let positive = spread(1e-3, 1.0);
+    let std_sigmoid = |x: f64| {
+        if x >= 0.0 {
+            1.0 / (1.0 + (-x).exp())
+        } else {
+            let e = x.exp();
+            e / (1.0 + e)
+        }
+    };
+    type Row<'a> = (
+        &'a str,
+        &'a [f64],
+        Box<dyn Fn(f64) -> f64>,
+        Box<dyn Fn(f64) -> f64>,
+    );
+    let rows: Vec<Row> = vec![
+        ("exp", &gates, Box::new(math::exp), Box::new(f64::exp)),
+        (
+            "expm1",
+            &gates,
+            Box::new(math::expm1),
+            Box::new(f64::exp_m1),
+        ),
+        ("ln", &positive, Box::new(math::ln), Box::new(f64::ln)),
+        (
+            "sigmoid",
+            &gates,
+            Box::new(math::sigmoid),
+            Box::new(std_sigmoid),
+        ),
+        ("tanh", &gates, Box::new(math::tanh), Box::new(f64::tanh)),
+        ("sin", &angles, Box::new(math::sin), Box::new(f64::sin)),
+        ("cos", &angles, Box::new(math::cos), Box::new(f64::cos)),
+        (
+            "sin_cos (sum)",
+            &angles,
+            Box::new(|x| {
+                let (s, c) = math::sin_cos(x);
+                s + c
+            }),
+            Box::new(|x: f64| {
+                let (s, c) = x.sin_cos();
+                s + c
+            }),
+        ),
+        ("tan", &small, Box::new(math::tan), Box::new(f64::tan)),
+        ("atan", &small, Box::new(math::atan), Box::new(f64::atan)),
+        (
+            "hypot",
+            &angles,
+            Box::new(|x| math::hypot(x, 3.0)),
+            Box::new(|x: f64| x.hypot(3.0)),
+        ),
+    ];
+    let mut table = TextTable::new([
+        "function",
+        "in-repo ns/call",
+        "std ns/call",
+        "in-repo / std",
+    ]);
+    for (name, inputs, ours, theirs) in rows {
+        let (a, b) = (ns_per_call(inputs, ours), ns_per_call(inputs, theirs));
+        table.row([
+            name.to_owned(),
+            format!("{a:.1}"),
+            format!("{b:.1}"),
+            format!("{:.2}x", a / b),
+        ]);
+    }
+    let lanes = [
+        (
+            "sigmoid_lanes (per value)",
+            ns_per_lane_value(&gates, math::sigmoid_lanes::<8>),
+            ns_per_call(&gates, std_sigmoid),
+        ),
+        (
+            "tanh_lanes (per value)",
+            ns_per_lane_value(&gates, math::tanh_lanes::<8>),
+            ns_per_call(&gates, f64::tanh),
+        ),
+    ];
+    for (name, a, b) in lanes {
+        table.row([
+            name.to_owned(),
+            format!("{a:.1}"),
+            format!("{b:.1}"),
+            format!("{:.2}x", a / b),
+        ]);
+    }
+    table
 }
 
 /// Training BPTT phases, each in ns per sample-step over groups of
@@ -290,20 +485,32 @@ fn main() {
     for width in WIDTHS {
         let b = lstm_batched(&model, width);
         let m = lstm_matvec(&model, width);
+        let g = lstm_gate_math(&model, width);
         let one = *one_lane.get_or_insert(b);
         table.row([
             format!("{width}"),
             format!("{b:.0}"),
             format!("{:.2}x", one / b),
             format!("{m:.0}"),
-            format!("{:.0}", b - m),
+            format!("{g:.0}"),
         ]);
     }
     println!("{}", table.render());
     println!(
         "\nstep: one step_batch over all lanes (width 1 is a single run's \
          forward); matvec: the batched gate and head matvecs alone; gate \
-         math: the step minus the matvec (per-lane exp/tanh and cell update)."
+         math: Lstm::gate_math of both layers alone (lane-block sigmoid/tanh \
+         and cell update), over recorded gate pre-activations."
+    );
+
+    println!("\n== Math functions: in-repo (adas_simulator::math) vs host libm ==\n");
+    println!("{}", math_table().render());
+    println!(
+        "\nScalar rows: ns per call over {MATH_INPUTS} inputs (gates: [-8, 8], \
+         angles: [-4, 4], tan/atan: [-0.3, 0.3], ln: (0, 1]), both sides \
+         through one boxed closure call; lane rows: ns per value of an \
+         8-value block on the CPU's fastest build, against the scalar std \
+         call."
     );
 
     println!("\n== Training BPTT per sample-step (ModelSpec::default, {GROUP}-sample groups) ==\n");

@@ -72,7 +72,7 @@ pub fn trained_baseline_cached(cache: &ArtifactCache, seed: u64, spec: ModelSpec
     let data = collect_training_data(seed, 1, 25);
     let tc = baseline_train_config();
     let key = Fingerprint::new()
-        .write_str("lstm-baseline-v2")
+        .write_str("lstm-baseline-v3")
         .write_u64(seed)
         .write(&spec)
         .write(&tc)

@@ -15,6 +15,7 @@
 
 use adas_codec::{Encode, Writer};
 use adas_perception::PerceptionFrame;
+use adas_simulator::math::atan;
 
 /// ALC tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +94,7 @@ impl AlcController {
     /// Computes the front-wheel steering command for one cycle.
     pub fn steer(&mut self, frame: &PerceptionFrame, dt: f64) -> f64 {
         let cfg = self.config;
-        let mut target = (cfg.wheelbase * frame.path_curvature()).atan();
+        let mut target = atan(cfg.wheelbase * frame.path_curvature());
         if cfg.aux_offset_gain != 0.0 {
             let aux = (-cfg.aux_offset_gain * frame.lanes.lateral_offset())
                 .clamp(-cfg.aux_feedback_limit, cfg.aux_feedback_limit);
@@ -136,14 +137,14 @@ mod tests {
         let mut alc = AlcController::new(AlcConfig::default());
         let kappa = 1.0 / 400.0;
         let steer = alc.steer(&frame(kappa, 0.0), 0.01);
-        assert!((steer - (2.7 * kappa).atan()).abs() < 1e-9);
+        assert!((steer - atan(2.7 * kappa)).abs() < 1e-9);
     }
 
     #[test]
     fn centering_adds_to_feedforward() {
         let mut alc = AlcController::new(AlcConfig::default());
         let steer = alc.steer(&frame(0.0, 0.005), 0.01);
-        assert!((steer - (2.7 * 0.005_f64).atan()).abs() < 1e-9);
+        assert!((steer - atan(2.7 * 0.005)).abs() < 1e-9);
     }
 
     #[test]
@@ -161,7 +162,7 @@ mod tests {
         let mut alc = AlcController::new(AlcConfig::default());
         let _ = alc.steer(&frame(0.0, 0.0), 0.01);
         let step = alc.steer(&frame(0.02, 0.0), 0.01);
-        let target = (2.7 * 0.02_f64).atan();
+        let target = atan(2.7 * 0.02);
         assert!(
             step < target * 0.5,
             "smoothing too weak: {step} vs {target}"

@@ -30,11 +30,10 @@
 //!    the slot refills with the next queued run whose ML panel column is
 //!    zeroed ([`adas_ml::BatchPredictorState::reset_lane`]) — the same
 //!    zero state a fresh run starts from. Retired / never-filled columns
-//!    still flow through the batched matvec (finite garbage no one reads,
-//!    and lanes never mix), but the per-lane gate transcendentals — the
-//!    dominant cost — are skipped for them
-//!    ([`adas_ml::BatchPredictorState::set_live`]), so a half-drained
-//!    batch costs what its live lanes cost.
+//!    still flow through the batched matvec and the branch-free gate math
+//!    (finite garbage no one reads, and lanes never mix); liveness
+//!    ([`adas_ml::BatchPredictorState::set_live`]) only masks the writes
+//!    of their new state.
 //!
 //! Results are keyed by run index and merged in order, so output is also
 //! independent of thread count and batch width.
@@ -103,8 +102,8 @@ struct MlPanels {
     model: Arc<LstmPredictor>,
     x: Vec<f64>,
     /// Hidden/cell panels plus per-lane liveness for the current tick:
-    /// only lanes with a pending ML input pay the gate transcendentals
-    /// (idle slots, drained chunk tails, and non-ML lanes are skipped).
+    /// only lanes with a pending ML input advance their state (idle slots,
+    /// drained chunk tails, and non-ML lanes keep theirs).
     state: BatchPredictorState,
     scratch: BatchInferScratch,
 }

@@ -549,7 +549,7 @@ mod tests {
         let row = PlatformConfig::with_interventions(InterventionConfig::driver_and_check());
         let key =
             campaign_cell_fingerprint(Some(FaultType::RelativeDistance), &row, None, 2025, 10);
-        assert_eq!(key.hex(), "66e6902986f52aff");
+        assert_eq!(key.hex(), "04bdf3965b250de8");
         assert_eq!(
             format!("{:016x}", config_fingerprint(&PlatformConfig::default())),
             "f3c30aaa9079f870"

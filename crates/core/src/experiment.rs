@@ -417,7 +417,7 @@ pub fn campaign_cell_fingerprint(
     static CATALOG_DIGEST: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     let catalog = *CATALOG_DIGEST.get_or_init(|| ScenarioCatalog::global().digest());
     Fingerprint::new()
-        .write_str("campaign-cell-v2")
+        .write_str("campaign-cell-v3")
         .write_bytes(&[fault.map_or(0, FaultType::code)])
         .write(config)
         .write_u64(model.map_or(0, Fingerprint::value))

@@ -50,7 +50,10 @@ pub struct Adam {
     config: AdamConfig,
     m: Vec<f64>,
     v: Vec<f64>,
-    t: u64,
+    /// `beta1^t` and `beta2^t` after `t` steps, kept as running products
+    /// (one multiply per step, the same bits on every platform).
+    beta1_t: f64,
+    beta2_t: f64,
 }
 
 impl Adam {
@@ -61,7 +64,8 @@ impl Adam {
             config,
             m: vec![0.0; len],
             v: vec![0.0; len],
-            t: 0,
+            beta1_t: 1.0,
+            beta2_t: 1.0,
         }
     }
 
@@ -74,7 +78,8 @@ impl Adam {
         assert_eq!(params.len(), self.m.len());
         assert_eq!(grads.len(), self.m.len());
         let c = self.config;
-        self.t += 1;
+        self.beta1_t *= c.beta1;
+        self.beta2_t *= c.beta2;
 
         let clip = if c.grad_clip > 0.0 {
             let norm = grads.iter().map(|g| g * g).sum::<f64>().sqrt();
@@ -87,8 +92,8 @@ impl Adam {
             1.0
         };
 
-        let bc1 = 1.0 - c.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - c.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - self.beta1_t;
+        let bc2 = 1.0 - self.beta2_t;
         for i in 0..params.len() {
             let g = grads[i] * clip;
             self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g;
@@ -135,6 +140,21 @@ mod tests {
         let mut x = [1.0, -2.0, 0.5];
         adam.step(&mut x, &[0.0, 0.0, 0.0]);
         assert_eq!(x, [1.0, -2.0, 0.5]);
+    }
+
+    #[test]
+    fn bias_correction_tracks_the_running_beta_products() {
+        let cfg = AdamConfig::default();
+        let mut adam = Adam::new(1, cfg);
+        let (mut b1, mut b2) = (1.0f64, 1.0f64);
+        let mut x = [0.0];
+        for _ in 0..50 {
+            adam.step(&mut x, &[1.0]);
+            b1 *= cfg.beta1;
+            b2 *= cfg.beta2;
+        }
+        assert_eq!(adam.beta1_t.to_bits(), b1.to_bits());
+        assert_eq!(adam.beta2_t.to_bits(), b2.to_bits());
     }
 
     #[test]

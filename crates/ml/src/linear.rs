@@ -140,7 +140,14 @@ impl Linear {
             rows: self.rows,
             cols: self.cols,
         };
-        kernel.run(m, Seed::Bias(&self.b), width, xa, xb, y);
+        kernel.run(Tiles {
+            m,
+            seed: Seed::Bias(&self.b),
+            width,
+            xa,
+            xb,
+            y,
+        });
     }
 
     /// The zero-bias transpose of columns `from..cols`: a
@@ -214,18 +221,34 @@ pub(crate) fn add_product(
         rows,
         cols: k,
     };
-    kernel.run(m, Seed::Output, width, x, &[], y);
+    kernel.run(Tiles {
+        m,
+        seed: Seed::Output,
+        width,
+        xa: x,
+        xb: &[],
+        y,
+    });
 }
 
-/// Which build of the tile kernel a call runs. On x86_64 the kernel is
-/// compiled twice — the SSE2 baseline and an `avx` target-feature build —
-/// and its dispatch (`Kernel::run`) is the crate's one `unsafe` site; other
-/// architectures only have the portable build. Both builds are
-/// bit-identical (FMA stays off), so the choice only moves speed.
+/// Which build of the lane kernels a call runs: the tile kernel and the
+/// LSTM gate math. On x86_64 each is compiled twice — the SSE2 baseline and
+/// an `avx` target-feature build — and the dispatch ([`Kernel::run`]) is
+/// the crate's one `unsafe` site; other architectures only have the
+/// portable build. Both builds are bit-identical (FMA stays off), so the
+/// choice only moves speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Kernel {
     /// Set only by [`Kernel::detect`], after detecting AVX.
     avx: bool,
+}
+
+/// A computation compiled once per [`Kernel`] build.
+pub trait Pass {
+    /// Runs the computation. Implementations mark this `#[inline(always)]`
+    /// (down to every function it calls), so the AVX build's copy is
+    /// compiled with AVX enabled.
+    fn run(self);
 }
 
 impl Kernel {
@@ -249,19 +272,45 @@ impl Kernel {
         self.avx
     }
 
-    /// Runs the tile kernel on this build (dimensions already validated by
-    /// the callers; `xb` may be empty).
+    /// Runs `pass` on this build.
     #[allow(unsafe_code)]
-    fn run(self, m: Mat, seed: Seed, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
+    pub fn run<P: Pass>(self, pass: P) {
         #[cfg(target_arch = "x86_64")]
         if self.avx {
-            // SAFETY: `tiles_avx`'s only precondition is that the CPU
+            // SAFETY: `run_avx`'s only precondition is that the CPU
             // supports AVX, and a `Kernel` with `avx` set is only made by
             // `detect`, after detecting it.
-            unsafe { tiles_avx(m, seed, width, xa, xb, y) };
+            unsafe { run_avx(pass) };
             return;
         }
-        tiles(m, seed, width, xa, xb, y);
+        pass.run();
+    }
+}
+
+/// `pass` compiled with AVX enabled (256-bit vectors, twice the
+/// registers). FMA stays off, so results are bit-identical to the portable
+/// build.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn run_avx<P: Pass>(pass: P) {
+    pass.run();
+}
+
+/// One tile-kernel pass (dimensions already validated by the callers; `xb`
+/// may be empty).
+struct Tiles<'a> {
+    m: Mat<'a>,
+    seed: Seed<'a>,
+    width: usize,
+    xa: &'a [f64],
+    xb: &'a [f64],
+    y: &'a mut [f64],
+}
+
+impl Pass for Tiles<'_> {
+    #[inline(always)]
+    fn run(self) {
+        tiles(self.m, self.seed, self.width, self.xa, self.xb, self.y);
     }
 }
 
@@ -287,20 +336,10 @@ enum Seed<'a> {
 /// Weight rows per register tile of the batched matvec.
 const TILE_ROWS: usize = 4;
 
-/// The tile kernel compiled with AVX enabled (256-bit vectors, twice the
-/// accumulator registers). FMA stays off, so results are bit-identical to
-/// the portable build.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-fn tiles_avx(m: Mat, seed: Seed, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
-    tiles(m, seed, width, xa, xb, y);
-}
-
 /// `y = M [xa; xb] (+ seed)` over lane panels: [`TILE_ROWS`]-row groups,
 /// then the row remainder one row at a time. `#[inline(always)]` (down to
 /// [`accumulate`]) so each caller gets its own copy compiled with its own
-/// target features: called directly, this is the portable build (the SSE2
-/// baseline on x86_64).
+/// target features: run through [`Kernel::run`].
 #[inline(always)]
 fn tiles(m: Mat, seed: Seed, width: usize, xa: &[f64], xb: &[f64], y: &mut [f64]) {
     let full = m.rows - m.rows % TILE_ROWS;
@@ -408,20 +447,10 @@ fn accumulate<const R: usize, const N: usize>(
     }
 }
 
-/// Numerically stable logistic sigmoid.
-#[must_use]
-pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adas_simulator::math::sin;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -447,16 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_properties() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
-        assert!(sigmoid(30.0) > 0.999_999);
-        assert!(sigmoid(-30.0) < 1e-6);
-        // Stability at extremes.
-        assert!(sigmoid(-1e6).is_finite());
-        assert!(sigmoid(1e6).is_finite());
-    }
-
-    #[test]
     fn param_count() {
         let l = Linear::new(4, 5, &mut rng());
         assert_eq!(l.param_count(), 24);
@@ -467,7 +486,7 @@ mod tests {
     /// the low bits.
     fn lane_input(cols: usize, width: usize, salt: f64) -> Vec<f64> {
         (0..cols * width)
-            .map(|i| ((i as f64) * 0.7310 + salt).sin() * 10f64.powi(i as i32 % 4 - 2))
+            .map(|i| sin((i as f64) * 0.7310 + salt) * [0.01, 0.1, 1.0, 10.0][i % 4])
             .collect()
     }
 

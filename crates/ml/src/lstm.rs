@@ -5,48 +5,21 @@
 //! output]`, each block of size `hidden`. Every forward advances a
 //! lane-contiguous panel of independent streams (`panel[unit * width +
 //! lane]`) with one tile-kernel matvec, then runs the one gate-math loop
-//! (`units`, over `unit`): [`Lstm::step_batch`] for inference (a single
-//! run is a one-lane panel), and `Lstm::step_taped`, which also records
-//! the gate values of each step in a `Tape` for `Lstm::backward_gates`.
+//! (`Units`, [`Lstm::gate_math`]): [`Lstm::step_batch`] for inference (a
+//! single run is a one-lane panel), and `Lstm::step_taped`, which also
+//! records the gate values of each step in a `Tape` for
+//! `Lstm::backward_gates`. The gate math activates contiguous lane blocks
+//! of each gate's `hidden × width` panel with the lane-wide functions of
+//! [`adas_simulator::math`], bit-identical to activating value by value.
 //! Training runs a sample group as the lanes of one panel (see
 //! [`mod@crate::train`]).
 
-use crate::linear::{sigmoid, Kernel, Linear};
+use crate::linear::{Kernel, Linear, Pass};
+use adas_simulator::math::{sigmoid_lanes, tanh_lanes};
 use rand::Rng;
 
-/// One unit's activated gates and its new cell and hidden values.
-struct Unit {
-    i: f64,
-    f: f64,
-    g: f64,
-    o: f64,
-    c: f64,
-    tanh_c: f64,
-    h: f64,
-}
-
-/// The LSTM gate math of one unit, given its four gate pre-activations
-/// `z = [input, forget, cell, output]` and its previous cell value: the
-/// only place the gate expressions are written, so the training and
-/// inference forwards share one f64 operation sequence.
-#[inline(always)]
-fn unit(z: [f64; 4], c_prev: f64) -> Unit {
-    let i = sigmoid(z[0]);
-    let f = sigmoid(z[1]);
-    let g = z[2].tanh();
-    let o = sigmoid(z[3]);
-    let c = f * c_prev + i * g;
-    let tanh_c = c.tanh();
-    Unit {
-        i,
-        f,
-        g,
-        o,
-        c,
-        tanh_c,
-        h: o * tanh_c,
-    }
-}
+/// Values the gate math activates at once: one lane block.
+const LANES: usize = 8;
 
 /// One layer's forward record over a window, for backpropagation through
 /// time: the states before and after every step and each step's gate
@@ -67,8 +40,6 @@ pub(crate) struct Tape {
     act: Vec<f64>,
     /// `tanh(c_{t+1})` of steps `0..T`, one panel each.
     tanh_c: Vec<f64>,
-    /// Gate pre-activation scratch, one `4·hidden × width` panel.
-    z: Vec<f64>,
     /// Every lane is live while taping.
     live: Vec<bool>,
 }
@@ -86,7 +57,6 @@ impl Tape {
         self.c[..panel].fill(0.0);
         self.act.resize(steps * 4 * panel, 0.0);
         self.tanh_c.resize(steps * panel, 0.0);
-        self.z.resize(4 * panel, 0.0);
         self.live.clear();
         self.live.resize(width, true);
     }
@@ -102,6 +72,81 @@ impl Tape {
     fn c(&self, t: usize) -> &[f64] {
         let panel = self.hidden * self.width;
         &self.c[t * panel..][..panel]
+    }
+}
+
+/// The gate math of one step, the one loop both forwards run: activates
+/// each gate's `hidden × width` panel in place, one lane block at a time
+/// (`[input, forget, cell, output]` → `[i, f, g, o]`), then computes
+/// `c = f·c_prev + i·g`, `tanh c` and `h = o·tanh c` a lane block at a
+/// time and writes `c_out`, `h_out` and `keep(at, tanh c)` for each live
+/// lane. Every value sees the scalar f64 operation sequence, so lane
+/// blocks, ragged tails and batch composition never change a result.
+struct Units<'a, K> {
+    /// Gate pre-activations in, activated gates out.
+    gates: &'a mut [f64],
+    c_prev: &'a [f64],
+    h_out: &'a mut [f64],
+    c_out: &'a mut [f64],
+    live: &'a [bool],
+    keep: K,
+}
+
+impl<K: FnMut(usize, f64)> Pass for Units<'_, K> {
+    #[inline(always)]
+    fn run(self) {
+        let Units {
+            gates,
+            c_prev,
+            h_out,
+            c_out,
+            live,
+            mut keep,
+        } = self;
+        let (panel, width) = (c_prev.len(), live.len());
+        let (ifg, o) = gates.split_at_mut(3 * panel);
+        let (i_f, g) = ifg.split_at_mut(2 * panel);
+        activate(i_f, sigmoid_lanes);
+        activate(g, tanh_lanes);
+        activate(o, sigmoid_lanes);
+        let (i, f) = i_f.split_at(panel);
+        for start in (0..panel).step_by(LANES) {
+            let len = LANES.min(panel - start);
+            let mut c = [0.0; LANES];
+            for (j, c) in c[..len].iter_mut().enumerate() {
+                let at = start + j;
+                *c = f[at] * c_prev[at] + i[at] * g[at];
+            }
+            let mut tanh_c = c;
+            tanh_lanes(&mut tanh_c);
+            let mut lane = start % width;
+            for j in 0..len {
+                if live[lane] {
+                    let at = start + j;
+                    c_out[at] = c[j];
+                    h_out[at] = o[at] * tanh_c[j];
+                    keep(at, tanh_c[j]);
+                }
+                lane = if lane + 1 == width { 0 } else { lane + 1 };
+            }
+        }
+    }
+}
+
+/// Applies a lane-block function to a panel: whole blocks in place, the
+/// ragged tail through a zero-padded block.
+#[inline(always)]
+fn activate(panel: &mut [f64], f: impl Fn(&mut [f64; LANES])) {
+    let mut blocks = panel.chunks_exact_mut(LANES);
+    for block in &mut blocks {
+        f(block.try_into().expect("a whole lane block"));
+    }
+    let tail = blocks.into_remainder();
+    if !tail.is_empty() {
+        let mut block = [0.0; LANES];
+        block[..tail.len()].copy_from_slice(tail);
+        f(&mut block);
+        tail.copy_from_slice(&block[..tail.len()]);
     }
 }
 
@@ -133,23 +178,24 @@ impl Lstm {
     }
 
     /// Batched allocation-free inference timestep over lane-contiguous
-    /// panels (`panel[unit * width + lane]`).
+    /// panels (`panel[unit * width + lane]`): the gate matvec into `z`,
+    /// then [`Self::gate_math`], both on the CPU's fastest build.
     ///
     /// One weights-stationary gate matvec serves the whole batch; the gate
-    /// math (`unit`) then runs per lane. Each lane sees the exact f64
+    /// math then activates lane blocks. Each lane sees the exact f64
     /// operation sequence of a lone stream (and of `Self::step_taped`),
     /// so batching and the batch composition never change a run's
     /// numerics.
     ///
-    /// `live[lane]` marks which lanes advance: the gate transcendentals
-    /// (the dominant per-lane cost) are skipped for lanes that are not
-    /// live, and their `h_out` / `c_out` entries are left untouched. Such
-    /// a lane's state is therefore stale and must be reset (zeroed) before
-    /// a new stream starts in it. The matvec still covers all lanes; the
-    /// columns of lanes that are not live hold finite garbage that no one
-    /// reads, and lanes never mix.
+    /// `live[lane]` marks which lanes advance: lanes that are not live
+    /// keep their `h_out` / `c_out` entries untouched. Such a lane's state
+    /// is therefore stale and must be reset (zeroed) before a new stream
+    /// starts in it. The matvec and the activations still cover all
+    /// lanes; the columns of lanes that are not live hold finite garbage
+    /// that no one reads, and lanes never mix.
     ///
-    /// `h_out` / `c_out` must not alias `h_prev` / `c_prev`.
+    /// `z` is scratch. `h_out` / `c_out` must not alias `h_prev` /
+    /// `c_prev`.
     ///
     /// # Panics
     ///
@@ -166,24 +212,59 @@ impl Lstm {
         c_out: &mut [f64],
         live: &[bool],
     ) {
-        let h = self.hidden;
         assert_eq!(x.len(), self.input * width);
-        assert_eq!(h_prev.len(), h * width);
-        assert_eq!(c_prev.len(), h * width);
-        assert_eq!(z.len(), 4 * h * width);
-        assert_eq!(h_out.len(), h * width);
-        assert_eq!(c_out.len(), h * width);
+        assert_eq!(h_prev.len(), self.hidden * width);
+        let kernel = Kernel::detect();
+        self.gates.forward_panels(kernel, width, x, h_prev, z);
+        self.gate_math(kernel, width, z, c_prev, h_out, c_out, live);
+    }
+
+    /// The gate math of one step over a `4·hidden × width` panel `z` of
+    /// gate pre-activations, on `kernel`'s build: activates the gates in
+    /// place, then writes the new cell and hidden state of every live
+    /// lane. [`Self::step_batch`] is the gate matvec followed by this.
+    ///
+    /// The work does not depend on the values: every lane of every gate is
+    /// activated branch-free, and liveness only masks the writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any panel dimension mismatch or if `live.len() != width`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gate_math(
+        &self,
+        kernel: Kernel,
+        width: usize,
+        z: &mut [f64],
+        c_prev: &[f64],
+        h_out: &mut [f64],
+        c_out: &mut [f64],
+        live: &[bool],
+    ) {
+        let panel = self.hidden * width;
+        assert_eq!(z.len(), 4 * panel);
+        assert_eq!(c_prev.len(), panel);
+        assert_eq!(h_out.len(), panel);
+        assert_eq!(c_out.len(), panel);
         assert_eq!(live.len(), width, "liveness length mismatch");
-        self.gates.forward_concat_batch(width, x, h_prev, z);
-        self.units(width, z, c_prev, h_out, c_out, live, |_, _| {});
+        kernel.run(Units {
+            gates: z,
+            c_prev,
+            h_out,
+            c_out,
+            live,
+            keep: |_, _| {},
+        });
     }
 
     /// Step `t` of a taped forward over all lanes of `tape`: the same
     /// matvec and gate math as [`Self::step_batch`] (so each lane's state
     /// is bit-identical to a lone inference stream), reading the state
     /// after `t` steps and writing the state after `t + 1`, and recording
-    /// the step's gate values for [`Self::backward_gates`]. `x` is the
-    /// step's `input × width` panel.
+    /// the step's gate values for [`Self::backward_gates`]. The matvec
+    /// writes straight into the step's gate panel of the tape, which the
+    /// gate math then activates in place. `x` is the step's `input ×
+    /// width` panel.
     ///
     /// # Panics
     ///
@@ -201,56 +282,18 @@ impl Lstm {
         let (before, after) = tape.h.split_at_mut((t + 1) * panel);
         let h_prev = &before[t * panel..];
         let h_out = &mut after[..panel];
-        self.gates
-            .forward_panels(kernel, width, x, h_prev, &mut tape.z);
-        let (before, after) = tape.c.split_at_mut((t + 1) * panel);
         let act = &mut tape.act[t * 4 * panel..][..4 * panel];
+        self.gates.forward_panels(kernel, width, x, h_prev, act);
+        let (before, after) = tape.c.split_at_mut((t + 1) * panel);
         let tanh_c = &mut tape.tanh_c[t * panel..][..panel];
-        self.units(
-            width,
-            &tape.z,
-            &before[t * panel..],
+        kernel.run(Units {
+            gates: act,
+            c_prev: &before[t * panel..],
             h_out,
-            &mut after[..panel],
-            &tape.live,
-            |at, u| {
-                act[at] = u.i;
-                act[panel + at] = u.f;
-                act[2 * panel + at] = u.g;
-                act[3 * panel + at] = u.o;
-                tanh_c[at] = u.tanh_c;
-            },
-        );
-    }
-
-    /// The gate math of every live lane and unit: writes the new cell and
-    /// hidden state and hands each unit's values, with its panel index, to
-    /// `keep`. The one loop both forwards share.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn units(
-        &self,
-        width: usize,
-        z: &[f64],
-        c_prev: &[f64],
-        h_out: &mut [f64],
-        c_out: &mut [f64],
-        live: &[bool],
-        mut keep: impl FnMut(usize, &Unit),
-    ) {
-        let h = self.hidden;
-        for k in 0..h {
-            for (lane, &is_live) in live.iter().enumerate() {
-                if is_live {
-                    let at = k * width + lane;
-                    let zb = |block: usize| z[block * h * width + at];
-                    let u = unit([zb(0), zb(1), zb(2), zb(3)], c_prev[at]);
-                    c_out[at] = u.c;
-                    h_out[at] = u.h;
-                    keep(at, &u);
-                }
-            }
-        }
+            c_out: &mut after[..panel],
+            live: &tape.live,
+            keep: |at, tc| tanh_c[at] = tc,
+        });
     }
 
     /// Backpropagates the gate math of taped step `t` over all lanes.
@@ -310,6 +353,7 @@ impl Lstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adas_simulator::math::{cos, sigmoid, sin, tanh};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -351,7 +395,7 @@ mod tests {
         let mut h = vec![0.0; 8];
         let mut c = vec![0.0; 8];
         for t in 0..50 {
-            let x = [(t as f64 * 0.37).sin() * 3.0, (t as f64 * 0.11).cos() * 3.0];
+            let x = [sin(t as f64 * 0.37) * 3.0, cos(t as f64 * 0.11) * 3.0];
             (h, c) = step(&l, &x, &h, &c);
             assert!(h.iter().all(|v| v.abs() < 1.0));
         }
@@ -382,7 +426,7 @@ mod tests {
             let live = vec![true; width];
             for t in 0..steps {
                 let xp: Vec<f64> = (0..3 * width)
-                    .map(|i| ((t * 3 * width + i) as f64 * 0.31).sin())
+                    .map(|i| sin((t * 3 * width + i) as f64 * 0.31))
                     .collect();
                 l.step_batch(width, &xp, &hp, &cp, &mut z, &mut hn, &mut cn, &live);
                 std::mem::swap(&mut hp, &mut hn);
@@ -396,6 +440,67 @@ mod tests {
                             "{what}: width {width} t {t} at {at}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The portable build, and the dispatched one (AVX where the CPU has
+    /// it), with a name for failure messages.
+    fn builds() -> [(Kernel, &'static str); 2] {
+        let detected = Kernel::detect();
+        let name = if detected.is_avx() { "avx" } else { "portable" };
+        [(Kernel::PORTABLE, "portable"), (detected, name)]
+    }
+
+    #[test]
+    fn lane_block_gate_math_bitwise_matches_scalar_gates() {
+        // Every lane-block remainder, lanes that are not live, and
+        // pre-activations wide enough to reach both tanh forms and
+        // saturation.
+        let l = Lstm::new(3, 5, &mut rng());
+        let h = l.hidden;
+        for width in 1..=33usize {
+            let panel = h * width;
+            let z: Vec<f64> = (0..4 * panel)
+                .map(|i| sin(i as f64 * 0.737 + width as f64) * 30.0 * sin(i as f64 * 0.05))
+                .collect();
+            let c_prev: Vec<f64> = (0..panel).map(|i| cos(i as f64 * 0.41) * 2.0).collect();
+            let live: Vec<bool> = (0..width).map(|lane| lane % 3 != 1).collect();
+            for (kernel, build) in builds() {
+                let mut gates = z.clone();
+                let mut h_out = vec![-7.0; panel];
+                let mut c_out = vec![-7.0; panel];
+                l.gate_math(
+                    kernel, width, &mut gates, &c_prev, &mut h_out, &mut c_out, &live,
+                );
+                for at in 0..panel {
+                    let zb = |gate: usize| z[gate * panel + at];
+                    let [i, f, g, o] =
+                        [sigmoid(zb(0)), sigmoid(zb(1)), tanh(zb(2)), sigmoid(zb(3))];
+                    for (gate, want) in [i, f, g, o].into_iter().enumerate() {
+                        assert_eq!(
+                            gates[gate * panel + at].to_bits(),
+                            want.to_bits(),
+                            "{build}: width {width} gate {gate} at {at}"
+                        );
+                    }
+                    let c = f * c_prev[at] + i * g;
+                    let (want_c, want_h) = if live[at % width] {
+                        (c, o * tanh(c))
+                    } else {
+                        (-7.0, -7.0)
+                    };
+                    assert_eq!(
+                        c_out[at].to_bits(),
+                        want_c.to_bits(),
+                        "{build}: width {width} c at {at}"
+                    );
+                    assert_eq!(
+                        h_out[at].to_bits(),
+                        want_h.to_bits(),
+                        "{build}: width {width} h at {at}"
+                    );
                 }
             }
         }

@@ -95,9 +95,9 @@ impl BatchPredictorState {
 
     /// Marks whether `lane` advances on the next
     /// [`LstmPredictor::step_batch`] (every lane starts live). A lane that
-    /// is not live skips the gate transcendentals (the dominant per-lane
-    /// cost) and keeps its state, which goes stale: reset it with
-    /// [`Self::reset_lane`] before a new stream starts in it.
+    /// is not live keeps its state (the gate math still runs over it,
+    /// branch-free, but its writes are masked), which goes stale: reset
+    /// it with [`Self::reset_lane`] before a new stream starts in it.
     pub fn set_live(&mut self, lane: usize, live: bool) {
         self.live[lane] = live;
     }
@@ -175,6 +175,13 @@ impl LstmPredictor {
     #[must_use]
     pub fn matvecs(&self) -> [&Linear; 3] {
         [&self.l1.gates, &self.l2.gates, &self.head]
+    }
+
+    /// The two LSTM layers of one [`Self::step_batch`] in call order (for
+    /// timing their gate math alone).
+    #[must_use]
+    pub fn layers(&self) -> [&Lstm; 2] {
+        [&self.l1, &self.l2]
     }
 
     /// Total trainable parameters.

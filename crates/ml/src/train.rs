@@ -600,6 +600,7 @@ pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) ->
 mod tests {
     use super::*;
     use crate::model::ModelSpec;
+    use adas_simulator::math::{cos, sin};
 
     /// A synthetic "driving" mapping: target accel depends on distance and
     /// speed features; steer depends on curvature.
@@ -610,9 +611,9 @@ mod tests {
             let mut outs = Vec::new();
             for t in 0..120 {
                 let phase = (t as f64 + e as f64 * 17.0) * 0.05;
-                let rd = 40.0 + 30.0 * phase.sin();
-                let v = 20.0 + 2.0 * phase.cos();
-                let kappa = 0.002 * (phase * 0.5).sin();
+                let rd = 40.0 + 30.0 * sin(phase);
+                let v = 20.0 + 2.0 * cos(phase);
+                let kappa = 0.002 * sin(phase * 0.5);
                 let accel = 0.05 * (rd - 30.0) - 0.3 * (v - 20.0);
                 let steer = 2.7 * kappa;
                 states.push(StateFeatures {
@@ -706,7 +707,8 @@ mod tests {
                 .iter()
                 .map(|s| {
                     let y = m.predict_window(&s.window);
-                    (y[0] - s.target[0]).powi(2) + (y[1] - s.target[1]).powi(2)
+                    let (e0, e1) = (y[0] - s.target[0], y[1] - s.target[1]);
+                    e0 * e0 + e1 * e1
                 })
                 .sum::<f64>()
                 / data.len() as f64

@@ -10,6 +10,7 @@ mod reference;
 use adas_ml::linear::Kernel;
 use adas_ml::train::{group_gradients, Gradients};
 use adas_ml::{LstmPredictor, ModelSpec, Sample, FEATURE_DIM, WINDOW};
+use adas_simulator::math::{cos, sin};
 
 /// Distinct samples, spread over several decades so a reordered sum shows
 /// up in the low bits.
@@ -20,11 +21,11 @@ fn samples(count: usize) -> Vec<Sample> {
                 .map(|t| {
                     std::array::from_fn(|c| {
                         let i = (s * WINDOW + t) * FEATURE_DIM + c;
-                        (i as f64 * 0.377 + s as f64).sin() * 10f64.powi(i as i32 % 3 - 1)
+                        sin(i as f64 * 0.377 + s as f64) * [0.1, 1.0, 10.0][i % 3]
                     })
                 })
                 .collect(),
-            target: [(s as f64 * 0.9).cos() * 0.4, (s as f64 * 1.3).sin() * 0.3],
+            target: [cos(s as f64 * 0.9) * 0.4, sin(s as f64 * 1.3) * 0.3],
         })
         .collect()
 }

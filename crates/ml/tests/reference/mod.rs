@@ -10,9 +10,10 @@
 
 #![allow(dead_code)]
 
-use adas_ml::linear::{sigmoid, Linear};
+use adas_ml::linear::Linear;
 use adas_ml::train::Gradients;
 use adas_ml::{LstmPredictor, Sample, FEATURE_DIM, TARGET_DIM};
+use adas_simulator::math::{sigmoid, tanh};
 
 /// `y = W [xa; xb] + b`, one row at a time: `xa`'s columns then `xb`'s,
 /// bias last.
@@ -105,10 +106,10 @@ fn step_cached(
     for k in 0..h {
         let i = sigmoid(z[k]);
         let f = sigmoid(z[h + k]);
-        let g = z[2 * h + k].tanh();
+        let g = tanh(z[2 * h + k]);
         let o = sigmoid(z[3 * h + k]);
         let c = f * c_prev[k] + i * g;
-        let tanh_c = c.tanh();
+        let tanh_c = tanh(c);
         (
             cache.i[k],
             cache.f[k],

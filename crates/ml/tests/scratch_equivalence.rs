@@ -7,8 +7,9 @@
 //! refills: campaign determinism depends on it. (The training path's
 //! oracle is `bptt_oracle.rs`.)
 
-use adas_ml::linear::{sigmoid, Linear};
+use adas_ml::linear::Linear;
 use adas_ml::{LstmPredictor, ModelSpec, FEATURE_DIM, TARGET_DIM};
+use adas_simulator::math::{sigmoid, sin, tanh};
 
 /// Naive allocating LSTM step, written from the gate equations: the
 /// concatenation is materialised and the packed gate transform applied
@@ -22,10 +23,10 @@ fn naive_step(gates: &Linear, x: &[f64], h_prev: &[f64], c_prev: &[f64]) -> (Vec
     for k in 0..h {
         let i = sigmoid(z[k]);
         let f = sigmoid(z[h + k]);
-        let g = z[2 * h + k].tanh();
+        let g = tanh(z[2 * h + k]);
         let o = sigmoid(z[3 * h + k]);
         c_out[k] = f * c_prev[k] + i * g;
-        h_out[k] = o * c_out[k].tanh();
+        h_out[k] = o * tanh(c_out[k]);
     }
     (h_out, c_out)
 }
@@ -80,7 +81,7 @@ fn assert_bitwise(got: [f64; TARGET_DIM], want: [f64; TARGET_DIM], what: &str) {
 fn input(t: usize, lane: usize, phase: f64) -> [f64; FEATURE_DIM] {
     let mut x = [0.0; FEATURE_DIM];
     for (c, v) in x.iter_mut().enumerate() {
-        *v = ((t * FEATURE_DIM + c) as f64 * phase + lane as f64 * 1.3).sin();
+        *v = sin((t * FEATURE_DIM + c) as f64 * phase + lane as f64 * 1.3);
     }
     x
 }

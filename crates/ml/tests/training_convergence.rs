@@ -4,13 +4,14 @@
 use adas_ml::{
     train, ControlTarget, Dataset, LstmPredictor, ModelSpec, StateFeatures, TrainConfig,
 };
+use adas_simulator::math::{atan, cos, sin};
 
 /// A synthetic "controller" whose output depends on the state (distance,
 /// speed, curvature) — learnable without history.
 fn controller(rd: f64, v: f64, kappa: f64) -> ControlTarget {
     ControlTarget {
         accel: (0.06 * (rd - 30.0) - 0.4 * (v - 15.0)).clamp(-4.0, 2.0),
-        steer: (2.7 * kappa).atan(),
+        steer: atan(2.7 * kappa),
     }
 }
 
@@ -22,9 +23,9 @@ fn synthetic_dataset(episodes: usize, len: usize) -> Dataset {
         let mut prev = ControlTarget::default();
         for t in 0..len {
             let phase = t as f64 * 0.04 + e as f64;
-            let rd = 35.0 + 20.0 * phase.sin();
-            let v = 15.0 + 3.0 * (phase * 0.7).cos();
-            let kappa = 0.0022 * (phase * 0.3).sin();
+            let rd = 35.0 + 20.0 * sin(phase);
+            let v = 15.0 + 3.0 * cos(phase * 0.7);
+            let kappa = 0.0022 * sin(phase * 0.3);
             let out = controller(rd, v, kappa);
             states.push(StateFeatures {
                 ego_speed: v,
@@ -50,7 +51,10 @@ fn eval_mse(model: &LstmPredictor, data: &Dataset) -> f64 {
         .iter()
         .map(|s| {
             let y = model.predict_window(&s.window);
-            ((y[0] - s.target[0]).powi(2) + (y[1] - s.target[1]).powi(2)) / 2.0
+            {
+                let (e0, e1) = (y[0] - s.target[0], y[1] - s.target[1]);
+                (e0 * e0 + e1 * e1) / 2.0
+            }
         })
         .sum::<f64>()
         / data.len() as f64

@@ -2,6 +2,7 @@
 //! traffic behaviour its NHTSA description demands.
 
 use adas_scenarios::{InitialPosition, ScenarioId, ScenarioSetup};
+use adas_simulator::math::atan;
 use adas_simulator::{
     units::{mph, SIM_DT},
     DeterministicRng, VehicleCommand, World, WorldConfig,
@@ -101,7 +102,7 @@ fn far_position_catches_up_eventually() {
         world.step(VehicleCommand {
             gas: 0.35,
             brake: 0.0,
-            steer: (2.7 * world.road().curvature_at(world.ego().state().s)).atan(),
+            steer: atan(2.7 * world.road().curvature_at(world.ego().state().s)),
         });
         if world.lead_observation().is_some_and(|o| o.distance < 60.0) {
             caught_up = true;

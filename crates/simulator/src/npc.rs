@@ -6,7 +6,7 @@
 //! accelerate, decelerate, sudden stop, cut-in, and lane change.
 
 use crate::friction::SurfaceFriction;
-use crate::math::clamp;
+use crate::math::{atan, clamp};
 use crate::road::Road;
 use crate::vehicle::{Vehicle, VehicleCommand, VehicleParams, VehicleState};
 
@@ -227,7 +227,7 @@ impl Npc {
         let wheelbase = self.vehicle.params().wheelbase;
         let kappa_ff = road.curvature_at(st.s);
         let steer_fb = 0.08 * (desired_d - st.d) - 0.6 * st.psi;
-        let steer = (wheelbase * kappa_ff).atan() + clamp(steer_fb, -0.12, 0.12);
+        let steer = atan(wheelbase * kappa_ff) + clamp(steer_fb, -0.12, 0.12);
 
         let cmd = VehicleCommand::from_accel(accel, self.vehicle.params()).with_steer(steer);
         self.vehicle.step(cmd, road, surface, dt);

@@ -4,6 +4,7 @@
 //! position, repetition)` tuple so all tables in the paper reproduction are
 //! bit-identical across machines and thread counts.
 
+use crate::math::{cos, ln};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,7 +63,7 @@ impl DeterministicRng {
         }
         let u1: f64 = self.inner.gen_range(f64::EPSILON..1.0);
         let u2: f64 = self.inner.gen_range(0.0..1.0);
-        std_dev * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        std_dev * (-2.0 * ln(u1)).sqrt() * cos(std::f64::consts::TAU * u2)
     }
 
     /// Bernoulli draw with probability `p` of `true`.
@@ -109,7 +110,7 @@ mod tests {
         let n = 20_000;
         let samples: Vec<f64> = (0..n).map(|_| rng.gaussian(2.0)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
     }

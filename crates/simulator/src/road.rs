@@ -6,7 +6,7 @@
 //! vehicle dynamics integrate in; cartesian points are derived analytically
 //! per segment for plotting and distance checks.
 
-use crate::math::Vec2;
+use crate::math::{sin_cos, Vec2};
 
 /// Identifier of a lane on the road. Lane `0` is the rightmost lane; the ego
 /// vehicle starts in [`Road::ego_lane`].
@@ -87,13 +87,15 @@ impl Road {
             anchors.push((pos, heading));
             s += seg.length;
             if seg.curvature.abs() < 1e-12 {
-                pos = pos + Vec2::new(heading.cos(), heading.sin()) * seg.length;
+                let (sin_h, cos_h) = sin_cos(heading);
+                pos = pos + Vec2::new(cos_h, sin_h) * seg.length;
             } else {
                 let k = seg.curvature;
                 let dtheta = k * seg.length;
                 let r = 1.0 / k;
                 // Rotate about the arc center.
-                let center = pos + Vec2::new(-heading.sin(), heading.cos()) * r;
+                let (sin_h, cos_h) = sin_cos(heading);
+                let center = pos + Vec2::new(-sin_h, cos_h) * r;
                 let rel = pos - center;
                 pos = center + rel.rotated(dtheta);
                 heading += dtheta;
@@ -201,11 +203,12 @@ impl Road {
         let (p0, h0) = self.anchors[i];
         let ds = s - self.starts[i];
         let k = self.segments[i].curvature;
+        let (sin_h, cos_h) = sin_cos(h0);
         if k.abs() < 1e-12 {
-            p0 + Vec2::new(h0.cos(), h0.sin()) * ds
+            p0 + Vec2::new(cos_h, sin_h) * ds
         } else {
             let r = 1.0 / k;
-            let center = p0 + Vec2::new(-h0.sin(), h0.cos()) * r;
+            let center = p0 + Vec2::new(-sin_h, cos_h) * r;
             (p0 - center).rotated(k * ds) + center
         }
     }
@@ -214,8 +217,8 @@ impl Road {
     #[must_use]
     pub fn frenet_to_cartesian(&self, s: f64, d: f64) -> Vec2 {
         let p = self.point_at(s);
-        let h = self.heading_at(s);
-        p + Vec2::new(-h.sin(), h.cos()) * d
+        let (sin_h, cos_h) = sin_cos(self.heading_at(s));
+        p + Vec2::new(-sin_h, cos_h) * d
     }
 
     /// Iterates over the road's segments.

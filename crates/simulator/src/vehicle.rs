@@ -7,7 +7,7 @@
 //! the Table VIII reproduction lose both braking and steering authority.
 
 use crate::friction::SurfaceFriction;
-use crate::math::{approach, clamp, wrap_angle};
+use crate::math::{approach, clamp, sin_cos, tan, wrap_angle};
 use crate::road::Road;
 
 /// Static parameters of a vehicle.
@@ -214,7 +214,7 @@ impl Vehicle {
         // Lateral demand from the bicycle model, limited by the lateral
         // friction budget (understeer: the vehicle tracks a wider curve than
         // commanded once grip runs out).
-        let kappa_cmd = st.steer.tan() / self.params.wheelbase;
+        let kappa_cmd = tan(st.steer) / self.params.wheelbase;
         let kappa_vehicle = if st.v > 0.5 {
             let kappa_max = surface.max_lateral_accel() / (st.v * st.v);
             clamp(kappa_cmd, -kappa_max, kappa_max)
@@ -244,8 +244,9 @@ impl Vehicle {
         // Kinematics in the frenet frame.
         let kappa_road = road.curvature_at(st.s);
         let denom = (1.0 - st.d * kappa_road).max(0.2);
-        let s_dot = st.v * st.psi.cos() / denom;
-        let d_dot = st.v * st.psi.sin();
+        let (sin_psi, cos_psi) = sin_cos(st.psi);
+        let s_dot = st.v * cos_psi / denom;
+        let d_dot = st.v * sin_psi;
         let psi_dot = st.v * kappa_vehicle - kappa_road * s_dot;
 
         st.s += s_dot * dt;
@@ -261,6 +262,7 @@ impl Vehicle {
 mod tests {
     use super::*;
     use crate::friction::FrictionCondition;
+    use crate::math::atan;
     use crate::road::RoadBuilder;
     use crate::units::SIM_DT;
     use proptest::prelude::*;
@@ -339,7 +341,7 @@ mod tests {
         let radius = 400.0;
         let road = RoadBuilder::new().arc(1000.0, radius).build();
         let params = VehicleParams::sedan();
-        let steer = (params.wheelbase / radius).atan();
+        let steer = atan(params.wheelbase / radius);
         let mut car = Vehicle::new(params, 0.0, 0.0, 20.0);
         car.state_mut().steer = steer; // pre-settled actuator
         drive(

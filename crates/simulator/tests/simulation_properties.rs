@@ -1,6 +1,7 @@
 //! Property-style integration tests of the physical substrate: energy-like
 //! invariants, frenet/cartesian consistency, and multi-vehicle behaviour.
 
+use adas_simulator::math::atan;
 use adas_simulator::{
     units::{mph, SIM_DT},
     FrictionCondition, Npc, NpcBehavior, NpcPlan, NpcTrigger, RoadBuilder, SurfaceFriction,
@@ -18,7 +19,7 @@ fn frenet_and_cartesian_agree_on_travelled_distance() {
     let mut prev = road.frenet_to_cartesian(car.state().s, car.state().d);
     for _ in 0..2000 {
         let kappa = road.curvature_at(car.state().s);
-        let steer = (car.params().wheelbase * kappa).atan();
+        let steer = atan(car.params().wheelbase * kappa);
         car.step(
             VehicleCommand {
                 gas: 0.1,
@@ -140,7 +141,7 @@ proptest! {
         let mu = SurfaceFriction::default();
         for _ in 0..3000 {
             let kappa = road.curvature_at(car.state().s);
-            let steer = (car.params().wheelbase * kappa).atan();
+            let steer = atan(car.params().wheelbase * kappa);
             car.step(
                 VehicleCommand { gas: seed_gas, brake: 0.0, steer },
                 &road,

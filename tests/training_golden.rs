@@ -13,11 +13,12 @@ use openadas::core::Fingerprint;
 use openadas::ml::{
     train, ControlTarget, Dataset, LstmPredictor, ModelSpec, StateFeatures, TrainConfig,
 };
+use openadas::simulator::math::{cos, sin};
 
 /// FNV-1a-64 of `LstmPredictor::to_bytes()` after training.
-const WEIGHTS: &str = "bd49399f37903858";
+const WEIGHTS: &str = "48d5e736ad1fe4e4";
 /// FNV-1a-64 of the per-epoch losses' bit patterns.
-const LOSSES: &str = "d04eef5ed1fd7bd7";
+const LOSSES: &str = "acc1ed8b9930e976";
 
 /// 38 windows from two fault-free synthetic episodes.
 fn dataset() -> Dataset {
@@ -28,9 +29,9 @@ fn dataset() -> Dataset {
         let mut prev = ControlTarget::default();
         for t in 0..len {
             let phase = t as f64 * 0.05 + e as f64 * 1.3;
-            let rd = 35.0 + 20.0 * phase.sin();
-            let v = 15.0 + 3.0 * (phase * 0.7).cos();
-            let kappa = 0.002 * (phase * 0.3).sin();
+            let rd = 35.0 + 20.0 * sin(phase);
+            let v = 15.0 + 3.0 * cos(phase * 0.7);
+            let kappa = 0.002 * sin(phase * 0.3);
             let out = ControlTarget {
                 accel: (0.06 * (rd - 30.0) - 0.4 * (v - 15.0)).clamp(-4.0, 2.0),
                 steer: 2.7 * kappa,
@@ -39,10 +40,10 @@ fn dataset() -> Dataset {
                 ego_speed: v,
                 lead_distance: rd,
                 closing_speed: (15.0 - v) * 0.5,
-                left_line: 1.75 + 0.1 * phase.cos(),
-                right_line: 1.75 - 0.1 * phase.cos(),
+                left_line: 1.75 + 0.1 * cos(phase),
+                right_line: 1.75 - 0.1 * cos(phase),
                 curvature: kappa,
-                heading: 0.01 * phase.sin(),
+                heading: 0.01 * sin(phase),
                 prev_accel: prev.accel,
                 prev_steer: prev.steer,
             });
