@@ -68,6 +68,23 @@ impl FaultType {
             _ => None,
         }
     }
+
+    /// Parses a fault name, as the command-line tools and the results
+    /// CSVs spell it: the [`Self::label`] (`Relative Distance`) or a short
+    /// form (`rd`, `dc`, `curvature`, `relative-distance`, …), ignoring
+    /// case, with space, `_` and `-` interchangeable. `Some(None)` is the
+    /// fault-free baseline (`none`, `benign`); `None` an unknown name.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Option<Self>> {
+        let name = name.trim().to_ascii_lowercase().replace([' ', '_'], "-");
+        match name.as_str() {
+            "none" | "benign" => Some(None),
+            "rd" | "relative-distance" => Some(Some(FaultType::RelativeDistance)),
+            "dc" | "curvature" | "desired-curvature" => Some(Some(FaultType::DesiredCurvature)),
+            "mixed" => Some(Some(FaultType::Mixed)),
+            _ => None,
+        }
+    }
 }
 
 impl Encode for FaultType {
@@ -336,6 +353,34 @@ mod tests {
             true_rd,
             ttc: None,
             road_curvature: 0.0,
+        }
+    }
+
+    #[test]
+    fn from_name_accepts_every_spelling() {
+        // Labels (the results CSVs) and short forms (the command lines).
+        let cases: [(&[&str], _); 5] = [
+            (&["none", "None", "benign"], Some(None)),
+            (
+                &[
+                    "rd",
+                    "relative-distance",
+                    "relative_distance",
+                    "Relative Distance",
+                ],
+                Some(Some(FaultType::RelativeDistance)),
+            ),
+            (
+                &["dc", "curvature", "desired-curvature", "Desired Curvature"],
+                Some(Some(FaultType::DesiredCurvature)),
+            ),
+            (&["mixed", "Mixed", " MIXED "], Some(Some(FaultType::Mixed))),
+            (&["", "all", "lateral", "rd,dc"], None),
+        ];
+        for (names, parsed) in cases {
+            for name in names {
+                assert_eq!(FaultType::from_name(name), parsed, "{name:?}");
+            }
         }
     }
 

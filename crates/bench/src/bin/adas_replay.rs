@@ -21,8 +21,9 @@
 
 use adas_attack::FaultType;
 use adas_bench::{model_fingerprint, trained_baseline_cached, CAMPAIGN_SEED};
+use adas_core::parallel::MapControl;
 use adas_core::{
-    replay_trace, run_campaign_traced, run_single_traced, ArtifactCache, InterventionConfig,
+    replay_trace, resolve_cell, run_single_traced, ArtifactCache, CampaignCell, InterventionConfig,
     Perturbation, PlatformConfig, RunId, TraceSink,
 };
 use adas_ml::{LstmPredictor, ModelSpec};
@@ -39,8 +40,9 @@ USAGE:
   adas-replay record [--fault rd|curvature|mixed|none] [--row LABEL]
                      [--reps N] [--dir DIR]
       Run one campaign cell with every trace persisted to DIR
-      (default results/traces). LABEL is a Table VI row label such as
-      \"None\", \"Driver+Check\", \"AEB-Indep\" or \"ML\" (default \"None\").
+      (default results/traces). LABEL is an intervention row name such as
+      \"None\", \"Driver+Check\", \"aeb-indep\", \"ML\" or \"ML-Ens\"
+      (default \"None\").
 
   adas-replay record --golden [--dir DIR]
       Regenerate the golden regression traces (default
@@ -78,34 +80,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_fault(s: &str) -> Result<Option<FaultType>, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "rd" | "relative-distance" | "relative_distance" => Ok(Some(FaultType::RelativeDistance)),
-        "curvature" | "dc" | "desired-curvature" => Ok(Some(FaultType::DesiredCurvature)),
-        "mixed" => Ok(Some(FaultType::Mixed)),
-        "none" | "benign" => Ok(None),
-        other => Err(format!(
-            "unknown fault `{other}` (expected rd, curvature, mixed, or none)"
-        )),
-    }
-}
-
-fn parse_row(label: &str) -> Result<InterventionConfig, String> {
-    InterventionConfig::table_vi_rows()
-        .into_iter()
-        .find(|iv| iv.label().eq_ignore_ascii_case(label))
-        .ok_or_else(|| {
-            let known: Vec<String> = InterventionConfig::table_vi_rows()
-                .iter()
-                .map(InterventionConfig::label)
-                .collect();
-            format!(
-                "unknown intervention row `{label}` (expected one of: {})",
-                known.join(", ")
-            )
-        })
-}
-
 /// Flag-value extractor for the hand-rolled argument loop: returns the value
 /// following `flag` and removes both tokens.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
@@ -141,8 +115,21 @@ fn cmd_record(args: &[String]) -> ExitCode {
             }
             return record_golden(&dir.unwrap_or_else(|| PathBuf::from("results/traces/golden")));
         }
-        let fault = parse_fault(&take_flag(&mut args, "--fault")?.unwrap_or_else(|| "rd".into()))?;
-        let iv = parse_row(&take_flag(&mut args, "--row")?.unwrap_or_else(|| "None".into()))?;
+        let fault = take_flag(&mut args, "--fault")?.unwrap_or_else(|| "rd".into());
+        let fault = FaultType::from_name(&fault).ok_or_else(|| {
+            format!("unknown fault `{fault}` (expected rd, curvature, mixed, or none)")
+        })?;
+        let row = take_flag(&mut args, "--row")?.unwrap_or_else(|| "None".into());
+        let iv = InterventionConfig::from_name(&row).ok_or_else(|| {
+            let known: Vec<String> = InterventionConfig::table_vi_rows()
+                .iter()
+                .map(InterventionConfig::label)
+                .collect();
+            format!(
+                "unknown intervention row `{row}` (expected one of: {}, ML-Ens, ML-Mask)",
+                known.join(", ")
+            )
+        })?;
         let reps: u32 = take_flag(&mut args, "--reps")?
             .unwrap_or_else(|| "1".into())
             .parse()
@@ -172,19 +159,21 @@ fn record_cell(
     reps: u32,
     dir: &Path,
 ) -> Result<(), String> {
-    let cfg = PlatformConfig::with_interventions(iv);
-    let (model, model_fp) = if iv.ml {
-        let cache = ArtifactCache::from_env();
-        let model = Arc::new(trained_baseline_cached(
+    let cache = ArtifactCache::from_env();
+    let model = iv.ml.then(|| {
+        Arc::new(trained_baseline_cached(
             &cache,
             CAMPAIGN_SEED,
             ModelSpec::default(),
-        ));
-        let fp = model_fingerprint(&model).value();
-        (Some(model), fp)
-    } else {
-        (None, 0)
-    };
+        ))
+    });
+    let cell = CampaignCell::new(
+        fault,
+        PlatformConfig::with_interventions(iv),
+        model.as_ref(),
+        CAMPAIGN_SEED,
+        reps,
+    );
     let sink = TraceSink::new(TracePolicy {
         mode: TraceMode::All,
         dir: dir.to_path_buf(),
@@ -195,18 +184,10 @@ fn record_cell(
         fault.map_or("none", FaultType::label),
         iv.label()
     );
-    let records = run_campaign_traced(
-        fault,
-        &cfg,
-        model.as_ref(),
-        model_fp,
-        CAMPAIGN_SEED,
-        reps,
-        &sink,
-    );
+    let (_, runs) =
+        resolve_cell(&cell, &cache, &sink, &MapControl::new()).expect("uncancelled cell");
     println!(
-        "{} runs recorded, {} traces persisted to {} ({} errors)",
-        records.len(),
+        "{runs} runs recorded, {} traces persisted to {} ({} errors)",
         sink.persisted(),
         dir.display(),
         sink.errors()

@@ -15,7 +15,10 @@
 use adas_attack::FaultType;
 use adas_bench::CAMPAIGN_SEED;
 use adas_core::parallel::MapControl;
-use adas_core::{run_ids_ctl, run_single, InterventionConfig, PlatformConfig, RunId, TextTable};
+use adas_core::{
+    run_ids_ctl, run_single, CampaignCell, InterventionConfig, PlatformConfig, RunId, TextTable,
+    TraceSink,
+};
 use adas_ml::linear::{Kernel, Pass};
 use adas_ml::train::{backprop_group, Gradients, GroupScratch, Transposed};
 use adas_ml::{LstmPredictor, ModelSpec, Sample, FEATURE_DIM, WINDOW};
@@ -162,35 +165,35 @@ fn ns_per_call(inputs: &[f64], f: impl Fn(f64) -> f64) -> f64 {
     ns
 }
 
-/// ns per value of a lane-block function over `inputs`, in blocks of 8,
-/// run on the CPU's fastest [`Kernel`] build (as the gate math runs it).
+/// ns per value of a lane-block function applied in place over a panel
+/// of `inputs`, in blocks of 8: each pass is one [`Kernel::run`] on the
+/// CPU's fastest build, the block loop compiled inside it, as
+/// `Lstm::gate_math` activates a gate panel in inference. (The functions
+/// are branch-free, so the panel drifting over the passes does not change
+/// the work.)
 fn ns_per_lane_value(inputs: &[f64], block: impl Fn(&mut [f64; 8])) -> f64 {
-    /// The timing loop as a kernel pass, so `block` is compiled into it.
-    struct Timing<'a, F> {
-        inputs: &'a [f64],
-        block: F,
-        ns: &'a mut f64,
+    /// One in-place pass over the panel as a kernel pass.
+    struct Blocks<'a, F> {
+        panel: &'a mut [f64],
+        block: &'a F,
     }
-    impl<F: Fn(&mut [f64; 8])> Pass for Timing<'_, F> {
+    impl<F: Fn(&mut [f64; 8])> Pass for Blocks<'_, F> {
         #[inline(always)]
         fn run(self) {
-            let mut sink = 0.0f64;
-            *self.ns = ns_per_lane_step(self.inputs.len(), |_| {
-                for chunk in self.inputs.chunks_exact(8) {
-                    let mut values: [f64; 8] = chunk.try_into().expect("whole block");
-                    (self.block)(std::hint::black_box(&mut values));
-                    sink += values[0];
-                }
-            });
-            std::hint::black_box(sink);
+            for values in self.panel.chunks_exact_mut(8) {
+                (self.block)(values.try_into().expect("whole block"));
+            }
         }
     }
-    let mut ns = 0.0;
-    Kernel::detect().run(Timing {
-        inputs,
-        block,
-        ns: &mut ns,
+    let kernel = Kernel::detect();
+    let mut panel = inputs.to_vec();
+    let ns = ns_per_lane_step(inputs.len(), |_| {
+        kernel.run(Blocks {
+            panel: &mut panel,
+            block: &block,
+        });
     });
+    std::hint::black_box(&panel);
     ns
 }
 
@@ -444,15 +447,19 @@ fn closed_loop(
     width: Option<usize>,
 ) -> f64 {
     let fault = Some(FaultType::Mixed);
+    let cell = CampaignCell::new(fault, *cfg, model, CAMPAIGN_SEED, 1);
     let mut best = 0.0f64;
     for _ in 0..TRIALS {
         let start = Instant::now();
         let records = match width {
-            Some(width) => {
-                let ctl = MapControl::new();
-                run_ids_ctl(ids, fault, cfg, model, CAMPAIGN_SEED, width, &ctl)
-                    .expect("uncancelled")
-            }
+            Some(width) => run_ids_ctl(
+                &cell,
+                ids,
+                width,
+                &TraceSink::disabled(),
+                &MapControl::new(),
+            )
+            .expect("uncancelled"),
             None => ids
                 .iter()
                 .map(|id| run_single(*id, fault, cfg, model, CAMPAIGN_SEED))

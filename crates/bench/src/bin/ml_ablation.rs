@@ -8,10 +8,11 @@
 //! stage; the loss comparison always runs).
 
 use adas_attack::FaultType;
-use adas_bench::{model_fingerprint, reps_from_args, write_results_file, CAMPAIGN_SEED};
+use adas_bench::{reps_from_args, write_results_file, CAMPAIGN_SEED};
+use adas_core::parallel::MapControl;
 use adas_core::{
-    campaign_cell_fingerprint, cell_stats_cached, collect_training_data, run_campaign,
-    ArtifactCache, CellStats, InterventionConfig, PlatformConfig,
+    collect_training_data, resolve_cell, ArtifactCache, CampaignCell, InterventionConfig,
+    PlatformConfig, TraceSink,
 };
 use adas_ml::{train, LstmPredictor, ModelSpec, TrainConfig};
 use std::sync::Arc;
@@ -49,24 +50,15 @@ fn main() {
         let loss = report.final_loss();
         let model = Arc::new(model);
 
-        let cfg = PlatformConfig::with_interventions(InterventionConfig::ml_only());
-        let key = campaign_cell_fingerprint(
+        let cell = CampaignCell::new(
             Some(FaultType::RelativeDistance),
-            &cfg,
-            Some(model_fingerprint(&model)),
+            PlatformConfig::with_interventions(InterventionConfig::ml_only()),
+            Some(&model),
             CAMPAIGN_SEED,
             reps,
         );
-        let stats = cell_stats_cached(&cache, key, || {
-            let records = run_campaign(
-                Some(FaultType::RelativeDistance),
-                &cfg,
-                Some(&model),
-                CAMPAIGN_SEED,
-                reps,
-            );
-            CellStats::from_records(records.iter().map(|(_, r)| r))
-        });
+        let (stats, _) = resolve_cell(&cell, &cache, &TraceSink::disabled(), &MapControl::new())
+            .expect("uncancelled cell");
         println!(
             "{label:20} {:9} {loss:11.5} {:8.2}%",
             model.param_count(),

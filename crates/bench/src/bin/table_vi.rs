@@ -22,15 +22,16 @@
 
 use adas_attack::FaultType;
 use adas_bench::{
-    model_fingerprint, paper, reps_from_args, trained_baseline_cached, write_results_file,
-    PhaseTimer, CAMPAIGN_SEED,
+    paper, reps_from_args, trained_baseline_cached, write_results_file, PhaseTimer, CAMPAIGN_SEED,
 };
+use adas_core::parallel::MapControl;
 use adas_core::{
-    campaign_cell_fingerprint, cell_stats_cached, fmt_opt_time, run_campaign, run_campaign_traced,
-    ArtifactCache, CellStats, InterventionConfig, PlatformConfig, TextTable, TraceSink,
+    fmt_opt_time, resolve_cell, ArtifactCache, CampaignCell, InterventionConfig, PlatformConfig,
+    TextTable, TraceSink,
 };
 use adas_ml::ModelSpec;
 use adas_recorder::RecordMode;
+use adas_store::CellRow;
 use std::sync::Arc;
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
             None
         }
     });
-    let mut store_rows: Vec<adas_store::CellRow> = Vec::new();
+    let mut store_rows: Vec<CellRow> = Vec::new();
     let mut timer = PhaseTimer::new();
     if sink.enabled() {
         println!(
@@ -63,7 +64,6 @@ fn main() {
         CAMPAIGN_SEED,
         ModelSpec::default(),
     ));
-    let model_fp = model_fingerprint(&model);
 
     timer.phase("campaign");
 
@@ -89,7 +89,7 @@ fn main() {
             "A2",
             "Prev",
         ]);
-        for (iv_idx, mut iv) in InterventionConfig::table_vi_rows().into_iter().enumerate() {
+        for mut iv in InterventionConfig::table_vi_rows() {
             if iv.ml {
                 // Strategy selection applies only to ML rows; the default
                 // environment leaves the row — and its cache keys —
@@ -98,56 +98,16 @@ fn main() {
             }
             let mut cfg = PlatformConfig::with_interventions(iv);
             // `ADAS_ATTACK` swaps the patch's fixed activation for a
-            // context trigger; the scheduler is part of the config Debug
-            // rendering, so non-default settings get their own cache keys.
+            // context trigger; the scheduler is part of the config's
+            // canonical bytes, so non-default settings get their own cache
+            // keys.
             cfg.attack = adas_core::attack_from_env();
-            let key = campaign_cell_fingerprint(
-                Some(fault),
-                &cfg,
-                iv.ml.then_some(model_fp),
-                CAMPAIGN_SEED,
-                reps,
-            );
-            let s = if sink.enabled() {
-                let ml = iv.ml.then_some(&model);
-                let records = run_campaign_traced(
-                    Some(fault),
-                    &cfg,
-                    ml,
-                    if iv.ml { model_fp.value() } else { 0 },
-                    CAMPAIGN_SEED,
-                    reps,
-                    &sink,
-                );
-                timer.add_runs(records.len() as u64);
-                let s = CellStats::from_records(records.iter().map(|(_, r)| r));
-                // Tracing recomputes on purpose (a cached aggregate cannot
-                // replay trace capture) — declare the bypass so the cache
-                // books stay balanced, then store the fresh stats.
-                cache.note_bypass();
-                cache.store("cell", key, &s.to_bytes());
-                s
-            } else {
-                cell_stats_cached(&cache, key, || {
-                    let ml = iv.ml.then_some(&model);
-                    let records = run_campaign(Some(fault), &cfg, ml, CAMPAIGN_SEED, reps);
-                    timer.add_runs(records.len() as u64);
-                    CellStats::from_records(records.iter().map(|(_, r)| r))
-                })
-            };
+            let cell = CampaignCell::new(Some(fault), cfg, Some(&model), CAMPAIGN_SEED, reps);
+            let (s, runs) =
+                resolve_cell(&cell, &cache, &sink, &MapControl::new()).expect("uncancelled cell");
+            timer.add_runs(runs as u64);
             if store.is_some() {
-                store_rows.push(adas_store::CellRow::from_stats(
-                    (
-                        adas_store::record::ANY,
-                        adas_store::record::ANY,
-                        fault.code(),
-                        iv_idx as u8,
-                        iv.mitigation.code(),
-                        u8::from(!cfg.attack.is_immediate()),
-                    ),
-                    CAMPAIGN_SEED,
-                    &s,
-                ));
+                store_rows.push(CellRow::for_cell(Some(fault), &cfg, CAMPAIGN_SEED, &s));
             }
             let reference = paper::TABLE_VI
                 .iter()

@@ -5,9 +5,10 @@
 
 use adas_attack::FaultType;
 use adas_bench::{paper, reps_from_args, write_results_file, CAMPAIGN_SEED};
+use adas_core::parallel::MapControl;
 use adas_core::{
-    campaign_cell_fingerprint, cell_stats_cached, run_campaign, ArtifactCache, CellStats,
-    InterventionConfig, PlatformConfig, TextTable,
+    resolve_cell, ArtifactCache, CampaignCell, InterventionConfig, PlatformConfig, TextTable,
+    TraceSink,
 };
 use adas_simulator::FrictionCondition;
 
@@ -34,11 +35,9 @@ fn main() {
                 InterventionConfig::driver_check_aeb_compromised(),
             );
             cfg.friction = condition;
-            let key = campaign_cell_fingerprint(Some(fault), &cfg, None, CAMPAIGN_SEED, reps);
-            let s = cell_stats_cached(&cache, key, || {
-                let records = run_campaign(Some(fault), &cfg, None, CAMPAIGN_SEED, reps);
-                CellStats::from_records(records.iter().map(|(_, r)| r))
-            });
+            let cell = CampaignCell::new(Some(fault), cfg, None, CAMPAIGN_SEED, reps);
+            let (s, _) = resolve_cell(&cell, &cache, &TraceSink::disabled(), &MapControl::new())
+                .expect("uncancelled cell");
             row.push(format!("{:.2}%", s.prevented_pct));
             csv.push_str(&format!(
                 "{},{},{:.2}\n",

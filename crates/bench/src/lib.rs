@@ -40,14 +40,7 @@ pub fn baseline_train_config() -> TrainConfig {
     tc
 }
 
-/// Stable fingerprint of a model's exact weights (used to key campaign
-/// cells that depend on the trained model).
-#[must_use]
-pub fn model_fingerprint(model: &LstmPredictor) -> Fingerprint {
-    Fingerprint::new()
-        .write_str("lstm-weights")
-        .write_bytes(&model.to_bytes())
-}
+pub use adas_core::model_fingerprint;
 
 /// Trains the ML mitigation baseline on fault-free traces and returns it,
 /// using the process-wide artifact cache (`results/cache`, see
@@ -77,33 +70,28 @@ pub fn trained_baseline_cached(cache: &ArtifactCache, seed: u64, spec: ModelSpec
         .write(&spec)
         .write(&tc)
         .write_u64(fingerprint_dataset(&data).value());
-    cache.get_or_compute(
-        "model",
-        key,
-        |bytes| {
-            LstmPredictor::from_bytes(bytes)
-                .ok()
-                .filter(|m| m.spec() == spec)
-                .inspect(|_| {
-                    eprintln!("[ml] loaded trained weights from cache ({key})");
-                })
-        },
-        || {
-            eprintln!("[ml] {} windows collected; training {spec:?}…", data.len());
-            let mut model = LstmPredictor::new(spec);
-            let report = train(&mut model, &data, &tc);
-            eprintln!(
-                "[ml] training losses per epoch: {:?}",
-                report
-                    .epoch_loss
-                    .iter()
-                    .map(|l| (l * 1e4).round() / 1e4)
-                    .collect::<Vec<_>>()
-            );
-            model
-        },
-        LstmPredictor::to_bytes,
-    )
+    let decode = |bytes: &[u8]| {
+        LstmPredictor::from_bytes(bytes)
+            .ok()
+            .filter(|m| m.spec() == spec)
+    };
+    if let Some(model) = cache.load_decoded("model", key, decode) {
+        eprintln!("[ml] loaded trained weights from cache ({key})");
+        return model;
+    }
+    eprintln!("[ml] {} windows collected; training {spec:?}…", data.len());
+    let mut model = LstmPredictor::new(spec);
+    let report = train(&mut model, &data, &tc);
+    eprintln!(
+        "[ml] training losses per epoch: {:?}",
+        report
+            .epoch_loss
+            .iter()
+            .map(|l| (l * 1e4).round() / 1e4)
+            .collect::<Vec<_>>()
+    );
+    cache.store("model", key, &model.to_bytes());
+    model
 }
 
 /// Wall-clock phase accounting for a harness run, emitted as

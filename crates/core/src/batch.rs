@@ -180,24 +180,6 @@ where
     Some(per_chunk.into_iter().flatten().collect())
 }
 
-/// [`run_lockstep_ctl`] without external cancellation.
-pub fn run_lockstep<T, R, M, F>(
-    items: &[T],
-    width: usize,
-    ml_model: Option<&Arc<LstmPredictor>>,
-    make: M,
-    finish: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    M: Fn(usize, &T) -> Platform + Sync,
-    F: Fn(usize, &T, EndReason, Platform) -> R + Sync,
-{
-    run_lockstep_ctl(items, width, ml_model, make, finish, &MapControl::new())
-        .expect("uncancelled lockstep map completed")
-}
-
 /// Drives one chunk of runs to completion in lockstep.
 fn drive_chunk<T, R>(
     items: &[T],
@@ -315,6 +297,18 @@ mod tests {
     use crate::experiment::{campaign_run_ids, run_single};
     use adas_attack::FaultType;
 
+    /// [`run_lockstep_ctl`] without cancellation.
+    fn lockstep<T: Sync, R: Send>(
+        items: &[T],
+        width: usize,
+        ml_model: Option<&Arc<LstmPredictor>>,
+        make: impl Fn(usize, &T) -> Platform + Sync,
+        finish: impl Fn(usize, &T, EndReason, Platform) -> R + Sync,
+    ) -> Vec<R> {
+        run_lockstep_ctl(items, width, ml_model, make, finish, &MapControl::new())
+            .expect("uncancelled")
+    }
+
     fn short_config() -> PlatformConfig {
         PlatformConfig {
             max_steps: 400,
@@ -332,7 +326,7 @@ mod tests {
             .map(|id| run_single(*id, fault, &cfg, None, 11))
             .collect();
         for width in [1usize, 3, 8, 32] {
-            let batched = run_lockstep(
+            let batched = lockstep(
                 &ids,
                 width,
                 None,
@@ -354,7 +348,7 @@ mod tests {
             ..PlatformConfig::default()
         };
         let ids = campaign_run_ids(1);
-        let out = run_lockstep(
+        let out = lockstep(
             &ids,
             4,
             None,
@@ -372,7 +366,7 @@ mod tests {
             ..PlatformConfig::default()
         };
         let ids = campaign_run_ids(1);
-        let _ = run_lockstep(
+        let _ = lockstep(
             &ids,
             8,
             None,
@@ -435,7 +429,7 @@ mod tests {
             .map(|id| run_single(*id, fault, &cfg, Some(&model), 11))
             .collect();
         for width in [1usize, 5, 32] {
-            let batched = run_lockstep(
+            let batched = lockstep(
                 &ids,
                 width,
                 Some(&model),

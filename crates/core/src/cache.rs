@@ -185,29 +185,21 @@ impl ArtifactCache {
         }
     }
 
-    /// Loads an artifact or computes, stores, and returns it.
-    ///
-    /// `decode` may reject a cached blob (wrong version, truncation…) — that
-    /// counts as a miss and falls through to `compute`.
-    pub fn get_or_compute<T>(
+    /// Loads and decodes an artifact; `None` is a miss. `decode` may reject
+    /// a cached blob (wrong version, truncation…), which counts as a miss.
+    pub fn load_decoded<T>(
         &self,
         kind: &str,
         key: Fingerprint,
         decode: impl FnOnce(&[u8]) -> Option<T>,
-        compute: impl FnOnce() -> T,
-        encode: impl FnOnce(&T) -> Vec<u8>,
-    ) -> T {
-        if let Some(bytes) = self.load(kind, key) {
-            if let Some(value) = decode(&bytes) {
-                return value;
-            }
-            // Undecodable entry: treat as a miss (the hit was already
-            // counted; correct the books).
+    ) -> Option<T> {
+        let value = decode(&self.load(kind, key)?);
+        if value.is_none() {
+            // Undecodable entry: the hit was already counted; correct the
+            // books.
             self.hits.fetch_sub(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let value = compute();
-        self.store(kind, key, &encode(&value));
         value
     }
 
@@ -231,6 +223,15 @@ impl ArtifactCache {
             bypasses: self.bypasses.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Stable fingerprint of a model's exact weights: keys every campaign cell
+/// that runs the model, and labels its traces.
+#[must_use]
+pub fn model_fingerprint(model: &adas_ml::LstmPredictor) -> Fingerprint {
+    Fingerprint::new()
+        .write_str("lstm-weights")
+        .write_bytes(&model.to_bytes())
 }
 
 /// Stable content fingerprint of a training dataset: every sample's window
@@ -307,48 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn get_or_compute_computes_once() {
-        let dir = temp_dir("memo");
-        let cache = ArtifactCache::at(&dir);
-        let key = Fingerprint::new().write_str("answer");
-        let mut calls = 0;
-        for _ in 0..3 {
-            let v: u64 = cache.get_or_compute(
-                "memo",
-                key,
-                |b| b.try_into().ok().map(u64::from_le_bytes),
-                || {
-                    calls += 1;
-                    42
-                },
-                |v| v.to_le_bytes().to_vec(),
-            );
-            assert_eq!(v, 42);
-        }
-        assert_eq!(calls, 1);
-        assert_eq!(cache.stats().hits, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_entry_falls_through_to_compute() {
+    fn undecodable_entry_is_a_miss() {
         let dir = temp_dir("corrupt");
         let cache = ArtifactCache::at(&dir);
         let key = Fingerprint::new().write_str("bad");
+        let decode = |b: &[u8]| b.try_into().ok().map(u64::from_le_bytes);
         assert!(cache.store("memo", key, b"xyz"));
-        let v: u64 = cache.get_or_compute(
-            "memo",
-            key,
-            |b| b.try_into().ok().map(u64::from_le_bytes),
-            || 7,
-            |v| v.to_le_bytes().to_vec(),
-        );
-        assert_eq!(v, 7);
-        // The corrupt entry was overwritten with a decodable one.
-        assert_eq!(
-            cache.load("memo", key).as_deref(),
-            Some(&7u64.to_le_bytes()[..])
-        );
+        assert_eq!(cache.load_decoded("memo", key, decode), None);
+        assert!(cache.store("memo", key, &7u64.to_le_bytes()));
+        assert_eq!(cache.load_decoded("memo", key, decode), Some(7));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.writes), (1, 1, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -220,6 +220,20 @@ impl InterventionConfig {
         ]
     }
 
+    /// Parses an intervention row name: the [`Self::label`] of a Table VI
+    /// row or of the two view-based mitigation rows (`Driver+Check`,
+    /// `AEB-Indep`, `ML-Ens`, …), ignoring case, with `-` for `+`
+    /// (`driver-check-aeb-comp`, `ml-mask`). `None` for unknown names.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        let normal = |s: &str| s.trim().to_ascii_lowercase().replace('+', "-");
+        let name = normal(name);
+        Self::table_vi_rows()
+            .into_iter()
+            .chain([Self::ensemble_only(), Self::maskcheck_only()])
+            .find(|row| normal(&row.label()) == name)
+    }
+
     /// Compact label like the paper's check-mark columns.
     #[must_use]
     pub fn label(&self) -> String {
@@ -375,6 +389,43 @@ mod tests {
     use crate::replay::config_fingerprint;
     use adas_attack::{ContextTrigger, FaultType};
     use std::collections::HashSet;
+
+    #[test]
+    fn from_name_accepts_every_row_spelling() {
+        // Labels in any case (the results CSVs, `adas-replay record`) and
+        // kebab case (`adas-serve` row lists).
+        type Iv = InterventionConfig;
+        let cases: [(&[&str], _); 11] = [
+            (&["None", "none"], Some(Iv::none())),
+            (
+                &["Driver+Check", "driver-check"],
+                Some(Iv::driver_and_check()),
+            ),
+            (
+                &["Driver+Check+AEB-Comp", "driver-check-aeb-comp"],
+                Some(Iv::driver_check_aeb_compromised()),
+            ),
+            (
+                &["Driver+Check+AEB-Indep", "driver-check-aeb-indep"],
+                Some(Iv::driver_check_aeb_independent()),
+            ),
+            (&["AEB-Comp", "aeb-comp"], Some(Iv::aeb_compromised_only())),
+            (
+                &["AEB-Indep", "aeb-indep", " aeb-indep "],
+                Some(Iv::aeb_independent_only()),
+            ),
+            (&["Driver", "driver"], Some(Iv::driver_only())),
+            (&["ML", "ml"], Some(Iv::ml_only())),
+            (&["ML-Ens", "ml-ens"], Some(Iv::ensemble_only())),
+            (&["ML-Mask", "ml-mask"], Some(Iv::maskcheck_only())),
+            (&["", "all", "check", "ml-cusum", "driver,check"], None),
+        ];
+        for (names, parsed) in cases {
+            for name in names {
+                assert_eq!(Iv::from_name(name), parsed, "{name:?}");
+            }
+        }
+    }
 
     #[test]
     fn table_vi_rows_match_paper_layout() {

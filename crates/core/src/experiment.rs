@@ -9,9 +9,11 @@
 //! index and returned in sweep order, which keeps campaign output
 //! bit-for-bit identical at any thread count (see `ADAS_THREADS`).
 
-use crate::cache::{ArtifactCache, Fingerprint};
+use crate::cache::{model_fingerprint, ArtifactCache, Fingerprint};
 use crate::config::PlatformConfig;
+use crate::parallel::{batch_width, MapControl};
 use crate::platform::Platform;
+use crate::replay::TraceSink;
 use adas_attack::{FaultInjector, FaultSpec, FaultType};
 use adas_codec::{DecodeError, Reader, Writer};
 use adas_ml::{
@@ -148,40 +150,158 @@ pub fn campaign_run_ids_masked(repetitions: u32, mask: u8) -> Vec<RunId> {
     ids
 }
 
-/// Executes an explicit set of runs through the lockstep executor in
-/// [`crate::batch`] at the given batch `width`, honouring `ctl` for
-/// cancellation (all-or-nothing: `None` when cancelled, like
-/// [`adas_parallel::map_ctl`]).
-///
-/// Per-run results are bit-identical to [`run_single`] at every width, so
-/// callers may pick width purely on throughput grounds (`ADAS_BATCH` via
-/// [`adas_parallel::batch_width`]).
+/// One campaign cell: a fault under one platform configuration, swept
+/// over the scenarios in `scenario_mask` × both positions ×
+/// `repetitions` at one campaign seed — the unit a Table VI entry
+/// aggregates, and the unit the artifact cache stores.
+#[derive(Debug, Clone, Copy)]
+pub struct CampaignCell<'a> {
+    /// Injected fault; `None` is the fault-free baseline.
+    pub fault: Option<FaultType>,
+    /// Platform configuration every run of the cell uses.
+    pub config: PlatformConfig,
+    /// Trained model and its weights fingerprint; `None` unless
+    /// `config.interventions.ml` is set.
+    pub model: Option<(&'a Arc<LstmPredictor>, Fingerprint)>,
+    /// Campaign seed (drives every run's RNG stream derivation).
+    pub campaign_seed: u64,
+    /// Repetitions per scenario × position.
+    pub repetitions: u32,
+    /// Scenario subset (bit `i` = `ScenarioId::ALL[i]`).
+    pub scenario_mask: u8,
+}
+
+impl<'a> CampaignCell<'a> {
+    /// A full-grid cell (every scenario), fingerprinting `model` when the
+    /// configuration runs the ML mitigation.
+    #[must_use]
+    pub fn new(
+        fault: Option<FaultType>,
+        config: PlatformConfig,
+        model: Option<&'a Arc<LstmPredictor>>,
+        campaign_seed: u64,
+        repetitions: u32,
+    ) -> Self {
+        let model = model
+            .filter(|_| config.interventions.ml)
+            .map(|m| (m, model_fingerprint(m)));
+        Self {
+            fault,
+            config,
+            model,
+            campaign_seed,
+            repetitions,
+            scenario_mask: SCENARIO_MASK_ALL,
+        }
+    }
+
+    /// Run coordinates of the cell's sweep, in paper order.
+    #[must_use]
+    pub fn run_ids(&self) -> Vec<RunId> {
+        campaign_run_ids_masked(self.repetitions, self.scenario_mask)
+    }
+
+    /// The cell's artifact-cache key: [`campaign_cell_fingerprint`],
+    /// extended only for masked grids.
+    #[must_use]
+    pub fn key(&self) -> Fingerprint {
+        masked_cell_key(
+            campaign_cell_fingerprint(
+                self.fault,
+                &self.config,
+                self.model.map(|(_, fp)| fp),
+                self.campaign_seed,
+                self.repetitions,
+            ),
+            self.scenario_mask,
+        )
+    }
+}
+
+/// A cell key for a scenario subset: the full grid keeps the base key
+/// every harness shares, a masked grid gets a disjoint key family.
+pub(crate) fn masked_cell_key(base: Fingerprint, scenario_mask: u8) -> Fingerprint {
+    if scenario_mask == SCENARIO_MASK_ALL {
+        base
+    } else {
+        base.write_str("scenario-mask")
+            .write_u64(u64::from(scenario_mask))
+    }
+}
+
+/// Executes `ids` (the cell's [`CampaignCell::run_ids`] or any others)
+/// under `cell`'s fault, configuration, model and seed through the
+/// lockstep executor in [`crate::batch`] at batch `width`. A recording
+/// `sink` gets every run's trace; `ctl` cancels all-or-nothing (`None`,
+/// like [`adas_parallel::map_ctl`]). Per-run results are bit-identical to
+/// [`run_single`] at every width, traced or not.
 #[must_use]
 pub fn run_ids_ctl(
+    cell: &CampaignCell<'_>,
     ids: &[RunId],
-    fault: Option<FaultType>,
-    config: &PlatformConfig,
-    ml_model: Option<&Arc<LstmPredictor>>,
-    campaign_seed: u64,
     width: usize,
-    ctl: &crate::parallel::MapControl,
+    sink: &TraceSink,
+    ctl: &MapControl,
 ) -> Option<Vec<RunRecord>> {
-    let model = ml_model.filter(|_| config.interventions.ml);
+    let (fault, config, seed) = (cell.fault, &cell.config, cell.campaign_seed);
+    let weights = cell.model.map(|(m, _)| m);
+    let mode = sink.enabled().then(|| sink.policy().record_mode);
     crate::batch::run_lockstep_ctl(
         ids,
         width,
-        model,
-        |_, id| build_platform(*id, fault, config, model, campaign_seed),
-        |_, _, _, platform| platform.record(),
+        weights,
+        |_, id| {
+            let mut platform = build_platform(*id, fault, config, weights, seed);
+            if let Some(mode) = mode {
+                platform.attach_writer(crate::replay::make_writer(mode, config.max_steps));
+            }
+            platform
+        },
+        |_, id, end, platform| {
+            if mode.is_none() {
+                return platform.record();
+            }
+            let model_fp = cell.model.map_or(0, |(_, fp)| fp.value());
+            let header = crate::replay::trace_header(*id, fault, config, model_fp, seed);
+            sink.capture(platform, end, header)
+        },
         ctl,
     )
 }
 
+/// Resolves one campaign cell's statistics and the number of runs
+/// executed: the artifact cache first (0 runs), else the cell's runs
+/// through [`run_ids_ctl`] at the `ADAS_BATCH` width, storing the
+/// statistics; `None` when `ctl` was cancelled. A recording `sink` skips
+/// the cache read (a hit would record nothing), declares the bypass, and
+/// still stores the statistics.
+#[must_use]
+pub fn resolve_cell(
+    cell: &CampaignCell<'_>,
+    cache: &ArtifactCache,
+    sink: &TraceSink,
+    ctl: &MapControl,
+) -> Option<(CellStats, usize)> {
+    let key = cell.key();
+    if !sink.enabled() {
+        if let Some(stats) = cache.load_decoded("cell", key, CellStats::from_bytes) {
+            return Some((stats, 0));
+        }
+    }
+    let records = run_ids_ctl(cell, &cell.run_ids(), batch_width(), sink, ctl)?;
+    if sink.enabled() {
+        cache.note_bypass();
+    }
+    let stats = CellStats::from_records(&records);
+    cache.store("cell", key, &stats.to_bytes());
+    Some((stats, records.len()))
+}
+
 /// Runs a full campaign cell: every scenario × both positions ×
-/// `repetitions`, scheduled by the work-stealing executor at the
-/// environment-selected lockstep batch width (`ADAS_BATCH`). Results are
-/// returned in sweep order regardless of thread count, batch width, or
-/// scheduling.
+/// `repetitions`, untraced, scheduled by the work-stealing executor at
+/// the environment-selected lockstep batch width (`ADAS_BATCH`). Results
+/// are returned in sweep order regardless of thread count, batch width,
+/// or scheduling.
 #[must_use]
 pub fn run_campaign(
     fault: Option<FaultType>,
@@ -190,36 +310,14 @@ pub fn run_campaign(
     campaign_seed: u64,
     repetitions: u32,
 ) -> Vec<(RunId, RunRecord)> {
-    run_campaign_with_width(
-        fault,
-        config,
-        ml_model,
-        campaign_seed,
-        repetitions,
-        crate::parallel::batch_width(),
-    )
-}
-
-/// [`run_campaign`] at an explicit lockstep batch width (the equivalence
-/// suite sweeps widths without racing on the process environment).
-#[must_use]
-pub fn run_campaign_with_width(
-    fault: Option<FaultType>,
-    config: &PlatformConfig,
-    ml_model: Option<&Arc<LstmPredictor>>,
-    campaign_seed: u64,
-    repetitions: u32,
-    width: usize,
-) -> Vec<(RunId, RunRecord)> {
-    let ids = campaign_run_ids(repetitions);
+    let cell = CampaignCell::new(fault, *config, ml_model, campaign_seed, repetitions);
+    let ids = cell.run_ids();
     let records = run_ids_ctl(
+        &cell,
         &ids,
-        fault,
-        config,
-        ml_model,
-        campaign_seed,
-        width,
-        &crate::parallel::MapControl::new(),
+        batch_width(),
+        &TraceSink::disabled(),
+        &MapControl::new(),
     )
     .expect("uncancelled campaign completed");
     ids.into_iter().zip(records).collect()
@@ -426,24 +524,6 @@ pub fn campaign_cell_fingerprint(
         .write_u64(u64::from(repetitions))
         .write_str("scenario-catalog")
         .write_u64(catalog)
-}
-
-/// Cache-through wrapper for a campaign cell's aggregate statistics: on a
-/// hit the whole `12 × repetitions`-run campaign is skipped; on a miss
-/// `compute` runs and its result is stored for every other harness keyed
-/// the same way.
-pub fn cell_stats_cached(
-    cache: &ArtifactCache,
-    key: Fingerprint,
-    compute: impl FnOnce() -> CellStats,
-) -> CellStats {
-    cache.get_or_compute(
-        "cell",
-        key,
-        CellStats::from_bytes,
-        compute,
-        CellStats::to_bytes,
-    )
 }
 
 /// Simulates one fault-free training episode and returns its (true state,

@@ -17,11 +17,14 @@
 use crate::cache::Fingerprint;
 use crate::config::{InterventionConfig, PlatformConfig};
 use crate::experiment::{
-    campaign_cell_fingerprint, campaign_run_ids_masked, RunId, SCENARIO_MASK_ALL,
+    campaign_cell_fingerprint, campaign_run_ids_masked, masked_cell_key, CampaignCell, RunId,
+    SCENARIO_MASK_ALL,
 };
 use adas_attack::{AttackScheduler, FaultType};
 use adas_codec::{DecodeError, Encode, Reader, Writer};
+use adas_ml::LstmPredictor;
 use adas_scenarios::{AccidentKind, InitialPosition, RunRecord, ScenarioId};
+use std::sync::Arc;
 
 /// Hard cap on cells per campaign: a defensive bound so a hostile frame
 /// cannot make the server enqueue unbounded work from one request.
@@ -134,14 +137,6 @@ impl CampaignSpec {
             && self.scenario_mask & !SCENARIO_MASK_ALL == 0
     }
 
-    /// True when the scenario mask covers the whole S1–S6 grid and the run
-    /// length is the platform default — the precondition for sharing cache
-    /// entries with the CLI harnesses (`table_vi` …).
-    #[must_use]
-    pub fn is_full_grid(&self) -> bool {
-        self.scenario_mask == SCENARIO_MASK_ALL && self.max_steps == 0
-    }
-
     /// The platform configuration a given cell runs under.
     #[must_use]
     pub fn config_for(&self, cell: &CellSpec) -> PlatformConfig {
@@ -159,27 +154,41 @@ impl CampaignSpec {
         campaign_run_ids_masked(self.repetitions, self.scenario_mask)
     }
 
-    /// Content fingerprint of one cell's aggregate result. For full-grid
-    /// campaigns this is byte-compatible with
-    /// [`campaign_cell_fingerprint`], so a campaign served over the wire
-    /// hits the same artifact-cache entries the CLI harnesses write (and
-    /// vice versa); masked grids get a disjoint key family.
+    /// One cell of the grid as a [`CampaignCell`], ready for
+    /// [`resolve_cell`](crate::resolve_cell). `model` (a trained model and
+    /// its weights fingerprint) is kept only for ML cells.
+    #[must_use]
+    pub fn cell<'a>(
+        &self,
+        cell: &CellSpec,
+        model: Option<(&'a Arc<LstmPredictor>, Fingerprint)>,
+    ) -> CampaignCell<'a> {
+        CampaignCell {
+            fault: cell.fault,
+            config: self.config_for(cell),
+            model: model.filter(|_| cell.interventions.ml),
+            campaign_seed: self.campaign_seed,
+            repetitions: self.repetitions,
+            scenario_mask: self.scenario_mask,
+        }
+    }
+
+    /// Content fingerprint of one cell's aggregate result:
+    /// [`CampaignCell::key`] of [`Self::cell`] given the model's
+    /// fingerprint alone. For full-grid campaigns this is
+    /// [`campaign_cell_fingerprint`] itself, so a campaign served over the
+    /// wire hits the same artifact-cache entries the CLI harnesses write
+    /// (and vice versa); masked grids get a disjoint key family.
     #[must_use]
     pub fn cell_key(&self, cell: &CellSpec, model: Option<Fingerprint>) -> Fingerprint {
-        let config = self.config_for(cell);
         let base = campaign_cell_fingerprint(
             cell.fault,
-            &config,
+            &self.config_for(cell),
             model,
             self.campaign_seed,
             self.repetitions,
         );
-        if self.scenario_mask == SCENARIO_MASK_ALL {
-            base
-        } else {
-            base.write_str("scenario-mask")
-                .write_u64(u64::from(self.scenario_mask))
-        }
+        masked_cell_key(base, self.scenario_mask)
     }
 
     /// The consistent-hashing routing key of one cell: [`Self::cell_key`]
@@ -470,7 +479,6 @@ mod tests {
                 interventions: InterventionConfig::driver_and_check(),
             }],
         );
-        assert!(spec.is_full_grid());
         let cell = spec.cells[0];
         let direct = campaign_cell_fingerprint(
             cell.fault,

@@ -55,21 +55,20 @@ pub use adas_parallel::env;
 pub use adas_ml::{MitigationKind, ModelSpec};
 /// Why a run ended — the one run-end type, shared with the trace footer.
 pub use adas_recorder::EndReason;
-pub use batch::{run_lockstep, run_lockstep_ctl, BatchStats};
-pub use cache::{fingerprint_dataset, ArtifactCache, CacheStats, Fingerprint};
+pub use batch::{run_lockstep_ctl, BatchStats};
+pub use cache::{fingerprint_dataset, model_fingerprint, ArtifactCache, CacheStats, Fingerprint};
 pub use config::{
     attack_from_env, mitigation_from_env, InterventionConfig, PlatformConfig, MAX_VIEWS,
 };
 pub use experiment::{
-    campaign_cell_fingerprint, campaign_run_ids, campaign_run_ids_masked, cell_stats_cached,
-    collect_training_data, run_campaign, run_campaign_with_width, run_ids_ctl, run_single,
-    CellStats, RunId, SCENARIO_MASK_ALL,
+    campaign_cell_fingerprint, campaign_run_ids, campaign_run_ids_masked, collect_training_data,
+    resolve_cell, run_campaign, run_ids_ctl, run_single, CampaignCell, CellStats, RunId,
+    SCENARIO_MASK_ALL,
 };
 pub use job::{CampaignSpec, CellSpec};
 pub use platform::Platform;
 pub use replay::{
-    config_fingerprint, replay_trace, run_campaign_traced, run_campaign_traced_with_width,
-    run_single_traced, run_traced, trace_header, Perturbation, ReplayError, ReplayReport,
-    TraceSink,
+    config_fingerprint, replay_trace, run_single_traced, run_traced, trace_header, Perturbation,
+    ReplayError, ReplayReport, TraceSink,
 };
 pub use tables::{fmt_opt_time, fmt_pct, TextTable};

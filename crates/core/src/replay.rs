@@ -9,13 +9,13 @@
 //! * [`replay_trace`] — reconstruct the run from its header, re-execute
 //!   it, and localise the first divergent step/field (or report
 //!   `Identical`);
-//! * [`TraceSink`] / [`run_campaign_traced`] — the campaign hook that
-//!   records every run and persists only the noteworthy ones under the
-//!   [`TracePolicy`].
+//! * [`TraceSink`] — the campaign hook
+//!   ([`run_ids_ctl`](crate::experiment::run_ids_ctl)) that records every
+//!   run and persists only the noteworthy ones under the [`TracePolicy`].
 
 use crate::cache::Fingerprint;
 use crate::config::{InterventionConfig, PlatformConfig};
-use crate::experiment::{build_platform, campaign_run_ids, RunId};
+use crate::experiment::{build_platform, RunId};
 use adas_attack::FaultType;
 use adas_ml::{LstmPredictor, MitigationKind};
 use adas_recorder::trace::InterventionSummary;
@@ -153,7 +153,7 @@ pub fn run_traced(
 /// recycled buffer; ring mode is already bounded and cache-hot, so it
 /// keeps its own small deque and the pooled buffer stays parked in the
 /// thread-local.
-fn make_writer(mode: RecordMode, max_steps: usize) -> TraceWriter {
+pub(crate) fn make_writer(mode: RecordMode, max_steps: usize) -> TraceWriter {
     match mode {
         RecordMode::Full => {
             let mut w = TraceWriter::from_buffer(SAMPLE_BUF.with(Cell::take));
@@ -372,6 +372,12 @@ impl TraceSink {
         }
     }
 
+    /// A sink that records nothing: campaigns through it run untraced.
+    #[must_use]
+    pub fn disabled() -> Self {
+        Self::new(TracePolicy::disabled())
+    }
+
     /// A sink configured from `ADAS_TRACE` / `ADAS_TRACE_DIR` /
     /// `ADAS_TRACE_RING`.
     #[must_use]
@@ -412,6 +418,22 @@ impl TraceSink {
         }
     }
 
+    /// Seals a finished traced run, offers it, and returns its record. The
+    /// trace's sample buffer then goes back to this worker's pool (one
+    /// lane of a batch adopts it, the others allocate; recycling keeps the
+    /// largest).
+    pub(crate) fn capture(
+        &self,
+        platform: crate::platform::Platform,
+        end: adas_recorder::EndReason,
+        header: TraceHeader,
+    ) -> RunRecord {
+        let (record, trace) = platform.seal(end, header);
+        self.offer(&record, &trace);
+        recycle_sample_buffer(trace.samples);
+        record
+    }
+
     /// Runs recorded through this sink.
     #[must_use]
     pub fn recorded(&self) -> u64 {
@@ -431,96 +453,13 @@ impl TraceSink {
     }
 }
 
-/// [`run_campaign`](crate::experiment::run_campaign) with a flight
-/// recorder attached: when the sink's policy enables tracing, every run is
-/// recorded and offered to the sink after it finishes; otherwise this is
-/// exactly `run_campaign` (zero overhead).
-///
-/// Results are identical to `run_campaign` either way — recording observes
-/// the loop, it never influences it.
-#[must_use]
-pub fn run_campaign_traced(
-    fault: Option<FaultType>,
-    config: &PlatformConfig,
-    ml_model: Option<&Arc<LstmPredictor>>,
-    model_fingerprint: u64,
-    campaign_seed: u64,
-    repetitions: u32,
-    sink: &TraceSink,
-) -> Vec<(RunId, RunRecord)> {
-    run_campaign_traced_with_width(
-        fault,
-        config,
-        ml_model,
-        model_fingerprint,
-        campaign_seed,
-        repetitions,
-        sink,
-        crate::parallel::batch_width(),
-    )
-}
-
-/// [`run_campaign_traced`] at an explicit lockstep batch width. Each lane
-/// owns its writer, so per-run records and traces are bit-identical to
-/// [`run_single_traced`] at any width.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn run_campaign_traced_with_width(
-    fault: Option<FaultType>,
-    config: &PlatformConfig,
-    ml_model: Option<&Arc<LstmPredictor>>,
-    model_fingerprint: u64,
-    campaign_seed: u64,
-    repetitions: u32,
-    sink: &TraceSink,
-    width: usize,
-) -> Vec<(RunId, RunRecord)> {
-    if !sink.enabled() {
-        return crate::experiment::run_campaign_with_width(
-            fault,
-            config,
-            ml_model,
-            campaign_seed,
-            repetitions,
-            width,
-        );
-    }
-    let mode = sink.policy().record_mode;
-    let ids = campaign_run_ids(repetitions);
-    let model = ml_model.filter(|_| config.interventions.ml);
-    // Full-mode note: the thread-local pool holds one buffer per worker, so
-    // one lane per batch adopts it and the other in-flight lanes allocate
-    // fresh; recycling keeps the largest buffer, so steady state still
-    // avoids regrowing the hottest allocation.
-    let records = crate::batch::run_lockstep_ctl(
-        &ids,
-        width,
-        model,
-        |_, id| {
-            let mut platform = build_platform(*id, fault, config, model, campaign_seed);
-            platform.attach_writer(make_writer(mode, config.max_steps));
-            platform
-        },
-        |_, id, end, platform| {
-            let header = trace_header(*id, fault, config, model_fingerprint, campaign_seed);
-            let (record, trace) = platform.seal(end, header);
-            sink.offer(&record, &trace);
-            // The trace is done with its samples either way (persisted
-            // bytes are already on disk); recycle the bulk allocation for
-            // this worker's next run.
-            recycle_sample_buffer(trace.samples);
-            record
-        },
-        &crate::parallel::MapControl::new(),
-    )
-    .expect("uncancelled campaign completed");
-    ids.into_iter().zip(records).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_campaign, run_single};
+    use crate::experiment::{
+        campaign_run_ids, run_campaign, run_ids_ctl, run_single, CampaignCell,
+    };
+    use adas_parallel::MapControl;
     use adas_recorder::{TraceMode, Verdict};
     use adas_scenarios::{InitialPosition, ScenarioId};
 
@@ -700,7 +639,11 @@ mod tests {
                 dir: batched_dir.clone(),
                 record_mode: RecordMode::Full,
             });
-            let batched = run_campaign_traced_with_width(fault, &cfg, None, 0, 9, 1, &sink, width);
+            let cell = CampaignCell::new(fault, cfg, None, 9, 1);
+            let ids = cell.run_ids();
+            let records =
+                run_ids_ctl(&cell, &ids, width, &sink, &MapControl::new()).expect("uncancelled");
+            let batched: Vec<(RunId, RunRecord)> = ids.into_iter().zip(records).collect();
             assert_eq!(
                 format!("{scalar:?}"),
                 format!("{batched:?}"),
@@ -727,8 +670,12 @@ mod tests {
             dir: std::env::temp_dir().join("adas-trace-none"),
             record_mode: RecordMode::Full,
         });
-        let traced = run_campaign_traced(None, &cfg, None, 0, 9, 1, &sink);
-        assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
+        let cell = CampaignCell::new(None, cfg, None, 9, 1);
+        let traced = run_ids_ctl(&cell, &cell.run_ids(), 16, &sink, &MapControl::new())
+            .expect("uncancelled");
+        let plain_records: Vec<&RunRecord> = plain.iter().map(|(_, r)| r).collect();
+        let traced_records: Vec<&RunRecord> = traced.iter().collect();
+        assert_eq!(format!("{plain_records:?}"), format!("{traced_records:?}"));
         assert_eq!(sink.recorded(), 12);
         // The hazard policy persists exactly the noteworthy subset (some
         // benign cut-in scenarios do dip under the near-miss TTC).

@@ -4,7 +4,7 @@
 
 use adas_core::batch::{reset_stats, stats_snapshot};
 use adas_core::parallel::MapControl;
-use adas_core::{campaign_run_ids, run_ids_ctl, PlatformConfig};
+use adas_core::{run_ids_ctl, CampaignCell, PlatformConfig, TraceSink};
 
 #[test]
 fn lane_steps_equal_run_steps_and_slots_equal_ticks_times_width() {
@@ -12,11 +12,18 @@ fn lane_steps_equal_run_steps_and_slots_equal_ticks_times_width() {
         max_steps: 150,
         ..PlatformConfig::default()
     };
-    let ids = campaign_run_ids(1);
+    let cell = CampaignCell::new(None, config, None, 3, 1);
+    let ids = cell.run_ids();
     for width in [1usize, 4, 8] {
         reset_stats();
-        let records = run_ids_ctl(&ids, None, &config, None, 3, width, &MapControl::new())
-            .expect("uncancelled");
+        let records = run_ids_ctl(
+            &cell,
+            &ids,
+            width,
+            &TraceSink::disabled(),
+            &MapControl::new(),
+        )
+        .expect("uncancelled");
         let stats = stats_snapshot();
         let run_steps: u64 = records.iter().map(|r| r.steps).sum();
         assert_eq!(stats.lane_steps, run_steps, "width {width}");

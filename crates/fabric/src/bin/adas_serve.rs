@@ -296,11 +296,19 @@ fn campaign_from_flags(args: &mut Vec<String>) -> Result<CampaignSpec, String> {
             .ok_or_else(|| format!("--attack: unknown schedule `{s}`"))?,
         None => adas_core::config::attack_from_env(),
     };
-    let faults = parse_faults(take_flag(args, "--faults")?.as_deref().unwrap_or("all"))?;
-    let rows = parse_rows(
+    let faults = name_list(
+        "--faults",
+        take_flag(args, "--faults")?.as_deref().unwrap_or("all"),
+        &adas_attack::FaultType::ALL.map(Some),
+        adas_attack::FaultType::from_name,
+    )?;
+    let rows = name_list(
+        "--rows",
         take_flag(args, "--rows")?
             .as_deref()
             .unwrap_or("none,driver-check"),
+        &InterventionConfig::table_vi_rows(),
+        InterventionConfig::from_name,
     )?;
     let cells: Vec<CellSpec> = faults
         .iter()
@@ -325,43 +333,20 @@ fn campaign_from_flags(args: &mut Vec<String>) -> Result<CampaignSpec, String> {
     Ok(spec)
 }
 
-fn parse_faults(list: &str) -> Result<Vec<Option<adas_attack::FaultType>>, String> {
-    use adas_attack::FaultType;
-    if list == "all" {
-        return Ok(vec![
-            Some(FaultType::RelativeDistance),
-            Some(FaultType::DesiredCurvature),
-            Some(FaultType::Mixed),
-        ]);
+/// Parses a comma-separated `--faults` / `--rows` list, each name
+/// through the type's `from_name`; `all` selects `all`.
+fn name_list<T: Copy>(
+    flag: &str,
+    list: &str,
+    all: &[T],
+    from_name: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    if list.trim() == "all" {
+        return Ok(all.to_vec());
     }
     list.split(',')
-        .map(|t| match t.trim() {
-            "none" => Ok(None),
-            "rd" => Ok(Some(FaultType::RelativeDistance)),
-            "dc" => Ok(Some(FaultType::DesiredCurvature)),
-            "mixed" => Ok(Some(FaultType::Mixed)),
-            other => Err(format!("--faults: unknown fault `{other}`")),
-        })
-        .collect()
-}
-
-fn parse_rows(list: &str) -> Result<Vec<InterventionConfig>, String> {
-    if list == "all" {
-        return Ok(InterventionConfig::table_vi_rows().to_vec());
-    }
-    list.split(',')
-        .map(|t| match t.trim() {
-            "none" => Ok(InterventionConfig::none()),
-            "driver" => Ok(InterventionConfig::driver_only()),
-            "driver-check" => Ok(InterventionConfig::driver_and_check()),
-            "driver-check-aeb-comp" => Ok(InterventionConfig::driver_check_aeb_compromised()),
-            "driver-check-aeb-indep" => Ok(InterventionConfig::driver_check_aeb_independent()),
-            "aeb-comp" => Ok(InterventionConfig::aeb_compromised_only()),
-            "aeb-indep" => Ok(InterventionConfig::aeb_independent_only()),
-            "ml" => Ok(InterventionConfig::ml_only()),
-            "ml-ens" => Ok(InterventionConfig::ensemble_only()),
-            "ml-mask" => Ok(InterventionConfig::maskcheck_only()),
-            other => Err(format!("--rows: unknown row `{other}`")),
+        .map(|name| {
+            from_name(name).ok_or_else(|| format!("{flag}: unknown name `{}`", name.trim()))
         })
         .collect()
 }

@@ -180,24 +180,22 @@ fn evaluate_with_primary(
     }
 }
 
-/// Evaluates one candidate batch at the `ADAS_BATCH` width: the primary
-/// traced runs step in lockstep (fuzz rows exclude the ML intervention, so
-/// no model panel is needed) and the oracle phase — trace checks plus the
+/// Evaluates one candidate batch at lockstep `width`: the primary traced
+/// runs step in lockstep (fuzz rows exclude the ML intervention, so no
+/// model panel is needed) and the oracle phase — trace checks plus the
 /// conditional single-run reruns — fans out over the finished primaries.
 /// Both phases preserve submission order, so a session folds to the same
 /// corpus and findings at any width.
-fn evaluate_batch(batch: &[FuzzCase], seed: u64) -> Vec<Evaluation> {
-    evaluate_batch_with_width(batch, seed, adas_core::parallel::batch_width())
-}
-
-fn evaluate_batch_with_width(batch: &[FuzzCase], seed: u64, width: usize) -> Vec<Evaluation> {
-    let primaries = adas_core::run_lockstep(
+fn evaluate_batch(batch: &[FuzzCase], seed: u64, width: usize) -> Vec<Evaluation> {
+    let primaries = adas_core::run_lockstep_ctl(
         batch,
         width,
         None,
         |_, c| case_platform(c, seed, &c.config()),
         |_, c, end, platform| finish_case(c, seed, &c.config(), end, platform),
-    );
+        &adas_core::parallel::MapControl::new(),
+    )
+    .expect("uncancelled batch completed");
     let paired: Vec<(FuzzCase, RunRecord, Trace)> = batch
         .iter()
         .zip(primaries)
@@ -388,7 +386,7 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
                 }
             })
             .collect();
-        let evals = evaluate_batch(&batch, config.seed);
+        let evals = evaluate_batch(&batch, config.seed, adas_core::parallel::batch_width());
         batches += 1;
         for eval in evals {
             runs += eval.runs_used;
@@ -504,7 +502,7 @@ mod tests {
         .collect();
         let scalar: Vec<Evaluation> = batch.iter().map(|c| evaluate(c, 11)).collect();
         for width in [1, 3, 32] {
-            let batched = evaluate_batch_with_width(&batch, 11, width);
+            let batched = evaluate_batch(&batch, 11, width);
             assert_eq!(
                 format!("{scalar:?}"),
                 format!("{batched:?}"),

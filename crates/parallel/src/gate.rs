@@ -117,18 +117,21 @@ mod tests {
     fn admits_in_arrival_order() {
         let gate = Arc::new(FairGate::new(1));
         let order = Arc::new(Mutex::new(Vec::new()));
-        // Hold the only slot so arrivals queue up behind it in a known
-        // order (staggered spawns).
+        // Hold the only slot (ticket 0) so arrivals queue up behind it in
+        // a known order.
         let first = gate.enter();
-        let handles: Vec<_> = (0..8)
+        let handles: Vec<_> = (0..8u64)
             .map(|i| {
-                let (gate, order) = (gate.clone(), order.clone());
+                let (waiter, order) = (gate.clone(), order.clone());
                 let h = std::thread::spawn(move || {
-                    let _slot = gate.enter();
+                    let _slot = waiter.enter();
                     order.lock().expect("order").push(i);
                 });
-                // Give thread i time to take its ticket before i+1 spawns.
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                // Waiter i holds ticket i + 1 once the gate has handed out
+                // i + 2 tickets; only then may waiter i + 1 arrive.
+                while gate.state.lock().expect("gate lock").next_ticket < i + 2 {
+                    std::thread::yield_now();
+                }
                 h
             })
             .collect();

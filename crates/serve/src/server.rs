@@ -8,10 +8,11 @@
 //! model and the content-addressed artifact cache are resident and shared
 //! across every request, which is where the warm-path speedup comes from.
 //!
-//! Determinism: a cell computed here calls the same `run_single` with the
-//! same per-run RNG derivation as the CLI harnesses, and the executor
-//! merges results by index — outcomes are bit-identical to the CLI path at
-//! any `ADAS_THREADS`.
+//! Determinism: a cell is resolved here by the same
+//! [`adas_core::resolve_cell`] as in the CLI harnesses, with the same
+//! per-run RNG derivation and cache key, and the executor merges results
+//! by index — outcomes are bit-identical to the CLI path at any
+//! `ADAS_THREADS`.
 
 use crate::metrics::ServeMetrics;
 use crate::protocol::{
@@ -23,12 +24,13 @@ use crate::sink::{self, StoreSink};
 use adas_bench::model_fingerprint;
 use adas_core::job::CellSpec;
 use adas_core::{
-    replay_trace, run_single, run_single_traced, ArtifactCache, CampaignSpec, CellStats,
-    Fingerprint, RunId,
+    replay_trace, resolve_cell, run_single, run_single_traced, ArtifactCache, CampaignSpec,
+    CellStats, Fingerprint, RunId, TraceSink,
 };
 use adas_fuzz::farm::{self, FuzzJobSpec};
 use adas_ml::{LstmPredictor, ModelSpec};
 use adas_recorder::{RecordMode, Trace};
+use adas_store::CellRow;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -330,7 +332,6 @@ fn execute_job(shared: &Shared, job: &Arc<Job>) {
         .iter()
         .any(|c| c.interventions.ml)
         .then(|| shared.model_for(spec.campaign_seed));
-    let ids = spec.run_ids();
 
     let mut outcome = JobState::Done;
     // Store write-through batches the whole grid into one append (one
@@ -342,14 +343,20 @@ fn execute_job(shared: &Shared, job: &Arc<Job>) {
             break;
         }
         let t0 = Instant::now();
-        let Some(stats) = compute_cell(shared, spec, cell, &ids, model.as_ref(), job) else {
+        let Some(stats) = compute_cell(shared, spec, cell, model.as_ref(), job) else {
             outcome = JobState::Cancelled;
             break;
         };
         shared.metrics.cell_wall.record(t0.elapsed());
         shared.metrics.cells_done.fetch_add(1, Ordering::Relaxed);
         if shared.store_sink.enabled() {
-            store_rows.push(sink::cell_row(spec, cell, &stats));
+            let config = spec.config_for(cell);
+            store_rows.push(CellRow::for_cell(
+                cell.fault,
+                &config,
+                spec.campaign_seed,
+                &stats,
+            ));
         }
         job.bump_cells_done();
         // Fabric assignments stream the coordinator's global grid index.
@@ -376,76 +383,44 @@ fn execute_job(shared: &Shared, job: &Arc<Job>) {
     let _ = job.events.send(JobEvent::Finished(outcome));
 }
 
-/// One cell's statistics, through the memo → artifact-cache → compute
-/// tiers. `None` means the job was cancelled mid-sweep.
+/// One cell's statistics: the in-memory memo first, then
+/// [`adas_core::resolve_cell`] (artifact cache, else the lockstep
+/// sweep). `None` means the job was cancelled mid-sweep.
 fn compute_cell(
     shared: &Shared,
     spec: &CampaignSpec,
     cell: &CellSpec,
-    ids: &[RunId],
     model: Option<&Resident>,
     job: &Arc<Job>,
 ) -> Option<CellStats> {
-    let model_used = if cell.interventions.ml { model } else { None };
-    let key = spec.cell_key(cell, model_used.map(|m| m.fingerprint));
+    let cell = spec.cell(cell, model.map(|m| (&m.model, m.fingerprint)));
+    let key = cell.key().value();
 
-    if let Some(stats) = shared.memo.lock().expect("memo lock").get(&key.value()) {
-        shared
-            .metrics
-            .cells_memo_hits
-            .fetch_add(1, Ordering::Relaxed);
+    let metrics = &shared.metrics;
+    if let Some(stats) = shared.memo.lock().expect("memo lock").get(&key) {
+        metrics.cells_memo_hits.fetch_add(1, Ordering::Relaxed);
         return Some(stats.clone());
     }
-    if let Some(stats) = shared
-        .cache
-        .load("cell", key)
-        .and_then(|bytes| CellStats::from_bytes(&bytes))
-    {
-        shared
-            .metrics
-            .cells_disk_hits
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .memo
-            .lock()
-            .expect("memo lock")
-            .insert(key.value(), stats.clone());
-        return Some(stats);
-    }
-
-    let config = spec.config_for(cell);
-    // Lockstep at the `ADAS_BATCH` width — bit-identical results at any
-    // width; `job.ctl` cancels at chunk granularity.
-    let records = adas_core::run_ids_ctl(
-        ids,
-        cell.fault,
-        &config,
-        model_used.map(|m| &m.model),
-        spec.campaign_seed,
-        adas_parallel::batch_width(),
-        &job.ctl,
-    )?;
-    shared
-        .metrics
-        .runs_executed
-        .fetch_add(records.len() as u64, Ordering::Relaxed);
-    // Per-tier accounting: `computed` is a genuine miss-then-fill of the
-    // disk tier; with the disk cache disabled the compute bypassed it.
-    if shared.cache.is_enabled() {
-        shared
-            .metrics
-            .cells_computed
-            .fetch_add(1, Ordering::Relaxed);
+    let (stats, runs) = resolve_cell(&cell, &shared.cache, &TraceSink::disabled(), &job.ctl)?;
+    // Per-tier accounting: no runs is a disk hit; `computed` is a genuine
+    // miss-then-fill of the disk tier, and with the disk cache disabled
+    // the compute bypassed it.
+    let tier = if runs == 0 {
+        &metrics.cells_disk_hits
+    } else if shared.cache.is_enabled() {
+        &metrics.cells_computed
     } else {
-        shared.metrics.cells_bypass.fetch_add(1, Ordering::Relaxed);
-    }
-    let stats = CellStats::from_records(&records);
-    shared.cache.store("cell", key, &stats.to_bytes());
+        &metrics.cells_bypass
+    };
+    tier.fetch_add(1, Ordering::Relaxed);
+    metrics
+        .runs_executed
+        .fetch_add(runs as u64, Ordering::Relaxed);
     shared
         .memo
         .lock()
         .expect("memo lock")
-        .insert(key.value(), stats.clone());
+        .insert(key, stats.clone());
     Some(stats)
 }
 

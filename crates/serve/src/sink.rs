@@ -123,35 +123,6 @@ pub fn finding_row(f: &FarmFinding) -> FindingRow {
     }
 }
 
-/// Builds the columnar row for one finished campaign cell. Campaign cells
-/// aggregate over every scenario × position in the sweep, so those axes
-/// are [`adas_store::record::ANY`]; the intervention row is recovered by
-/// matching against the Table VI rows (`ANY` for off-grid configs).
-#[must_use]
-pub fn cell_row(
-    spec: &adas_core::CampaignSpec,
-    cell: &adas_core::job::CellSpec,
-    stats: &adas_core::CellStats,
-) -> CellRow {
-    use adas_store::record::ANY;
-    let iv_row = adas_core::InterventionConfig::table_vi_rows()
-        .iter()
-        .position(|row| *row == cell.interventions)
-        .map_or(ANY, |i| i as u8);
-    CellRow::from_stats(
-        (
-            ANY,
-            ANY,
-            cell.fault.map_or(0, adas_attack::FaultType::code),
-            iv_row,
-            cell.interventions.mitigation.code(),
-            u8::from(!spec.attack.is_immediate()),
-        ),
-        spec.campaign_seed,
-        stats,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,41 +158,6 @@ mod tests {
         assert_eq!(row.fingerprint, case.fingerprint());
         assert_eq!(row.params[1].to_bits(), case.friction.to_bits());
         assert_eq!(row.params[7], 2.0);
-    }
-
-    #[test]
-    fn cell_row_recovers_grid_coordinates() {
-        let rows = adas_core::InterventionConfig::table_vi_rows();
-        let spec = adas_core::CampaignSpec::new(
-            77,
-            2,
-            vec![adas_core::job::CellSpec {
-                fault: Some(adas_attack::FaultType::Mixed),
-                interventions: rows[3],
-            }],
-        );
-        let stats = adas_core::CellStats {
-            runs: 24,
-            a1_pct: 25.0,
-            a2_pct: 0.0,
-            prevented_pct: 75.0,
-            hazard_pct: 50.0,
-            aeb_mitigation_time: Some(1.5),
-            driver_brake_mitigation_time: None,
-            driver_steer_mitigation_time: None,
-            aeb_trigger_rate: 50.0,
-            driver_brake_trigger_rate: 0.0,
-            driver_steer_trigger_rate: 0.0,
-            ml_trigger_rate: 0.0,
-        };
-        let row = cell_row(&spec, &spec.cells[0], &stats);
-        assert_eq!(row.scenario, adas_store::record::ANY);
-        assert_eq!(row.fault, 3);
-        assert_eq!(row.iv_row, 3);
-        assert_eq!(row.sched, 0);
-        assert_eq!(row.seed, 77);
-        assert_eq!(row.runs, 24);
-        assert_eq!(row.a1 + row.a2 + row.prevented, 24);
     }
 
     #[test]

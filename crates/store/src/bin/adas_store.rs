@@ -11,7 +11,8 @@
 //!
 //! The directory defaults to `ADAS_STORE_DIR`, then `results/store`.
 
-use adas_store::record::ANY;
+use adas_attack::FaultType;
+use adas_core::{InterventionConfig, PlatformConfig};
 use adas_store::{agg, synth, CellRow, GroupBy, RecordKind, Store, StoreError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -161,8 +162,9 @@ fn cmd_synth(opts: &Opts) -> Result<ExitCode, StoreError> {
 /// Ingests a `results/table_vi.csv` file (header
 /// `fault,config,runs,a1_pct,a2_pct,prevented_pct,aeb_mt,...`): each
 /// line becomes one [`CellRow`] with exact counts recovered via
-/// [`CellRow::from_stats`]. Mitigation-time cells use `-` for "never
-/// triggered", matching the bench writer.
+/// [`CellRow::for_cell`], its fault and intervention row parsed by
+/// `from_name` as every tool parses them. Mitigation-time cells use `-`
+/// for "never triggered", matching the bench writer.
 fn cmd_ingest(opts: &Opts) -> Result<ExitCode, StoreError> {
     let csv = opts
         .csv
@@ -193,18 +195,6 @@ fn cmd_ingest(opts: &Opts) -> Result<ExitCode, StoreError> {
     let ds_tr_c = col("driver_steer_trigger_pct")?;
     let ml_tr_c = col("ml_trigger_pct")?;
 
-    let iv_labels: Vec<String> = adas_core::InterventionConfig::table_vi_rows()
-        .iter()
-        .map(adas_core::InterventionConfig::label)
-        .collect();
-    let fault_code = |label: &str| match label {
-        "None" => Some(0u8),
-        "Relative Distance" => Some(1),
-        "Desired Curvature" => Some(2),
-        "Mixed" => Some(3),
-        _ => None,
-    };
-
     let mut rows = Vec::new();
     let mut skipped = 0usize;
     for line in lines.filter(|l| !l.trim().is_empty()) {
@@ -212,9 +202,9 @@ fn cmd_ingest(opts: &Opts) -> Result<ExitCode, StoreError> {
         let get = |c: usize| fields.get(c).copied().unwrap_or("");
         let pct = |c: usize| get(c).parse::<f64>().unwrap_or(0.0);
         let opt_time = |c: usize| get(c).parse::<f64>().ok();
-        let iv_row = iv_labels.iter().position(|l| l == get(config_c));
-        let fault = fault_code(get(fault_c));
-        let (Some(iv_row), Some(fault)) = (iv_row, fault) else {
+        let iv = InterventionConfig::from_name(get(config_c));
+        let fault = FaultType::from_name(get(fault_c));
+        let (Some(iv), Some(fault)) = (iv, fault) else {
             skipped += 1;
             continue;
         };
@@ -232,11 +222,8 @@ fn cmd_ingest(opts: &Opts) -> Result<ExitCode, StoreError> {
             driver_steer_trigger_rate: pct(ds_tr_c),
             ml_trigger_rate: pct(ml_tr_c),
         };
-        rows.push(CellRow::from_stats(
-            (ANY, ANY, fault, iv_row as u8, 0, 0),
-            opts.seed,
-            &stats,
-        ));
+        let config = PlatformConfig::with_interventions(iv);
+        rows.push(CellRow::for_cell(fault, &config, opts.seed, &stats));
     }
     if rows.is_empty() {
         return Err(StoreError::Format(format!(

@@ -7,7 +7,9 @@
 //! structurally (`payload_len == count × width`) before trusting any
 //! field.
 
+use adas_attack::FaultType;
 use adas_codec::{DecodeError, Reader, Writer};
+use adas_core::{InterventionConfig, MitigationKind, PlatformConfig};
 
 /// Sentinel for "aggregated over this axis" in [`CellRow::scenario`] /
 /// [`CellRow::position`] (the CLI harnesses aggregate per cell, the
@@ -195,17 +197,36 @@ impl CellRow {
         })
     }
 
-    /// Converts an aggregate [`adas_core::CellStats`] back into exact
-    /// counts. Lossless because every `CellStats` percentage is
-    /// `100 · count / runs` of integer counts, so rounding the product
-    /// recovers the integer exactly; the stored time sums are
-    /// `mean × n`.
+    /// The row of one finished campaign cell — the one builder every
+    /// producer (the `table_vi` harness, the daemon, `adas-store ingest`)
+    /// uses, so the same cell lands on the same coordinates. A cell
+    /// aggregates every scenario × position of its sweep, so those axes
+    /// are [`ANY`]. The intervention row is the Table VI row the
+    /// configuration matches with its mitigation strategy and view count
+    /// ignored (the ML row under any strategy is row 7; [`ANY`] off the
+    /// grid), and the strategy is its own column.
+    ///
+    /// The counts are recovered from the aggregate percentages. Lossless
+    /// because every `CellStats` percentage is `100 · count / runs` of
+    /// integer counts, so rounding the product recovers the integer
+    /// exactly; the stored time sums are `mean × n`.
     #[must_use]
-    pub fn from_stats(
-        coords: (u8, u8, u8, u8, u8, u8),
+    pub fn for_cell(
+        fault: Option<FaultType>,
+        config: &PlatformConfig,
         seed: u64,
         s: &adas_core::CellStats,
     ) -> Self {
+        let iv = config.interventions;
+        let grid_row = InterventionConfig {
+            mitigation: MitigationKind::default(),
+            views: 0,
+            ..iv
+        };
+        let iv_row = InterventionConfig::table_vi_rows()
+            .iter()
+            .position(|row| *row == grid_row)
+            .map_or(ANY, |i| i as u8);
         let runs = u32::try_from(s.runs).unwrap_or(u32::MAX);
         let count = |pct: f64| {
             let n = (pct * f64::from(runs) / 100.0).round();
@@ -226,12 +247,12 @@ impl CellRow {
         // Mitigation-time means are reported over the triggered runs.
         let sum_of = |mean: Option<f64>, n: u32| mean.map_or(0.0, |m| m * f64::from(n));
         Self {
-            scenario: coords.0,
-            position: coords.1,
-            fault: coords.2,
-            iv_row: coords.3,
-            mitigation: coords.4,
-            sched: coords.5,
+            scenario: ANY,
+            position: ANY,
+            fault: fault.map_or(0, FaultType::code),
+            iv_row,
+            mitigation: iv.mitigation.code(),
+            sched: u8::from(!config.attack.is_immediate()),
             seed,
             runs,
             a1,
@@ -461,7 +482,14 @@ mod tests {
             driver_steer_trigger_rate: 100.0 * 11.0 / 120.0,
             ml_trigger_rate: 0.0,
         };
-        let row = CellRow::from_stats((super::ANY, super::ANY, 1, 2, 0, 0), 2025, &s);
+        let config =
+            PlatformConfig::with_interventions(InterventionConfig::driver_check_aeb_compromised());
+        let row = CellRow::for_cell(Some(FaultType::RelativeDistance), &config, 2025, &s);
+        assert_eq!(
+            (row.scenario, row.position, row.fault, row.iv_row),
+            (ANY, ANY, 1, 2)
+        );
+        assert_eq!((row.mitigation, row.sched, row.seed), (0, 0, 2025));
         assert_eq!(row.runs, 120);
         assert_eq!(row.a1, 13);
         assert_eq!(row.a2, 7);
@@ -475,5 +503,35 @@ mod tests {
         assert_eq!(row.driver_brake_time_sum, 0.0);
         // Means re-derive exactly.
         assert!((row.aeb_time_sum / f64::from(row.aeb_time_n) - 1.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn served_and_harness_ml_rows_share_coordinates() {
+        let coords = |r: CellRow| (r.fault, r.iv_row, r.mitigation, r.sched);
+        let fault = Some(FaultType::Mixed);
+        let stats = adas_core::CellStats::from_records(std::iter::empty());
+        // A served `ml-ens` cell, configured as the daemon configures it.
+        let served = adas_core::job::CellSpec {
+            fault,
+            interventions: InterventionConfig::from_name("ml-ens").expect("a row name"),
+        };
+        let spec = adas_core::CampaignSpec::new(2025, 2, vec![served]);
+        let served = CellRow::for_cell(fault, &spec.config_for(&served), 2025, &stats);
+        // The `table_vi` ML row under `ADAS_MITIGATION=ensemble`.
+        let mut iv = InterventionConfig::table_vi_rows()[7];
+        iv.mitigation = MitigationKind::from_name("ensemble").expect("a strategy name");
+        let harness =
+            CellRow::for_cell(fault, &PlatformConfig::with_interventions(iv), 2025, &stats);
+        assert_eq!((served.scenario, served.position), (ANY, ANY));
+        assert_eq!(coords(served), coords(harness));
+        assert_eq!(coords(served), (3, 7, MitigationKind::Ensemble.code(), 0));
+        // Off the grid (a Table VII reaction time) and context-scheduled.
+        let mut config = PlatformConfig::with_interventions(InterventionConfig {
+            driver_reaction_time: 1.0,
+            ..InterventionConfig::driver_only()
+        });
+        config.attack = adas_attack::AttackScheduler::parse("ttc<2.5").expect("a schedule");
+        let off = CellRow::for_cell(None, &config, 7, &stats);
+        assert_eq!(coords(off), (0, ANY, 0, 1));
     }
 }

@@ -9,9 +9,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use adas_recorder::{RecordMode, Trace, TraceMode, TracePolicy};
 use openadas::attack::FaultType;
+use openadas::core::parallel::MapControl;
 use openadas::core::{
-    campaign_run_ids, collect_training_data, replay_trace, run_campaign_traced_with_width,
-    run_campaign_with_width, run_single, InterventionConfig, PlatformConfig, RunId, TraceSink,
+    campaign_run_ids, collect_training_data, replay_trace, run_ids_ctl, run_single, CampaignCell,
+    InterventionConfig, PlatformConfig, RunId, TraceSink,
 };
 use openadas::ml::{LstmPredictor, ModelSpec, TrainConfig};
 use openadas::scenarios::RunRecord;
@@ -41,6 +42,21 @@ fn scalar_campaign(
         .collect()
 }
 
+/// The one-repetition campaign grid at seed 2025 through the one lockstep
+/// entry, `run_ids_ctl`, at batch `width`.
+fn lockstep_campaign(
+    fault: Option<FaultType>,
+    cfg: &PlatformConfig,
+    model: Option<&Arc<LstmPredictor>>,
+    width: usize,
+    sink: &TraceSink,
+) -> Vec<(RunId, RunRecord)> {
+    let cell = CampaignCell::new(fault, *cfg, model, 2025, 1);
+    let ids = cell.run_ids();
+    let records = run_ids_ctl(&cell, &ids, width, sink, &MapControl::new()).expect("uncancelled");
+    ids.into_iter().zip(records).collect()
+}
+
 fn fault_label(fault: Option<FaultType>) -> String {
     fault.map_or("Benign".to_owned(), |f| format!("{f:?}"))
 }
@@ -60,7 +76,7 @@ fn campaigns_are_bit_identical_across_widths_and_threads() {
         for threads in THREADS {
             let _env = threads_guard(threads);
             for width in WIDTHS {
-                let batched = run_campaign_with_width(fault, &cfg, None, 2025, 1, width);
+                let batched = lockstep_campaign(fault, &cfg, None, width, &TraceSink::disabled());
                 assert_eq!(
                     format!("{baseline:?}"),
                     format!("{batched:?}"),
@@ -102,7 +118,8 @@ fn ml_campaigns_are_bit_identical_across_widths_and_threads() {
     for threads in THREADS {
         let _env = threads_guard(threads);
         for width in WIDTHS {
-            let batched = run_campaign_with_width(fault, &cfg, Some(&model), 2025, 1, width);
+            let batched =
+                lockstep_campaign(fault, &cfg, Some(&model), width, &TraceSink::disabled());
             assert_eq!(
                 format!("{baseline:?}"),
                 format!("{batched:?}"),
@@ -130,7 +147,7 @@ fn traces_captured_through_the_batched_path_replay_bit_exactly() {
     let fault = Some(FaultType::DesiredCurvature);
     let records = {
         let _env = threads_guard(4);
-        run_campaign_traced_with_width(fault, &cfg, None, 0, 2025, 1, &sink, 4)
+        lockstep_campaign(fault, &cfg, None, 4, &sink)
     };
     assert_eq!(records.len(), 12);
     assert_eq!(sink.recorded(), 12);

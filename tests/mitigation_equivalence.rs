@@ -12,11 +12,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use adas_serve::{Client, JobState, Server, ServerConfig};
 use openadas::attack::FaultType;
 use openadas::core::job::CellSpec;
+use openadas::core::parallel::MapControl;
 use openadas::core::{
-    campaign_run_ids, collect_training_data, run_campaign_with_width, run_single, ArtifactCache,
-    CampaignSpec, CellStats, InterventionConfig, MitigationKind, PlatformConfig,
+    campaign_run_ids, collect_training_data, run_ids_ctl, run_single, ArtifactCache, CampaignCell,
+    CampaignSpec, CellStats, InterventionConfig, MitigationKind, PlatformConfig, RunId, TraceSink,
 };
 use openadas::ml::{LstmPredictor, ModelSpec, TrainConfig};
+use openadas::scenarios::RunRecord;
 
 /// Serialises tests that set `ADAS_THREADS` (read per dispatch, so a
 /// concurrent test could observe a torn value).
@@ -54,6 +56,27 @@ fn tiny_trained_model() -> Arc<LstmPredictor> {
     Arc::new(model)
 }
 
+/// The one-repetition campaign grid at seed 2025 through the one lockstep
+/// entry, `run_ids_ctl`, untraced, at batch `width`.
+fn lockstep_campaign(
+    fault: Option<FaultType>,
+    cfg: &PlatformConfig,
+    model: Option<&Arc<LstmPredictor>>,
+    width: usize,
+) -> Vec<(RunId, RunRecord)> {
+    let cell = CampaignCell::new(fault, *cfg, model, 2025, 1);
+    let ids = cell.run_ids();
+    let records = run_ids_ctl(
+        &cell,
+        &ids,
+        width,
+        &TraceSink::disabled(),
+        &MapControl::new(),
+    )
+    .expect("uncancelled");
+    ids.into_iter().zip(records).collect()
+}
+
 #[test]
 fn every_mitigation_is_bit_identical_across_widths_and_threads() {
     // The views-based strategies drive an M-lane panel *inside* each run
@@ -74,7 +97,7 @@ fn every_mitigation_is_bit_identical_across_widths_and_threads() {
         for threads in THREADS {
             let _env = threads_guard(threads);
             for width in WIDTHS {
-                let batched = run_campaign_with_width(fault, &cfg, Some(&model), 2025, 1, width);
+                let batched = lockstep_campaign(fault, &cfg, Some(&model), width);
                 assert_eq!(
                     format!("{baseline:?}"),
                     format!("{batched:?}"),
@@ -101,7 +124,7 @@ fn mitigations_differ_from_each_other_under_attack() {
         let _env = threads_guard(1);
         grids.push(format!(
             "{:?}",
-            run_campaign_with_width(fault, &cfg, Some(&model), 2025, 1, 1)
+            lockstep_campaign(fault, &cfg, Some(&model), 1)
         ));
     }
     assert_ne!(grids[0], grids[1], "cusum vs ensemble must diverge");

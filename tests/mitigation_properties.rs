@@ -15,13 +15,16 @@
 use std::sync::Arc;
 
 use openadas::attack::FaultType;
+use openadas::core::parallel::MapControl;
 use openadas::core::{
-    collect_training_data, run_campaign_with_width, InterventionConfig, PlatformConfig,
+    collect_training_data, run_ids_ctl, CampaignCell, InterventionConfig, PlatformConfig, RunId,
+    TraceSink,
 };
 use openadas::ml::{
     ControlTarget, EnsembleConfig, EnsembleMitigator, LstmPredictor, MaskCheckConfig,
     MaskCheckMitigator, ModelSpec, PerceptionViews, StateFeatures, TrainConfig,
 };
+use openadas::scenarios::RunRecord;
 use openadas::simulator::DeterministicRng;
 use proptest::prelude::*;
 
@@ -160,6 +163,27 @@ fn tiny_trained_model() -> Arc<LstmPredictor> {
     Arc::new(model)
 }
 
+/// The one-repetition campaign grid at seed 2025 through the one lockstep
+/// entry, `run_ids_ctl`, untraced, at batch `width`.
+fn lockstep_campaign(
+    fault: Option<FaultType>,
+    cfg: &PlatformConfig,
+    model: Option<&Arc<LstmPredictor>>,
+    width: usize,
+) -> Vec<(RunId, RunRecord)> {
+    let cell = CampaignCell::new(fault, *cfg, model, 2025, 1);
+    let ids = cell.run_ids();
+    let records = run_ids_ctl(
+        &cell,
+        &ids,
+        width,
+        &TraceSink::disabled(),
+        &MapControl::new(),
+    )
+    .expect("uncancelled");
+    ids.into_iter().zip(records).collect()
+}
+
 /// End-to-end benign false-positive check: across the full fault-free
 /// S1–S6 × Near/Far grid, neither view-based strategy ever activates its
 /// recovery mode. (An attacked sanity row confirms the same configs *do*
@@ -174,7 +198,7 @@ fn view_mitigations_never_activate_on_the_benign_grid() {
         let label = iv.label();
         let mut cfg = PlatformConfig::with_interventions(iv);
         cfg.max_steps = 600;
-        let benign = run_campaign_with_width(None, &cfg, Some(&model), 2025, 1, 4);
+        let benign = lockstep_campaign(None, &cfg, Some(&model), 4);
         assert_eq!(benign.len(), 12, "full S1–S6 × Near/Far grid");
         for (id, record) in &benign {
             assert!(
@@ -182,14 +206,7 @@ fn view_mitigations_never_activate_on_the_benign_grid() {
                 "{label} activated on benign {id:?} — benign false positive"
             );
         }
-        let attacked = run_campaign_with_width(
-            Some(FaultType::RelativeDistance),
-            &cfg,
-            Some(&model),
-            2025,
-            1,
-            4,
-        );
+        let attacked = lockstep_campaign(Some(FaultType::RelativeDistance), &cfg, Some(&model), 4);
         assert!(
             attacked.iter().any(|(_, r)| r.ml_activated),
             "{label} never activated under the RD patch — dead mitigation"

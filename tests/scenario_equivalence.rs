@@ -14,9 +14,10 @@ use std::sync::{Mutex, MutexGuard};
 use adas_recorder::{RecordMode, Trace, TraceWriter};
 use openadas::attack::{AttackScheduler, ContextTrigger, FaultInjector, FaultSpec, FaultType};
 use openadas::core::job::CellSpec;
+use openadas::core::parallel::MapControl;
 use openadas::core::{
-    campaign_run_ids, run_campaign_with_width, run_single, trace_header, CampaignSpec, CellStats,
-    InterventionConfig, Platform, PlatformConfig, RunId,
+    campaign_run_ids, run_ids_ctl, run_single, trace_header, CampaignCell, CampaignSpec, CellStats,
+    InterventionConfig, Platform, PlatformConfig, RunId, TraceSink,
 };
 use openadas::scenarios::{InitialPosition, RunRecord, ScenarioId, ScenarioSetup};
 use openadas::simulator::DeterministicRng;
@@ -90,6 +91,26 @@ fn run_traced_with(
 
 fn grid() -> Vec<RunId> {
     campaign_run_ids(1)
+}
+
+/// The one-repetition campaign grid at seed 2025 through the one lockstep
+/// entry, `run_ids_ctl`, untraced, at batch `width`.
+fn lockstep_campaign(
+    fault: Option<FaultType>,
+    cfg: &PlatformConfig,
+    width: usize,
+) -> Vec<(RunId, RunRecord)> {
+    let cell = CampaignCell::new(fault, *cfg, None, 2025, 1);
+    let ids = cell.run_ids();
+    let records = run_ids_ctl(
+        &cell,
+        &ids,
+        width,
+        &TraceSink::disabled(),
+        &MapControl::new(),
+    )
+    .expect("uncancelled");
+    ids.into_iter().zip(records).collect()
 }
 
 #[test]
@@ -180,7 +201,7 @@ fn dsl_campaigns_match_hardcoded_at_every_width_and_thread_count() {
     for threads in [1, 4] {
         let _env = threads_guard(threads);
         for width in [1, 4, 32] {
-            let campaign = run_campaign_with_width(fault, &config, None, 2025, 1, width);
+            let campaign = lockstep_campaign(fault, &config, width);
             assert_eq!(
                 format!("{reference:?}"),
                 format!("{campaign:?}"),
@@ -307,7 +328,7 @@ fn scheduled_campaigns_are_deterministic_across_reruns_threads_and_widths() {
     for threads in [1, 4] {
         let _env = threads_guard(threads);
         for width in [1, 4, 32] {
-            let rerun = run_campaign_with_width(fault, &config, None, 2025, 1, width);
+            let rerun = lockstep_campaign(fault, &config, width);
             assert_eq!(
                 format!("{baseline:?}"),
                 format!("{rerun:?}"),
