@@ -20,7 +20,7 @@ use adas_core::{
     TraceSink,
 };
 use adas_ml::linear::{Kernel, Pass};
-use adas_ml::train::{backprop_group, Gradients, GroupScratch, Transposed};
+use adas_ml::train::{backprop_group, Gradients, GroupScratch, Transposed, GRAD_GROUP, PANEL};
 use adas_ml::{LstmPredictor, ModelSpec, Sample, FEATURE_DIM, WINDOW};
 use adas_scenarios::{InitialPosition, ScenarioId};
 use adas_simulator::math;
@@ -39,8 +39,6 @@ const BUDGET: Duration = Duration::from_millis(400);
 /// repeats (closed-loop rows); the fastest is reported, the estimate least
 /// disturbed by other load on a shared host.
 const TRIALS: u32 = 5;
-/// Samples per BPTT group: `train`'s lane width.
-const GROUP: usize = 4;
 
 /// Deterministic feature filler: distinct per (lane, step, column) so the
 /// optimiser cannot hoist anything, cheap enough to not perturb timing.
@@ -138,12 +136,31 @@ fn lstm_gate_math(model: &LstmPredictor, width: usize) -> f64 {
     let (c1, c2) = (vec![0.3f64; h1.len()], vec![-0.3f64; h2.len()]);
     let (mut h1_out, mut c1_out) = (vec![0.0f64; h1.len()], vec![0.0f64; h1.len()]);
     let (mut h2_out, mut c2_out) = (vec![0.0f64; h2.len()], vec![0.0f64; h2.len()]);
+    let (mut tc1, mut tc2) = (vec![0.0f64; h1.len()], vec![0.0f64; h2.len()]);
     let live = vec![true; width];
     let kernel = Kernel::detect();
     let mut sink = 0.0f64;
     let ns = ns_per_lane_step(width, |_| {
-        l1.gate_math(kernel, width, &mut z1, &c1, &mut h1_out, &mut c1_out, &live);
-        l2.gate_math(kernel, width, &mut z2, &c2, &mut h2_out, &mut c2_out, &live);
+        l1.gate_math(
+            kernel,
+            width,
+            &mut z1,
+            &c1,
+            &mut h1_out,
+            &mut c1_out,
+            &mut tc1,
+            &live,
+        );
+        l2.gate_math(
+            kernel,
+            width,
+            &mut z2,
+            &c2,
+            &mut h2_out,
+            &mut c2_out,
+            &mut tc2,
+            &live,
+        );
         sink += h1_out[0] + h2_out[0];
     });
     std::hint::black_box(sink);
@@ -305,19 +322,18 @@ fn math_table() -> TextTable {
     table
 }
 
-/// Training BPTT phases, each in ns per sample-step over groups of
-/// [`GROUP`] samples: the forward's matvecs alone, the whole forward, and
-/// the whole BPTT (gate math = forward − matvec, backward = BPTT −
-/// forward).
+/// Training BPTT phases, each in ns per sample-step: the forward's
+/// matvecs alone, the whole forward, and the whole BPTT (gate math =
+/// forward − matvec, backward = BPTT − forward).
 struct BpttPhases {
     matvec: f64,
     forward: f64,
     total: f64,
 }
 
-/// [`GROUP`] distinct samples of [`WINDOW`] steps.
+/// [`PANEL`] distinct samples of [`WINDOW`] steps.
 fn bptt_samples() -> Vec<Sample> {
-    (0..GROUP)
+    (0..PANEL)
         .map(|s| {
             let mut window = vec![[0.0; FEATURE_DIM]; WINDOW];
             for (t, frame) in window.iter_mut().enumerate() {
@@ -375,9 +391,10 @@ fn bptt_scalar(model: &LstmPredictor, samples: &[Sample]) -> BpttPhases {
     }
 }
 
-/// The group path `train` runs: the samples as the lanes of one panel
+/// The panel path `train` runs: the samples as the lanes of one panel
 /// through the tile kernel, input gradients by transposed weights, and
-/// one deferred weight-gradient product per tensor.
+/// one deferred weight-gradient product per tensor and [`GRAD_GROUP`]
+/// group.
 fn bptt_group(model: &LstmPredictor, samples: &[Sample]) -> BpttPhases {
     let [l1, l2, _] = model.matvecs();
     let spec = model.spec();
@@ -392,7 +409,9 @@ fn bptt_group(model: &LstmPredictor, samples: &[Sample]) -> BpttPhases {
     let group: Vec<(&Sample, bool)> = samples.iter().map(|s| (s, false)).collect();
     let transposed = Transposed::new(model);
     let mut scratch = GroupScratch::new(kernel);
-    let mut grads = Gradients::zeros(model);
+    let groups = width.div_ceil(GRAD_GROUP);
+    let mut grads = vec![Gradients::zeros(model); groups];
+    let mut losses = vec![0.0; groups];
     let work = width * WINDOW;
     let mut sink = 0.0f64;
     let matvec = ns_per_lane_step(work, |_| {
@@ -404,7 +423,15 @@ fn bptt_group(model: &LstmPredictor, samples: &[Sample]) -> BpttPhases {
     });
     let forward = ns_per_lane_step(work, |_| scratch.forward(model, &group));
     let total = ns_per_lane_step(work, |_| {
-        sink += backprop_group(model, &transposed, &group, &mut scratch, &mut grads);
+        backprop_group(
+            model,
+            &transposed,
+            &group,
+            &mut scratch,
+            &mut grads,
+            &mut losses,
+        );
+        sink += losses[0];
     });
     std::hint::black_box(sink);
     BpttPhases {
@@ -520,7 +547,9 @@ fn main() {
          call."
     );
 
-    println!("\n== Training BPTT per sample-step (ModelSpec::default, {GROUP}-sample groups) ==\n");
+    println!(
+        "\n== Training BPTT per sample-step (ModelSpec::default, {GRAD_GROUP}-sample groups) ==\n"
+    );
     let samples = bptt_samples();
     let mut table = TextTable::new([
         "path",
@@ -530,9 +559,14 @@ fn main() {
         "gate math ns",
         "backward ns",
     ]);
-    let scalar = bptt_scalar(&model, &samples);
-    let group = bptt_group(&model, &samples);
-    for (label, p) in [("scalar per-sample", &scalar), ("group panels", &group)] {
+    let scalar = bptt_scalar(&model, &samples[..GRAD_GROUP]);
+    let group = bptt_group(&model, &samples[..GRAD_GROUP]);
+    let panel = bptt_group(&model, &samples);
+    for (label, p) in [
+        ("scalar per-sample", &scalar),
+        ("one-group panel (4 lanes)", &group),
+        ("two-group panel (8 lanes)", &panel),
+    ] {
         table.row([
             label.to_owned(),
             format!("{:.0}", p.total),
@@ -545,10 +579,11 @@ fn main() {
     println!("{}", table.render());
     println!(
         "\nscalar per-sample: the reference BPTT training ran before this \
-         path (crates/ml/tests/reference); group panels: train's path, \
-         the group's samples as the lanes of one tile-kernel panel. \
-         Backward includes the loss, the head and the deferred \
-         weight-gradient products."
+         path (crates/ml/tests/reference); panels: backprop_group, the \
+         samples as the lanes of one tile-kernel panel, one group alone \
+         and the two groups of one work item of train. Backward includes \
+         the loss, the head and each group's deferred weight-gradient \
+         products."
     );
 
     println!("\n== Closed-loop platform stepping (Mixed fault, 1 worker) ==\n");

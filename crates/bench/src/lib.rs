@@ -47,7 +47,7 @@ pub use adas_core::model_fingerprint;
 /// `ADAS_CACHE`/`ADAS_CACHE_DIR`).
 ///
 /// Training is deterministic for a given seed; progress is printed because
-/// it takes ~10 s on a 2-vCPU host at the shipped 64-32 hidden sizes.
+/// it takes ~5 s on a 2-vCPU host at the shipped 64-32 hidden sizes.
 #[must_use]
 pub fn trained_baseline(seed: u64, spec: ModelSpec) -> LstmPredictor {
     trained_baseline_cached(&ArtifactCache::from_env(), seed, spec)

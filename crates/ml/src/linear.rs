@@ -336,6 +336,10 @@ enum Seed<'a> {
 /// Weight rows per register tile of the batched matvec.
 const TILE_ROWS: usize = 4;
 
+/// Lanes of the widest register tile: a panel this wide runs every tile
+/// at full width.
+pub(crate) const TILE_LANES: usize = 8;
+
 /// `y = M [xa; xb] (+ seed)` over lane panels: [`TILE_ROWS`]-row groups,
 /// then the row remainder one row at a time. `#[inline(always)]` (down to
 /// [`accumulate`]) so each caller gets its own copy compiled with its own
@@ -367,8 +371,8 @@ fn row_group<const R: usize>(
     let mut start = 0;
     while start < width {
         let left = width - start;
-        start += if left >= 8 {
-            tile::<R, 8>(m, seed, r0, width, start, xa, xb, y)
+        start += if left >= TILE_LANES {
+            tile::<R, TILE_LANES>(m, seed, r0, width, start, xa, xb, y)
         } else if left >= 4 {
             tile::<R, 4>(m, seed, r0, width, start, xa, xb, y)
         } else if left >= 2 {

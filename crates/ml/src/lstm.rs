@@ -11,7 +11,7 @@
 //! `Lstm::backward_gates`. The gate math activates contiguous lane blocks
 //! of each gate's `hidden × width` panel with the lane-wide functions of
 //! [`adas_simulator::math`], bit-identical to activating value by value.
-//! Training runs a sample group as the lanes of one panel (see
+//! Training runs two sample groups as the lanes of one panel (see
 //! [`mod@crate::train`]).
 
 use crate::linear::{Kernel, Linear, Pass};
@@ -77,22 +77,24 @@ impl Tape {
 
 /// The gate math of one step, the one loop both forwards run: activates
 /// each gate's `hidden × width` panel in place, one lane block at a time
-/// (`[input, forget, cell, output]` → `[i, f, g, o]`), then computes
-/// `c = f·c_prev + i·g`, `tanh c` and `h = o·tanh c` a lane block at a
-/// time and writes `c_out`, `h_out` and `keep(at, tanh c)` for each live
-/// lane. Every value sees the scalar f64 operation sequence, so lane
-/// blocks, ragged tails and batch composition never change a result.
-struct Units<'a, K> {
+/// (`[input, forget, cell, output]` → `[i, f, g, o]`), computes `c =
+/// f·c_prev + i·g` into the `tanh_c` panel (and `c_out` for each live
+/// lane), activates that panel in place to `tanh c`, and writes `h = o·tanh
+/// c` to `h_out` for each live lane. Every value sees the scalar f64
+/// operation sequence, so lane blocks, ragged tails and batch composition
+/// never change a result.
+struct Units<'a> {
     /// Gate pre-activations in, activated gates out.
     gates: &'a mut [f64],
     c_prev: &'a [f64],
     h_out: &'a mut [f64],
     c_out: &'a mut [f64],
+    /// `tanh c` of every lane out.
+    tanh_c: &'a mut [f64],
     live: &'a [bool],
-    keep: K,
 }
 
-impl<K: FnMut(usize, f64)> Pass for Units<'_, K> {
+impl Pass for Units<'_> {
     #[inline(always)]
     fn run(self) {
         let Units {
@@ -100,34 +102,33 @@ impl<K: FnMut(usize, f64)> Pass for Units<'_, K> {
             c_prev,
             h_out,
             c_out,
+            tanh_c,
             live,
-            mut keep,
         } = self;
-        let (panel, width) = (c_prev.len(), live.len());
+        let panel = c_prev.len();
         let (ifg, o) = gates.split_at_mut(3 * panel);
         let (i_f, g) = ifg.split_at_mut(2 * panel);
         activate(i_f, sigmoid_lanes);
         activate(g, tanh_lanes);
         activate(o, sigmoid_lanes);
         let (i, f) = i_f.split_at(panel);
-        for start in (0..panel).step_by(LANES) {
-            let len = LANES.min(panel - start);
-            let mut c = [0.0; LANES];
-            for (j, c) in c[..len].iter_mut().enumerate() {
-                let at = start + j;
-                *c = f[at] * c_prev[at] + i[at] * g[at];
+        let lanes = || live.iter().cycle();
+        for ((((tc, c_out), live), (f, c_prev)), (i, g)) in tanh_c
+            .iter_mut()
+            .zip(c_out.iter_mut())
+            .zip(lanes())
+            .zip(f.iter().zip(c_prev))
+            .zip(i.iter().zip(g.iter()))
+        {
+            *tc = f * c_prev + i * g;
+            if *live {
+                *c_out = *tc;
             }
-            let mut tanh_c = c;
-            tanh_lanes(&mut tanh_c);
-            let mut lane = start % width;
-            for j in 0..len {
-                if live[lane] {
-                    let at = start + j;
-                    c_out[at] = c[j];
-                    h_out[at] = o[at] * tanh_c[j];
-                    keep(at, tanh_c[j]);
-                }
-                lane = if lane + 1 == width { 0 } else { lane + 1 };
+        }
+        activate(tanh_c, tanh_lanes);
+        for (((h_out, live), o), tc) in h_out.iter_mut().zip(lanes()).zip(o.iter()).zip(&*tanh_c) {
+            if *live {
+                *h_out = o * tc;
             }
         }
     }
@@ -194,8 +195,8 @@ impl Lstm {
     /// lanes; the columns of lanes that are not live hold finite garbage
     /// that no one reads, and lanes never mix.
     ///
-    /// `z` is scratch. `h_out` / `c_out` must not alias `h_prev` /
-    /// `c_prev`.
+    /// `z` (`4·hidden × width`) and `tanh_c` (`hidden × width`) are
+    /// scratch. `h_out` / `c_out` must not alias `h_prev` / `c_prev`.
     ///
     /// # Panics
     ///
@@ -210,22 +211,26 @@ impl Lstm {
         z: &mut [f64],
         h_out: &mut [f64],
         c_out: &mut [f64],
+        tanh_c: &mut [f64],
         live: &[bool],
     ) {
         assert_eq!(x.len(), self.input * width);
         assert_eq!(h_prev.len(), self.hidden * width);
         let kernel = Kernel::detect();
         self.gates.forward_panels(kernel, width, x, h_prev, z);
-        self.gate_math(kernel, width, z, c_prev, h_out, c_out, live);
+        self.gate_math(kernel, width, z, c_prev, h_out, c_out, tanh_c, live);
     }
 
     /// The gate math of one step over a `4·hidden × width` panel `z` of
     /// gate pre-activations, on `kernel`'s build: activates the gates in
-    /// place, then writes the new cell and hidden state of every live
-    /// lane. [`Self::step_batch`] is the gate matvec followed by this.
+    /// place, activates the new cell state into the `hidden × width`
+    /// panel `tanh_c` (every lane), then writes the new cell and hidden
+    /// state of every live lane. [`Self::step_batch`] is the gate matvec
+    /// followed by this.
     ///
-    /// The work does not depend on the values: every lane of every gate is
-    /// activated branch-free, and liveness only masks the writes.
+    /// The work does not depend on the values: every lane of every gate
+    /// and of `tanh c` is activated branch-free, and liveness only masks
+    /// the writes of `c_out` and `h_out`.
     ///
     /// # Panics
     ///
@@ -239,6 +244,7 @@ impl Lstm {
         c_prev: &[f64],
         h_out: &mut [f64],
         c_out: &mut [f64],
+        tanh_c: &mut [f64],
         live: &[bool],
     ) {
         let panel = self.hidden * width;
@@ -246,14 +252,15 @@ impl Lstm {
         assert_eq!(c_prev.len(), panel);
         assert_eq!(h_out.len(), panel);
         assert_eq!(c_out.len(), panel);
+        assert_eq!(tanh_c.len(), panel);
         assert_eq!(live.len(), width, "liveness length mismatch");
         kernel.run(Units {
             gates: z,
             c_prev,
             h_out,
             c_out,
+            tanh_c,
             live,
-            keep: |_, _| {},
         });
     }
 
@@ -263,8 +270,9 @@ impl Lstm {
     /// after `t` steps and writing the state after `t + 1`, and recording
     /// the step's gate values for [`Self::backward_gates`]. The matvec
     /// writes straight into the step's gate panel of the tape, which the
-    /// gate math then activates in place. `x` is the step's `input ×
-    /// width` panel.
+    /// gate math then activates in place, and the gate math activates
+    /// `tanh c` in the step's `tanh_c` panel of the tape. `x` is the
+    /// step's `input × width` panel.
     ///
     /// # Panics
     ///
@@ -285,14 +293,13 @@ impl Lstm {
         let act = &mut tape.act[t * 4 * panel..][..4 * panel];
         self.gates.forward_panels(kernel, width, x, h_prev, act);
         let (before, after) = tape.c.split_at_mut((t + 1) * panel);
-        let tanh_c = &mut tape.tanh_c[t * panel..][..panel];
         kernel.run(Units {
             gates: act,
             c_prev: &before[t * panel..],
             h_out,
             c_out: &mut after[..panel],
+            tanh_c: &mut tape.tanh_c[t * panel..][..panel],
             live: &tape.live,
-            keep: |at, tc| tanh_c[at] = tc,
         });
     }
 
@@ -367,6 +374,7 @@ mod tests {
         let mut z = vec![0.0; 4 * h];
         let mut h_out = vec![0.0; h];
         let mut c_out = vec![0.0; h];
+        let mut tanh_c = vec![0.0; h];
         l.step_batch(
             1,
             x,
@@ -375,6 +383,7 @@ mod tests {
             &mut z,
             &mut h_out,
             &mut c_out,
+            &mut tanh_c,
             &[true],
         );
         (h_out, c_out)
@@ -423,12 +432,15 @@ mod tests {
             let mut z = vec![0.0; 4 * 5 * width];
             let mut hn = vec![0.0; 5 * width];
             let mut cn = vec![0.0; 5 * width];
+            let mut tc = vec![0.0; 5 * width];
             let live = vec![true; width];
             for t in 0..steps {
                 let xp: Vec<f64> = (0..3 * width)
                     .map(|i| sin((t * 3 * width + i) as f64 * 0.31))
                     .collect();
-                l.step_batch(width, &xp, &hp, &cp, &mut z, &mut hn, &mut cn, &live);
+                l.step_batch(
+                    width, &xp, &hp, &cp, &mut z, &mut hn, &mut cn, &mut tc, &live,
+                );
                 std::mem::swap(&mut hp, &mut hn);
                 std::mem::swap(&mut cp, &mut cn);
                 l.step_taped(Kernel::detect(), &xp, &mut tape, t);
@@ -471,8 +483,16 @@ mod tests {
                 let mut gates = z.clone();
                 let mut h_out = vec![-7.0; panel];
                 let mut c_out = vec![-7.0; panel];
+                let mut tanh_c = vec![-7.0; panel];
                 l.gate_math(
-                    kernel, width, &mut gates, &c_prev, &mut h_out, &mut c_out, &live,
+                    kernel,
+                    width,
+                    &mut gates,
+                    &c_prev,
+                    &mut h_out,
+                    &mut c_out,
+                    &mut tanh_c,
+                    &live,
                 );
                 for at in 0..panel {
                     let zb = |gate: usize| z[gate * panel + at];
@@ -486,6 +506,11 @@ mod tests {
                         );
                     }
                     let c = f * c_prev[at] + i * g;
+                    assert_eq!(
+                        tanh_c[at].to_bits(),
+                        tanh(c).to_bits(),
+                        "{build}: width {width} tanh c at {at}"
+                    );
                     let (want_c, want_h) = if live[at % width] {
                         (c, o * tanh(c))
                     } else {

@@ -2,8 +2,8 @@
 //!
 //! Inference has one path: [`LstmPredictor::step_batch`] advances a
 //! lane-contiguous panel of independent streams, and a single run is a
-//! one-lane panel. Training runs each group of samples as the lanes of
-//! one panel through `Lstm::step_taped`, which records the gate values
+//! one-lane panel. Training runs each panel of two sample groups as its
+//! lanes through `Lstm::step_taped`, which records the gate values
 //! for backpropagation (see [`mod@crate::train`]); both forwards share the
 //! layer's matvec and gate math, so a trained model infers exactly as it
 //! was trained.
@@ -117,13 +117,15 @@ impl BatchPredictorState {
 }
 
 /// Preallocated scratch panels for [`LstmPredictor::step_batch`]: gate
-/// pre-activations, double-buffered next hidden/cell states, and the head
-/// output panel. Zero heap allocations per cycle after construction.
+/// pre-activations, `tanh c`, double-buffered next hidden/cell states, and
+/// the head output panel. Zero heap allocations per cycle after construction.
 #[derive(Debug, Clone)]
 pub struct BatchInferScratch {
     width: usize,
     z1: Vec<f64>,
     z2: Vec<f64>,
+    tanh_c1: Vec<f64>,
+    tanh_c2: Vec<f64>,
     h1: Vec<f64>,
     c1: Vec<f64>,
     h2: Vec<f64>,
@@ -213,6 +215,8 @@ impl LstmPredictor {
             width,
             z1: vec![0.0; 4 * self.spec.hidden1 * width],
             z2: vec![0.0; 4 * self.spec.hidden2 * width],
+            tanh_c1: vec![0.0; self.spec.hidden1 * width],
+            tanh_c2: vec![0.0; self.spec.hidden2 * width],
             h1: vec![0.0; self.spec.hidden1 * width],
             c1: vec![0.0; self.spec.hidden1 * width],
             h2: vec![0.0; self.spec.hidden2 * width],
@@ -261,6 +265,7 @@ impl LstmPredictor {
             &mut scratch.z1,
             &mut scratch.h1,
             &mut scratch.c1,
+            &mut scratch.tanh_c1,
             &state.live,
         );
         self.l2.step_batch(
@@ -271,6 +276,7 @@ impl LstmPredictor {
             &mut scratch.z2,
             &mut scratch.h2,
             &mut scratch.c2,
+            &mut scratch.tanh_c2,
             &state.live,
         );
         std::mem::swap(&mut state.h1, &mut scratch.h1);

@@ -2,13 +2,14 @@
 
 use crate::adam::{Adam, AdamConfig};
 use crate::features::{ControlTarget, StateFeatures, FEATURE_DIM, TARGET_DIM, WINDOW};
-use crate::linear::{add_product, Kernel, Linear};
+use crate::linear::{add_product, Kernel, Linear, TILE_LANES};
 use crate::lstm::Tape;
 use crate::model::LstmPredictor;
 use adas_codec::{Encode, Writer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
 
 /// One training sample: a [`WINDOW`]-cycle feature window plus the expected
 /// control output at the final cycle.
@@ -238,10 +239,10 @@ impl Transposed {
     }
 }
 
-/// Per-worker buffers for [`backprop_group`]: the layers' tapes, every
-/// gradient panel, and the deferred weight-gradient operands. Resized in
-/// place, so after the first group of a given shape a worker runs without
-/// heap allocation.
+/// Buffers for [`backprop_group`]: the layers' tapes, every gradient
+/// panel, and the deferred weight-gradient operands. Resized in place, so
+/// after the first panel of a given shape a call runs without heap
+/// allocation.
 #[derive(Debug, Clone)]
 pub struct GroupScratch {
     kernel: Kernel,
@@ -263,10 +264,16 @@ pub struct GroupScratch {
     /// One step's gate pre-activation gradients, `4·hidden × width`.
     dz1: Vec<f64>,
     dz2: Vec<f64>,
-    /// Deferred `dZ` (`4·hidden × K`) and layer inputs `X` (`K × cols`) of
-    /// the weight-gradient products; `K` runs over (sample, reversed step).
+    /// Deferred `dZ` of the weight-gradient products, one `rows × K`
+    /// matrix per group, group after group; `K` runs over the group's
+    /// (sample, reversed step) pairs (over its samples for the head's
+    /// `dys`).
     dzs1: Vec<f64>,
     dzs2: Vec<f64>,
+    dys: Vec<f64>,
+    /// The layer inputs `X` (`K × cols`) the deferred `dZ` multiply, rows
+    /// in (sample, reversed step) order over the whole panel, so each
+    /// group's rows are contiguous.
     xs1: Vec<f64>,
     xs2: Vec<f64>,
     /// The head's input rows, one per sample.
@@ -294,32 +301,36 @@ impl GroupScratch {
             dz2: Vec::new(),
             dzs1: Vec::new(),
             dzs2: Vec::new(),
+            dys: Vec::new(),
             xs1: Vec::new(),
             xs2: Vec::new(),
             xh: Vec::new(),
         }
     }
 
-    /// The taped forward alone over `group` (for per-phase
+    /// The taped forward alone over `panel` (for per-phase
     /// microbenchmarks): [`backprop_group`]'s first phase.
     ///
     /// # Panics
     ///
     /// As [`backprop_group`].
-    pub fn forward(&mut self, model: &LstmPredictor, group: &[(&Sample, bool)]) {
-        let n = group.len();
-        assert!(n > 0, "empty sample group");
-        let steps = group[0].0.window.len();
+    pub fn forward(&mut self, model: &LstmPredictor, panel: &[(&Sample, bool)]) {
+        let n = panel.len();
         assert!(
-            group.iter().all(|(s, _)| s.window.len() == steps),
-            "the windows of a sample group must all have the same length"
+            (1..=PANEL).contains(&n),
+            "a panel holds 1 to {PANEL} samples, not {n}"
+        );
+        let steps = panel[0].0.window.len();
+        assert!(
+            panel.iter().all(|(s, _)| s.window.len() == steps),
+            "the windows of a panel must all have the same length"
         );
         let (f, kernel) = (FEATURE_DIM, self.kernel);
         // History dropout zeroes the previous-command features of a masked
         // sample over its whole window, so the model must read the vehicle
         // state (see `TrainConfig::history_dropout`).
         self.x.resize(steps * f * n, 0.0);
-        for (lane, (sample, masked)) in group.iter().enumerate() {
+        for (lane, (sample, masked)) in panel.iter().enumerate() {
             for (t, frame) in sample.window.iter().enumerate() {
                 for (c, &v) in frame.iter().enumerate() {
                     self.x[(t * f + c) * n + lane] = if *masked && c >= f - 2 { 0.0 } else { v };
@@ -343,52 +354,65 @@ impl GroupScratch {
     }
 }
 
-/// Full BPTT over one sample group, its samples the lanes of one panel:
-/// returns the summed squared-error loss and adds the group's gradients
-/// into `grads`. `group` pairs each sample with its history-dropout mask.
+/// Full BPTT over one panel of up to [`PANEL`] samples, its samples the
+/// lanes: the panel splits into groups of [`GRAD_GROUP`] lanes (the last
+/// may be ragged), and for each group `g` this writes the group's summed
+/// squared-error loss into `losses[g]` and adds its gradients into
+/// `grads[g]`. `panel` pairs each sample with its history-dropout mask.
 ///
 /// Each sample sees exactly the f64 operation sequence of a lone
-/// per-sample BPTT, so the result does not depend on the group's size or
-/// composition:
+/// per-sample BPTT, and each group's sums that of the group run alone, so
+/// the results do not depend on the panel's width or on the other group:
 ///
 /// - forward: `Lstm::step_taped` per layer and step (the inference
-///   matvec and gate math), then the head;
+///   matvec and gate math) at the panel's width, then the head;
 /// - input gradients: `Wᵀ·dz` is the tile-kernel forward of the
-///   [`Transposed`] weights, from a zero start in row order;
-/// - weight gradients: `dz` and the layer inputs are kept per (sample,
-///   reversed step), and after the backward sweep one seeded tile-kernel
-///   product per tensor adds them into `grads` in that order: sample,
-///   then reversed time — the order the per-sample BPTT added them in.
+///   [`Transposed`] weights at the panel's width, from a zero start in
+///   row order;
+/// - loss: each group's lanes summed in lane order;
+/// - weight gradients: `dz` and the layer inputs are kept per group and
+///   (sample, reversed step), and after the backward sweep one seeded
+///   tile-kernel product per tensor and group adds them into that group's
+///   gradients in that order: sample, then reversed time — the order the
+///   per-sample BPTT added them in.
 ///
 /// # Panics
 ///
-/// Panics if `group` is empty or its windows differ in length.
+/// Panics if `panel` is empty or holds more than [`PANEL`] samples, if
+/// its windows differ in length, or if `grads` and `losses` do not hold
+/// one entry per group.
 pub fn backprop_group(
     model: &LstmPredictor,
     transposed: &Transposed,
-    group: &[(&Sample, bool)],
+    panel: &[(&Sample, bool)],
     s: &mut GroupScratch,
-    grads: &mut Gradients,
-) -> f64 {
-    s.forward(model, group);
-    let (n, steps) = (group.len(), group[0].0.window.len());
+    grads: &mut [Gradients],
+    losses: &mut [f64],
+) {
+    s.forward(model, panel);
+    let (n, steps) = (panel.len(), panel[0].0.window.len());
+    let groups = n.div_ceil(GRAD_GROUP);
+    assert_eq!(grads.len(), groups, "one gradient buffer per group");
+    assert_eq!(losses.len(), groups, "one loss per group");
     let (h1, h2, kernel) = (model.l1.hidden, model.l2.hidden, s.kernel);
 
     // MSE loss and output gradient.
-    let mut total = 0.0;
     s.dy.resize(TARGET_DIM * n, 0.0);
-    for (lane, (sample, _)) in group.iter().enumerate() {
-        let mut loss = 0.0;
-        for (k, t) in sample.target.iter().enumerate() {
-            let e = s.y[k * n + lane] - t;
-            loss += e * e;
-            s.dy[k * n + lane] = 2.0 * e / TARGET_DIM as f64;
+    for (g, (group, total)) in panel.chunks(GRAD_GROUP).zip(losses.iter_mut()).enumerate() {
+        *total = 0.0;
+        for (j, (sample, _)) in group.iter().enumerate() {
+            let lane = g * GRAD_GROUP + j;
+            let mut loss = 0.0;
+            for (k, t) in sample.target.iter().enumerate() {
+                let e = s.y[k * n + lane] - t;
+                loss += e * e;
+                s.dy[k * n + lane] = 2.0 * e / TARGET_DIM as f64;
+            }
+            *total += loss / TARGET_DIM as f64;
         }
-        total += loss / TARGET_DIM as f64;
     }
 
     // Backward: head → layer 2 chain → layer 1 chain.
-    let reduce = n * steps;
     zeroed(&mut s.dc2, h2 * n);
     zeroed(&mut s.dh1, h1 * n);
     zeroed(&mut s.dc1, h1 * n);
@@ -396,8 +420,8 @@ pub fn backprop_group(
     s.dx2.resize((h1 + h2) * n, 0.0);
     s.dz1.resize(4 * h1 * n, 0.0);
     s.dz2.resize(4 * h2 * n, 0.0);
-    s.dzs1.resize(4 * h1 * reduce, 0.0);
-    s.dzs2.resize(4 * h2 * reduce, 0.0);
+    s.dzs1.resize(4 * h1 * n * steps, 0.0);
+    s.dzs2.resize(4 * h2 * n * steps, 0.0);
     transposed
         .head
         .forward_panels(kernel, n, &s.dy, &[], &mut s.dh2);
@@ -421,20 +445,17 @@ pub fn backprop_group(
         transposed
             .l1
             .forward_panels(kernel, n, &s.dz1, &[], &mut s.dh1);
-        for (dz, dzs) in [(&s.dz1, &mut s.dzs1), (&s.dz2, &mut s.dzs2)] {
-            for (r, row) in dz.chunks_exact(n).enumerate() {
-                for (lane, &v) in row.iter().enumerate() {
-                    dzs[r * reduce + lane * steps + (steps - 1 - t)] = v;
-                }
-            }
-        }
+        defer(&s.dz1, n, steps, steps - 1 - t, &mut s.dzs1);
+        defer(&s.dz2, n, steps, steps - 1 - t, &mut s.dzs2);
     }
+    s.dys.resize(TARGET_DIM * n, 0.0);
+    defer(&s.dy, n, 1, 0, &mut s.dys);
 
     // Deferred weight gradients: the inputs each `dz` multiplies, as rows
     // in the same (sample, reversed step) order.
     let (c1, c2, f) = (model.l1.gates.cols, model.l2.gates.cols, FEATURE_DIM);
-    s.xs1.resize(reduce * c1, 0.0);
-    s.xs2.resize(reduce * c2, 0.0);
+    s.xs1.resize(n * steps * c1, 0.0);
+    s.xs2.resize(n * steps * c2, 0.0);
     for lane in 0..n {
         for t in 0..steps {
             let k = lane * steps + (steps - 1 - t);
@@ -450,43 +471,101 @@ pub fn backprop_group(
     for (lane, row) in s.xh.chunks_exact_mut(h2).enumerate() {
         column(s.tape2.h(steps), n, lane, row);
     }
-    for (dz, rows, xs, cols, gw, gb) in [
-        (&s.dzs1, 4 * h1, &s.xs1, c1, &mut grads.l1w, &mut grads.l1b),
-        (&s.dzs2, 4 * h2, &s.xs2, c2, &mut grads.l2w, &mut grads.l2b),
-        (&s.dy, TARGET_DIM, &s.xh, h2, &mut grads.hw, &mut grads.hb),
-    ] {
-        add_product(kernel, dz, rows, xs, cols, gw);
-        let k = dz.len() / rows;
-        for (r, g) in gb.iter_mut().enumerate() {
-            for v in &dz[r * k..(r + 1) * k] {
-                *g += v;
+    for (g, grads) in grads.iter_mut().enumerate() {
+        // The group's lanes `g0..g0 + lanes`, its slice of each operand.
+        let g0 = g * GRAD_GROUP;
+        let lanes = GRAD_GROUP.min(n - g0);
+        let (at, k) = (g0 * steps, lanes * steps);
+        for (dz, rows, xs, cols, gw, gb) in [
+            (&s.dzs1, 4 * h1, &s.xs1, c1, &mut grads.l1w, &mut grads.l1b),
+            (&s.dzs2, 4 * h2, &s.xs2, c2, &mut grads.l2w, &mut grads.l2b),
+        ] {
+            group_product(
+                kernel,
+                &dz[rows * at..][..rows * k],
+                rows,
+                &xs[at * cols..][..k * cols],
+                gw,
+                gb,
+            );
+        }
+        group_product(
+            kernel,
+            &s.dys[TARGET_DIM * g0..][..TARGET_DIM * lanes],
+            TARGET_DIM,
+            &s.xh[g0 * h2..][..lanes * h2],
+            &mut grads.hw,
+            &mut grads.hb,
+        );
+    }
+}
+
+/// Adds one group's weight and bias gradients: `gw += dZ·X` by the seeded
+/// tile kernel, and each bias row the sum of its `dZ` row in order.
+fn group_product(
+    kernel: Kernel,
+    dz: &[f64],
+    rows: usize,
+    xs: &[f64],
+    gw: &mut [f64],
+    gb: &mut [f64],
+) {
+    add_product(kernel, dz, rows, xs, gw.len() / rows, gw);
+    let k = dz.len() / rows;
+    for (g, row) in gb.iter_mut().zip(dz.chunks_exact(k)) {
+        for v in row {
+            *g += v;
+        }
+    }
+}
+
+/// Copies the `rows × width` panel `dz` of reversed step `k` (of `steps`)
+/// into the deferred matrices `dzs`: group after group, each a `rows ×
+/// (lanes·steps)` matrix whose column `lane·steps + k` is that lane's.
+fn defer(dz: &[f64], width: usize, steps: usize, k: usize, dzs: &mut [f64]) {
+    let rows = dz.len() / width;
+    for g0 in (0..width).step_by(GRAD_GROUP) {
+        let lanes = GRAD_GROUP.min(width - g0);
+        let block = &mut dzs[rows * g0 * steps..][..rows * lanes * steps];
+        for (row, out) in dz
+            .chunks_exact(width)
+            .zip(block.chunks_exact_mut(lanes * steps))
+        {
+            for (v, o) in row[g0..g0 + lanes]
+                .iter()
+                .zip(out.iter_mut().skip(k).step_by(steps))
+            {
+                *o = *v;
             }
         }
     }
-    total
 }
 
 /// The loss and gradients of one sample group on `kernel`'s build, from
-/// fresh buffers: [`backprop_group`] for a single call.
+/// fresh buffers: [`backprop_group`] over a one-group panel.
 ///
 /// # Panics
 ///
-/// As [`backprop_group`].
+/// As [`backprop_group`], and if `group` holds more than [`GRAD_GROUP`]
+/// samples.
 #[must_use]
 pub fn group_gradients(
     model: &LstmPredictor,
     kernel: Kernel,
     group: &[(&Sample, bool)],
 ) -> (f64, Gradients) {
-    let mut grads = Gradients::zeros(model);
-    let loss = backprop_group(
+    let mut grads = [Gradients::zeros(model)];
+    let mut loss = [0.0];
+    backprop_group(
         model,
         &Transposed::new(model),
         group,
         &mut GroupScratch::new(kernel),
         &mut grads,
+        &mut loss,
     );
-    (loss, grads)
+    let [grads] = grads;
+    (loss[0], grads)
 }
 
 /// Sizes `buf` to `len` zeros.
@@ -502,15 +581,29 @@ fn column(panel: &[f64], width: usize, lane: usize, out: &mut [f64]) {
     }
 }
 
-/// Samples per parallel work item, and the lane width of its panels. Each
-/// group is one [`backprop_group`] by one worker into a private
-/// [`Gradients`]; groups are then reduced in order. Because the partition
-/// depends only on the batch contents, gradient sums are identical at any
-/// thread count. The group size sets where the reduction starts a new
-/// partial sum, so changing it changes the trained weights: every cached
-/// model, the ML row of Table VI and the training golden must then be
-/// regenerated.
-const GRAD_GROUP: usize = 4;
+/// Samples per gradient group: the reduction boundary. Each group's loss
+/// and gradients are summed into a private [`Gradients`] and the groups
+/// are then reduced in order; because the partition depends only on the
+/// batch contents, gradient sums are identical at any thread count. The
+/// group size sets where the reduction starts a new partial sum, so
+/// changing it changes the trained weights: every cached model, the ML row
+/// of Table VI and the training golden must then be regenerated.
+pub const GRAD_GROUP: usize = 4;
+
+/// Samples per panel, the lanes of one [`backprop_group`] and one parallel
+/// work item: the tile kernel's widest tile, two [`GRAD_GROUP`]s. The
+/// panel width moves no result, only how many lanes share each matvec.
+pub const PANEL: usize = TILE_LANES;
+const _: () = assert!(PANEL.is_multiple_of(GRAD_GROUP));
+
+/// One work item's buffers, kept for a whole [`train`] call so no
+/// minibatch allocates them afresh: the panel scratch, and each group's
+/// loss and gradients (zeroed in place per minibatch).
+struct Slot {
+    scratch: GroupScratch,
+    grads: Vec<Gradients>,
+    losses: Vec<f64>,
+}
 
 /// Trains `model` in place; returns the loss trajectory.
 ///
@@ -522,7 +615,7 @@ const GRAD_GROUP: usize = 4;
 /// # Panics
 ///
 /// Panics if `data` is empty or its windows differ in length (the samples
-/// of a group are the lanes of one panel).
+/// of a panel are its lanes).
 pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) -> TrainReport {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     let steps = data.samples[0].window.len();
@@ -541,12 +634,22 @@ pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) ->
     let mut opt_hb = Adam::new(model.head.b.len(), config.adam);
 
     let kernel = Kernel::detect();
+    let batch = config.batch.max(1);
+    let mut slots: Vec<Mutex<Slot>> = (0..batch.div_ceil(PANEL))
+        .map(|_| {
+            Mutex::new(Slot {
+                scratch: GroupScratch::new(kernel),
+                grads: vec![Gradients::zeros(model); PANEL / GRAD_GROUP],
+                losses: vec![0.0; PANEL / GRAD_GROUP],
+            })
+        })
+        .collect();
     let mut batch_grads = Gradients::zeros(model);
     let mut epoch_loss = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
         order.shuffle(&mut rng);
         let mut total = 0.0;
-        for chunk in order.chunks(config.batch.max(1)) {
+        for chunk in order.chunks(batch) {
             // Pre-draw the dropout decisions serially, in sample order, so
             // RNG consumption is independent of worker scheduling.
             let masked: Vec<bool> = chunk
@@ -555,9 +658,9 @@ pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) ->
                     config.history_dropout > 0.0 && rng.gen_range(0.0..1.0) < config.history_dropout
                 })
                 .collect();
-            let groups: Vec<Vec<(&Sample, bool)>> = chunk
-                .chunks(GRAD_GROUP)
-                .zip(masked.chunks(GRAD_GROUP))
+            let panels: Vec<Vec<(&Sample, bool)>> = chunk
+                .chunks(PANEL)
+                .zip(masked.chunks(PANEL))
                 .map(|(idxs, masks)| {
                     idxs.iter()
                         .zip(masks)
@@ -566,30 +669,47 @@ pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) ->
                 })
                 .collect();
 
+            // Work item `i` runs in slot `i`, which no other item touches.
             let shared: &LstmPredictor = model;
             let transposed = Transposed::new(shared);
-            let results: Vec<(f64, Gradients)> = adas_parallel::map_init(
-                &groups,
-                || GroupScratch::new(kernel),
-                |scratch, _, group| {
-                    let mut grads = Gradients::zeros(shared);
-                    let loss = backprop_group(shared, &transposed, group, scratch, &mut grads);
-                    (loss, grads)
-                },
-            );
+            adas_parallel::map(&panels, |i, panel| {
+                let mut slot = slots[i].lock().expect("no item panicked in its slot");
+                let Slot {
+                    scratch,
+                    grads,
+                    losses,
+                } = &mut *slot;
+                let groups = panel.len().div_ceil(GRAD_GROUP);
+                for grads in &mut grads[..groups] {
+                    grads.zero();
+                }
+                backprop_group(
+                    shared,
+                    &transposed,
+                    panel,
+                    scratch,
+                    &mut grads[..groups],
+                    &mut losses[..groups],
+                );
+            });
 
+            // Reduce the groups in order: panel, then group within it.
             batch_grads.zero();
-            for (loss, grads) in &results {
-                total += loss;
-                batch_grads.add_assign(grads);
+            for (slot, panel) in slots.iter_mut().zip(&panels) {
+                let slot = slot.get_mut().expect("no item panicked in its slot");
+                let groups = panel.len().div_ceil(GRAD_GROUP);
+                for (loss, grads) in slot.losses.iter().zip(&slot.grads).take(groups) {
+                    total += loss;
+                    batch_grads.add_assign(grads);
+                }
             }
             batch_grads.scale(1.0 / chunk.len() as f64);
-            opt_l1w.step(&mut model.l1.gates.w, &batch_grads.l1w);
-            opt_l1b.step(&mut model.l1.gates.b, &batch_grads.l1b);
-            opt_l2w.step(&mut model.l2.gates.w, &batch_grads.l2w);
-            opt_l2b.step(&mut model.l2.gates.b, &batch_grads.l2b);
-            opt_hw.step(&mut model.head.w, &batch_grads.hw);
-            opt_hb.step(&mut model.head.b, &batch_grads.hb);
+            opt_l1w.step(kernel, &mut model.l1.gates.w, &batch_grads.l1w);
+            opt_l1b.step(kernel, &mut model.l1.gates.b, &batch_grads.l1b);
+            opt_l2w.step(kernel, &mut model.l2.gates.w, &batch_grads.l2w);
+            opt_l2b.step(kernel, &mut model.l2.gates.b, &batch_grads.l2b);
+            opt_hw.step(kernel, &mut model.head.w, &batch_grads.hw);
+            opt_hb.step(kernel, &mut model.head.b, &batch_grads.hb);
         }
         epoch_loss.push(total / data.len() as f64);
     }
