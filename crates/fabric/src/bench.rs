@@ -53,10 +53,11 @@ pub struct BenchPoint {
     pub elapsed_ms: u64,
     /// Merged-cell throughput.
     pub cells_per_sec: f64,
-    /// Median campaign latency (submission → `JobDone`).
-    pub p50_ms: u64,
-    /// Tail campaign latency.
-    pub p99_ms: u64,
+    /// Median campaign latency (submission → `JobDone`), as the upper
+    /// bound of its histogram bucket in µs.
+    pub p50_le_us: u64,
+    /// Tail campaign latency, likewise.
+    pub p99_le_us: u64,
     /// Admission rejections absorbed by client backoff.
     pub retries: u64,
 }
@@ -231,8 +232,8 @@ pub fn run_point(
         } else {
             0.0
         },
-        p50_ms: latencies.quantile_ms(0.50),
-        p99_ms: latencies.quantile_ms(0.99),
+        p50_le_us: latencies.quantile_us(0.50),
+        p99_le_us: latencies.quantile_us(0.99),
         retries: retries.load(Ordering::Relaxed),
     })
 }
@@ -248,13 +249,13 @@ pub fn run(config: &BenchConfig) -> Result<Vec<BenchPoint>, String> {
         for &clients in &sweep(config.max_clients) {
             let point = run_point(workers, clients, config)?;
             eprintln!(
-                "[bench] workers={:>2} clients={:>2} → {:>8.1} cells/s  p50={}ms p99={}ms  \
+                "[bench] workers={:>2} clients={:>2} → {:>8.1} cells/s  p50≤{}µs p99≤{}µs  \
                  ({} campaigns, {} retries)",
                 point.workers,
                 point.clients,
                 point.cells_per_sec,
-                point.p50_ms,
-                point.p99_ms,
+                point.p50_le_us,
+                point.p99_le_us,
                 point.campaigns,
                 point.retries,
             );
@@ -272,7 +273,7 @@ pub fn to_json(config: &BenchConfig, points: &[BenchPoint]) -> String {
         .map(|p| {
             format!(
                 "    {{ \"workers\": {}, \"clients\": {}, \"campaigns\": {}, \"cells\": {}, \
-                 \"elapsed_ms\": {}, \"cells_per_sec\": {:.1}, \"p50_ms\": {}, \"p99_ms\": {}, \
+                 \"elapsed_ms\": {}, \"cells_per_sec\": {:.1}, \"p50_le_us\": {}, \"p99_le_us\": {}, \
                  \"retries\": {} }}",
                 p.workers,
                 p.clients,
@@ -280,8 +281,8 @@ pub fn to_json(config: &BenchConfig, points: &[BenchPoint]) -> String {
                 p.cells,
                 p.elapsed_ms,
                 p.cells_per_sec,
-                p.p50_ms,
-                p.p99_ms,
+                p.p50_le_us,
+                p.p99_le_us,
                 p.retries,
             )
         })

@@ -6,31 +6,63 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Number of power-of-two latency buckets: bucket `i` counts samples with
-/// `latency_ms < 2^i`, the last bucket is open-ended.
-const BUCKETS: usize = 22; // up to ~35 minutes
+/// Sub-buckets per octave: a bucket spans at most 1/8 of its lower bound,
+/// so a reported bound is within 12.5 % of every sample in it.
+const SUB: usize = 8;
+/// `log2(SUB)`.
+const SUB_BITS: u32 = SUB.trailing_zeros();
+/// Values below [`SUB`] µs get one exact bucket each; every octave above
+/// gets [`SUB`] buckets, up to `u64::MAX` µs.
+const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
-/// A lock-free log₂-bucketed latency histogram (milliseconds).
-#[derive(Debug, Default)]
+/// Bucket index of a sample of `us` microseconds.
+fn bucket_of(us: u64) -> usize {
+    if us < SUB as u64 {
+        return us as usize;
+    }
+    let octave = 63 - us.leading_zeros(); // ≥ SUB_BITS
+    let shift = octave - SUB_BITS;
+    let sub = (us >> shift) as usize - SUB;
+    SUB + shift as usize * SUB + sub
+}
+
+/// Largest value (µs) bucket `i` holds.
+fn bucket_le_us(i: usize) -> u64 {
+    if i < SUB {
+        return i as u64;
+    }
+    let shift = ((i - SUB) / SUB) as u32;
+    let first = ((SUB + (i - SUB) % SUB) as u64) << shift;
+    first + ((1u64 << shift) - 1)
+}
+
+/// A lock-free log-linear latency histogram in microseconds: eight
+/// sub-buckets per octave, so each bucket bound is within 12.5 % of the
+/// samples it counts. Fixed size; recording is a few atomic adds.
+#[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
-    /// Sum in microseconds so sub-millisecond samples still accumulate.
     total_us: AtomicU64,
     max_us: AtomicU64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            total_us: AtomicU64::new(0),
+            max_us: AtomicU64::new(0),
+        }
+    }
 }
 
 impl Histogram {
     /// Records one sample.
     pub fn record(&self, elapsed: Duration) {
         let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        let ms = us / 1000;
-        let idx = if ms == 0 {
-            0
-        } else {
-            usize::min((64 - ms.leading_zeros()) as usize, BUCKETS - 1)
-        };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
@@ -42,58 +74,53 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Approximate quantile (upper bucket bound containing it), in ms.
+    /// Upper bound (µs) of the `q` quantile: the largest value of the
+    /// bucket holding it, capped at the largest sample. 0 when empty.
     #[must_use]
-    pub fn quantile_ms(&self, q: f64) -> u64 {
+    pub fn quantile_us(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
             return 0;
         }
-        let target = ((n as f64) * q).ceil() as u64;
+        let target = ((n as f64) * q).ceil().max(1.0) as u64;
+        let max = self.max_us.load(Ordering::Relaxed);
         let mut seen = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
-                return if i == 0 { 1 } else { 1u64 << i };
+                return bucket_le_us(i).min(max);
             }
         }
-        1u64 << (BUCKETS - 1)
+        max
     }
 
-    /// JSON object: count, mean/max, coarse quantiles, non-empty buckets.
+    /// JSON object: count, mean/max, quantile bounds, non-empty buckets
+    /// (all in µs).
     #[must_use]
     pub fn to_json(&self) -> String {
         let count = self.count();
         let total_us = self.total_us.load(Ordering::Relaxed);
-        let mean_ms = if count == 0 {
+        let mean_us = if count == 0 {
             0.0
         } else {
-            total_us as f64 / count as f64 / 1000.0
+            total_us as f64 / count as f64
         };
-        let max_ms = self.max_us.load(Ordering::Relaxed) as f64 / 1000.0;
-        let mut buckets = String::new();
-        let mut first = true;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                buckets.push_str(", ");
-            }
-            first = false;
-            let le = if i + 1 == BUCKETS {
-                "\"inf\"".to_owned()
-            } else {
-                format!("{}", 1u64 << i)
-            };
-            buckets.push_str(&format!("{{ \"le_ms\": {le}, \"count\": {n} }}"));
-        }
+        let max_us = self.max_us.load(Ordering::Relaxed);
+        let buckets: Vec<String> = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| {
+                let n = b.load(Ordering::Relaxed);
+                (n > 0).then(|| format!("{{ \"le_us\": {}, \"count\": {n} }}", bucket_le_us(i)))
+            })
+            .collect();
         format!(
-            "{{ \"count\": {count}, \"mean_ms\": {mean_ms:.3}, \"max_ms\": {max_ms:.3}, \
-             \"p50_le_ms\": {}, \"p99_le_ms\": {}, \"buckets\": [{buckets}] }}",
-            self.quantile_ms(0.50),
-            self.quantile_ms(0.99),
+            "{{ \"count\": {count}, \"mean_us\": {mean_us:.1}, \"max_us\": {max_us}, \
+             \"p50_le_us\": {}, \"p99_le_us\": {}, \"buckets\": [{}] }}",
+            self.quantile_us(0.50),
+            self.quantile_us(0.99),
+            buckets.join(", "),
         )
     }
 }
@@ -267,8 +294,8 @@ impl ServeMetrics {
              \"fuzz\": {{ \"jobs\": {}, \"sessions\": {}, \"runs\": {}, \"corpus\": {}, \
              \"findings\": {}, \"dedup_hits\": {}, \"by_oracle\": [{by_oracle}] }},\n  \
              \"artifact_cache\": {{ \"enabled\": {}, \"hits\": {}, \"misses\": {}, \
-             \"writes\": {}, \"bypasses\": {} }},\n  \"latency\": {{\n    \"queue_wait_ms\": {},\n    \
-             \"cell_wall_ms\": {},\n    \"model_train_ms\": {},\n    \"fuzz_session_ms\": {}\n  }}\n}}\n",
+             \"writes\": {}, \"bypasses\": {} }},\n  \"latency\": {{\n    \"queue_wait_us\": {},\n    \
+             \"cell_wall_us\": {},\n    \"model_train_us\": {},\n    \"fuzz_session_us\": {}\n  }}\n}}\n",
             g(&self.jobs_submitted),
             g(&self.jobs_rejected),
             g(&self.jobs_done),
@@ -319,15 +346,42 @@ mod tests {
     #[test]
     fn histogram_buckets_and_quantiles() {
         let h = Histogram::default();
-        h.record(Duration::from_micros(300)); // < 1 ms → bucket 0
-        h.record(Duration::from_millis(3)); // < 4 ms → bucket 2
-        h.record(Duration::from_millis(100)); // < 128 ms → bucket 7
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.quantile_ms(0.5), 4);
-        assert_eq!(h.quantile_ms(0.99), 128);
+        h.record(Duration::from_micros(5)); // exact bucket
+        h.record(Duration::from_micros(300)); // [288, 319]
+        h.record(Duration::from_micros(3_000)); // [2_816, 3_071]
+        h.record(Duration::from_millis(100)); // [98_304, 106_495]
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.quantile_us(0.25), 5);
+        assert_eq!(h.quantile_us(0.5), 319);
+        assert_eq!(h.quantile_us(0.75), 3_071);
+        // The top bucket's bound is capped at the largest sample.
+        assert_eq!(h.quantile_us(0.99), 100_000);
         let json = h.to_json();
-        assert!(json.contains("\"count\": 3"), "{json}");
-        assert!(json.contains("\"le_ms\": 4"), "{json}");
+        assert!(json.contains("\"count\": 4"), "{json}");
+        assert!(json.contains("\"p50_le_us\": 319"), "{json}");
+        assert!(json.contains("{ \"le_us\": 3071, \"count\": 1 }"), "{json}");
+        assert!(!json.contains("_ms"), "{json}");
+        assert_eq!(Histogram::default().quantile_us(0.5), 0);
+    }
+
+    #[test]
+    fn buckets_tile_the_range_within_an_eighth() {
+        let mut lo = 0u64;
+        for i in 0..BUCKETS {
+            let le = bucket_le_us(i);
+            assert_eq!(bucket_of(lo), i, "first value of bucket {i}");
+            assert_eq!(bucket_of(le), i, "last value of bucket {i}");
+            assert!(
+                (le - lo) * 8 <= lo.max(1),
+                "bucket {i} [{lo}, {le}] too wide"
+            );
+            if i + 1 < BUCKETS {
+                assert_eq!(bucket_of(le + 1), i + 1);
+                lo = le + 1;
+            } else {
+                assert_eq!(le, u64::MAX);
+            }
+        }
     }
 
     #[test]
@@ -354,7 +408,7 @@ mod tests {
             "\"fabric\"",
             "\"fuzz\"",
             "\"by_oracle\": [0, 0, 0, 0, 0, 0]",
-            "\"queue_wait_ms\"",
+            "\"queue_wait_us\"",
             "\"protocol_errors\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

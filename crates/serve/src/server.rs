@@ -33,7 +33,7 @@ use adas_recorder::{RecordMode, Trace};
 use adas_store::CellRow;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
@@ -49,7 +49,9 @@ pub const DEFAULT_QUEUE: usize = 8;
 /// How long an idle connection read waits before re-checking shutdown.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Accept-loop poll interval while no connection is pending.
+/// How often the accept loop's waker checks for shutdown, and the pause
+/// after a failed `accept` (e.g. out of file descriptors). Neither is on
+/// the request path: the loop blocks in `accept`.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Suggested client retry delay attached to backpressure rejections.
@@ -259,6 +261,12 @@ pub trait Service: Send + Sync + 'static {
 /// in-flight request finishes, and idle or half-read connections close
 /// within one read timeout.
 ///
+/// The loop blocks in `accept`, so a connection is served the moment it
+/// arrives. Shutdown is noticed off the request path by a waker thread
+/// that checks [`Service::is_shutdown`] every 20 ms and then connects
+/// once to the listener; the loop drops that connection unserved and
+/// exits.
+///
 /// # Errors
 ///
 /// Propagates listener set-up failures (accept errors are logged and the
@@ -268,37 +276,68 @@ pub fn serve_connections<S: Service>(
     service: &Arc<S>,
 ) -> std::io::Result<()> {
     signal::install();
-    listener.set_nonblocking(true)?;
+    let wake_addr = wake_address(listener.local_addr()?);
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !service.is_shutdown() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let service = Arc::clone(service);
-                let handle = std::thread::Builder::new()
-                    .name("adas-serve-conn".into())
-                    .spawn(move || handle_connection(&*service, stream))
-                    .expect("spawn connection handler");
-                handlers.push(handle);
+    let stopped = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| wake_on_shutdown(&**service, wake_addr, &stopped));
+        loop {
+            match listener.accept() {
+                Ok(_) if service.is_shutdown() => break,
+                Ok((stream, _)) => {
+                    let service = Arc::clone(service);
+                    let handle = std::thread::Builder::new()
+                        .name("adas-serve-conn".into())
+                        .spawn(move || handle_connection(&*service, stream))
+                        .expect("spawn connection handler");
+                    handlers.push(handle);
+                }
+                Err(_) if service.is_shutdown() => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    eprintln!("[serve] accept error: {e}");
+                    std::thread::sleep(ACCEPT_POLL);
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("[serve] accept error: {e}");
-                std::thread::sleep(ACCEPT_POLL);
+            // Reap finished connection threads so the vector stays small.
+            for handle in handlers.extract_if(.., |h| h.is_finished()) {
+                let _ = handle.join();
             }
         }
-        // Reap finished connection threads so the vector stays small.
-        for handle in handlers.extract_if(.., |h| h.is_finished()) {
-            let _ = handle.join();
-        }
-    }
+        stopped.store(true, Ordering::Relaxed);
+    });
     service.begin_shutdown();
     for handle in handlers {
         let _ = handle.join();
     }
     Ok(())
+}
+
+/// The address a waker connects to: the listener's own, with an
+/// unspecified bind address (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_address(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Waits off the request path until `service` shuts down, then connects
+/// once to `addr` so the accept loop's blocking `accept` returns. A
+/// failed connect is retried on the next tick; `stopped` (the loop has
+/// already exited) ends the wait without one.
+fn wake_on_shutdown<S: Service>(service: &S, addr: SocketAddr, stopped: &AtomicBool) {
+    loop {
+        std::thread::sleep(ACCEPT_POLL);
+        if stopped.load(Ordering::Relaxed)
+            || (service.is_shutdown() && TcpStream::connect_timeout(&addr, READ_TIMEOUT).is_ok())
+        {
+            return;
+        }
+    }
 }
 
 /// Executor thread: drains the queue until it is closed *and* empty.

@@ -3,8 +3,10 @@
 //! The workspace is offline (no `libc`/`signal-hook` crates), so on Unix
 //! this binds `signal(2)` from the already-linked C library directly. The
 //! handler only stores into a static atomic — the one thing that is
-//! unconditionally async-signal-safe — and the accept loop polls
-//! [`triggered`] between accepts.
+//! unconditionally async-signal-safe. `signal(2)` installs restartable
+//! handlers, so a signal does not interrupt the accept loop's blocking
+//! `accept`; the loop's waker thread polls [`triggered`] (through
+//! `Service::is_shutdown`) and connects to the listener to wake it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

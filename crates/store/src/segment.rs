@@ -18,7 +18,7 @@
 use crate::record::RecordKind;
 use crate::store::{SegmentReport, StoreError};
 use adas_codec::Fingerprint;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -95,9 +95,8 @@ pub struct SegmentWriter {
     file: BufWriter<File>,
     path: PathBuf,
     kind: RecordKind,
-    /// Pending record bytes, flushed as one block.
+    /// Pending record bytes (fewer than one block), flushed as one block.
     buf: Vec<u8>,
-    buffered: usize,
     records: u64,
 }
 
@@ -105,19 +104,37 @@ impl SegmentWriter {
     /// Creates `path` (truncating any previous content) and writes the
     /// header.
     pub fn create(path: &Path, kind: RecordKind) -> Result<Self, StoreError> {
-        let file = File::create(path).map_err(|e| StoreError::io(path, &e))?;
-        let mut w = Self {
-            file: BufWriter::new(file),
+        Self::open_with(
+            path,
+            kind,
+            OpenOptions::new().write(true).create(true).truncate(true),
+        )
+        .map_err(|e| StoreError::io(path, &e))
+    }
+
+    /// Opens `path` with `options` and writes the header. An
+    /// `AlreadyExists` error from a `create_new` open comes back as is, so
+    /// a caller claiming a fresh name can tell it from a real failure.
+    pub(crate) fn open_with(
+        path: &Path,
+        kind: RecordKind,
+        options: &OpenOptions,
+    ) -> std::io::Result<Self> {
+        let mut file = BufWriter::new(options.open(path)?);
+        file.write_all(&header_bytes(kind))?;
+        Ok(Self {
+            file,
             path: path.to_owned(),
             kind,
             buf: Vec::new(),
-            buffered: 0,
             records: 0,
-        };
-        w.file
-            .write_all(&header_bytes(kind))
-            .map_err(|e| StoreError::io(&w.path, &e))?;
-        Ok(w)
+        })
+    }
+
+    /// The segment file this writer appends to.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// The segment's record kind.
@@ -133,7 +150,8 @@ impl SegmentWriter {
     }
 
     /// Appends pre-encoded record bytes (length must be a whole number of
-    /// records). Blocks are cut every [`REC_PER_BLOCK`] records.
+    /// records). Blocks are cut every [`REC_PER_BLOCK`] records; each is
+    /// written straight from the buffer, which is drained once per call.
     pub fn append_bytes(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         let width = self.kind.width();
         if !payload.len().is_multiple_of(width) {
@@ -143,41 +161,25 @@ impl SegmentWriter {
             )));
         }
         self.buf.extend_from_slice(payload);
-        self.buffered += payload.len() / width;
         self.records += (payload.len() / width) as u64;
-        while self.buffered >= REC_PER_BLOCK {
-            self.flush_block(REC_PER_BLOCK)?;
+        let block = REC_PER_BLOCK * width;
+        let whole = self.buf.len() - self.buf.len() % block;
+        for payload in self.buf[..whole].chunks_exact(block) {
+            write_block(&mut self.file, width, payload)
+                .map_err(|e| StoreError::io(&self.path, &e))?;
         }
+        self.buf.drain(..whole);
         Ok(())
-    }
-
-    fn flush_block(&mut self, count: usize) -> Result<(), StoreError> {
-        let width = self.kind.width();
-        let take = count.min(self.buffered);
-        if take == 0 {
-            return Ok(());
-        }
-        let bytes = take * width;
-        let payload: Vec<u8> = self.buf.drain(..bytes).collect();
-        self.buffered -= take;
-        let mut frame = Vec::with_capacity(4 + 4 + payload.len() + 8);
-        frame.extend_from_slice(BLOCK_MAGIC);
-        frame.extend_from_slice(&u32::try_from(take).expect("block count fits").to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let sum = Fingerprint::new().write_bytes(&payload).value();
-        frame.extend_from_slice(&sum.to_le_bytes());
-        self.file
-            .write_all(&frame)
-            .map_err(|e| StoreError::io(&self.path, &e))
     }
 
     /// Flushes buffered records as a (possibly short) block and pushes
     /// them to the OS — the durability point a daemon calls per job.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.flush_block(self.buffered)?;
-        self.file
-            .flush()
-            .map_err(|e| StoreError::io(&self.path, &e))
+        write_block(&mut self.file, self.kind.width(), &self.buf)
+            .and_then(|()| self.file.flush())
+            .map_err(|e| StoreError::io(&self.path, &e))?;
+        self.buf.clear();
+        Ok(())
     }
 
     /// Flushes and closes the segment, returning the record count.
@@ -185,6 +187,21 @@ impl SegmentWriter {
         self.sync()?;
         Ok(self.records)
     }
+}
+
+/// Writes one block frame straight from `payload` (a whole number of
+/// `width`-byte records): magic, record count, payload, checksum. An
+/// empty payload writes nothing.
+fn write_block(file: &mut impl Write, width: usize, payload: &[u8]) -> std::io::Result<()> {
+    if payload.is_empty() {
+        return Ok(());
+    }
+    let count = u32::try_from(payload.len() / width).expect("block count fits");
+    let sum = Fingerprint::new().write_bytes(payload).value();
+    file.write_all(BLOCK_MAGIC)?;
+    file.write_all(&count.to_le_bytes())?;
+    file.write_all(payload)?;
+    file.write_all(&sum.to_le_bytes())
 }
 
 /// Streaming, recovery-first segment reader: yields one verified block

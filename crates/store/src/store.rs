@@ -1,17 +1,22 @@
 //! The store directory: a set of append-only segments plus the
 //! `verify`/`compact` maintenance operations.
 //!
-//! Writers never touch an existing segment — each appender claims the
-//! next free `<kind>-NNNNNNNN.seg` name, so concurrent daemons and CLI
-//! runs cannot interleave blocks. Readers chain every segment of a kind
-//! in file-name order, which makes iteration (and therefore compaction
-//! output) deterministic for a given directory state.
+//! Writers never touch an existing segment — each appender claims a
+//! fresh `<kind>-NNNNNNNN.seg` name by creating the file exclusively, so
+//! concurrent handles, daemons and CLI runs cannot interleave blocks.
+//! Readers chain every segment of a kind in file-name order, which makes
+//! iteration (and therefore compaction output) deterministic for a given
+//! directory state.
 
 use crate::record::{CellRow, FindingRow, RecordKind};
 use crate::segment::{SegmentReader, SegmentWriter};
 use adas_codec::Reader;
 use std::fmt;
+use std::fs::OpenOptions;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Store-level errors. Recovery conditions (corrupt blocks, truncated
 /// tails) are *not* errors — they are reported in [`SegmentReport`]s and
@@ -91,15 +96,32 @@ impl VerifyReport {
 #[derive(Debug, Clone)]
 pub struct Store {
     dir: PathBuf,
+    /// Per-kind hint for the next segment index to claim (cells, then
+    /// findings). Seeded once at [`Store::open`] and shared by clones; a
+    /// name another writer took only moves it forward.
+    next: Arc<[AtomicU64; 2]>,
 }
 
 impl Store {
     /// Opens (creating if needed) a store directory.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, &e))?;
-        Ok(Self {
+        let store = Self {
             dir: dir.to_owned(),
-        })
+            next: Arc::default(),
+        };
+        for kind in [RecordKind::Cell, RecordKind::Finding] {
+            let existing = store.segments(kind)?.len() as u64;
+            store.next_index(kind).store(existing, Ordering::Relaxed);
+        }
+        Ok(store)
+    }
+
+    fn next_index(&self, kind: RecordKind) -> &AtomicU64 {
+        match kind {
+            RecordKind::Cell => &self.next[0],
+            RecordKind::Finding => &self.next[1],
+        }
     }
 
     /// The store directory.
@@ -124,42 +146,39 @@ impl Store {
         Ok(out)
     }
 
-    /// Claims the next free segment name for `kind` and opens a writer on
-    /// it.
+    /// Claims a fresh segment name for `kind` and opens a writer on it.
+    /// The claim is the file's exclusive creation, so writers on any
+    /// handle or process never share a segment; a taken name moves on to
+    /// the next index, and any other error is returned.
     pub fn create_segment(&self, kind: RecordKind) -> Result<SegmentWriter, StoreError> {
-        let existing = self.segments(kind)?;
-        let mut index = existing.len() as u64;
+        let next = self.next_index(kind);
+        let mut options = OpenOptions::new();
+        options.write(true).create_new(true);
         loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
             let path = self.dir.join(format!("{}-{index:08}.seg", kind.prefix()));
-            if !path.exists() {
-                return SegmentWriter::create(&path, kind);
+            match SegmentWriter::open_with(&path, kind, &options) {
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => {}
+                claimed => return claimed.map_err(|e| StoreError::io(&path, &e)),
             }
-            index += 1;
         }
     }
 
-    /// One-shot append of cell rows as a fresh segment.
+    /// One-shot append of cell rows as a fresh segment; returns its path.
     pub fn append_cells(&self, rows: &[CellRow]) -> Result<PathBuf, StoreError> {
-        let mut w = self.create_segment(RecordKind::Cell)?;
-        w.append_bytes(&crate::record::encode_cells(rows))?;
-        let path = self
-            .segments(RecordKind::Cell)?
-            .into_iter()
-            .next_back()
-            .unwrap_or_default();
-        w.finish()?;
-        Ok(path)
+        self.append(RecordKind::Cell, &crate::record::encode_cells(rows))
     }
 
-    /// One-shot append of finding rows as a fresh segment.
+    /// One-shot append of finding rows as a fresh segment; returns its
+    /// path.
     pub fn append_findings(&self, rows: &[FindingRow]) -> Result<PathBuf, StoreError> {
-        let mut w = self.create_segment(RecordKind::Finding)?;
-        w.append_bytes(&crate::record::encode_findings(rows))?;
-        let path = self
-            .segments(RecordKind::Finding)?
-            .into_iter()
-            .next_back()
-            .unwrap_or_default();
+        self.append(RecordKind::Finding, &crate::record::encode_findings(rows))
+    }
+
+    fn append(&self, kind: RecordKind, payload: &[u8]) -> Result<PathBuf, StoreError> {
+        let mut w = self.create_segment(kind)?;
+        w.append_bytes(payload)?;
+        let path = w.path().to_owned();
         w.finish()?;
         Ok(path)
     }
@@ -341,6 +360,19 @@ mod tests {
         assert!(v2.clean());
         assert_eq!(v2.records(), survivors);
         assert_eq!(store.segments(RecordKind::Cell).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn compaction_replaces_a_stale_temp_file() {
+        let store = tmp_store("stale");
+        store.append_cells(&[row(0), row(1)]).unwrap();
+        // A crash mid-compaction leaves the temp file behind.
+        std::fs::write(store.dir().join("cells.compacting"), b"torn").unwrap();
+        assert_eq!(store.compact(RecordKind::Cell).unwrap(), 2);
+        let v = store.verify().unwrap();
+        assert!(v.clean());
+        assert_eq!(v.records(), 2);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
