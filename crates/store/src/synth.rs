@@ -121,6 +121,16 @@ pub fn findings(seed: u64, count: u64) -> Vec<FindingRow> {
 mod tests {
     use super::*;
 
+    /// FNV-1a digest of `encode_findings(&findings(2025, 1000))`, taken
+    /// while this module kept its own splitmix64 copy. Cell rows are pinned
+    /// by the segment digest in `tests/store_properties.rs`.
+    #[test]
+    fn findings_are_pinned() {
+        let bytes = crate::record::encode_findings(&findings(2025, 1000));
+        let digest = adas_codec::Fingerprint::new().write_bytes(&bytes).value();
+        assert_eq!(digest, 0xac6f_ad50_c9fb_49e9, "{digest:#018x}");
+    }
+
     #[test]
     fn same_seed_same_rows() {
         assert_eq!(cells(7, 100), cells(7, 100));
