@@ -38,9 +38,10 @@ fn main() {
     let reps = reps_from_args();
     let cache = ArtifactCache::from_env();
     let sink = TraceSink::from_env();
-    // `ADAS_STORE_DIR` additionally appends every finished cell to the
+    // `ADAS_STORE_DIR` additionally appends every computed cell to the
     // columnar results store, one segment per invocation, so
-    // `adas-store query` can aggregate across historic sweeps.
+    // `adas-store query` can aggregate across historic sweeps. A cache
+    // hit adds no row: a row is one computation, not one invocation.
     let store = adas_store::dir_from_env().and_then(|dir| match adas_store::Store::open(&dir) {
         Ok(s) => Some(s),
         Err(e) => {
@@ -106,7 +107,7 @@ fn main() {
             let (s, runs) =
                 resolve_cell(&cell, &cache, &sink, &MapControl::new()).expect("uncancelled cell");
             timer.add_runs(runs as u64);
-            if store.is_some() {
+            if runs > 0 && store.is_some() {
                 store_rows.push(CellRow::for_cell(Some(fault), &cfg, CAMPAIGN_SEED, &s));
             }
             let reference = paper::TABLE_VI
@@ -152,7 +153,7 @@ fn main() {
 
     timer.phase("emit");
     write_results_file("table_vi.csv", &csv);
-    if let Some(store) = &store {
+    if let Some(store) = store.as_ref().filter(|_| !store_rows.is_empty()) {
         match store.append_cells(&store_rows) {
             Ok(_) => println!("results store: appended {} cell rows", store_rows.len()),
             Err(e) => eprintln!("results store append failed: {e}"),

@@ -1,7 +1,7 @@
 //! Minimal dense linear algebra: a fully-connected layer and the row×lane
 //! tile kernel that every batched matvec and gradient product runs on.
 
-use rand::Rng;
+use adas_simulator::DeterministicRng;
 
 /// A dense affine map `y = W x + b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,11 +19,11 @@ pub struct Linear {
 impl Linear {
     /// Xavier-style random initialisation.
     #[must_use]
-    pub fn new<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Self {
+    pub fn new(rows: usize, cols: usize, rng: &mut DeterministicRng) -> Self {
         assert!(rows > 0 && cols > 0);
         let scale = (1.0 / cols as f64).sqrt();
         let w = (0..rows * cols)
-            .map(|_| rng.gen_range(-scale..scale))
+            .map(|_| rng.uniform(-scale, scale))
             .collect();
         Self {
             rows,
@@ -455,11 +455,9 @@ fn accumulate<const R: usize, const N: usize>(
 mod tests {
     use super::*;
     use adas_simulator::math::sin;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(3)
+    fn rng() -> DeterministicRng {
+        DeterministicRng::from_seed(3)
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::linear::{Kernel, Linear, Pass};
 use adas_simulator::math::{sigmoid_lanes, tanh_lanes};
-use rand::Rng;
+use adas_simulator::DeterministicRng;
 
 /// Values the gate math activates at once: one lane block.
 const LANES: usize = 8;
@@ -166,7 +166,7 @@ impl Lstm {
     /// Creates a layer with random initialisation. Forget-gate biases start
     /// at +1 (the standard trick for gradient flow).
     #[must_use]
-    pub fn new<R: Rng>(input: usize, hidden: usize, rng: &mut R) -> Self {
+    pub fn new(input: usize, hidden: usize, rng: &mut DeterministicRng) -> Self {
         let mut gates = Linear::new(4 * hidden, input + hidden, rng);
         for b in gates.b[hidden..2 * hidden].iter_mut() {
             *b = 1.0;
@@ -361,11 +361,9 @@ impl Lstm {
 mod tests {
     use super::*;
     use adas_simulator::math::{cos, sigmoid, sin, tanh};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(5)
+    fn rng() -> DeterministicRng {
+        DeterministicRng::from_seed(5)
     }
 
     /// One live lane of [`Lstm::step_batch`] with fresh buffers: `(h, c)`.

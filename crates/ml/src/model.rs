@@ -12,8 +12,7 @@ use crate::features::{FEATURE_DIM, TARGET_DIM};
 use crate::linear::Linear;
 use crate::lstm::Lstm;
 use adas_codec::{Encode, Reader, Writer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use adas_simulator::DeterministicRng;
 
 /// Model architecture specification.
 ///
@@ -156,7 +155,7 @@ impl LstmPredictor {
     /// Creates a randomly initialised model.
     #[must_use]
     pub fn new(spec: ModelSpec) -> Self {
-        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let mut rng = DeterministicRng::from_seed(spec.seed);
         Self {
             l1: Lstm::new(FEATURE_DIM, spec.hidden1, &mut rng),
             l2: Lstm::new(spec.hidden1, spec.hidden2, &mut rng),

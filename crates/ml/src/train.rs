@@ -6,9 +6,7 @@ use crate::linear::{add_product, Kernel, Linear, TILE_LANES};
 use crate::lstm::Tape;
 use crate::model::LstmPredictor;
 use adas_codec::{Encode, Writer};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use adas_simulator::DeterministicRng;
 use std::sync::Mutex;
 
 /// One training sample: a [`WINDOW`]-cycle feature window plus the expected
@@ -624,7 +622,7 @@ pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) ->
         "every training window must have the same length"
     );
     let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = DeterministicRng::from_seed(config.seed);
 
     let mut opt_l1w = Adam::new(model.l1.gates.w.len(), config.adam);
     let mut opt_l1b = Adam::new(model.l1.gates.b.len(), config.adam);
@@ -647,7 +645,7 @@ pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) ->
     let mut batch_grads = Gradients::zeros(model);
     let mut epoch_loss = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
-        order.shuffle(&mut rng);
+        rng.shuffle(&mut order);
         let mut total = 0.0;
         for chunk in order.chunks(batch) {
             // Pre-draw the dropout decisions serially, in sample order, so
@@ -655,7 +653,7 @@ pub fn train(model: &mut LstmPredictor, data: &Dataset, config: &TrainConfig) ->
             let masked: Vec<bool> = chunk
                 .iter()
                 .map(|_| {
-                    config.history_dropout > 0.0 && rng.gen_range(0.0..1.0) < config.history_dropout
+                    config.history_dropout > 0.0 && rng.uniform(0.0, 1.0) < config.history_dropout
                 })
                 .collect();
             let panels: Vec<Vec<(&Sample, bool)>> = chunk

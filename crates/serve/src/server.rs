@@ -382,13 +382,14 @@ fn execute_job(shared: &Shared, job: &Arc<Job>) {
             break;
         }
         let t0 = Instant::now();
-        let Some(stats) = compute_cell(shared, spec, cell, model.as_ref(), job) else {
+        let Some((stats, runs)) = compute_cell(shared, spec, cell, model.as_ref(), job) else {
             outcome = JobState::Cancelled;
             break;
         };
         shared.metrics.cell_wall.record(t0.elapsed());
         shared.metrics.cells_done.fetch_add(1, Ordering::Relaxed);
-        if shared.store_sink.enabled() {
+        // The store records computations: a memo or disk hit adds no row.
+        if runs > 0 && shared.store_sink.enabled() {
             let config = spec.config_for(cell);
             store_rows.push(CellRow::for_cell(
                 cell.fault,
@@ -422,23 +423,24 @@ fn execute_job(shared: &Shared, job: &Arc<Job>) {
     let _ = job.events.send(JobEvent::Finished(outcome));
 }
 
-/// One cell's statistics: the in-memory memo first, then
-/// [`adas_core::resolve_cell`] (artifact cache, else the lockstep
-/// sweep). `None` means the job was cancelled mid-sweep.
+/// One cell's statistics and the runs executed for them: the in-memory
+/// memo first, then [`adas_core::resolve_cell`] (artifact cache, else the
+/// lockstep sweep). Zero runs means a memo or disk hit. `None` means the
+/// job was cancelled mid-sweep.
 fn compute_cell(
     shared: &Shared,
     spec: &CampaignSpec,
     cell: &CellSpec,
     model: Option<&Resident>,
     job: &Arc<Job>,
-) -> Option<CellStats> {
+) -> Option<(CellStats, usize)> {
     let cell = spec.cell(cell, model.map(|m| (&m.model, m.fingerprint)));
     let key = cell.key().value();
 
     let metrics = &shared.metrics;
     if let Some(stats) = shared.memo.lock().expect("memo lock").get(&key) {
         metrics.cells_memo_hits.fetch_add(1, Ordering::Relaxed);
-        return Some(stats.clone());
+        return Some((stats.clone(), 0));
     }
     let (stats, runs) = resolve_cell(&cell, &shared.cache, &TraceSink::disabled(), &job.ctl)?;
     // Per-tier accounting: no runs is a disk hit; `computed` is a genuine
@@ -460,7 +462,7 @@ fn compute_cell(
         .lock()
         .expect("memo lock")
         .insert(key, stats.clone());
-    Some(stats)
+    Some((stats, runs))
 }
 
 /// The read half of a served connection. A read timeout while the service

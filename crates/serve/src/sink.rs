@@ -1,12 +1,12 @@
 //! Optional write-through to the columnar results store.
 //!
 //! When `ADAS_STORE_DIR` is set, the daemon (and, through it, the fabric
-//! coordinator) appends every finished campaign cell and every deduped
-//! fuzz finding to the append-only store, so `adas-store query` can
-//! answer Table VI/VII-style aggregates across everything the fleet has
-//! ever computed. The sink is strictly best-effort: a full disk or a bad
-//! directory logs one line and drops the rows — it never fails the job
-//! that produced them.
+//! coordinator) appends every campaign cell it computes (memo and disk
+//! hits add no row) and every deduped fuzz finding to the append-only
+//! store, so `adas-store query` can answer Table VI/VII-style aggregates
+//! across everything the fleet has ever computed. The sink is strictly
+//! best-effort: a full disk or a bad directory logs one line and drops
+//! the rows — it never fails the job that produced them.
 
 use adas_fuzz::farm::FarmFinding;
 use adas_store::{CellRow, FindingRow, Store};

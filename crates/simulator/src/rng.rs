@@ -2,25 +2,50 @@
 //!
 //! Every simulation run derives its own stream from a `(campaign, scenario,
 //! position, repetition)` tuple so all tables in the paper reproduction are
-//! bit-identical across machines and thread counts.
+//! bit-identical across machines and thread counts. The generator is
+//! xoshiro256** with its state seeded by SplitMix64; nothing outside this
+//! module generates random numbers.
 
 use crate::math::{cos, ln};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 
-/// A seeded RNG wrapper with the small set of draws the simulator needs.
+/// The SplitMix64 stream: a full-period 64-bit mix of a Weyl sequence.
+/// It seeds [`DeterministicRng`] and generates the store's synthetic rows.
+#[derive(Debug, Clone)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// Creates a stream over `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        Self { state: seed }
+    }
+
+    /// Next raw 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// A seeded xoshiro256** stream with the small set of draws the
+/// reproduction needs.
 #[derive(Debug, Clone)]
 pub struct DeterministicRng {
-    inner: StdRng,
+    s: [u64; 4],
 }
 
 impl DeterministicRng {
     /// Creates a stream from a raw 64-bit seed.
     #[must_use]
     pub fn from_seed(seed: u64) -> Self {
+        let mut seeder = SplitMix64::new(seed);
         Self {
-            inner: StdRng::seed_from_u64(seed),
+            s: std::array::from_fn(|_| seeder.next_u64()),
         }
     }
 
@@ -44,16 +69,21 @@ impl DeterministicRng {
     /// subsystem), leaving this stream untouched by the child's consumption.
     #[must_use]
     pub fn split(&mut self, tag: u64) -> Self {
-        let s: u64 = self.inner.gen::<u64>() ^ tag.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        Self::from_seed(s)
+        Self::from_seed(self.next_u64() ^ tag.wrapping_mul(0xD6E8_FEB8_6659_FD93))
     }
 
-    /// Uniform sample in `[lo, hi)`.
+    /// Uniform sample in `[lo, hi)`; `lo` without a draw when `lo >= hi`.
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         if lo >= hi {
             return lo;
         }
-        self.inner.gen_range(lo..hi)
+        let v = lo + self.unit() * (hi - lo);
+        // Guard against round-up to `hi` at the top of the interval.
+        if v >= hi {
+            lo.max(hi - (hi - lo) * f64::EPSILON)
+        } else {
+            v
+        }
     }
 
     /// Zero-mean gaussian sample with the given standard deviation
@@ -62,24 +92,51 @@ impl DeterministicRng {
         if std_dev <= 0.0 {
             return 0.0;
         }
-        let u1: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.inner.gen_range(0.0..1.0);
+        let u1 = self.uniform(f64::EPSILON, 1.0);
+        let u2 = self.unit();
         std_dev * (-2.0 * ln(u1)).sqrt() * cos(std::f64::consts::TAU * u2)
     }
 
-    /// Bernoulli draw with probability `p` of `true`.
+    /// Bernoulli draw with probability `p` of `true`; no draw when `p <= 0`
+    /// or `p >= 1`.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.inner.gen_bool(p.clamp(0.0, 1.0))
+        if p <= 0.0 {
+            return false;
+        }
+        p >= 1.0 || self.unit() < p
     }
 
-    /// Raw 64-bit draw.
+    /// Raw 64-bit draw: one xoshiro256** step.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.gen()
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
     /// Fisher–Yates shuffle of `items` in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        items.shuffle(&mut self.inner);
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
+        }
+    }
+
+    /// Uniform float in `[0, 1)` from the top 53 bits of one draw.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Integer in `0..bound` by multiply-shift: one draw, no rejection (the
+    /// bias is at most `bound / 2⁶⁴`).
+    #[allow(clippy::cast_possible_truncation)]
+    fn below(&mut self, bound: usize) -> usize {
+        ((u128::from(self.next_u64()) * bound as u128) >> 64) as usize
     }
 }
 
@@ -204,6 +261,33 @@ mod tests {
         }
         // Degenerate interval returns lo.
         assert_eq!(rng.uniform(2.0, 2.0), 2.0);
+        let mean = (0..10_000).map(|_| rng.uniform(0.0, 1.0)).sum::<f64>() / 10_000.0;
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+    }
+
+    #[test]
+    fn below_respects_its_bound() {
+        let mut rng = DeterministicRng::from_seed(9);
+        assert!((0..10_000).all(|_| rng.below(7) < 7));
+        assert_eq!(rng.below(1), 0);
+    }
+
+    #[test]
+    fn chance_hits_its_rate() {
+        let mut rng = DeterministicRng::from_seed(1);
+        let trues = (0..10_000).filter(|_| rng.chance(0.25)).count();
+        assert!((1_500..3_500).contains(&trues), "{trues}");
+    }
+
+    #[test]
+    fn shuffle_permutes() {
+        let mut rng = DeterministicRng::from_seed(3);
+        let mut v: Vec<u32> = (0..100).collect();
+        rng.shuffle(&mut v);
+        let mut sorted = v.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
+        assert_ne!(v, sorted, "shuffle left the slice sorted");
     }
 
     #[test]

@@ -2,45 +2,22 @@
 //!
 //! The acceptance bar for the store is "aggregate ≥ 1 M records in
 //! bounded memory"; this module manufactures that load without running a
-//! million simulations. Everything derives from a splitmix64 stream over
-//! the caller's seed, so the same `(seed, count)` always yields the same
-//! rows — scale tests and the `adas-store synth` CLI verb are
-//! reproducible byte for byte.
+//! million simulations. Everything derives from the simulator's
+//! [`SplitMix64`] stream over the caller's seed, so the same `(seed,
+//! count)` always yields the same rows — scale tests and the `adas-store
+//! synth` CLI verb are reproducible byte for byte.
 
 use crate::record::{CellRow, FindingRow};
+use adas_simulator::rng::SplitMix64;
 
-/// splitmix64 — the standard 64-bit mix; tiny, full-period, and already
-/// the idiom used by the fuzz engine's seed scrambler.
-#[derive(Debug, Clone)]
-pub struct SplitMix {
-    state: u64,
+/// Uniform value in `0..bound` (`bound` > 0).
+fn below(rng: &mut SplitMix64, bound: u64) -> u64 {
+    rng.next_u64() % bound.max(1)
 }
 
-impl SplitMix {
-    /// Creates a stream over `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..bound` (`bound` > 0).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound.max(1)
-    }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
+/// Uniform float in `[0, 1)`.
+fn unit_f64(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Generates `count` synthetic cell rows from `seed`. Coordinates cover
@@ -49,7 +26,7 @@ impl SplitMix {
 /// synthetic load look like real campaign output.
 #[must_use]
 pub fn cells(seed: u64, count: u64) -> Vec<CellRow> {
-    let mut rng = SplitMix::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut out = Vec::with_capacity(usize::try_from(count).unwrap_or(0));
     for _ in 0..count {
         out.push(cell(&mut rng));
@@ -57,35 +34,35 @@ pub fn cells(seed: u64, count: u64) -> Vec<CellRow> {
     out
 }
 
-fn cell(rng: &mut SplitMix) -> CellRow {
-    let runs = 50 + rng.below(150) as u32;
-    let a1 = rng.below(u64::from(runs) / 3) as u32;
-    let a2 = rng.below(u64::from(runs - a1) / 4) as u32;
-    let aeb_n = rng.below(u64::from(runs)) as u32;
-    let driver_brake_n = rng.below(u64::from(runs)) as u32;
-    let driver_steer_n = rng.below(u64::from(runs) / 2) as u32;
+fn cell(rng: &mut SplitMix64) -> CellRow {
+    let runs = 50 + below(rng, 150) as u32;
+    let a1 = below(rng, u64::from(runs) / 3) as u32;
+    let a2 = below(rng, u64::from(runs - a1) / 4) as u32;
+    let aeb_n = below(rng, u64::from(runs)) as u32;
+    let driver_brake_n = below(rng, u64::from(runs)) as u32;
+    let driver_steer_n = below(rng, u64::from(runs) / 2) as u32;
     CellRow {
-        scenario: rng.below(6) as u8,
-        position: rng.below(2) as u8,
-        fault: rng.below(4) as u8,
-        iv_row: rng.below(8) as u8,
-        mitigation: rng.below(3) as u8,
-        sched: rng.below(2) as u8,
+        scenario: below(rng, 6) as u8,
+        position: below(rng, 2) as u8,
+        fault: below(rng, 4) as u8,
+        iv_row: below(rng, 8) as u8,
+        mitigation: below(rng, 3) as u8,
+        sched: below(rng, 2) as u8,
         seed: rng.next_u64(),
         runs,
         a1,
         a2,
         prevented: runs - a1 - a2,
-        hazard: rng.below(u64::from(runs) + 1) as u32,
+        hazard: below(rng, u64::from(runs) + 1) as u32,
         aeb_n,
         driver_brake_n,
         driver_steer_n,
-        ml_n: rng.below(u64::from(runs) / 4 + 1) as u32,
-        aeb_time_sum: rng.unit_f64() * 3.0 * f64::from(aeb_n),
+        ml_n: below(rng, u64::from(runs) / 4 + 1) as u32,
+        aeb_time_sum: unit_f64(rng) * 3.0 * f64::from(aeb_n),
         aeb_time_n: aeb_n,
-        driver_brake_time_sum: rng.unit_f64() * 4.0 * f64::from(driver_brake_n),
+        driver_brake_time_sum: unit_f64(rng) * 4.0 * f64::from(driver_brake_n),
         driver_brake_time_n: driver_brake_n,
-        driver_steer_time_sum: rng.unit_f64() * 2.0 * f64::from(driver_steer_n),
+        driver_steer_time_sum: unit_f64(rng) * 2.0 * f64::from(driver_steer_n),
         driver_steer_time_n: driver_steer_n,
     }
 }
@@ -93,24 +70,24 @@ fn cell(rng: &mut SplitMix) -> CellRow {
 /// Generates `count` synthetic finding rows from `seed`.
 #[must_use]
 pub fn findings(seed: u64, count: u64) -> Vec<FindingRow> {
-    let mut rng = SplitMix::new(seed ^ 0xF1D1_1265);
+    let mut rng = SplitMix64::new(seed ^ 0xF1D1_1265);
     let mut out = Vec::with_capacity(usize::try_from(count).unwrap_or(0));
     for _ in 0..count {
         let mut params = [0.0f64; 8];
         for p in &mut params {
-            *p = rng.unit_f64() * 40.0 - 20.0;
+            *p = unit_f64(&mut rng) * 40.0 - 20.0;
         }
         out.push(FindingRow {
-            oracle: rng.below(6) as u8,
-            scenario: rng.below(6) as u8,
-            position: rng.below(2) as u8,
-            fault: rng.below(4) as u8,
-            iv_row: rng.below(8) as u8,
-            sched: rng.below(5) as u8,
+            oracle: below(&mut rng, 6) as u8,
+            scenario: below(&mut rng, 6) as u8,
+            position: below(&mut rng, 2) as u8,
+            fault: below(&mut rng, 4) as u8,
+            iv_row: below(&mut rng, 8) as u8,
+            sched: below(&mut rng, 5) as u8,
             session_seed: rng.next_u64(),
             signature: rng.next_u64(),
             fingerprint: rng.next_u64(),
-            repetition: rng.below(3) as u32,
+            repetition: below(&mut rng, 3) as u32,
             params,
         });
     }
