@@ -62,12 +62,12 @@ fn main() {
         println!(
             "{label:20} {:9} {loss:11.5} {:8.2}%",
             model.param_count(),
-            stats.prevented_pct
+            stats.prevented_pct()
         );
         csv.push_str(&format!(
             "{label},{},{loss:.6},{:.2}\n",
             model.param_count(),
-            stats.prevented_pct
+            stats.prevented_pct()
         ));
     }
     write_results_file("ml_ablation.csv", &csv);

@@ -99,12 +99,12 @@ fn main() {
                     fault_label(fault),
                     kind.name(),
                     s.runs,
-                    s.a1_pct,
-                    s.a2_pct,
-                    s.prevented_pct,
-                    s.hazard_pct,
-                    s.ml_trigger_rate,
-                    s.aeb_trigger_rate,
+                    s.a1_pct(),
+                    s.a2_pct(),
+                    s.prevented_pct(),
+                    s.hazard_pct(),
+                    s.ml_trigger_rate(),
+                    s.aeb_trigger_rate(),
                 ));
             }
             // …plus the aggregate row.
@@ -114,22 +114,22 @@ fn main() {
                 fault_label(fault),
                 kind.name(),
                 s.runs,
-                s.a1_pct,
-                s.a2_pct,
-                s.prevented_pct,
-                s.hazard_pct,
-                s.ml_trigger_rate,
-                s.aeb_trigger_rate,
+                s.a1_pct(),
+                s.a2_pct(),
+                s.prevented_pct(),
+                s.hazard_pct(),
+                s.ml_trigger_rate(),
+                s.aeb_trigger_rate(),
             ));
             table.row([
                 kind.name().to_owned(),
-                format!("{:.2}%", s.a1_pct),
-                format!("{:.2}%", s.a2_pct),
-                format!("{:.2}%", s.prevented_pct),
-                format!("{:.2}%", s.hazard_pct),
-                format!("{:.1}%", s.ml_trigger_rate),
-                format!("{:.1}%", s.aeb_trigger_rate),
-                fmt_opt_time(s.aeb_mitigation_time),
+                format!("{:.2}%", s.a1_pct()),
+                format!("{:.2}%", s.a2_pct()),
+                format!("{:.2}%", s.prevented_pct()),
+                format!("{:.2}%", s.hazard_pct()),
+                format!("{:.1}%", s.ml_trigger_rate()),
+                format!("{:.1}%", s.aeb_trigger_rate()),
+                fmt_opt_time(s.aeb_mitigation_time()),
             ]);
             json_rows.push(format!(
                 "    {{ \"fault\": \"{}\", \"mitigation\": \"{}\", \"runs\": {}, \
@@ -138,11 +138,11 @@ fn main() {
                 fault_label(fault),
                 kind.name(),
                 s.runs,
-                s.a1_pct,
-                s.a2_pct,
-                s.prevented_pct,
-                s.hazard_pct,
-                s.ml_trigger_rate,
+                s.a1_pct(),
+                s.a2_pct(),
+                s.prevented_pct(),
+                s.hazard_pct(),
+                s.ml_trigger_rate(),
             ));
         }
         println!(

@@ -118,15 +118,15 @@ fn main() {
                 reference.map_or((f64::NAN, f64::NAN, f64::NAN), |r| (r.2, r.3, r.4));
             table.row([
                 iv.label(),
-                format!("{:.2}%", s.a1_pct),
-                format!("{:.2}%", s.a2_pct),
-                format!("{:.2}%", s.prevented_pct),
-                fmt_opt_time(s.aeb_mitigation_time),
-                fmt_opt_time(s.driver_brake_mitigation_time),
-                fmt_opt_time(s.driver_steer_mitigation_time),
-                format!("{:.1}%", s.aeb_trigger_rate),
-                format!("{:.1}%", s.driver_brake_trigger_rate),
-                format!("{:.1}%", s.driver_steer_trigger_rate),
+                format!("{:.2}%", s.a1_pct()),
+                format!("{:.2}%", s.a2_pct()),
+                format!("{:.2}%", s.prevented_pct()),
+                fmt_opt_time(s.aeb_mitigation_time()),
+                fmt_opt_time(s.driver_brake_mitigation_time()),
+                fmt_opt_time(s.driver_steer_mitigation_time()),
+                format!("{:.1}%", s.aeb_trigger_rate()),
+                format!("{:.1}%", s.driver_brake_trigger_rate()),
+                format!("{:.1}%", s.driver_steer_trigger_rate()),
                 format!("| {pa1:.2}%"),
                 format!("{pa2:.2}%"),
                 format!("{pprev:.2}%"),
@@ -136,16 +136,16 @@ fn main() {
                 fault.label(),
                 iv.label(),
                 s.runs,
-                s.a1_pct,
-                s.a2_pct,
-                s.prevented_pct,
-                fmt_opt_time(s.aeb_mitigation_time),
-                fmt_opt_time(s.driver_brake_mitigation_time),
-                fmt_opt_time(s.driver_steer_mitigation_time),
-                s.aeb_trigger_rate,
-                s.driver_brake_trigger_rate,
-                s.driver_steer_trigger_rate,
-                s.ml_trigger_rate,
+                s.a1_pct(),
+                s.a2_pct(),
+                s.prevented_pct(),
+                fmt_opt_time(s.aeb_mitigation_time()),
+                fmt_opt_time(s.driver_brake_mitigation_time()),
+                fmt_opt_time(s.driver_steer_mitigation_time()),
+                s.aeb_trigger_rate(),
+                s.driver_brake_trigger_rate(),
+                s.driver_steer_trigger_rate(),
+                s.ml_trigger_rate(),
             ));
         }
         println!("{}", table.render());

@@ -33,11 +33,11 @@ fn main() {
             let cell = CampaignCell::new(Some(fault), cfg, None, CAMPAIGN_SEED, reps);
             let (s, _) = resolve_cell(&cell, &cache, &TraceSink::disabled(), &MapControl::new())
                 .expect("uncancelled cell");
-            row.push(format!("{:.2}%", s.prevented_pct));
+            row.push(format!("{:.2}%", s.prevented_pct()));
             csv.push_str(&format!(
                 "{},{t:.1},{:.2}\n",
                 fault.label(),
-                s.prevented_pct
+                s.prevented_pct()
             ));
         }
         let p = paper::TABLE_VII[i].1;

@@ -38,12 +38,12 @@ fn main() {
             let cell = CampaignCell::new(Some(fault), cfg, None, CAMPAIGN_SEED, reps);
             let (s, _) = resolve_cell(&cell, &cache, &TraceSink::disabled(), &MapControl::new())
                 .expect("uncancelled cell");
-            row.push(format!("{:.2}%", s.prevented_pct));
+            row.push(format!("{:.2}%", s.prevented_pct()));
             csv.push_str(&format!(
                 "{},{},{:.2}\n",
                 fault.label(),
                 condition.label(),
-                s.prevented_pct
+                s.prevented_pct()
             ));
         }
         let p = paper::TABLE_VIII[i].1;

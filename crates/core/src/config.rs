@@ -385,7 +385,7 @@ pub fn attack_from_env() -> AttackScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::campaign_cell_fingerprint;
+    use crate::experiment::{campaign_cell_fingerprint, SCENARIO_MASK_ALL};
     use crate::replay::config_fingerprint;
     use adas_attack::{ContextTrigger, FaultType};
     use std::collections::HashSet;
@@ -575,7 +575,8 @@ mod tests {
     fn every_platform_field_moves_the_cell_key_and_the_trace_fingerprint() {
         let base = PlatformConfig::default();
         let cell_key = |c: &PlatformConfig| {
-            campaign_cell_fingerprint(Some(FaultType::RelativeDistance), c, None, 2025, 10)
+            let fault = Some(FaultType::RelativeDistance);
+            campaign_cell_fingerprint(fault, c, None, 2025, 10, SCENARIO_MASK_ALL)
         };
         let mut seen = HashSet::from([cell_key(&base)]);
         for (field, perturb) in platform_perturbations() {
@@ -598,9 +599,9 @@ mod tests {
         // fingerprint. Neither reads a `Debug` rendering, so no derive change
         // can move them; only a deliberate encoding change can.
         let row = PlatformConfig::with_interventions(InterventionConfig::driver_and_check());
-        let key =
-            campaign_cell_fingerprint(Some(FaultType::RelativeDistance), &row, None, 2025, 10);
-        assert_eq!(key.hex(), "04bdf3965b250de8");
+        let fault = Some(FaultType::RelativeDistance);
+        let key = campaign_cell_fingerprint(fault, &row, None, 2025, 10, SCENARIO_MASK_ALL);
+        assert_eq!(key.hex(), "6b8e15cda8c5be08");
         assert_eq!(
             format!("{:016x}", config_fingerprint(&PlatformConfig::default())),
             "f3c30aaa9079f870"

@@ -201,31 +201,17 @@ impl<'a> CampaignCell<'a> {
         campaign_run_ids_masked(self.repetitions, self.scenario_mask)
     }
 
-    /// The cell's artifact-cache key: [`campaign_cell_fingerprint`],
-    /// extended only for masked grids.
+    /// The cell's artifact-cache key: [`campaign_cell_fingerprint`].
     #[must_use]
     pub fn key(&self) -> Fingerprint {
-        masked_cell_key(
-            campaign_cell_fingerprint(
-                self.fault,
-                &self.config,
-                self.model.map(|(_, fp)| fp),
-                self.campaign_seed,
-                self.repetitions,
-            ),
+        campaign_cell_fingerprint(
+            self.fault,
+            &self.config,
+            self.model.map(|(_, fp)| fp),
+            self.campaign_seed,
+            self.repetitions,
             self.scenario_mask,
         )
-    }
-}
-
-/// A cell key for a scenario subset: the full grid keeps the base key
-/// every harness shares, a masked grid gets a disjoint key family.
-pub(crate) fn masked_cell_key(base: Fingerprint, scenario_mask: u8) -> Fingerprint {
-    if scenario_mask == SCENARIO_MASK_ALL {
-        base
-    } else {
-        base.write_str("scenario-mask")
-            .write_u64(u64::from(scenario_mask))
     }
 }
 
@@ -323,139 +309,221 @@ pub fn run_campaign(
     ids.into_iter().zip(records).collect()
 }
 
-/// Aggregated statistics for one Table VI cell.
-#[derive(Debug, Clone, PartialEq)]
+/// Aggregated result of one campaign cell (a Table VI entry), as exact
+/// counts over its runs. Percentages and mean mitigation times are
+/// derived on read, so cells merge exactly: [`CellStats::merge`] adds
+/// counts and time sums, and the results store folds its rows the same
+/// way.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CellStats {
     /// Number of runs.
-    pub runs: usize,
-    /// Fraction ending in A1 (forward collision), percent.
-    pub a1_pct: f64,
-    /// Fraction ending in A2 (lane violation), percent.
-    pub a2_pct: f64,
-    /// Fraction with no accident, percent.
-    pub prevented_pct: f64,
-    /// Fraction of runs with any hazard, percent.
-    pub hazard_pct: f64,
-    /// Mean time from fault start to AEB braking, seconds.
-    pub aeb_mitigation_time: Option<f64>,
-    /// Mean time from fault start to the driver's longitudinal trigger,
-    /// seconds.
-    pub driver_brake_mitigation_time: Option<f64>,
-    /// Mean time from fault start to the driver's lateral trigger, seconds.
-    pub driver_steer_mitigation_time: Option<f64>,
-    /// Fraction of runs in which AEB braked, percent.
-    pub aeb_trigger_rate: f64,
-    /// Fraction of runs in which the driver's brake channel triggered,
-    /// percent.
-    pub driver_brake_trigger_rate: f64,
-    /// Fraction of runs in which the driver's steer channel triggered,
-    /// percent.
-    pub driver_steer_trigger_rate: f64,
-    /// Fraction of runs in which ML recovery engaged, percent.
-    pub ml_trigger_rate: f64,
+    pub runs: u64,
+    /// Runs ending in A1 (forward collision).
+    pub a1: u64,
+    /// Runs ending in A2 (lane violation).
+    pub a2: u64,
+    /// Accident-free runs.
+    pub prevented: u64,
+    /// Runs with any hazard flag.
+    pub hazard: u64,
+    /// Runs in which AEB braked.
+    pub aeb_n: u64,
+    /// Runs in which the driver's brake channel triggered.
+    pub driver_brake_n: u64,
+    /// Runs in which the driver's steer channel triggered.
+    pub driver_steer_n: u64,
+    /// Runs in which ML recovery engaged.
+    pub ml_n: u64,
+    /// Sum of fault-start → AEB-braking times, seconds.
+    pub aeb_time_sum: f64,
+    /// Runs timed into [`CellStats::aeb_time_sum`]: AEB braked at or
+    /// after the fault started ([`RunRecord::mitigation_time`]).
+    pub aeb_time_n: u64,
+    /// Sum of fault-start → driver-brake times, seconds.
+    pub driver_brake_time_sum: f64,
+    /// Runs timed into [`CellStats::driver_brake_time_sum`].
+    pub driver_brake_time_n: u64,
+    /// Sum of fault-start → driver-steer times, seconds.
+    pub driver_steer_time_sum: f64,
+    /// Runs timed into [`CellStats::driver_steer_time_sum`].
+    pub driver_steer_time_n: u64,
 }
 
 impl CellStats {
-    /// Aggregates a set of run records.
+    /// Aggregates a set of run records in one pass, adding mitigation
+    /// times in record order.
     #[must_use]
     pub fn from_records<'a, I>(records: I) -> Self
     where
         I: IntoIterator<Item = &'a RunRecord>,
     {
-        let records: Vec<&RunRecord> = records.into_iter().collect();
-        let n = records.len();
-        let pct = |count: usize| 100.0 * count as f64 / n.max(1) as f64;
-
-        let a1 = records
-            .iter()
-            .filter(|r| r.accident == Some(AccidentKind::ForwardCollision))
-            .count();
-        let a2 = records
-            .iter()
-            .filter(|r| r.accident == Some(AccidentKind::LaneViolation))
-            .count();
-        let prevented = records.iter().filter(|r| r.prevented()).count();
-        let hazard = records.iter().filter(|r| r.hazard()).count();
-
-        let mean_of = |values: Vec<f64>| {
-            if values.is_empty() {
-                None
-            } else {
-                Some(values.iter().sum::<f64>() / values.len() as f64)
-            }
-        };
-        let aeb_times: Vec<f64> = records
-            .iter()
-            .filter_map(|r| r.mitigation_time(r.aeb_trigger))
-            .collect();
-        let brake_times: Vec<f64> = records
-            .iter()
-            .filter_map(|r| r.mitigation_time(r.driver_brake_trigger))
-            .collect();
-        let steer_times: Vec<f64> = records
-            .iter()
-            .filter_map(|r| r.mitigation_time(r.driver_steer_trigger))
-            .collect();
-
-        Self {
-            runs: n,
-            a1_pct: pct(a1),
-            a2_pct: pct(a2),
-            prevented_pct: pct(prevented),
-            hazard_pct: pct(hazard),
-            aeb_mitigation_time: mean_of(aeb_times),
-            driver_brake_mitigation_time: mean_of(brake_times),
-            driver_steer_mitigation_time: mean_of(steer_times),
-            aeb_trigger_rate: pct(records.iter().filter(|r| r.aeb_trigger.is_some()).count()),
-            driver_brake_trigger_rate: pct(records
-                .iter()
-                .filter(|r| r.driver_brake_trigger.is_some())
-                .count()),
-            driver_steer_trigger_rate: pct(records
-                .iter()
-                .filter(|r| r.driver_steer_trigger.is_some())
-                .count()),
-            ml_trigger_rate: pct(records.iter().filter(|r| r.ml_activated).count()),
+        let mut stats = Self::default();
+        for record in records {
+            stats.merge(&Self::of_run(record));
         }
+        stats
+    }
+
+    /// The counts of a single run.
+    fn of_run(r: &RunRecord) -> Self {
+        let timed = |trigger| r.mitigation_time(trigger).map_or((0.0, 0), |t| (t, 1));
+        let (aeb_time_sum, aeb_time_n) = timed(r.aeb_trigger);
+        let (driver_brake_time_sum, driver_brake_time_n) = timed(r.driver_brake_trigger);
+        let (driver_steer_time_sum, driver_steer_time_n) = timed(r.driver_steer_trigger);
+        Self {
+            runs: 1,
+            a1: u64::from(r.accident == Some(AccidentKind::ForwardCollision)),
+            a2: u64::from(r.accident == Some(AccidentKind::LaneViolation)),
+            prevented: u64::from(r.prevented()),
+            hazard: u64::from(r.hazard()),
+            aeb_n: u64::from(r.aeb_trigger.is_some()),
+            driver_brake_n: u64::from(r.driver_brake_trigger.is_some()),
+            driver_steer_n: u64::from(r.driver_steer_trigger.is_some()),
+            ml_n: u64::from(r.ml_activated),
+            aeb_time_sum,
+            aeb_time_n,
+            driver_brake_time_sum,
+            driver_brake_time_n,
+            driver_steer_time_sum,
+            driver_steer_time_n,
+        }
+    }
+
+    /// Adds `other`'s counts and time sums to these (a cell of both run
+    /// sets).
+    pub fn merge(&mut self, other: &Self) {
+        self.runs += other.runs;
+        self.a1 += other.a1;
+        self.a2 += other.a2;
+        self.prevented += other.prevented;
+        self.hazard += other.hazard;
+        self.aeb_n += other.aeb_n;
+        self.driver_brake_n += other.driver_brake_n;
+        self.driver_steer_n += other.driver_steer_n;
+        self.ml_n += other.ml_n;
+        self.aeb_time_sum += other.aeb_time_sum;
+        self.aeb_time_n += other.aeb_time_n;
+        self.driver_brake_time_sum += other.driver_brake_time_sum;
+        self.driver_brake_time_n += other.driver_brake_time_n;
+        self.driver_steer_time_sum += other.driver_steer_time_sum;
+        self.driver_steer_time_n += other.driver_steer_time_n;
+    }
+
+    /// `count` as a percentage of the runs (0 for an empty cell).
+    fn pct(&self, count: u64) -> f64 {
+        100.0 * count as f64 / self.runs.max(1) as f64
+    }
+
+    /// Mean of `n` timed runs summing to `sum`; `None` when none was timed.
+    fn mean(sum: f64, n: u64) -> Option<f64> {
+        (n > 0).then(|| sum / n as f64)
+    }
+
+    /// Fraction ending in A1 (forward collision), percent.
+    #[must_use]
+    pub fn a1_pct(&self) -> f64 {
+        self.pct(self.a1)
+    }
+
+    /// Fraction ending in A2 (lane violation), percent.
+    #[must_use]
+    pub fn a2_pct(&self) -> f64 {
+        self.pct(self.a2)
+    }
+
+    /// Fraction with no accident, percent.
+    #[must_use]
+    pub fn prevented_pct(&self) -> f64 {
+        self.pct(self.prevented)
+    }
+
+    /// Fraction of runs with any hazard, percent.
+    #[must_use]
+    pub fn hazard_pct(&self) -> f64 {
+        self.pct(self.hazard)
+    }
+
+    /// Fraction of runs in which AEB braked, percent.
+    #[must_use]
+    pub fn aeb_trigger_rate(&self) -> f64 {
+        self.pct(self.aeb_n)
+    }
+
+    /// Fraction of runs in which the driver's brake channel triggered,
+    /// percent.
+    #[must_use]
+    pub fn driver_brake_trigger_rate(&self) -> f64 {
+        self.pct(self.driver_brake_n)
+    }
+
+    /// Fraction of runs in which the driver's steer channel triggered,
+    /// percent.
+    #[must_use]
+    pub fn driver_steer_trigger_rate(&self) -> f64 {
+        self.pct(self.driver_steer_n)
+    }
+
+    /// Fraction of runs in which ML recovery engaged, percent.
+    #[must_use]
+    pub fn ml_trigger_rate(&self) -> f64 {
+        self.pct(self.ml_n)
+    }
+
+    /// Mean time from fault start to AEB braking over the timed runs,
+    /// seconds.
+    #[must_use]
+    pub fn aeb_mitigation_time(&self) -> Option<f64> {
+        Self::mean(self.aeb_time_sum, self.aeb_time_n)
+    }
+
+    /// Mean time from fault start to the driver's longitudinal trigger,
+    /// seconds.
+    #[must_use]
+    pub fn driver_brake_mitigation_time(&self) -> Option<f64> {
+        Self::mean(self.driver_brake_time_sum, self.driver_brake_time_n)
+    }
+
+    /// Mean time from fault start to the driver's lateral trigger, seconds.
+    #[must_use]
+    pub fn driver_steer_mitigation_time(&self) -> Option<f64> {
+        Self::mean(self.driver_steer_time_sum, self.driver_steer_time_n)
     }
 }
 
-/// Magic + version prefix for the [`CellStats`] cache codec. Version 2
-/// appends a trailing FNV-1a checksum over everything before it, so a
-/// bit-flipped cache entry is rejected (cache miss) instead of silently
-/// yielding wrong statistics.
-const CELL_MAGIC: &[u8] = b"ADASCELL\x02";
+/// Magic + version prefix for the [`CellStats`] cache and wire codec.
+/// Version 2 appended a trailing FNV-1a checksum over everything before
+/// it, so a bit-flipped entry is rejected (cache miss) instead of
+/// silently yielding wrong statistics; version 3 carries the counts and
+/// time sums instead of percentages and means.
+const CELL_MAGIC: &[u8] = b"ADASCELL\x03";
 
 impl CellStats {
     /// Serialises to the artifact-cache binary format (little-endian,
     /// fixed layout, trailing whole-entry checksum).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(CELL_MAGIC.len() + 8 + 11 * 8 + 3 + 8);
+        let mut w = Writer::with_capacity(CELL_MAGIC.len() + 9 * 8 + 3 * 16 + 8);
         w.bytes(CELL_MAGIC);
-        w.usize(self.runs);
         for v in [
-            self.a1_pct,
-            self.a2_pct,
-            self.prevented_pct,
-            self.hazard_pct,
+            self.runs,
+            self.a1,
+            self.a2,
+            self.prevented,
+            self.hazard,
+            self.aeb_n,
+            self.driver_brake_n,
+            self.driver_steer_n,
+            self.ml_n,
         ] {
-            w.f64(v);
+            w.u64(v);
         }
-        for opt in [
-            self.aeb_mitigation_time,
-            self.driver_brake_mitigation_time,
-            self.driver_steer_mitigation_time,
+        for (sum, n) in [
+            (self.aeb_time_sum, self.aeb_time_n),
+            (self.driver_brake_time_sum, self.driver_brake_time_n),
+            (self.driver_steer_time_sum, self.driver_steer_time_n),
         ] {
-            w.opt_f64(opt);
-        }
-        for v in [
-            self.aeb_trigger_rate,
-            self.driver_brake_trigger_rate,
-            self.driver_steer_trigger_rate,
-            self.ml_trigger_rate,
-        ] {
-            w.f64(v);
+            w.f64(sum);
+            w.u64(n);
         }
         let checksum = Fingerprint::new().write_bytes(w.as_bytes()).value();
         w.u64(checksum);
@@ -481,29 +549,32 @@ impl CellStats {
 
     fn decode_fields(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Self {
-            runs: r.usize()?,
-            a1_pct: r.f64()?,
-            a2_pct: r.f64()?,
-            prevented_pct: r.f64()?,
-            hazard_pct: r.f64()?,
-            aeb_mitigation_time: r.opt_f64()?,
-            driver_brake_mitigation_time: r.opt_f64()?,
-            driver_steer_mitigation_time: r.opt_f64()?,
-            aeb_trigger_rate: r.f64()?,
-            driver_brake_trigger_rate: r.f64()?,
-            driver_steer_trigger_rate: r.f64()?,
-            ml_trigger_rate: r.f64()?,
+            runs: r.u64()?,
+            a1: r.u64()?,
+            a2: r.u64()?,
+            prevented: r.u64()?,
+            hazard: r.u64()?,
+            aeb_n: r.u64()?,
+            driver_brake_n: r.u64()?,
+            driver_steer_n: r.u64()?,
+            ml_n: r.u64()?,
+            aeb_time_sum: r.f64()?,
+            aeb_time_n: r.u64()?,
+            driver_brake_time_sum: r.f64()?,
+            driver_brake_time_n: r.u64()?,
+            driver_steer_time_sum: r.f64()?,
+            driver_steer_time_n: r.u64()?,
         })
     }
 }
 
-/// Content fingerprint of one campaign cell: everything [`run_campaign`] +
-/// [`CellStats::from_records`] depend on. `model` must be the fingerprint
-/// of the trained weights when `config.interventions.ml` is set (the cell
-/// result depends on the exact weights, not just the training seed).
-/// The scenario content is the digest of [`ScenarioCatalog::global`], so
-/// an edit to a builtin `.scn` file rekeys every cell just as an
-/// `ADAS_SCENARIO` override does.
+/// Content fingerprint of one campaign cell: everything its runs over
+/// the `scenario_mask` grid + [`CellStats::from_records`] depend on.
+/// `model` must be the fingerprint of the trained weights when
+/// `config.interventions.ml` is set (the cell result depends on the exact
+/// weights, not just the training seed). The scenario content is the
+/// digest of [`ScenarioCatalog::global`], so an edit to a builtin `.scn`
+/// file rekeys every cell just as an `ADAS_SCENARIO` override does.
 #[must_use]
 pub fn campaign_cell_fingerprint(
     fault: Option<FaultType>,
@@ -511,17 +582,19 @@ pub fn campaign_cell_fingerprint(
     model: Option<Fingerprint>,
     campaign_seed: u64,
     repetitions: u32,
+    scenario_mask: u8,
 ) -> Fingerprint {
     static CATALOG_DIGEST: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     let catalog = *CATALOG_DIGEST.get_or_init(|| ScenarioCatalog::global().digest());
     Fingerprint::new()
-        .write_str("campaign-cell-v3")
+        .write_str("campaign-cell-v4")
         .write_bytes(&[fault.map_or(0, FaultType::code)])
         .write(config)
         .write_u64(model.map_or(0, Fingerprint::value))
         .write_u64(u64::from(model.is_some()))
         .write_u64(campaign_seed)
         .write_u64(u64::from(repetitions))
+        .write_bytes(&[scenario_mask])
         .write_str("scenario-catalog")
         .write_u64(catalog)
 }
@@ -629,7 +702,7 @@ mod tests {
         };
         let recs = run_campaign(Some(FaultType::RelativeDistance), &cfg, None, 3, 1);
         let stats = CellStats::from_records(recs.iter().map(|(_, r)| r));
-        let total = stats.a1_pct + stats.a2_pct + stats.prevented_pct;
+        let total = stats.a1_pct() + stats.a2_pct() + stats.prevented_pct();
         assert!((total - 100.0).abs() < 1e-9, "total {total}");
         assert_eq!(stats.runs, 12);
     }

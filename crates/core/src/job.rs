@@ -17,13 +17,11 @@
 use crate::cache::Fingerprint;
 use crate::config::{InterventionConfig, PlatformConfig};
 use crate::experiment::{
-    campaign_cell_fingerprint, campaign_run_ids_masked, masked_cell_key, CampaignCell, RunId,
-    SCENARIO_MASK_ALL,
+    campaign_cell_fingerprint, campaign_run_ids_masked, CampaignCell, RunId, SCENARIO_MASK_ALL,
 };
 use adas_attack::{AttackScheduler, FaultType};
 use adas_codec::{DecodeError, Encode, Reader, Writer};
 use adas_ml::LstmPredictor;
-use adas_scenarios::{AccidentKind, InitialPosition, RunRecord, ScenarioId};
 use std::sync::Arc;
 
 /// Hard cap on cells per campaign: a defensive bound so a hostile frame
@@ -175,20 +173,19 @@ impl CampaignSpec {
 
     /// Content fingerprint of one cell's aggregate result:
     /// [`CampaignCell::key`] of [`Self::cell`] given the model's
-    /// fingerprint alone. For full-grid campaigns this is
-    /// [`campaign_cell_fingerprint`] itself, so a campaign served over the
-    /// wire hits the same artifact-cache entries the CLI harnesses write
-    /// (and vice versa); masked grids get a disjoint key family.
+    /// fingerprint alone. Both are [`campaign_cell_fingerprint`], so a
+    /// campaign served over the wire hits the same artifact-cache entries
+    /// the CLI harnesses write (and vice versa).
     #[must_use]
     pub fn cell_key(&self, cell: &CellSpec, model: Option<Fingerprint>) -> Fingerprint {
-        let base = campaign_cell_fingerprint(
+        campaign_cell_fingerprint(
             cell.fault,
             &self.config_for(cell),
             model,
             self.campaign_seed,
             self.repetitions,
-        );
-        masked_cell_key(base, self.scenario_mask)
+            self.scenario_mask,
+        )
     }
 
     /// The consistent-hashing routing key of one cell: [`Self::cell_key`]
@@ -244,66 +241,11 @@ impl CampaignSpec {
     }
 }
 
-/// Encodes a [`RunId`] (scenario index, position index, repetition).
-pub fn encode_run_id(id: RunId, w: &mut Writer) {
-    w.u8(id.scenario.index() as u8);
-    w.u8(id.position.index() as u8);
-    w.u32(id.repetition);
-}
-
-/// Decodes a [`RunId`]; fails on out-of-range indices.
-pub fn decode_run_id(r: &mut Reader<'_>) -> Result<RunId, DecodeError> {
-    Ok(RunId {
-        scenario: r.code(|c| ScenarioId::ALL.get(usize::from(c)).copied())?,
-        position: r.code(|c| InitialPosition::ALL.get(usize::from(c)).copied())?,
-        repetition: r.u32()?,
-    })
-}
-
-/// Encodes a [`RunRecord`] (every field, bit-exact floats).
-pub fn encode_run_record(rec: &RunRecord, w: &mut Writer) {
-    w.f64(rec.min_ttc);
-    w.f64(rec.t_fcw_at_min_ttc);
-    w.f64(rec.max_brake);
-    w.f64(rec.avg_following_distance);
-    w.f64(rec.min_lane_line_distance);
-    w.u64(rec.steps);
-    w.opt_f64(rec.h1_time);
-    w.opt_f64(rec.h2_time);
-    w.u8(rec.accident.map_or(0, AccidentKind::code));
-    w.opt_f64(rec.accident_time);
-    w.opt_f64(rec.fault_start);
-    w.opt_f64(rec.aeb_trigger);
-    w.opt_f64(rec.driver_brake_trigger);
-    w.opt_f64(rec.driver_steer_trigger);
-    w.bool(rec.ml_activated);
-}
-
-/// Decodes a [`RunRecord`]; fails on truncation or a bad accident code.
-pub fn decode_run_record(r: &mut Reader<'_>) -> Result<RunRecord, DecodeError> {
-    Ok(RunRecord {
-        min_ttc: r.f64()?,
-        t_fcw_at_min_ttc: r.f64()?,
-        max_brake: r.f64()?,
-        avg_following_distance: r.f64()?,
-        min_lane_line_distance: r.f64()?,
-        steps: r.u64()?,
-        h1_time: r.opt_f64()?,
-        h2_time: r.opt_f64()?,
-        accident: r.opt_code(AccidentKind::from_code)?,
-        accident_time: r.opt_f64()?,
-        fault_start: r.opt_f64()?,
-        aeb_trigger: r.opt_f64()?,
-        driver_brake_trigger: r.opt_f64()?,
-        driver_steer_trigger: r.opt_f64()?,
-        ml_activated: r.bool()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adas_attack::ContextTrigger;
+    use adas_scenarios::{AccidentKind, ScenarioId};
 
     fn sample_spec() -> CampaignSpec {
         CampaignSpec {
@@ -486,6 +428,7 @@ mod tests {
             None,
             2025,
             10,
+            SCENARIO_MASK_ALL,
         );
         assert_eq!(spec.cell_key(&cell, None), direct);
         // A masked grid must NOT collide with the full-grid key family.
@@ -565,44 +508,5 @@ mod tests {
             .all(|id| matches!(id.scenario, ScenarioId::S1 | ScenarioId::S4)));
         let full = campaign_run_ids_masked(3, SCENARIO_MASK_ALL);
         assert!(ids.iter().all(|id| full.contains(id)));
-    }
-
-    #[test]
-    fn run_record_roundtrip_preserves_nan() {
-        let rec = RunRecord {
-            min_ttc: f64::INFINITY,
-            avg_following_distance: f64::NAN,
-            h1_time: Some(10.25),
-            accident: Some(AccidentKind::LaneViolation),
-            accident_time: Some(11.0),
-            ml_activated: true,
-            ..RunRecord::default()
-        };
-        let mut w = Writer::new();
-        encode_run_record(&rec, &mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = decode_run_record(&mut r).expect("decodes");
-        assert!(r.exhausted());
-        // Debug equality is NaN-tolerant bit-pattern equality here.
-        assert_eq!(format!("{rec:?}"), format!("{back:?}"));
-    }
-
-    #[test]
-    fn run_id_roundtrip_and_bounds() {
-        let id = RunId {
-            scenario: ScenarioId::S5,
-            position: InitialPosition::Far,
-            repetition: 7,
-        };
-        let mut w = Writer::new();
-        encode_run_id(id, &mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(decode_run_id(&mut r), Ok(id));
-        // Out-of-range scenario index.
-        let mut bad = bytes;
-        bad[0] = 6;
-        assert!(decode_run_id(&mut Reader::new(&bad)).is_err());
     }
 }

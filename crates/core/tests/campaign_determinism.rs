@@ -6,7 +6,7 @@ use adas_attack::FaultType;
 use adas_core::parallel::MapControl;
 use adas_core::{
     campaign_cell_fingerprint, resolve_cell, run_campaign, ArtifactCache, CampaignCell, CellStats,
-    InterventionConfig, PlatformConfig, TraceSink,
+    InterventionConfig, PlatformConfig, TraceSink, SCENARIO_MASK_ALL,
 };
 use adas_recorder::{RecordMode, TraceMode, TracePolicy};
 use std::path::PathBuf;
@@ -100,7 +100,7 @@ fn cache_hit_reproduces_cold_cell_stats_exactly() {
     assert_ne!(cell.key().value(), other.key().value());
     assert_eq!(
         cell.key().value(),
-        campaign_cell_fingerprint(cell.fault, &cfg, None, SEED, 1).value()
+        campaign_cell_fingerprint(cell.fault, &cfg, None, SEED, 1, SCENARIO_MASK_ALL).value()
     );
 
     let _ = std::fs::remove_dir_all(&dir);

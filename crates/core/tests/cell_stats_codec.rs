@@ -8,43 +8,45 @@
 use adas_core::CellStats;
 use proptest::prelude::*;
 
-fn stats(runs: usize, pcts: &[f64; 4], times: &[Option<f64>; 3], rates: &[f64; 4]) -> CellStats {
+/// A cell of `runs` runs: eight counts (A1, A2, prevented, hazard, then
+/// the AEB / driver-brake / driver-steer / ML triggers) and three
+/// (time sum, timed runs) pairs.
+fn stats(runs: u64, counts: &[u64], times: &[(f64, u64); 3]) -> CellStats {
     CellStats {
         runs,
-        a1_pct: pcts[0],
-        a2_pct: pcts[1],
-        prevented_pct: pcts[2],
-        hazard_pct: pcts[3],
-        aeb_mitigation_time: times[0],
-        driver_brake_mitigation_time: times[1],
-        driver_steer_mitigation_time: times[2],
-        aeb_trigger_rate: rates[0],
-        driver_brake_trigger_rate: rates[1],
-        driver_steer_trigger_rate: rates[2],
-        ml_trigger_rate: rates[3],
+        a1: counts[0],
+        a2: counts[1],
+        prevented: counts[2],
+        hazard: counts[3],
+        aeb_n: counts[4],
+        driver_brake_n: counts[5],
+        driver_steer_n: counts[6],
+        ml_n: counts[7],
+        aeb_time_sum: times[0].0,
+        aeb_time_n: times[0].1,
+        driver_brake_time_sum: times[1].0,
+        driver_brake_time_n: times[1].1,
+        driver_steer_time_sum: times[2].0,
+        driver_steer_time_n: times[2].1,
     }
 }
 
 proptest! {
     #[test]
     fn round_trip_is_exact(
-        runs in 0usize..100_000,
-        a1 in 0.0f64..100.0,
-        a2 in 0.0f64..100.0,
-        hazard in 0.0f64..100.0,
-        t_aeb in prop::option::of(0.0f64..60.0),
-        t_brake in prop::option::of(0.0f64..60.0),
-        t_steer in prop::option::of(0.0f64..60.0),
-        r1 in 0.0f64..100.0,
-        r2 in 0.0f64..100.0,
-        r3 in 0.0f64..100.0,
-        r4 in 0.0f64..100.0,
+        runs in 0u64..100_000,
+        counts in prop::collection::vec(0u64..100_000, 8..9),
+        t_aeb in 0.0f64..600.0,
+        t_brake in 0.0f64..600.0,
+        t_steer in 0.0f64..600.0,
+        n_aeb in 0u64..100_000,
+        n_brake in 0u64..100_000,
+        n_steer in 0u64..100_000,
     ) {
         let original = stats(
             runs,
-            &[a1, a2, 100.0 - a1 - a2, hazard],
-            &[t_aeb, t_brake, t_steer],
-            &[r1, r2, r3, r4],
+            &counts,
+            &[(t_aeb, n_aeb), (t_brake, n_brake), (t_steer, n_steer)],
         );
         let bytes = original.to_bytes();
         let decoded = CellStats::from_bytes(&bytes);
@@ -53,16 +55,15 @@ proptest! {
 
     #[test]
     fn any_single_bit_flip_is_rejected(
-        a1 in 0.0f64..100.0,
-        t_aeb in prop::option::of(0.0f64..60.0),
+        a1 in 0u64..121,
+        t_aeb in 0.0f64..600.0,
         byte_frac in 0.0f64..1.0,
         bit in 0usize..8,
     ) {
         let original = stats(
             120,
-            &[a1, 0.0, 100.0 - a1, a1],
-            &[t_aeb, None, Some(3.25)],
-            &[50.0, 25.0, 12.5, 0.0],
+            &[a1, 0, 120 - a1, a1, 60, 30, 15, 0],
+            &[(t_aeb, 40), (0.0, 0), (3.25, 1)],
         );
         let mut bytes = original.to_bytes();
         let idx = ((byte_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
@@ -80,9 +81,8 @@ proptest! {
     ) {
         let original = stats(
             12,
-            &[25.0, 25.0, 50.0, 75.0],
-            &[Some(1.5), None, None],
-            &[100.0, 0.0, 0.0, 8.3],
+            &[3, 3, 6, 9, 12, 0, 0, 1],
+            &[(18.0, 12), (0.0, 0), (0.0, 0)],
         );
         let bytes = original.to_bytes();
         let truncated = &bytes[..bytes.len() - cut.min(bytes.len())];
@@ -104,17 +104,26 @@ proptest! {
 }
 
 #[test]
-fn v1_entries_without_checksum_miss() {
-    // A version-1 entry (old magic, no trailing checksum) must read as a
-    // cache miss so stale artifacts are recomputed, not misparsed.
-    let current = stats(
-        10,
-        &[10.0, 0.0, 90.0, 10.0],
-        &[None, None, None],
-        &[0.0, 0.0, 0.0, 0.0],
-    )
-    .to_bytes();
+fn older_versions_miss() {
+    // A version-1 entry (no trailing checksum) and a version-2 entry
+    // (percentages and means, re-checksummed so only the layout is at
+    // fault) must read as cache misses so stale artifacts are recomputed,
+    // not misparsed.
+    let current = stats(10, &[1, 0, 9, 1, 0, 0, 0, 0], &[(0.0, 0); 3]).to_bytes();
     let mut v1 = b"ADASCELL\x01".to_vec();
     v1.extend_from_slice(&current[9..current.len() - 8]);
     assert_eq!(CellStats::from_bytes(&v1), None);
+
+    let mut v2 = b"ADASCELL\x02".to_vec();
+    v2.extend_from_slice(&10u64.to_le_bytes());
+    for pct in [10.0f64, 0.0, 90.0, 10.0] {
+        v2.extend_from_slice(&pct.to_le_bytes());
+    }
+    v2.extend_from_slice(&[0; 3 * 9]); // three absent means (flag + f64)
+    for rate in [0.0f64; 4] {
+        v2.extend_from_slice(&rate.to_le_bytes());
+    }
+    let checksum = adas_core::Fingerprint::new().write_bytes(&v2).value();
+    v2.extend_from_slice(&checksum.to_le_bytes());
+    assert_eq!(CellStats::from_bytes(&v2), None);
 }

@@ -442,7 +442,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
                             .stream_results(|index, stats| {
                                 println!(
                                     "cell {index:>3}: A1 {:6.2}%  A2 {:6.2}%  prevented {:6.2}%  ({} runs)",
-                                    stats.a1_pct, stats.a2_pct, stats.prevented_pct, stats.runs
+                                    stats.a1_pct(), stats.a2_pct(), stats.prevented_pct(), stats.runs
                                 );
                             })
                             .map_err(|e| e.to_string())?;

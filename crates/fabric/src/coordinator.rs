@@ -263,7 +263,7 @@ impl ShardedJob for CampaignSpec {
         on_item: &mut dyn FnMut(Option<u32>, CellStats),
     ) -> Result<JobState, ProtocolError> {
         client
-            .stream_results(|global_index, stats| on_item(Some(global_index), stats.clone()))
+            .stream_results(|global_index, stats| on_item(Some(global_index), *stats))
             .map(|(_, state)| state)
     }
 }

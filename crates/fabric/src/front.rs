@@ -174,7 +174,7 @@ impl Service for FrontShared {
                             send(Response::CellResult {
                                 job_id,
                                 cell_index,
-                                stats: stats.clone(),
+                                stats: *stats,
                             });
                         })
                         .is_ok()

@@ -7,10 +7,8 @@
 use crate::protocol::{
     recv_response, send_request, JobState, ProtocolError, ReplayOutcome, Request, Response,
 };
-use adas_core::job::CellSpec;
-use adas_core::{CampaignSpec, CellStats, RunId};
+use adas_core::{CampaignSpec, CellStats};
 use adas_fuzz::farm::{FuzzJobSpec, SessionOutcome};
-use adas_scenarios::RunRecord;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -355,32 +353,6 @@ impl Client {
     pub fn drain_worker(&mut self) -> Result<(), ProtocolError> {
         match self.request(&Request::WorkerDrain)? {
             Response::ShutdownAck => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Executes one fully-specified run on the server, optionally
-    /// returning its serialised flight-recorder trace.
-    ///
-    /// # Errors
-    ///
-    /// Protocol or transport failures.
-    pub fn submit_cell(
-        &mut self,
-        campaign_seed: u64,
-        max_steps: u32,
-        run: RunId,
-        cell: CellSpec,
-        with_trace: bool,
-    ) -> Result<(RunRecord, Option<Vec<u8>>), ProtocolError> {
-        match self.request(&Request::SubmitCell {
-            campaign_seed,
-            max_steps,
-            run,
-            cell,
-            with_trace,
-        })? {
-            Response::RunResult { record, trace } => Ok((record, trace)),
             other => Err(unexpected(other)),
         }
     }

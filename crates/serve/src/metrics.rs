@@ -152,8 +152,6 @@ pub struct ServeMetrics {
     pub cells_bypass: AtomicU64,
     /// Individual simulation runs executed (cache hits excluded).
     pub runs_executed: AtomicU64,
-    /// Single-run (`SubmitCell`) requests served.
-    pub single_runs: AtomicU64,
     /// Replay verifications served.
     pub replays: AtomicU64,
     /// Connections accepted.
@@ -212,7 +210,6 @@ impl ServeMetrics {
             cells_computed: AtomicU64::new(0),
             cells_bypass: AtomicU64::new(0),
             runs_executed: AtomicU64::new(0),
-            single_runs: AtomicU64::new(0),
             replays: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
@@ -287,7 +284,7 @@ impl ServeMetrics {
              \"running\": {running} }},\n  \"cells\": {{ \"done\": {cells_done}, \
              \"memo_hits\": {}, \"disk_hits\": {}, \"computed\": {}, \"bypass\": {}, \
              \"hit_rate\": {hit_rate:.4}, \"per_sec\": {cells_per_sec:.3} }},\n  \
-             \"runs_executed\": {},\n  \"single_runs\": {},\n  \"replays\": {},\n  \
+             \"runs_executed\": {},\n  \"replays\": {},\n  \
              \"connections\": {},\n  \"protocol_errors\": {},\n  \
              \"fabric\": {{ \"workers_registered\": {}, \"heartbeats\": {}, \
              \"assignments\": {}, \"worker_drains\": {} }},\n  \
@@ -306,7 +303,6 @@ impl ServeMetrics {
             g(&self.cells_computed),
             g(&self.cells_bypass),
             g(&self.runs_executed),
-            g(&self.single_runs),
             g(&self.replays),
             g(&self.connections),
             g(&self.protocol_errors),

@@ -9,7 +9,7 @@
 //! offset  size  field
 //! 0       1     magic 'A' (0x41)
 //! 1       1     magic 'S' (0x53)
-//! 2       1     protocol version (currently 2)
+//! 2       1     protocol version (currently 3)
 //! 3       1     message kind (see [`Request`] / [`Response`])
 //! 4       4     payload length, u32 little-endian (≤ MAX_PAYLOAD)
 //! 8       n     payload (kind-specific layout, little-endian)
@@ -37,17 +37,24 @@
 //! `Accepted` / `CellResult` / `JobDone` frames but carrying the
 //! coordinator's *global* grid indices), and [`Request::WorkerDrain`]
 //! (graceful fleet removal, answered with [`Response::ShutdownAck`]).
+//!
+//! # Version 3: cell counts
+//!
+//! [`Response::CellResult`] embeds the version-3 [`CellStats`] bytes
+//! (exact counts and time sums instead of percentages and means), and
+//! the single-run request / response kinds `0x02` / `0x85` are retired.
 
 use adas_codec::{DecodeError, Reader, Writer};
-use adas_core::job::{decode_run_id, encode_run_id};
-use adas_core::{CampaignSpec, CellSpec, CellStats, RunId};
+use adas_core::{CampaignSpec, CellStats};
 use std::io::{Read, Write};
 
 /// Protocol magic: every frame starts `b"AS"`.
 pub const MAGIC: [u8; 2] = *b"AS";
 
-/// Current protocol version byte (2 added the fabric frames).
-pub const VERSION: u8 = 2;
+/// Current protocol version byte (2 added the fabric frames; 3 carries
+/// cell counts in [`Response::CellResult`] and drops the single-run
+/// frames).
+pub const VERSION: u8 = 3;
 
 /// Upper bound on a frame payload (64 MiB — comfortably above the largest
 /// legitimate message, a full-run flight-recorder trace).
@@ -206,20 +213,6 @@ impl ReplayOutcome {
 pub enum Request {
     /// Submit a campaign grid; the server streams per-cell results back.
     SubmitCampaign(CampaignSpec),
-    /// Execute one fully-specified run synchronously, optionally returning
-    /// its flight-recorder trace in the response.
-    SubmitCell {
-        /// Campaign seed deriving the run's RNG streams.
-        campaign_seed: u64,
-        /// Per-run step cap override (0 = platform default).
-        max_steps: u32,
-        /// Run coordinates.
-        run: RunId,
-        /// Fault and interventions.
-        cell: CellSpec,
-        /// Request the trace bytes alongside the run record.
-        with_trace: bool,
-    },
     /// Verify a stored trace by content hash: the server re-executes it
     /// and reports bit-exactness.
     Replay {
@@ -325,13 +318,6 @@ pub enum Response {
         /// Terminal state ([`JobState::Done`] / `Cancelled` / `Failed`).
         state: JobState,
     },
-    /// Result of a [`Request::SubmitCell`].
-    RunResult {
-        /// The run's full record (bit-exact float encoding).
-        record: adas_scenarios::RunRecord,
-        /// Serialised flight-recorder trace, when requested.
-        trace: Option<Vec<u8>>,
-    },
     /// Result of a [`Request::Replay`].
     ReplayVerdict {
         /// Verification outcome.
@@ -390,7 +376,6 @@ pub enum Response {
 }
 
 const K_SUBMIT_CAMPAIGN: u8 = 0x01;
-const K_SUBMIT_CELL: u8 = 0x02;
 const K_REPLAY: u8 = 0x03;
 const K_STATUS: u8 = 0x04;
 const K_CANCEL: u8 = 0x05;
@@ -407,7 +392,6 @@ const K_ACCEPTED: u8 = 0x81;
 const K_REJECTED: u8 = 0x82;
 const K_CELL_RESULT: u8 = 0x83;
 const K_JOB_DONE: u8 = 0x84;
-const K_RUN_RESULT: u8 = 0x85;
 const K_REPLAY_VERDICT: u8 = 0x86;
 const K_STATUS_REPORT: u8 = 0x87;
 const K_METRICS_JSON: u8 = 0x88;
@@ -427,7 +411,6 @@ impl Request {
     pub fn kind(&self) -> u8 {
         match self {
             Request::SubmitCampaign(_) => K_SUBMIT_CAMPAIGN,
-            Request::SubmitCell { .. } => K_SUBMIT_CELL,
             Request::Replay { .. } => K_REPLAY,
             Request::Status { .. } => K_STATUS,
             Request::Cancel { .. } => K_CANCEL,
@@ -448,19 +431,6 @@ impl Request {
         let mut w = Writer::new();
         match self {
             Request::SubmitCampaign(spec) => w.bytes(&spec.to_bytes()),
-            Request::SubmitCell {
-                campaign_seed,
-                max_steps,
-                run,
-                cell,
-                with_trace,
-            } => {
-                w.u64(*campaign_seed);
-                w.u32(*max_steps);
-                encode_run_id(*run, &mut w);
-                w.put(cell);
-                w.bool(*with_trace);
-            }
             Request::Replay { trace_hex } => w.blob(trace_hex.as_bytes()),
             Request::Status { job_id } | Request::Cancel { job_id } => w.u64(*job_id),
             Request::Metrics | Request::Shutdown | Request::WorkerDrain => {}
@@ -503,24 +473,6 @@ impl Request {
                 CampaignSpec::from_bytes(payload)
                     .ok_or(ProtocolError::Malformed("campaign spec"))?,
             ),
-            K_SUBMIT_CELL => {
-                let campaign_seed = r.u64().map_err(malformed("cell seed"))?;
-                let max_steps = r.u32().map_err(malformed("cell max_steps"))?;
-                let run = decode_run_id(&mut r).map_err(malformed("cell run id"))?;
-                let cell = CellSpec::decode(&mut r).map_err(malformed("cell spec"))?;
-                let with_trace = r.bool().map_err(malformed("trace flag"))?;
-                let out = Request::SubmitCell {
-                    campaign_seed,
-                    max_steps,
-                    run,
-                    cell,
-                    with_trace,
-                };
-                if !r.exhausted() {
-                    return Err(ProtocolError::Malformed("trailing bytes"));
-                }
-                return Ok(out);
-            }
             K_REPLAY => {
                 let hex = r.blob().map_err(malformed("trace hash"))?;
                 let out = Request::Replay {
@@ -604,7 +556,6 @@ impl Response {
             Response::Rejected { .. } => K_REJECTED,
             Response::CellResult { .. } => K_CELL_RESULT,
             Response::JobDone { .. } => K_JOB_DONE,
-            Response::RunResult { .. } => K_RUN_RESULT,
             Response::ReplayVerdict { .. } => K_REPLAY_VERDICT,
             Response::StatusReport { .. } => K_STATUS_REPORT,
             Response::MetricsJson(_) => K_METRICS_JSON,
@@ -644,15 +595,6 @@ impl Response {
             Response::JobDone { job_id, state } => {
                 w.u64(*job_id);
                 w.u8(state.to_u8());
-            }
-            Response::RunResult { record, trace } => {
-                let mut rec = Writer::new();
-                adas_core::job::encode_run_record(record, &mut rec);
-                w.blob(&rec.into_bytes());
-                w.bool(trace.is_some());
-                if let Some(t) = trace {
-                    w.blob(t);
-                }
             }
             Response::ReplayVerdict { outcome, detail } => {
                 w.u8(outcome.to_u8());
@@ -732,20 +674,6 @@ impl Response {
                 job_id: r.u64().map_err(malformed("job id"))?,
                 state: r.code(JobState::from_u8).map_err(malformed("job state"))?,
             },
-            K_RUN_RESULT => {
-                let rec_bytes = r.blob().map_err(malformed("run record"))?;
-                let mut rec_reader = Reader::new(rec_bytes);
-                let record = adas_core::job::decode_run_record(&mut rec_reader)
-                    .and_then(|record| rec_reader.finish().map(|()| record))
-                    .map_err(malformed("run record codec"))?;
-                let has_trace = r.bool().map_err(malformed("trace flag"))?;
-                let trace = if has_trace {
-                    Some(r.blob().map_err(malformed("trace bytes"))?.to_vec())
-                } else {
-                    None
-                };
-                Response::RunResult { record, trace }
-            }
             K_REPLAY_VERDICT => Response::ReplayVerdict {
                 outcome: r
                     .code(ReplayOutcome::from_u8)

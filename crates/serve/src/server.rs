@@ -24,12 +24,11 @@ use crate::sink::{self, StoreSink};
 use adas_bench::model_fingerprint;
 use adas_core::job::CellSpec;
 use adas_core::{
-    replay_trace, resolve_cell, run_single, run_single_traced, ArtifactCache, CampaignSpec,
-    CellStats, Fingerprint, RunId, TraceSink,
+    replay_trace, resolve_cell, ArtifactCache, CampaignSpec, CellStats, Fingerprint, TraceSink,
 };
 use adas_fuzz::farm::{self, FuzzJobSpec};
 use adas_ml::{LstmPredictor, ModelSpec};
-use adas_recorder::{RecordMode, Trace};
+use adas_recorder::Trace;
 use adas_store::CellRow;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -440,7 +439,7 @@ fn compute_cell(
     let metrics = &shared.metrics;
     if let Some(stats) = shared.memo.lock().expect("memo lock").get(&key) {
         metrics.cells_memo_hits.fetch_add(1, Ordering::Relaxed);
-        return Some((stats.clone(), 0));
+        return Some((*stats, 0));
     }
     let (stats, runs) = resolve_cell(&cell, &shared.cache, &TraceSink::disabled(), &job.ctl)?;
     // Per-tier accounting: no runs is a disk hit; `computed` is a genuine
@@ -457,11 +456,7 @@ fn compute_cell(
     metrics
         .runs_executed
         .fetch_add(runs as u64, Ordering::Relaxed);
-    shared
-        .memo
-        .lock()
-        .expect("memo lock")
-        .insert(key, stats.clone());
+    shared.memo.lock().expect("memo lock").insert(key, stats);
     Some((stats, runs))
 }
 
@@ -556,18 +551,6 @@ fn handle_request(
 ) -> std::io::Result<bool> {
     match request {
         Request::SubmitCampaign(spec) => handle_submit(shared, stream, spec),
-        Request::SubmitCell {
-            campaign_seed,
-            max_steps,
-            run,
-            cell,
-            with_trace,
-        } => {
-            shared.metrics.single_runs.fetch_add(1, Ordering::Relaxed);
-            let response = run_one_cell(shared, campaign_seed, max_steps, run, &cell, with_trace);
-            send_response(stream, &response)?;
-            Ok(true)
-        }
         Request::Replay { trace_hex } => {
             shared.metrics.replays.fetch_add(1, Ordering::Relaxed);
             let (outcome, detail) = verify_trace(shared, &trace_hex);
@@ -898,48 +881,6 @@ fn status_of(job: &Job) -> Response {
         cells_done: job.cells_done(),
         cells_total: job.spec.cells.len() as u32,
         runs_done: job.ctl.completed() as u64,
-    }
-}
-
-/// Executes one fully-specified run synchronously.
-fn run_one_cell(
-    shared: &Shared,
-    campaign_seed: u64,
-    max_steps: u32,
-    run: RunId,
-    cell: &CellSpec,
-    with_trace: bool,
-) -> Response {
-    let mut config = adas_core::PlatformConfig::with_interventions(cell.interventions);
-    if max_steps != 0 {
-        config.max_steps = max_steps as usize;
-    }
-    let model = cell
-        .interventions
-        .ml
-        .then(|| shared.model_for(campaign_seed));
-    if with_trace {
-        let fp = model.as_ref().map_or(0, |m| m.fingerprint.value());
-        let (record, trace) = run_single_traced(
-            run,
-            cell.fault,
-            &config,
-            model.as_ref().map(|m| &m.model),
-            fp,
-            campaign_seed,
-            RecordMode::Full,
-        );
-        Response::RunResult {
-            record,
-            trace: Some(trace.to_bytes()),
-        }
-    } else {
-        let model = model.as_ref().map(|m| &m.model);
-        let record = run_single(run, cell.fault, &config, model, campaign_seed);
-        Response::RunResult {
-            record,
-            trace: None,
-        }
     }
 }
 

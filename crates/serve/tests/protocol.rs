@@ -4,9 +4,8 @@
 
 use adas_attack::FaultType;
 use adas_core::job::CellSpec;
-use adas_core::{CampaignSpec, CellStats, InterventionConfig, RunId, SCENARIO_MASK_ALL};
+use adas_core::{CampaignSpec, CellStats, InterventionConfig, SCENARIO_MASK_ALL};
 use adas_safety::AebsMode;
-use adas_scenarios::{AccidentKind, InitialPosition, RunRecord, ScenarioId};
 use adas_serve::protocol::{
     read_frame, write_frame, JobState, ProtocolError, ReplayOutcome, Request, Response,
     MAX_PAYLOAD, VERSION,
@@ -58,57 +57,35 @@ fn arb_spec(rng: &mut TestRng) -> CampaignSpec {
     }
 }
 
-fn arb_run(rng: &mut TestRng) -> RunId {
-    RunId {
-        scenario: ScenarioId::ALL[rng.usize_in(0, ScenarioId::ALL.len())],
-        position: InitialPosition::ALL[rng.usize_in(0, InitialPosition::ALL.len())],
-        repetition: rng.next_u64() as u32,
-    }
-}
-
-fn opt_f64(rng: &mut TestRng) -> Option<f64> {
-    (rng.next_u64() & 1 == 1).then(|| rng.unit_f64() * 100.0)
-}
-
-fn arb_record(rng: &mut TestRng) -> RunRecord {
-    RunRecord {
-        min_ttc: rng.unit_f64() * 10.0,
-        t_fcw_at_min_ttc: rng.unit_f64() * 10.0,
-        max_brake: rng.unit_f64() * 4.0,
-        avg_following_distance: rng.unit_f64() * 40.0,
-        min_lane_line_distance: rng.unit_f64(),
-        steps: rng.next_u64() % 10_000,
-        h1_time: opt_f64(rng),
-        h2_time: opt_f64(rng),
-        accident: match rng.usize_in(0, 3) {
-            0 => None,
-            1 => Some(AccidentKind::ForwardCollision),
-            _ => Some(AccidentKind::LaneViolation),
-        },
-        accident_time: opt_f64(rng),
-        fault_start: opt_f64(rng),
-        aeb_trigger: opt_f64(rng),
-        driver_brake_trigger: opt_f64(rng),
-        driver_steer_trigger: opt_f64(rng),
-        ml_activated: rng.next_u64() & 1 == 1,
-    }
-}
-
 fn arb_stats(rng: &mut TestRng) -> CellStats {
-    CellStats {
-        runs: rng.usize_in(1, 200),
-        a1_pct: rng.unit_f64() * 100.0,
-        a2_pct: rng.unit_f64() * 100.0,
-        prevented_pct: rng.unit_f64() * 100.0,
-        hazard_pct: rng.unit_f64() * 100.0,
-        aeb_mitigation_time: opt_f64(rng),
-        driver_brake_mitigation_time: opt_f64(rng),
-        driver_steer_mitigation_time: opt_f64(rng),
-        aeb_trigger_rate: rng.unit_f64() * 100.0,
-        driver_brake_trigger_rate: rng.unit_f64() * 100.0,
-        driver_steer_trigger_rate: rng.unit_f64() * 100.0,
-        ml_trigger_rate: rng.unit_f64() * 100.0,
+    let runs = 1 + rng.next_u64() % 200;
+    let mut s = CellStats {
+        runs,
+        ..CellStats::default()
+    };
+    for count in [
+        &mut s.a1,
+        &mut s.a2,
+        &mut s.prevented,
+        &mut s.hazard,
+        &mut s.aeb_n,
+        &mut s.driver_brake_n,
+        &mut s.driver_steer_n,
+        &mut s.ml_n,
+        &mut s.aeb_time_n,
+        &mut s.driver_brake_time_n,
+        &mut s.driver_steer_time_n,
+    ] {
+        *count = rng.next_u64() % (runs + 1);
     }
+    for sum in [
+        &mut s.aeb_time_sum,
+        &mut s.driver_brake_time_sum,
+        &mut s.driver_steer_time_sum,
+    ] {
+        *sum = rng.unit_f64() * 100.0;
+    }
+    s
 }
 
 fn arb_string(rng: &mut TestRng) -> String {
@@ -120,32 +97,25 @@ fn arb_string(rng: &mut TestRng) -> String {
 }
 
 fn arb_request(rng: &mut TestRng) -> Request {
-    match rng.usize_in(0, 11) {
+    match rng.usize_in(0, 10) {
         0 => Request::SubmitCampaign(arb_spec(rng)),
-        1 => Request::SubmitCell {
-            campaign_seed: rng.next_u64(),
-            max_steps: rng.next_u64() as u32 % 20_000,
-            run: arb_run(rng),
-            cell: arb_cell(rng),
-            with_trace: rng.next_u64() & 1 == 1,
-        },
-        2 => Request::Replay {
+        1 => Request::Replay {
             trace_hex: arb_string(rng),
         },
-        3 => Request::Status {
+        2 => Request::Status {
             job_id: rng.next_u64(),
         },
-        4 => Request::Cancel {
+        3 => Request::Cancel {
             job_id: rng.next_u64(),
         },
-        5 => Request::Metrics,
-        6 => Request::RegisterWorker {
+        4 => Request::Metrics,
+        5 => Request::RegisterWorker {
             fleet_epoch: rng.next_u64(),
         },
-        7 => Request::Heartbeat {
+        6 => Request::Heartbeat {
             nonce: rng.next_u64(),
         },
-        8 => {
+        7 => {
             // AssignCells requires indices.len() == spec.cells.len().
             let spec = arb_spec(rng);
             let indices = (0..spec.cells.len())
@@ -157,7 +127,7 @@ fn arb_request(rng: &mut TestRng) -> Request {
                 spec,
             }
         }
-        9 => Request::WorkerDrain,
+        8 => Request::WorkerDrain,
         _ => Request::Shutdown,
     }
 }
@@ -173,7 +143,7 @@ fn arb_state(rng: &mut TestRng) -> JobState {
 }
 
 fn arb_response(rng: &mut TestRng) -> Response {
-    match rng.usize_in(0, 12) {
+    match rng.usize_in(0, 11) {
         0 => Response::Accepted {
             job_id: rng.next_u64(),
             cells: rng.next_u64() as u32 % 1024,
@@ -191,15 +161,7 @@ fn arb_response(rng: &mut TestRng) -> Response {
             job_id: rng.next_u64(),
             state: arb_state(rng),
         },
-        4 => Response::RunResult {
-            record: arb_record(rng),
-            trace: (rng.next_u64() & 1 == 1).then(|| {
-                (0..rng.usize_in(0, 64))
-                    .map(|_| rng.next_u64() as u8)
-                    .collect()
-            }),
-        },
-        5 => Response::ReplayVerdict {
+        4 => Response::ReplayVerdict {
             outcome: [
                 ReplayOutcome::Identical,
                 ReplayOutcome::Diverged,
@@ -208,21 +170,21 @@ fn arb_response(rng: &mut TestRng) -> Response {
             ][rng.usize_in(0, 4)],
             detail: arb_string(rng),
         },
-        6 => Response::StatusReport {
+        5 => Response::StatusReport {
             state: arb_state(rng),
             cells_done: rng.next_u64() as u32,
             cells_total: rng.next_u64() as u32,
             runs_done: rng.next_u64(),
         },
-        7 => Response::MetricsJson(arb_string(rng)),
-        8 => Response::Error(arb_string(rng)),
-        9 => Response::WorkerHello {
+        6 => Response::MetricsJson(arb_string(rng)),
+        7 => Response::Error(arb_string(rng)),
+        8 => Response::WorkerHello {
             queue_capacity: rng.next_u64() as u32,
             threads: rng.next_u64() as u32,
             batch_width: rng.next_u64() as u32,
             memo_cells: rng.next_u64(),
         },
-        10 => Response::HeartbeatAck {
+        9 => Response::HeartbeatAck {
             nonce: rng.next_u64(),
             queued: rng.next_u64() as u32,
             running: rng.next_u64() as u32,
@@ -343,9 +305,10 @@ fn oversized_declared_length_is_rejected_before_allocation() {
 
 #[test]
 fn bad_version_byte_is_rejected() {
-    // Version 1 predates the fabric frames and is rejected too: workers
-    // and coordinators negotiate nothing, the version byte must match.
-    for version in [0u8, 1, 9, 0xFF] {
+    // Versions 1 (before the fabric frames) and 2 (percentage cell
+    // stats) are rejected too: workers and coordinators negotiate
+    // nothing, the version byte must match.
+    for version in [0u8, 1, 2, 9, 0xFF] {
         let wire = header(version, 0x06, 0);
         let mut cursor: &[u8] = &wire;
         assert_eq!(
@@ -368,7 +331,7 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn unknown_kind_bytes_are_rejected_by_decode() {
-    for kind in [0x00u8, 0x0E, 0x7F, 0x8E, 0xFF] {
+    for kind in [0x00u8, 0x02, 0x0E, 0x7F, 0x85, 0x8E, 0xFF] {
         let wire = header(VERSION, kind, 0);
         let mut cursor: &[u8] = &wire;
         let (k, payload) = read_frame(&mut cursor).expect("framing is fine");
@@ -484,21 +447,4 @@ fn assign_cells_zero_or_huge_count_is_rejected() {
             "count {count}: expected malformed, got {result:?}"
         );
     }
-}
-
-#[test]
-fn nan_and_infinity_survive_run_records() {
-    let record = RunRecord {
-        min_ttc: f64::INFINITY,
-        avg_following_distance: f64::NAN,
-        ..RunRecord::default()
-    };
-    let response = Response::RunResult {
-        record,
-        trace: None,
-    };
-    let (kind, payload) = frame_roundtrip(response.kind(), &response.payload());
-    let back = Response::decode(kind, &payload).expect("decodes");
-    // Bit-pattern comparison via Debug (NaN != NaN under PartialEq).
-    assert_eq!(format!("{back:?}"), format!("{response:?}"));
 }

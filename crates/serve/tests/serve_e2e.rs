@@ -7,8 +7,11 @@
 
 use adas_attack::FaultType;
 use adas_core::job::CellSpec;
-use adas_core::{run_single, ArtifactCache, CampaignSpec, CellStats, InterventionConfig, RunId};
-use adas_recorder::Trace;
+use adas_core::{
+    run_single, run_single_traced, ArtifactCache, CampaignSpec, CellStats, InterventionConfig,
+    PlatformConfig, RunId,
+};
+use adas_recorder::RecordMode;
 use adas_scenarios::{InitialPosition, RunRecord, ScenarioId};
 use adas_serve::{Client, JobState, ReplayOutcome, Response, Server, ServerConfig, Submission};
 use std::path::PathBuf;
@@ -360,7 +363,7 @@ fn malformed_and_truncated_streams_never_wedge_the_daemon() {
 }
 
 #[test]
-fn single_runs_and_replay_verify_over_the_wire() {
+fn local_trace_replays_over_the_wire() {
     let trace_dir = tmp_dir("replay-traces");
     let (addr, server) = start_server(4, ArtifactCache::disabled(), trace_dir.clone());
     let mut client = Client::connect(&addr).expect("connect");
@@ -375,19 +378,15 @@ fn single_runs_and_replay_verify_over_the_wire() {
         interventions: InterventionConfig::driver_and_check(),
     };
 
+    // Trace a run locally and store it where the server resolves hashes,
+    // then ask the server to verify it: bit-exact re-execution.
+    let mut config = PlatformConfig::with_interventions(cell.interventions);
+    config.max_steps = 2000;
+    let (traced, trace) =
+        run_single_traced(run, cell.fault, &config, None, 0, 2025, RecordMode::Full);
     // Traced and untraced executions of the same run agree exactly.
-    let (plain, none) = client
-        .submit_cell(2025, 2000, run, cell, false)
-        .expect("plain run");
-    assert!(none.is_none());
-    let (traced, bytes) = client
-        .submit_cell(2025, 2000, run, cell, true)
-        .expect("traced run");
+    let plain = run_single(run, cell.fault, &config, None, 2025);
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-
-    // Store the returned trace where the server resolves hashes, then ask
-    // the server to verify it: bit-exact re-execution.
-    let trace = Trace::from_bytes(&bytes.expect("trace bytes")).expect("parse trace");
     trace.save_in(&trace_dir).expect("persist trace");
     let hex = trace.content_hex();
     let (outcome, detail) = client.replay(&hex).expect("replay");

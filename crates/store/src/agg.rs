@@ -9,6 +9,7 @@
 
 use crate::record::{CellRow, ANY};
 use crate::store::{SegmentReport, Store, StoreError};
+use adas_core::CellStats;
 use std::collections::BTreeMap;
 
 /// Marker in a [`GroupKey`] slot for an axis the query collapsed over.
@@ -141,141 +142,53 @@ impl GroupKey {
     }
 }
 
-/// Exact running sums for one group. All integer counts, so merging
-/// accumulators (or folding rows in any order) yields identical derived
-/// percentages.
+/// Exact running sums for one group: the group's [`CellStats`]. All
+/// integer counts, so merging accumulators (or folding rows in any order)
+/// yields identical derived percentages.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Accumulator {
-    /// Total runs.
-    pub runs: u64,
-    /// Forward collisions.
-    pub a1: u64,
-    /// Lane violations.
-    pub a2: u64,
-    /// Accident-free runs.
-    pub prevented: u64,
-    /// Hazard-flagged runs.
-    pub hazard: u64,
-    /// AEB-triggered runs.
-    pub aeb_n: u64,
-    /// Driver-brake-triggered runs.
-    pub driver_brake_n: u64,
-    /// Driver-steer-triggered runs.
-    pub driver_steer_n: u64,
-    /// ML-recovery runs.
-    pub ml_n: u64,
-    /// Sum of AEB mitigation times.
-    pub aeb_time_sum: f64,
-    /// Runs contributing to [`Accumulator::aeb_time_sum`].
-    pub aeb_time_n: u64,
-    /// Sum of driver-brake mitigation times.
-    pub driver_brake_time_sum: f64,
-    /// Runs contributing to [`Accumulator::driver_brake_time_sum`].
-    pub driver_brake_time_n: u64,
-    /// Sum of driver-steer mitigation times.
-    pub driver_steer_time_sum: f64,
-    /// Runs contributing to [`Accumulator::driver_steer_time_sum`].
-    pub driver_steer_time_n: u64,
-}
+pub struct Accumulator(pub CellStats);
 
 impl Accumulator {
     /// Folds one row in.
     pub fn fold(&mut self, row: &CellRow) {
-        self.runs += u64::from(row.runs);
-        self.a1 += u64::from(row.a1);
-        self.a2 += u64::from(row.a2);
-        self.prevented += u64::from(row.prevented);
-        self.hazard += u64::from(row.hazard);
-        self.aeb_n += u64::from(row.aeb_n);
-        self.driver_brake_n += u64::from(row.driver_brake_n);
-        self.driver_steer_n += u64::from(row.driver_steer_n);
-        self.ml_n += u64::from(row.ml_n);
-        self.aeb_time_sum += row.aeb_time_sum;
-        self.aeb_time_n += u64::from(row.aeb_time_n);
-        self.driver_brake_time_sum += row.driver_brake_time_sum;
-        self.driver_brake_time_n += u64::from(row.driver_brake_time_n);
-        self.driver_steer_time_sum += row.driver_steer_time_sum;
-        self.driver_steer_time_n += u64::from(row.driver_steer_time_n);
-    }
-
-    /// Merges another accumulator in (shard/segment combination).
-    pub fn merge(&mut self, other: &Accumulator) {
-        self.runs += other.runs;
-        self.a1 += other.a1;
-        self.a2 += other.a2;
-        self.prevented += other.prevented;
-        self.hazard += other.hazard;
-        self.aeb_n += other.aeb_n;
-        self.driver_brake_n += other.driver_brake_n;
-        self.driver_steer_n += other.driver_steer_n;
-        self.ml_n += other.ml_n;
-        self.aeb_time_sum += other.aeb_time_sum;
-        self.aeb_time_n += other.aeb_time_n;
-        self.driver_brake_time_sum += other.driver_brake_time_sum;
-        self.driver_brake_time_n += other.driver_brake_time_n;
-        self.driver_steer_time_sum += other.driver_steer_time_sum;
-        self.driver_steer_time_n += other.driver_steer_time_n;
-    }
-
-    fn pct(count: u64, runs: u64) -> f64 {
-        if runs == 0 {
-            0.0
-        } else {
-            100.0 * count as f64 / runs as f64
-        }
-    }
-
-    fn mean(sum: f64, n: u64) -> Option<f64> {
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-
-    /// Forward-collision percentage (Table VI A1 column).
-    #[must_use]
-    pub fn a1_pct(&self) -> f64 {
-        Self::pct(self.a1, self.runs)
-    }
-
-    /// Lane-violation percentage (Table VI A2 column).
-    #[must_use]
-    pub fn a2_pct(&self) -> f64 {
-        Self::pct(self.a2, self.runs)
-    }
-
-    /// Accident-prevented percentage.
-    #[must_use]
-    pub fn prevented_pct(&self) -> f64 {
-        Self::pct(self.prevented, self.runs)
-    }
-
-    /// Hazard-flag percentage.
-    #[must_use]
-    pub fn hazard_pct(&self) -> f64 {
-        Self::pct(self.hazard, self.runs)
+        let s = &mut self.0;
+        s.runs += u64::from(row.runs);
+        s.a1 += u64::from(row.a1);
+        s.a2 += u64::from(row.a2);
+        s.prevented += u64::from(row.prevented);
+        s.hazard += u64::from(row.hazard);
+        s.aeb_n += u64::from(row.aeb_n);
+        s.driver_brake_n += u64::from(row.driver_brake_n);
+        s.driver_steer_n += u64::from(row.driver_steer_n);
+        s.ml_n += u64::from(row.ml_n);
+        s.aeb_time_sum += row.aeb_time_sum;
+        s.aeb_time_n += u64::from(row.aeb_time_n);
+        s.driver_brake_time_sum += row.driver_brake_time_sum;
+        s.driver_brake_time_n += u64::from(row.driver_brake_time_n);
+        s.driver_steer_time_sum += row.driver_steer_time_sum;
+        s.driver_steer_time_n += u64::from(row.driver_steer_time_n);
     }
 
     /// One CSV measure tail: runs then the derived percentages and mean
     /// times (empty cell when a mean has no contributors).
     #[must_use]
     pub fn render_measures(&self) -> String {
-        let m = |sum, n| Self::mean(sum, n).map_or_else(String::new, |v| format!("{v:.3}"));
+        let s = &self.0;
+        let m = |mean: Option<f64>| mean.map_or_else(String::new, |v| format!("{v:.3}"));
         format!(
             "{},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{}",
-            self.runs,
-            self.a1_pct(),
-            self.a2_pct(),
-            self.prevented_pct(),
-            self.hazard_pct(),
-            Self::pct(self.aeb_n, self.runs),
-            Self::pct(self.driver_brake_n, self.runs),
-            Self::pct(self.driver_steer_n, self.runs),
-            Self::pct(self.ml_n, self.runs),
-            m(self.aeb_time_sum, self.aeb_time_n),
-            m(self.driver_brake_time_sum, self.driver_brake_time_n),
-            m(self.driver_steer_time_sum, self.driver_steer_time_n),
+            s.runs,
+            s.a1_pct(),
+            s.a2_pct(),
+            s.prevented_pct(),
+            s.hazard_pct(),
+            s.aeb_trigger_rate(),
+            s.driver_brake_trigger_rate(),
+            s.driver_steer_trigger_rate(),
+            s.ml_trigger_rate(),
+            m(s.aeb_mitigation_time()),
+            m(s.driver_brake_mitigation_time()),
+            m(s.driver_steer_mitigation_time()),
         )
     }
 }
@@ -349,9 +262,9 @@ mod tests {
         }
         assert_eq!(groups.len(), 2);
         let fault1 = by.key(&row(1, 0, 0));
-        assert_eq!(groups[&fault1].runs, 200);
-        assert_eq!(groups[&fault1].a1, 30);
-        assert!((groups[&fault1].a1_pct() - 15.0).abs() < 1e-12);
+        assert_eq!(groups[&fault1].0.runs, 200);
+        assert_eq!(groups[&fault1].0.a1, 30);
+        assert!((groups[&fault1].0.a1_pct() - 15.0).abs() < 1e-12);
     }
 
     #[test]
@@ -386,7 +299,7 @@ mod tests {
         for r in right {
             b.fold(r);
         }
-        a.merge(&b);
+        a.0.merge(&b.0);
         assert_eq!(a, whole);
     }
 

@@ -13,7 +13,7 @@
 
 use adas_attack::FaultType;
 use adas_core::{InterventionConfig, PlatformConfig};
-use adas_store::{agg, synth, CellRow, GroupBy, RecordKind, Store, StoreError};
+use adas_store::{agg, record, synth, CellRow, GroupBy, RecordKind, Store, StoreError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -161,10 +161,11 @@ fn cmd_synth(opts: &Opts) -> Result<ExitCode, StoreError> {
 
 /// Ingests a `results/table_vi.csv` file (header
 /// `fault,config,runs,a1_pct,a2_pct,prevented_pct,aeb_mt,...`): each
-/// line becomes one [`CellRow`] with exact counts recovered via
-/// [`CellRow::for_cell`], its fault and intervention row parsed by
-/// `from_name` as every tool parses them. Mitigation-time cells use `-`
-/// for "never triggered", matching the bench writer.
+/// line becomes one [`CellRow::for_cell`] row, its fault and intervention
+/// row parsed by `from_name` as every tool parses them. The CSV carries
+/// percentages and mean times (`-` for "never timed", matching the bench
+/// writer) but no timed-run counts, so the counts are recovered and the
+/// time sums approximated by [`record::csv_cell_stats`].
 fn cmd_ingest(opts: &Opts) -> Result<ExitCode, StoreError> {
     let csv = opts
         .csv
@@ -184,44 +185,23 @@ fn cmd_ingest(opts: &Opts) -> Result<ExitCode, StoreError> {
     let fault_c = col("fault")?;
     let config_c = col("config")?;
     let runs_c = col("runs")?;
-    let a1_c = col("a1_pct")?;
-    let a2_c = col("a2_pct")?;
-    let prevented_c = col("prevented_pct")?;
-    let aeb_mt_c = col("aeb_mt")?;
-    let db_mt_c = col("driver_brake_mt")?;
-    let ds_mt_c = col("driver_steer_mt")?;
-    let aeb_tr_c = col("aeb_trigger_pct")?;
-    let db_tr_c = col("driver_brake_trigger_pct")?;
-    let ds_tr_c = col("driver_steer_trigger_pct")?;
-    let ml_tr_c = col("ml_trigger_pct")?;
+    for name in record::CSV_MEASURES {
+        col(name)?;
+    }
 
     let mut rows = Vec::new();
     let mut skipped = 0usize;
     for line in lines.filter(|l| !l.trim().is_empty()) {
         let fields: Vec<&str> = line.split(',').map(str::trim).collect();
         let get = |c: usize| fields.get(c).copied().unwrap_or("");
-        let pct = |c: usize| get(c).parse::<f64>().unwrap_or(0.0);
-        let opt_time = |c: usize| get(c).parse::<f64>().ok();
         let iv = InterventionConfig::from_name(get(config_c));
         let fault = FaultType::from_name(get(fault_c));
         let (Some(iv), Some(fault)) = (iv, fault) else {
             skipped += 1;
             continue;
         };
-        let stats = adas_core::CellStats {
-            runs: get(runs_c).parse().unwrap_or(0),
-            a1_pct: pct(a1_c),
-            a2_pct: pct(a2_c),
-            prevented_pct: pct(prevented_c),
-            hazard_pct: 0.0,
-            aeb_mitigation_time: opt_time(aeb_mt_c),
-            driver_brake_mitigation_time: opt_time(db_mt_c),
-            driver_steer_mitigation_time: opt_time(ds_mt_c),
-            aeb_trigger_rate: pct(aeb_tr_c),
-            driver_brake_trigger_rate: pct(db_tr_c),
-            driver_steer_trigger_rate: pct(ds_tr_c),
-            ml_trigger_rate: pct(ml_tr_c),
-        };
+        let runs: u64 = get(runs_c).parse().unwrap_or(0);
+        let stats = record::csv_cell_stats(runs, |name| get(col(name).ok()?).parse().ok());
         let config = PlatformConfig::with_interventions(iv);
         rows.push(CellRow::for_cell(fault, &config, opts.seed, &stats));
     }

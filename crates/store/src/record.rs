@@ -9,7 +9,7 @@
 
 use adas_attack::FaultType;
 use adas_codec::{DecodeError, Reader, Writer};
-use adas_core::{InterventionConfig, MitigationKind, PlatformConfig};
+use adas_core::{CellStats, InterventionConfig, MitigationKind, PlatformConfig};
 
 /// Sentinel for "aggregated over this axis" in [`CellRow::scenario`] /
 /// [`CellRow::position`] (the CLI harnesses aggregate per cell, the
@@ -204,18 +204,14 @@ impl CellRow {
     /// are [`ANY`]. The intervention row is the Table VI row the
     /// configuration matches with its mitigation strategy and view count
     /// ignored (the ML row under any strategy is row 7; [`ANY`] off the
-    /// grid), and the strategy is its own column.
-    ///
-    /// The counts are recovered from the aggregate percentages. Lossless
-    /// because every `CellStats` percentage is `100 · count / runs` of
-    /// integer counts, so rounding the product recovers the integer
-    /// exactly; the stored time sums are `mean × n`.
+    /// grid), and the strategy is its own column. The counts and time
+    /// sums are copied from `s` (saturating at `u32::MAX`).
     #[must_use]
     pub fn for_cell(
         fault: Option<FaultType>,
         config: &PlatformConfig,
         seed: u64,
-        s: &adas_core::CellStats,
+        s: &CellStats,
     ) -> Self {
         let iv = config.interventions;
         let grid_row = InterventionConfig {
@@ -227,25 +223,7 @@ impl CellRow {
             .iter()
             .position(|row| *row == grid_row)
             .map_or(ANY, |i| i as u8);
-        let runs = u32::try_from(s.runs).unwrap_or(u32::MAX);
-        let count = |pct: f64| {
-            let n = (pct * f64::from(runs) / 100.0).round();
-            if n.is_finite() && n >= 0.0 {
-                n as u32
-            } else {
-                0
-            }
-        };
-        let a1 = count(s.a1_pct);
-        let a2 = count(s.a2_pct);
-        let (aeb_n, driver_brake_n, driver_steer_n, ml_n) = (
-            count(s.aeb_trigger_rate),
-            count(s.driver_brake_trigger_rate),
-            count(s.driver_steer_trigger_rate),
-            count(s.ml_trigger_rate),
-        );
-        // Mitigation-time means are reported over the triggered runs.
-        let sum_of = |mean: Option<f64>, n: u32| mean.map_or(0.0, |m| m * f64::from(n));
+        let n = |count: u64| u32::try_from(count).unwrap_or(u32::MAX);
         Self {
             scenario: ANY,
             position: ANY,
@@ -254,34 +232,85 @@ impl CellRow {
             mitigation: iv.mitigation.code(),
             sched: u8::from(!config.attack.is_immediate()),
             seed,
-            runs,
-            a1,
-            a2,
-            prevented: count(s.prevented_pct),
-            hazard: count(s.hazard_pct),
-            aeb_n,
-            driver_brake_n,
-            driver_steer_n,
-            ml_n,
-            aeb_time_sum: sum_of(s.aeb_mitigation_time, aeb_n),
-            aeb_time_n: if s.aeb_mitigation_time.is_some() {
-                aeb_n
-            } else {
-                0
-            },
-            driver_brake_time_sum: sum_of(s.driver_brake_mitigation_time, driver_brake_n),
-            driver_brake_time_n: if s.driver_brake_mitigation_time.is_some() {
-                driver_brake_n
-            } else {
-                0
-            },
-            driver_steer_time_sum: sum_of(s.driver_steer_mitigation_time, driver_steer_n),
-            driver_steer_time_n: if s.driver_steer_mitigation_time.is_some() {
-                driver_steer_n
-            } else {
-                0
-            },
+            runs: n(s.runs),
+            a1: n(s.a1),
+            a2: n(s.a2),
+            prevented: n(s.prevented),
+            hazard: n(s.hazard),
+            aeb_n: n(s.aeb_n),
+            driver_brake_n: n(s.driver_brake_n),
+            driver_steer_n: n(s.driver_steer_n),
+            ml_n: n(s.ml_n),
+            aeb_time_sum: s.aeb_time_sum,
+            aeb_time_n: n(s.aeb_time_n),
+            driver_brake_time_sum: s.driver_brake_time_sum,
+            driver_brake_time_n: n(s.driver_brake_time_n),
+            driver_steer_time_sum: s.driver_steer_time_sum,
+            driver_steer_time_n: n(s.driver_steer_time_n),
         }
+    }
+}
+
+/// The measure columns of a results CSV (`results/table_vi.csv`) that
+/// [`csv_cell_stats`] reads.
+pub const CSV_MEASURES: [&str; 10] = [
+    "a1_pct",
+    "a2_pct",
+    "prevented_pct",
+    "aeb_mt",
+    "driver_brake_mt",
+    "driver_steer_mt",
+    "aeb_trigger_pct",
+    "driver_brake_trigger_pct",
+    "driver_steer_trigger_pct",
+    "ml_trigger_pct",
+];
+
+/// A cell's result rebuilt from one results-CSV line of `runs` runs,
+/// whose [`CSV_MEASURES`] `field` looks up by column name (`None` for an
+/// empty or unparsable field). The CSV carries percentages, not counts:
+/// each count is recovered by rounding `pct × runs / 100`, exact because
+/// every percentage is `100 · count / runs` of an integer count; a
+/// missing, negative or non-finite percentage reads as 0. It carries mean
+/// mitigation times but no timed-run counts (a missing mean is "never
+/// timed"), so each time sum is taken as mean × trigger count and the
+/// time sums are approximate: a channel that triggered before the fault
+/// started counts as timed. It carries no hazard column (hazard 0).
+#[must_use]
+pub fn csv_cell_stats(runs: u64, field: impl Fn(&str) -> Option<f64>) -> CellStats {
+    let count = |name: &str| {
+        let n = (field(name).unwrap_or(0.0) * runs as f64 / 100.0).round();
+        if n.is_finite() && n >= 0.0 {
+            n as u64
+        } else {
+            0
+        }
+    };
+    let timed = |name: &str, n: u64| field(name).map_or((0.0, 0), |mean| (mean * n as f64, n));
+    let (aeb_n, driver_brake_n, driver_steer_n) = (
+        count("aeb_trigger_pct"),
+        count("driver_brake_trigger_pct"),
+        count("driver_steer_trigger_pct"),
+    );
+    let (aeb_time_sum, aeb_time_n) = timed("aeb_mt", aeb_n);
+    let (driver_brake_time_sum, driver_brake_time_n) = timed("driver_brake_mt", driver_brake_n);
+    let (driver_steer_time_sum, driver_steer_time_n) = timed("driver_steer_mt", driver_steer_n);
+    CellStats {
+        runs,
+        a1: count("a1_pct"),
+        a2: count("a2_pct"),
+        prevented: count("prevented_pct"),
+        hazard: 0,
+        aeb_n,
+        driver_brake_n,
+        driver_steer_n,
+        ml_n: count("ml_trigger_pct"),
+        aeb_time_sum,
+        aeb_time_n,
+        driver_brake_time_sum,
+        driver_brake_time_n,
+        driver_steer_time_sum,
+        driver_steer_time_n,
     }
 }
 
@@ -466,50 +495,64 @@ mod tests {
     }
 
     #[test]
-    fn stats_round_trip_recovers_counts() {
-        use adas_core::CellStats;
-        let s = CellStats {
-            runs: 120,
-            a1_pct: 100.0 * 13.0 / 120.0,
-            a2_pct: 100.0 * 7.0 / 120.0,
-            prevented_pct: 100.0 * 100.0 / 120.0,
-            hazard_pct: 100.0 * 119.0 / 120.0,
-            aeb_mitigation_time: Some(1.25),
-            driver_brake_mitigation_time: None,
-            driver_steer_mitigation_time: Some(3.5),
-            aeb_trigger_rate: 100.0 * 55.0 / 120.0,
-            driver_brake_trigger_rate: 100.0 * 44.0 / 120.0,
-            driver_steer_trigger_rate: 100.0 * 11.0 / 120.0,
-            ml_trigger_rate: 0.0,
-        };
+    fn cell_rows_carry_the_exact_stats() {
+        let mut stats = crate::Accumulator::default();
+        stats.fold(&sample_cell(37));
         let config =
             PlatformConfig::with_interventions(InterventionConfig::driver_check_aeb_compromised());
-        let row = CellRow::for_cell(Some(FaultType::RelativeDistance), &config, 2025, &s);
+        let row = CellRow::for_cell(Some(FaultType::RelativeDistance), &config, 2025, &stats.0);
         assert_eq!(
             (row.scenario, row.position, row.fault, row.iv_row),
             (ANY, ANY, 1, 2)
         );
         assert_eq!((row.mitigation, row.sched, row.seed), (0, 0, 2025));
-        assert_eq!(row.runs, 120);
-        assert_eq!(row.a1, 13);
-        assert_eq!(row.a2, 7);
-        assert_eq!(row.prevented, 100);
-        assert_eq!(row.hazard, 119);
-        assert_eq!(row.aeb_n, 55);
-        assert_eq!(row.driver_brake_n, 44);
-        assert_eq!(row.driver_steer_n, 11);
+        let mut back = crate::Accumulator::default();
+        back.fold(&row);
+        assert_eq!(back, stats);
+    }
+
+    #[test]
+    fn csv_stats_recover_counts() {
+        let pct = |count: f64| 100.0 * count / 120.0;
+        let field = |name: &str| match name {
+            "a1_pct" => Some(pct(13.0)),
+            "a2_pct" => Some(pct(7.0)),
+            "prevented_pct" => Some(pct(100.0)),
+            "aeb_trigger_pct" => Some(pct(55.0)),
+            "driver_brake_trigger_pct" => Some(pct(44.0)),
+            "driver_steer_trigger_pct" => Some(pct(11.0)),
+            "ml_trigger_pct" => Some(pct(119.0)),
+            "aeb_mt" => Some(1.25),
+            "driver_steer_mt" => Some(3.5),
+            _ => None,
+        };
+        let s = csv_cell_stats(120, field);
+        assert_eq!(
+            (s.runs, s.a1, s.a2, s.prevented, s.hazard),
+            (120, 13, 7, 100, 0)
+        );
+        assert_eq!(
+            (s.aeb_n, s.driver_brake_n, s.driver_steer_n, s.ml_n),
+            (55, 44, 11, 119)
+        );
         // No driver-brake mean reported → no time contribution.
-        assert_eq!(row.driver_brake_time_n, 0);
-        assert_eq!(row.driver_brake_time_sum, 0.0);
-        // Means re-derive exactly.
-        assert!((row.aeb_time_sum / f64::from(row.aeb_time_n) - 1.25).abs() < 1e-12);
+        assert_eq!((s.driver_brake_time_sum, s.driver_brake_time_n), (0.0, 0));
+        // The means re-derive exactly, over the trigger counts.
+        assert_eq!((s.aeb_time_n, s.driver_steer_time_n), (55, 11));
+        assert_eq!(s.aeb_mitigation_time(), Some(1.25));
+        assert_eq!(s.driver_steer_mitigation_time(), Some(3.5));
+        // Negative and non-finite percentages read as 0.
+        for bad in [-50.0, f64::NAN, f64::INFINITY] {
+            let s = csv_cell_stats(120, |name| (name == "a1_pct").then_some(bad));
+            assert_eq!(s.a1, 0, "{bad}");
+        }
     }
 
     #[test]
     fn served_and_harness_ml_rows_share_coordinates() {
         let coords = |r: CellRow| (r.fault, r.iv_row, r.mitigation, r.sched);
         let fault = Some(FaultType::Mixed);
-        let stats = adas_core::CellStats::from_records(std::iter::empty());
+        let stats = CellStats::from_records(std::iter::empty());
         // A served `ml-ens` cell, configured as the daemon configures it.
         let served = adas_core::job::CellSpec {
             fault,

@@ -27,7 +27,7 @@ fn main() {
         for fault in FaultType::ALL {
             let records = run_campaign(Some(fault), &cfg, None, 7, reps);
             let stats = CellStats::from_records(records.iter().map(|(_, r)| r));
-            cells.push(stats.prevented_pct);
+            cells.push(stats.prevented_pct());
         }
         println!(
             "{reaction:>9.1}s  {:>17.1}%  {:>17.1}%  {:>9.1}%",

@@ -28,7 +28,7 @@ fn main() {
         for fault in [FaultType::RelativeDistance, FaultType::DesiredCurvature] {
             let records = run_campaign(Some(fault), &cfg, None, 7, reps);
             let stats = CellStats::from_records(records.iter().map(|(_, r)| r));
-            cells.push(stats.prevented_pct);
+            cells.push(stats.prevented_pct());
         }
         println!(
             "{:>10}  {:>17.1}%  {:>17.1}%",

@@ -23,10 +23,10 @@ fn interventions_strictly_improve_on_nothing() {
             5,
         );
         assert!(
-            full.prevented_pct > none.prevented_pct,
+            full.prevented_pct() > none.prevented_pct(),
             "{fault}: {:.1}% vs {:.1}%",
-            full.prevented_pct,
-            none.prevented_pct
+            full.prevented_pct(),
+            none.prevented_pct()
         );
     }
 }
@@ -36,12 +36,12 @@ fn no_intervention_means_no_prevention_under_attack() {
     for fault in FaultType::ALL {
         let stats = small_campaign(Some(fault), InterventionConfig::none(), 5);
         assert!(
-            stats.prevented_pct < 25.0,
+            stats.prevented_pct() < 25.0,
             "{fault}: unexpected prevention {:.1}%",
-            stats.prevented_pct
+            stats.prevented_pct()
         );
-        assert!(stats.aeb_trigger_rate == 0.0);
-        assert!(stats.driver_brake_trigger_rate == 0.0);
+        assert!(stats.aeb_trigger_rate() == 0.0);
+        assert!(stats.driver_brake_trigger_rate() == 0.0);
     }
 }
 
@@ -52,8 +52,8 @@ fn rd_attack_yields_mostly_forward_collisions() {
         InterventionConfig::none(),
         5,
     );
-    assert!(stats.a1_pct > 60.0, "A1 {:.1}%", stats.a1_pct);
-    assert!(stats.a1_pct > stats.a2_pct);
+    assert!(stats.a1_pct() > 60.0, "A1 {:.1}%", stats.a1_pct());
+    assert!(stats.a1_pct() > stats.a2_pct());
 }
 
 #[test]
@@ -63,8 +63,8 @@ fn curvature_attack_yields_lane_violations() {
         InterventionConfig::none(),
         5,
     );
-    assert!(stats.a2_pct > 60.0, "A2 {:.1}%", stats.a2_pct);
-    assert!(stats.a1_pct < stats.a2_pct);
+    assert!(stats.a2_pct() > 60.0, "A2 {:.1}%", stats.a2_pct());
+    assert!(stats.a1_pct() < stats.a2_pct());
 }
 
 #[test]
@@ -77,8 +77,8 @@ fn faster_reaction_prevents_more() {
         alert.driver_reaction_time = 1.0;
         let mut sluggish = InterventionConfig::driver_only();
         sluggish.driver_reaction_time = 3.5;
-        alert_total += small_campaign(Some(fault), alert, 5).prevented_pct;
-        sluggish_total += small_campaign(Some(fault), sluggish, 5).prevented_pct;
+        alert_total += small_campaign(Some(fault), alert, 5).prevented_pct();
+        sluggish_total += small_campaign(Some(fault), sluggish, 5).prevented_pct();
     }
     assert!(
         alert_total > sluggish_total,
@@ -97,8 +97,8 @@ fn icy_road_hurts_lateral_mitigation() {
 
     let dry = run_campaign(Some(FaultType::DesiredCurvature), &dry_cfg, None, 5, 2);
     let icy = run_campaign(Some(FaultType::DesiredCurvature), &icy_cfg, None, 5, 2);
-    let dry_prev = CellStats::from_records(dry.iter().map(|(_, r)| r)).prevented_pct;
-    let icy_prev = CellStats::from_records(icy.iter().map(|(_, r)| r)).prevented_pct;
+    let dry_prev = CellStats::from_records(dry.iter().map(|(_, r)| r)).prevented_pct();
+    let icy_prev = CellStats::from_records(icy.iter().map(|(_, r)| r)).prevented_pct();
     assert!(
         dry_prev >= icy_prev,
         "dry {dry_prev:.1}% should be ≥ icy {icy_prev:.1}%"
@@ -157,7 +157,7 @@ fn safety_check_row_differs_from_driver_only() {
 fn cell_stats_outcomes_partition() {
     for fault in FaultType::ALL {
         let stats = small_campaign(Some(fault), InterventionConfig::driver_and_check(), 11);
-        let total = stats.a1_pct + stats.a2_pct + stats.prevented_pct;
+        let total = stats.a1_pct() + stats.a2_pct() + stats.prevented_pct();
         assert!((total - 100.0).abs() < 1e-9, "{fault}: {total}");
     }
 }

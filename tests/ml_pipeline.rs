@@ -47,15 +47,15 @@ fn ml_recovery_engages_under_attack_and_stays_quiet_benign() {
     let attacked_stats = CellStats::from_records(attacked.iter().map(|(_, r)| r));
 
     assert!(
-        attacked_stats.ml_trigger_rate > benign_stats.ml_trigger_rate,
+        attacked_stats.ml_trigger_rate() > benign_stats.ml_trigger_rate(),
         "attack must raise the ML trigger rate: {:.1}% vs {:.1}%",
-        attacked_stats.ml_trigger_rate,
-        benign_stats.ml_trigger_rate
+        attacked_stats.ml_trigger_rate(),
+        benign_stats.ml_trigger_rate()
     );
     assert!(
-        attacked_stats.ml_trigger_rate > 50.0,
+        attacked_stats.ml_trigger_rate() > 50.0,
         "ML must engage under attack ({:.1}%)",
-        attacked_stats.ml_trigger_rate
+        attacked_stats.ml_trigger_rate()
     );
 }
 
@@ -73,8 +73,8 @@ fn ml_mitigation_reduces_forward_collisions() {
         22,
         1,
     );
-    let a1_unprotected = CellStats::from_records(unprotected.iter().map(|(_, r)| r)).a1_pct;
-    let a1_protected = CellStats::from_records(protected.iter().map(|(_, r)| r)).a1_pct;
+    let a1_unprotected = CellStats::from_records(unprotected.iter().map(|(_, r)| r)).a1_pct();
+    let a1_protected = CellStats::from_records(protected.iter().map(|(_, r)| r)).a1_pct();
     assert!(
         a1_protected < a1_unprotected,
         "ML must reduce forward collisions: {a1_protected:.1}% vs {a1_unprotected:.1}%"
