@@ -11,7 +11,7 @@ use adas_attack::FaultType;
 use adas_bench::{reps_from_args, write_results_file, CAMPAIGN_SEED};
 use adas_core::parallel::MapControl;
 use adas_core::{
-    collect_training_data, resolve_cell, ArtifactCache, CampaignCell, InterventionConfig,
+    collect_training_data, resolve_cell, ArtifactCache, CampaignCell, InterventionConfig, Measure,
     PlatformConfig, TraceSink,
 };
 use adas_ml::{train, LstmPredictor, ModelSpec, TrainConfig};
@@ -30,7 +30,10 @@ fn main() {
         ("128-64 (paper best)", 128, 64),
     ];
 
-    let mut csv = String::from("config,params,final_loss,prevented_pct\n");
+    let mut csv = format!(
+        "config,params,final_loss,{}\n",
+        Measure::PreventedPct.name()
+    );
     println!("config               params     final MSE   RD-attack prevented");
     for (label, h1, h2) in configs {
         let spec = ModelSpec {
@@ -65,9 +68,9 @@ fn main() {
             stats.prevented_pct()
         );
         csv.push_str(&format!(
-            "{label},{},{loss:.6},{:.2}\n",
+            "{label},{},{loss:.6},{}\n",
             model.param_count(),
-            stats.prevented_pct()
+            Measure::PreventedPct.render(&stats)
         ));
     }
     write_results_file("ml_ablation.csv", &csv);

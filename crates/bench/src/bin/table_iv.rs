@@ -3,15 +3,15 @@
 //! following distance, hardest brake, min TTC, t_fcw), no faults, no
 //! interventions.
 
-use adas_bench::{default_config, paper, reps_from_args, write_results_file, CAMPAIGN_SEED};
-use adas_core::{run_campaign, TextTable};
+use adas_bench::{paper, reps_from_args, write_results_file, CAMPAIGN_SEED};
+use adas_core::{run_campaign, PlatformConfig, TextTable};
 use adas_scenarios::ScenarioId;
 
 fn main() {
     let reps = reps_from_args();
     let runs_per_scenario = 2 * reps;
     eprintln!("[table IV] benign campaign, {runs_per_scenario} runs per scenario…");
-    let records = run_campaign(None, &default_config(), None, CAMPAIGN_SEED, reps);
+    let records = run_campaign(None, &PlatformConfig::default(), None, CAMPAIGN_SEED, reps);
 
     let mut table = TextTable::new([
         "Scenario",

@@ -19,8 +19,8 @@ use adas_bench::{
     model_fingerprint, trained_baseline_cached, write_results_file, PhaseTimer, CAMPAIGN_SEED,
 };
 use adas_core::{
-    fmt_opt_time, run_campaign, ArtifactCache, CellStats, InterventionConfig, PlatformConfig,
-    TextTable,
+    fmt_opt_time, run_campaign, ArtifactCache, CellStats, InterventionConfig, Measure,
+    PlatformConfig, TextTable,
 };
 use adas_ml::{MitigationKind, ModelSpec};
 use adas_scenarios::ScenarioId;
@@ -32,6 +32,18 @@ const FAULTS: [Option<FaultType>; 4] = [
     Some(FaultType::RelativeDistance),
     Some(FaultType::DesiredCurvature),
     Some(FaultType::Mixed),
+];
+
+/// The measures `table_mitigation.csv` reports per row, in column order;
+/// `MITIGATION_compare.json` reports all but the last.
+const CSV_COLUMNS: [Measure; 7] = [
+    Measure::Runs,
+    Measure::A1Pct,
+    Measure::A2Pct,
+    Measure::PreventedPct,
+    Measure::HazardPct,
+    Measure::MlTriggerPct,
+    Measure::AebTriggerPct,
 ];
 
 fn fault_label(fault: Option<FaultType>) -> &'static str {
@@ -60,9 +72,9 @@ fn main() {
     );
 
     timer.phase("campaign");
-    let mut csv = String::from(
-        "fault,mitigation,scenario,runs,a1_pct,a2_pct,prevented_pct,hazard_pct,\
-         ml_trigger_pct,aeb_trigger_pct\n",
+    let mut csv = format!(
+        "fault,mitigation,scenario,{}\n",
+        Measure::header(&CSV_COLUMNS)
     );
     let mut json_rows: Vec<String> = Vec::new();
 
@@ -86,6 +98,14 @@ fn main() {
             let records = run_campaign(fault, &cfg, Some(&model), CAMPAIGN_SEED, reps);
             timer.add_runs(records.len() as u64);
 
+            let mut push_row = |scenario: &str, s: &CellStats| {
+                csv.push_str(&format!(
+                    "{},{},{scenario},{}\n",
+                    fault_label(fault),
+                    kind.name(),
+                    Measure::csv(&CSV_COLUMNS, s)
+                ));
+            };
             // Per-scenario breakdown (the S1–S6 axis of the grid)…
             for scenario in ScenarioId::ALL {
                 let s = CellStats::from_records(
@@ -94,33 +114,11 @@ fn main() {
                         .filter(|(id, _)| id.scenario == scenario)
                         .map(|(_, r)| r),
                 );
-                csv.push_str(&format!(
-                    "{},{},{scenario:?},{},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2}\n",
-                    fault_label(fault),
-                    kind.name(),
-                    s.runs,
-                    s.a1_pct(),
-                    s.a2_pct(),
-                    s.prevented_pct(),
-                    s.hazard_pct(),
-                    s.ml_trigger_rate(),
-                    s.aeb_trigger_rate(),
-                ));
+                push_row(&format!("{scenario:?}"), &s);
             }
             // …plus the aggregate row.
             let s = CellStats::from_records(records.iter().map(|(_, r)| r));
-            csv.push_str(&format!(
-                "{},{},ALL,{},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2}\n",
-                fault_label(fault),
-                kind.name(),
-                s.runs,
-                s.a1_pct(),
-                s.a2_pct(),
-                s.prevented_pct(),
-                s.hazard_pct(),
-                s.ml_trigger_rate(),
-                s.aeb_trigger_rate(),
-            ));
+            push_row("ALL", &s);
             table.row([
                 kind.name().to_owned(),
                 format!("{:.2}%", s.a1_pct()),
@@ -132,17 +130,10 @@ fn main() {
                 fmt_opt_time(s.aeb_mitigation_time()),
             ]);
             json_rows.push(format!(
-                "    {{ \"fault\": \"{}\", \"mitigation\": \"{}\", \"runs\": {}, \
-                 \"a1_pct\": {:.2}, \"a2_pct\": {:.2}, \"prevented_pct\": {:.2}, \
-                 \"hazard_pct\": {:.2}, \"ml_trigger_pct\": {:.2} }}",
+                "    {{ \"fault\": \"{}\", \"mitigation\": \"{}\", {} }}",
                 fault_label(fault),
                 kind.name(),
-                s.runs,
-                s.a1_pct(),
-                s.a2_pct(),
-                s.prevented_pct(),
-                s.hazard_pct(),
-                s.ml_trigger_rate(),
+                Measure::json(&CSV_COLUMNS[..6], &s)
             ));
         }
         println!(

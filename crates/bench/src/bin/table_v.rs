@@ -1,14 +1,14 @@
 //! Regenerates **Table V** — "Minimal Distance to Lane Lines": the closest
 //! the ego's body edge comes to a lane line per scenario in benign runs.
 
-use adas_bench::{default_config, paper, reps_from_args, write_results_file, CAMPAIGN_SEED};
-use adas_core::{run_campaign, TextTable};
+use adas_bench::{paper, reps_from_args, write_results_file, CAMPAIGN_SEED};
+use adas_core::{run_campaign, PlatformConfig, TextTable};
 use adas_scenarios::ScenarioId;
 
 fn main() {
     let reps = reps_from_args();
     eprintln!("[table V] benign campaign, {} runs per scenario…", 2 * reps);
-    let records = run_campaign(None, &default_config(), None, CAMPAIGN_SEED, reps);
+    let records = run_campaign(None, &PlatformConfig::default(), None, CAMPAIGN_SEED, reps);
 
     let mut table = TextTable::new(["Scenario", "MinLaneDist(m)", "paper(m)"]);
     let mut csv = String::from("scenario,min_lane_line_distance_m\n");

@@ -26,13 +26,28 @@ use adas_bench::{
 };
 use adas_core::parallel::MapControl;
 use adas_core::{
-    fmt_opt_time, resolve_cell, ArtifactCache, CampaignCell, InterventionConfig, PlatformConfig,
-    TextTable, TraceSink,
+    fmt_opt_time, resolve_cell, ArtifactCache, CampaignCell, InterventionConfig, Measure,
+    PlatformConfig, TextTable, TraceSink,
 };
 use adas_ml::ModelSpec;
 use adas_recorder::RecordMode;
 use adas_store::CellRow;
 use std::sync::Arc;
+
+/// The measures `table_vi.csv` reports per cell, in column order.
+const COLUMNS: [Measure; 11] = [
+    Measure::Runs,
+    Measure::A1Pct,
+    Measure::A2Pct,
+    Measure::PreventedPct,
+    Measure::AebMt,
+    Measure::DriverBrakeMt,
+    Measure::DriverSteerMt,
+    Measure::AebTriggerPct,
+    Measure::DriverBrakeTriggerPct,
+    Measure::DriverSteerTriggerPct,
+    Measure::MlTriggerPct,
+];
 
 fn main() {
     let reps = reps_from_args();
@@ -68,10 +83,7 @@ fn main() {
 
     timer.phase("campaign");
 
-    let mut csv = String::from(
-        "fault,config,runs,a1_pct,a2_pct,prevented_pct,aeb_mt,driver_brake_mt,driver_steer_mt,\
-         aeb_trigger_pct,driver_brake_trigger_pct,driver_steer_trigger_pct,ml_trigger_pct\n",
-    );
+    let mut csv = format!("fault,config,{}\n", Measure::header(&COLUMNS));
 
     for fault in FaultType::ALL {
         println!("\n=== Fault type: {fault} (runs/cell: {}) ===\n", 12 * reps);
@@ -132,20 +144,10 @@ fn main() {
                 format!("{pprev:.2}%"),
             ]);
             csv.push_str(&format!(
-                "{},{},{},{:.2},{:.2},{:.2},{},{},{},{:.2},{:.2},{:.2},{:.2}\n",
+                "{},{},{}\n",
                 fault.label(),
                 iv.label(),
-                s.runs,
-                s.a1_pct(),
-                s.a2_pct(),
-                s.prevented_pct(),
-                fmt_opt_time(s.aeb_mitigation_time()),
-                fmt_opt_time(s.driver_brake_mitigation_time()),
-                fmt_opt_time(s.driver_steer_mitigation_time()),
-                s.aeb_trigger_rate(),
-                s.driver_brake_trigger_rate(),
-                s.driver_steer_trigger_rate(),
-                s.ml_trigger_rate(),
+                Measure::csv(&COLUMNS, &s)
             ));
         }
         println!("{}", table.render());

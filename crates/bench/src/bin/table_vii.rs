@@ -6,8 +6,8 @@ use adas_attack::FaultType;
 use adas_bench::{paper, reps_from_args, write_results_file, CAMPAIGN_SEED};
 use adas_core::parallel::MapControl;
 use adas_core::{
-    resolve_cell, ArtifactCache, CampaignCell, InterventionConfig, PlatformConfig, TextTable,
-    TraceSink,
+    resolve_cell, ArtifactCache, CampaignCell, InterventionConfig, Measure, PlatformConfig,
+    TextTable, TraceSink,
 };
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     header.push("@2.5".into());
     header.push("@3.5".into());
     let mut table = TextTable::new(header);
-    let mut csv = String::from("fault,reaction_time_s,prevented_pct\n");
+    let mut csv = format!("fault,reaction_time_s,{}\n", Measure::PreventedPct.name());
 
     for (i, fault) in FaultType::ALL.into_iter().enumerate() {
         eprintln!("[table VII] {fault}…");
@@ -35,9 +35,9 @@ fn main() {
                 .expect("uncancelled cell");
             row.push(format!("{:.2}%", s.prevented_pct()));
             csv.push_str(&format!(
-                "{},{t:.1},{:.2}\n",
+                "{},{t:.1},{}\n",
                 fault.label(),
-                s.prevented_pct()
+                Measure::PreventedPct.render(&s)
             ));
         }
         let p = paper::TABLE_VII[i].1;

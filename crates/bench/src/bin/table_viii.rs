@@ -7,8 +7,8 @@ use adas_attack::FaultType;
 use adas_bench::{paper, reps_from_args, write_results_file, CAMPAIGN_SEED};
 use adas_core::parallel::MapControl;
 use adas_core::{
-    resolve_cell, ArtifactCache, CampaignCell, InterventionConfig, PlatformConfig, TextTable,
-    TraceSink,
+    resolve_cell, ArtifactCache, CampaignCell, InterventionConfig, Measure, PlatformConfig,
+    TextTable, TraceSink,
 };
 use adas_simulator::FrictionCondition;
 
@@ -22,7 +22,7 @@ fn main() {
     header.push("| paper Default".into());
     header.push("75% off".into());
     let mut table = TextTable::new(header);
-    let mut csv = String::from("fault,friction,prevented_pct\n");
+    let mut csv = format!("fault,friction,{}\n", Measure::PreventedPct.name());
 
     for (i, fault) in [FaultType::RelativeDistance, FaultType::DesiredCurvature]
         .into_iter()
@@ -40,10 +40,10 @@ fn main() {
                 .expect("uncancelled cell");
             row.push(format!("{:.2}%", s.prevented_pct()));
             csv.push_str(&format!(
-                "{},{},{:.2}\n",
+                "{},{},{}\n",
                 fault.label(),
                 condition.label(),
-                s.prevented_pct()
+                Measure::PreventedPct.render(&s)
             ));
         }
         let p = paper::TABLE_VIII[i].1;

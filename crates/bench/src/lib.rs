@@ -5,9 +5,7 @@
 //! campaign wiring, the trained ML baseline, and the paper's reference
 //! numbers so every harness prints a paper-vs-measured comparison.
 
-use adas_core::{
-    collect_training_data, fingerprint_dataset, ArtifactCache, Fingerprint, PlatformConfig,
-};
+use adas_core::{collect_training_data, fingerprint_dataset, ArtifactCache, Fingerprint};
 use adas_ml::{train, LstmPredictor, ModelSpec, TrainConfig};
 use std::time::Instant;
 
@@ -43,18 +41,12 @@ pub fn baseline_train_config() -> TrainConfig {
 pub use adas_core::model_fingerprint;
 
 /// Trains the ML mitigation baseline on fault-free traces and returns it,
-/// using the process-wide artifact cache (`results/cache`, see
-/// `ADAS_CACHE`/`ADAS_CACHE_DIR`).
+/// through `cache` (harnesses pass [`ArtifactCache::from_env`], i.e.
+/// `results/cache`, see `ADAS_CACHE`/`ADAS_CACHE_DIR`; tests point it at
+/// a temp directory; [`ArtifactCache::disabled`] forces a retrain).
 ///
 /// Training is deterministic for a given seed; progress is printed because
 /// it takes ~5 s on a 2-vCPU host at the shipped 64-32 hidden sizes.
-#[must_use]
-pub fn trained_baseline(seed: u64, spec: ModelSpec) -> LstmPredictor {
-    trained_baseline_cached(&ArtifactCache::from_env(), seed, spec)
-}
-
-/// [`trained_baseline`] against an explicit cache (tests point this at a
-/// temp directory; [`ArtifactCache::disabled`] forces a retrain).
 ///
 /// The cache key covers the *content* of the training dataset plus every
 /// hyper-parameter and the architecture, so any change to data collection,
@@ -339,12 +331,6 @@ pub fn write_results_file(name: &str, contents: &str) {
         Ok(()) => eprintln!("[out] wrote {}", path.display()),
         Err(e) => eprintln!("[warn] cannot write {}: {e}", path.display()),
     }
-}
-
-/// Returns the default platform configuration used by all harnesses.
-#[must_use]
-pub fn default_config() -> PlatformConfig {
-    PlatformConfig::default()
 }
 
 #[cfg(test)]

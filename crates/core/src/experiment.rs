@@ -490,6 +490,137 @@ impl CellStats {
     }
 }
 
+/// One measure of a cell as the results files name and print it: the one
+/// place a [`CellStats`] value becomes text. Each harness picks its
+/// columns from [`Measure::ALL`], and its CSV header, CSV rows and JSON
+/// pairs are built from that pick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Measure {
+    /// [`CellStats::runs`].
+    Runs,
+    /// [`CellStats::a1_pct`].
+    A1Pct,
+    /// [`CellStats::a2_pct`].
+    A2Pct,
+    /// [`CellStats::prevented_pct`].
+    PreventedPct,
+    /// [`CellStats::hazard_pct`].
+    HazardPct,
+    /// [`CellStats::aeb_mitigation_time`].
+    AebMt,
+    /// [`CellStats::driver_brake_mitigation_time`].
+    DriverBrakeMt,
+    /// [`CellStats::driver_steer_mitigation_time`].
+    DriverSteerMt,
+    /// [`CellStats::aeb_trigger_rate`].
+    AebTriggerPct,
+    /// [`CellStats::driver_brake_trigger_rate`].
+    DriverBrakeTriggerPct,
+    /// [`CellStats::driver_steer_trigger_rate`].
+    DriverSteerTriggerPct,
+    /// [`CellStats::ml_trigger_rate`].
+    MlTriggerPct,
+}
+
+impl Measure {
+    /// Every measure, in `table_vi` column order with
+    /// [`Measure::HazardPct`] after [`Measure::PreventedPct`].
+    pub const ALL: [Self; 12] = [
+        Self::Runs,
+        Self::A1Pct,
+        Self::A2Pct,
+        Self::PreventedPct,
+        Self::HazardPct,
+        Self::AebMt,
+        Self::DriverBrakeMt,
+        Self::DriverSteerMt,
+        Self::AebTriggerPct,
+        Self::DriverBrakeTriggerPct,
+        Self::DriverSteerTriggerPct,
+        Self::MlTriggerPct,
+    ];
+
+    /// The column name in the results files.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            Self::Runs => "runs",
+            Self::A1Pct => "a1_pct",
+            Self::A2Pct => "a2_pct",
+            Self::PreventedPct => "prevented_pct",
+            Self::HazardPct => "hazard_pct",
+            Self::AebMt => "aeb_mt",
+            Self::DriverBrakeMt => "driver_brake_mt",
+            Self::DriverSteerMt => "driver_steer_mt",
+            Self::AebTriggerPct => "aeb_trigger_pct",
+            Self::DriverBrakeTriggerPct => "driver_brake_trigger_pct",
+            Self::DriverSteerTriggerPct => "driver_steer_trigger_pct",
+            Self::MlTriggerPct => "ml_trigger_pct",
+        }
+    }
+
+    /// The measure of `s`: the run count, a percentage, or a mean time
+    /// (`None` when no run was timed).
+    #[must_use]
+    pub fn value(self, s: &CellStats) -> Option<f64> {
+        match self {
+            Self::Runs => Some(s.runs as f64),
+            Self::A1Pct => Some(s.a1_pct()),
+            Self::A2Pct => Some(s.a2_pct()),
+            Self::PreventedPct => Some(s.prevented_pct()),
+            Self::HazardPct => Some(s.hazard_pct()),
+            Self::AebMt => s.aeb_mitigation_time(),
+            Self::DriverBrakeMt => s.driver_brake_mitigation_time(),
+            Self::DriverSteerMt => s.driver_steer_mitigation_time(),
+            Self::AebTriggerPct => Some(s.aeb_trigger_rate()),
+            Self::DriverBrakeTriggerPct => Some(s.driver_brake_trigger_rate()),
+            Self::DriverSteerTriggerPct => Some(s.driver_steer_trigger_rate()),
+            Self::MlTriggerPct => Some(s.ml_trigger_rate()),
+        }
+    }
+
+    /// The measure of `s` as the results files print it: the run count
+    /// as an integer, percentages and mean times with two decimals, and
+    /// `-` for a mean time when no run was timed.
+    #[must_use]
+    pub fn render(self, s: &CellStats) -> String {
+        match self {
+            Self::Runs => s.runs.to_string(),
+            _ => crate::fmt_opt_time(self.value(s)),
+        }
+    }
+
+    /// The CSV header of `measures`, comma-separated.
+    #[must_use]
+    pub fn header(measures: &[Self]) -> String {
+        Self::join(measures, ",", |m| m.name().to_owned())
+    }
+
+    /// `s` rendered under `measures`, comma-separated.
+    #[must_use]
+    pub fn csv(measures: &[Self], s: &CellStats) -> String {
+        Self::join(measures, ",", |m| m.render(s))
+    }
+
+    /// `s` rendered under `measures` as JSON `"name": value` members,
+    /// comma-separated. A never-timed mean renders `-`, which is not JSON,
+    /// so `measures` should hold no mean time.
+    #[must_use]
+    pub fn json(measures: &[Self], s: &CellStats) -> String {
+        Self::join(measures, ", ", |m| {
+            format!("\"{}\": {}", m.name(), m.render(s))
+        })
+    }
+
+    fn join(measures: &[Self], sep: &str, cell: impl Fn(Self) -> String) -> String {
+        measures
+            .iter()
+            .map(|&m| cell(m))
+            .collect::<Vec<_>>()
+            .join(sep)
+    }
+}
+
 /// Magic + version prefix for the [`CellStats`] cache and wire codec.
 /// Version 2 appended a trailing FNV-1a checksum over everything before
 /// it, so a bit-flipped entry is rejected (cache miss) instead of
@@ -692,6 +823,54 @@ mod tests {
         // Order: scenario-major.
         assert_eq!(a[0].0.scenario, ScenarioId::S1);
         assert_eq!(a[11].0.scenario, ScenarioId::S6);
+    }
+
+    #[test]
+    fn measures_render_table_vi_columns() {
+        use Measure::*;
+        let table_vi = [
+            Runs,
+            A1Pct,
+            A2Pct,
+            PreventedPct,
+            AebMt,
+            DriverBrakeMt,
+            DriverSteerMt,
+            AebTriggerPct,
+            DriverBrakeTriggerPct,
+            DriverSteerTriggerPct,
+            MlTriggerPct,
+        ];
+        // 13/120 does not terminate; the steer channel triggered but was
+        // never timed.
+        let s = CellStats {
+            runs: 120,
+            a1: 13,
+            a2: 7,
+            prevented: 100,
+            hazard: 90,
+            aeb_n: 55,
+            driver_brake_n: 44,
+            driver_steer_n: 11,
+            aeb_time_sum: 68.75,
+            aeb_time_n: 55,
+            driver_brake_time_sum: 132.0,
+            driver_brake_time_n: 44,
+            ..CellStats::default()
+        };
+        assert_eq!(
+            Measure::header(&table_vi),
+            "runs,a1_pct,a2_pct,prevented_pct,aeb_mt,driver_brake_mt,driver_steer_mt,\
+             aeb_trigger_pct,driver_brake_trigger_pct,driver_steer_trigger_pct,ml_trigger_pct"
+        );
+        assert_eq!(
+            Measure::csv(&table_vi, &s),
+            "120,10.83,5.83,83.33,1.25,3.00,-,45.83,36.67,9.17,0.00"
+        );
+        assert_eq!(
+            Measure::json(&[Runs, A1Pct, HazardPct], &s),
+            "\"runs\": 120, \"a1_pct\": 10.83, \"hazard_pct\": 75.00"
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use config::{
 };
 pub use experiment::{
     campaign_cell_fingerprint, campaign_run_ids, campaign_run_ids_masked, collect_training_data,
-    resolve_cell, run_campaign, run_ids_ctl, run_single, CampaignCell, CellStats, RunId,
+    resolve_cell, run_campaign, run_ids_ctl, run_single, CampaignCell, CellStats, Measure, RunId,
     SCENARIO_MASK_ALL,
 };
 pub use job::{CampaignSpec, CellSpec};
@@ -71,4 +71,4 @@ pub use replay::{
     config_fingerprint, replay_trace, run_single_traced, run_traced, trace_header, Perturbation,
     ReplayError, ReplayReport, TraceSink,
 };
-pub use tables::{fmt_opt_time, fmt_pct, TextTable};
+pub use tables::{fmt_opt_time, TextTable};

@@ -56,19 +56,14 @@ impl TextTable {
     }
 }
 
-/// Formats an optional seconds value as `x.xx` or `-`.
+/// Formats an optional value (a mean time, or a percentage) as `x.xx`, or
+/// `-` when absent.
 #[must_use]
 pub fn fmt_opt_time(v: Option<f64>) -> String {
     match v {
         Some(t) => format!("{t:.2}"),
         None => "-".to_owned(),
     }
-}
-
-/// Formats a percentage as `xx.xx%`.
-#[must_use]
-pub fn fmt_pct(v: f64) -> String {
-    format!("{v:.2}%")
 }
 
 #[cfg(test)]
@@ -99,6 +94,5 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(fmt_opt_time(None), "-");
         assert_eq!(fmt_opt_time(Some(3.195)), "3.19");
-        assert_eq!(fmt_pct(82.5), "82.50%");
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::record::{CellRow, ANY};
 use crate::store::{SegmentReport, Store, StoreError};
-use adas_core::CellStats;
+use adas_core::{CellStats, Measure};
 use std::collections::BTreeMap;
 
 /// Marker in a [`GroupKey`] slot for an axis the query collapsed over.
@@ -76,33 +76,14 @@ impl GroupBy {
         ])
     }
 
-    /// CSV header for [`render`] output: the selected axes then the
-    /// derived measures.
+    /// CSV header for [`render`] output: the selected axes then every
+    /// [`Measure`] by its results-file column name.
     #[must_use]
     pub fn header(&self) -> String {
-        let mut cols = Vec::new();
-        for (on, name) in self.flags().into_iter().zip(Self::AXES) {
-            if on {
-                cols.push(name.to_owned());
-            }
-        }
-        cols.extend(
-            [
-                "runs",
-                "a1_pct",
-                "a2_pct",
-                "prevented_pct",
-                "hazard_pct",
-                "aeb_rate",
-                "driver_brake_rate",
-                "driver_steer_rate",
-                "ml_rate",
-                "aeb_time",
-                "driver_brake_time",
-                "driver_steer_time",
-            ]
-            .map(str::to_owned),
-        );
+        let axes = self.flags().into_iter().zip(Self::AXES);
+        let mut cols: Vec<&str> = axes.filter_map(|(on, name)| on.then_some(name)).collect();
+        let measures = Measure::header(&Measure::ALL);
+        cols.push(&measures);
         cols.join(",")
     }
 
@@ -168,29 +149,6 @@ impl Accumulator {
         s.driver_steer_time_sum += row.driver_steer_time_sum;
         s.driver_steer_time_n += u64::from(row.driver_steer_time_n);
     }
-
-    /// One CSV measure tail: runs then the derived percentages and mean
-    /// times (empty cell when a mean has no contributors).
-    #[must_use]
-    pub fn render_measures(&self) -> String {
-        let s = &self.0;
-        let m = |mean: Option<f64>| mean.map_or_else(String::new, |v| format!("{v:.3}"));
-        format!(
-            "{},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{},{},{}",
-            s.runs,
-            s.a1_pct(),
-            s.a2_pct(),
-            s.prevented_pct(),
-            s.hazard_pct(),
-            s.aeb_trigger_rate(),
-            s.driver_brake_trigger_rate(),
-            s.driver_steer_trigger_rate(),
-            s.ml_trigger_rate(),
-            m(s.aeb_mitigation_time()),
-            m(s.driver_brake_mitigation_time()),
-            m(s.driver_steer_mitigation_time()),
-        )
-    }
 }
 
 /// Streams every intact cell row of `store` into per-group accumulators.
@@ -215,7 +173,7 @@ pub fn render(by: &GroupBy, groups: &BTreeMap<GroupKey, Accumulator>) -> String 
     out.push('\n');
     for (key, acc) in groups {
         let mut cols = key.cells();
-        cols.push(acc.render_measures());
+        cols.push(Measure::csv(&Measure::ALL, &acc.0));
         out.push_str(&cols.join(","));
         out.push('\n');
     }
@@ -319,7 +277,15 @@ mod tests {
         let text = render(&by, &groups);
         let lines: Vec<_> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("fault,iv,runs,"));
-        assert!(lines[1].starts_with("1,0,100,10.00"));
+        assert_eq!(
+            lines[0],
+            "fault,iv,runs,a1_pct,a2_pct,prevented_pct,hazard_pct,aeb_mt,driver_brake_mt,\
+             driver_steer_mt,aeb_trigger_pct,driver_brake_trigger_pct,driver_steer_trigger_pct,\
+             ml_trigger_pct"
+        );
+        assert_eq!(
+            lines[1],
+            "1,0,100,10.00,5.00,85.00,90.00,1.25,2.00,-,40.00,30.00,10.00,0.00"
+        );
     }
 }

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! adas-store synth   --dir results/store --cells 1000000 --seed 2025
-//! adas-store ingest  --dir results/store --csv results/table_vi.csv
 //! adas-store query   --dir results/store --by fault,iv
 //! adas-store verify  --dir results/store
 //! adas-store compact --dir results/store
@@ -11,16 +10,14 @@
 //!
 //! The directory defaults to `ADAS_STORE_DIR`, then `results/store`.
 
-use adas_attack::FaultType;
-use adas_core::{InterventionConfig, PlatformConfig};
-use adas_store::{agg, record, synth, CellRow, GroupBy, RecordKind, Store, StoreError};
+use adas_store::{agg, synth, GroupBy, RecordKind, Store, StoreError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: adas-store <synth|ingest|query|verify|compact|findings> [options]\n\
+        "usage: adas-store <synth|query|verify|compact|findings> [options]\n\
          \n\
          common:\n\
            --dir <path>        store directory (default $ADAS_STORE_DIR or results/store)\n\
@@ -28,9 +25,6 @@ fn usage() -> ExitCode {
            --cells <n>         synthetic cell rows to append (default 0)\n\
            --findings <n>      synthetic finding rows to append (default 0)\n\
            --seed <u64>        generator seed (default 2025)\n\
-         ingest:\n\
-           --csv <path>        table_vi-style CSV to ingest as cell rows\n\
-           --seed <u64>        campaign seed recorded on the rows (default 2025)\n\
          query:\n\
            --by <axes>         comma list of scenario,position,fault,iv,mitigation,sched\n\
            --out <path>        write CSV there instead of stdout"
@@ -41,7 +35,6 @@ fn usage() -> ExitCode {
 struct Opts {
     dir: PathBuf,
     by: String,
-    csv: Option<PathBuf>,
     out: Option<PathBuf>,
     cells: u64,
     findings: u64,
@@ -52,7 +45,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         dir: adas_store::dir_from_env().unwrap_or_else(|| PathBuf::from("results/store")),
         by: String::new(),
-        csv: None,
         out: None,
         cells: 0,
         findings: 0,
@@ -68,7 +60,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match flag.as_str() {
             "--dir" => opts.dir = PathBuf::from(value("--dir")?),
             "--by" => opts.by = value("--by")?,
-            "--csv" => opts.csv = Some(PathBuf::from(value("--csv")?)),
             "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
             "--cells" => {
                 opts.cells = value("--cells")?
@@ -105,7 +96,6 @@ fn main() -> ExitCode {
     };
     let result = match verb.as_str() {
         "synth" => cmd_synth(&opts),
-        "ingest" => cmd_ingest(&opts),
         "query" => cmd_query(&opts),
         "verify" => cmd_verify(&opts),
         "compact" => cmd_compact(&opts),
@@ -156,69 +146,6 @@ fn cmd_synth(opts: &Opts) -> Result<ExitCode, StoreError> {
         let total = w.finish()?;
         println!("synth: wrote {total} finding rows");
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Ingests a `results/table_vi.csv` file (header
-/// `fault,config,runs,a1_pct,a2_pct,prevented_pct,aeb_mt,...`): each
-/// line becomes one [`CellRow::for_cell`] row, its fault and intervention
-/// row parsed by `from_name` as every tool parses them. The CSV carries
-/// percentages and mean times (`-` for "never timed", matching the bench
-/// writer) but no timed-run counts, so the counts are recovered and the
-/// time sums approximated by [`record::csv_cell_stats`].
-fn cmd_ingest(opts: &Opts) -> Result<ExitCode, StoreError> {
-    let csv = opts
-        .csv
-        .as_ref()
-        .ok_or_else(|| StoreError::Format("ingest needs --csv <path>".into()))?;
-    let text = std::fs::read_to_string(csv).map_err(|e| StoreError::io(csv, &e))?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| StoreError::Format("empty CSV".into()))?;
-    let cols: Vec<&str> = header.split(',').map(str::trim).collect();
-    let col = |name: &str| {
-        cols.iter()
-            .position(|c| *c == name)
-            .ok_or_else(|| StoreError::Format(format!("CSV is missing a `{name}` column")))
-    };
-    let fault_c = col("fault")?;
-    let config_c = col("config")?;
-    let runs_c = col("runs")?;
-    for name in record::CSV_MEASURES {
-        col(name)?;
-    }
-
-    let mut rows = Vec::new();
-    let mut skipped = 0usize;
-    for line in lines.filter(|l| !l.trim().is_empty()) {
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        let get = |c: usize| fields.get(c).copied().unwrap_or("");
-        let iv = InterventionConfig::from_name(get(config_c));
-        let fault = FaultType::from_name(get(fault_c));
-        let (Some(iv), Some(fault)) = (iv, fault) else {
-            skipped += 1;
-            continue;
-        };
-        let runs: u64 = get(runs_c).parse().unwrap_or(0);
-        let stats = record::csv_cell_stats(runs, |name| get(col(name).ok()?).parse().ok());
-        let config = PlatformConfig::with_interventions(iv);
-        rows.push(CellRow::for_cell(fault, &config, opts.seed, &stats));
-    }
-    if rows.is_empty() {
-        return Err(StoreError::Format(format!(
-            "no ingestable rows in {} ({skipped} skipped)",
-            csv.display()
-        )));
-    }
-    let store = Store::open(&opts.dir)?;
-    let path = store.append_cells(&rows)?;
-    println!(
-        "ingest: {} rows from {} -> {} ({skipped} skipped)",
-        rows.len(),
-        csv.display(),
-        path.display()
-    );
     Ok(ExitCode::SUCCESS)
 }
 

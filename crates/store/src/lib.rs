@@ -25,8 +25,8 @@
 //! * [`synth`] — a deterministic synthetic-row generator used by the
 //!   scale tests and the `adas-store synth` CLI verb.
 //!
-//! The `adas-store` binary exposes `ingest | query | compact | verify |
-//! synth` over a store directory (`ADAS_STORE_DIR`, default
+//! The `adas-store` binary exposes `synth | query | verify | compact |
+//! findings` over a store directory (`ADAS_STORE_DIR`, default
 //! `results/store`).
 
 #![forbid(unsafe_code)]

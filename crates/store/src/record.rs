@@ -198,8 +198,8 @@ impl CellRow {
     }
 
     /// The row of one finished campaign cell — the one builder every
-    /// producer (the `table_vi` harness, the daemon, `adas-store ingest`)
-    /// uses, so the same cell lands on the same coordinates. A cell
+    /// producer (the `table_vi` harness, the daemon) uses, so the same
+    /// cell lands on the same coordinates. A cell
     /// aggregates every scenario × position of its sweep, so those axes
     /// are [`ANY`]. The intervention row is the Table VI row the
     /// configuration matches with its mitigation strategy and view count
@@ -248,69 +248,6 @@ impl CellRow {
             driver_steer_time_sum: s.driver_steer_time_sum,
             driver_steer_time_n: n(s.driver_steer_time_n),
         }
-    }
-}
-
-/// The measure columns of a results CSV (`results/table_vi.csv`) that
-/// [`csv_cell_stats`] reads.
-pub const CSV_MEASURES: [&str; 10] = [
-    "a1_pct",
-    "a2_pct",
-    "prevented_pct",
-    "aeb_mt",
-    "driver_brake_mt",
-    "driver_steer_mt",
-    "aeb_trigger_pct",
-    "driver_brake_trigger_pct",
-    "driver_steer_trigger_pct",
-    "ml_trigger_pct",
-];
-
-/// A cell's result rebuilt from one results-CSV line of `runs` runs,
-/// whose [`CSV_MEASURES`] `field` looks up by column name (`None` for an
-/// empty or unparsable field). The CSV carries percentages, not counts:
-/// each count is recovered by rounding `pct × runs / 100`, exact because
-/// every percentage is `100 · count / runs` of an integer count; a
-/// missing, negative or non-finite percentage reads as 0. It carries mean
-/// mitigation times but no timed-run counts (a missing mean is "never
-/// timed"), so each time sum is taken as mean × trigger count and the
-/// time sums are approximate: a channel that triggered before the fault
-/// started counts as timed. It carries no hazard column (hazard 0).
-#[must_use]
-pub fn csv_cell_stats(runs: u64, field: impl Fn(&str) -> Option<f64>) -> CellStats {
-    let count = |name: &str| {
-        let n = (field(name).unwrap_or(0.0) * runs as f64 / 100.0).round();
-        if n.is_finite() && n >= 0.0 {
-            n as u64
-        } else {
-            0
-        }
-    };
-    let timed = |name: &str, n: u64| field(name).map_or((0.0, 0), |mean| (mean * n as f64, n));
-    let (aeb_n, driver_brake_n, driver_steer_n) = (
-        count("aeb_trigger_pct"),
-        count("driver_brake_trigger_pct"),
-        count("driver_steer_trigger_pct"),
-    );
-    let (aeb_time_sum, aeb_time_n) = timed("aeb_mt", aeb_n);
-    let (driver_brake_time_sum, driver_brake_time_n) = timed("driver_brake_mt", driver_brake_n);
-    let (driver_steer_time_sum, driver_steer_time_n) = timed("driver_steer_mt", driver_steer_n);
-    CellStats {
-        runs,
-        a1: count("a1_pct"),
-        a2: count("a2_pct"),
-        prevented: count("prevented_pct"),
-        hazard: 0,
-        aeb_n,
-        driver_brake_n,
-        driver_steer_n,
-        ml_n: count("ml_trigger_pct"),
-        aeb_time_sum,
-        aeb_time_n,
-        driver_brake_time_sum,
-        driver_brake_time_n,
-        driver_steer_time_sum,
-        driver_steer_time_n,
     }
 }
 
@@ -509,43 +446,6 @@ mod tests {
         let mut back = crate::Accumulator::default();
         back.fold(&row);
         assert_eq!(back, stats);
-    }
-
-    #[test]
-    fn csv_stats_recover_counts() {
-        let pct = |count: f64| 100.0 * count / 120.0;
-        let field = |name: &str| match name {
-            "a1_pct" => Some(pct(13.0)),
-            "a2_pct" => Some(pct(7.0)),
-            "prevented_pct" => Some(pct(100.0)),
-            "aeb_trigger_pct" => Some(pct(55.0)),
-            "driver_brake_trigger_pct" => Some(pct(44.0)),
-            "driver_steer_trigger_pct" => Some(pct(11.0)),
-            "ml_trigger_pct" => Some(pct(119.0)),
-            "aeb_mt" => Some(1.25),
-            "driver_steer_mt" => Some(3.5),
-            _ => None,
-        };
-        let s = csv_cell_stats(120, field);
-        assert_eq!(
-            (s.runs, s.a1, s.a2, s.prevented, s.hazard),
-            (120, 13, 7, 100, 0)
-        );
-        assert_eq!(
-            (s.aeb_n, s.driver_brake_n, s.driver_steer_n, s.ml_n),
-            (55, 44, 11, 119)
-        );
-        // No driver-brake mean reported → no time contribution.
-        assert_eq!((s.driver_brake_time_sum, s.driver_brake_time_n), (0.0, 0));
-        // The means re-derive exactly, over the trigger counts.
-        assert_eq!((s.aeb_time_n, s.driver_steer_time_n), (55, 11));
-        assert_eq!(s.aeb_mitigation_time(), Some(1.25));
-        assert_eq!(s.driver_steer_mitigation_time(), Some(3.5));
-        // Negative and non-finite percentages read as 0.
-        for bad in [-50.0, f64::NAN, f64::INFINITY] {
-            let s = csv_cell_stats(120, |name| (name == "a1_pct").then_some(bad));
-            assert_eq!(s.a1, 0, "{bad}");
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use adas_attack::FaultType;
 use adas_core::parallel::MapControl;
 use adas_core::{
-    resolve_cell, ArtifactCache, CampaignCell, CellStats, InterventionConfig, PlatformConfig,
-    TraceSink,
+    resolve_cell, ArtifactCache, CampaignCell, CellStats, InterventionConfig, Measure,
+    PlatformConfig, TraceSink,
 };
 use adas_scenarios::{AccidentKind, RunRecord};
 use adas_store::{agg, Accumulator, CellRow, GroupBy, Store};
@@ -30,27 +30,11 @@ fn run(
     }
 }
 
-/// The percentages and means every results table prints, as bits.
+/// Every measure the results tables print, as bits.
 fn measures(s: &CellStats) -> Vec<Option<u64>> {
-    let pcts = [
-        s.a1_pct(),
-        s.a2_pct(),
-        s.prevented_pct(),
-        s.hazard_pct(),
-        s.aeb_trigger_rate(),
-        s.driver_brake_trigger_rate(),
-        s.driver_steer_trigger_rate(),
-        s.ml_trigger_rate(),
-    ];
-    let means = [
-        s.aeb_mitigation_time(),
-        s.driver_brake_mitigation_time(),
-        s.driver_steer_mitigation_time(),
-    ];
-    pcts.map(Some)
-        .into_iter()
-        .chain(means)
-        .map(|v| v.map(f64::to_bits))
+    Measure::ALL
+        .iter()
+        .map(|m| m.value(s).map(f64::to_bits))
         .collect()
 }
 
